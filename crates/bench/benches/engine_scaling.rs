@@ -1,55 +1,55 @@
-//! Scaling benchmark for the two execution substrates.
+//! Scaling benchmark for the two worlds' engines.
 //!
 //! Sweeps the system size (periodic task count and aperiodic timer count,
-//! 3 → 300) and the horizon (10³ → 10⁶ time units), comparing the indexed
-//! O(log n)-per-decision engines against the seed's linear-scan reference
-//! implementations (`SchedulerKind::LinearScan` in `rtsj-emu`,
-//! `simulate_reference` in `rtss-sim`).
+//! 3 → 300) and the horizon (10³ → 10⁶ time units), comparing each world's
+//! fast engine — `simulate` (the specialized simulation driver) and
+//! `execute` (the ceiling-table fast path under fixed priorities) — against
+//! its linear-scan reference oracle (`simulate_reference` in `rtss-sim`,
+//! `SchedulerKind::LinearScan` in `rtsj-emu`).
 //!
 //! Besides the criterion measurements, the run prints a per-decision cost
-//! and speedup summary; the 300-task row is the acceptance gate for the
-//! indexed-engine refactor (≥5× vs the linear scan for both engines).
+//! and speedup summary; the 300-task row is the acceptance gate (≥5× vs the
+//! linear scan for both engines).
 //!
-//! Three further sweeps ride along:
+//! Further sweeps ride along:
 //!
 //! * **worker scaling** — systems/sec of the table harness
 //!   (`run_systems`) over a paper-sized batch, 1 → N workers; the
 //!   acceptance gate is ≥2× at 4 workers over the sequential path;
-//! * **same-instant batching ablation** — both engines on a bursty workload
-//!   (many events per instant), batched vs unbatched dispatch;
 //! * **overload scaling** — executions of the ROADMAP overload hot-spot
 //!   (16-events/10-units burst into a capacity-5/period-10 DS) across
 //!   horizons 10³..10⁴; with the indexed pending queue the cost is linear
 //!   in the horizon (run just this sweep with
 //!   `cargo bench -p rt-bench --bench engine_scaling -- overload`);
-//! * **interpreted vs compiled** — the `rt-compile` specialization pass
-//!   against the interpreted oracles across the scaling, EDF, overload and
-//!   admission workloads (`-- compiled` runs just this sweep); the
-//!   acceptance gate is ≥2× per-decision throughput at the 300-task scaling
-//!   point, and the summary is persisted to `BENCH_engine_scaling.json` at
-//!   the repository root on every run; the `exec` rows drive the phase-2
-//!   ceiling-table fast path (`ExecutionPlan::run_with_substrate`);
+//! * **reference vs fast** (the `interpreted-vs-compiled` group, whose
+//!   fast rows keep their `compiled` names) — each world's fast engine
+//!   against its reference oracle across the scaling, EDF, overload and
+//!   admission workloads (`-- compiled` runs just this sweep); the summary
+//!   is persisted to `BENCH_engine_scaling.json` at the repository root on
+//!   every run, `reference` rows as the baseline; the `exec` rows drive a
+//!   prepared `ExecutionPlan`, whose `run` takes the ceiling-table fast
+//!   path;
 //! * **compile cost** — `CompiledSystem::compile` over a fixed 30-task
 //!   structure while the aperiodic event count sweeps 10²..10⁵
-//!   (`-- compile_cost` runs just this sweep); the interned zero-copy
-//!   compile pass is O(tasks + servers), so the acceptance gate is a flat
-//!   cost, ≤1.2× from the 10²-event row to the 10⁵-event row, persisted as
-//!   the `compile-cost` trajectory group;
+//!   (`-- compile_cost` runs just this sweep); compilation is
+//!   O(tasks + servers), so the acceptance gate is a flat cost, ≤1.2× from
+//!   the 10²-event row to the 10⁵-event row, persisted as the
+//!   `compile-cost` trajectory group;
 //! * **fault-plan enforcement overhead** — the scaling workload with an
 //!   active fault plan (half the arrivals tagged with cost overruns, a
 //!   mid-horizon mode change on the server lane) against the fault-free
-//!   baseline, on both engines and the compiled path (`-- faults` runs
-//!   just this sweep); the persisted `faults` trajectory group uses the
-//!   fault-free run as its baseline, so its `speedup` column reads as the
-//!   enforcement overhead factor;
+//!   baseline, on both fast engines (`-- faults` runs just this sweep); the
+//!   persisted `faults` trajectory group uses the fault-free run as its
+//!   baseline, so its `speedup` column reads as the enforcement overhead
+//!   factor;
 //! * **probe overhead** — the 300-task scaling point with `NoopProbe`
-//!   (the default instantiation — must compile to the pre-probe machine
-//!   code, so the acceptance gate is ≤1.05× the pre-probe per-decision
-//!   cost) against a recording `MetricsProbe`, on the interpreted
-//!   simulator, the execution engine and the compiled sim driver
-//!   (`-- observe` runs just this sweep); persisted as the `observe`
-//!   trajectory group with the noop run as baseline, so its `speedup`
-//!   column reads as the recording overhead factor.
+//!   (the default instantiation — must compile to probe-free machine code,
+//!   so the acceptance gate is ≤1.05× the probe-free per-decision cost)
+//!   against a recording `MetricsProbe`, on the simulation driver and the
+//!   probe-threaded execution engine (`-- observe` runs just this sweep);
+//!   persisted as the `observe` trajectory group with the noop run as
+//!   baseline, so its `speedup` column reads as the recording overhead
+//!   factor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rt_admission::{AdmissionPolicy, ArrivingEvent, ServerAdmission};
@@ -60,10 +60,10 @@ use rt_metrics::SET_ORDER;
 use rt_model::{
     Instant, ModeChange, Priority, SchedulingPolicy, ServerPolicyKind, ServerSpec, Span, SystemSpec,
 };
-use rt_observe::MetricsProbe;
+use rt_observe::{MetricsProbe, NoopProbe};
 use rt_taskserver::{execute, execute_with_probe, ExecutionConfig};
 use rtsj_emu::SchedulerKind;
-use rtss_sim::{simulate, simulate_reference, simulate_unbatched, simulate_with_probe};
+use rtss_sim::{simulate, simulate_reference, simulate_with_probe};
 use std::hint::black_box;
 
 /// A system whose decision *rate* is independent of `n`, so per-decision
@@ -125,40 +125,6 @@ fn harness_batch(systems_per_set: usize) -> Vec<SystemSpec> {
     systems
 }
 
-/// A workload dominated by coincident work: every 40 units, `burst` cost-1
-/// events arrive at the same instant on a deferrable server (capacity 5,
-/// period 10) above two periodic tasks, so each server window serves several
-/// queued jobs. The burst is sized below the server bandwidth (20 units per
-/// 40) so the queue drains between bursts — an overloaded execution is
-/// dominated by pending-queue bookkeeping, not by dispatch.
-fn bursty_system(burst: usize, horizon_units: u64) -> SystemSpec {
-    let mut b = SystemSpec::builder(format!("bursty-{burst}-{horizon_units}"));
-    b.server(ServerSpec::deferrable(
-        Span::from_units(5),
-        Span::from_units(10),
-        Priority::new(99),
-    ));
-    b.periodic(
-        "t0",
-        Span::from_units(2),
-        Span::from_units(10),
-        Priority::new(10),
-    );
-    b.periodic(
-        "t1",
-        Span::from_units(1),
-        Span::from_units(10),
-        Priority::new(5),
-    );
-    for instant in (0..horizon_units).step_by(40) {
-        for _ in 0..burst {
-            b.aperiodic(Instant::from_units(instant), Span::from_units(1));
-        }
-    }
-    b.horizon(Instant::from_units(horizon_units));
-    b.build().expect("bursty systems are valid")
-}
-
 /// The task-sweep system re-stamped for EDF dispatching: identical traffic
 /// and task set, only the ready-queue key changes (absolute deadlines
 /// instead of priorities). Comparing it against the fixed-priority run at
@@ -201,7 +167,7 @@ fn overloaded_system(horizon_units: u64) -> SystemSpec {
 /// The task-sweep system with on-line admission enabled on its server lane:
 /// every arrival pays a `DeadlinePredictive` decision, so comparing it with
 /// the plain sweep at the same size exposes the cost of the admission
-/// machinery — and, on the compiled path, of the inlined admission plan.
+/// machinery — and, on the simulation driver, of the inlined admission plan.
 fn admission_scaled_system(n: usize, horizon_units: u64) -> SystemSpec {
     let mut spec = scaled_system(n, horizon_units);
     spec.servers[0].admission = AdmissionPolicy::DeadlinePredictive;
@@ -416,100 +382,82 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("rtss_faulted", n), &faulted, |b, s| {
             b.iter(|| black_box(simulate(black_box(s))))
         });
-        // The compiled path specializes the same fault plan byte-identically;
-        // its enforcement cost rides on the monomorphized lane drivers.
-        let compiled = CompiledSystem::compile(&faulted).expect("faulted systems compile");
-        group.bench_with_input(
-            BenchmarkId::new("compiled_faulted", n),
-            &compiled,
-            |b, s| b.iter(|| black_box(black_box(s).simulate())),
-        );
     }
     group.finish();
 
-    // Compiled-vs-interpreted dispatch: the rt-compile specialization pass
-    // against the interpreted oracles, across the scaling, EDF, overload and
+    // Reference-vs-fast dispatch: each world's fast engine against its
+    // linear-scan reference oracle, across the scaling, EDF, overload and
     // admission workloads. Run just this sweep with
     // `cargo bench -p rt-bench --bench engine_scaling -- compiled`.
-    //
-    // The compiled rows measure the specialized drivers on a precompiled
-    // system — compilation (validation + table build, O(spec) with one
-    // string clone per named element) is paid once and amortized over every
-    // run, the same way the `exec_compiled` row reuses a prepared plan.
     fn compile(spec: &SystemSpec) -> CompiledSystem<'_> {
         CompiledSystem::compile(spec).expect("bench systems are valid")
     }
+    let linear_scan = ExecutionConfig::reference().with_scheduler(SchedulerKind::LinearScan);
     let mut group = c.benchmark_group("interpreted-vs-compiled");
     for n in TASK_SWEEP {
         let spec = scaled_system(n, TASK_SWEEP_HORIZON);
-        group.bench_with_input(BenchmarkId::new("sim_interpreted", n), &spec, |b, s| {
-            b.iter(|| black_box(simulate(black_box(s))))
+        group.bench_with_input(BenchmarkId::new("sim_reference", n), &spec, |b, s| {
+            b.iter(|| black_box(simulate_reference(black_box(s))))
         });
-        let compiled = compile(&spec);
-        group.bench_with_input(BenchmarkId::new("sim_compiled", n), &compiled, |b, s| {
-            b.iter(|| black_box(black_box(s).simulate()))
+        group.bench_with_input(BenchmarkId::new("sim_compiled", n), &spec, |b, s| {
+            b.iter(|| black_box(simulate(black_box(s))))
         });
     }
     {
         let n = 300usize;
         let spec = scaled_system(n, TASK_SWEEP_HORIZON);
-        group.bench_with_input(BenchmarkId::new("exec_interpreted", n), &spec, |b, s| {
-            b.iter(|| black_box(execute(black_box(s), &ExecutionConfig::reference())))
+        group.bench_with_input(BenchmarkId::new("exec_reference", n), &spec, |b, s| {
+            b.iter(|| black_box(execute(black_box(s), &linear_scan)))
         });
-        // The compiled execution artifact is the reusable plan plus the
-        // analyzed substrate (ceiling tables, static dispatch order):
-        // validation, policy resolution and event planning are paid once at
-        // compile time, and the run drives the zero-allocation fast path.
+        // The fast row reuses a prepared plan: validation, policy
+        // resolution, event planning and the substrate analysis are paid
+        // once, and every run drives the zero-allocation fast path.
         let compiled = compile(&spec);
         let plan = compiled.execution_plan(&ExecutionConfig::reference());
         group.bench_with_input(BenchmarkId::new("exec_compiled", n), &plan, |b, p| {
-            b.iter(|| black_box(p.run_with_substrate(compiled.substrate())))
+            b.iter(|| black_box(p.run()))
         });
-        let edf_spec = edf_scaled_system(n, TASK_SWEEP_HORIZON);
-        let edf = compile(&edf_spec);
-        group.bench_with_input(
-            BenchmarkId::new("edf_sim_interpreted", n),
-            edf.spec(),
-            |b, s| b.iter(|| black_box(simulate(black_box(s)))),
-        );
-        group.bench_with_input(BenchmarkId::new("edf_sim_compiled", n), &edf, |b, s| {
-            b.iter(|| black_box(black_box(s).simulate()))
-        });
-        let admission_spec = admission_scaled_system(n, TASK_SWEEP_HORIZON);
-        let admission = compile(&admission_spec);
-        group.bench_with_input(
-            BenchmarkId::new("admission_sim_interpreted", n),
-            admission.spec(),
-            |b, s| b.iter(|| black_box(simulate(black_box(s)))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("admission_sim_compiled", n),
-            &admission,
-            |b, s| b.iter(|| black_box(black_box(s).simulate())),
-        );
+        for (label, spec) in [
+            ("edf_sim", edf_scaled_system(n, TASK_SWEEP_HORIZON)),
+            (
+                "admission_sim",
+                admission_scaled_system(n, TASK_SWEEP_HORIZON),
+            ),
+        ] {
+            group.bench_with_input(
+                BenchmarkId::new(format!("{label}_reference"), n),
+                &spec,
+                |b, s| b.iter(|| black_box(simulate_reference(black_box(s)))),
+            );
+            group.bench_with_input(
+                BenchmarkId::new(format!("{label}_compiled"), n),
+                &spec,
+                |b, s| b.iter(|| black_box(simulate(black_box(s)))),
+            );
+        }
     }
     {
-        let overload_spec = overloaded_system(3_000);
-        let overload = compile(&overload_spec);
+        let spec = overloaded_system(3_000);
         group.bench_with_input(
-            BenchmarkId::new("overload_sim_interpreted", 3_000u64),
-            overload.spec(),
-            |b, s| b.iter(|| black_box(simulate(black_box(s)))),
+            BenchmarkId::new("overload_sim_reference", 3_000u64),
+            &spec,
+            |b, s| b.iter(|| black_box(simulate_reference(black_box(s)))),
         );
         group.bench_with_input(
             BenchmarkId::new("overload_sim_compiled", 3_000u64),
-            &overload,
-            |b, s| b.iter(|| black_box(black_box(s).simulate())),
+            &spec,
+            |b, s| b.iter(|| black_box(simulate(black_box(s)))),
         );
     }
     group.finish();
 
     // Probe overhead at the acceptance size: the NoopProbe rows must match
-    // the probe-free entry points (disabled observability is zero code — the
-    // plain entry points *are* the NoopProbe monomorphization), and the
-    // MetricsProbe rows measure the cost of live counters + histograms. Run
-    // just this sweep with `cargo bench -p rt-bench --bench engine_scaling
-    // -- observe`.
+    // the probe-free loops (disabled observability is zero code — `simulate`
+    // *is* the driver's NoopProbe monomorphization), and the MetricsProbe
+    // rows measure the cost of live counters + histograms. The execution
+    // pair runs the probe-threaded engine both times (`execute` itself
+    // takes the probe-free fast path). Run just this sweep with
+    // `cargo bench -p rt-bench --bench engine_scaling -- observe`.
     let mut group = c.benchmark_group("observe");
     {
         let n = 300usize;
@@ -525,7 +473,13 @@ fn bench(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("exec_noop", n), &spec, |b, s| {
-            b.iter(|| black_box(execute(black_box(s), &ExecutionConfig::reference())))
+            b.iter(|| {
+                black_box(execute_with_probe(
+                    black_box(s),
+                    &ExecutionConfig::reference(),
+                    NoopProbe,
+                ))
+            })
         });
         group.bench_with_input(BenchmarkId::new("exec_metrics", n), &spec, |b, s| {
             b.iter(|| {
@@ -538,23 +492,6 @@ fn bench(c: &mut Criterion) {
                 black_box(probe);
             })
         });
-        let compiled = compile(&spec);
-        group.bench_with_input(
-            BenchmarkId::new("compiled_sim_noop", n),
-            &compiled,
-            |b, s| b.iter(|| black_box(black_box(s).simulate())),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("compiled_sim_metrics", n),
-            &compiled,
-            |b, s| {
-                b.iter(|| {
-                    let mut probe = MetricsProbe::new();
-                    black_box(black_box(s).simulate_with_probe(&mut probe));
-                    black_box(probe);
-                })
-            },
-        );
     }
     group.finish();
 
@@ -586,28 +523,6 @@ fn bench(c: &mut Criterion) {
             |b, &w| b.iter(|| black_box(run_systems(&batch, EvaluationMode::Execution, w))),
         );
     }
-    group.finish();
-
-    // Same-instant batching ablation on the bursty workload.
-    let bursty = bursty_system(12, 10_000);
-    let mut group = c.benchmark_group("batching_ablation");
-    group.bench_function("rtss_batched", |b| {
-        b.iter(|| black_box(simulate(black_box(&bursty))))
-    });
-    group.bench_function("rtss_unbatched", |b| {
-        b.iter(|| black_box(simulate_unbatched(black_box(&bursty))))
-    });
-    group.bench_function("rtsj_batched", |b| {
-        b.iter(|| black_box(execute(black_box(&bursty), &ExecutionConfig::reference())))
-    });
-    group.bench_function("rtsj_unbatched", |b| {
-        b.iter(|| {
-            black_box(execute(
-                black_box(&bursty),
-                &ExecutionConfig::reference().with_batching(false),
-            ))
-        })
-    });
     group.finish();
 
     // Speedup summary (single-shot timings; the acceptance gate is the
@@ -687,45 +602,14 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    // Same-instant batching summary on the bursty workload (median of
-    // several runs: the effect is a constant factor, easily drowned by a
-    // single noisy measurement).
-    let bursty = bursty_system(12, 40_000);
+    // Median of several runs: the summaries below compare constant
+    // factors, easily drowned by a single noisy measurement.
     let median = |f: &dyn Fn()| {
         f(); // warm-up
         let mut times: Vec<f64> = (0..5).map(|_| time_once(f)).collect();
         times.sort_by(f64::total_cmp);
         times[times.len() / 2]
     };
-    let rtss_batched = median(&|| {
-        black_box(simulate(&bursty));
-    });
-    let rtss_unbatched = median(&|| {
-        black_box(simulate_unbatched(&bursty));
-    });
-    let rtsj_batched = median(&|| {
-        black_box(execute(&bursty, &ExecutionConfig::reference()));
-    });
-    let rtsj_unbatched = median(&|| {
-        black_box(execute(
-            &bursty,
-            &ExecutionConfig::reference().with_batching(false),
-        ));
-    });
-    println!();
-    println!("same-instant batching, bursty workload (12 events/instant):");
-    println!(
-        "  rtss {:>8.2}ms batched {:>8.2}ms unbatched {:>5.2}x",
-        rtss_batched * 1e3,
-        rtss_unbatched * 1e3,
-        rtss_unbatched / rtss_batched
-    );
-    println!(
-        "  rtsj {:>8.2}ms batched {:>8.2}ms unbatched {:>5.2}x",
-        rtsj_batched * 1e3,
-        rtsj_unbatched * 1e3,
-        rtsj_unbatched / rtsj_batched
-    );
 
     // EDF summary: FP vs EDF per-run cost at the acceptance size.
     println!();
@@ -822,17 +706,16 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    // Compiled-dispatch summary and the persisted bench trajectory. The
+    // Reference-vs-fast summary and the persisted bench trajectory. The
     // per-decision denominator is the segment count of the trace, which is
-    // engine-independent: the compiled and interpreted traces are
-    // byte-identical (pinned by `tests/compiled_differential.rs`). The
-    // 300-task `sim` row is the acceptance gate for the specialization pass
-    // (≥2× per-decision throughput).
+    // engine-independent: the fast and reference traces are byte-identical
+    // (pinned by `tests/engine_differential.rs`). The fast rows keep their
+    // `compiled` names.
     println!();
-    println!("compiled vs interpreted dispatch (per-decision cost; decisions = trace segments):");
+    println!("reference vs fast dispatch (per-decision cost; decisions = trace segments):");
     println!(
         "{:>22} {:>10} {:>13} {:>13} {:>8}",
-        "workload", "decisions", "interpreted", "compiled", "speedup"
+        "workload", "decisions", "reference", "fast", "speedup"
     );
     let mut records: Vec<BenchRecord> = Vec::new();
     fn compiled_row(
@@ -840,50 +723,42 @@ fn bench(c: &mut Criterion) {
         group: &str,
         label: String,
         decisions: usize,
-        interpreted: f64,
-        compiled: f64,
+        reference: f64,
+        fast: f64,
     ) {
-        let interpreted_ns = interpreted * 1e9 / decisions as f64;
-        let compiled_ns = compiled * 1e9 / decisions as f64;
+        let reference_ns = reference * 1e9 / decisions as f64;
+        let fast_ns = fast * 1e9 / decisions as f64;
         println!(
             "{:>22} {:>10} {:>11.1}ns {:>11.1}ns {:>7.2}x",
             label,
             decisions,
-            interpreted_ns,
-            compiled_ns,
-            interpreted_ns / compiled_ns
+            reference_ns,
+            fast_ns,
+            reference_ns / fast_ns
         );
         records.push(BenchRecord {
             group: group.into(),
-            config: format!("{label}/interpreted"),
-            ns_per_decision: interpreted_ns,
+            config: format!("{label}/reference"),
+            ns_per_decision: reference_ns,
             speedup: 1.0,
         });
         records.push(BenchRecord {
             group: group.into(),
             config: format!("{label}/compiled"),
-            ns_per_decision: compiled_ns,
-            speedup: interpreted_ns / compiled_ns,
+            ns_per_decision: fast_ns,
+            speedup: reference_ns / fast_ns,
         });
     }
     let sim_point =
         |records: &mut Vec<BenchRecord>, group: &str, label: String, spec: &SystemSpec| {
-            let compiled_sys = CompiledSystem::compile(spec).expect("bench systems are valid");
-            let decisions = compiled_sys.simulate().segments.len();
-            let interpreted = median(&|| {
+            let decisions = simulate(spec).segments.len();
+            let reference = median(&|| {
+                black_box(simulate_reference(spec));
+            });
+            let fast = median(&|| {
                 black_box(simulate(spec));
             });
-            let compiled = median(&|| {
-                black_box(compiled_sys.simulate());
-            });
-            compiled_row(
-                &mut *records,
-                group,
-                label,
-                decisions,
-                interpreted,
-                compiled,
-            );
+            compiled_row(&mut *records, group, label, decisions, reference, fast);
         };
     for n in TASK_SWEEP {
         let spec = scaled_system(n, TASK_SWEEP_HORIZON);
@@ -891,23 +766,22 @@ fn bench(c: &mut Criterion) {
     }
     {
         let spec = scaled_system(300, TASK_SWEEP_HORIZON);
-        let compiled_sys = CompiledSystem::compile(&spec).expect("scaled systems are valid");
+        let compiled_sys = compile(&spec);
         let plan = compiled_sys.execution_plan(&ExecutionConfig::reference());
-        let substrate = compiled_sys.substrate();
-        let decisions = plan.run_with_substrate(substrate).segments.len();
-        let interpreted = median(&|| {
-            black_box(execute(&spec, &ExecutionConfig::reference()));
+        let decisions = plan.run().segments.len();
+        let reference = median(&|| {
+            black_box(execute(&spec, &linear_scan));
         });
-        let compiled = median(&|| {
-            black_box(plan.run_with_substrate(substrate));
+        let fast = median(&|| {
+            black_box(plan.run());
         });
         compiled_row(
             &mut records,
             "scaling",
             "exec/300".into(),
             decisions,
-            interpreted,
-            compiled,
+            reference,
+            fast,
         );
     }
     sim_point(
@@ -974,19 +848,6 @@ fn bench(c: &mut Criterion) {
         let n = 300usize;
         let clean = scaled_system(n, TASK_SWEEP_HORIZON);
         let faulted = faulted_system(n, TASK_SWEEP_HORIZON);
-        let sim_clean = (
-            simulate(&clean).segments.len(),
-            median(&|| {
-                black_box(simulate(&clean));
-            }),
-        );
-        let sim_faulted = (
-            simulate(&faulted).segments.len(),
-            median(&|| {
-                black_box(simulate(&faulted));
-            }),
-        );
-        faults_row(&mut records, "sim/300", sim_clean, sim_faulted);
         let exec_clean = (
             execute(&clean, &ExecutionConfig::reference())
                 .segments
@@ -1004,31 +865,28 @@ fn bench(c: &mut Criterion) {
             }),
         );
         faults_row(&mut records, "exec/300", exec_clean, exec_faulted);
-        let compiled_clean = CompiledSystem::compile(&clean).expect("bench systems compile");
-        let compiled_faulted = CompiledSystem::compile(&faulted).expect("faulted systems compile");
-        let csim_clean = (
-            compiled_clean.simulate().segments.len(),
+        let sim_clean = (
+            simulate(&clean).segments.len(),
             median(&|| {
-                black_box(compiled_clean.simulate());
+                black_box(simulate(&clean));
             }),
         );
-        let csim_faulted = (
-            compiled_faulted.simulate().segments.len(),
+        let sim_faulted = (
+            simulate(&faulted).segments.len(),
             median(&|| {
-                black_box(compiled_faulted.simulate());
+                black_box(simulate(&faulted));
             }),
         );
-        faults_row(&mut records, "sim-compiled/300", csim_clean, csim_faulted);
+        faults_row(&mut records, "sim-compiled/300", sim_clean, sim_faulted);
     }
 
     // Probe-overhead summary: per-decision cost with a recording
-    // MetricsProbe against the NoopProbe default (the plain entry points —
-    // there is no separate "noop" code path to measure, because disabled
-    // observability compiles to the pre-probe machine code; that identity
-    // is exactly what the persisted noop rows pin against the pre-probe
-    // trajectory). The persisted `observe` group keeps the trajectory's
-    // speedup convention with the noop run as baseline, so a value below 1
-    // is the recording overhead.
+    // MetricsProbe against the NoopProbe default (for the simulator the
+    // plain entry point — disabled observability compiles to probe-free
+    // machine code; for execution the probe-threaded engine, since
+    // `execute` itself takes the probe-free fast path). The persisted
+    // `observe` group keeps the trajectory's speedup convention with the
+    // noop run as baseline, so a value below 1 is the recording overhead.
     println!();
     println!("probe overhead (per-decision cost; baseline = NoopProbe):");
     println!(
@@ -1069,9 +927,9 @@ fn bench(c: &mut Criterion) {
         // Minimum over several runs, not the median (same rationale as the
         // compile-cost probe below): the runs are deterministic, so every
         // disturbance is strictly additive and the minimum estimates the
-        // true cost. These rows pin a code-path *identity* — noop IS the
-        // plain entry point — and median-of-5 noise on a busy container
-        // was observed to swing them well past the 1.05x gate.
+        // true cost. The simulator rows pin a code-path *identity* — noop
+        // IS the plain entry point — and median-of-5 noise on a loaded
+        // host was observed to swing them well past the 1.05x gate.
         let min_of = |f: &dyn Fn()| {
             f(); // warm-up
             (0..25).map(|_| time_once(f)).fold(f64::INFINITY, f64::min)
@@ -1087,10 +945,14 @@ fn bench(c: &mut Criterion) {
             black_box(simulate_with_probe(&spec, &mut probe));
             black_box(probe);
         });
-        observe_row(&mut records, "sim/300", decisions, noop, metrics);
+        observe_row(&mut records, "sim-compiled/300", decisions, noop, metrics);
         let exec_decisions = execute(&spec, &ExecutionConfig::reference()).segments.len();
         let noop = min_of(&|| {
-            black_box(execute(&spec, &ExecutionConfig::reference()));
+            black_box(execute_with_probe(
+                &spec,
+                &ExecutionConfig::reference(),
+                NoopProbe,
+            ));
         });
         let metrics = min_of(&|| {
             let mut probe = MetricsProbe::new();
@@ -1102,23 +964,6 @@ fn bench(c: &mut Criterion) {
             black_box(probe);
         });
         observe_row(&mut records, "exec/300", exec_decisions, noop, metrics);
-        let compiled_sys = compile(&spec);
-        let compiled_decisions = compiled_sys.simulate().segments.len();
-        let noop = min_of(&|| {
-            black_box(compiled_sys.simulate());
-        });
-        let metrics = min_of(&|| {
-            let mut probe = MetricsProbe::new();
-            black_box(compiled_sys.simulate_with_probe(&mut probe));
-            black_box(probe);
-        });
-        observe_row(
-            &mut records,
-            "sim-compiled/300",
-            compiled_decisions,
-            noop,
-            metrics,
-        );
     }
 
     // Compile-cost summary: zero-copy compilation must stay flat as the

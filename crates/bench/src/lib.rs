@@ -10,7 +10,7 @@
 //! the cost of regenerating the table.
 //!
 //! The crate also hosts the **persisted bench trajectory**: the
-//! `engine_scaling` bench writes its compiled-vs-interpreted per-decision
+//! `engine_scaling` bench writes its reference-vs-fast per-decision
 //! summary to `BENCH_engine_scaling.json` at the repository root through
 //! [`write_bench_trajectory`], and [`parse_bench_trajectory`] reads it back
 //! (the CI bench smoke regenerates the file and checks it parses). The JSON
@@ -37,9 +37,9 @@ pub fn print_and_reproduce(table: PaperTable) -> rt_metrics::ResultTable {
 
 /// One row of the persisted bench trajectory: a workload configuration inside
 /// a benchmark group, its per-decision cost (a decision instant is one trace
-/// segment — the denominator is engine-independent because the compiled and
-/// interpreted traces are byte-identical), and its speedup against the
-/// group's interpreted baseline (`1.0` for the baseline rows themselves).
+/// segment — the denominator is engine-independent because the fast and
+/// reference traces are byte-identical), and its speedup against the
+/// group's baseline row (`1.0` for the baseline rows themselves).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
     /// Benchmark group the row belongs to (`scaling`, `edf`, `overload`, …).
@@ -48,7 +48,7 @@ pub struct BenchRecord {
     pub config: String,
     /// Mean wall-clock nanoseconds per decision instant.
     pub ns_per_decision: f64,
-    /// Speedup against the interpreted baseline of the same workload.
+    /// Speedup against the baseline row of the same workload.
     pub speedup: f64,
 }
 
@@ -470,7 +470,7 @@ mod tests {
         vec![
             BenchRecord {
                 group: "scaling".into(),
-                config: "sim/300/interpreted".into(),
+                config: "sim/300/reference".into(),
                 ns_per_decision: 1234.56,
                 speedup: 1.0,
             },
@@ -616,15 +616,19 @@ mod tests {
             !records.is_empty(),
             "trajectory must contain at least one record"
         );
-        assert!(
-            records
-                .iter()
-                .any(|r| r.group == "scaling" && r.config.contains("compiled")),
-            "trajectory must cover the compiled scaling sweep"
-        );
-        // Phase-2 additions: the compile-cost-vs-event-count sweep must be
-        // present (flatness is the acceptance gate for zero-copy compile),
-        // and the execution-side compiled row must record a real speedup.
+        // Every scaling point pairs the fast engine (its rows keep the
+        // `compiled` name) with the reference oracle it is measured against.
+        for side in ["compiled", "reference"] {
+            assert!(
+                records
+                    .iter()
+                    .any(|r| r.group == "scaling" && r.config.ends_with(side)),
+                "trajectory must cover the {side} side of the scaling sweep"
+            );
+        }
+        // The compile-cost-vs-event-count sweep must be present (flatness
+        // is its acceptance gate), and the execution fast path must record
+        // a real speedup over the linear-scan reference.
         let compile_cost: Vec<_> = records
             .iter()
             .filter(|r| r.group == "compile-cost")
@@ -641,13 +645,13 @@ mod tests {
             records
                 .iter()
                 .any(|r| r.group == "scaling" && r.config.contains("exec") && r.speedup > 1.0),
-            "trajectory must record a compiled speedup on the execution engine"
+            "trajectory must record a fast-path speedup on the execution engine"
         );
-        // The probe-overhead rows: a noop/metrics pair per engine at the
-        // 300-task acceptance point. The noop rows are the zero-cost gate's
-        // paper trail — they are measured through the plain entry points,
-        // which *are* the NoopProbe monomorphization.
-        for workload in ["sim/300", "exec/300", "sim-compiled/300"] {
+        // The probe-overhead rows: a noop/metrics pair per probe-capable
+        // engine at the 300-task acceptance point. The simulator's noop row
+        // is the zero-cost gate's paper trail — it is measured through the
+        // plain entry point, which *is* the NoopProbe monomorphization.
+        for workload in ["exec/300", "sim-compiled/300"] {
             for side in ["noop", "metrics"] {
                 let config = format!("{workload}/{side}");
                 assert!(

@@ -1,8 +1,11 @@
 //! Zero-allocations-per-decision regression test for the execution fast
-//! path.
+//! path, plus amortized-only allocation checks for every other decision
+//! loop (the simulation driver and its reference, the general execution
+//! engine, and the probe-enabled loops).
 //!
-//! Strategy: run the same prepared [`ExecutionPlan`] through
-//! `run_with_substrate` over two horizons, H and 4·H, with an identical
+//! Strategy: run the same prepared [`ExecutionPlan`] — whose `run` takes the
+//! fast path under fixed priorities — over two horizons, H and 4·H, with an
+//! identical
 //! aperiodic workload entirely inside the first horizon. The 4·H run makes
 //! roughly four times as many scheduling decisions (periodic releases,
 //! server activations, dispatches), so if the decision loop allocated
@@ -11,15 +14,18 @@
 //! allocation belongs to per-run setup (table construction, reservations,
 //! finalisation sorts), none to the steady-state loop.
 //!
-//! The counting allocator wraps the system allocator with relaxed atomic
-//! counters; the test file hosts it (rather than `rt-bench`'s library)
+//! The counting allocator wraps the system allocator with per-thread
+//! counters — the test harness runs tests on parallel threads, and a
+//! process-wide count would charge one test's allocations to another; the
+//! engines run single-threaded, so a thread's own count is the run's. The
+//! test file hosts it (rather than `rt-bench`'s library)
 //! because implementing `GlobalAlloc` requires `unsafe`, which the library
 //! forbids.
 
 use rt_model::{Instant, Priority, SchedulingPolicy, ServerSpec, Span, SystemSpec, Trace};
-use rt_taskserver::{ExecutionConfig, ExecutionPlan, SubstratePlan};
+use rt_taskserver::{ExecutionConfig, ExecutionPlan};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 /// Static↔dynamic coverage manifest: every `// rt-lint: zero-alloc` region in
 /// the workspace, as `(file, fn)` pairs. rt-lint's workspace self-test parses
@@ -29,10 +35,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// below; a manifest entry without a marker means the static half of the
 /// guarantee was dropped. Keep the list sorted by path then name.
 const ZERO_ALLOC_COVERED_FNS: &[(&str, &str)] = &[
-    ("crates/compile/src/sim.rs", "pick_runner_edf"),
-    ("crates/compile/src/sim.rs", "pick_runner_fp"),
-    ("crates/compile/src/sim.rs", "run_server"),
-    ("crates/compile/src/sim.rs", "run_task"),
     ("crates/core/src/fastpath.rs", "pick"),
     ("crates/core/src/fastpath.rs", "run"),
     ("crates/metrics/src/hist.rs", "record"),
@@ -48,6 +50,10 @@ const ZERO_ALLOC_COVERED_FNS: &[(&str, &str)] = &[
     ("crates/observe/src/lib.rs", "release"),
     ("crates/observe/src/lib.rs", "slice"),
     ("crates/rtsj/src/engine.rs", "pick_runnable"),
+    ("crates/rtss/src/driver.rs", "pick_runner_edf"),
+    ("crates/rtss/src/driver.rs", "pick_runner_fp"),
+    ("crates/rtss/src/driver.rs", "run_server"),
+    ("crates/rtss/src/driver.rs", "run_task"),
     ("crates/rtss/src/engine.rs", "pick_runner_edf"),
     ("crates/rtss/src/engine.rs", "pick_runner_fp"),
     ("crates/rtss/src/engine.rs", "run_server"),
@@ -56,14 +62,24 @@ const ZERO_ALLOC_COVERED_FNS: &[(&str, &str)] = &[
 
 struct CountingAllocator;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static REALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Const-initialised, destructor-free cells: touching them never
+    // allocates, so the allocator can bump them without recursing.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    static REALLOCS: Cell<usize> = const { Cell::new(0) };
+}
 
-// rt-lint: allow(unsafe, reason = "a GlobalAlloc impl is unavoidably unsafe; every method delegates straight to the System allocator and only bumps atomic counters")
+/// Bumps one of this thread's counters (a no-op once the thread's locals are
+/// gone, during thread teardown).
+fn bump(counter: &'static std::thread::LocalKey<Cell<usize>>) {
+    let _ = counter.try_with(|c| c.set(c.get() + 1));
+}
+
+// rt-lint: allow(unsafe, reason = "a GlobalAlloc impl is unavoidably unsafe; every method delegates straight to the System allocator and only bumps per-thread counters")
 unsafe impl GlobalAlloc for CountingAllocator {
     // rt-lint: allow(unsafe, reason = "required unsafe signature of the GlobalAlloc trait; delegates to System")
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump(&ALLOCS);
         System.alloc(layout)
     }
 
@@ -74,7 +90,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // rt-lint: allow(unsafe, reason = "required unsafe signature of the GlobalAlloc trait; delegates to System")
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump(&REALLOCS);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -84,13 +100,10 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// (allocations, reallocations) performed while running `f`.
 fn count_allocations(f: impl FnOnce()) -> (usize, usize) {
-    let a0 = ALLOCS.load(Ordering::Relaxed);
-    let r0 = REALLOCS.load(Ordering::Relaxed);
+    let a0 = ALLOCS.with(Cell::get);
+    let r0 = REALLOCS.with(Cell::get);
     f();
-    (
-        ALLOCS.load(Ordering::Relaxed) - a0,
-        REALLOCS.load(Ordering::Relaxed) - r0,
-    )
+    (ALLOCS.with(Cell::get) - a0, REALLOCS.with(Cell::get) - r0)
 }
 
 /// The `engine_scaling` exec workload shape: a deferrable server over a
@@ -127,12 +140,10 @@ fn execution_fast_path_allocation_count_is_horizon_independent() {
     let spec_long = workload(4 * BASE);
     let plan_base = ExecutionPlan::prepare(&spec_base, &config).expect("valid spec");
     let plan_long = ExecutionPlan::prepare(&spec_long, &config).expect("valid spec");
-    let substrate_base = SubstratePlan::analyze(&spec_base, &config);
-    let substrate_long = SubstratePlan::analyze(&spec_long, &config);
 
     // Warm-up outside the counted region (lazy statics, first-touch caches).
-    let warm_base = plan_base.run_with_substrate(&substrate_base);
-    let warm_long = plan_long.run_with_substrate(&substrate_long);
+    let warm_base = plan_base.run();
+    let warm_long = plan_long.run();
     assert!(
         warm_long.segments.len() > 2 * warm_base.segments.len(),
         "the long run must actually make more decisions ({} vs {})",
@@ -142,11 +153,11 @@ fn execution_fast_path_allocation_count_is_horizon_independent() {
 
     let mut base_trace = None;
     let (base_allocs, base_reallocs) = count_allocations(|| {
-        base_trace = Some(plan_base.run_with_substrate(&substrate_base));
+        base_trace = Some(plan_base.run());
     });
     let mut long_trace = None;
     let (long_allocs, long_reallocs) = count_allocations(|| {
-        long_trace = Some(plan_long.run_with_substrate(&substrate_long));
+        long_trace = Some(plan_long.run());
     });
 
     // Sanity: the runs were real (traces dropped only after counting).
@@ -209,32 +220,32 @@ fn assert_amortized_only(label: &str, run: impl Fn(&SystemSpec) -> Trace) {
 }
 
 #[test]
-fn interpreted_simulator_decision_loops_allocate_amortized_only() {
-    assert_amortized_only("rtss-sim fp", rtss_sim::simulate);
-    assert_amortized_only("rtss-sim edf", |spec| {
-        rtss_sim::simulate(&workload_with(
-            spec.horizon.ticks() / 1000,
-            SchedulingPolicy::Edf,
-        ))
-    });
-}
-
-#[test]
-fn compiled_simulator_decision_loops_allocate_amortized_only() {
-    assert_amortized_only("rt-compile fp", rt_compile::simulate_compiled);
-    assert_amortized_only("rt-compile edf", |spec| {
-        rt_compile::simulate_compiled(&workload_with(
-            spec.horizon.ticks() / 1000,
-            SchedulingPolicy::Edf,
-        ))
-    });
+fn simulator_decision_loops_allocate_amortized_only() {
+    for (label, simulate) in [
+        ("rtss-sim", rtss_sim::simulate as fn(&SystemSpec) -> Trace),
+        ("rtss-sim reference", rtss_sim::simulate_reference),
+    ] {
+        assert_amortized_only(&format!("{label} fp"), simulate);
+        assert_amortized_only(&format!("{label} edf"), |spec| {
+            simulate(&workload_with(
+                spec.horizon.ticks() / 1000,
+                SchedulingPolicy::Edf,
+            ))
+        });
+    }
 }
 
 #[test]
 fn emulation_engine_decision_loop_allocates_amortized_only() {
     let config = ExecutionConfig::reference();
-    assert_amortized_only("rtsj-emu execute", |spec| {
-        rt_taskserver::execute(spec, &config)
+    assert_amortized_only("rtsj-emu fp", |spec| {
+        rt_taskserver::execute_with_probe(spec, &config, rt_observe::NoopProbe)
+    });
+    assert_amortized_only("rtsj-emu edf", |spec| {
+        rt_taskserver::execute(
+            &workload_with(spec.horizon.ticks() / 1000, SchedulingPolicy::Edf),
+            &config,
+        )
     });
 }
 
@@ -252,10 +263,6 @@ fn probe_enabled_decision_loops_allocate_amortized_only() {
         let mut probe = MetricsProbe::new();
         rtss_sim::simulate_with_probe(spec, &mut probe)
     });
-    assert_amortized_only("rt-compile observed", |spec| {
-        let mut probe = MetricsProbe::new();
-        rt_compile::simulate_compiled_with_probe(spec, &mut probe)
-    });
     let config = ExecutionConfig::reference();
     assert_amortized_only("rtsj-emu observed", |spec| {
         let mut probe = MetricsProbe::new();
@@ -272,8 +279,7 @@ fn coverage_manifest_is_sorted_and_names_real_files() {
     // The engines driven above are exactly the crates the manifest spans.
     for (file, _) in ZERO_ALLOC_COVERED_FNS {
         assert!(
-            file.starts_with("crates/compile/")
-                || file.starts_with("crates/core/")
+            file.starts_with("crates/core/")
                 || file.starts_with("crates/metrics/")
                 || file.starts_with("crates/observe/")
                 || file.starts_with("crates/rtsj/")

@@ -1,182 +1,37 @@
-//! # rt-compile — spec-specialized zero-overhead dispatch engines
+//! # rt-compile — validate once, execute many times
 //!
-//! The interpreted engines (`rtss-sim`'s simulator, `rt-taskserver`'s
-//! execution framework) re-derive everything per decision: server-policy
-//! state is reached through enum dispatch behind per-call [`ServerSpec`]
-//! clones, the ready set is a comparison-based heap, periodic releases are
-//! tracked one heap entry per task, and admission hooks are consulted even
-//! when the spec says `AcceptAll`. That generality is the point of the
-//! interpreted engines — they are the semantic oracles — but it is paid on
-//! every decision instant.
+//! Specialization is not a mode beside the engines, it *is* the engines
+//! (after RTFM: "let the hardware do the bulk of the scheduling"):
+//! `rtss_sim::simulate` freezes a spec into dispatch tables and runs a
+//! driver monomorphized per server-policy kind × scheduling policy, and
+//! `rt_taskserver::execute` drives the real server bodies through the
+//! SRP-ceiling-table fast path whenever the effective policy is
+//! fixed-priority. Each world keeps one deliberately simple reference
+//! oracle beside its fast engine (`rtss_sim::simulate_reference`, the
+//! linear-scan `rtsj_emu::SchedulerKind::LinearScan`).
 //!
-//! This crate is the RTFM-style specialization pass the ROADMAP calls for
-//! ("let the hardware do the bulk of the scheduling"): [`CompiledSystem::compile`]
-//! takes a structurally validated [`SystemSpec`] and freezes it into fixed
-//! dispatch tables —
-//!
-//! * **priority order resolved offline** — the fixed-priority ready set is a
-//!   per-priority occupancy bitmap (find-highest-set word scan, no
-//!   comparisons, no heap rebalancing), with the interpreted engine's exact
-//!   tie-breaks (highest priority, then lowest task index) by construction;
-//! * **release wheel** — periodic releases are grouped by `(offset, period)`
-//!   at compile time, so the release heap holds one entry per *distinct
-//!   rate* instead of one per task (the common homogeneous-rate sweeps
-//!   collapse to a single entry);
-//! * **monomorphized server policies** — one driver instantiation per
-//!   server-policy kind × scheduling policy, with the capacity state inlined
-//!   as plain fields (no enum dispatch, no per-call spec clones);
-//! * **inlined admission plans** — `AcceptAll` lanes compile to an
-//!   unconditional accept; stateful policies embed the same
-//!   [`rt_admission::ServerAdmission`] machine the interpreted engines use,
-//!   so decisions agree by construction;
-//! * **preallocated state** — per-run scratch (pending queues, ready
-//!   structures, the trace vectors) is sized from the spec up front, so a
-//!   steady-state decision instant allocates nothing.
-//!
-//! ## Phase 2: interned zero-copy compilation
-//!
-//! Compilation itself is O(tasks + servers), independent of the aperiodic
-//! traffic volume: the compiled system *borrows* the source spec
-//! ([`std::borrow::Cow`], owned only when arrival faults force a normalised
-//! copy), the arrival stream is read through the spec's
-//! [`rt_model::WorkloadView`] instead of being materialised into per-event
-//! rows (arrival rows are assembled on demand from the borrowed events, with
-//! injected overruns resolved through a small sorted side table), and
-//! handler names live in `rt-model`'s interned symbol table
-//! ([`rt_model::NameId`]) so the execution plan's handler templates are
-//! plain `Copy` scalars. Compiling a system with 10⁵ pending arrivals costs
-//! the same as compiling one with 10² — the `compile-cost` group of the
-//! `engine_scaling` benchmark pins that flatness.
-//!
-//! ## Phase 2: the SRP ceiling pass and the execution fast path
-//!
-//! For the execution world, compilation also runs an RTFM-style analyze pass
-//! ([`CompiledSystem::substrate`], after Real-Time For the Masses'
-//! compile-time Stack Resource Policy ceilings): every schedulable is ranked
-//! into a *static dispatch order*, periodic releases are folded into a
-//! *release wheel* whose groups carry precomputed *preemption ceilings*, and
-//! [`CompiledSystem::execute`] drives the real server bodies through
-//! `rt-taskserver`'s specialized `run_with_substrate` loop — release drains
-//! are wheel walks, the "does this wake preempt?" question is one integer
-//! compare against the group ceiling, and dispatching is a find-first-set
-//! bitmap scan. Under EDF the plan transparently falls back to the
-//! interpreted run.
-//!
-//! The compiled system executes through both worlds:
-//! [`CompiledSystem::simulate`] is a specialized re-implementation of the
-//! simulator's decision loop (byte-identical canonical traces, pinned by
-//! `tests/compiled_differential.rs` and the compiled goldens), and
-//! [`CompiledSystem::execute`] runs the prepared schedulable table through
-//! the ceiling-table fast path (byte-identical to `rt_taskserver::execute`,
-//! same pins).
-//!
-//! The interpreted engines stay untouched as differential oracles; the
-//! `engine_scaling` benchmark's `interpreted-vs-compiled` group and
-//! `BENCH_engine_scaling.json` record the speedups.
+//! What remains here is a thin front-end for callers that execute one spec
+//! repeatedly: [`CompiledSystem::compile`] validates the spec's structure
+//! and resolves its arrival faults once, borrowing the spec when it has
+//! none — O(tasks + servers), no per-event work or allocation — and
+//! [`CompiledSystem::execution_plan`] / [`CompiledSystem::execute`] skip
+//! the O(events) validation that `rt_taskserver::execute` repeats per call.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod analyze;
-mod sim;
-
-use rt_model::{
-    AdmissionPolicy, EventId, Instant, ModelError, Priority, QueueDiscipline, SchedulingPolicy,
-    ServerPolicyKind, ServerSpec, Span, SystemSpec, TaskId, Trace,
-};
-use rt_observe::Probe;
-use rt_taskserver::{ExecutionConfig, ExecutionPlan, SubstratePlan};
+use rt_model::{ModelError, SystemSpec, Trace};
+use rt_taskserver::{ExecutionConfig, ExecutionPlan};
 use std::borrow::Cow;
 
-/// One periodic task, frozen: exactly the fields the decision loop touches,
-/// laid out flat (the `name` string and spec bookkeeping stay behind in the
-/// retained [`SystemSpec`]).
-#[derive(Debug, Clone)]
-pub(crate) struct TaskTable {
-    pub(crate) id: TaskId,
-    pub(crate) cost: Span,
-    /// Relative deadline (absolute deadline = release + this).
-    pub(crate) deadline: Span,
-    pub(crate) priority: Priority,
-}
-
-/// A release-rate group: every task sharing `(offset, period)` releases at
-/// the same instants forever, so the release wheel tracks the group, not the
-/// tasks. Same-instant releases land in distinct per-task queues and the
-/// ready structures are order-insensitive at one instant, so group order is
-/// unobservable — the interpreted engine's per-task heap order is preserved
-/// trace-byte-for-byte.
-#[derive(Debug, Clone)]
-pub(crate) struct ReleaseGroup {
-    /// First release (the common task offset).
-    pub(crate) first: Instant,
-    pub(crate) period: Span,
-    /// Member task indices, ascending.
-    pub(crate) members: Vec<u32>,
-}
-
-/// One aperiodic arrival as the decision loop sees it: outcome fields plus
-/// the lane-service deadline precomputed (`release + relative_deadline`, or
-/// the release when the event carries no deadline).
-///
-/// Since phase 2 these rows are no longer materialised at compile time: they
-/// are assembled on demand ([`CompiledSystem::arrival`]) from the borrowed
-/// spec events, which is what keeps compilation independent of the traffic
-/// volume.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ArrivalTable {
-    pub(crate) id: EventId,
-    /// Routed server index (may be out of range: orphan).
-    pub(crate) server: usize,
-    pub(crate) release: Instant,
-    /// Demand actually executed: the real cost plus any injected overrun
-    /// ([`rt_model::FaultPlan::overrun_extra`]), resolved per access through
-    /// the sorted overrun side table.
-    pub(crate) demand: Span,
-    /// Service cap enforced against the demand: the declared cost for
-    /// overrun-injected jobs, [`Span::MAX`] otherwise.
-    pub(crate) cap: Span,
-    pub(crate) declared_cost: Span,
-    /// Absolute deadline, if the event carries one.
-    pub(crate) deadline: Option<Instant>,
-    /// Deadline key used by deadline-ordered lane service.
-    pub(crate) lane_deadline: Instant,
-    pub(crate) value: u64,
-}
-
-/// One server lane, frozen: the scalar fields the inlined policies read,
-/// plus the original [`ServerSpec`] for seeding the admission machine.
-#[derive(Debug, Clone)]
-pub(crate) struct LaneTable {
-    pub(crate) kind: ServerPolicyKind,
-    pub(crate) capacity: Span,
-    pub(crate) period: Span,
-    pub(crate) priority: Priority,
-    pub(crate) discipline: QueueDiscipline,
-    pub(crate) admission: AdmissionPolicy,
-    pub(crate) spec: ServerSpec,
-}
-
-/// Which single server-policy kind every lane shares, selecting the
-/// monomorphized driver instantiation ([`PolicySet::Mixed`] falls back to an
-/// inline-enum lane — still clone-free, but with a per-call kind branch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PolicySet {
-    Polling,
-    Deferrable,
-    Background,
-    Sporadic,
-    Mixed,
-}
-
-/// A validated [`SystemSpec`] frozen into fixed dispatch tables, executable
-/// through both engines. Borrows the spec it was compiled from (owned only
-/// when arrival faults force a normalised copy), so compiling is
-/// O(tasks + servers) with zero per-event allocations.
+/// A structurally validated [`SystemSpec`] with its arrival faults
+/// resolved, ready to execute. Borrows the spec it was compiled from (owned
+/// only when arrival faults force a normalised copy).
 ///
 /// ```
 /// use rt_model::{Instant, Priority, ServerSpec, Span, SystemSpec};
 /// use rt_compile::CompiledSystem;
+/// use rt_taskserver::{execute, ExecutionConfig};
 ///
 /// let mut b = SystemSpec::builder("doc");
 /// b.server(ServerSpec::polling(Span::from_units(3), Span::from_units(6), Priority::new(30)));
@@ -186,41 +41,21 @@ pub(crate) enum PolicySet {
 /// let spec = b.build().unwrap();
 ///
 /// let compiled = CompiledSystem::compile(&spec).unwrap();
-/// let trace = compiled.simulate();
-/// // Byte-identical to the interpreted simulator's trace.
-/// assert_eq!(trace.render_canonical(), rtss_sim::simulate(&spec).render_canonical());
+/// let config = ExecutionConfig::reference();
+/// assert_eq!(compiled.execute(&config), execute(&spec, &config));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompiledSystem<'a> {
     /// The validated source spec — borrowed from the caller, or owned when
-    /// arrival faults required normalisation. Retained for the execution
-    /// world and for callers that need the full description back.
+    /// arrival faults required normalisation.
     spec: Cow<'a, SystemSpec>,
-    pub(crate) scheduling: SchedulingPolicy,
-    pub(crate) horizon: Instant,
-    pub(crate) tasks: Vec<TaskTable>,
-    pub(crate) groups: Vec<ReleaseGroup>,
-    pub(crate) lanes: Vec<LaneTable>,
-    /// In-horizon prefix length of the (release, id)-sorted arrival stream;
-    /// [`Self::arrival`] indexes into that prefix.
-    pub(crate) arrival_count: usize,
-    /// Injected cost overruns, sorted by event id for binary search.
-    pub(crate) overruns: Vec<(EventId, Span)>,
-    pub(crate) lane_set: PolicySet,
-    /// Exact periodic-job count within the horizon (trace preallocation).
-    pub(crate) job_count: usize,
-    /// Segment-vector preallocation hint.
-    pub(crate) segment_hint: usize,
-    /// The execution fast path's precomputed scheduling substrate.
-    substrate: SubstratePlan,
 }
 
 impl<'a> CompiledSystem<'a> {
-    /// Structurally validates `spec` and freezes it into dispatch tables.
+    /// Structurally validates `spec` and resolves its arrival faults.
     ///
     /// Compilation is O(tasks + servers): the aperiodic traffic is neither
-    /// copied nor walked (beyond one binary search locating the horizon
-    /// boundary in the sorted stream). Workload validation — the O(events)
+    /// copied nor walked. Workload validation — the O(events)
     /// id/sortedness/routing sweep — is the spec builder's job and is
     /// re-asserted here in debug builds only.
     ///
@@ -236,246 +71,31 @@ impl<'a> CompiledSystem<'a> {
             spec.validate_workload()
         );
         // Arrival faults (release jitter, dropped arrivals) are a pure spec
-        // normalization, resolved here once — the tables below freeze the
-        // faulted arrival stream, like the interpreted engines' entry points.
-        // Fault-free specs stay borrowed: nothing is cloned.
-        let spec: Cow<'a, SystemSpec> = match spec.apply_arrival_faults() {
+        // normalization, resolved here once. Fault-free specs stay borrowed.
+        let spec = match spec.apply_arrival_faults() {
             Some(faulted) => Cow::Owned(faulted),
             None => Cow::Borrowed(spec),
         };
-        let tasks: Vec<TaskTable> = spec
-            .periodic_tasks
-            .iter()
-            .map(|t| TaskTable {
-                id: t.id,
-                cost: t.cost,
-                deadline: t.deadline,
-                priority: t.priority,
-            })
-            .collect();
-
-        // Group tasks by (offset, period); first-seen order, members
-        // ascending by construction.
-        let mut groups: Vec<ReleaseGroup> = Vec::new();
-        let mut job_count = 0usize;
-        for (i, t) in spec.periodic_tasks.iter().enumerate() {
-            let first = t.release_of(0);
-            let key = (first, t.period);
-            match groups.iter_mut().find(|g| (g.first, g.period) == key) {
-                Some(group) => group.members.push(i as u32),
-                None => groups.push(ReleaseGroup {
-                    first,
-                    period: t.period,
-                    members: vec![i as u32],
-                }),
-            }
-            if first < spec.horizon {
-                let window = spec.horizon.since(first).ticks();
-                // Releases at first, first+p, ... strictly below the horizon.
-                job_count += (1 + (window - 1) / t.period.ticks()) as usize;
-            }
-        }
-
-        // Arrivals at or past the horizon are invisible to the decision loop
-        // (it stops strictly before the horizon), so they are compiled out;
-        // like the interpreted engines, they produce no outcome. The stream
-        // is (release, id)-sorted, so the in-horizon traffic is a prefix —
-        // one binary search, no walk, no copy.
-        let arrival_count = spec.workload().within_horizon_count();
-
-        // The overrun side table: tiny (one row per injected fault), sorted
-        // by event id so on-demand arrival assembly is a binary search.
-        let mut overruns: Vec<(EventId, Span)> = spec
-            .faults
-            .overruns
-            .iter()
-            .map(|o| (o.event, o.extra))
-            .collect();
-        overruns.sort_unstable_by_key(|&(id, _)| id);
-
-        let lanes: Vec<LaneTable> = spec
-            .servers
-            .iter()
-            .map(|s| LaneTable {
-                kind: s.policy,
-                capacity: s.capacity,
-                period: s.period,
-                priority: s.priority,
-                discipline: s.discipline,
-                admission: s.admission,
-                spec: s.clone(),
-            })
-            .collect();
-
-        // A scheduled policy swap changes a lane's kind at runtime, which the
-        // single-kind monomorphized drivers cannot represent: fall back to
-        // the inline-enum lane, which rebuilds its variant on the swap.
-        let lane_set = if spec.faults.has_policy_swap() {
-            PolicySet::Mixed
-        } else {
-            match lanes.split_first() {
-                None => PolicySet::Background,
-                Some((head, tail)) => {
-                    if tail.iter().all(|l| l.kind == head.kind) {
-                        match head.kind {
-                            ServerPolicyKind::Polling => PolicySet::Polling,
-                            ServerPolicyKind::Deferrable => PolicySet::Deferrable,
-                            ServerPolicyKind::Background => PolicySet::Background,
-                            ServerPolicyKind::Sporadic => PolicySet::Sporadic,
-                        }
-                    } else {
-                        PolicySet::Mixed
-                    }
-                }
-            }
-        };
-
-        let segment_hint = job_count + 2 * arrival_count + 64;
-        let substrate = analyze::build_substrate(
-            &lanes,
-            &tasks,
-            &groups,
-            job_count,
-            arrival_count,
-            spec.horizon,
-        );
-        Ok(CompiledSystem {
-            scheduling: spec.scheduling,
-            horizon: spec.horizon,
-            tasks,
-            groups,
-            lanes,
-            arrival_count,
-            overruns,
-            lane_set,
-            job_count,
-            segment_hint,
-            substrate,
-            spec,
-        })
+        Ok(CompiledSystem { spec })
     }
 
-    /// The validated source specification this system was compiled from.
+    /// The validated (fault-normalised) specification this system was
+    /// compiled from.
     pub fn spec(&self) -> &SystemSpec {
         &self.spec
     }
 
-    /// The execution fast path's precomputed substrate: static dispatch
-    /// ranks, the release wheel with preemption ceilings, reservation hints.
-    pub fn substrate(&self) -> &SubstratePlan {
-        &self.substrate
-    }
-
-    /// Assembles the `index`-th in-horizon arrival row on demand from the
-    /// borrowed spec event (a handful of field copies plus one binary search
-    /// in the overrun side table — no allocation, no compile-time
-    /// materialisation).
-    #[inline]
-    pub(crate) fn arrival(&self, index: usize) -> ArrivalTable {
-        debug_assert!(index < self.arrival_count);
-        let e = &self.spec.aperiodics[index];
-        let extra = match self.overruns.binary_search_by_key(&e.id, |&(id, _)| id) {
-            Ok(k) => self.overruns[k].1,
-            Err(_) => Span::ZERO,
-        };
-        ArrivalTable {
-            id: e.id,
-            server: e.server,
-            release: e.release,
-            demand: e.actual_cost + extra,
-            cap: if extra.is_zero() {
-                Span::MAX
-            } else {
-                e.declared_cost
-            },
-            declared_cost: e.declared_cost,
-            deadline: e.absolute_deadline(),
-            lane_deadline: e.absolute_deadline().unwrap_or(e.release),
-            value: e.value,
-        }
-    }
-
-    /// Release instant of the `index`-th in-horizon arrival (the decision
-    /// loop's next-arrival peek, cheaper than assembling the full row).
-    #[inline]
-    pub(crate) fn arrival_release(&self, index: usize) -> Instant {
-        self.spec.aperiodics[index].release
-    }
-
-    /// Runs the compiled simulation driver, producing a trace byte-identical
-    /// to [`rtss-sim`'s](https://docs.rs) interpreted `simulate` (all
-    /// interpreted modes — indexed, reference, unbatched — agree with each
-    /// other, and the compiled driver agrees with them).
-    pub fn simulate(&self) -> Trace {
-        sim::run(self)
-    }
-
-    /// Runs the compiled simulation driver with an attached
-    /// [`Probe`] observing every decision, dispatch,
-    /// slice, release, admission verdict and mode change. The hook sites
-    /// mirror the interpreted engine's exactly, so a recording probe reports
-    /// identical counters across `rtss_sim::simulate_with_probe` and this
-    /// entry point; the trace itself is byte-identical to [`Self::simulate`]
-    /// — probes observe, they never decide. Pass `&mut probe` to keep the
-    /// recording.
-    pub fn simulate_with_probe<PR: Probe>(&self, probe: PR) -> Trace {
-        sim::run_with(self, probe)
-    }
-
-    /// Prepares the compiled schedulable table for the execution engine: the
-    /// installation plan (server shares, thread specs, servable handlers,
-    /// fire schedule) is computed once here and reusable across
-    /// [`ExecutionPlan::run`] calls. Validation is not repeated — the
-    /// compiled system already holds a validated spec.
+    /// Prepares the execution plan (server shares, thread specs, servable
+    /// handlers, fire schedule and, under fixed priorities, the fast path's
+    /// substrate), reusable across [`ExecutionPlan::run`] calls. Validation
+    /// is not repeated — the compiled system already holds a validated spec.
     pub fn execution_plan(&self, config: &ExecutionConfig) -> ExecutionPlan<'_> {
         ExecutionPlan::prepare_prevalidated(&self.spec, config)
     }
 
-    /// Executes the compiled schedulable table on the `rtsj-emu` engine
-    /// through the ceiling-table fast path (interpreted fallback under EDF),
-    /// producing a trace byte-identical to `rt_taskserver::execute` for the
-    /// same spec and configuration.
+    /// Executes the compiled system, producing a trace byte-identical to
+    /// `rt_taskserver::execute` for the same spec and configuration.
     pub fn execute(&self, config: &ExecutionConfig) -> Trace {
-        self.execution_plan(config)
-            .run_with_substrate(&self.substrate)
+        self.execution_plan(config).run()
     }
-}
-
-/// Compiles and simulates in one call (the drop-in compiled counterpart of
-/// `rtss_sim::simulate`).
-///
-/// # Panics
-/// Panics when the specification fails structural validation, exactly like
-/// the interpreted entry point.
-pub fn simulate_compiled(spec: &SystemSpec) -> Trace {
-    CompiledSystem::compile(spec)
-        // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs, mirroring the interpreted API")
-        .expect("simulate_compiled() requires a valid system specification")
-        .simulate()
-}
-
-/// Compiles and simulates with an attached probe in one call (the compiled
-/// counterpart of `rtss_sim::simulate_with_probe`).
-///
-/// # Panics
-/// Panics when the specification fails structural validation, exactly like
-/// the interpreted entry point.
-pub fn simulate_compiled_with_probe<PR: Probe>(spec: &SystemSpec, probe: PR) -> Trace {
-    CompiledSystem::compile(spec)
-        // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs, mirroring the interpreted API")
-        .expect("simulate_compiled_with_probe() requires a valid system specification")
-        .simulate_with_probe(probe)
-}
-
-/// Compiles and executes in one call (the drop-in compiled counterpart of
-/// `rt_taskserver::execute`).
-///
-/// # Panics
-/// Panics when the specification fails structural validation, exactly like
-/// the interpreted entry point.
-pub fn execute_compiled(spec: &SystemSpec, config: &ExecutionConfig) -> Trace {
-    CompiledSystem::compile(spec)
-        // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs, mirroring the interpreted API")
-        .expect("execute_compiled() requires a valid system specification")
-        .execute(config)
 }

@@ -1,12 +1,14 @@
-//! The compiled execution fast path: a specialized dispatch loop that drives
-//! the *real* task-server bodies over precomputed SRP-style tables instead of
-//! the general engine's calendar and ready heaps.
+//! The execution fast path: a specialized dispatch loop that drives the
+//! *real* task-server bodies over precomputed SRP-style tables instead of
+//! the general engine's calendar and ready heaps. [`ExecutionPlan::run`]
+//! takes it for every fixed-priority plan on the indexed scheduler, so it is
+//! what [`crate::execute`] runs in that case.
 //!
-//! ## What is precomputed (the [`SubstratePlan`])
+//! ## What is precomputed (the substrate)
 //!
-//! An RTFM-style analyze pass (see `rt-compile`'s `analyze` module, after
-//! Real-Time For the Masses' compile-time Stack Resource Policy ceilings)
-//! derives, once per system × configuration:
+//! An RTFM-style analyze pass (`SubstratePlan::analyze`, after Real-Time For
+//! the Masses' compile-time Stack Resource Policy ceilings) derives, once per
+//! plan, from the spec:
 //!
 //! * a **static dispatch order** — every schedulable ranked by
 //!   (priority desc, spawn index asc), the exact tie-break of the engine's
@@ -24,12 +26,13 @@
 //!
 //! The server bodies are the very same [`PollingServerBody`],
 //! [`EventDrivenServerBody`] and [`SporadicServerBody`] state machines the
-//! interpreted engine runs, pumped through the public [`BodyCtx`] protocol
+//! general engine runs, pumped through the public [`BodyCtx`] protocol
 //! with the engine's exact ordering (deadline, action, fires, timers). The
 //! fast path only replaces the *scheduling substrate* around them — calendar,
 //! ready queue, timer multiplexing — with table-driven equivalents, which is
-//! why its traces are byte-identical to the interpreted engine's and are
-//! pinned against it by the compiled differential matrix and the fuzzer.
+//! why its traces are byte-identical to the general engine's; the goldens,
+//! `tests/engine_differential.rs` and the fuzzer pin it against both the
+//! probe-threaded engine and the linear-scan reference.
 //!
 //! ## Complexity per decision
 //!
@@ -40,16 +43,16 @@
 //! otherwise; per-release work is O(1) amortized and allocation-free (the
 //! handler templates are `Copy`, the scratch buffers are reused).
 //!
-//! Only fixed-priority systems take this path: under EDF the plan falls back
-//! to the interpreted [`ExecutionPlan::run`], whose ready heap is the honest
-//! way to track dynamic deadlines.
+//! The loop carries no probe and no EDF dispatcher: EDF plans and observed
+//! runs ([`ExecutionPlan::run_with_probe`]) use the general engine, whose
+//! ready heap is the honest way to track dynamic deadlines.
 
 use crate::deferrable::EventDrivenServerBody;
 use crate::handler::QueuedRelease;
 use crate::polling::PollingServerBody;
 use crate::sporadic::SporadicServerBody;
 use crate::state::{ServerShared, SharedServer};
-use crate::system::{finalise_trace, ExecutionConfig, ExecutionPlan, PlannedEvent};
+use crate::system::{finalise_trace, ExecutionPlan, PlannedEvent};
 use rt_model::{
     AperiodicOutcome, ExecUnit, Instant, Priority, SchedulingPolicy, ServerPolicyKind, Span,
     SystemSpec, Trace,
@@ -65,41 +68,42 @@ const MAX_ZERO_TIME_STEPS: u32 = 100_000;
 
 /// One release-wheel group: periodic schedulables sharing a release grid.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SubstrateGroup {
+pub(crate) struct SubstrateGroup {
     /// First release instant of the grid.
-    pub first: Instant,
+    first: Instant,
     /// Release period of the grid.
-    pub period: Span,
+    period: Span,
     /// Member thread ids (spawn order: servers first, then tasks).
-    pub members: Vec<u32>,
+    members: Vec<u32>,
     /// Preemption ceiling: the best (smallest) dispatch rank in the group.
     /// A running thread with a rank below this value cannot be preempted by
     /// any release of the group — the SRP-style O(1) preemption test.
-    pub ceiling: u32,
+    ceiling: u32,
 }
 
-/// The precomputed scheduling substrate of one system × configuration: the
-/// static dispatch order, the release wheel with preemption ceilings, and
-/// the trace reservation hint. See the module docs for the derivation.
+/// The precomputed scheduling substrate of one plan: the static dispatch
+/// order, the release wheel with preemption ceilings, and the trace
+/// reservation hint. See the module docs for the derivation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SubstratePlan {
+pub(crate) struct SubstratePlan {
     /// Thread id → dispatch rank (0 = dispatched first).
-    pub rank_of: Vec<u32>,
-    /// Dispatch rank → thread id (the inverse of [`Self::rank_of`]).
-    pub order: Vec<u32>,
+    rank_of: Vec<u32>,
+    /// Dispatch rank → thread id (the inverse of `rank_of`).
+    order: Vec<u32>,
     /// The release wheel.
-    pub groups: Vec<SubstrateGroup>,
+    groups: Vec<SubstrateGroup>,
     /// Reservation hint for the trace's segment storage (an upper-bound
     /// estimate; undershooting only costs a reallocation).
-    pub segment_hint: usize,
+    segment_hint: usize,
 }
 
 impl SubstratePlan {
-    /// Derives the substrate directly from a spec — the convenience
-    /// constructor used by tests and one-shot callers. The compile layer
-    /// builds the same structure from its own task/lane tables (O(tasks +
-    /// servers), no spec walk) in `rt-compile`'s `analyze` module.
-    pub fn analyze(spec: &SystemSpec, _config: &ExecutionConfig) -> Self {
+    /// Derives the substrate of a (fault-normalised) spec in
+    /// O(threads · groups): thread ids follow `ExecutionPlan::run`'s spawn
+    /// order — servers first (thread id = lane index), then periodic tasks —
+    /// which is what makes the static ranks reproduce the engine's
+    /// `(priority, Reverse(thread id))` ready-heap tie-break.
+    pub(crate) fn analyze(spec: &SystemSpec) -> Self {
         let server_count = spec.servers.len();
         let thread_count = server_count + spec.periodic_tasks.len();
         let mut priorities: Vec<Priority> = Vec::with_capacity(thread_count);
@@ -179,7 +183,7 @@ impl SubstratePlan {
 
 /// Builds the (thread → rank, rank → thread) tables for the engine's
 /// fixed-priority dispatch order: priority descending, spawn index ascending.
-pub fn rank_tables(priorities: &[Priority]) -> (Vec<u32>, Vec<u32>) {
+fn rank_tables(priorities: &[Priority]) -> (Vec<u32>, Vec<u32>) {
     let mut order: Vec<u32> = (0..priorities.len() as u32).collect();
     order.sort_by_key(|&tid| (Reverse(priorities[tid as usize]), tid));
     let mut rank_of = vec![0u32; priorities.len()];
@@ -190,17 +194,15 @@ pub fn rank_tables(priorities: &[Priority]) -> (Vec<u32>, Vec<u32>) {
 }
 
 impl ExecutionPlan<'_> {
-    /// Runs the plan through the compiled fast path described in the module
-    /// docs, producing a trace byte-identical to [`ExecutionPlan::run`].
-    ///
-    /// Only fixed-priority systems are specialized; a plan whose effective
-    /// policy is EDF falls back to the interpreted run (the substrate's
-    /// static ranks cannot represent dynamic deadlines).
-    pub fn run_with_substrate(&self, substrate: &SubstratePlan) -> Trace {
-        let policy = self.config.scheduling.unwrap_or(self.spec.scheduling);
-        if policy != SchedulingPolicy::FixedPriority {
-            return self.run();
-        }
+    /// Runs the plan through the fast path described in the module docs,
+    /// producing a trace byte-identical to the general engine's. The plan
+    /// only carries a substrate when its effective policy is fixed-priority
+    /// (the static ranks cannot represent dynamic deadlines).
+    pub(crate) fn run_with_substrate(&self, substrate: &SubstratePlan) -> Trace {
+        debug_assert_eq!(
+            self.config.scheduling.unwrap_or(self.spec.scheduling),
+            SchedulingPolicy::FixedPriority
+        );
         let mut driver = FastDriver::new(self, substrate);
         driver.run();
         let FastDriver {
@@ -1104,6 +1106,7 @@ impl<'p, 's> FastDriver<'p, 's> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::ExecutionConfig;
     use rt_model::{Priority, ServerSpec, SystemSpec};
 
     fn table1(policy: ServerPolicyKind, capacity: u64, events: &[(u64, u64)]) -> SystemSpec {
@@ -1135,21 +1138,23 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn assert_fastpath_matches_interpreted(spec: &SystemSpec, config: &ExecutionConfig) {
+    /// The fast path (`run`) against the general engine (`run_with_probe`
+    /// with the no-op probe) on one prepared plan.
+    fn assert_fastpath_matches_the_engine(spec: &SystemSpec, config: &ExecutionConfig) {
         let plan = ExecutionPlan::prepare(spec, config).expect("valid spec");
-        let substrate = SubstratePlan::analyze(spec, config);
-        let interpreted = plan.run();
-        let fast = plan.run_with_substrate(&substrate);
+        assert!(plan.substrate.is_some(), "fixed-priority plans run fast");
+        let engine = plan.run_with_probe(rt_observe::NoopProbe);
+        let fast = plan.run();
         assert_eq!(
-            interpreted.render_canonical(),
+            engine.render_canonical(),
             fast.render_canonical(),
-            "fast path diverged from the interpreted engine"
+            "fast path diverged from the general engine"
         );
-        assert_eq!(interpreted, fast);
+        assert_eq!(engine, fast);
     }
 
     #[test]
-    fn fastpath_matches_interpreted_across_policies_and_overheads() {
+    fn fastpath_matches_the_engine_across_policies_and_overheads() {
         let events: Vec<(u64, u64)> = (0..12).map(|i| (i * 3 + 1, 2)).collect();
         for policy in [
             ServerPolicyKind::Polling,
@@ -1158,13 +1163,13 @@ mod tests {
             ServerPolicyKind::Sporadic,
         ] {
             let spec = table1(policy, 3, &events);
-            assert_fastpath_matches_interpreted(&spec, &ExecutionConfig::ideal());
-            assert_fastpath_matches_interpreted(&spec, &ExecutionConfig::reference());
+            assert_fastpath_matches_the_engine(&spec, &ExecutionConfig::ideal());
+            assert_fastpath_matches_the_engine(&spec, &ExecutionConfig::reference());
         }
     }
 
     #[test]
-    fn fastpath_matches_interpreted_with_faults_and_mode_changes() {
+    fn fastpath_matches_the_engine_with_faults_and_mode_changes() {
         let mut spec = table1(ServerPolicyKind::Deferrable, 3, &[(0, 3), (4, 1), (9, 2)]);
         spec.faults = rt_model::FaultPlan::new()
             .overrun(spec.aperiodics[2].id, Span::from_units(2))
@@ -1172,7 +1177,7 @@ mod tests {
                 rt_model::ModeChange::at(Instant::from_units(1), 0)
                     .with_capacity(Span::from_units(1)),
             );
-        assert_fastpath_matches_interpreted(&spec, &ExecutionConfig::reference());
+        assert_fastpath_matches_the_engine(&spec, &ExecutionConfig::reference());
 
         let mut spec = table1(ServerPolicyKind::Deferrable, 2, &[(0, 2), (3, 2)]);
         spec.faults = rt_model::FaultPlan::new().mode_change(
@@ -1181,23 +1186,25 @@ mod tests {
                 .with_capacity(Span::from_units(2))
                 .with_period(Span::from_units(6)),
         );
-        assert_fastpath_matches_interpreted(&spec, &ExecutionConfig::reference());
+        assert_fastpath_matches_the_engine(&spec, &ExecutionConfig::reference());
     }
 
     #[test]
-    fn edf_plans_fall_back_to_the_interpreted_run() {
+    fn edf_and_linear_scan_plans_carry_no_substrate() {
         let mut spec = table1(ServerPolicyKind::Deferrable, 3, &[(0, 2), (7, 2)]);
-        spec.scheduling = SchedulingPolicy::Edf;
         let config = ExecutionConfig::reference();
+        let linear = config.with_scheduler(rtsj_emu::SchedulerKind::LinearScan);
+        let plan = ExecutionPlan::prepare(&spec, &linear).expect("valid spec");
+        assert!(plan.substrate.is_none());
+        spec.scheduling = SchedulingPolicy::Edf;
         let plan = ExecutionPlan::prepare(&spec, &config).expect("valid spec");
-        let substrate = SubstratePlan::analyze(&spec, &config);
-        assert_eq!(plan.run(), plan.run_with_substrate(&substrate));
+        assert!(plan.substrate.is_none());
     }
 
     #[test]
     fn substrate_ranks_follow_priority_then_spawn_order() {
         let spec = table1(ServerPolicyKind::Polling, 3, &[(0, 2)]);
-        let substrate = SubstratePlan::analyze(&spec, &ExecutionConfig::ideal());
+        let substrate = SubstratePlan::analyze(&spec);
         // Server (priority 30) ranks first, then tau1 (20), then tau2 (10).
         assert_eq!(substrate.order, vec![0, 1, 2]);
         assert_eq!(substrate.rank_of, vec![0, 1, 2]);

@@ -61,9 +61,9 @@
 //! table, and one interned [`rt_model::NameTable`] — no per-event `String`
 //! clones (handler templates carry fixed-width [`rt_model::NameId`]s), and
 //! fault-free specs are borrowed (`Cow`), never cloned. Running is
-//! O(decisions · log n) on the interpreted engine and O(decisions) on the
-//! compiled substrate ([`fastpath::SubstratePlan`]), both with zero heap
-//! allocations per decision (pinned by `rt-bench`'s `zero_alloc` test).
+//! O(decisions) on the fixed-priority fast path ([`fastpath`]) and
+//! O(decisions · log n) on the general engine (EDF, probes), both with zero
+//! heap allocations per decision (pinned by `rt-bench`'s `zero_alloc` test).
 //! Post-run trace finalisation buckets execution segments by task in one
 //! pass — O(segments + tasks), *not* O(tasks × segments); at 300 tasks the
 //! difference is the bulk of the per-run cost.
@@ -104,7 +104,6 @@ pub use admission::{
     predicted_response, textbook_prediction, AdmissionController, AdmissionOracle,
 };
 pub use deferrable::EventDrivenServerBody;
-pub use fastpath::{rank_tables, SubstrateGroup, SubstratePlan};
 pub use framework::{
     AnyTaskServer, BackgroundServer, DeferrableTaskServer, PollingTaskServer, ServableAsyncEvent,
     SporadicTaskServer, TaskServer,

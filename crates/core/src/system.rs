@@ -8,7 +8,21 @@
 //! and run on the virtual-time engine with its overhead model. The result is
 //! the same [`Trace`] type the simulator produces, so the metrics crate
 //! treats executions and simulations identically.
+//!
+//! # One fast engine, one reference oracle
+//!
+//! [`ExecutionPlan::run`] — and therefore [`execute`] — drives the server
+//! bodies through the ceiling-table fast path ([`crate::fastpath`])
+//! whenever the effective policy is fixed-priority and the scheduler is
+//! [`SchedulerKind::Indexed`]. The probe-threaded
+//! [`ExecutionPlan::run_with_probe`] (and [`execute_with_probe`]) runs the
+//! general `rtsj-emu` engine, which also serves EDF plans; under
+//! [`SchedulerKind::LinearScan`] that engine rescans every thread and timer
+//! per decision, one calendar drain per decision — the seed implementation
+//! kept as the reference oracle. All three loops produce byte-identical
+//! traces (pinned by the goldens, the differential suites and the fuzzer).
 
+use crate::fastpath::SubstratePlan;
 use crate::framework::{AnyTaskServer, ServableAsyncEvent, TaskServer};
 use crate::handler::ServableHandler;
 use crate::queue::QueueKind;
@@ -27,13 +41,9 @@ pub struct ExecutionConfig {
     pub overhead: OverheadModel,
     /// Pending-queue structure used by the server.
     pub queue: QueueKind,
-    /// Engine scheduling structures (indexed by default; the linear-scan
-    /// reference exists for differential tests and benchmarks).
+    /// Engine scheduling structures: indexed (the default — the fast path
+    /// under fixed priorities) or the linear-scan reference oracle.
     pub scheduler: SchedulerKind,
-    /// Engine same-instant batching (on by default; the off position exists
-    /// for the `engine_scaling` ablation and the batching tests — traces are
-    /// identical either way).
-    pub batching: bool,
     /// Scheduling-policy override: `None` (the default) follows the
     /// [`SystemSpec::scheduling`] knob of the executed system; `Some` forces
     /// the policy regardless of the spec — handy for differential tests
@@ -49,7 +59,6 @@ impl ExecutionConfig {
             overhead: OverheadModel::reference(),
             queue: QueueKind::Fifo,
             scheduler: SchedulerKind::Indexed,
-            batching: true,
             scheduling: None,
         }
     }
@@ -61,7 +70,6 @@ impl ExecutionConfig {
             overhead: OverheadModel::none(),
             queue: QueueKind::Fifo,
             scheduler: SchedulerKind::Indexed,
-            batching: true,
             scheduling: None,
         }
     }
@@ -81,12 +89,6 @@ impl ExecutionConfig {
     /// Replaces the engine scheduler implementation.
     pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
         self.scheduler = scheduler;
-        self
-    }
-
-    /// Enables or disables engine same-instant batching.
-    pub fn with_batching(mut self, batching: bool) -> Self {
-        self.batching = batching;
         self
     }
 
@@ -162,10 +164,12 @@ pub(crate) struct PlannedEvent {
 /// [`execute`] derives from the spec before the engine starts — validation,
 /// the resolved scheduling policy, the engine configuration, the servable
 /// handler templates of the events that actually install (released within
-/// the horizon, routed to an existing server) — computed once in
-/// [`ExecutionPlan::prepare`] and replayed by [`ExecutionPlan::run`] as many
-/// times as needed. [`execute`] is `prepare().run()`, so planned and direct
-/// executions are byte-identical by construction.
+/// the horizon, routed to an existing server) and, for fixed-priority plans
+/// on the indexed scheduler, the fast path's scheduling substrate — computed
+/// once in [`ExecutionPlan::prepare`] and replayed by [`ExecutionPlan::run`]
+/// as many times as needed. [`execute`] is `prepare().run()`, so planned and
+/// direct executions are byte-identical by construction.
+///
 /// The plan borrows the spec it was prepared from (`Cow`): a fault-free spec
 /// is never cloned, and preparing allocates O(events-within-horizon) for the
 /// planned-event table plus the interned [`NameTable`] — no per-event
@@ -177,6 +181,9 @@ pub struct ExecutionPlan<'a> {
     pub(crate) config: ExecutionConfig,
     pub(crate) engine_config: EngineConfig,
     pub(crate) events: Vec<PlannedEvent>,
+    /// The fast path's substrate; `None` sends [`ExecutionPlan::run`] to the
+    /// general engine (EDF plans, the linear-scan reference).
+    pub(crate) substrate: Option<SubstratePlan>,
 }
 
 impl<'a> ExecutionPlan<'a> {
@@ -206,8 +213,7 @@ impl<'a> ExecutionPlan<'a> {
         let engine_config = EngineConfig::new(spec.horizon)
             .with_overhead(config.overhead)
             .with_scheduler(config.scheduler)
-            .with_policy(policy)
-            .with_batching(config.batching);
+            .with_policy(policy);
         let mut names = NameTable::new();
         let events = spec
             .workload()
@@ -229,7 +235,10 @@ impl<'a> ExecutionPlan<'a> {
                 release: event.release,
             })
             .collect();
+        let fast =
+            policy == SchedulingPolicy::FixedPriority && config.scheduler == SchedulerKind::Indexed;
         ExecutionPlan {
+            substrate: fast.then(|| SubstratePlan::analyze(&spec)),
             spec,
             names,
             config: *config,
@@ -255,16 +264,20 @@ impl<'a> ExecutionPlan<'a> {
         &self.config
     }
 
-    /// Runs the plan on a fresh engine and returns its trace. Reusable: the
-    /// plan holds no run state.
+    /// Runs the plan and returns its trace: through the ceiling-table fast
+    /// path for fixed-priority plans on the indexed scheduler, on a fresh
+    /// general engine otherwise. Reusable: the plan holds no run state.
     pub fn run(&self) -> Trace {
-        self.run_with_probe(NoopProbe)
+        match &self.substrate {
+            Some(substrate) => self.run_with_substrate(substrate),
+            None => self.run_with_probe(NoopProbe),
+        }
     }
 
-    /// Runs the plan with an observation probe attached. The trace is
-    /// byte-identical to [`ExecutionPlan::run`] — every hook site is gated on
-    /// [`Probe::ENABLED`], so `run()` *is* this method monomorphized over
-    /// [`NoopProbe`].
+    /// Runs the plan on the general engine with an observation probe
+    /// attached. The trace is byte-identical to [`ExecutionPlan::run`] —
+    /// every hook site is gated on [`Probe::ENABLED`], and the fast path
+    /// reproduces the general engine's traces byte for byte.
     ///
     /// The engine reports the decision-loop hooks live (decisions,
     /// dispatches, preemptions, slices, releases, fires, calendar size);
@@ -347,11 +360,11 @@ impl<'a> ExecutionPlan<'a> {
 }
 
 /// Shared post-run finalisation of an execution trace, used by both the
-/// interpreted [`ExecutionPlan::run`] and the compiled fast path: attach the
-/// aperiodic outcomes recorded by the servers — completing them with
-/// `Unserved` for any released event with no recorded fate (e.g. the one
-/// being served when the horizon was reached) — and reconstruct the periodic
-/// job records from the execution segments.
+/// general engine and the fast path: attach the aperiodic outcomes recorded
+/// by the servers — completing them with `Unserved` for any released event
+/// with no recorded fate (e.g. the one being served when the horizon was
+/// reached) — and reconstruct the periodic job records from the execution
+/// segments.
 pub(crate) fn finalise_trace(
     spec: &SystemSpec,
     server_count: usize,

@@ -30,12 +30,6 @@
 //! `--discipline fifo|edd` selects the servers' queue-service discipline
 //! (FIFO-with-skip vs deadline-ordered).
 //!
-//! `--compiled` routes every run through the `rt-compile` specialized
-//! engines instead of the interpreted ones. The compiled traces are
-//! byte-identical to the interpreted traces, so every printed number is
-//! unchanged — the flag is a determinism cross-check that also reproduces
-//! the tables faster at scale.
-//!
 //! `observe` extras: `--quick` observes 3 systems per set instead of the
 //! paper's 10 (the CI determinism smoke uses it), and `--trace-out <path>`
 //! additionally records Figure 4's Scenario Three on the execution engine
@@ -109,7 +103,7 @@ fn print_online_rta() {
 fn usage_and_exit() -> ! {
     eprintln!(
         "usage: repro [fig2|fig3|fig4|table2|table3|table4|table5|online-rta|multi|edf|overload|faults|observe|quick|all] \
-         [--workers N] [--edf] [--discipline fifo|edd] [--compiled] [--quick] [--trace-out PATH]"
+         [--workers N] [--edf] [--discipline fifo|edd] [--quick] [--trace-out PATH]"
     );
     std::process::exit(2);
 }
@@ -119,7 +113,6 @@ fn main() {
     let mut workers = available_workers();
     let mut scheduling = SchedulingPolicy::FixedPriority;
     let mut discipline = QueueDiscipline::FifoSkip;
-    let mut compiled = false;
     let mut quick_flag = false;
     let mut trace_out: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -135,8 +128,6 @@ fn main() {
                 });
         } else if arg == "--edf" {
             scheduling = SchedulingPolicy::Edf;
-        } else if arg == "--compiled" {
-            compiled = true;
         } else if arg == "--quick" {
             quick_flag = true;
         } else if arg == "--trace-out" {
@@ -164,7 +155,6 @@ fn main() {
     let full = TableConfig {
         scheduling,
         discipline,
-        compiled,
         ..TableConfig::default()
     };
     let quick = TableConfig {
@@ -172,7 +162,6 @@ fn main() {
         seed: 1983,
         scheduling,
         discipline,
-        compiled,
     };
     match command.as_str() {
         "fig2" => print_scenario(Scenario::One),

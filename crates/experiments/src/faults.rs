@@ -203,8 +203,8 @@ pub fn reproduce_faults_table(config: &TableConfig, workers: usize) -> FaultTabl
                 ContainmentMeasures::from_trace(&run_system(system, mode), &system.faults)
             })
         };
-        let execution = measures(EvaluationMode::Execution.for_config(config));
-        let simulation = measures(EvaluationMode::Simulation.for_config(config));
+        let execution = measures(EvaluationMode::Execution);
+        let simulation = measures(EvaluationMode::Simulation);
         rows.push(FaultRow {
             scenario,
             execution: ContainmentAggregate::from_runs(&execution),

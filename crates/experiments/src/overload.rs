@@ -141,8 +141,8 @@ pub fn reproduce_overload_table(config: &TableConfig, workers: usize) -> Overloa
                     RunMeasures::from_trace(&run_system(system, mode))
                 })
             };
-            let execution = measures(EvaluationMode::Execution.for_config(config));
-            let simulation = measures(EvaluationMode::Simulation.for_config(config));
+            let execution = measures(EvaluationMode::Execution);
+            let simulation = measures(EvaluationMode::Simulation);
             rows.push(OverloadRow {
                 load,
                 policy,

@@ -1,8 +1,9 @@
 //! L2 — determinism: sources of nondeterminism in the engine crates.
 //!
-//! The repo's strongest invariant is that all three engines (interpreted
-//! simulator, RTSJ-emulation execution, compiled drivers) produce
-//! *byte-identical* canonical traces — 101 goldens, the differential
+//! The repo's strongest invariant is that every engine loop (the
+//! simulation driver and its reference, the execution fast path, the
+//! RTSJ-emulation engine and its linear-scan reference) produces
+//! *byte-identical* canonical traces — the goldens, the differential
 //! matrices and the cross-engine fuzzer all pin it. Two classes of std
 //! constructs can silently break that without failing a single unit test
 //! locally: hash-order-dependent iteration (`HashMap`/`HashSet` with the

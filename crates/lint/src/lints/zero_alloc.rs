@@ -1,8 +1,8 @@
 //! L3 — zero-alloc regions: the static twin of
 //! `rt-bench/tests/zero_alloc.rs`.
 //!
-//! The hot decision loops (interpreted engines, the compiled drivers, the
-//! substrate fast path) are required to make **zero allocations per
+//! The hot decision loops (the simulation driver and its reference, the
+//! execution fast path, the RTSJ-emulation engine) are required to make **zero allocations per
 //! decision** — the counting-allocator test pins this dynamically by
 //! asserting the allocation count is horizon-independent. That test
 //! catches a regression hours later; this lint catches the obvious causes

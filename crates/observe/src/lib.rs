@@ -1,13 +1,14 @@
 //! # rt-observe — the zero-cost probe layer
 //!
-//! Observability for the three engines (`rtss-sim`, `rtsj-emu` +
-//! `rt-taskserver`, `rt-compile`) that is **zero code when disabled** and
+//! Observability for the engines (`rtss-sim`'s simulation driver, the
+//! `rtsj-emu` engine behind `rt-taskserver`'s probe-threaded runs) that is
+//! **zero code when disabled** and
 //! **allocation-free when enabled**:
 //!
 //! * every engine decision loop is generic over a [`Probe`] parameter whose
 //!   default instantiation is [`NoopProbe`]; each hook body is gated on the
 //!   associated `const ENABLED`, so the `NoopProbe` monomorphization
-//!   compiles to the exact pre-probe machine code — the 101 golden traces,
+//!   compiles to probe-free machine code — the golden traces,
 //!   the zero-alloc markers and the per-decision cost are untouched;
 //! * the enabled side ([`MetricsProbe`]) records monotonic [`Counters`] and
 //!   preallocated fixed-bucket virtual-time histograms
@@ -168,9 +169,9 @@ pub trait Probe {
     }
 }
 
-/// The default probe: observability compiled out. Every engine entry point
-/// that does not take an explicit probe instantiates its decision loop with
-/// this type, and `ENABLED = false` turns every hook call site into dead
+/// The default probe: observability compiled out. Every probe-capable engine
+/// entry point that does not take an explicit probe instantiates its
+/// decision loop with this type, and `ENABLED = false` turns every hook call site into dead
 /// code the optimizer removes — disabled observability is zero code, not
 /// merely cheap code.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]

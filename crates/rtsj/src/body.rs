@@ -154,7 +154,7 @@ impl BodyCtx {
     }
 
     /// Drains the fire requests queued by [`Self::fire`]. Public so drivers
-    /// other than the engine (the compiled execution fast path, unit tests of
+    /// other than the engine (`rt-taskserver`'s execution fast path, unit tests of
     /// custom bodies) can pump a [`ThreadBody`] and apply its requests with
     /// the engine's exact ordering: deadline, action, fires, timers.
     pub fn take_fire_requests(&mut self) -> Vec<EventHandle> {

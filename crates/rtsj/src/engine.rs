@@ -94,9 +94,9 @@
 //! next action). Every calendar insertion made while the engine runs is
 //! strictly in the future, so once the calendar has been drained at an
 //! instant it cannot grow another entry due at that same instant — the
-//! default engine therefore drains **once per instant** instead of once per
-//! decision, and k coincident releases cost one drain, not k
-//! ([`EngineConfig::batching`]; traces are identical with the toggle off).
+//! indexed engine therefore drains **once per instant** instead of once per
+//! decision, and k coincident releases cost one drain, not k. The
+//! [`SchedulerKind::LinearScan`] reference rescans at every decision.
 //! For the same reason an insertion only tightens the memoised
 //! next-preemption instant in place rather than invalidating it.
 
@@ -188,12 +188,6 @@ pub struct EngineConfig {
     /// Dispatching policy: preemptive fixed priorities (the RTSJ scheduler,
     /// default) or EDF over the schedulables' absolute deadlines.
     pub policy: SchedulingPolicy,
-    /// Same-instant batching: drain the event calendar once per instant
-    /// instead of once per scheduling decision (on by default; only
-    /// meaningful under [`SchedulerKind::Indexed`]). Traces are identical
-    /// either way — the toggle exists for the `engine_scaling` ablation and
-    /// the batching tests.
-    pub batching: bool,
 }
 
 impl EngineConfig {
@@ -204,7 +198,6 @@ impl EngineConfig {
             overhead: OverheadModel::reference(),
             scheduler: SchedulerKind::Indexed,
             policy: SchedulingPolicy::FixedPriority,
-            batching: true,
         }
     }
 
@@ -223,12 +216,6 @@ impl EngineConfig {
     /// Replaces the dispatching policy (fixed priorities by default).
     pub fn with_policy(mut self, policy: SchedulingPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Enables or disables same-instant batching (enabled by default).
-    pub fn with_batching(mut self, batching: bool) -> Self {
-        self.batching = batching;
         self
     }
 }
@@ -390,7 +377,7 @@ pub struct Engine<P: Probe = NoopProbe> {
     /// zero-time decisions (body pumps) at one instant, nothing new can
     /// become due — every mid-run calendar insertion is strictly in the
     /// future — so re-draining is skipped until time advances (same-instant
-    /// batching; see [`EngineConfig::batching`]).
+    /// batching; see the module docs).
     drained_at: Option<Instant>,
     /// Reusable scratch buffer for the timer fires collected by one calendar
     /// drain, so steady-state decisions allocate nothing.
@@ -709,7 +696,7 @@ impl<P: Probe> Engine<P> {
                     // mid-run insertion checks `time > now`, and nothing can
                     // re-arm a timer from a hook or body), so consecutive
                     // zero-time decisions skip straight to the dispatcher.
-                    if !self.config.batching || self.drained_at != Some(self.now) {
+                    if self.drained_at != Some(self.now) {
                         self.process_due_calendar();
                         self.drained_at = Some(self.now);
                     }

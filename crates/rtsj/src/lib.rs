@@ -33,10 +33,13 @@
 //! release is `Copy` or reused: handler identities are interned
 //! [`rt_model::NameId`]s, not `String`s, part of the compile layer's
 //! zero-allocations-per-decision discipline (pinned by `rt-bench`'s
-//! `zero_alloc` test). The compiled execution fast path in
-//! `rt-taskserver::fastpath` bypasses this engine's generic heaps with
+//! `zero_alloc` test). The execution fast path in
+//! `rt-taskserver::fastpath` — what `rt_taskserver::execute` runs under
+//! fixed priorities — bypasses this engine's generic heaps with
 //! precomputed rank/ceiling tables while reproducing its traces
-//! byte-identically.
+//! byte-identically; this engine serves EDF and probe-observed runs, and
+//! its [`SchedulerKind::LinearScan`] mode is the execution world's
+//! reference oracle.
 //!
 //! ```
 //! use rt_model::{ExecUnit, Instant, Priority, Span, TaskId};

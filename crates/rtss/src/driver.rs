@@ -1,29 +1,34 @@
-//! The compiled simulation driver: the interpreted `rtss-sim` decision loop
-//! re-expressed over the frozen dispatch tables of a [`CompiledSystem`].
+//! The simulation driver behind [`crate::simulate`]: the RTSS decision loop
+//! specialized over the frozen dispatch tables of a [`SimTables`].
 //!
-//! Every rule is the interpreted engine's rule — same decision points, same
-//! tie-breaks, same policy state machines — but the *representation* is
-//! specialized at compile time:
+//! Every rule is the reference engine's rule (`crate::engine`'s linear-scan
+//! simulator) — same decision points, same tie-breaks, same policy state
+//! machines — but the *representation* is specialized per spec:
 //!
 //! * one [`Driver`] instantiation per server-policy kind × scheduling policy
-//!   (selected by [`run`] from the compile-time [`PolicySet`]), so capacity
+//!   (selected by [`run`] from the table's [`PolicySet`]), so capacity
 //!   accounting is direct field arithmetic with no enum dispatch and no
 //!   per-call spec clones;
 //! * the fixed-priority ready set is a [`ReadyBits`] occupancy bitmap
-//!   (find-highest-set scan) instead of a comparison heap, with the heap's
-//!   exact `(priority, Reverse(index))` tie-break by construction;
+//!   (find-highest-set scan), with the reference scan's exact
+//!   `(priority, lowest index)` tie-break by construction; the EDF ready set
+//!   is a lazily re-keyed `(deadline, index)` heap;
 //! * periodic releases ride a per-*rate-group* wheel: tasks sharing
 //!   `(offset, period)` release together forever, so one heap entry covers
 //!   the whole group (same-instant releases across groups land in disjoint
 //!   per-task queues, so group order is unobservable);
+//! * same-instant batching: between two decision points nothing new can
+//!   become due (that is the definition of a decision point), so a runner
+//!   keeps serving its own queue until the window closes, the queue drains
+//!   or (for a server) capacity runs out, instead of paying a dispatcher
+//!   re-entry per job — k coincident arrivals cost one dispatch, not k;
 //! * when a task runner exits with the decision window still open, the
 //!   driver re-picks *within the window* instead of paying a full
 //!   `process_due_events` + `next_decision_point` re-entry: no event is due
-//!   strictly inside a window by the definition of a decision point, and a
-//!   task runner cannot move a lane replenishment, so the re-pick is
-//!   equivalent (a *server* runner can — sporadic consumption schedules
-//!   replenishments — so server exits re-enter the full loop, exactly as
-//!   the interpreted engine does);
+//!   strictly inside a window, and a task runner cannot move a lane
+//!   replenishment, so the re-pick is equivalent (a *server* runner can —
+//!   sporadic consumption schedules replenishments — so server exits
+//!   re-enter the full loop);
 //! * admission is an inlined plan: `AcceptAll` lanes compile to an
 //!   unconditional accept, stateful lanes embed the identical
 //!   [`ServerAdmission`] machine through its allocation-free
@@ -36,33 +41,25 @@
 //! instant performs no heap allocation; the only amortised growth left is a
 //! pending queue exceeding its initial estimate and the admission machine's
 //! displacement repacks (O(backlog), overload-only). Byte-identity with the
-//! interpreted engine across every mode is pinned by
-//! `tests/compiled_differential.rs` and the compiled goldens.
+//! reference engine is pinned by `tests/engine_differential.rs`, the
+//! goldens and the seeded fuzzer.
 
-use crate::{ArrivalTable, CompiledSystem, LaneTable, PolicySet};
+use crate::tables::{ArrivalTable, LaneTable, PolicySet, SimTables};
 use rt_admission::{AdmissionPolicy, ArrivingEvent, ServerAdmission};
 use rt_model::{
     AperiodicFate, AperiodicOutcome, EventId, ExecUnit, Instant, ModeChange, PeriodicJobRecord,
     QueueDiscipline, SchedulingPolicy, Span, Trace,
 };
-use rt_observe::{AdmissionVerdict, NoopProbe, Probe};
+use rt_observe::{AdmissionVerdict, Probe};
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Runs the compiled system through the driver instantiation its tables
-/// select.
-pub(crate) fn run(sys: &CompiledSystem<'_>) -> Trace {
-    run_with(sys, NoopProbe)
-}
-
-/// Runs the compiled system with an attached probe. Every probe call site in
-/// the driver is gated on `PR::ENABLED`, so the [`NoopProbe`] instantiation
-/// (the [`run`] path) monomorphizes to the pre-probe decision loop — and the
-/// hook placement mirrors the interpreted `rtss-sim` engine's exactly, so a
-/// recording probe reports identical counters and histograms across the two
-/// engines whenever their traces agree.
-pub(crate) fn run_with<PR: Probe>(sys: &CompiledSystem<'_>, probe: PR) -> Trace {
+/// Runs the tables through the driver instantiation they select. Every probe
+/// call site is gated on `PR::ENABLED`, so the [`rt_observe::NoopProbe`]
+/// instantiation (the plain [`crate::simulate`] path) compiles to a
+/// probe-free decision loop.
+pub(crate) fn run<PR: Probe>(sys: &SimTables<'_>, probe: PR) -> Trace {
     match (sys.lane_set, sys.scheduling) {
         (PolicySet::Polling, SchedulingPolicy::FixedPriority) => {
             Driver::<CPolling, PR, false>::new(sys, probe).run()
@@ -97,8 +94,8 @@ pub(crate) fn run_with<PR: Probe>(sys: &CompiledSystem<'_>, probe: PR) -> Trace 
     }
 }
 
-/// The capacity state machine of one compiled lane: the same policy rules as
-/// `rtss_sim`'s `ServerState`, but monomorphized — statics come from the
+/// The capacity state machine of one lane: the same policy rules as the
+/// reference engine's [`crate::server::ServerState`], but monomorphized — statics come from the
 /// borrowed [`LaneTable`], so there is no per-call spec clone and (outside
 /// [`AnyLanePolicy`]) no dispatch.
 pub(crate) trait LanePolicy {
@@ -120,9 +117,9 @@ pub(crate) trait LanePolicy {
     fn edf_deadline(&self, table: &LaneTable, now: Instant) -> Instant;
     /// Applies one validated mode-change record at a quiescent instant;
     /// `table` already carries the post-change statics. Mirrors the
-    /// interpreted `ServerState::reconfigure`: a capacity change clamps the
+    /// reference `ServerState::reconfigure`: a capacity change clamps the
     /// available capacity to the new ceiling, a policy swap (only reachable
-    /// through [`AnyLanePolicy`] — compilation forces the mixed lane when
+    /// through [`AnyLanePolicy`] — table building forces the mixed lane when
     /// the plan swaps policies) rebuilds the state fresh.
     fn reconfigure(&mut self, table: &LaneTable, change: &ModeChange);
 }
@@ -432,7 +429,7 @@ impl LanePolicy for AnyLanePolicy {
         if change.policy.is_some() {
             // `table.kind` already names the swap target: rebuild the variant
             // fresh (full capacity, no pending replenishments, no open
-            // chunk), the interpreted swap semantics.
+            // chunk), the reference swap semantics.
             *self = AnyLanePolicy::init(table);
         } else {
             any_lane!(self, p => p.reconfigure(table, change))
@@ -442,10 +439,10 @@ impl LanePolicy for AnyLanePolicy {
 
 /// The inlined admission plan of one lane.
 enum LaneAdmission {
-    /// `AcceptAll`: compile-time unconditional accept (the interpreted
-    /// machine only bumps counters the trace never sees).
+    /// `AcceptAll`: unconditional accept (the reference engine's machine
+    /// only bumps counters the trace never sees).
     Pass,
-    /// Stateful policy: the identical machine the interpreted engines embed.
+    /// Stateful policy: the identical machine the reference engine embeds.
     Machine(ServerAdmission),
 }
 
@@ -470,7 +467,7 @@ struct PJob {
     remaining: Span,
 }
 
-/// One compiled server lane.
+/// One server lane.
 struct Lane<P> {
     policy: P,
     queue: VecDeque<ApJob>,
@@ -486,11 +483,8 @@ impl<P: LanePolicy> Lane<P> {
 /// The fixed-priority ready set as an occupancy bitmap: one 256-bit priority
 /// occupancy word plus one task-index row per priority level. `peek` is the
 /// highest set priority bit then the lowest set index bit — exactly the
-/// interpreted ready-heap's `(priority, Reverse(index))` max — with no
-/// comparisons and no rebalancing. Unlike the heap there are no stale
-/// entries: bits are cleared eagerly when a queue drains, which is
-/// observationally identical (the heap's lazy entries are discarded before
-/// they are ever returned).
+/// reference scan's pick (highest priority, ties to the lowest index) — with
+/// no comparisons. Bits are cleared eagerly when a queue drains.
 struct ReadyBits {
     /// Words per priority row (`ceil(tasks / 64)`, at least 1).
     words: usize,
@@ -554,7 +548,7 @@ enum Runner {
 /// The monomorphized decision loop: one instantiation per lane-policy type ×
 /// scheduling policy (`EDF` const-folds the dispatcher branch away).
 struct Driver<'a, P, PR, const EDF: bool> {
-    sys: &'a CompiledSystem<'a>,
+    sys: &'a SimTables<'a>,
     now: Instant,
     /// Per-task pending job queues (indexes match `sys.tasks`).
     pending: Vec<VecDeque<PJob>>,
@@ -575,15 +569,17 @@ struct Driver<'a, P, PR, const EDF: bool> {
     released: Vec<u64>,
     /// Fixed-priority ready set (unused under EDF).
     ready: ReadyBits,
-    /// EDF ready set, lazily re-keyed exactly like the interpreted engine
-    /// (unused under fixed priorities).
+    /// EDF ready set, min-first by `(front-job deadline, task index)`; an
+    /// entry is live only while its task's front job still carries the
+    /// recorded deadline (unused under fixed priorities).
     ready_edf: BinaryHeap<Reverse<(Instant, usize)>>,
     /// Whether task `i` has pending jobs (EDF staleness check).
     has_pending: Vec<bool>,
     /// Reused buffer for admission-displaced event ids.
     aborted_scratch: Vec<EventId>,
     /// The observation hooks. Every call site is gated on `PR::ENABLED`, so
-    /// the [`NoopProbe`] instantiation compiles to the pre-probe loop.
+    /// the [`rt_observe::NoopProbe`] instantiation compiles to a probe-free
+    /// loop.
     probe: PR,
     /// The unit whose last slice ended with work remaining — the candidate
     /// for a preemption report when the next dispatch picks someone else.
@@ -593,7 +589,7 @@ struct Driver<'a, P, PR, const EDF: bool> {
 }
 
 impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
-    fn new(sys: &'a CompiledSystem<'a>, probe: PR) -> Self {
+    fn new(sys: &'a SimTables<'a>, probe: PR) -> Self {
         let mut wheel = BinaryHeap::with_capacity(sys.groups.len());
         for (g, group) in sys.groups.iter().enumerate() {
             if group.first < sys.horizon {
@@ -656,13 +652,10 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
             // replenishments, so `process_due_events` would be a no-op and
             // the decision point is unchanged. A server runner CAN schedule
             // an earlier replenishment (sporadic consumption), so it breaks
-            // back to the full loop, exactly like the interpreted engine.
+            // back to the full loop.
             loop {
-                // One `decision` report per `pick_runner` call: the
-                // interpreted engine's per-outer-iteration report coincides
-                // with per-pick (its early task-runner exits re-enter the
-                // outer loop), so this placement keeps the two engines'
-                // probe counters identical.
+                // One `decision` report per `pick_runner` call: a probe
+                // counts dispatcher picks, whichever loop level makes them.
                 if PR::ENABLED {
                     self.probe.decision(self.now);
                 }
@@ -694,8 +687,7 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
 
     /// Marks task `i` ready in the active policy's structure. Must be called
     /// after the job was pushed; only acts on the empty→non-empty transition
-    /// (under EDF the entry is keyed by the front job's deadline, exactly the
-    /// interpreted `mark_ready`).
+    /// (under EDF the heap entry is keyed by the front job's deadline).
     fn mark_ready(&mut self, i: usize) {
         if !self.has_pending[i] {
             self.has_pending[i] = true;
@@ -715,7 +707,7 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
     fn process_due_events(&mut self) {
         let sys = self.sys;
         // Mode changes first: a same-instant arrival must be admitted under
-        // the reconfigured lane, the interpreted ordering.
+        // the reconfigured lane, the reference ordering.
         self.apply_due_mode_changes();
         // Aperiodic arrivals next (visible to a same-instant activation),
         // in spec order — the admission machines are order-sensitive.
@@ -789,7 +781,7 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
         // Periodic releases: pop due rate groups, release one job per
         // member. Jobs of distinct tasks land in disjoint queues and the
         // ready structures are order-insensitive within one instant, so
-        // group-pop order and the interpreted per-task-pop order coincide
+        // group-pop order and the reference per-task order coincide
         // observationally.
         while let Some(&Reverse((at, g))) = self.wheel.peek() {
             if at > self.now {
@@ -832,7 +824,7 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
     /// point. Applying a record rewrites the lane's run-local statics,
     /// reconfigures its policy state and rebuilds the admission plan from
     /// the updated spec (the admitted backlog is grandfathered), exactly the
-    /// interpreted engine's rule.
+    /// reference engine's rule.
     fn apply_due_mode_changes(&mut self) {
         let sys = self.sys;
         if sys.spec().faults.mode_changes.is_empty() {
@@ -886,7 +878,7 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
 
     /// Removes an admitted-but-displaced, never-started job from a lane's
     /// queue, recording it aborted (same in-service exemption as the
-    /// interpreted engine).
+    /// reference engine).
     fn abort_pending(&mut self, lane_index: usize, event_id: EventId) {
         let sys = self.sys;
         let table = &self.tables[lane_index];
@@ -969,7 +961,7 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
             (None, Some((_, i))) => Some(Runner::Task(i)),
             (Some((server_level, s)), Some((level, i))) => {
                 // Strict preemption: equal priority goes to the server, the
-                // interpreted tie-break.
+                // reference tie-break.
                 if level > server_level {
                     Some(Runner::Task(i))
                 } else {
@@ -1013,7 +1005,7 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
             (Some((_, s)), None) => Some(Runner::Server(s)),
             (None, Some((_, i))) => Some(Runner::Task(i)),
             (Some((server_deadline, s)), Some((deadline, i))) => {
-                // Ties go to the server, the interpreted scan order.
+                // Ties go to the server, the reference scan order.
                 if deadline < server_deadline {
                     Some(Runner::Task(i))
                 } else {
@@ -1024,16 +1016,15 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
     }
 
     /// Serves lane `s` until the window closes, capacity runs out or the
-    /// queue drains — the interpreted batched server loop with the policy
-    /// calls inlined.
+    /// queue drains (same-instant batching), with the policy calls inlined.
     // rt-lint: zero-alloc
     fn run_server(&mut self, s: usize, next: Instant) {
         let sys = self.sys;
         // A mode change deferred by the quiescence rule (due before this
         // window opened, lane busy then) may become applicable the moment a
         // job completes: force a dispatcher re-entry instead of batching on,
-        // so the compiled and interpreted loops reconfigure at the same
-        // instant.
+        // so the change lands at the same instant as in the reference
+        // engine's one-job-per-dispatch loop.
         let deferred_change = sys
             .spec()
             .faults
@@ -1131,7 +1122,7 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
     }
 
     /// Runs task `index` until the window closes or (under EDF) a completion
-    /// forces a re-pick — the interpreted batched task loop.
+    /// forces a re-pick (same-instant batching).
     // rt-lint: zero-alloc
     fn run_task(&mut self, index: usize, next: Instant) {
         let task = &self.sys.tasks[index];

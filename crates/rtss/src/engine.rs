@@ -13,56 +13,39 @@
 //! there is no server overhead and no timer overhead, so the interrupted
 //! ratio of a simulation is always zero.
 //!
-//! # Per-decision complexity
+//! # One fast engine, one reference oracle
 //!
-//! With `t` periodic tasks, one decision under the default indexed mode
-//! ([`simulate`]) costs:
+//! * [`simulate`] and [`simulate_with_probe`] validate the spec once, freeze
+//!   it into dispatch tables (`crate::tables`, O(tasks + servers)) and run
+//!   the specialized driver (`crate::driver`): monomorphized lane policies,
+//!   a ready bitmap, a release wheel per rate group and same-instant
+//!   batching, with zero heap allocations per decision.
+//! * [`simulate_reference`] runs the seed's linear-scan loop kept in this
+//!   module: every periodic task is rescanned at every decision (O(t)) and
+//!   every dispatch serves one slice of one job. It carries no probe. It is
+//!   the deliberately simple oracle the driver is pinned against
+//!   byte-for-byte (the differential suites, the goldens and the seeded
+//!   fuzzer) and the baseline of the `engine_scaling` benchmark.
 //!
-//! * **next decision point** — aperiodic arrivals are a cursor into the
-//!   release-sorted event list (O(1)); the server replenishment is one field
-//!   (O(1)); periodic releases are the peek of a [`BinaryHeap`] keyed on
-//!   `(release, task index)` with lazily discarded stale entries (amortised
-//!   O(1) peek, O(log t) per release);
-//! * **runner choice** — ready tasks (non-empty pending queues) live in a
-//!   second [`BinaryHeap`] keyed on `(priority, Reverse(task index))`,
-//!   updated on empty↔non-empty transitions, so the highest-priority ready
-//!   task is an amortised O(1) peek; the seed's first-index-wins tie-breaks
-//!   (server before equal-priority tasks, earlier task before later) are
-//!   preserved exactly. The `S` server lanes (see below) are swept linearly,
-//!   so a decision costs O(S + log t) — servers are few, tasks are many.
+//! Both share the rules below; the server capacity machines of the
+//! reference are [`crate::server`]'s policy states, an implementation
+//! independent of the driver's.
 //!
 //! # Multi-server systems
 //!
 //! The engine runs every server of [`SystemSpec::servers`] concurrently:
-//! each server owns a *lane* (its [`crate::server::ServerState`] capacity
-//! machine plus its own pending queue), arrivals are routed by
-//! [`rt_model::AperiodicEvent::server`], and the dispatcher picks among
-//! ready lanes and tasks by priority with the seed's tie-breaks (servers
-//! before equal-priority tasks, earlier install index before later). A
-//! one-server system takes exactly the code path the single-server engine
-//! took, so pre-refactor traces are byte-identical (pinned by the goldens).
-//!
-//! The seed implementation rescanned every task for both questions —
-//! O(t) per decision. It is retained as [`simulate_reference`]: the
-//! differential tests assert both modes produce identical traces and the
-//! `engine_scaling` benchmark measures the gap.
-//!
-//! **Steady-state allocations.** A decision in the populated steady state
-//! performs **zero** heap allocations: arrivals route through
-//! [`rt_admission::ServerAdmission::on_arrival_into`] with the simulator's
-//! reused `aborted_scratch` buffer (take / drain / clear / restore), jobs
-//! move between preallocated per-lane queues, and heap insertions only
-//! allocate on amortised capacity doublings (none once warm). What remains
-//! per decision is O(1) trace-segment growth — the run's output, not
-//! bookkeeping. The compiled engine (`rt-compile`) starts from this same
-//! discipline and removes the residual dynamic dispatch.
+//! each server owns a *lane* (its capacity machine plus its own pending
+//! queue), arrivals are routed by [`rt_model::AperiodicEvent::server`], and
+//! the dispatcher picks among ready lanes and tasks by priority with the
+//! seed's tie-breaks (servers before equal-priority tasks, earlier install
+//! index before later). Arrivals routed to a missing server are orphans,
+//! reported unserved at the horizon.
 //!
 //! # Scheduling policy and service discipline
 //!
 //! [`SystemSpec::scheduling`] selects the dispatcher: under
-//! [`SchedulingPolicy::Edf`] the task-ready heap is re-keyed by each task's
-//! front-job absolute deadline (release + relative deadline) with the same
-//! lazy staleness rule, and server lanes are ranked by their
+//! [`SchedulingPolicy::Edf`] tasks are ranked by their front job's absolute
+//! deadline (release + relative deadline) and server lanes by their
 //! *replenishment-derived deadlines*
 //! ([`crate::server::ServerState::edf_deadline`]); ties go to servers
 //! before tasks and to the earlier index, exactly the fixed-priority
@@ -71,9 +54,7 @@
 //! implementation's cost skip) or earliest-deadline-first over the events'
 //! absolute deadlines (an O(backlog) sweep per dispatch; lanes are short in
 //! the simulated workloads, the execution engine's indexed `PendingQueue`
-//! is the scalable structure). Under EDF a completed periodic job forces a
-//! dispatcher re-entry instead of batching on: its successor has a later
-//! deadline, so the forced-re-pick argument only holds for servers.
+//! is the scalable structure).
 //!
 //! # On-line admission
 //!
@@ -85,10 +66,9 @@
 //! [`rt_model::AperiodicFate::Aborted`]. Decisions depend only on the
 //! arrival history — never on lane runtime state — so they are identical
 //! to the execution engine's for the same system. Under the default
-//! [`rt_model::AdmissionPolicy::AcceptAll`] the machinery is stateless and
-//! the traces are byte-identical to the pre-admission engine. Per-arrival
-//! cost: O(1) for accept-all, amortised O(1) for the predictive policy,
-//! O(backlog) per provisional drop for the value-density rule.
+//! [`rt_model::AdmissionPolicy::AcceptAll`] the machinery is stateless.
+//! Per-arrival cost: O(1) for accept-all, amortised O(1) for the predictive
+//! policy, O(backlog) per provisional drop for the value-density rule.
 //!
 //! # Fault injection & mode changes
 //!
@@ -96,9 +76,9 @@
 //! none of which costs anything on fault-free specs:
 //!
 //! * **Arrival faults** (release jitter, dropped arrivals) are resolved by
-//!   [`SystemSpec::apply_arrival_faults`] *before* the simulator is built,
-//!   so every engine mode (and the execution world) sees the same already-
-//!   normalised arrival stream. Zero runtime cost.
+//!   [`SystemSpec::apply_arrival_faults`] *before* the run starts, so both
+//!   loops (and the execution world) see the same already-normalised
+//!   arrival stream. Zero runtime cost.
 //! * **Cost overruns** give the faulted job a service cap equal to its
 //!   declared budget while its real demand grows by the injected extra;
 //!   exhausting the cap mid-job surfaces as [`AperiodicFate::Aborted`] and
@@ -112,33 +92,96 @@
 //!   admission ([`crate::server::ServerState::reconfigure`]). The sweep is
 //!   O(mode changes) per decision point with per-record applied flags, and
 //!   each pending instant is a decision point, so reconfiguration lands at
-//!   the same instant in every engine mode.
-//!
-//! # Same-instant batching
-//!
-//! Decision *count* is the remaining cost driver. Between two consecutive
-//! decision points nothing new can become due — that is the definition of
-//! a decision point (`Simulator::next_decision_point`) — so when the chosen runner finishes a
-//! job strictly inside its window, the next pick is forced: the task/server
-//! states other than the runner's own queue are untouched, and the previous
-//! priority comparison still holds. The default engine therefore keeps
-//! serving from the same runner's queue until the window closes, the queue
-//! drains, or (for the server) capacity runs out, instead of paying a full
-//! dispatcher re-entry (`process_due_events` + `next_decision_point` +
-//! `pick_runner`) per job: k coincident arrivals cost one dispatch, not k.
-//! The traces are byte-identical by construction; [`simulate_unbatched`]
-//! keeps the one-job-per-dispatch loop for differential tests and the
-//! `engine_scaling` harness ablation.
+//!   the same instant in both loops.
 
+use crate::driver;
 use crate::server::ServerState;
+use crate::tables::SimTables;
 use rt_admission::{ArrivingEvent, ServerAdmission};
 use rt_model::{
     AperiodicFate, AperiodicOutcome, EventId, ExecUnit, Instant, PeriodicJobRecord, PeriodicTask,
-    Priority, QueueDiscipline, SchedulingPolicy, ServerPolicyKind, Span, SystemSpec, Trace,
+    Priority, QueueDiscipline, SchedulingPolicy, Span, SystemSpec, Trace,
 };
-use rt_observe::{AdmissionVerdict, NoopProbe, Probe};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use rt_observe::{NoopProbe, Probe};
+use std::collections::VecDeque;
+
+/// Simulates the execution of the system under its configured server
+/// policies and scheduling policy, returning the full trace. Runs the
+/// specialized driver (see the module docs).
+///
+/// ```
+/// use rt_model::{Instant, Priority, ServerSpec, Span, SystemSpec};
+///
+/// let mut b = SystemSpec::builder("doc");
+/// b.server(ServerSpec::polling(Span::from_units(3), Span::from_units(6), Priority::new(30)));
+/// b.periodic("tau1", Span::from_units(2), Span::from_units(6), Priority::new(20));
+/// b.aperiodic(Instant::from_units(0), Span::from_units(2));
+/// b.horizon_server_periods(4);
+/// let trace = rtss_sim::simulate(&b.build().unwrap());
+/// // The textbook polling server picks the event up at its activation.
+/// assert_eq!(trace.outcomes[0].response_time(), Some(Span::from_units(2)));
+/// ```
+///
+/// # Panics
+/// Panics when the specification fails validation; callers are expected to
+/// build specs through [`rt_model::SystemBuilder`], which validates.
+pub fn simulate(spec: &SystemSpec) -> Trace {
+    spec.validate()
+        // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs")
+        .expect("simulate() requires a valid system specification");
+    driver::run(&SimTables::build(spec), NoopProbe)
+}
+
+/// Simulates with an attached [`Probe`] observing every decision, dispatch,
+/// slice, release, admission verdict and mode change of the run. The trace
+/// is byte-identical to [`simulate`]'s — probes observe, they never decide
+/// (pinned by `tests/probe_transparency.rs`). Pass `&mut probe` to keep the
+/// recording:
+///
+/// ```
+/// use rt_model::{Instant, Priority, ServerSpec, Span, SystemSpec};
+/// use rt_observe::MetricsProbe;
+///
+/// let mut b = SystemSpec::builder("observed");
+/// b.server(ServerSpec::polling(Span::from_units(3), Span::from_units(6), Priority::new(30)));
+/// b.periodic("tau1", Span::from_units(2), Span::from_units(6), Priority::new(20));
+/// b.aperiodic(Instant::from_units(0), Span::from_units(2));
+/// b.horizon_server_periods(4);
+/// let spec = b.build().unwrap();
+///
+/// let mut probe = MetricsProbe::new();
+/// let trace = rtss_sim::simulate_with_probe(&spec, &mut probe);
+/// assert_eq!(trace.render_canonical(), rtss_sim::simulate(&spec).render_canonical());
+/// assert!(probe.counters.decisions > 0);
+/// ```
+///
+/// # Panics
+/// Panics when the specification fails validation.
+pub fn simulate_with_probe<P: Probe>(spec: &SystemSpec, probe: P) -> Trace {
+    spec.validate()
+        // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs")
+        .expect("simulate_with_probe() requires a valid system specification");
+    driver::run(&SimTables::build(spec), probe)
+}
+
+/// Simulates with the seed's linear-scan decision loop (O(t) per decision,
+/// one job slice per dispatch, no probe).
+///
+/// Produces bit-identical traces to [`simulate`]; kept as the reference
+/// oracle for the differential tests, the goldens and the `engine_scaling`
+/// benchmark.
+///
+/// # Panics
+/// Panics when the specification fails validation.
+pub fn simulate_reference(spec: &SystemSpec) -> Trace {
+    spec.validate()
+        // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs")
+        .expect("simulate_reference() requires a valid system specification");
+    match spec.apply_arrival_faults() {
+        Some(normalized) => Simulator::new(&normalized).run(),
+        None => Simulator::new(spec).run(),
+    }
+}
 
 /// One pending periodic job inside the simulator.
 #[derive(Debug, Clone)]
@@ -184,16 +227,14 @@ struct PendingAperiodic {
     /// the declared cost for jobs carrying an injected overrun
     /// ([`rt_model::FaultPlan::overrun_extra`]), [`Span::MAX`] otherwise.
     /// Exhausting it with work remaining surfaces as
-    /// [`AperiodicFate::Aborted`]. O(1) per served slice — one extra `min`
-    /// and one subtraction on the dispatch path.
+    /// [`AperiodicFate::Aborted`].
     cap_left: Span,
 }
 
 /// One installed server: its capacity-policy state plus its own pending
-/// queue (the per-server `PendingQueue` of the multi-server layer) and its
-/// on-line admission state — the same `rt-admission` machine the execution
-/// engine embeds, fed the same arrival history, so accept/reject decisions
-/// agree across engines by construction.
+/// queue and its on-line admission state — the same `rt-admission` machine
+/// the execution engine embeds, fed the same arrival history, so
+/// accept/reject decisions agree across engines by construction.
 #[derive(Debug, Clone)]
 struct ServerLane {
     state: ServerState,
@@ -221,109 +262,9 @@ fn outcome(event: &rt_model::AperiodicEvent, fate: AperiodicFate) -> AperiodicOu
     }
 }
 
-/// Simulates the execution of the system under its configured server policy
-/// and preemptive fixed priorities, returning the full trace. Uses the
-/// indexed O(log t)-per-decision engine with same-instant batching.
-///
-/// ```
-/// use rt_model::{Instant, Priority, ServerSpec, Span, SystemSpec};
-///
-/// let mut b = SystemSpec::builder("doc");
-/// b.server(ServerSpec::polling(Span::from_units(3), Span::from_units(6), Priority::new(30)));
-/// b.periodic("tau1", Span::from_units(2), Span::from_units(6), Priority::new(20));
-/// b.aperiodic(Instant::from_units(0), Span::from_units(2));
-/// b.horizon_server_periods(4);
-/// let trace = rtss_sim::simulate(&b.build().unwrap());
-/// // The textbook polling server picks the event up at its activation.
-/// assert_eq!(trace.outcomes[0].response_time(), Some(Span::from_units(2)));
-/// ```
-///
-/// # Panics
-/// Panics when the specification fails validation; callers are expected to
-/// build specs through [`rt_model::SystemBuilder`], which validates.
-pub fn simulate(spec: &SystemSpec) -> Trace {
-    spec.validate()
-        // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs")
-        .expect("simulate() requires a valid system specification");
-    if let Some(normalized) = spec.apply_arrival_faults() {
-        return Simulator::new(&normalized, true, true, NoopProbe).run();
-    }
-    Simulator::new(spec, true, true, NoopProbe).run()
-}
-
-/// Simulates with an attached [`Probe`] observing every decision, dispatch,
-/// slice, release, admission verdict and mode change of the run. The default
-/// indexed + batched engine, so the returned trace is byte-identical to
-/// [`simulate`]'s — probes observe, they never decide (pinned by
-/// `tests/probe_transparency.rs`). Pass `&mut probe` to keep the recording:
-///
-/// ```
-/// use rt_model::{Instant, Priority, ServerSpec, Span, SystemSpec};
-/// use rt_observe::MetricsProbe;
-///
-/// let mut b = SystemSpec::builder("observed");
-/// b.server(ServerSpec::polling(Span::from_units(3), Span::from_units(6), Priority::new(30)));
-/// b.periodic("tau1", Span::from_units(2), Span::from_units(6), Priority::new(20));
-/// b.aperiodic(Instant::from_units(0), Span::from_units(2));
-/// b.horizon_server_periods(4);
-/// let spec = b.build().unwrap();
-///
-/// let mut probe = MetricsProbe::new();
-/// let trace = rtss_sim::simulate_with_probe(&spec, &mut probe);
-/// assert_eq!(trace.render_canonical(), rtss_sim::simulate(&spec).render_canonical());
-/// assert!(probe.counters.decisions > 0);
-/// ```
-///
-/// # Panics
-/// Panics when the specification fails validation.
-pub fn simulate_with_probe<P: Probe>(spec: &SystemSpec, probe: P) -> Trace {
-    spec.validate()
-        // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs")
-        .expect("simulate_with_probe() requires a valid system specification");
-    if let Some(normalized) = spec.apply_arrival_faults() {
-        return Simulator::new(&normalized, true, true, probe).run();
-    }
-    Simulator::new(spec, true, true, probe).run()
-}
-
-/// Simulates with the seed's linear-scan decision loop (O(t) per decision,
-/// one job per dispatch).
-///
-/// Produces bit-identical traces to [`simulate`]; kept as the reference
-/// implementation for differential tests and the `engine_scaling` benchmark.
-///
-/// # Panics
-/// Panics when the specification fails validation.
-pub fn simulate_reference(spec: &SystemSpec) -> Trace {
-    spec.validate()
-        // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs")
-        .expect("simulate_reference() requires a valid system specification");
-    if let Some(normalized) = spec.apply_arrival_faults() {
-        return Simulator::new(&normalized, false, false, NoopProbe).run();
-    }
-    Simulator::new(spec, false, false, NoopProbe).run()
-}
-
-/// Simulates with the indexed decision structures but without same-instant
-/// batching: every served job pays a full dispatcher re-entry, as the engine
-/// did before batching landed.
-///
-/// Produces bit-identical traces to [`simulate`]; kept as the ablation point
-/// for the `engine_scaling` harness benchmark and the batching tests.
-///
-/// # Panics
-/// Panics when the specification fails validation.
-pub fn simulate_unbatched(spec: &SystemSpec) -> Trace {
-    spec.validate()
-        // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs")
-        .expect("simulate_unbatched() requires a valid system specification");
-    if let Some(normalized) = spec.apply_arrival_faults() {
-        return Simulator::new(&normalized, true, false, NoopProbe).run();
-    }
-    Simulator::new(spec, true, false, NoopProbe).run()
-}
-
-struct Simulator<'a, P: Probe> {
+/// The reference simulator: the seed's linear-scan, one-slice-per-dispatch
+/// loop.
+struct Simulator<'a> {
     spec: &'a SystemSpec,
     now: Instant,
     horizon: Instant,
@@ -334,28 +275,7 @@ struct Simulator<'a, P: Probe> {
     orphans: Vec<usize>,
     next_arrival: usize,
     trace: Trace,
-    /// Indexed (heap) vs linear-scan (seed) decision structures.
-    indexed: bool,
-    /// Whether a runner keeps draining its queue inside one decision window
-    /// (same-instant batching) instead of re-entering the dispatcher per job.
-    batch: bool,
-    /// Future periodic releases, min-first by `(release, task index)`.
-    /// Entries are validated against `PeriodicState::next_release` on pop.
-    releases: BinaryHeap<Reverse<(Instant, usize)>>,
-    /// Tasks with a non-empty pending queue, max-first by
-    /// `(priority, Reverse(task index))`. `has_pending` is authoritative.
-    /// Used under fixed-priority scheduling.
-    ready: BinaryHeap<(Priority, Reverse<usize>)>,
-    /// The same ready set re-keyed for EDF: min-first by
-    /// `(front-job deadline, task index)`. An entry is live only while the
-    /// task has pending jobs *and* its front job still carries the recorded
-    /// deadline (serving the front re-keys the task), mirroring the lazy
-    /// staleness rule of the release heap.
-    ready_edf: BinaryHeap<Reverse<(Instant, usize)>>,
-    /// Whether task `i` currently has pending jobs.
-    has_pending: Vec<bool>,
-    /// Reused buffer for the events an admission decision displaces — the
-    /// arrival path stays allocation-free in the steady state.
+    /// Reused buffer for the events an admission decision displaces.
     aborted_scratch: Vec<EventId>,
     /// Scheduling policy of the simulated system ([`SystemSpec::scheduling`]).
     scheduling: SchedulingPolicy,
@@ -364,37 +284,20 @@ struct Simulator<'a, P: Probe> {
     /// its instant while its lane has in-service work — the quiescence
     /// protocol — and is retried at every decision point.
     mode_applied: Vec<bool>,
-    /// The observation hooks. Every call site is gated on `P::ENABLED`, so
-    /// the [`NoopProbe`] instantiation compiles to the pre-probe loop.
-    probe: P,
-    /// The unit whose last slice ended with work remaining — the candidate
-    /// for a preemption report when the next dispatch picks someone else.
-    /// Only maintained when `P::ENABLED`.
-    incomplete: Option<ExecUnit>,
 }
 
-impl<'a, P: Probe> Simulator<'a, P> {
-    fn new(spec: &'a SystemSpec, indexed: bool, batch: bool, probe: P) -> Self {
-        let periodic: Vec<PeriodicState> = spec
-            .periodic_tasks
-            .iter()
-            .cloned()
-            .map(PeriodicState::new)
-            .collect();
-        let mut releases = BinaryHeap::new();
-        if indexed {
-            for (i, state) in periodic.iter().enumerate() {
-                if state.next_release < spec.horizon {
-                    releases.push(Reverse((state.next_release, i)));
-                }
-            }
-        }
-        let has_pending = vec![false; periodic.len()];
+impl<'a> Simulator<'a> {
+    fn new(spec: &'a SystemSpec) -> Self {
         Simulator {
             spec,
             now: Instant::ZERO,
             horizon: spec.horizon,
-            periodic,
+            periodic: spec
+                .periodic_tasks
+                .iter()
+                .cloned()
+                .map(PeriodicState::new)
+                .collect(),
             servers: spec
                 .servers
                 .iter()
@@ -408,61 +311,19 @@ impl<'a, P: Probe> Simulator<'a, P> {
             orphans: Vec::new(),
             next_arrival: 0,
             trace: Trace::new(spec.horizon),
-            indexed,
-            batch,
-            releases,
-            ready: BinaryHeap::new(),
-            ready_edf: BinaryHeap::new(),
-            has_pending,
             aborted_scratch: Vec::new(),
             scheduling: spec.scheduling,
             mode_applied: vec![false; spec.faults.mode_changes.len()],
-            probe,
-            incomplete: None,
-        }
-    }
-
-    /// Marks task `i` as having pending work in the indexed ready structure
-    /// of the configured scheduling policy.
-    fn mark_ready(&mut self, i: usize) {
-        if !self.has_pending[i] {
-            self.has_pending[i] = true;
-            if self.indexed {
-                match self.scheduling {
-                    SchedulingPolicy::FixedPriority => {
-                        self.ready
-                            .push((self.periodic[i].task.priority, Reverse(i)));
-                    }
-                    SchedulingPolicy::Edf => {
-                        let deadline = self.periodic[i]
-                            .pending
-                            .front()
-                            // rt-lint: allow(panic, reason = "mark_ready is called exactly when a job was pushed onto this queue")
-                            .expect("mark_ready requires a pending job")
-                            .deadline;
-                        self.ready_edf.push(Reverse((deadline, i)));
-                    }
-                }
-            }
         }
     }
 
     fn run(mut self) -> Trace {
-        if P::ENABLED {
-            self.probe.attach(self.servers.len());
-        }
         while self.now < self.horizon {
             self.process_due_events();
             let next = self.next_decision_point();
             debug_assert!(next > self.now, "decision points must advance time");
-            if P::ENABLED {
-                self.probe.decision(self.now);
-            }
             match self.pick_runner() {
                 None => {
-                    if P::ENABLED {
-                        self.probe.slice(ExecUnit::Idle, self.now, next);
-                    }
                     self.trace.push_segment(ExecUnit::Idle, self.now, next);
                     self.now = next;
                 }
@@ -489,9 +350,6 @@ impl<'a, P: Probe> Simulator<'a, P> {
         {
             let event = &self.spec.aperiodics[self.next_arrival];
             if event.release < self.horizon {
-                if P::ENABLED {
-                    self.probe.release(self.now);
-                }
                 // The simulator executes the real demand of the handler —
                 // plus any injected overrun, capped at the declared budget
                 // for the faulted jobs (for generated systems declared and
@@ -512,10 +370,6 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 match self.servers.get_mut(event.server) {
                     Some(lane) => {
                         let lane_index = event.server;
-                        // The displaced-events buffer is owned by the
-                        // simulator and reused across arrivals, so an
-                        // admission decision allocates nothing once the
-                        // buffer has grown to the burst size.
                         let mut scratch = std::mem::take(&mut self.aborted_scratch);
                         let (accepted, _prediction) = lane.admission.on_arrival_into(
                             &ArrivingEvent {
@@ -534,23 +388,7 @@ impl<'a, P: Probe> Simulator<'a, P> {
                         self.aborted_scratch = scratch;
                         if accepted {
                             self.servers[lane_index].queue.push_back(job);
-                            if P::ENABLED {
-                                self.probe.admission(
-                                    lane_index,
-                                    AdmissionVerdict::Accepted,
-                                    self.now,
-                                );
-                                let depth = self.servers[lane_index].queue.len() as u64;
-                                self.probe.queue_depth(lane_index, depth);
-                            }
                         } else {
-                            if P::ENABLED {
-                                self.probe.admission(
-                                    lane_index,
-                                    AdmissionVerdict::Rejected,
-                                    self.now,
-                                );
-                            }
                             let event = &self.spec.aperiodics[self.next_arrival];
                             self.trace.push_outcome(outcome(
                                 event,
@@ -563,20 +401,10 @@ impl<'a, P: Probe> Simulator<'a, P> {
             }
             self.next_arrival += 1;
         }
-        // Periodic releases. Releases of distinct tasks land in distinct
-        // pending queues, so heap-pop order and task-scan order are
-        // interchangeable; within one task both paths release in
-        // chronological order. Unlike the rtsj-emu calendar there is no
-        // lazy staleness here: the heap holds exactly one entry per task
-        // and `next_release` only advances when that entry is popped.
-        if self.indexed {
-            while let Some(&Reverse((at, i))) = self.releases.peek() {
-                if at > self.now {
-                    break;
-                }
-                self.releases.pop();
-                let state = &mut self.periodic[i];
-                debug_assert_eq!(state.next_release, at, "one live heap entry per task");
+        // Periodic releases: every task is scanned, each releasing its due
+        // jobs in chronological order.
+        for state in &mut self.periodic {
+            while state.next_release <= self.now && state.next_release < self.horizon {
                 state.pending.push_back(PendingPeriodicJob {
                     activation: state.next_activation,
                     release: state.next_release,
@@ -585,36 +413,6 @@ impl<'a, P: Probe> Simulator<'a, P> {
                 });
                 state.next_activation += 1;
                 state.next_release = state.task.release_of(state.next_activation);
-                let next = state.next_release;
-                if next < self.horizon {
-                    self.releases.push(Reverse((next, i)));
-                }
-                if P::ENABLED {
-                    self.probe.release(self.now);
-                }
-                self.mark_ready(i);
-            }
-        } else {
-            for i in 0..self.periodic.len() {
-                let state = &mut self.periodic[i];
-                let mut released = false;
-                while state.next_release <= self.now && state.next_release < self.horizon {
-                    state.pending.push_back(PendingPeriodicJob {
-                        activation: state.next_activation,
-                        release: state.next_release,
-                        deadline: state.task.deadline_of(state.next_activation),
-                        remaining: state.task.cost,
-                    });
-                    state.next_activation += 1;
-                    state.next_release = state.task.release_of(state.next_activation);
-                    released = true;
-                    if P::ENABLED {
-                        self.probe.release(self.now);
-                    }
-                }
-                if released {
-                    self.mark_ready(i);
-                }
             }
         }
         // Server replenishments, in install order.
@@ -651,10 +449,6 @@ impl<'a, P: Probe> Simulator<'a, P> {
         if lane.queue.is_empty() {
             lane.state.on_queue_emptied(self.now);
         }
-        if P::ENABLED {
-            self.probe
-                .admission(lane_index, AdmissionVerdict::Aborted, self.now);
-        }
         let event = &spec.aperiodics[job.index];
         self.trace
             .push_outcome(outcome(event, AperiodicFate::Aborted { at: self.now }));
@@ -668,13 +462,9 @@ impl<'a, P: Probe> Simulator<'a, P> {
     /// state ([`ServerState::reconfigure`]) and rebuilds the admission
     /// machine from the updated spec — the already-admitted backlog is
     /// grandfathered: it stays queued, owns no virtual plan entries, and is
-    /// never displaced by post-change arrivals. O(mode changes) per decision
-    /// point, zero when the plan has none.
+    /// never displaced by post-change arrivals.
     fn apply_due_mode_changes(&mut self) {
         let spec = self.spec;
-        if spec.faults.mode_changes.is_empty() {
-            return;
-        }
         for (k, change) in spec.faults.mode_changes.iter().enumerate() {
             if self.mode_applied[k] || change.at > self.now {
                 continue;
@@ -686,34 +476,20 @@ impl<'a, P: Probe> Simulator<'a, P> {
             lane.state.reconfigure(change);
             lane.admission = ServerAdmission::for_server(&lane.state.spec);
             self.mode_applied[k] = true;
-            if P::ENABLED {
-                self.probe.mode_change(change.server, self.now);
-            }
         }
     }
 
-    /// The next instant at which the scheduling decision could change.
-    ///
-    /// Indexed: O(1) — arrival cursor, release-heap peek, replenishment
-    /// field. Linear scan: O(t) sweep over every periodic task.
-    fn next_decision_point(&mut self) -> Instant {
+    /// The next instant at which the scheduling decision could change: an
+    /// O(t) sweep over every periodic task plus the arrival cursor, the
+    /// capacity-limited lanes' replenishments and the pending mode changes.
+    fn next_decision_point(&self) -> Instant {
         let mut next = self.horizon;
         if self.next_arrival < self.spec.aperiodics.len() {
             next = next.min(self.spec.aperiodics[self.next_arrival].release);
         }
-        if self.indexed {
-            // The peek is the true next release: every entry is live (see
-            // `process_due_events`) and the heap only holds entries below
-            // the horizon.
-            if let Some(&Reverse((at, i))) = self.releases.peek() {
-                debug_assert_eq!(self.periodic[i].next_release, at);
-                next = next.min(at);
-            }
-        } else {
-            for state in &self.periodic {
-                if state.next_release < self.horizon {
-                    next = next.min(state.next_release);
-                }
+        for state in &self.periodic {
+            if state.next_release < self.horizon {
+                next = next.min(state.next_release);
             }
         }
         for lane in &self.servers {
@@ -735,14 +511,8 @@ impl<'a, P: Probe> Simulator<'a, P> {
     /// earliest-deadline one under EDF (tasks by their front job's absolute
     /// deadline, servers by their replenishment-derived deadline). Under
     /// both policies ties go to servers before tasks, and to the earlier
-    /// install/scan index within each group — the seed's scan order,
-    /// generalised to N servers.
-    ///
-    /// Indexed: an O(S) sweep over the (few) server lanes plus an amortised
-    /// O(1) peek of the policy's task-ready heap — O(S + log t) per
-    /// decision, the promised O(log n) plus a constant per extra server.
-    /// Linear scan: O(S + t).
-    fn pick_runner(&mut self) -> Option<Runner> {
+    /// install/scan index within each group. O(S + t).
+    fn pick_runner(&self) -> Option<Runner> {
         match self.scheduling {
             SchedulingPolicy::FixedPriority => self.pick_runner_fp(),
             SchedulingPolicy::Edf => self.pick_runner_edf(),
@@ -750,316 +520,142 @@ impl<'a, P: Probe> Simulator<'a, P> {
     }
 
     // rt-lint: zero-alloc
-    fn pick_runner_fp(&mut self) -> Option<Runner> {
-        let mut best_server: Option<(Priority, usize)> = None;
+    fn pick_runner_fp(&self) -> Option<Runner> {
+        let mut best: Option<(Priority, Runner)> = None;
+        let mut consider = |priority: Priority, runner: Runner| match best {
+            Some((p, _)) if !priority.preempts(p) => {}
+            _ => best = Some((priority, runner)),
+        };
         for (s, lane) in self.servers.iter().enumerate() {
-            if !lane.state.is_ready(lane.queue.is_empty()) {
-                continue;
-            }
-            let prio = lane.state.spec.priority;
-            match best_server {
-                None => best_server = Some((prio, s)),
-                Some((p, _)) if prio.preempts(p) => best_server = Some((prio, s)),
-                _ => {}
+            if lane.state.is_ready(lane.queue.is_empty()) {
+                consider(lane.state.spec.priority, Runner::Server(s));
             }
         }
-        if self.indexed {
-            let top_task = loop {
-                match self.ready.peek() {
-                    None => break None,
-                    Some(&(prio, Reverse(i))) => {
-                        if self.has_pending[i] {
-                            debug_assert!(!self.periodic[i].pending.is_empty());
-                            break Some((prio, i));
-                        }
-                        self.ready.pop();
-                    }
-                }
-            };
-            match (best_server, top_task) {
-                (None, None) => None,
-                (Some((_, s)), None) => Some(Runner::Server(s)),
-                (None, Some((_, i))) => Some(Runner::Task(i)),
-                (Some((server_prio, s)), Some((prio, i))) => {
-                    if prio.preempts(server_prio) {
-                        Some(Runner::Task(i))
-                    } else {
-                        Some(Runner::Server(s))
-                    }
-                }
+        for (i, state) in self.periodic.iter().enumerate() {
+            if !state.pending.is_empty() {
+                consider(state.task.priority, Runner::Task(i));
             }
-        } else {
-            let mut best: Option<(Priority, Runner)> =
-                best_server.map(|(p, s)| (p, Runner::Server(s)));
-            for (i, state) in self.periodic.iter().enumerate() {
-                if state.pending.is_empty() {
-                    continue;
-                }
-                let candidate = (state.task.priority, Runner::Task(i));
-                best = match best {
-                    None => Some(candidate),
-                    Some((p, _)) if candidate.0.preempts(p) => Some(candidate),
-                    other => other,
-                };
-            }
-            best.map(|(_, runner)| runner)
         }
+        best.map(|(_, runner)| runner)
     }
 
     // rt-lint: zero-alloc
-    fn pick_runner_edf(&mut self) -> Option<Runner> {
-        // Server lanes are few and their deadlines are state-derived, so
-        // they are swept fresh every decision (no staleness to manage).
-        let mut best_server: Option<(Instant, usize)> = None;
-        for (s, lane) in self.servers.iter().enumerate() {
-            if !lane.state.is_ready(lane.queue.is_empty()) {
-                continue;
-            }
-            let deadline = lane.state.edf_deadline(self.now);
-            match best_server {
-                None => best_server = Some((deadline, s)),
-                Some((d, _)) if deadline < d => best_server = Some((deadline, s)),
-                _ => {}
-            }
-        }
-        let top_task = if self.indexed {
-            loop {
-                match self.ready_edf.peek() {
-                    None => break None,
-                    Some(&Reverse((deadline, i))) => {
-                        let live = self.has_pending[i]
-                            && self.periodic[i]
-                                .pending
-                                .front()
-                                .is_some_and(|job| job.deadline == deadline);
-                        if live {
-                            break Some((deadline, i));
-                        }
-                        self.ready_edf.pop();
-                    }
-                }
-            }
-        } else {
-            let mut best: Option<(Instant, usize)> = None;
-            for (i, state) in self.periodic.iter().enumerate() {
-                let Some(job) = state.pending.front() else {
-                    continue;
-                };
-                match best {
-                    None => best = Some((job.deadline, i)),
-                    Some((d, _)) if job.deadline < d => best = Some((job.deadline, i)),
-                    _ => {}
-                }
-            }
-            best
+    fn pick_runner_edf(&self) -> Option<Runner> {
+        let mut best: Option<(Instant, Runner)> = None;
+        let mut consider = |deadline: Instant, runner: Runner| match best {
+            Some((d, _)) if deadline >= d => {}
+            _ => best = Some((deadline, runner)),
         };
-        match (best_server, top_task) {
-            (None, None) => None,
-            (Some((_, s)), None) => Some(Runner::Server(s)),
-            (None, Some((_, i))) => Some(Runner::Task(i)),
-            (Some((server_deadline, s)), Some((deadline, i))) => {
-                // Ties go to the server, the seed's scan order.
-                if deadline < server_deadline {
-                    Some(Runner::Task(i))
-                } else {
-                    Some(Runner::Server(s))
-                }
+        for (s, lane) in self.servers.iter().enumerate() {
+            if lane.state.is_ready(lane.queue.is_empty()) {
+                consider(lane.state.edf_deadline(self.now), Runner::Server(s));
             }
         }
+        for (i, state) in self.periodic.iter().enumerate() {
+            if let Some(job) = state.pending.front() {
+                consider(job.deadline, Runner::Task(i));
+            }
+        }
+        best.map(|(_, runner)| runner)
     }
 
-    /// Serves server `s`'s pending queue until the decision window closes.
-    /// Batched: completing a job strictly inside the window does not re-enter
-    /// the dispatcher — nothing becomes due before `next` and the priority
-    /// comparison that picked the server is unchanged, so as long as the
-    /// server is still ready the forced re-pick is skipped and the next job
-    /// is served directly.
+    /// Serves one slice of server `s`'s chosen pending job: until the
+    /// decision window closes, the job completes, its overrun cap runs out
+    /// or the lane's capacity does.
     // rt-lint: zero-alloc
     fn run_server(&mut self, s: usize, next: Instant) {
-        // A mode change deferred by the quiescence rule (due before this
-        // window opened, lane busy then) may become applicable the moment a
-        // job completes: force a dispatcher re-entry instead of batching on,
-        // so the batched and unbatched loops reconfigure at the same instant.
-        let deferred_change = self
-            .spec
-            .faults
-            .mode_changes
-            .iter()
-            .enumerate()
-            .any(|(k, c)| !self.mode_applied[k] && c.server == s && c.at <= self.now);
         let lane = &mut self.servers[s];
-        let discipline = lane.state.spec.discipline;
-        loop {
-            // Which pending job the lane serves is the per-server queue
-            // discipline: the front (FIFO — the resumable textbook servers
-            // never need the implementation's cost skip) or the earliest
-            // absolute deadline, ties to the earlier arrival. The pick is
-            // re-evaluated per slice, so a newly arrived urgent job takes
-            // over at the next dispatch.
-            let position = match discipline {
-                QueueDiscipline::FifoSkip => 0,
-                QueueDiscipline::DeadlineOrdered => {
-                    let mut best = 0;
-                    for (k, job) in lane.queue.iter().enumerate() {
-                        if job.deadline < lane.queue[best].deadline {
-                            best = k;
-                        }
-                    }
-                    best
-                }
-            };
-            let job = lane
-                .queue
-                .get_mut(position)
-                // rt-lint: allow(panic, reason = "the lane is run only while its queue is non-empty; a silent fallback would corrupt the trace")
-                .expect("server runner requires pending work");
-            // Decision points strictly advance time (asserted in `run`): an
-            // inverted window is an engine bug, not a clamp.
-            let window = next.since(self.now);
-            let slice = job
-                .remaining
-                .min(job.cap_left)
-                .min(lane.state.max_slice())
-                .min(window);
-            debug_assert!(
-                !slice.is_zero(),
-                "the server was picked but cannot make progress"
-            );
-            let event = self.spec.aperiodics[job.index].id;
-            if job.started.is_none() {
-                job.started = Some(self.now);
-            }
-            if P::ENABLED {
-                let unit = ExecUnit::Handler(event);
-                if let Some(prev) = self.incomplete.take() {
-                    if prev != unit {
-                        self.probe.preemption(prev, self.now);
+        // Which pending job the lane serves is the per-server queue
+        // discipline: the front (FIFO) or the earliest absolute deadline,
+        // ties to the earlier arrival.
+        let position = match lane.state.spec.discipline {
+            QueueDiscipline::FifoSkip => 0,
+            QueueDiscipline::DeadlineOrdered => {
+                let mut best = 0;
+                for (k, job) in lane.queue.iter().enumerate() {
+                    if job.deadline < lane.queue[best].deadline {
+                        best = k;
                     }
                 }
-                self.probe.dispatch(unit, self.now);
-                self.probe.slice(unit, self.now, self.now + slice);
+                best
             }
-            self.trace
-                .push_segment(ExecUnit::Handler(event), self.now, self.now + slice);
-            job.remaining = job.remaining.minus(slice);
-            job.cap_left = job.cap_left.minus(slice);
-            if P::ENABLED {
-                self.incomplete = (!job.remaining.is_zero() && !job.cap_left.is_zero())
-                    .then_some(ExecUnit::Handler(event));
-            }
-            lane.state.consume(slice, self.now);
-            self.now += slice;
-            if job.remaining.is_zero() {
+        };
+        let job = lane
+            .queue
+            .get_mut(position)
+            // rt-lint: allow(panic, reason = "the lane is run only while its queue is non-empty; a silent fallback would corrupt the trace")
+            .expect("server runner requires pending work");
+        // Decision points strictly advance time (asserted in `run`): an
+        // inverted window is an engine bug, not a clamp.
+        let window = next.since(self.now);
+        let slice = job
+            .remaining
+            .min(job.cap_left)
+            .min(lane.state.max_slice())
+            .min(window);
+        debug_assert!(
+            !slice.is_zero(),
+            "the server was picked but cannot make progress"
+        );
+        let event = self.spec.aperiodics[job.index].id;
+        if job.started.is_none() {
+            job.started = Some(self.now);
+        }
+        self.trace
+            .push_segment(ExecUnit::Handler(event), self.now, self.now + slice);
+        job.remaining = job.remaining.minus(slice);
+        job.cap_left = job.cap_left.minus(slice);
+        lane.state.consume(slice, self.now);
+        self.now += slice;
+        let fate = if job.remaining.is_zero() {
+            AperiodicFate::Served {
                 // rt-lint: allow(panic, reason = "a job only completes after executing, and execution records the start instant")
-                let started = job.started.expect("a completed job has started");
-                let spec_event = &self.spec.aperiodics[job.index];
-                self.trace.push_outcome(outcome(
-                    spec_event,
-                    AperiodicFate::Served {
-                        started,
-                        completed: self.now,
-                    },
-                ));
-                lane.queue.remove(position);
-                if lane.queue.is_empty() {
-                    lane.state.on_queue_emptied(self.now);
-                }
-            } else if job.cap_left.is_zero() {
-                // Budget enforcement: the job exhausted its declared budget
-                // with work remaining — cut it off, surface the overrun as an
-                // abort and release its slot in the admission plan so
-                // equation-(5) stops charging for work that will never run.
-                if P::ENABLED {
-                    self.probe.cap_exhausted(s, self.now);
-                }
-                let spec_event = &self.spec.aperiodics[job.index];
-                self.trace
-                    .push_outcome(outcome(spec_event, AperiodicFate::Aborted { at: self.now }));
-                lane.queue.remove(position);
-                if lane.queue.is_empty() {
-                    lane.state.on_queue_emptied(self.now);
-                }
-                lane.admission.on_abort(event, self.now);
+                started: job.started.expect("a completed job has started"),
+                completed: self.now,
             }
-            if !self.batch
-                || self.now >= next
-                || deferred_change
-                || !lane.state.is_ready(lane.queue.is_empty())
-            {
-                break;
-            }
+        } else if job.cap_left.is_zero() {
+            // Budget enforcement: the job exhausted its declared budget with
+            // work remaining — cut it off, surface the overrun as an abort
+            // and release its slot in the admission plan so equation-(5)
+            // stops charging for work that will never run.
+            lane.admission.on_abort(event, self.now);
+            AperiodicFate::Aborted { at: self.now }
+        } else {
+            return;
+        };
+        let spec_event = &self.spec.aperiodics[job.index];
+        self.trace.push_outcome(outcome(spec_event, fate));
+        lane.queue.remove(position);
+        if lane.queue.is_empty() {
+            lane.state.on_queue_emptied(self.now);
         }
     }
 
-    /// Runs task `index`'s pending jobs until the decision window closes.
-    /// Batched under fixed priorities: a backlogged task whose job completes
-    /// strictly inside the window continues with its next pending job — no
-    /// other task or server state changed, so the dispatcher would
-    /// necessarily pick it again. Under EDF that shortcut does not hold (the
-    /// next pending job has a *later* deadline, so another ready entity may
-    /// now be the most urgent): a completion re-keys the task's ready entry
-    /// and re-enters the dispatcher instead.
+    /// Runs one slice of task `index`'s front job, until the decision window
+    /// closes or the job completes.
     // rt-lint: zero-alloc
     fn run_task(&mut self, index: usize, next: Instant) {
         let state = &mut self.periodic[index];
-        loop {
-            let job = state
-                .pending
-                .front_mut()
-                // rt-lint: allow(panic, reason = "the task runner is entered only while the task has pending jobs")
-                .expect("task runner requires pending work");
-            let window = next.since(self.now);
-            let slice = job.remaining.min(window);
-            debug_assert!(!slice.is_zero());
-            if P::ENABLED {
-                let unit = ExecUnit::Task(state.task.id);
-                if let Some(prev) = self.incomplete.take() {
-                    if prev != unit {
-                        self.probe.preemption(prev, self.now);
-                    }
-                }
-                self.probe.dispatch(unit, self.now);
-                self.probe.slice(unit, self.now, self.now + slice);
-            }
-            self.trace
-                .push_segment(ExecUnit::Task(state.task.id), self.now, self.now + slice);
-            job.remaining = job.remaining.minus(slice);
-            if P::ENABLED && !job.remaining.is_zero() {
-                self.incomplete = Some(ExecUnit::Task(state.task.id));
-            }
-            self.now += slice;
-            if job.remaining.is_zero() {
-                self.trace.push_periodic_job(PeriodicJobRecord {
-                    task: state.task.id,
-                    activation: job.activation,
-                    release: job.release,
-                    deadline: job.deadline,
-                    completed: Some(self.now),
-                });
-                state.pending.pop_front();
-                if state.pending.is_empty() {
-                    // Mark the task idle; its ready-heap entry drops lazily.
-                    self.has_pending[index] = false;
-                    break;
-                }
-                if self.scheduling == SchedulingPolicy::Edf {
-                    // Re-key the ready entry to the new front job's deadline
-                    // and force a dispatcher re-entry.
-                    if self.indexed {
-                        let deadline = state
-                            .pending
-                            .front()
-                            // rt-lint: allow(panic, reason = "the queue was checked non-empty in the branch condition just above")
-                            .expect("non-empty checked above")
-                            .deadline;
-                        self.ready_edf.push(Reverse((deadline, index)));
-                    }
-                    break;
-                }
-            }
-            if !self.batch || self.now >= next {
-                break;
-            }
+        let job = state
+            .pending
+            .front_mut()
+            // rt-lint: allow(panic, reason = "the task runner is entered only while the task has pending jobs")
+            .expect("task runner requires pending work");
+        let slice = job.remaining.min(next.since(self.now));
+        debug_assert!(!slice.is_zero());
+        self.trace
+            .push_segment(ExecUnit::Task(state.task.id), self.now, self.now + slice);
+        job.remaining = job.remaining.minus(slice);
+        self.now += slice;
+        if job.remaining.is_zero() {
+            self.trace.push_periodic_job(PeriodicJobRecord {
+                task: state.task.id,
+                activation: job.activation,
+                release: job.release,
+                deadline: job.deadline,
+                completed: Some(self.now),
+            });
+            state.pending.pop_front();
         }
     }
 
@@ -1097,21 +693,20 @@ impl<'a, P: Probe> Simulator<'a, P> {
     }
 }
 
-/// Convenience wrapper: simulates the same traffic under a different server
-/// policy (applied to every server of the system) without rebuilding the
-/// whole specification.
-pub fn simulate_with_policy(spec: &SystemSpec, policy: ServerPolicyKind) -> Trace {
-    let mut spec = spec.clone();
-    for server in &mut spec.servers {
-        server.policy = policy;
-    }
-    simulate(&spec)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use rt_model::{Priority, ServerSpec, SystemSpec};
+    use rt_model::{Priority, ServerPolicyKind, ServerSpec, SystemSpec};
+
+    /// Simulates the same traffic under a different server policy (applied
+    /// to every server of the system).
+    pub(crate) fn simulate_with_policy(spec: &SystemSpec, policy: ServerPolicyKind) -> Trace {
+        let mut spec = spec.clone();
+        for server in &mut spec.servers {
+            server.policy = policy;
+        }
+        simulate(&spec)
+    }
 
     /// The paper's Table 1 task set with a configurable server policy and
     /// aperiodic traffic.
@@ -1325,14 +920,15 @@ mod tests {
     }
 
     #[test]
-    fn edf_simulation_modes_agree() {
-        // indexed vs reference vs unbatched must stay bit-identical under
-        // EDF, servers included.
+    fn edf_simulation_matches_the_reference() {
+        // The driver and the linear-scan reference must stay bit-identical
+        // under EDF, servers included.
         let mut spec = table1(ServerPolicyKind::Deferrable, 3, &[(1, 2), (5, 3), (13, 2)]);
         spec.scheduling = rt_model::SchedulingPolicy::Edf;
-        let indexed = simulate(&spec).render_canonical();
-        assert_eq!(indexed, simulate_reference(&spec).render_canonical());
-        assert_eq!(indexed, simulate_unbatched(&spec).render_canonical());
+        assert_eq!(
+            simulate(&spec).render_canonical(),
+            simulate_reference(&spec).render_canonical()
+        );
     }
 
     #[test]
@@ -1414,7 +1010,7 @@ mod tests {
             vec![0, 2, 1],
             "deadline order serves the urgent event first"
         );
-        // Both modes agree with the reference engine.
+        // The driver agrees with the reference engine.
         assert_eq!(
             simulate(&edd).render_canonical(),
             simulate_reference(&edd).render_canonical()
@@ -1451,9 +1047,10 @@ mod tests {
         );
         assert_eq!(response_of(&trace, 1), Some(Span::from_units(2)));
         assert!(trace.all_periodic_deadlines_met());
-        let canonical = trace.render_canonical();
-        assert_eq!(canonical, simulate_reference(&spec).render_canonical());
-        assert_eq!(canonical, simulate_unbatched(&spec).render_canonical());
+        assert_eq!(
+            trace.render_canonical(),
+            simulate_reference(&spec).render_canonical()
+        );
     }
 
     #[test]
@@ -1509,9 +1106,10 @@ mod tests {
             (segs[1].start, segs[1].end),
             (Instant::from_units(12), Instant::from_units(13))
         );
-        let canonical = trace.render_canonical();
-        assert_eq!(canonical, simulate_reference(&spec).render_canonical());
-        assert_eq!(canonical, simulate_unbatched(&spec).render_canonical());
+        assert_eq!(
+            trace.render_canonical(),
+            simulate_reference(&spec).render_canonical()
+        );
     }
 
     #[test]
@@ -1532,9 +1130,10 @@ mod tests {
                 completed: Instant::from_units(7),
             }
         );
-        let canonical = trace.render_canonical();
-        assert_eq!(canonical, simulate_reference(&spec).render_canonical());
-        assert_eq!(canonical, simulate_unbatched(&spec).render_canonical());
+        assert_eq!(
+            trace.render_canonical(),
+            simulate_reference(&spec).render_canonical()
+        );
     }
 
     #[test]

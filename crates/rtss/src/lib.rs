@@ -5,10 +5,14 @@
 //! which can simulate the execution of a real-time system and display a
 //! temporal diagram of the simulated execution".
 //!
-//! * [`engine::simulate`] — preemptive fixed-priority simulation with a
-//!   literature-exact Polling, Deferrable or Background server (the policies
-//!   "described in literature: this is not a simulation of our
-//!   implementations"), producing a [`rt_model::Trace`];
+//! * [`simulate`] / [`simulate_with_probe`] — preemptive fixed-priority or
+//!   EDF simulation with literature-exact Polling, Deferrable, Sporadic or
+//!   Background servers (the policies "described in literature: this is not
+//!   a simulation of our implementations"), producing a
+//!   [`rt_model::Trace`]. The spec is frozen into dispatch tables and run by
+//!   a driver specialized per server-policy kind × scheduling policy;
+//! * [`simulate_reference`] — the seed's linear-scan loop, the deliberately
+//!   simple oracle the specialized driver is pinned against byte-for-byte;
 //! * [`dynamic::simulate_dynamic`] — the EDF and D-OVER policies of the RTSS
 //!   policy menu;
 //! * [`gantt`] — ASCII and SVG temporal diagrams.
@@ -25,20 +29,21 @@
 //!
 //! let trace = rtss_sim::simulate(&spec);
 //! assert!(trace.outcomes[0].is_served());
+//! assert_eq!(trace, rtss_sim::simulate_reference(&spec));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod driver;
 pub mod dynamic;
 pub mod engine;
 pub mod gantt;
 pub mod server;
+mod tables;
 
 pub use dynamic::{simulate_dynamic, DynamicPolicy};
-pub use engine::{
-    simulate, simulate_reference, simulate_unbatched, simulate_with_policy, simulate_with_probe,
-};
+pub use engine::{simulate, simulate_reference, simulate_with_probe};
 pub use gantt::{render_ascii, render_svg, GanttOptions};
 pub use server::{
     BackgroundPolicy, DeferrablePolicy, PollingPolicy, ServerPolicy, ServerState, SporadicPolicy,
@@ -51,6 +56,7 @@ mod proptests {
     //! deterministic random cases instead of shrinking strategies.
 
     use super::*;
+    use crate::engine::tests::simulate_with_policy;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rt_model::{

@@ -21,7 +21,7 @@
 //! | [`sysgen`] | `rt-sysgen` | the random real-time system generator |
 //! | [`rtsj`] | `rtsj-emu` | the RTSJ substrate emulation and virtual-time execution engine |
 //! | [`taskserver`] | `rt-taskserver` | **the paper's contribution**: the task-server framework |
-//! | [`compile`] | `rt-compile` | spec-specialization pass: zero-overhead compiled dispatch for both engines |
+//! | [`compile`] | `rt-compile` | validate-once front-end: compile a spec once, execute it through the fast path repeatedly |
 //! | [`metrics`] | `rt-metrics` | AART / AIR / ASR, paper tables, shape checks |
 //! | [`observe`] | `rt-observe` | zero-cost probe layer: virtual-time histograms, Chrome-trace export |
 //! | [`experiments`] | `rt-experiments` | the reproduction harness (figures 2–4, tables 2–5, §7) |
@@ -70,7 +70,7 @@ pub use rtss_sim as simulator;
 /// The most common imports, for examples and downstream users.
 pub mod prelude {
     pub use rt_admission::ServerAdmission;
-    pub use rt_compile::{execute_compiled, simulate_compiled, CompiledSystem};
+    pub use rt_compile::CompiledSystem;
     pub use rt_metrics::{ResultTable, RunMeasures, SetAggregate};
     pub use rt_model::{
         AdmissionPolicy, AperiodicEvent, AperiodicFate, AperiodicOutcome, ExecUnit, Instant,

@@ -5,7 +5,7 @@
 //! 1. **AcceptAll is invisible** — stamping the default admission policy on
 //!    a system (even one carrying deadlines and value tags) produces traces
 //!    byte-identical to the unstamped system across the whole engine matrix
-//!    (scheduler × batching × queue × scheduling), on both engines. Together
+//!    (engine loop × queue × scheduling), on both engines. Together
 //!    with the 53 pre-admission goldens this proves the admission layer
 //!    reduces to today's behaviour when switched off.
 //! 2. **Cross-engine decision identity** — `DeadlinePredictive` decisions
@@ -22,9 +22,10 @@
 use rtsj_event_framework::model::{
     AdmissionPolicy, Instant, Priority, SchedulingPolicy, ServerSpec, Span, SystemSpec, Trace,
 };
+use rtsj_event_framework::observe::NoopProbe;
 use rtsj_event_framework::rtsj::SchedulerKind;
-use rtsj_event_framework::simulator::{simulate, simulate_reference, simulate_unbatched};
-use rtsj_event_framework::taskserver::{execute, ExecutionConfig, QueueKind};
+use rtsj_event_framework::simulator::{simulate, simulate_reference};
+use rtsj_event_framework::taskserver::{execute, execute_with_probe, ExecutionConfig, QueueKind};
 
 /// A sustained 4× overload burst into a polling server: server bandwidth
 /// 5/10 = 0.5, arrival bandwidth one cost-2 event per unit = 2.0. Every
@@ -112,27 +113,29 @@ fn accept_all_reduces_byte_identically_across_the_engine_matrix() {
         for server in &mut unstamped.servers {
             server.admission = AdmissionPolicy::default();
         }
-        // Execution matrix: scheduler × batching × queue.
+        // Execution matrix: engine loop × queue.
         for scheduler in [SchedulerKind::Indexed, SchedulerKind::LinearScan] {
-            for batching in [true, false] {
-                for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-                    let config = ExecutionConfig::reference()
-                        .with_scheduler(scheduler)
-                        .with_queue(queue)
-                        .with_batching(batching);
-                    assert_eq!(
-                        execute(&stamped, &config).render_canonical(),
-                        execute(&unstamped, &config).render_canonical(),
-                        "{scheduling:?}/{scheduler:?}/batching={batching}/{queue:?}"
-                    );
-                }
+            for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
+                let config = ExecutionConfig::reference()
+                    .with_scheduler(scheduler)
+                    .with_queue(queue);
+                let unstamped = execute(&unstamped, &config).render_canonical();
+                assert_eq!(
+                    execute(&stamped, &config).render_canonical(),
+                    unstamped,
+                    "{scheduling:?}/{scheduler:?}/{queue:?}"
+                );
+                assert_eq!(
+                    execute_with_probe(&stamped, &config, NoopProbe).render_canonical(),
+                    unstamped,
+                    "{scheduling:?}/{scheduler:?}/{queue:?} (probe-threaded)"
+                );
             }
         }
-        // Simulation matrix: indexed, reference, unbatched.
+        // Simulation matrix: the driver and the reference.
         let reference = simulate(&unstamped).render_canonical();
         assert_eq!(simulate(&stamped).render_canonical(), reference);
         assert_eq!(simulate_reference(&stamped).render_canonical(), reference);
-        assert_eq!(simulate_unbatched(&stamped).render_canonical(), reference);
     }
 }
 
@@ -156,10 +159,11 @@ fn predictive_decisions_agree_across_engines_and_engine_modes() {
                 "{}: the burst must actually trigger rejections",
                 spec.name
             );
-            // Engine-internal mode matrix agrees too.
-            let indexed = simulate(&spec).render_canonical();
-            assert_eq!(indexed, simulate_reference(&spec).render_canonical());
-            assert_eq!(indexed, simulate_unbatched(&spec).render_canonical());
+            // Engine-internal loop matrix agrees too.
+            assert_eq!(
+                simulate(&spec).render_canonical(),
+                simulate_reference(&spec).render_canonical()
+            );
             for scheduler in [SchedulerKind::Indexed, SchedulerKind::LinearScan] {
                 for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
                     let config = ExecutionConfig::ideal()
@@ -287,10 +291,9 @@ fn value_density_displacement_is_recorded_and_pays_off() {
 /// An injected overrun that aborts in service must release its
 /// equation-(5) plan slot: later arrivals are admitted against the real
 /// residual load, not a ghost of the aborted job. The fates are pinned
-/// byte-exactly on both engines (and their compiled counterparts).
+/// byte-exactly on both engines and their reference oracles.
 #[test]
 fn an_overrun_abort_releases_its_equation5_slot() {
-    use rtsj_event_framework::compile::{execute_compiled, simulate_compiled};
     use rtsj_event_framework::model::AperiodicFate;
 
     let mut b = SystemSpec::builder("abort-releases-slot");
@@ -315,11 +318,11 @@ fn an_overrun_abort_releases_its_equation5_slot() {
     let executed = execute(&spec, &config);
     assert_eq!(
         simulated.render_canonical(),
-        simulate_compiled(&spec).render_canonical()
+        simulate_reference(&spec).render_canonical()
     );
     assert_eq!(
         executed.render_canonical(),
-        execute_compiled(&spec, &config).render_canonical()
+        execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan)).render_canonical()
     );
     for trace in [&simulated, &executed] {
         let fates: Vec<AperiodicFate> = trace.outcomes.iter().map(|o| o.fate).collect();

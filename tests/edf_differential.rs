@@ -5,8 +5,9 @@
 //! ready entity with the earliest absolute deadline is also the
 //! highest-priority one, with identical tie-breaks — the EDF trace must be
 //! byte-identical to the fixed-priority trace. The suite pins that reduction
-//! on both engines, pins EDF mode-agreement (indexed vs linear scan, batched
-//! vs unbatched, both queue structures), and exercises the cases where EDF
+//! on both engines, pins EDF loop agreement (every fast loop against its
+//! linear-scan reference, both queue structures), and exercises the cases
+//! where EDF
 //! *must* diverge from fixed priorities (deadline inversion, the classic
 //! U = 1 non-harmonic set).
 
@@ -14,10 +15,11 @@ use rtsj_event_framework::model::{
     Instant, Priority, QueueDiscipline, SchedulingPolicy, ServerPolicyKind, ServerSpec, Span,
     SystemSpec,
 };
+use rtsj_event_framework::observe::NoopProbe;
 use rtsj_event_framework::prelude::SchedulerKind;
-use rtsj_event_framework::simulator::{simulate, simulate_reference, simulate_unbatched};
+use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::sysgen::{GeneratorParams, RandomSystemGenerator};
-use rtsj_event_framework::taskserver::{execute, ExecutionConfig, QueueKind};
+use rtsj_event_framework::taskserver::{execute, execute_with_probe, ExecutionConfig, QueueKind};
 
 /// The Table 1 shape: server + two tasks, all on period 6 with implicit
 /// deadlines and priorities descending in spawn order — the deadline order
@@ -208,39 +210,31 @@ fn edf_systems(policy: ServerPolicyKind, seed: u64, count: usize) -> Vec<SystemS
         .generate()
 }
 
-/// Every engine mode must agree on one EDF spec: indexed vs linear-scan,
-/// batched vs unbatched, both queue structures, both engines.
+/// Every engine loop must agree on one EDF spec: each fast loop against
+/// its linear-scan reference, both queue structures, both engines.
 fn assert_edf_modes_agree(spec: &SystemSpec) {
     assert_eq!(spec.scheduling, SchedulingPolicy::Edf);
-    let sim = simulate(spec).render_canonical();
     assert_eq!(
-        sim,
+        simulate(spec).render_canonical(),
         simulate_reference(spec).render_canonical(),
         "EDF simulate vs simulate_reference diverged on {}",
-        spec.name
-    );
-    assert_eq!(
-        sim,
-        simulate_unbatched(spec).render_canonical(),
-        "EDF simulate vs simulate_unbatched diverged on {}",
         spec.name
     );
     for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
         let base = ExecutionConfig::reference().with_queue(queue);
         let indexed = execute(spec, &base).render_canonical();
-        for config in [
-            base.with_scheduler(SchedulerKind::LinearScan),
-            base.with_batching(false),
-            base.with_scheduler(SchedulerKind::LinearScan)
-                .with_batching(false),
-        ] {
-            assert_eq!(
-                indexed,
-                execute(spec, &config).render_canonical(),
-                "EDF execution modes diverged on {} ({queue:?})",
-                spec.name
-            );
-        }
+        assert_eq!(
+            indexed,
+            execute(spec, &base.with_scheduler(SchedulerKind::LinearScan)).render_canonical(),
+            "EDF execution vs the linear-scan reference diverged on {} ({queue:?})",
+            spec.name
+        );
+        assert_eq!(
+            indexed,
+            execute_with_probe(spec, &base, NoopProbe).render_canonical(),
+            "EDF execution vs the probe-threaded engine diverged on {} ({queue:?})",
+            spec.name
+        );
     }
 }
 
@@ -326,7 +320,7 @@ fn deadline_ordered_execution_reorders_service_and_modes_agree() {
         );
         assert_eq!(
             indexed,
-            execute(&spec, &base.with_batching(false)).render_canonical()
+            execute_with_probe(&spec, &base, NoopProbe).render_canonical()
         );
     }
 }

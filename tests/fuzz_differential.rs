@@ -6,12 +6,14 @@
 //! faults and mode changes — and pins the engine pairs that are locked
 //! byte-identical to each other:
 //!
-//! * **simulation world** — `simulate`, `simulate_reference`,
-//!   `simulate_unbatched` and the compiled `simulate_compiled` must render
-//!   identical canonical traces;
-//! * **execution world** — `execute` (indexed and linear-scan schedulers)
-//!   and the compiled `execute_compiled` must render identical canonical
-//!   traces per configuration.
+//! * **simulation world** — the driver behind `simulate` and the
+//!   linear-scan `simulate_reference` must render identical canonical
+//!   traces;
+//! * **execution world** — the three execution loops must render identical
+//!   canonical traces per configuration: `execute` (the ceiling-table fast
+//!   path under fixed priorities), the linear-scan reference engine, and
+//!   the probe-threaded indexed engine behind `execute_with_probe` with a
+//!   recording `MetricsProbe` attached.
 //!
 //! Every trace additionally passes the spec-aware invariant checker
 //! (`tests/common/invariants.rs`). The two worlds are *not* compared to
@@ -25,11 +27,11 @@
 //! then dropping fault records and periodic tasks — and the minimal
 //! reproducer is printed with its seed and the divergence.
 
-use rtsj_event_framework::compile::{execute_compiled, simulate_compiled};
 use rtsj_event_framework::model::SystemSpec;
+use rtsj_event_framework::observe::MetricsProbe;
 use rtsj_event_framework::prelude::SchedulerKind;
-use rtsj_event_framework::simulator::{simulate, simulate_reference, simulate_unbatched};
-use rtsj_event_framework::taskserver::{execute, ExecutionConfig};
+use rtsj_event_framework::simulator::{simulate, simulate_reference};
+use rtsj_event_framework::taskserver::{execute, execute_with_probe, ExecutionConfig};
 
 mod common;
 use common::invariants::check_trace_invariants;
@@ -49,31 +51,25 @@ use common::specgen::random_spec;
 /// Runs one spec through both worlds; returns the first divergence or
 /// invariant violation.
 fn check_case(spec: &SystemSpec) -> Result<(), String> {
-    let reference = simulate(spec);
-    let canonical = reference.render_canonical();
-    for (label, trace) in [
-        ("simulate_reference", simulate_reference(spec)),
-        ("simulate_unbatched", simulate_unbatched(spec)),
-        ("simulate_compiled", simulate_compiled(spec)),
-    ] {
-        if trace.render_canonical() != canonical {
-            return Err(format!("simulation world diverged: simulate vs {label}"));
-        }
+    let simulated = simulate(spec);
+    if simulate_reference(spec).render_canonical() != simulated.render_canonical() {
+        return Err("simulation world diverged: simulate vs simulate_reference".into());
     }
-    check_trace_invariants(spec, &reference)?;
+    check_trace_invariants(spec, &simulated)?;
 
     for config in [ExecutionConfig::reference(), ExecutionConfig::ideal()] {
-        let indexed = execute(spec, &config.with_scheduler(SchedulerKind::Indexed));
-        let canonical = indexed.render_canonical();
+        let indexed = config.with_scheduler(SchedulerKind::Indexed);
+        let executed = execute(spec, &indexed);
+        let canonical = executed.render_canonical();
         let scanned = execute(spec, &config.with_scheduler(SchedulerKind::LinearScan));
         if scanned.render_canonical() != canonical {
-            return Err("execution world diverged: indexed vs linear-scan".into());
+            return Err("execution world diverged: execute vs linear-scan".into());
         }
-        let compiled = execute_compiled(spec, &config);
-        if compiled.render_canonical() != canonical {
-            return Err("execution world diverged: interpreted vs compiled".into());
+        let observed = execute_with_probe(spec, &indexed, &mut MetricsProbe::new());
+        if observed.render_canonical() != canonical {
+            return Err("execution world diverged: execute vs execute_with_probe".into());
         }
-        check_trace_invariants(spec, &indexed)?;
+        check_trace_invariants(spec, &executed)?;
     }
     Ok(())
 }

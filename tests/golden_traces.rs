@@ -1,26 +1,31 @@
 //! Golden-trace regression tests for the execution and simulation engines.
 //!
-//! The goldens under `tests/goldens/` were captured from the pre-optimisation
-//! engines (linear-scan scheduling) and pin down the *event-by-event*
-//! scheduling order of every paper scenario under every server policy and
-//! queue structure. Both schedulers are checked against them here: the
-//! retained linear-scan reference must keep matching the recorded history,
-//! and the indexed engines (binary-heap event calendar, priority-indexed
-//! ready set) must reproduce it bit for bit — the documented deterministic
-//! tie-breaks (spawn order, timer creation order) are part of the contract.
+//! The goldens under `tests/goldens/` were captured from the seed engines
+//! (linear-scan scheduling) and pin down the *event-by-event* scheduling
+//! order of every paper scenario under every server policy and queue
+//! structure. Every loop of each world is checked against them here:
+//!
+//! * simulation — the linear-scan reference (`simulate_reference`) and the
+//!   specialized driver (`simulate`);
+//! * execution — the linear-scan reference engine, `execute` (the
+//!   ceiling-table fast path under fixed priorities) and
+//!   `execute_with_probe` (the probe-threaded indexed engine).
+//!
+//! The documented deterministic tie-breaks (spawn order, timer creation
+//! order) are part of the contract.
 //!
 //! Regenerate with `UPDATE_GOLDENS=1 cargo test --test golden_traces` and
 //! review the diff; regeneration renders from the linear-scan reference
 //! path so fixture provenance stays with the seed implementation, and an
 //! unreviewed golden update defeats the tests.
 
-use rtsj_event_framework::compile::{execute_compiled, simulate_compiled};
 use rtsj_event_framework::model::{
     Instant, Priority, ServerPolicyKind, ServerSpec, Span, SystemSpec,
 };
+use rtsj_event_framework::observe::MetricsProbe;
 use rtsj_event_framework::rtsj::SchedulerKind;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
-use rtsj_event_framework::taskserver::{execute, ExecutionConfig, QueueKind};
+use rtsj_event_framework::taskserver::{execute, execute_with_probe, ExecutionConfig, QueueKind};
 
 /// The three figure scenarios' traffic: (release, actual cost, declared cost).
 fn scenario_events(scenario: u32) -> &'static [(u64, u64, Option<u64>)] {
@@ -78,30 +83,56 @@ fn golden_path(name: &str) -> std::path::PathBuf {
         .join(format!("{name}.txt"))
 }
 
-/// Checks (or, with `UPDATE_GOLDENS=1`, regenerates) one golden.
+/// Every simulation loop's canonical rendering, the reference first.
+fn sim_loops(spec: &SystemSpec) -> Vec<(&'static str, String)> {
+    vec![
+        (
+            "simulate_reference",
+            simulate_reference(spec).render_canonical(),
+        ),
+        ("simulate", simulate(spec).render_canonical()),
+    ]
+}
+
+/// Every execution loop's canonical rendering under `config`, the
+/// linear-scan reference first.
+fn exec_loops(spec: &SystemSpec, config: ExecutionConfig) -> Vec<(&'static str, String)> {
+    let indexed = config.with_scheduler(SchedulerKind::Indexed);
+    let linear = config.with_scheduler(SchedulerKind::LinearScan);
+    vec![
+        (
+            "linear-scan execute",
+            execute(spec, &linear).render_canonical(),
+        ),
+        ("execute", execute(spec, &indexed).render_canonical()),
+        (
+            "execute_with_probe",
+            execute_with_probe(spec, &indexed, &mut MetricsProbe::new()).render_canonical(),
+        ),
+    ]
+}
+
+/// Checks (or, with `UPDATE_GOLDENS=1`, regenerates) one golden against
+/// every loop of its world.
 ///
-/// `reference` is the rendering of the retained pre-refactor linear-scan
-/// path and is what regeneration writes, so fixture provenance always stays
-/// with the seed implementation; `indexed` is the optimised engine's
-/// rendering and must match the same bytes.
-fn check_golden(name: &str, reference: &str, indexed: &str) {
+/// The first loop is the retained linear-scan reference and is what
+/// regeneration writes, so fixture provenance always stays with the seed
+/// implementation; every other loop must match the same bytes.
+fn check_golden(name: &str, loops: &[(&str, String)]) {
     let path = golden_path(name);
     if std::env::var("UPDATE_GOLDENS").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, reference).unwrap();
+        std::fs::write(&path, &loops[0].1).unwrap();
     }
     let expected = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden {path:?} ({e}); run with UPDATE_GOLDENS=1"));
-    assert_eq!(
-        expected, reference,
-        "linear-scan reference diverged from golden {name}; if the change is \
-         intentional, regenerate with UPDATE_GOLDENS=1 and review the diff"
-    );
-    assert_eq!(
-        expected, indexed,
-        "indexed engine diverged from golden {name} (the linear-scan \
-         reference still matches, so the indexed structures changed behaviour)"
-    );
+    for (label, rendered) in loops {
+        assert_eq!(
+            &expected, rendered,
+            "{label} diverged from golden {name}; if the change is intentional, \
+             regenerate with UPDATE_GOLDENS=1 and review the diff"
+        );
+    }
 }
 
 #[test]
@@ -116,14 +147,8 @@ fn executions_match_goldens_for_every_scenario_policy_and_queue() {
             let spec = system(scenario, policy);
             for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
                 let config = ExecutionConfig::reference().with_queue(queue);
-                let reference = execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan));
-                let indexed = execute(&spec, &config.with_scheduler(SchedulerKind::Indexed));
                 let name = format!("exec_s{scenario}_{policy:?}_{queue:?}").to_lowercase();
-                check_golden(
-                    &name,
-                    &reference.render_canonical(),
-                    &indexed.render_canonical(),
-                );
+                check_golden(&name, &exec_loops(&spec, config));
             }
         }
     }
@@ -139,14 +164,8 @@ fn simulations_match_goldens_for_every_scenario_and_policy() {
             ServerPolicyKind::Sporadic,
         ] {
             let spec = system(scenario, policy);
-            let reference = simulate_reference(&spec);
-            let indexed = simulate(&spec);
             let name = format!("sim_s{scenario}_{policy:?}").to_lowercase();
-            check_golden(
-                &name,
-                &reference.render_canonical(),
-                &indexed.render_canonical(),
-            );
+            check_golden(&name, &sim_loops(&spec));
         }
     }
 }
@@ -209,22 +228,10 @@ fn multi_server_systems_match_goldens() {
         let spec = multi_server_system(n);
         for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
             let config = ExecutionConfig::reference().with_queue(queue);
-            let reference = execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan));
-            let indexed = execute(&spec, &config.with_scheduler(SchedulerKind::Indexed));
             let name = format!("exec_multi{n}_{queue:?}").to_lowercase();
-            check_golden(
-                &name,
-                &reference.render_canonical(),
-                &indexed.render_canonical(),
-            );
+            check_golden(&name, &exec_loops(&spec, config));
         }
-        let reference = simulate_reference(&spec);
-        let indexed = simulate(&spec);
-        check_golden(
-            &format!("sim_multi{n}"),
-            &reference.render_canonical(),
-            &indexed.render_canonical(),
-        );
+        check_golden(&format!("sim_multi{n}"), &sim_loops(&spec));
     }
 }
 
@@ -252,20 +259,13 @@ fn edf_traces_match_goldens_for_every_policy() {
         ServerPolicyKind::Sporadic,
     ] {
         let spec = edf_system(2, policy);
-        let config = ExecutionConfig::reference();
-        let reference = execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan));
-        let indexed = execute(&spec, &config.with_scheduler(SchedulerKind::Indexed));
         check_golden(
             &format!("exec_edf_s2_{policy:?}").to_lowercase(),
-            &reference.render_canonical(),
-            &indexed.render_canonical(),
+            &exec_loops(&spec, ExecutionConfig::reference()),
         );
-        let reference = simulate_reference(&spec);
-        let indexed = simulate(&spec);
         check_golden(
             &format!("sim_edf_s2_{policy:?}").to_lowercase(),
-            &reference.render_canonical(),
-            &indexed.render_canonical(),
+            &sim_loops(&spec),
         );
     }
 }
@@ -298,21 +298,12 @@ fn deadline_ordered_service_matches_goldens() {
     let spec = deadline_ordered_system();
     for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
         let config = ExecutionConfig::reference().with_queue(queue);
-        let reference = execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan));
-        let indexed = execute(&spec, &config.with_scheduler(SchedulerKind::Indexed));
         check_golden(
             &format!("exec_edd_multi2_{queue:?}").to_lowercase(),
-            &reference.render_canonical(),
-            &indexed.render_canonical(),
+            &exec_loops(&spec, config),
         );
     }
-    let reference = simulate_reference(&spec);
-    let indexed = simulate(&spec);
-    check_golden(
-        "sim_edd_multi2",
-        &reference.render_canonical(),
-        &indexed.render_canonical(),
-    );
+    check_golden("sim_edd_multi2", &sim_loops(&spec));
 }
 
 /// A rejecting/aborting workload for the admission goldens: a sustained 4×
@@ -407,25 +398,16 @@ fn admission_traces_match_goldens() {
                 }
             );
             let config = ExecutionConfig::reference();
-            let reference = execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan));
-            let indexed = execute(&spec, &config.with_scheduler(SchedulerKind::Indexed));
-            check_golden(
-                &format!("exec_adm_{tag}"),
-                &reference.render_canonical(),
-                &indexed.render_canonical(),
-            );
+            check_golden(&format!("exec_adm_{tag}"), &exec_loops(&spec, config));
             // The workload must genuinely reject (or displace) work.
             assert!(
-                indexed.outcomes.iter().any(|o| !o.is_accepted()),
+                execute(&spec, &config)
+                    .outcomes
+                    .iter()
+                    .any(|o| !o.is_accepted()),
                 "exec_adm_{tag}: nothing was rejected"
             );
-            let reference = simulate_reference(&spec);
-            let indexed = simulate(&spec);
-            check_golden(
-                &format!("sim_adm_{tag}"),
-                &reference.render_canonical(),
-                &indexed.render_canonical(),
-            );
+            check_golden(&format!("sim_adm_{tag}"), &sim_loops(&spec));
         }
     }
 }
@@ -440,81 +422,20 @@ fn multi_server_admission_traces_match_goldens() {
     ] {
         let spec = admission_multi_system(policy);
         let config = ExecutionConfig::reference();
-        let reference = execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan));
-        let indexed = execute(&spec, &config.with_scheduler(SchedulerKind::Indexed));
         check_golden(
             &format!("exec_adm_multi2_{}", policy.label()),
-            &reference.render_canonical(),
-            &indexed.render_canonical(),
+            &exec_loops(&spec, config),
         );
         assert!(
-            indexed.outcomes.iter().any(|o| !o.is_accepted()),
+            execute(&spec, &config)
+                .outcomes
+                .iter()
+                .any(|o| !o.is_accepted()),
             "multi2 {policy:?}: nothing was rejected"
         );
-        let reference = simulate_reference(&spec);
-        let indexed = simulate(&spec);
         check_golden(
             &format!("sim_adm_multi2_{}", policy.label()),
-            &reference.render_canonical(),
-            &indexed.render_canonical(),
-        );
-    }
-}
-
-/// Compiled-path goldens: the `rt-compile` specialized engines pinned to the
-/// recorded history. Regeneration renders the interpreted linear-scan
-/// reference (like every other golden, fixture provenance stays with the
-/// oracle); the compiled driver / compiled execution plan must reproduce the
-/// same bytes.
-#[test]
-fn compiled_traces_match_goldens() {
-    for scenario in [1u32, 2, 3] {
-        for policy in [
-            ServerPolicyKind::Polling,
-            ServerPolicyKind::Deferrable,
-            ServerPolicyKind::Background,
-            ServerPolicyKind::Sporadic,
-        ] {
-            let spec = system(scenario, policy);
-            let reference = simulate_reference(&spec);
-            let compiled = simulate_compiled(&spec);
-            check_golden(
-                &format!("compiled_sim_s{scenario}_{policy:?}").to_lowercase(),
-                &reference.render_canonical(),
-                &compiled.render_canonical(),
-            );
-        }
-    }
-    // The execution plan on the figure-3 scenario (skips + replenishment
-    // waits) and both multi-server shapes, simulated and executed.
-    for policy in [
-        ServerPolicyKind::Polling,
-        ServerPolicyKind::Deferrable,
-        ServerPolicyKind::Background,
-        ServerPolicyKind::Sporadic,
-    ] {
-        let spec = system(2, policy);
-        let config = ExecutionConfig::reference();
-        let reference = execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan));
-        let compiled = execute_compiled(&spec, &config);
-        check_golden(
-            &format!("compiled_exec_s2_{policy:?}").to_lowercase(),
-            &reference.render_canonical(),
-            &compiled.render_canonical(),
-        );
-    }
-    for n in [2usize, 3] {
-        let spec = multi_server_system(n);
-        check_golden(
-            &format!("compiled_sim_multi{n}"),
-            &simulate_reference(&spec).render_canonical(),
-            &simulate_compiled(&spec).render_canonical(),
-        );
-        let config = ExecutionConfig::reference();
-        check_golden(
-            &format!("compiled_exec_multi{n}"),
-            &execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan)).render_canonical(),
-            &execute_compiled(&spec, &config).render_canonical(),
+            &sim_loops(&spec),
         );
     }
 }
@@ -615,47 +536,22 @@ fn fault_matrix() -> Vec<(&'static str, ServerPolicyKind)> {
     ]
 }
 
-/// Fault-injection simulation goldens, with the compiled driver pinned to
-/// the same bytes.
+/// Fault-injection simulation goldens.
 #[test]
 fn fault_simulations_match_goldens() {
     for (variant, policy) in fault_matrix() {
         let spec = fault_system(variant, policy);
-        let reference = simulate_reference(&spec);
-        let indexed = simulate(&spec);
         let name = format!("fault_sim_{variant}_{policy:?}").to_lowercase();
-        check_golden(
-            &name,
-            &reference.render_canonical(),
-            &indexed.render_canonical(),
-        );
-        assert_eq!(
-            reference.render_canonical(),
-            simulate_compiled(&spec).render_canonical(),
-            "compiled simulation diverged from fault golden {name}"
-        );
+        check_golden(&name, &sim_loops(&spec));
     }
 }
 
-/// Fault-injection execution goldens, with the compiled plan pinned to the
-/// same bytes.
+/// Fault-injection execution goldens.
 #[test]
 fn fault_executions_match_goldens() {
     for (variant, policy) in fault_matrix() {
         let spec = fault_system(variant, policy);
-        let config = ExecutionConfig::reference();
-        let reference = execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan));
-        let indexed = execute(&spec, &config.with_scheduler(SchedulerKind::Indexed));
         let name = format!("fault_exec_{variant}_{policy:?}").to_lowercase();
-        check_golden(
-            &name,
-            &reference.render_canonical(),
-            &indexed.render_canonical(),
-        );
-        assert_eq!(
-            reference.render_canonical(),
-            execute_compiled(&spec, &config).render_canonical(),
-            "compiled execution diverged from fault golden {name}"
-        );
+        check_golden(&name, &exec_loops(&spec, ExecutionConfig::reference()));
     }
 }

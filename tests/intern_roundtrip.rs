@@ -11,15 +11,15 @@
 //!    the installed events in plan order.
 //! 2. **Behaviour invariance** — renaming every event (forcing completely
 //!    different interner contents) leaves the canonical trace of both the
-//!    interpreted and the compiled engine untouched, and no name ever leaks
-//!    into the canonical rendering.
+//!    fast path and the probe-threaded engine untouched, and no name ever
+//!    leaks into the canonical rendering.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtsj_event_framework::compile::execute_compiled;
 use rtsj_event_framework::model::{
     Instant, NameTable, Priority, ServerPolicyKind, ServerSpec, Span, SystemSpec,
 };
+use rtsj_event_framework::observe::NoopProbe;
 use rtsj_event_framework::taskserver::{ExecutionConfig, ExecutionPlan};
 
 const CASES: u64 = 48;
@@ -124,28 +124,26 @@ fn renaming_events_never_changes_canonical_traces() {
             event.name = format!("renamed/{index}/{seed}/☂");
         }
 
-        let base_interp = ExecutionPlan::prepare(&spec, &config)
-            .expect("spec is valid")
-            .run()
-            .render_canonical();
-        let renamed_interp = ExecutionPlan::prepare(&renamed, &config)
-            .expect("renamed spec is valid")
-            .run()
-            .render_canonical();
+        let base_plan = ExecutionPlan::prepare(&spec, &config).expect("spec is valid");
+        let renamed_plan =
+            ExecutionPlan::prepare(&renamed, &config).expect("renamed spec is valid");
+
+        let base_fast = base_plan.run().render_canonical();
+        let renamed_fast = renamed_plan.run().render_canonical();
         assert_eq!(
-            base_interp, renamed_interp,
-            "seed {seed}: interpreted canonical trace must ignore names"
+            base_fast, renamed_fast,
+            "seed {seed}: fast-path canonical trace must ignore names"
         );
 
-        let base_compiled = execute_compiled(&spec, &config).render_canonical();
-        let renamed_compiled = execute_compiled(&renamed, &config).render_canonical();
+        let base_engine = base_plan.run_with_probe(NoopProbe).render_canonical();
+        let renamed_engine = renamed_plan.run_with_probe(NoopProbe).render_canonical();
         assert_eq!(
-            base_compiled, renamed_compiled,
-            "seed {seed}: compiled canonical trace must ignore names"
+            base_engine, renamed_engine,
+            "seed {seed}: probe-threaded canonical trace must ignore names"
         );
 
         assert!(
-            !renamed_compiled.contains("renamed/"),
+            !renamed_fast.contains("renamed/"),
             "seed {seed}: canonical traces must not leak names"
         );
     }

@@ -1,15 +1,17 @@
 //! Differential and property tests for the server-policy layer: Sporadic
-//! Server and multi-server systems on both engines, batched and unbatched,
-//! indexed and linear-scan, plus the N=1 reduction property — a multi-server
-//! system with a single server produces exactly the single-server trace.
+//! Server and multi-server systems on both engines, every fast loop against
+//! its linear-scan reference, plus the N=1 reduction property — a
+//! multi-server system with a single server produces exactly the
+//! single-server trace.
 
 use rtsj_event_framework::model::{
     Instant, Priority, ServerPolicyKind, ServerSpec, Span, SystemSpec,
 };
+use rtsj_event_framework::observe::NoopProbe;
 use rtsj_event_framework::prelude::SchedulerKind;
-use rtsj_event_framework::simulator::{simulate, simulate_reference, simulate_unbatched};
+use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::sysgen::{ExtraServer, GeneratorParams, RandomSystemGenerator};
-use rtsj_event_framework::taskserver::{execute, ExecutionConfig, QueueKind};
+use rtsj_event_framework::taskserver::{execute, execute_with_probe, ExecutionConfig, QueueKind};
 
 /// Seeded generator of multi-server systems over the paper's traffic
 /// parameters: primary policy + `extras` servers, events routed uniformly.
@@ -33,40 +35,31 @@ fn multi_server_systems(
         .generate()
 }
 
-/// Every engine mode must agree on one spec: indexed vs linear-scan,
-/// batched vs unbatched, for both the execution and the simulation paths.
+/// Every engine loop must agree on one spec: the simulation driver and its
+/// linear-scan reference; `execute`, the probe-threaded engine and the
+/// linear-scan reference, under both queue structures.
 fn assert_all_modes_agree(spec: &SystemSpec) {
-    // Simulation: indexed, reference (linear scan) and unbatched.
-    let sim = simulate(spec).render_canonical();
     assert_eq!(
-        sim,
+        simulate(spec).render_canonical(),
         simulate_reference(spec).render_canonical(),
         "simulate vs simulate_reference diverged on {}",
         spec.name
     );
-    assert_eq!(
-        sim,
-        simulate_unbatched(spec).render_canonical(),
-        "simulate vs simulate_unbatched diverged on {}",
-        spec.name
-    );
-    // Execution: scheduler × batching, both queue structures.
     for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
         let base = ExecutionConfig::reference().with_queue(queue);
-        let indexed = execute(spec, &base).render_canonical();
-        for config in [
-            base.with_scheduler(SchedulerKind::LinearScan),
-            base.with_batching(false),
-            base.with_scheduler(SchedulerKind::LinearScan)
-                .with_batching(false),
-        ] {
-            assert_eq!(
-                indexed,
-                execute(spec, &config).render_canonical(),
-                "execution modes diverged on {} ({queue:?})",
-                spec.name
-            );
-        }
+        let fast = execute(spec, &base).render_canonical();
+        assert_eq!(
+            fast,
+            execute(spec, &base.with_scheduler(SchedulerKind::LinearScan)).render_canonical(),
+            "execute vs the linear-scan reference diverged on {} ({queue:?})",
+            spec.name
+        );
+        assert_eq!(
+            fast,
+            execute_with_probe(spec, &base, NoopProbe).render_canonical(),
+            "execute vs the probe-threaded engine diverged on {} ({queue:?})",
+            spec.name
+        );
     }
 }
 
@@ -77,9 +70,9 @@ fn sporadic_server_traces_agree_across_every_engine_mode() {
     }
 }
 
-/// The batching × scheduler × queue matrix, extended across the scheduling
-/// policy and queue-service discipline dimensions: every combination must
-/// produce the same trace as its indexed/batched sibling.
+/// The engine-loop × queue matrix, extended across the scheduling policy
+/// and queue-service discipline dimensions: every loop must produce the
+/// same trace as its siblings.
 #[test]
 fn scheduling_and_discipline_matrix_agrees_across_engine_modes() {
     use rtsj_event_framework::model::{QueueDiscipline, SchedulingPolicy};
