@@ -1,267 +1,24 @@
-//! Compiled-vs-interpreted differential tests: the `rt-compile` specialized
-//! engines must produce byte-identical canonical traces to the interpreted
-//! oracles on every system shape — server policies × queue disciplines ×
-//! admission policies × scheduling policies, single- and multi-server,
-//! plus randomly generated systems — and the compiled execution path must
-//! agree with `rt_taskserver::execute` across scheduler/queue/batching
-//! configurations.
+//! Compiled-path differential test: a system that goes through the
+//! `rt-compile` front-end (`CompiledSystem::compile`, then the table-driven
+//! simulation driver and the reusable execution plan) must produce traces
+//! identical to each world's linear-scan reference oracle on the paper's
+//! generated systems.
 //!
-//! The interpreted engines are the semantic oracles (they stay untouched by
-//! the compilation pass); these tests pin the compiled fast paths — the
-//! monomorphized lane policies, the ready bitmap, the release-group wheel
-//! and the in-window re-pick — to their behaviour without relying on stored
-//! fixtures. The golden files additionally pin both to the recorded history.
+//! `tests/engine_differential.rs` checks the fast engines against the
+//! references when called directly on a spec; this file checks the same
+//! engines reached through a compiled system, whose spec has been validated
+//! once and had its arrival faults resolved.
 
-use rtsj_event_framework::compile::{execute_compiled, simulate_compiled, CompiledSystem};
-use rtsj_event_framework::model::{
-    AdmissionPolicy, Instant, Priority, QueueDiscipline, SchedulingPolicy, ServerPolicyKind,
-    ServerSpec, Span, SystemSpec,
-};
+use rtsj_event_framework::compile::CompiledSystem;
+use rtsj_event_framework::model::ServerPolicyKind;
+use rtsj_event_framework::observe::NoopProbe;
 use rtsj_event_framework::prelude::SchedulerKind;
-use rtsj_event_framework::simulator::{simulate, simulate_reference, simulate_unbatched};
+use rtsj_event_framework::simulator::{simulate, simulate_reference, simulate_with_probe};
 use rtsj_event_framework::sysgen::{GeneratorParams, RandomSystemGenerator};
-use rtsj_event_framework::taskserver::{execute, ExecutionConfig, QueueKind};
+use rtsj_event_framework::taskserver::{execute, ExecutionConfig};
 
 mod common;
 use common::invariants::assert_trace_invariants;
-
-/// Asserts the compiled simulation agrees byte-for-byte with every
-/// interpreted simulator mode.
-fn assert_compiled_simulation_agrees(spec: &SystemSpec) {
-    let compiled = simulate_compiled(spec);
-    let interpreted = simulate(spec);
-    assert_eq!(
-        compiled.render_canonical(),
-        interpreted.render_canonical(),
-        "compiled and interpreted simulations diverged on {}",
-        spec.name
-    );
-    assert_eq!(
-        compiled, interpreted,
-        "trace equality mismatch on {}",
-        spec.name
-    );
-    // The other interpreted modes agree with `simulate` (pinned elsewhere),
-    // but assert directly so a compiled divergence names the mode.
-    assert_eq!(
-        compiled,
-        simulate_reference(spec),
-        "compiled vs linear-scan mismatch on {}",
-        spec.name
-    );
-    assert_eq!(
-        compiled,
-        simulate_unbatched(spec),
-        "compiled vs unbatched mismatch on {}",
-        spec.name
-    );
-    assert_trace_invariants(spec, &compiled);
-}
-
-/// Asserts the compiled execution plan agrees byte-for-byte with the direct
-/// interpreted execution under one configuration.
-fn assert_compiled_execution_agrees(spec: &SystemSpec, config: ExecutionConfig) {
-    let compiled = execute_compiled(spec, &config);
-    let interpreted = execute(spec, &config);
-    assert_eq!(
-        compiled.render_canonical(),
-        interpreted.render_canonical(),
-        "compiled and interpreted executions diverged on {}",
-        spec.name
-    );
-    assert_eq!(compiled, interpreted);
-    assert_trace_invariants(spec, &compiled);
-}
-
-/// The Table 1 pair under a configurable server, discipline, admission and
-/// scheduling policy.
-fn system(
-    policy: ServerPolicyKind,
-    discipline: QueueDiscipline,
-    admission: AdmissionPolicy,
-    scheduling: SchedulingPolicy,
-    events: &[(u64, u64)],
-) -> SystemSpec {
-    let mut b = SystemSpec::builder(format!("compiled-{policy:?}-{discipline:?}-{admission:?}"));
-    let server = match policy {
-        ServerPolicyKind::Background => ServerSpec::background(Priority::new(1)),
-        _ => ServerSpec {
-            policy,
-            capacity: Span::from_units(3),
-            period: Span::from_units(6),
-            priority: Priority::new(30),
-            discipline,
-            admission,
-        },
-    };
-    b.server(server);
-    b.periodic(
-        "tau1",
-        Span::from_units(2),
-        Span::from_units(6),
-        Priority::new(20),
-    );
-    b.periodic(
-        "tau2",
-        Span::from_units(1),
-        Span::from_units(6),
-        Priority::new(10),
-    );
-    for &(release, cost) in events {
-        let id = b.aperiodic(Instant::from_units(release), Span::from_units(cost));
-        // Deadlines make the admission predictors and deadline-ordered
-        // service meaningful; values drive the density drop rule.
-        let event = b.last_aperiodic_mut().expect("event just added");
-        event.relative_deadline = Some(Span::from_units(6 + u64::from(id.raw()) % 5));
-        event.value = 1 + u64::from(id.raw()) * 3 % 7;
-    }
-    b.scheduling(scheduling);
-    b.horizon(Instant::from_units(60));
-    b.build().unwrap()
-}
-
-/// Paper scenarios plus a saturating burst.
-const SCENARIOS: [&[(u64, u64)]; 5] = [
-    &[(0, 2), (6, 2)],
-    &[(2, 2), (4, 2)],
-    &[(1, 2), (7, 2), (14, 2), (20, 1), (27, 2)],
-    &[],
-    &[
-        (0, 2),
-        (1, 2),
-        (2, 3),
-        (3, 1),
-        (5, 2),
-        (8, 3),
-        (9, 1),
-        (13, 2),
-        (14, 3),
-        (20, 2),
-        (21, 2),
-        (22, 2),
-    ],
-];
-
-#[test]
-fn compiled_simulation_matches_across_the_full_matrix() {
-    for policy in [
-        ServerPolicyKind::Polling,
-        ServerPolicyKind::Deferrable,
-        ServerPolicyKind::Sporadic,
-        ServerPolicyKind::Background,
-    ] {
-        for discipline in [QueueDiscipline::FifoSkip, QueueDiscipline::DeadlineOrdered] {
-            for admission in [
-                AdmissionPolicy::AcceptAll,
-                AdmissionPolicy::DeadlinePredictive,
-                AdmissionPolicy::ValueDensity,
-            ] {
-                for scheduling in [SchedulingPolicy::FixedPriority, SchedulingPolicy::Edf] {
-                    for events in SCENARIOS {
-                        let spec = system(policy, discipline, admission, scheduling, events);
-                        assert_compiled_simulation_agrees(&spec);
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn compiled_execution_matches_across_configurations() {
-    for policy in [
-        ServerPolicyKind::Polling,
-        ServerPolicyKind::Deferrable,
-        ServerPolicyKind::Background,
-    ] {
-        for events in SCENARIOS {
-            let spec = system(
-                policy,
-                QueueDiscipline::FifoSkip,
-                AdmissionPolicy::AcceptAll,
-                SchedulingPolicy::FixedPriority,
-                events,
-            );
-            for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-                for scheduler in [SchedulerKind::Indexed, SchedulerKind::LinearScan] {
-                    for batching in [true, false] {
-                        let config = ExecutionConfig::reference()
-                            .with_queue(queue)
-                            .with_scheduler(scheduler)
-                            .with_batching(batching);
-                        assert_compiled_execution_agrees(&spec, config);
-                    }
-                }
-            }
-            assert_compiled_execution_agrees(&spec, ExecutionConfig::ideal());
-        }
-    }
-}
-
-#[test]
-fn compiled_execution_plan_is_reusable() {
-    let spec = system(
-        ServerPolicyKind::Deferrable,
-        QueueDiscipline::FifoSkip,
-        AdmissionPolicy::AcceptAll,
-        SchedulingPolicy::FixedPriority,
-        SCENARIOS[2],
-    );
-    let compiled = CompiledSystem::compile(&spec).expect("valid spec");
-    let config = ExecutionConfig::reference();
-    let plan = compiled.execution_plan(&config);
-    let first = plan.run();
-    let second = plan.run();
-    assert_eq!(first, second, "plan reruns must be deterministic");
-    assert_eq!(first, execute(&spec, &config));
-}
-
-#[test]
-fn compiled_simulation_matches_on_multi_server_systems() {
-    // Mixed-policy lanes take the AnyLanePolicy fallback instantiation;
-    // same-priority lanes exercise the install-order tie-break.
-    for scheduling in [SchedulingPolicy::FixedPriority, SchedulingPolicy::Edf] {
-        let mut b = SystemSpec::builder("compiled-multi");
-        b.add_server(ServerSpec::polling(
-            Span::from_units(2),
-            Span::from_units(8),
-            Priority::new(40),
-        ));
-        b.add_server(ServerSpec::deferrable(
-            Span::from_units(2),
-            Span::from_units(10),
-            Priority::new(40),
-        ));
-        b.add_server(ServerSpec::sporadic(
-            Span::from_units(2),
-            Span::from_units(12),
-            Priority::new(35),
-        ));
-        b.periodic(
-            "tau1",
-            Span::from_units(2),
-            Span::from_units(7),
-            Priority::new(20),
-        );
-        b.periodic(
-            "tau2",
-            Span::from_units(3),
-            Span::from_units(13),
-            Priority::new(10),
-        );
-        for (i, &(release, cost)) in [(0u64, 2u64), (3, 1), (5, 2), (9, 2), (12, 1), (15, 2)]
-            .iter()
-            .enumerate()
-        {
-            b.aperiodic_for(i % 3, Instant::from_units(release), Span::from_units(cost));
-        }
-        b.scheduling(scheduling);
-        b.horizon(Instant::from_units(80));
-        let spec = b.build().unwrap();
-        assert_compiled_simulation_agrees(&spec);
-        assert_compiled_execution_agrees(&spec, ExecutionConfig::reference());
-    }
-}
 
 #[test]
 fn compiled_simulation_matches_on_generated_systems() {
@@ -272,54 +29,52 @@ fn compiled_simulation_matches_on_generated_systems() {
                     .expect("paper parameters are valid");
             for index in 0..4 {
                 let spec = generator.generate_one(index);
-                assert_compiled_simulation_agrees(&spec);
-                assert_compiled_execution_agrees(&spec, ExecutionConfig::reference());
+                let compiled = CompiledSystem::compile(&spec).expect("generated specs are valid");
+
+                let reference = simulate_reference(&spec);
+                let simulated = simulate(compiled.spec());
+                assert_eq!(
+                    simulated.render_canonical(),
+                    reference.render_canonical(),
+                    "compiled simulation and the linear-scan reference diverged on {}",
+                    spec.name
+                );
+                assert_eq!(
+                    simulated, reference,
+                    "trace equality mismatch on {}",
+                    spec.name
+                );
+                assert_eq!(
+                    simulated,
+                    simulate_with_probe(compiled.spec(), NoopProbe),
+                    "probe-threaded compiled simulation diverged on {}",
+                    spec.name
+                );
+                assert_trace_invariants(&spec, &simulated);
+
+                let config = ExecutionConfig::reference();
+                let reference = execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan));
+                let plan = compiled.execution_plan(&config);
+                let executed = plan.run();
+                assert_eq!(
+                    executed.render_canonical(),
+                    reference.render_canonical(),
+                    "compiled execution and the linear-scan reference diverged on {}",
+                    spec.name
+                );
+                assert_eq!(
+                    executed, reference,
+                    "trace equality mismatch on {}",
+                    spec.name
+                );
+                assert_eq!(
+                    executed,
+                    plan.run_with_probe(NoopProbe),
+                    "probe-threaded compiled execution diverged on {}",
+                    spec.name
+                );
+                assert_trace_invariants(&spec, &executed);
             }
         }
-    }
-}
-
-#[test]
-fn compiled_simulation_matches_without_servers_and_with_orphans() {
-    // No servers: arrivals become orphans, reported unserved at the horizon.
-    let mut b = SystemSpec::builder("compiled-orphans");
-    b.periodic(
-        "tau",
-        Span::from_units(2),
-        Span::from_units(5),
-        Priority::new(10),
-    );
-    b.aperiodic(Instant::from_units(3), Span::from_units(1));
-    b.horizon(Instant::from_units(20));
-    let spec = b.build().unwrap();
-    assert_compiled_simulation_agrees(&spec);
-}
-
-#[test]
-fn compiled_homogeneous_rate_groups_match() {
-    // Many tasks sharing (offset, period) collapse to one wheel group — the
-    // shape the 300-task benchmark point has; pin it at a testable size.
-    for scheduling in [SchedulingPolicy::FixedPriority, SchedulingPolicy::Edf] {
-        let mut b = SystemSpec::builder("compiled-groups");
-        b.server(ServerSpec::deferrable(
-            Span::from_units(1),
-            Span::from_units(10),
-            Priority::new(99),
-        ));
-        for i in 0..24u8 {
-            b.periodic(
-                format!("tau{i}"),
-                Span::from_ticks(300),
-                Span::from_units(10),
-                Priority::new(1 + (i % 9) * 10),
-            );
-        }
-        for i in 0..12u64 {
-            b.aperiodic(Instant::from_units(i * 8), Span::from_ticks(500));
-        }
-        b.scheduling(scheduling);
-        b.horizon(Instant::from_units(100));
-        let spec = b.build().unwrap();
-        assert_compiled_simulation_agrees(&spec);
     }
 }
