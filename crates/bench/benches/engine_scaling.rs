@@ -3,9 +3,9 @@
 //! Sweeps the system size (periodic task count and aperiodic timer count,
 //! 3 → 300) and the horizon (10³ → 10⁶ time units), comparing each world's
 //! fast engine — `simulate` (the specialized simulation driver) and
-//! `execute` (the ceiling-table fast path under fixed priorities) — against
-//! its linear-scan reference oracle (`simulate_reference` in `rtss-sim`,
-//! `SchedulerKind::LinearScan` in `rtsj-emu`).
+//! `execute` (the table-driven execution driver) — against its linear-scan
+//! reference oracle (`simulate_reference` in `rtss-sim`, `execute_reference`
+//! over `rtsj-emu`).
 //!
 //! Besides the criterion measurements, the run prints a per-decision cost
 //! and speedup summary; the 300-task row is the acceptance gate (≥5× vs the
@@ -27,8 +27,7 @@
 //!   admission workloads (`-- compiled` runs just this sweep); the summary
 //!   is persisted to `BENCH_engine_scaling.json` at the repository root on
 //!   every run, `reference` rows as the baseline; the `exec` rows drive a
-//!   prepared `ExecutionPlan`, whose `run` takes the ceiling-table fast
-//!   path;
+//!   prepared `ExecutionPlan`, whose `run` takes the execution driver;
 //! * **compile cost** — `CompiledSystem::compile` over a fixed 30-task
 //!   structure while the aperiodic event count sweeps 10²..10⁵
 //!   (`-- compile_cost` runs just this sweep); compilation is
@@ -46,7 +45,7 @@
 //!   (the default instantiation — must compile to probe-free machine code,
 //!   so the acceptance gate is ≤1.05× the probe-free per-decision cost)
 //!   against a recording `MetricsProbe`, on the simulation driver and the
-//!   probe-threaded execution engine (`-- observe` runs just this sweep);
+//!   execution driver (`-- observe` runs just this sweep);
 //!   persisted as the `observe` trajectory group with the noop run as
 //!   baseline, so its `speedup` column reads as the recording overhead
 //!   factor.
@@ -61,8 +60,7 @@ use rt_model::{
     Instant, ModeChange, Priority, SchedulingPolicy, ServerPolicyKind, ServerSpec, Span, SystemSpec,
 };
 use rt_observe::{MetricsProbe, NoopProbe};
-use rt_taskserver::{execute, execute_with_probe, ExecutionConfig};
-use rtsj_emu::SchedulerKind;
+use rt_taskserver::{execute, execute_reference, execute_with_probe, ExecutionConfig};
 use rtss_sim::{simulate, simulate_reference, simulate_with_probe};
 use std::hint::black_box;
 
@@ -265,8 +263,10 @@ fn bench(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("rtsj_linear_scan", n), &spec, |b, s| {
             b.iter(|| {
-                let config = ExecutionConfig::reference().with_scheduler(SchedulerKind::LinearScan);
-                black_box(execute(black_box(s), &config))
+                black_box(execute_reference(
+                    black_box(s),
+                    &ExecutionConfig::reference(),
+                ))
             })
         });
         group.bench_with_input(BenchmarkId::new("rtss_indexed", n), &spec, |b, s| {
@@ -277,7 +277,7 @@ fn bench(c: &mut Criterion) {
         });
     }
     // Horizon sweep at a fixed moderate size: decisions grow linearly with
-    // the horizon, per-decision cost must stay flat for the indexed engines.
+    // the horizon, per-decision cost must stay flat for the fast engines.
     for horizon in HORIZON_SWEEP {
         let spec = scaled_system(30, horizon);
         group.bench_with_input(
@@ -295,7 +295,7 @@ fn bench(c: &mut Criterion) {
 
     // EDF vs fixed priorities at the acceptance size (300 tasks): the EDF
     // ready-heap re-keying must stay within a small constant factor of the
-    // fixed-priority dispatch on both engines.
+    // fixed-priority dispatch in both drivers.
     let mut group = c.benchmark_group("edf_scaling");
     {
         let n = 300usize;
@@ -392,7 +392,6 @@ fn bench(c: &mut Criterion) {
     fn compile(spec: &SystemSpec) -> CompiledSystem<'_> {
         CompiledSystem::compile(spec).expect("bench systems are valid")
     }
-    let linear_scan = ExecutionConfig::reference().with_scheduler(SchedulerKind::LinearScan);
     let mut group = c.benchmark_group("interpreted-vs-compiled");
     for n in TASK_SWEEP {
         let spec = scaled_system(n, TASK_SWEEP_HORIZON);
@@ -407,11 +406,16 @@ fn bench(c: &mut Criterion) {
         let n = 300usize;
         let spec = scaled_system(n, TASK_SWEEP_HORIZON);
         group.bench_with_input(BenchmarkId::new("exec_reference", n), &spec, |b, s| {
-            b.iter(|| black_box(execute(black_box(s), &linear_scan)))
+            b.iter(|| {
+                black_box(execute_reference(
+                    black_box(s),
+                    &ExecutionConfig::reference(),
+                ))
+            })
         });
         // The fast row reuses a prepared plan: validation, policy
         // resolution, event planning and the substrate analysis are paid
-        // once, and every run drives the zero-allocation fast path.
+        // once, and every run drives the zero-allocation driver.
         let compiled = compile(&spec);
         let plan = compiled.execution_plan(&ExecutionConfig::reference());
         group.bench_with_input(BenchmarkId::new("exec_compiled", n), &plan, |b, p| {
@@ -454,9 +458,9 @@ fn bench(c: &mut Criterion) {
     // Probe overhead at the acceptance size: the NoopProbe rows must match
     // the probe-free loops (disabled observability is zero code — `simulate`
     // *is* the driver's NoopProbe monomorphization), and the MetricsProbe
-    // rows measure the cost of live counters + histograms. The execution
-    // pair runs the probe-threaded engine both times (`execute` itself
-    // takes the probe-free fast path). Run just this sweep with
+    // rows measure the cost of live counters + histograms, on the simulation
+    // and execution drivers alike (`execute` is the execution driver's
+    // NoopProbe monomorphization). Run just this sweep with
     // `cargo bench -p rt-bench --bench engine_scaling -- observe`.
     let mut group = c.benchmark_group("observe");
     {
@@ -542,10 +546,7 @@ fn bench(c: &mut Criterion) {
             black_box(execute(&spec, &ExecutionConfig::reference()));
         });
         let rtsj_scan = time_once(|| {
-            black_box(execute(
-                &spec,
-                &ExecutionConfig::reference().with_scheduler(SchedulerKind::LinearScan),
-            ));
+            black_box(execute_reference(&spec, &ExecutionConfig::reference()));
         });
         let rtss_indexed = time_once(|| {
             black_box(simulate(&spec));
@@ -770,7 +771,7 @@ fn bench(c: &mut Criterion) {
         let plan = compiled_sys.execution_plan(&ExecutionConfig::reference());
         let decisions = plan.run().segments.len();
         let reference = median(&|| {
-            black_box(execute(&spec, &linear_scan));
+            black_box(execute_reference(&spec, &ExecutionConfig::reference()));
         });
         let fast = median(&|| {
             black_box(plan.run());
@@ -881,10 +882,9 @@ fn bench(c: &mut Criterion) {
     }
 
     // Probe-overhead summary: per-decision cost with a recording
-    // MetricsProbe against the NoopProbe default (for the simulator the
+    // MetricsProbe against the NoopProbe default (for both drivers the
     // plain entry point — disabled observability compiles to probe-free
-    // machine code; for execution the probe-threaded engine, since
-    // `execute` itself takes the probe-free fast path). The persisted
+    // machine code). The persisted
     // `observe` group keeps the trajectory's speedup convention with the
     // noop run as baseline, so a value below 1 is the recording overhead.
     println!();

@@ -1,11 +1,10 @@
-//! Zero-allocations-per-decision regression test for the execution fast
-//! path, plus amortized-only allocation checks for every other decision
-//! loop (the simulation driver and its reference, the general execution
-//! engine, and the probe-enabled loops).
+//! Zero-allocations-per-decision regression test for the execution driver,
+//! plus amortized-only allocation checks for every other decision loop (the
+//! simulation driver and its reference, the execution driver under EDF and
+//! the linear-scan execution reference, and the probe-enabled loops).
 //!
 //! Strategy: run the same prepared [`ExecutionPlan`] — whose `run` takes the
-//! fast path under fixed priorities — over two horizons, H and 4·H, with an
-//! identical
+//! execution driver — over two horizons, H and 4·H, with an identical
 //! aperiodic workload entirely inside the first horizon. The 4·H run makes
 //! roughly four times as many scheduling decisions (periodic releases,
 //! server activations, dispatches), so if the decision loop allocated
@@ -36,10 +35,10 @@ use std::cell::Cell;
 /// guarantee was dropped. Keep the list sorted by path then name.
 const ZERO_ALLOC_COVERED_FNS: &[(&str, &str)] = &[
     ("crates/core/src/fastpath.rs", "pick"),
+    ("crates/core/src/fastpath.rs", "pick_edf"),
     ("crates/core/src/fastpath.rs", "run"),
     ("crates/metrics/src/hist.rs", "record"),
     ("crates/observe/src/lib.rs", "admission"),
-    ("crates/observe/src/lib.rs", "calendar_size"),
     ("crates/observe/src/lib.rs", "cap_exhausted"),
     ("crates/observe/src/lib.rs", "decision"),
     ("crates/observe/src/lib.rs", "dispatch"),
@@ -238,15 +237,21 @@ fn simulator_decision_loops_allocate_amortized_only() {
 #[test]
 fn emulation_engine_decision_loop_allocates_amortized_only() {
     let config = ExecutionConfig::reference();
-    assert_amortized_only("rtsj-emu fp", |spec| {
-        rt_taskserver::execute_with_probe(spec, &config, rt_observe::NoopProbe)
-    });
-    assert_amortized_only("rtsj-emu edf", |spec| {
-        rt_taskserver::execute(
-            &workload_with(spec.horizon.ticks() / 1000, SchedulingPolicy::Edf),
-            &config,
-        )
-    });
+    for (label, execute) in [
+        (
+            "execution driver",
+            rt_taskserver::execute as fn(&SystemSpec, &ExecutionConfig) -> Trace,
+        ),
+        ("rtsj-emu reference", rt_taskserver::execute_reference),
+    ] {
+        assert_amortized_only(&format!("{label} fp"), |spec| execute(spec, &config));
+        assert_amortized_only(&format!("{label} edf"), |spec| {
+            execute(
+                &workload_with(spec.horizon.ticks() / 1000, SchedulingPolicy::Edf),
+                &config,
+            )
+        });
+    }
 }
 
 /// The probe-*enabled* decision loops obey the same discipline: a recording
@@ -264,9 +269,17 @@ fn probe_enabled_decision_loops_allocate_amortized_only() {
         rtss_sim::simulate_with_probe(spec, &mut probe)
     });
     let config = ExecutionConfig::reference();
-    assert_amortized_only("rtsj-emu observed", |spec| {
+    assert_amortized_only("execution driver observed fp", |spec| {
         let mut probe = MetricsProbe::new();
         rt_taskserver::execute_with_probe(spec, &config, &mut probe)
+    });
+    assert_amortized_only("execution driver observed edf", |spec| {
+        let mut probe = MetricsProbe::new();
+        rt_taskserver::execute_with_probe(
+            &workload_with(spec.horizon.ticks() / 1000, SchedulingPolicy::Edf),
+            &config,
+            &mut probe,
+        )
     });
 }
 

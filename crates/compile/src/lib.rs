@@ -4,23 +4,22 @@
 //! (after RTFM: "let the hardware do the bulk of the scheduling"):
 //! `rtss_sim::simulate` freezes a spec into dispatch tables and runs a
 //! driver monomorphized per server-policy kind × scheduling policy, and
-//! `rt_taskserver::execute` drives the real server bodies through the
-//! SRP-ceiling-table fast path whenever the effective policy is
-//! fixed-priority. Each world keeps one deliberately simple reference
-//! oracle beside its fast engine (`rtss_sim::simulate_reference`, the
-//! linear-scan `rtsj_emu::SchedulerKind::LinearScan`).
+//! `rt_taskserver::execute` drives the real server bodies through a
+//! table-driven driver monomorphized per scheduling policy. Each world
+//! keeps one deliberately simple reference oracle beside its fast engine
+//! (`rtss_sim::simulate_reference`, `rt_taskserver::execute_reference`).
 //!
 //! What remains here is a thin front-end for callers that execute one spec
 //! repeatedly: [`CompiledSystem::compile`] validates the spec's structure
 //! and resolves its arrival faults once, borrowing the spec when it has
 //! none — O(tasks + servers), no per-event work or allocation — and
-//! [`CompiledSystem::execution_plan`] / [`CompiledSystem::execute`] skip
-//! the O(events) validation that `rt_taskserver::execute` repeats per call.
+//! [`CompiledSystem::execution_plan`] skips the O(events) validation that
+//! `rt_taskserver::execute` repeats per call.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rt_model::{ModelError, SystemSpec, Trace};
+use rt_model::{ModelError, SystemSpec};
 use rt_taskserver::{ExecutionConfig, ExecutionPlan};
 use std::borrow::Cow;
 
@@ -42,7 +41,8 @@ use std::borrow::Cow;
 ///
 /// let compiled = CompiledSystem::compile(&spec).unwrap();
 /// let config = ExecutionConfig::reference();
-/// assert_eq!(compiled.execute(&config), execute(&spec, &config));
+/// let plan = compiled.execution_plan(&config);
+/// assert_eq!(plan.run(), execute(&spec, &config));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompiledSystem<'a> {
@@ -85,17 +85,13 @@ impl<'a> CompiledSystem<'a> {
         &self.spec
     }
 
-    /// Prepares the execution plan (server shares, thread specs, servable
-    /// handlers, fire schedule and, under fixed priorities, the fast path's
-    /// substrate), reusable across [`ExecutionPlan::run`] calls. Validation
-    /// is not repeated — the compiled system already holds a validated spec.
+    /// Prepares the execution plan (servable handlers, fire schedule and
+    /// the driver's scheduling substrate), reusable across
+    /// [`ExecutionPlan::run`] calls, each producing a trace byte-identical
+    /// to `rt_taskserver::execute` for the same spec and configuration.
+    /// Validation is not repeated — the compiled system already holds a
+    /// validated spec.
     pub fn execution_plan(&self, config: &ExecutionConfig) -> ExecutionPlan<'_> {
         ExecutionPlan::prepare_prevalidated(&self.spec, config)
-    }
-
-    /// Executes the compiled system, producing a trace byte-identical to
-    /// `rt_taskserver::execute` for the same spec and configuration.
-    pub fn execute(&self, config: &ExecutionConfig) -> Trace {
-        self.execution_plan(config).run()
     }
 }

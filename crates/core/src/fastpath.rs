@@ -1,8 +1,8 @@
-//! The execution fast path: a specialized dispatch loop that drives the
-//! *real* task-server bodies over precomputed SRP-style tables instead of
-//! the general engine's calendar and ready heaps. [`ExecutionPlan::run`]
-//! takes it for every fixed-priority plan on the indexed scheduler, so it is
-//! what [`crate::execute`] runs in that case.
+//! The execution driver: a specialized dispatch loop that drives the *real*
+//! task-server bodies over precomputed SRP-style tables. [`ExecutionPlan::run`]
+//! and [`crate::execute_with_probe`] run it under both scheduling policies,
+//! so it is what [`crate::execute`] runs; the linear-scan `rtsj-emu` engine
+//! behind [`crate::execute_reference`] is the only other execution loop.
 //!
 //! ## What is precomputed (the substrate)
 //!
@@ -11,9 +11,9 @@
 //! plan, from the spec:
 //!
 //! * a **static dispatch order** — every schedulable ranked by
-//!   (priority desc, spawn index asc), the exact tie-break of the engine's
-//!   fixed-priority ready heap, so dispatching is a find-first-set scan over
-//!   a rank bitmap instead of a heap;
+//!   (priority desc, spawn index asc), the exact fixed-priority tie-break of
+//!   the reference engine, so dispatching is a find-first-set scan over a
+//!   rank bitmap instead of a heap;
 //! * a **release wheel** — periodic schedulables grouped by (first release,
 //!   period) with a per-group *preemption ceiling* (the best rank in the
 //!   group), so a release drain costs O(groups) when nothing is due and the
@@ -22,30 +22,61 @@
 //! * a **segment reservation hint**, so the trace records into preallocated
 //!   storage.
 //!
+//! ## Scheduling policies
+//!
+//! The driver is monomorphized on the policy (`const EDF`), like `rtss-sim`'s
+//! simulation driver. The fixed-priority instantiation dispatches through
+//! the rank bitmap with the ceiling-gated fast resume and fuses a pump with
+//! the compute slice that follows it. The EDF instantiation keeps the same
+//! bitmap as its runnable set and dispatches from a `(deadline, thread id)`
+//! min-heap whose stale entries (threads that blocked or were re-keyed) are
+//! dropped lazily at the peek — the spawn-order tie-break is the same under
+//! both policies. Deadlines follow the reference engine's rules: install-time
+//! initial deadlines (period-derived for periodic schedulables and the DS/SS
+//! servers, [`Instant::MAX`] — background rank — for the BG server), the
+//! release instant plus the relative deadline at every periodic release, and
+//! whatever the bodies publish through [`BodyCtx::set_deadline`].
+//!
 //! ## What stays real
 //!
 //! The server bodies are the very same [`PollingServerBody`],
 //! [`EventDrivenServerBody`] and [`SporadicServerBody`] state machines the
-//! general engine runs, pumped through the public [`BodyCtx`] protocol
+//! reference engine runs, pumped through the public [`BodyCtx`] protocol
 //! with the engine's exact ordering (deadline, action, fires, timers). The
-//! fast path only replaces the *scheduling substrate* around them — calendar,
-//! ready queue, timer multiplexing — with table-driven equivalents, which is
-//! why its traces are byte-identical to the general engine's; the goldens,
-//! `tests/engine_differential.rs` and the fuzzer pin it against both the
-//! probe-threaded engine and the linear-scan reference.
+//! driver only replaces the *scheduling substrate* around them — timer
+//! scans, thread rescans, boxed fire hooks — with table-driven equivalents,
+//! which is why its traces are byte-identical to the reference's; the
+//! goldens, `tests/engine_differential.rs` and the fuzzer pin it.
+//!
+//! ## Probes
+//!
+//! Every hook is gated on [`Probe::ENABLED`], so the
+//! [`rt_observe::NoopProbe`] instantiation behind [`ExecutionPlan::run`]
+//! compiles to the probe-free loop. A recording instantiation reports the decision stream the
+//! event-calendar engine this driver replaced reported; three shortcuts
+//! that are invisible in the trace but not in that stream are switched off
+//! (or accounted for) when `P::ENABLED`:
+//!
+//! * periodic workers are not pre-pumped through their period start at a
+//!   release, so the pump shows up as its own decision;
+//! * the fused pump → slice dispatch reports the decision it skips;
+//! * the next due instant only counts wheel grid points at which some
+//!   member is blocked, so spurious grid points do not split idle and
+//!   compute slices.
+//!
+//! `tests/probe_transparency.rs` pins the recorded counters.
 //!
 //! ## Complexity per decision
 //!
 //! With `t` threads, `g` wheel groups and `s` servers: a drain is O(g + s)
 //! when nothing is due (one compare per group/static timer, one cursor peek
-//! for the arrival stream); a dispatch is O(1) when the ceiling check proves
-//! the running thread keeps the processor, O(t/64) for the bitmap scan
-//! otherwise; per-release work is O(1) amortized and allocation-free (the
-//! handler templates are `Copy`, the scratch buffers are reused).
-//!
-//! The loop carries no probe and no EDF dispatcher: EDF plans and observed
-//! runs ([`ExecutionPlan::run_with_probe`]) use the general engine, whose
-//! ready heap is the honest way to track dynamic deadlines.
+//! for the arrival stream); a fixed-priority dispatch is O(1) when the
+//! ceiling check proves the running thread keeps the processor, O(t/64) for
+//! the bitmap scan otherwise; an EDF dispatch is an amortized O(log t) heap
+//! peek. Per-release work is O(1) amortized and allocation-free (the
+//! handler templates are `Copy`, the scratch buffers and heaps are reused).
+//! A recording run additionally pays O(t) per drain for the exact wheel
+//! instant.
 
 use crate::deferrable::EventDrivenServerBody;
 use crate::handler::QueuedRelease;
@@ -54,9 +85,9 @@ use crate::sporadic::SporadicServerBody;
 use crate::state::{ServerShared, SharedServer};
 use crate::system::{finalise_trace, ExecutionPlan, PlannedEvent};
 use rt_model::{
-    AperiodicOutcome, ExecUnit, Instant, Priority, SchedulingPolicy, ServerPolicyKind, Span,
-    SystemSpec, Trace,
+    AperiodicOutcome, ExecUnit, Instant, Priority, ServerPolicyKind, Span, SystemSpec, Trace,
 };
+use rt_observe::Probe;
 use rtsj_emu::{
     Action, BodyCtx, Completion, EventHandle, PeriodicThreadBody, TaskServerParameters, ThreadBody,
 };
@@ -193,34 +224,39 @@ fn rank_tables(priorities: &[Priority]) -> (Vec<u32>, Vec<u32>) {
     (rank_of, order)
 }
 
-impl ExecutionPlan<'_> {
-    /// Runs the plan through the fast path described in the module docs,
-    /// producing a trace byte-identical to the general engine's. The plan
-    /// only carries a substrate when its effective policy is fixed-priority
-    /// (the static ranks cannot represent dynamic deadlines).
-    pub(crate) fn run_with_substrate(&self, substrate: &SubstratePlan) -> Trace {
-        debug_assert_eq!(
-            self.config.scheduling.unwrap_or(self.spec.scheduling),
-            SchedulingPolicy::FixedPriority
-        );
-        let mut driver = FastDriver::new(self, substrate);
-        driver.run();
-        let FastDriver {
-            mut trace, shareds, ..
-        } = driver;
-        let collected: Option<Vec<AperiodicOutcome>> = (!shareds.is_empty()).then(|| {
-            shareds
-                .iter()
-                .flat_map(|shared| shared.borrow_mut().finalise())
-                .collect()
-        });
-        finalise_trace(&self.spec, shareds.len(), collected, &mut trace);
-        trace
+/// Runs a plan through the driver instantiation of its policy: attaches the
+/// probe, drives the bodies to the horizon, hands each lane's
+/// admission/enforcement tally to [`Probe::lane_totals`] and finalises the
+/// trace.
+pub(crate) fn run<P: Probe, const EDF: bool>(plan: &ExecutionPlan<'_>, mut probe: P) -> Trace {
+    if P::ENABLED {
+        probe.attach(plan.spec.servers.len());
     }
+    let mut driver = FastDriver::<P, EDF>::new(plan, probe);
+    driver.run();
+    let FastDriver {
+        mut trace,
+        shareds,
+        mut probe,
+        ..
+    } = driver;
+    if P::ENABLED {
+        for (lane, shared) in shareds.iter().enumerate() {
+            probe.lane_totals(lane, &shared.borrow().totals);
+        }
+    }
+    let collected: Option<Vec<AperiodicOutcome>> = (!shareds.is_empty()).then(|| {
+        shareds
+            .iter()
+            .flat_map(|shared| shared.borrow_mut().finalise())
+            .collect()
+    });
+    finalise_trace(&plan.spec, shareds.len(), collected, &mut trace);
+    trace
 }
 
-/// Mirror of the engine's thread status (without the EDF deadline key, which
-/// fixed-priority dispatch ignores).
+/// Mirror of the reference engine's thread status (the EDF deadline key
+/// lives in [`ThreadSlot::deadline`]).
 #[derive(Debug, Clone, Copy)]
 enum Status {
     Ready(Completion),
@@ -274,7 +310,9 @@ fn start_compute(amount: Span, unit: ExecUnit) -> Status {
 /// real [`PeriodicThreadBody`] yields its `Compute` action (it never touches
 /// the ctx — no fires, timers or deadlines), and the thread transitions
 /// straight into the computing state without a separate dispatch round. The
-/// pump it elides is trace-silent, so traces are unaffected.
+/// pump it elides is trace-silent, so traces are unaffected; a recording
+/// run keeps the pump (see the module docs), so `P::ENABLED` callers skip
+/// this.
 #[inline]
 fn start_period(body: &mut PeriodicThreadBody, now: Instant) -> Status {
     let mut ctx = BodyCtx::new(now);
@@ -292,12 +330,39 @@ fn start_period(body: &mut PeriodicThreadBody, now: Instant) -> Status {
 struct Periodic {
     next: Instant,
     period: Span,
+    /// Relative deadline of each job: under EDF a release re-keys the
+    /// thread to `release + relative_deadline`.
+    relative_deadline: Span,
+}
+
+impl Periodic {
+    /// The periodic parameters of a schedulable whose first release is
+    /// `first`.
+    fn new(first: Instant, period: Span, relative_deadline: Span) -> Self {
+        Periodic {
+            next: first,
+            period,
+            relative_deadline,
+        }
+    }
+
+    /// Consumes the due release at `next`: advances to the following one
+    /// and returns the released job's absolute deadline.
+    #[inline]
+    fn release(&mut self) -> Instant {
+        let deadline = self.next + self.relative_deadline;
+        self.next += self.period;
+        deadline
+    }
 }
 
 struct ThreadSlot {
     body: Body,
     periodic: Option<Periodic>,
     status: Status,
+    /// Absolute deadline of the current job, the EDF dispatch key
+    /// ([`Instant::MAX`] ranks last); unused under fixed priorities.
+    deadline: Instant,
 }
 
 /// Static hook table: what firing an event does, as data instead of boxed
@@ -347,11 +412,11 @@ struct WheelGroup<'s> {
     ceiling: u32,
 }
 
-struct FastDriver<'p, 's> {
+struct FastDriver<'p, P: Probe, const EDF: bool> {
     // --- immutable tables ---
     plan_events: &'p [PlannedEvent],
-    rank_of: &'s [u32],
-    order: &'s [u32],
+    rank_of: &'p [u32],
+    order: &'p [u32],
     horizon: Instant,
     timer_fire: Span,
     /// Engine event index of each planned servable event.
@@ -367,19 +432,26 @@ struct FastDriver<'p, 's> {
     shareds: Vec<SharedServer>,
     events: Vec<EventSlot>,
     static_timers: Vec<StaticTimer>,
-    groups: Vec<WheelGroup<'s>>,
+    groups: Vec<WheelGroup<'p>>,
     sae_cursor: usize,
     /// Runtime-armed one-shots (SS chunk replenishments): (fire instant,
     /// conceptual timer index, event index).
     dynamic: BinaryHeap<Reverse<(Instant, usize, usize)>>,
     next_timer_idx: usize,
     until_wakes: Vec<(Instant, usize)>,
-    /// Ready/Computing bitmap indexed by dispatch rank.
+    /// Ready/Computing bitmap indexed by dispatch rank (the runnable set
+    /// under both policies).
     runnable: Vec<u64>,
     /// Best (smallest) rank made runnable since the last dispatch decision;
     /// the ceiling-gated preemption test compares it to the running rank.
+    /// Fixed priorities only.
     woken_min_rank: u32,
     running: Option<(usize, u32)>,
+    /// EDF ready heap, `(deadline, thread id)` min-first. An entry is live
+    /// while its thread is runnable *and* still keyed by that deadline;
+    /// stale entries are dropped lazily by [`Self::pick_edf`]. Empty under
+    /// fixed priorities.
+    ready_edf: BinaryHeap<Reverse<(Instant, usize)>>,
     pending_overhead: Span,
     /// Earliest instant at which anything can become due (timer, wheel grid
     /// point, planned release, timed wake). Maintained exactly: recomputed by
@@ -389,15 +461,22 @@ struct FastDriver<'p, 's> {
     next_due: Instant,
     zero_steps: u32,
     trace: Trace,
+    /// The observation hooks; every call site is gated on `P::ENABLED`.
+    probe: P,
+    /// The unit whose last compute slice ended with work remaining — the
+    /// candidate for a preemption report when the next dispatch picks
+    /// someone else. Only maintained when `P::ENABLED`.
+    incomplete: Option<ExecUnit>,
     // --- reused scratch ---
     due_scratch: Vec<(usize, Instant, usize)>,
     fire_queue: VecDeque<usize>,
 }
 
-impl<'p, 's> FastDriver<'p, 's> {
-    fn new(plan: &'p ExecutionPlan<'_>, substrate: &'s SubstratePlan) -> Self {
+impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
+    fn new(plan: &'p ExecutionPlan<'_>, probe: P) -> Self {
         let spec: &SystemSpec = &plan.spec;
         let config = &plan.config;
+        let substrate = &plan.substrate;
         let thread_count = spec.servers.len() + spec.periodic_tasks.len();
         debug_assert_eq!(
             substrate.rank_of.len(),
@@ -422,8 +501,9 @@ impl<'p, 's> FastDriver<'p, 's> {
         };
 
         // Install the servers exactly like `AnyTaskServer::install_with_faults`
-        // does on the engine: same shared-state construction, same event and
-        // timer creation order, same bodies.
+        // does on the reference engine: same shared-state construction, same
+        // event and timer creation order, same bodies, same initial EDF
+        // deadlines.
         for (lane, server) in spec.servers.iter().enumerate() {
             let (params, shared) = match server.policy {
                 ServerPolicyKind::Background => {
@@ -460,13 +540,16 @@ impl<'p, 's> FastDriver<'p, 's> {
                     )
                 }
             };
+            // The BG lane never publishes a deadline (background rank); the
+            // others start keyed by their first replenishment instant.
+            let deadline = match server.policy {
+                ServerPolicyKind::Background => Instant::MAX,
+                _ => Instant::ZERO + params.period,
+            };
             let (body, periodic, wakeup) = match server.policy {
                 ServerPolicyKind::Polling => (
                     Body::Server(Box::new(PollingServerBody::new(shared.clone()))),
-                    Some(Periodic {
-                        next: Instant::ZERO,
-                        period: params.period,
-                    }),
+                    Some(Periodic::new(Instant::ZERO, params.period, params.period)),
                     None,
                 ),
                 ServerPolicyKind::Deferrable => {
@@ -524,20 +607,20 @@ impl<'p, 's> FastDriver<'p, 's> {
                 body,
                 periodic,
                 status: Status::Ready(Completion::Started),
+                deadline,
             });
             shareds.push(shared);
             lane_wakeup.push(wakeup);
         }
 
-        // The periodic tasks, same spawn order as `ExecutionPlan::run`.
+        // The periodic tasks, spawned after the servers.
         for task in &spec.periodic_tasks {
+            let first = Instant::ZERO + task.offset;
             threads.push(ThreadSlot {
                 body: Body::Task(PeriodicThreadBody::new(task.cost, ExecUnit::Task(task.id))),
-                periodic: Some(Periodic {
-                    next: Instant::ZERO + task.offset,
-                    period: task.period,
-                }),
+                periodic: Some(Periodic::new(first, task.period, task.deadline)),
                 status: Status::Ready(Completion::Started),
+                deadline: first + task.deadline,
             });
         }
 
@@ -597,10 +680,13 @@ impl<'p, 's> FastDriver<'p, 's> {
             runnable: vec![0u64; word_count],
             woken_min_rank: u32::MAX,
             running: None,
+            ready_edf: BinaryHeap::new(),
             pending_overhead: Span::ZERO,
             next_due: Instant::ZERO,
             zero_steps: 0,
             trace,
+            probe,
+            incomplete: None,
             due_scratch: Vec::new(),
             fire_queue: VecDeque::new(),
         };
@@ -611,16 +697,43 @@ impl<'p, 's> FastDriver<'p, 's> {
     }
 
     #[inline]
+    fn is_runnable(&self, tid: usize) -> bool {
+        let rank = self.rank_of[tid];
+        self.runnable[(rank / 64) as usize] & (1u64 << (rank % 64)) != 0
+    }
+
+    #[inline]
     fn mark_runnable(&mut self, tid: usize) {
         let rank = self.rank_of[tid];
-        self.runnable[(rank / 64) as usize] |= 1u64 << (rank % 64);
-        self.woken_min_rank = self.woken_min_rank.min(rank);
+        if EDF {
+            if !self.is_runnable(tid) {
+                self.runnable[(rank / 64) as usize] |= 1u64 << (rank % 64);
+                self.ready_edf
+                    .push(Reverse((self.threads[tid].deadline, tid)));
+            }
+        } else {
+            self.runnable[(rank / 64) as usize] |= 1u64 << (rank % 64);
+            self.woken_min_rank = self.woken_min_rank.min(rank);
+        }
     }
 
     #[inline]
     fn unmark_runnable(&mut self, tid: usize) {
         let rank = self.rank_of[tid];
         self.runnable[(rank / 64) as usize] &= !(1u64 << (rank % 64));
+    }
+
+    /// Re-keys a thread's EDF deadline. A runnable thread gets a fresh heap
+    /// entry (the old one turns stale); a no-op under fixed priorities.
+    #[inline]
+    fn set_deadline(&mut self, tid: usize, deadline: Instant) {
+        if !EDF || self.threads[tid].deadline == deadline {
+            return;
+        }
+        self.threads[tid].deadline = deadline;
+        if self.is_runnable(tid) {
+            self.ready_edf.push(Reverse((deadline, tid)));
+        }
     }
 
     /// Highest-priority runnable thread: the first set bit of the rank
@@ -635,12 +748,15 @@ impl<'p, 's> FastDriver<'p, 's> {
         None
     }
 
-    /// Dispatch decision with the ceiling-gated fast resume: while the
-    /// previously dispatched thread is still mid-computation and everything
-    /// woken since the last decision ranks below it, it keeps the processor
-    /// without a scan.
+    /// Dispatch decision. Fixed priorities: the ceiling-gated fast resume —
+    /// while the previously dispatched thread is still mid-computation and
+    /// everything woken since the last decision ranks below it, it keeps the
+    /// processor without a scan. EDF: [`Self::pick_edf`].
     // rt-lint: zero-alloc
     fn pick(&mut self) -> Option<usize> {
+        if EDF {
+            return self.pick_edf();
+        }
         if let Some((tid, rank)) = self.running {
             if self.woken_min_rank > rank
                 && matches!(self.threads[tid].status, Status::Computing { .. })
@@ -653,6 +769,20 @@ impl<'p, 's> FastDriver<'p, 's> {
         let tid = self.pick_scan()?;
         self.running = Some((tid, self.rank_of[tid]));
         Some(tid)
+    }
+
+    /// Earliest-deadline runnable thread, ties to the earlier spawn: an
+    /// amortized O(1) peek of the ready heap, dropping stale entries
+    /// (threads no longer runnable or since re-keyed).
+    // rt-lint: zero-alloc
+    fn pick_edf(&mut self) -> Option<usize> {
+        while let Some(&Reverse((deadline, tid))) = self.ready_edf.peek() {
+            if self.is_runnable(tid) && self.threads[tid].deadline == deadline {
+                return Some(tid);
+            }
+            self.ready_edf.pop();
+        }
+        None
     }
 
     fn note_progress(&mut self, advanced: Span) {
@@ -671,7 +801,7 @@ impl<'p, 's> FastDriver<'p, 's> {
 
     /// Everything due at or before `now`: timed wakes and wheel releases
     /// first, then the timer fires replayed in (timer creation order,
-    /// occurrence instant) order — the engine's exact drain semantics.
+    /// occurrence instant) order — the reference engine's exact semantics.
     fn drain(&mut self) {
         if !self.until_wakes.is_empty() {
             let mut i = 0;
@@ -697,19 +827,29 @@ impl<'p, 's> FastDriver<'p, 's> {
                 for mi in 0..self.groups[gi].members.len() {
                     let tid = self.groups[gi].members[mi] as usize;
                     let slot = &mut self.threads[tid];
-                    if matches!(slot.status, Status::BlockedForPeriod) {
-                        // rt-lint: allow(panic, reason = "only periodic schedulables are enrolled in the timer wheel groups")
-                        let periodic = slot.periodic.as_mut().expect("wheel members are periodic");
-                        if periodic.next <= self.now {
-                            periodic.next += periodic.period;
-                            slot.status = match &mut slot.body {
-                                Body::Task(body) => start_period(body, self.now),
-                                Body::Server(_) => Status::Ready(Completion::PeriodStarted),
-                            };
-                            let rank = self.rank_of[tid];
-                            self.runnable[(rank / 64) as usize] |= 1u64 << (rank % 64);
-                            released_any = true;
-                        }
+                    if !matches!(slot.status, Status::BlockedForPeriod) {
+                        continue;
+                    }
+                    // rt-lint: allow(panic, reason = "only periodic schedulables are enrolled in the timer wheel groups")
+                    let periodic = slot.periodic.as_mut().expect("wheel members are periodic");
+                    if periodic.next > self.now {
+                        continue;
+                    }
+                    let deadline = periodic.release();
+                    slot.status = match &mut slot.body {
+                        Body::Task(body) if !P::ENABLED => start_period(body, self.now),
+                        _ => Status::Ready(Completion::PeriodStarted),
+                    };
+                    if EDF {
+                        self.set_deadline(tid, deadline);
+                        self.mark_runnable(tid);
+                    } else {
+                        let rank = self.rank_of[tid];
+                        self.runnable[(rank / 64) as usize] |= 1u64 << (rank % 64);
+                        released_any = true;
+                    }
+                    if P::ENABLED {
+                        self.probe.release(self.now);
                     }
                 }
                 if released_any {
@@ -774,7 +914,9 @@ impl<'p, 's> FastDriver<'p, 's> {
     }
 
     /// Recomputes the earliest-due instant over every timed source (the
-    /// cache invariant of [`Self::next_due`]).
+    /// cache invariant of [`Self::next_due`]). A wheel group counts with its
+    /// next grid point; a recording run counts only the releases of blocked
+    /// members (see the module docs).
     fn earliest_due(&self) -> Instant {
         let mut next = Instant::MAX;
         for timer in &self.static_timers {
@@ -789,7 +931,16 @@ impl<'p, 's> FastDriver<'p, 's> {
             next = next.min(at);
         }
         for group in &self.groups {
-            next = next.min(group.next);
+            if !P::ENABLED {
+                next = next.min(group.next);
+                continue;
+            }
+            for &tid in group.members {
+                let slot = &self.threads[tid as usize];
+                if let (Status::BlockedForPeriod, Some(periodic)) = (slot.status, slot.periodic) {
+                    next = next.min(periodic.next);
+                }
+            }
         }
         for &(at, _) in &self.until_wakes {
             next = next.min(at);
@@ -798,10 +949,13 @@ impl<'p, 's> FastDriver<'p, 's> {
     }
 
     /// Fires an event now: run its (static) hook, cascade, then wake or
-    /// credit — the engine's `fire_event_now` over the hook table.
+    /// credit — the reference engine's `fire_event_now` over the hook table.
     fn fire_event(&mut self, event: usize) {
         self.fire_queue.push_back(event);
         while let Some(event) = self.fire_queue.pop_front() {
+            if P::ENABLED {
+                self.probe.fire(self.now);
+            }
             match self.events[event].kind {
                 EventKind::Plain => {}
                 EventKind::SwapReplenish { lane, wakeup }
@@ -862,40 +1016,54 @@ impl<'p, 's> FastDriver<'p, 's> {
             unreachable!("pump_task requires a periodic worker")
         };
         let mut ctx = BodyCtx::new(now);
-        let mut blocked = false;
-        match body.next_action(&mut ctx, completion) {
-            Action::Compute { amount, unit } => {
-                slot.status = start_compute(amount, unit);
-            }
-            Action::WaitForNextPeriod => {
-                let periodic = slot
-                    .periodic
-                    .as_mut()
-                    // rt-lint: allow(panic, reason = "WaitForNextPeriod is emitted only by periodic workers, which carry period parameters")
-                    .expect("periodic workers have a period");
-                if periodic.next <= now {
-                    // Released in place; the wheel's grid point for this
-                    // release (if still ahead) drains as a no-op.
-                    periodic.next += periodic.period;
-                    slot.status = start_period(body, now);
-                } else {
-                    slot.status = Status::BlockedForPeriod;
-                    blocked = true;
-                }
-            }
-            _ => unreachable!("periodic workers only compute or wait for their period"),
-        }
+        let action = body.next_action(&mut ctx, completion);
         debug_assert!(ctx.take_fire_requests().is_empty());
         debug_assert!(ctx.take_timer_requests().is_empty());
         debug_assert!(ctx.take_deadline_request().is_none());
-        if blocked {
+        match action {
+            Action::Compute { amount, unit } => {
+                slot.status = start_compute(amount, unit);
+            }
+            Action::WaitForNextPeriod => self.wait_for_next_period(tid),
+            _ => unreachable!("periodic workers only compute or wait for their period"),
+        }
+    }
+
+    /// Applies [`Action::WaitForNextPeriod`]: a release already due is taken
+    /// in place (the thread stays runnable, re-keyed to the fresh job's
+    /// deadline; the wheel's grid point for it, if still ahead, drains as a
+    /// no-op), otherwise the thread blocks until the wheel releases it.
+    fn wait_for_next_period(&mut self, tid: usize) {
+        let now = self.now;
+        let slot = &mut self.threads[tid];
+        let periodic = slot
+            .periodic
+            .as_mut()
+            // rt-lint: allow(panic, reason = "WaitForNextPeriod is emitted only by periodic schedulables, which carry period parameters")
+            .expect("WaitForNextPeriod requires a periodic schedulable");
+        if periodic.next > now {
+            let next = periodic.next;
+            slot.status = Status::BlockedForPeriod;
             self.unmark_runnable(tid);
+            if P::ENABLED {
+                self.next_due = self.next_due.min(next);
+            }
+            return;
+        }
+        let deadline = periodic.release();
+        slot.status = match &mut slot.body {
+            Body::Task(body) if !P::ENABLED => start_period(body, now),
+            _ => Status::Ready(Completion::PeriodStarted),
+        };
+        self.set_deadline(tid, deadline);
+        if P::ENABLED {
+            self.probe.release(now);
         }
     }
 
     /// Pumps a Ready thread's body once, applying its action and requests
-    /// with the engine's ordering: deadline (ignored under fixed priorities),
-    /// action, fires, timers.
+    /// with the reference engine's ordering: deadline (ignored under fixed
+    /// priorities), action, fires, timers.
     fn pump(&mut self, tid: usize) {
         let completion = match self.threads[tid].status {
             Status::Ready(completion) => completion,
@@ -908,8 +1076,11 @@ impl<'p, 's> FastDriver<'p, 's> {
         let action = self.threads[tid].body.next_action(&mut ctx, completion);
         let fires = ctx.take_fire_requests();
         let timers = ctx.take_timer_requests();
-        // Fixed-priority dispatch ignores published deadlines.
-        let _ = ctx.take_deadline_request();
+        // Published first, so a release the action takes in place re-keys
+        // over it; fixed-priority dispatch ignores deadlines.
+        if let Some(deadline) = ctx.take_deadline_request() {
+            self.set_deadline(tid, deadline);
+        }
 
         match action {
             Action::Compute { amount, unit } => {
@@ -948,22 +1119,7 @@ impl<'p, 's> FastDriver<'p, 's> {
                     }
                 };
             }
-            Action::WaitForNextPeriod => {
-                let periodic = self.threads[tid]
-                    .periodic
-                    .as_mut()
-                    // rt-lint: allow(panic, reason = "WaitForNextPeriod is emitted only by periodic workers, which carry period parameters")
-                    .expect("WaitForNextPeriod requires a periodic schedulable");
-                if periodic.next <= self.now {
-                    // Released in place; the wheel's grid point for this
-                    // release (if still ahead) drains as a no-op.
-                    periodic.next += periodic.period;
-                    self.threads[tid].status = Status::Ready(Completion::PeriodStarted);
-                } else {
-                    self.threads[tid].status = Status::BlockedForPeriod;
-                    self.unmark_runnable(tid);
-                }
-            }
+            Action::WaitForNextPeriod => self.wait_for_next_period(tid),
             Action::WaitUntil(at) => {
                 if at <= self.now {
                     self.threads[tid].status = Status::Ready(Completion::TimeReached);
@@ -1016,7 +1172,7 @@ impl<'p, 's> FastDriver<'p, 's> {
     /// ahead. Spurious wheel points (a grid instant none of the group's
     /// members is blocked on) merely split a compute or idle span;
     /// `Trace::push_segment` merges the pieces back, so traces are
-    /// unaffected.
+    /// unaffected (a recording run never stops at them).
     #[inline]
     fn next_preemption_time(&self) -> Instant {
         self.next_due
@@ -1024,7 +1180,7 @@ impl<'p, 's> FastDriver<'p, 's> {
             .max(self.now + Span::from_ticks(1))
     }
 
-    /// The engine run loop over the substrate tables.
+    /// The decision loop over the substrate tables.
     // rt-lint: zero-alloc
     fn run(&mut self) {
         while self.now < self.horizon {
@@ -1034,6 +1190,10 @@ impl<'p, 's> FastDriver<'p, 's> {
 
             if !self.pending_overhead.is_zero() {
                 let slice = self.pending_overhead.min(self.horizon.since(self.now));
+                if P::ENABLED {
+                    self.probe
+                        .slice(ExecUnit::TimerOverhead, self.now, self.now + slice);
+                }
                 self.trace
                     .push_segment(ExecUnit::TimerOverhead, self.now, self.now + slice);
                 self.now += slice;
@@ -1042,9 +1202,15 @@ impl<'p, 's> FastDriver<'p, 's> {
                 continue;
             }
 
+            if P::ENABLED {
+                self.probe.decision(self.now);
+            }
             let Some(tid) = self.pick() else {
                 let next = self.next_preemption_time();
                 debug_assert!(next > self.now);
+                if P::ENABLED {
+                    self.probe.slice(ExecUnit::Idle, self.now, next);
+                }
                 self.trace.push_segment(ExecUnit::Idle, self.now, next);
                 self.now = next;
                 self.zero_steps = 0;
@@ -1054,16 +1220,22 @@ impl<'p, 's> FastDriver<'p, 's> {
             if matches!(self.threads[tid].status, Status::Ready(_)) {
                 self.pump(tid);
                 self.note_progress(Span::ZERO);
-                // Fused dispatch: when the pump left this thread computing,
-                // woke nothing that outranks it and charged no overhead, the
-                // next decision would re-pick it — slice immediately.
-                if !self.pending_overhead.is_zero()
+                // Fused dispatch (fixed priorities): when the pump left this
+                // thread computing, woke nothing that outranks it and charged
+                // no overhead, the next decision would re-pick it — slice
+                // immediately. Under EDF the pump may have re-keyed anyone,
+                // so the next decision always re-picks.
+                if EDF
+                    || !self.pending_overhead.is_zero()
                     || self.woken_min_rank <= self.rank_of[tid]
                     || !matches!(self.threads[tid].status, Status::Computing { .. })
                 {
                     continue;
                 }
                 self.woken_min_rank = u32::MAX;
+                if P::ENABLED {
+                    self.probe.decision(self.now);
+                }
             }
 
             let limit = self.next_preemption_time();
@@ -1084,12 +1256,28 @@ impl<'p, 's> FastDriver<'p, 's> {
             }
             debug_assert!(!slice.is_zero(), "computations always make progress");
             let unit = *unit;
+            if P::ENABLED {
+                if let Some(prev) = self.incomplete.take() {
+                    if prev != unit {
+                        self.probe.preemption(prev, self.now);
+                    }
+                }
+                self.probe.dispatch(unit, self.now);
+                self.probe.slice(unit, self.now, self.now + slice);
+            }
             self.trace.push_segment(unit, self.now, self.now + slice);
             self.now += slice;
             *remaining = remaining.minus(slice);
             *consumed += slice;
             if let Some(budget) = budget {
                 *budget = budget.minus(slice);
+            }
+            if P::ENABLED {
+                // A budget cut ends the job (the body sees `Interrupted`), so
+                // only a genuinely unfinished computation is a preemption
+                // candidate.
+                self.incomplete =
+                    (!remaining.is_zero() && *budget != Some(Span::ZERO)).then_some(unit);
             }
             if remaining.is_zero() {
                 let consumed = *consumed;
@@ -1107,7 +1295,7 @@ impl<'p, 's> FastDriver<'p, 's> {
 mod tests {
     use super::*;
     use crate::system::ExecutionConfig;
-    use rt_model::{Priority, ServerSpec, SystemSpec};
+    use rt_model::{Priority, SchedulingPolicy, ServerSpec, SystemSpec};
 
     fn table1(policy: ServerPolicyKind, capacity: u64, events: &[(u64, u64)]) -> SystemSpec {
         let mut b = SystemSpec::builder("fastpath-table-1");
@@ -1138,23 +1326,24 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// The fast path (`run`) against the general engine (`run_with_probe`
-    /// with the no-op probe) on one prepared plan.
-    fn assert_fastpath_matches_the_engine(spec: &SystemSpec, config: &ExecutionConfig) {
+    /// The driver (`run`) against the linear-scan reference engine on one
+    /// prepared plan.
+    fn assert_fastpath_matches_the_reference(spec: &SystemSpec, config: &ExecutionConfig) {
         let plan = ExecutionPlan::prepare(spec, config).expect("valid spec");
-        assert!(plan.substrate.is_some(), "fixed-priority plans run fast");
-        let engine = plan.run_with_probe(rt_observe::NoopProbe);
+        let reference = crate::execute_reference(spec, config);
         let fast = plan.run();
         assert_eq!(
-            engine.render_canonical(),
+            reference.render_canonical(),
             fast.render_canonical(),
-            "fast path diverged from the general engine"
+            "{}: driver diverged from the reference ({:?})",
+            spec.name,
+            plan.policy
         );
-        assert_eq!(engine, fast);
+        assert_eq!(reference, fast);
     }
 
     #[test]
-    fn fastpath_matches_the_engine_across_policies_and_overheads() {
+    fn fastpath_matches_the_reference_across_policies_and_overheads() {
         let events: Vec<(u64, u64)> = (0..12).map(|i| (i * 3 + 1, 2)).collect();
         for policy in [
             ServerPolicyKind::Polling,
@@ -1163,13 +1352,17 @@ mod tests {
             ServerPolicyKind::Sporadic,
         ] {
             let spec = table1(policy, 3, &events);
-            assert_fastpath_matches_the_engine(&spec, &ExecutionConfig::ideal());
-            assert_fastpath_matches_the_engine(&spec, &ExecutionConfig::reference());
+            for scheduling in [SchedulingPolicy::FixedPriority, SchedulingPolicy::Edf] {
+                for config in [ExecutionConfig::ideal(), ExecutionConfig::reference()] {
+                    let config = config.with_scheduling(scheduling);
+                    assert_fastpath_matches_the_reference(&spec, &config);
+                }
+            }
         }
     }
 
     #[test]
-    fn fastpath_matches_the_engine_with_faults_and_mode_changes() {
+    fn fastpath_matches_the_reference_with_faults_and_mode_changes() {
         let mut spec = table1(ServerPolicyKind::Deferrable, 3, &[(0, 3), (4, 1), (9, 2)]);
         spec.faults = rt_model::FaultPlan::new()
             .overrun(spec.aperiodics[2].id, Span::from_units(2))
@@ -1177,7 +1370,7 @@ mod tests {
                 rt_model::ModeChange::at(Instant::from_units(1), 0)
                     .with_capacity(Span::from_units(1)),
             );
-        assert_fastpath_matches_the_engine(&spec, &ExecutionConfig::reference());
+        assert_fastpath_matches_the_reference(&spec, &ExecutionConfig::reference());
 
         let mut spec = table1(ServerPolicyKind::Deferrable, 2, &[(0, 2), (3, 2)]);
         spec.faults = rt_model::FaultPlan::new().mode_change(
@@ -1186,19 +1379,27 @@ mod tests {
                 .with_capacity(Span::from_units(2))
                 .with_period(Span::from_units(6)),
         );
-        assert_fastpath_matches_the_engine(&spec, &ExecutionConfig::reference());
+        assert_fastpath_matches_the_reference(&spec, &ExecutionConfig::reference());
     }
 
     #[test]
-    fn edf_and_linear_scan_plans_carry_no_substrate() {
-        let mut spec = table1(ServerPolicyKind::Deferrable, 3, &[(0, 2), (7, 2)]);
-        let config = ExecutionConfig::reference();
-        let linear = config.with_scheduler(rtsj_emu::SchedulerKind::LinearScan);
-        let plan = ExecutionPlan::prepare(&spec, &linear).expect("valid spec");
-        assert!(plan.substrate.is_none());
+    fn edf_keys_a_constrained_deadline_task_by_its_relative_deadline() {
+        // tau2 has the lowest priority but a constrained deadline of 2: under
+        // EDF its first job (deadline 2) runs before tau1's (deadline 6).
+        let mut spec = table1(ServerPolicyKind::Deferrable, 3, &[(1, 2), (7, 2)]);
+        spec.periodic_tasks[1].deadline = Span::from_units(2);
         spec.scheduling = SchedulingPolicy::Edf;
-        let plan = ExecutionPlan::prepare(&spec, &config).expect("valid spec");
-        assert!(plan.substrate.is_none());
+        assert_fastpath_matches_the_reference(&spec, &ExecutionConfig::ideal());
+        assert_fastpath_matches_the_reference(&spec, &ExecutionConfig::reference());
+        let trace = ExecutionPlan::prepare(&spec, &ExecutionConfig::ideal())
+            .expect("valid spec")
+            .run();
+        let first = trace
+            .segments
+            .iter()
+            .find(|s| matches!(s.unit, ExecUnit::Task(_)))
+            .expect("the tasks run");
+        assert_eq!(first.unit, ExecUnit::Task(spec.periodic_tasks[1].id));
     }
 
     #[test]

@@ -27,7 +27,6 @@ use crate::state::{ServerShared, SharedServer};
 use rt_model::{
     AdmissionPolicy, EventId, Instant, ModeChange, QueueDiscipline, ServerPolicyKind, ServerSpec,
 };
-use rt_observe::Probe;
 use rtsj_emu::{Engine, EventHandle, TaskServerParameters, ThreadHandle};
 
 /// Behaviour common to every installed task server.
@@ -56,8 +55,8 @@ impl PollingTaskServer {
     /// server priority with the server period. Being periodic, the engine
     /// re-keys its EDF deadline (release + period = the replenishment-derived
     /// deadline) automatically at every activation.
-    pub fn install<P: Probe>(
-        engine: &mut Engine<P>,
+    pub fn install(
+        engine: &mut Engine,
         params: TaskServerParameters,
         queue: QueueKind,
         discipline: QueueDiscipline,
@@ -119,8 +118,8 @@ impl DeferrableTaskServer {
     /// Installs the server: creates its `wakeUp` event, spawns the handler
     /// body bound to it, and arms the periodic replenishment timer that
     /// refills the capacity and fires `wakeUp` every period.
-    pub fn install<P: Probe>(
-        engine: &mut Engine<P>,
+    pub fn install(
+        engine: &mut Engine,
         params: TaskServerParameters,
         queue: QueueKind,
         discipline: QueueDiscipline,
@@ -218,8 +217,8 @@ pub struct BackgroundServer {
 impl BackgroundServer {
     /// Installs the background server. Its thread never publishes a
     /// deadline, so under EDF it keeps the [`Instant::MAX`] background rank.
-    pub fn install<P: Probe>(
-        engine: &mut Engine<P>,
+    pub fn install(
+        engine: &mut Engine,
         params: TaskServerParameters,
         queue: QueueKind,
         discipline: QueueDiscipline,
@@ -296,8 +295,8 @@ impl SporadicTaskServer {
     /// credit the due replenishments and re-wake the server. The
     /// replenishment timers themselves are armed at runtime by the body,
     /// one per closed consumption chunk.
-    pub fn install<P: Probe>(
-        engine: &mut Engine<P>,
+    pub fn install(
+        engine: &mut Engine,
         params: TaskServerParameters,
         queue: QueueKind,
         discipline: QueueDiscipline,
@@ -378,7 +377,7 @@ pub enum AnyTaskServer {
 impl AnyTaskServer {
     /// Installs the server described by a [`ServerSpec`] (the spec's own
     /// queue discipline applies).
-    pub fn install<P: Probe>(engine: &mut Engine<P>, spec: &ServerSpec, queue: QueueKind) -> Self {
+    pub fn install(engine: &mut Engine, spec: &ServerSpec, queue: QueueKind) -> Self {
         let discipline = spec.discipline;
         let admission = spec.admission;
         match spec.policy {
@@ -427,8 +426,8 @@ impl AnyTaskServer {
     /// reconfigures — and re-examines its backlog under the new
     /// configuration — at the scheduled instant rather than at its next
     /// arrival; a polling lane applies due changes at its next activation.
-    pub fn install_with_faults<P: Probe>(
-        engine: &mut Engine<P>,
+    pub fn install_with_faults(
+        engine: &mut Engine,
         spec: &ServerSpec,
         queue: QueueKind,
         changes: Vec<ModeChange>,
@@ -481,8 +480,8 @@ pub struct ServableAsyncEvent {
 
 impl ServableAsyncEvent {
     /// Creates the servable event and binds it to the server.
-    pub fn create<P: Probe>(
-        engine: &mut Engine<P>,
+    pub fn create(
+        engine: &mut Engine,
         event_id: EventId,
         handler: ServableHandler,
         server: &dyn TaskServer,
@@ -514,7 +513,7 @@ impl ServableAsyncEvent {
 
     /// Schedules a fire of this event at the given instant (the emulation of
     /// the timer that releases the aperiodic event).
-    pub fn schedule_fire<P: Probe>(&self, engine: &mut Engine<P>, at: Instant) {
+    pub fn schedule_fire(&self, engine: &mut Engine, at: Instant) {
         engine.add_one_shot_timer(at, self.engine_event);
     }
 

@@ -14,9 +14,10 @@
 //!   overhead accounting ([`serve::ServiceLoop`]);
 //! * on-line response-time prediction and admission control
 //!   ([`admission`]);
-//! * a runner that executes a complete [`rt_model::SystemSpec`] on the
-//!   virtual-time RTSJ engine ([`system::execute`]) — the "execution" side of
-//!   the paper's evaluation.
+//! * a runner that executes a complete [`rt_model::SystemSpec`] as a
+//!   task-server application in virtual time ([`system::execute`], with the
+//!   linear-scan RTSJ engine behind [`system::execute_reference`]) — the
+//!   "execution" side of the paper's evaluation.
 //!
 //! ## Implementation constraints (paper §4)
 //!
@@ -60,10 +61,11 @@
 //! O(structure + events-within-horizon): validation, one planned-event
 //! table, and one interned [`rt_model::NameTable`] — no per-event `String`
 //! clones (handler templates carry fixed-width [`rt_model::NameId`]s), and
-//! fault-free specs are borrowed (`Cow`), never cloned. Running is
-//! O(decisions) on the fixed-priority fast path ([`fastpath`]) and
-//! O(decisions · log n) on the general engine (EDF, probes), both with zero
-//! heap allocations per decision (pinned by `rt-bench`'s `zero_alloc` test).
+//! fault-free specs are borrowed (`Cow`), never cloned. Running the
+//! driver ([`fastpath`]) is O(decisions) under fixed priorities and
+//! O(decisions · log n) under EDF, with or without a probe, and performs
+//! zero heap allocations per decision (pinned by `rt-bench`'s `zero_alloc`
+//! test); the linear-scan reference costs O(t + m) per decision.
 //! Post-run trace finalisation buckets execution segments by task in one
 //! pass — O(segments + tasks), *not* O(tasks × segments); at 300 tasks the
 //! difference is the bulk of the per-run cost.
@@ -115,7 +117,7 @@ pub use rtsj_emu::TaskServerParameters;
 pub use serve::{ServeStep, ServiceLoop};
 pub use sporadic::SporadicServerBody;
 pub use state::{GrantedService, ServerShared, SharedServer};
-pub use system::{execute, execute_with_probe, ExecutionConfig, ExecutionPlan};
+pub use system::{execute, execute_reference, execute_with_probe, ExecutionConfig, ExecutionPlan};
 
 #[cfg(test)]
 mod proptests {

@@ -37,7 +37,7 @@
 //! * [`QueueDiscipline::DeadlineOrdered`]
 //!   — earliest absolute deadline first (ties by arrival), answered by a
 //!   companion min-deadline heap with the same lazy-staleness rule as the
-//!   engines' calendars: O(log n) when the most urgent entry fits the
+//!   drivers' EDF ready heaps: O(log n) when the most urgent entry fits the
 //!   budget, O(k·log n) after skipping `k` oversized more-urgent entries.
 //!   Events without a relative deadline are keyed by their release instant,
 //!   so on deadline-free traffic both disciplines serve identically.

@@ -8,9 +8,9 @@
 //! anchored at the instant its first dispatch started — schedules one
 //! replenishment of exactly the consumed amount, one server period after the
 //! anchor. The replenishment is an engine-level one-shot timer armed at
-//! runtime ([`rtsj_emu::BodyCtx::arm_timer`]), riding the same event
-//! calendar as every other timer, whose fire hook credits the capacity and
-//! fires `wakeUp` so the server re-examines its queue.
+//! runtime ([`rtsj_emu::BodyCtx::arm_timer`]) and fired like every other
+//! timer; its fire hook credits the capacity and fires `wakeUp` so the
+//! server re-examines its queue.
 //!
 //! Handlers remain non-resumable (the framework's §4 constraint), so the
 //! granted budget is the remaining capacity, exactly as for the Polling

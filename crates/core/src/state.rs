@@ -82,7 +82,7 @@ pub struct ServerShared {
     aborted_scratch: Vec<EventId>,
     /// Always-on per-lane observability tally: plain `u64` increments at the
     /// decision sites below, drained once after the run by
-    /// [`crate::system::ExecutionPlan::run_with_probe`] through
+    /// [`crate::execute_with_probe`] through
     /// [`rt_observe::Probe::lane_totals`]. Kept unconditional (no probe
     /// generic in the shared state) because the bumps are cheaper than the
     /// `Rc<RefCell>` traffic already paid on every one of these paths.

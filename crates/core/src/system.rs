@@ -11,18 +11,16 @@
 //!
 //! # One fast engine, one reference oracle
 //!
-//! [`ExecutionPlan::run`] — and therefore [`execute`] — drives the server
-//! bodies through the ceiling-table fast path ([`crate::fastpath`])
-//! whenever the effective policy is fixed-priority and the scheduler is
-//! [`SchedulerKind::Indexed`]. The probe-threaded
-//! [`ExecutionPlan::run_with_probe`] (and [`execute_with_probe`]) runs the
-//! general `rtsj-emu` engine, which also serves EDF plans; under
-//! [`SchedulerKind::LinearScan`] that engine rescans every thread and timer
-//! per decision, one calendar drain per decision — the seed implementation
-//! kept as the reference oracle. All three loops produce byte-identical
-//! traces (pinned by the goldens, the differential suites and the fuzzer).
+//! [`ExecutionPlan::run`] — and therefore [`execute`] and, with a probe
+//! attached, [`execute_with_probe`] — drives the server bodies through the
+//! table-driven driver of [`crate::fastpath`] under both scheduling
+//! policies. [`execute_reference`] installs the same framework on the
+//! `rtsj-emu` engine, which rescans every thread and timer per decision —
+//! the seed implementation, kept as the reference oracle. Both loops
+//! produce byte-identical traces (pinned by the goldens, the differential
+//! suites and the fuzzer).
 
-use crate::fastpath::SubstratePlan;
+use crate::fastpath::{self, SubstratePlan};
 use crate::framework::{AnyTaskServer, ServableAsyncEvent, TaskServer};
 use crate::handler::ServableHandler;
 use crate::queue::QueueKind;
@@ -31,7 +29,7 @@ use rt_model::{
     PeriodicTask, SchedulingPolicy, Span, SystemSpec, Trace,
 };
 use rt_observe::{NoopProbe, Probe};
-use rtsj_emu::{Engine, EngineConfig, OverheadModel, SchedulerKind};
+use rtsj_emu::{Engine, EngineConfig, OverheadModel};
 use std::borrow::Cow;
 
 /// Configuration of an execution run.
@@ -41,9 +39,6 @@ pub struct ExecutionConfig {
     pub overhead: OverheadModel,
     /// Pending-queue structure used by the server.
     pub queue: QueueKind,
-    /// Engine scheduling structures: indexed (the default — the fast path
-    /// under fixed priorities) or the linear-scan reference oracle.
-    pub scheduler: SchedulerKind,
     /// Scheduling-policy override: `None` (the default) follows the
     /// [`SystemSpec::scheduling`] knob of the executed system; `Some` forces
     /// the policy regardless of the spec — handy for differential tests
@@ -58,7 +53,6 @@ impl ExecutionConfig {
         ExecutionConfig {
             overhead: OverheadModel::reference(),
             queue: QueueKind::Fifo,
-            scheduler: SchedulerKind::Indexed,
             scheduling: None,
         }
     }
@@ -69,7 +63,6 @@ impl ExecutionConfig {
         ExecutionConfig {
             overhead: OverheadModel::none(),
             queue: QueueKind::Fifo,
-            scheduler: SchedulerKind::Indexed,
             scheduling: None,
         }
     }
@@ -83,12 +76,6 @@ impl ExecutionConfig {
     /// Replaces the overhead model.
     pub fn with_overhead(mut self, overhead: OverheadModel) -> Self {
         self.overhead = overhead;
-        self
-    }
-
-    /// Replaces the engine scheduler implementation.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -106,7 +93,8 @@ impl Default for ExecutionConfig {
     }
 }
 
-/// Executes the system on the emulation engine and returns its trace.
+/// Executes the system through the table-driven execution driver and
+/// returns its trace.
 ///
 /// ```
 /// use rt_model::{Instant, Priority, ServerSpec, Span, SystemSpec};
@@ -135,6 +123,12 @@ pub fn execute(spec: &SystemSpec, config: &ExecutionConfig) -> Trace {
 /// probe-free [`execute`]; pass `&mut probe` to keep the recording (the
 /// blanket `&mut P: Probe` impl forwards every hook).
 ///
+/// The driver reports the decision-loop hooks live (decisions, dispatches,
+/// preemptions, slices, releases, fires); admission verdicts happen inside
+/// the shared server lanes, which the probe cannot reach, so each lane keeps
+/// an always-on [`rt_observe::LaneTotals`] tally that is handed to
+/// [`Probe::lane_totals`] once the run finishes.
+///
 /// # Panics
 /// Panics when the specification fails validation.
 pub fn execute_with_probe<P: Probe>(
@@ -146,6 +140,23 @@ pub fn execute_with_probe<P: Probe>(
         // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs")
         .expect("execute_with_probe() requires a valid system specification")
         .run_with_probe(probe)
+}
+
+/// Executes the system with the seed's linear-scan decision loop: the
+/// framework installed on the `rtsj-emu` engine, which rescans every thread
+/// and timer per decision (O(t + m)) and carries no probe.
+///
+/// Produces byte-identical traces to [`execute`]; kept as the reference
+/// oracle for the differential tests, the goldens and the `engine_scaling`
+/// benchmark, like `rtss_sim::simulate_reference` in the simulation world.
+///
+/// # Panics
+/// Panics when the specification fails validation.
+pub fn execute_reference(spec: &SystemSpec, config: &ExecutionConfig) -> Trace {
+    ExecutionPlan::prepare(spec, config)
+        // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs")
+        .expect("execute_reference() requires a valid system specification")
+        .run_reference()
 }
 
 /// One aperiodic occurrence as the engine installs it: the routed server
@@ -161,14 +172,13 @@ pub(crate) struct PlannedEvent {
 }
 
 /// The compiled schedulable table of one system × configuration: everything
-/// [`execute`] derives from the spec before the engine starts — validation,
-/// the resolved scheduling policy, the engine configuration, the servable
-/// handler templates of the events that actually install (released within
-/// the horizon, routed to an existing server) and, for fixed-priority plans
-/// on the indexed scheduler, the fast path's scheduling substrate — computed
-/// once in [`ExecutionPlan::prepare`] and replayed by [`ExecutionPlan::run`]
-/// as many times as needed. [`execute`] is `prepare().run()`, so planned and
-/// direct executions are byte-identical by construction.
+/// [`execute`] derives from the spec before the driver starts — validation,
+/// the resolved scheduling policy, the servable handler templates of the
+/// events that actually install (released within the horizon, routed to an
+/// existing server) and the driver's scheduling substrate — computed once in
+/// [`ExecutionPlan::prepare`] and replayed by [`ExecutionPlan::run`] as many
+/// times as needed. [`execute`] is `prepare().run()`, so planned and direct
+/// executions are byte-identical by construction.
 ///
 /// The plan borrows the spec it was prepared from (`Cow`): a fault-free spec
 /// is never cloned, and preparing allocates O(events-within-horizon) for the
@@ -179,11 +189,11 @@ pub struct ExecutionPlan<'a> {
     pub(crate) spec: Cow<'a, SystemSpec>,
     pub(crate) names: NameTable,
     pub(crate) config: ExecutionConfig,
-    pub(crate) engine_config: EngineConfig,
+    /// The effective scheduling policy (the config's override, else the
+    /// spec's own knob).
+    pub(crate) policy: SchedulingPolicy,
     pub(crate) events: Vec<PlannedEvent>,
-    /// The fast path's substrate; `None` sends [`ExecutionPlan::run`] to the
-    /// general engine (EDF plans, the linear-scan reference).
-    pub(crate) substrate: Option<SubstratePlan>,
+    pub(crate) substrate: SubstratePlan,
 }
 
 impl<'a> ExecutionPlan<'a> {
@@ -210,10 +220,6 @@ impl<'a> ExecutionPlan<'a> {
             None => Cow::Borrowed(spec),
         };
         let policy = config.scheduling.unwrap_or(spec.scheduling);
-        let engine_config = EngineConfig::new(spec.horizon)
-            .with_overhead(config.overhead)
-            .with_scheduler(config.scheduler)
-            .with_policy(policy);
         let mut names = NameTable::new();
         let events = spec
             .workload()
@@ -235,14 +241,12 @@ impl<'a> ExecutionPlan<'a> {
                 release: event.release,
             })
             .collect();
-        let fast =
-            policy == SchedulingPolicy::FixedPriority && config.scheduler == SchedulerKind::Indexed;
         ExecutionPlan {
-            substrate: fast.then(|| SubstratePlan::analyze(&spec)),
+            substrate: SubstratePlan::analyze(&spec),
             spec,
             names,
             config: *config,
-            engine_config,
+            policy,
             events,
         }
     }
@@ -264,34 +268,33 @@ impl<'a> ExecutionPlan<'a> {
         &self.config
     }
 
-    /// Runs the plan and returns its trace: through the ceiling-table fast
-    /// path for fixed-priority plans on the indexed scheduler, on a fresh
-    /// general engine otherwise. Reusable: the plan holds no run state.
+    /// Runs the plan through the execution driver and returns its trace.
+    /// Reusable: the plan holds no run state.
     pub fn run(&self) -> Trace {
-        match &self.substrate {
-            Some(substrate) => self.run_with_substrate(substrate),
-            None => self.run_with_probe(NoopProbe),
+        self.run_with_probe(NoopProbe)
+    }
+
+    /// [`ExecutionPlan::run`] with an observation probe attached (see
+    /// [`execute_with_probe`]). Every hook site is gated on
+    /// [`Probe::ENABLED`], so the trace is byte-identical to the probe-free
+    /// run.
+    pub(crate) fn run_with_probe<P: Probe>(&self, probe: P) -> Trace {
+        match self.policy {
+            SchedulingPolicy::FixedPriority => fastpath::run::<P, false>(self, probe),
+            SchedulingPolicy::Edf => fastpath::run::<P, true>(self, probe),
         }
     }
 
-    /// Runs the plan on the general engine with an observation probe
-    /// attached. The trace is byte-identical to [`ExecutionPlan::run`] —
-    /// every hook site is gated on [`Probe::ENABLED`], and the fast path
-    /// reproduces the general engine's traces byte for byte.
-    ///
-    /// The engine reports the decision-loop hooks live (decisions,
-    /// dispatches, preemptions, slices, releases, fires, calendar size);
-    /// admission verdicts happen inside the shared server lanes, which the
-    /// engine's probe cannot reach, so each lane keeps an always-on
-    /// [`rt_observe::LaneTotals`] tally that is handed to
-    /// [`Probe::lane_totals`] once the run finishes. Pass `&mut probe` to
-    /// keep the recording.
-    pub fn run_with_probe<P: Probe>(&self, mut probe: P) -> Trace {
-        if P::ENABLED {
-            probe.attach(self.spec.servers.len());
-        }
+    /// Runs the plan on the linear-scan `rtsj-emu` engine (see
+    /// [`execute_reference`]): the framework's servers, periodic threads and
+    /// servable events installed through the public framework API.
+    pub(crate) fn run_reference(&self) -> Trace {
         let spec = &self.spec;
-        let mut engine = Engine::with_probe(self.engine_config, &mut probe);
+        let mut engine = Engine::new(
+            EngineConfig::new(spec.horizon)
+                .with_overhead(self.config.overhead)
+                .with_policy(self.policy),
+        );
 
         // The task servers, in install (table) order; one installed server
         // per entry of `spec.servers`, each with its own pending queue.
@@ -337,17 +340,7 @@ impl<'a> ExecutionPlan<'a> {
             sae.schedule_fire(&mut engine, planned.release);
         }
 
-        // `run` consumes the engine, releasing its `&mut probe` borrow so
-        // the lane tallies can be drained into the probe below.
         let mut trace = engine.run();
-
-        if P::ENABLED {
-            for (lane, server) in servers.iter().enumerate() {
-                let totals = server.shared().borrow().totals;
-                probe.lane_totals(lane, &totals);
-            }
-        }
-
         let collected = (!servers.is_empty()).then(|| {
             servers
                 .iter()
@@ -360,7 +353,7 @@ impl<'a> ExecutionPlan<'a> {
 }
 
 /// Shared post-run finalisation of an execution trace, used by both the
-/// general engine and the fast path: attach the aperiodic outcomes recorded
+/// driver and the reference engine: attach the aperiodic outcomes recorded
 /// by the servers — completing them with `Unserved` for any released event
 /// with no recorded fate (e.g. the one being served when the horizon was
 /// reached) — and reconstruct the periodic job records from the execution

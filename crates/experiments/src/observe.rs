@@ -161,8 +161,8 @@ impl fmt::Display for ObserveReport {
 /// `repro observe --trace-out <path>` (which exports Figure 4's Scenario
 /// Three, the richest of the paper's hand-worked schedules).
 ///
-/// The execution engine is used because its recording is the richest:
-/// calendar fires and the overhead lanes appear alongside the named task
+/// The execution driver is used because its recording is the richest:
+/// event fires and the overhead lanes appear alongside the named task
 /// and handler slices. One run, one virtual timeline — so the exported
 /// slice and mark streams are monotone in `ts`, the property the CI
 /// parse-check (`rt_bench::validate_chrome_trace`) pins.

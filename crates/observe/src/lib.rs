@@ -1,8 +1,8 @@
 //! # rt-observe — the zero-cost probe layer
 //!
-//! Observability for the engines (`rtss-sim`'s simulation driver, the
-//! `rtsj-emu` engine behind `rt-taskserver`'s probe-threaded runs) that is
-//! **zero code when disabled** and
+//! Observability for the engines (`rtss-sim`'s simulation driver and
+//! `rt-taskserver`'s execution driver) that is **zero code when disabled**
+//! and
 //! **allocation-free when enabled**:
 //!
 //! * every engine decision loop is generic over a [`Probe`] parameter whose
@@ -58,7 +58,7 @@ pub enum AdmissionVerdict {
 /// one call at the end of an execution run (the emulation engine decides
 /// admission inside the server state machine, where no probe parameter
 /// reaches; the totals ride the lane state and are handed over at
-/// finalisation — see `ExecutionPlan::run_with_probe`).
+/// finalisation — see `rt_taskserver::execute_with_probe`).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LaneTotals {
     /// Arrivals admitted into the pending queue.
@@ -129,9 +129,9 @@ pub trait Probe {
         let _ = now;
     }
 
-    /// The event calendar fired an asynchronous event at `now` (the
-    /// emulation engine's timer machinery; the simulation engines have no
-    /// calendar and never call it).
+    /// An asynchronous event fired at `now` — a timer, a body's fire request
+    /// or a fire-hook cascade (execution world only; the simulation driver
+    /// has no events and never calls it).
     fn fire(&mut self, now: Instant) {
         let _ = now;
     }
@@ -154,11 +154,6 @@ pub trait Probe {
     /// Pending-queue depth of `lane` observed after an arrival was routed.
     fn queue_depth(&mut self, lane: usize, depth: u64) {
         let _ = (lane, depth);
-    }
-
-    /// Event-calendar size observed at a decision point (emulation engine).
-    fn calendar_size(&mut self, size: u64) {
-        let _ = size;
     }
 
     /// End-of-run admission/enforcement totals of `lane` (execution world
@@ -219,9 +214,6 @@ impl<P: Probe + ?Sized> Probe for &mut P {
     fn queue_depth(&mut self, lane: usize, depth: u64) {
         (**self).queue_depth(lane, depth);
     }
-    fn calendar_size(&mut self, size: u64) {
-        (**self).calendar_size(size);
-    }
     fn lane_totals(&mut self, lane: usize, totals: &LaneTotals) {
         (**self).lane_totals(lane, totals);
     }
@@ -238,7 +230,7 @@ pub struct Counters {
     pub preemptions: u64,
     /// Periodic releases and aperiodic arrivals processed.
     pub releases: u64,
-    /// Calendar fires (execution world).
+    /// Asynchronous event fires (execution world).
     pub fires: u64,
     /// Arrivals admitted into a pending queue.
     pub admission_accepted: u64,
@@ -289,8 +281,6 @@ pub struct MetricsProbe {
     pub counters: Counters,
     /// Pending-queue depth observed after each arrival routing.
     pub queue_depth: TickHistogram,
-    /// Event-calendar size observed at each decision (execution world).
-    pub calendar: TickHistogram,
     /// Processor-slice lengths, in ticks.
     pub slice_len: TickHistogram,
     /// Per-lane backlog histograms (lane index capped at
@@ -329,7 +319,6 @@ impl MetricsProbe {
                 mode_changes: 0,
             },
             queue_depth: TickHistogram::new(),
-            calendar: TickHistogram::new(),
             slice_len: TickHistogram::new(),
             lane_backlog: [TickHistogram::new(); MAX_LANE_HISTOGRAMS],
             lanes: 0,
@@ -365,7 +354,6 @@ impl MetricsProbe {
     pub fn merge(&mut self, other: &MetricsProbe) {
         self.counters.merge(&other.counters);
         self.queue_depth.merge(&other.queue_depth);
-        self.calendar.merge(&other.calendar);
         self.slice_len.merge(&other.slice_len);
         for (a, b) in self.lane_backlog.iter_mut().zip(other.lane_backlog.iter()) {
             a.merge(b);
@@ -457,12 +445,6 @@ impl Probe for MetricsProbe {
         self.lane_backlog[Self::lane_slot(lane)].record(depth);
     }
 
-    // rt-lint: zero-alloc
-    #[inline]
-    fn calendar_size(&mut self, size: u64) {
-        self.calendar.record(size);
-    }
-
     fn lane_totals(&mut self, _lane: usize, totals: &LaneTotals) {
         self.counters.admission_accepted += totals.accepted;
         self.counters.admission_rejected += totals.rejected;
@@ -503,7 +485,6 @@ mod tests {
         p.mode_change(1, t1);
         p.queue_depth(0, 3);
         p.queue_depth(99, 5); // folded into the last inline lane slot
-        p.calendar_size(7);
         assert_eq!(p.counters.decisions, 1);
         assert_eq!(p.counters.dispatches, 1);
         assert_eq!(p.counters.preemptions, 1);
@@ -517,7 +498,6 @@ mod tests {
         assert_eq!(p.queue_depth.count(), 2);
         assert_eq!(p.lane_backlog[0].count(), 1);
         assert_eq!(p.lane_backlog[MAX_LANE_HISTOGRAMS - 1].count(), 1);
-        assert_eq!(p.calendar.count(), 1);
         assert_eq!(p.slice_len.count(), 1);
     }
 

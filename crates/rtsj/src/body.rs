@@ -135,9 +135,9 @@ impl BodyCtx {
 
     /// Arms a one-shot timer firing `event` at `at` — the runtime equivalent
     /// of constructing an RTSJ `OneShotTimer` from application code. The
-    /// entry rides the engine's event calendar like any pre-run timer (the
-    /// Sporadic Server schedules its per-consumption replenishments this
-    /// way); an instant at or before the current time fires immediately.
+    /// timer fires like any pre-run timer (the Sporadic Server schedules its
+    /// per-consumption replenishments this way); an instant at or before the
+    /// current time fires immediately.
     pub fn arm_timer(&mut self, at: Instant, event: EventHandle) {
         self.timer_requests.push((at, event));
     }

@@ -14,41 +14,25 @@
 //!
 //! # Per-decision complexity
 //!
-//! The engine advances decision by decision; with `t` threads and `m` timers
-//! the cost of one decision under the default [`SchedulerKind::Indexed`]
-//! scheduler is:
+//! This is the seed implementation, kept deliberately simple as the
+//! execution world's reference oracle (`rt_taskserver::execute_reference`):
+//! with `t` threads and `m` timers every decision rescans the whole timer
+//! list for due fires, the whole thread table for due wakes and releases and
+//! for the highest-priority runnable thread, and both lists again for the
+//! next preemption instant — O(t + m) per decision. The table-driven
+//! execution driver in `rt-taskserver` (behind `rt_taskserver::execute`)
+//! reproduces its traces byte for byte; the differential tests, the goldens
+//! and the fuzzer pin the two against each other, and the `engine_scaling`
+//! benchmark measures the gap.
 //!
-//! * **event calendar** — a [`BinaryHeap`] keyed on `(instant, entry)` holds
-//!   every future timer fire, `BlockedUntil` wake-up and periodic release.
-//!   Firing/waking everything due at the current instant is O(d·log(t+m))
-//!   for `d` due entries, and finding the next preemption instant is an O(1)
-//!   peek (amortising the lazy removal of stale entries);
-//! * **ready set** — a second [`BinaryHeap`] keyed on
-//!   `(priority, Reverse(spawn index))`, maintained incrementally on every
-//!   status transition, answers "highest-priority runnable thread" in
-//!   amortised O(1) peeks with O(log t) insertions, preserving the
-//!   documented spawn-order tie-break.
-//!
-//! The seed implementation rescanned every thread and every timer at every
-//! decision — O(t + m) per decision. That path is retained verbatim as
-//! [`SchedulerKind::LinearScan`]: the differential tests assert both
-//! schedulers produce identical traces, and the `engine_scaling` benchmark
-//! measures the gap. Under the linear scan the heaps are left empty (only
-//! the cheap `runnable` flags are kept coherent), so that path reproduces
-//! the seed's per-decision cost exactly.
-//!
-//! **Steady-state allocations.** A decision in the populated steady state
-//! performs **zero** heap allocations: the calendar drain collects due
-//! timer fires into the reused `due_fires` scratch (take / sort / clear /
-//! restore), the event-fire loop walks its cascade with the reused
+//! **Steady-state allocations.** Decisions allocate nothing once the
+//! engine's buffers are warm: due timer fires are collected into a reused
+//! scratch vector, the event-fire loop walks its cascade with the reused
 //! `fire_queue` and `cascade_scratch` buffers, hook lists are detached and
 //! reattached rather than copied, and waiter lists are walked by reference
-//! and handed back empty so every event keeps its buffer capacity. The
-//! only allocations left are amortised growth of these buffers and of the
-//! two heaps (O(log n) doublings over a whole run, none once warm). The
-//! [`SchedulerKind::LinearScan`] path keeps the seed's one `to_fire`
-//! vector per scan — that cost is part of what the scheduler comparison
-//! measures.
+//! and handed back empty so every event keeps its buffer capacity. The only
+//! allocations left are amortised growth of these buffers (pinned by
+//! `rt-bench`'s `zero_alloc` test).
 //!
 //! **Body storage.** The thread table doubles as a body arena: bodies whose
 //! concrete type the engine knows (the periodic workers of
@@ -61,20 +45,16 @@
 //!
 //! Dispatching is governed by [`EngineConfig::policy`]
 //! ([`rt_model::SchedulingPolicy`]): preemptive fixed priorities (the RTSJ
-//! scheduler, default) or **EDF**. Under EDF the ready heap is re-keyed by
-//! each thread's current absolute deadline — `(deadline, spawn index)`,
-//! min-first, so the spawn-order tie-break is identical to the
-//! fixed-priority one. Periodic schedulables are re-keyed by the engine at
-//! every release (`release + relative_deadline`, the relative deadline
-//! defaulting to the period — see [`Engine::set_relative_deadline`]);
-//! event-driven schedulables publish their deadlines through
+//! scheduler, default) or **EDF** by each thread's current absolute
+//! deadline. Ties are broken by spawn order under both policies. Periodic
+//! schedulables are re-keyed by the engine at every release
+//! (`release + relative_deadline`, the relative deadline defaulting to the
+//! period — see [`Engine::set_relative_deadline`]); event-driven
+//! schedulables publish their deadlines through
 //! [`crate::body::BodyCtx::set_deadline`] (task servers publish their
 //! replenishment-derived deadlines this way) and default to
-//! [`Instant::MAX`], the background rank. Re-keying a runnable thread
-//! pushes a fresh heap entry; the stale one is discarded lazily by the
-//! dispatch peek, exactly like the calendar's stale-entry rule, so EDF
-//! decisions stay O(log t) amortised. A woken server may briefly carry the
-//! deadline of its *previous* activation; bodies only publish deadlines
+//! [`Instant::MAX`], the background rank. A woken server may briefly carry
+//! the deadline of its *previous* activation; bodies only publish deadlines
 //! that shrink over an idle period (replenishment-derived deadlines are
 //! refreshed at every pump), so the error is always toward an earlier
 //! deadline — the thread is pumped at most one zero-time decision too
@@ -83,29 +63,14 @@
 //! application thread under both policies.
 //!
 //! **Runtime-armed timers.** Bodies can arm one-shot timers mid-run through
-//! [`crate::body::BodyCtx::arm_timer`]; the entries ride the same event
-//! calendar (strictly-future instants, preserving the batching invariant),
-//! which is how the Sporadic Server schedules its per-consumption
-//! replenishments.
-//!
-//! # Same-instant batching
-//!
-//! Many decisions advance no time at all (body pumps: a thread deciding its
-//! next action). Every calendar insertion made while the engine runs is
-//! strictly in the future, so once the calendar has been drained at an
-//! instant it cannot grow another entry due at that same instant — the
-//! indexed engine therefore drains **once per instant** instead of once per
-//! decision, and k coincident releases cost one drain, not k. The
-//! [`SchedulerKind::LinearScan`] reference rescans at every decision.
-//! For the same reason an insertion only tightens the memoised
-//! next-preemption instant in place rather than invalidating it.
+//! [`crate::body::BodyCtx::arm_timer`]; a future instant joins the timer
+//! list like any pre-run timer, which is how the Sporadic Server schedules
+//! its per-consumption replenishments.
 
 use crate::body::{Action, BodyCtx, Completion, ThreadBody};
 use crate::overhead::OverheadModel;
 use rt_model::{ExecUnit, Instant, Priority, SchedulingPolicy, Span, Trace};
-use rt_observe::{NoopProbe, Probe};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Handle to an engine-level asynchronous event (the emulation of an RTSJ
 /// `AsyncEvent` instance).
@@ -161,20 +126,6 @@ impl FireCtx {
 /// (`servableEventReleased`) at fire time.
 pub type FireHook = Box<dyn FnMut(&mut FireCtx)>;
 
-/// Which scheduling-decision structures the engine uses. Both produce
-/// bit-identical traces; they differ only in per-decision cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Indexed structures: binary-heap event calendar + priority-indexed
-    /// ready set. O(log n) per decision. The default.
-    #[default]
-    Indexed,
-    /// The seed implementation: rescan every thread and timer at every
-    /// decision. O(n) per decision. Kept as the reference for differential
-    /// tests and the `engine_scaling` benchmark.
-    LinearScan,
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
@@ -183,8 +134,6 @@ pub struct EngineConfig {
     /// Overhead model charged for timers (the dispatch/enforcement components
     /// are consumed by server bodies, which read them from this model).
     pub overhead: OverheadModel,
-    /// Scheduling-decision structures (indexed by default).
-    pub scheduler: SchedulerKind,
     /// Dispatching policy: preemptive fixed priorities (the RTSJ scheduler,
     /// default) or EDF over the schedulables' absolute deadlines.
     pub policy: SchedulingPolicy,
@@ -196,7 +145,6 @@ impl EngineConfig {
         EngineConfig {
             horizon,
             overhead: OverheadModel::reference(),
-            scheduler: SchedulerKind::Indexed,
             policy: SchedulingPolicy::FixedPriority,
         }
     }
@@ -204,12 +152,6 @@ impl EngineConfig {
     /// Replaces the overhead model.
     pub fn with_overhead(mut self, overhead: OverheadModel) -> Self {
         self.overhead = overhead;
-        self
-    }
-
-    /// Replaces the scheduler implementation.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -315,36 +257,8 @@ struct TimerState {
 /// infinite loop.
 const MAX_ZERO_TIME_STEPS: u32 = 100_000;
 
-/// What a calendar entry refers to. The payload is the index of the timer or
-/// thread; entries are validated against the authoritative state on pop, so
-/// stale entries (from re-armed timers or re-blocked threads) are skipped
-/// lazily instead of being removed eagerly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum CalendarKind {
-    /// `TimerState[i]` fires at the entry instant.
-    Timer(usize),
-    /// Thread `i` leaves `BlockedUntil` at the entry instant.
-    ThreadWake(usize),
-    /// Thread `i` leaves `BlockedForPeriod` at the entry instant.
-    PeriodRelease(usize),
-}
-
-/// One future event in the engine's calendar, min-ordered by instant (the
-/// kind only breaks ties deterministically inside the heap; processing order
-/// at equal instants is re-established by the caller).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct CalendarEntry {
-    time: Instant,
-    kind: CalendarKind,
-}
-
 /// The virtual-time execution engine.
-///
-/// The probe parameter defaults to [`NoopProbe`]: `Engine` in type position
-/// is the unobserved engine, and every probe call site is gated on
-/// `P::ENABLED`, so the default instantiation compiles to the pre-probe
-/// decision loop. [`Engine::with_probe`] attaches a recording probe.
-pub struct Engine<P: Probe = NoopProbe> {
+pub struct Engine {
     config: EngineConfig,
     now: Instant,
     threads: Vec<ThreadState>,
@@ -353,66 +267,21 @@ pub struct Engine<P: Probe = NoopProbe> {
     pending_timer_overhead: Span,
     trace: Trace,
     zero_time_steps: u32,
-    /// Future timer fires, timed wake-ups and periodic releases, min-first.
-    calendar: BinaryHeap<Reverse<CalendarEntry>>,
-    /// Runnable threads by `(priority, Reverse(spawn index))`, max-first —
-    /// the spawn-order tie-break of [`Self::pick_runnable`]. May hold stale
-    /// entries; `runnable` is authoritative. Used under
-    /// [`SchedulingPolicy::FixedPriority`].
-    ready: BinaryHeap<(Priority, Reverse<usize>)>,
-    /// Runnable threads by `(deadline, spawn index)`, min-first — the same
-    /// ready heap re-keyed by absolute deadline for
-    /// [`SchedulingPolicy::Edf`], with the identical spawn-order tie-break.
-    /// May hold stale entries (a thread whose deadline moved); an entry is
-    /// live only while `runnable` is set *and* its recorded deadline matches
-    /// the thread's current one.
-    ready_edf: BinaryHeap<Reverse<(Instant, usize)>>,
-    /// Whether thread `i` is currently Ready or Computing.
-    runnable: Vec<bool>,
-    /// Memoised next decision instant (uncapped). Calendar insertions
-    /// tighten it in place (the new entry is live); it is only invalidated
-    /// when the drain loop pops entries.
-    next_event_cache: Option<Instant>,
-    /// The instant the calendar was last drained at. While the engine makes
-    /// zero-time decisions (body pumps) at one instant, nothing new can
-    /// become due — every mid-run calendar insertion is strictly in the
-    /// future — so re-draining is skipped until time advances (same-instant
-    /// batching; see the module docs).
-    drained_at: Option<Instant>,
-    /// Reusable scratch buffer for the timer fires collected by one calendar
-    /// drain, so steady-state decisions allocate nothing.
-    due_fires: Vec<(usize, Instant)>,
+    /// Reusable scratch for the events of the timers one scan finds due, so
+    /// steady-state decisions allocate nothing.
+    due_events: Vec<EventHandle>,
     /// Reusable breadth-first fire queue walked by
-    /// [`Self::fire_event_now`] — same reuse discipline as `due_fires`.
+    /// [`Self::fire_event_now`] — same reuse discipline as `due_events`.
     fire_queue: VecDeque<EventHandle>,
     /// Reusable cascade buffer handed to fire hooks through [`FireCtx`],
     /// threaded through the fire loop so hook cascades allocate nothing in
     /// the steady state.
     cascade_scratch: Vec<EventHandle>,
-    /// The observation hooks. Every call site is gated on `P::ENABLED`, so
-    /// the [`NoopProbe`] instantiation compiles to the pre-probe loop.
-    probe: P,
-    /// The unit whose last compute slice ended with work remaining — the
-    /// candidate for a preemption report when the next dispatch picks
-    /// someone else. Only maintained when `P::ENABLED`.
-    incomplete: Option<ExecUnit>,
 }
 
 impl Engine {
-    /// Creates an engine with the given configuration (no probe attached).
+    /// Creates an engine with the given configuration.
     pub fn new(config: EngineConfig) -> Self {
-        Engine::with_probe(config, NoopProbe)
-    }
-}
-
-impl<P: Probe> Engine<P> {
-    /// Creates an engine with an attached [`Probe`] observing every
-    /// scheduling decision, dispatch, slice, periodic release, event fire
-    /// and calendar drain of the run. Pass `&mut probe` to keep the
-    /// recording; the caller is responsible for calling
-    /// [`Probe::attach`] if its probe needs per-lane storage (the engine
-    /// has no lane notion — servers are a framework concept).
-    pub fn with_probe(config: EngineConfig, probe: P) -> Self {
         Engine {
             now: Instant::ZERO,
             threads: Vec::new(),
@@ -421,95 +290,17 @@ impl<P: Probe> Engine<P> {
             pending_timer_overhead: Span::ZERO,
             trace: Trace::new(config.horizon),
             zero_time_steps: 0,
-            calendar: BinaryHeap::new(),
-            ready: BinaryHeap::new(),
-            ready_edf: BinaryHeap::new(),
-            runnable: Vec::new(),
-            next_event_cache: None,
-            drained_at: None,
-            due_fires: Vec::new(),
+            due_events: Vec::new(),
             fire_queue: VecDeque::new(),
             cascade_scratch: Vec::new(),
-            probe,
-            incomplete: None,
             config,
         }
     }
 
-    /// Inserts a calendar entry, tightening the next-decision memo (the new
-    /// entry is live, so the next decision instant is simply the smaller of
-    /// the two — no invalidation, no stale-entry re-sweep). Under the
-    /// linear-scan reference scheduler the calendar is unused, so nothing is
-    /// stored and the scan path keeps the seed's exact cost.
-    fn push_calendar(&mut self, time: Instant, kind: CalendarKind) {
-        if self.config.scheduler == SchedulerKind::Indexed {
-            self.next_event_cache = self.next_event_cache.map(|cached| cached.min(time));
-            self.calendar.push(Reverse(CalendarEntry { time, kind }));
-        } else {
-            self.next_event_cache = None;
-        }
-    }
-
-    /// True when a calendar entry still reflects the authoritative timer or
-    /// thread state it was created from.
-    fn calendar_entry_is_live(&self, entry: &CalendarEntry) -> bool {
-        match entry.kind {
-            CalendarKind::Timer(i) => {
-                let timer = &self.timers[i];
-                timer.enabled && timer.next == entry.time
-            }
-            CalendarKind::ThreadWake(t) => {
-                matches!(self.threads[t].status, ThreadStatus::BlockedUntil(at) if at == entry.time)
-            }
-            CalendarKind::PeriodRelease(t) => {
-                matches!(self.threads[t].status, ThreadStatus::BlockedForPeriod)
-                    && self.threads[t]
-                        .periodic
-                        .map(|p| p.next == entry.time)
-                        .unwrap_or(false)
-            }
-        }
-    }
-
-    /// Marks a thread runnable (Ready or Computing) in the indexed ready set
-    /// of the configured dispatching policy.
-    fn mark_runnable(&mut self, tid: usize) {
-        if !self.runnable[tid] {
-            self.runnable[tid] = true;
-            if self.config.scheduler == SchedulerKind::Indexed {
-                match self.config.policy {
-                    SchedulingPolicy::FixedPriority => {
-                        self.ready.push((self.threads[tid].priority, Reverse(tid)));
-                    }
-                    SchedulingPolicy::Edf => {
-                        self.ready_edf
-                            .push(Reverse((self.threads[tid].deadline, tid)));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Marks a thread not-runnable; its heap entry is dropped lazily.
-    fn unmark_runnable(&mut self, tid: usize) {
-        self.runnable[tid] = false;
-    }
-
-    /// Re-keys a thread's current absolute deadline. Under EDF a runnable
-    /// thread gets a fresh heap entry (the old one turns stale and is
-    /// discarded lazily by [`Self::pick_runnable`]'s deadline match); under
-    /// fixed priorities the value is only stored.
+    /// Sets a thread's current absolute deadline (the EDF dispatching key;
+    /// stored but unused under fixed priorities).
     fn set_deadline(&mut self, tid: usize, deadline: Instant) {
-        if self.threads[tid].deadline == deadline {
-            return;
-        }
         self.threads[tid].deadline = deadline;
-        if self.config.policy == SchedulingPolicy::Edf
-            && self.config.scheduler == SchedulerKind::Indexed
-            && self.runnable[tid]
-        {
-            self.ready_edf.push(Reverse((deadline, tid)));
-        }
     }
 
     /// The configured overhead model (server bodies read their dispatch /
@@ -542,27 +333,23 @@ impl<P: Probe> Engine<P> {
 
     /// Arms a one-shot timer that fires the event at the given instant.
     pub fn add_one_shot_timer(&mut self, at: Instant, event: EventHandle) {
-        let index = self.timers.len();
         self.timers.push(TimerState {
             event,
             next: at,
             period: None,
             enabled: true,
         });
-        self.push_calendar(at, CalendarKind::Timer(index));
     }
 
     /// Arms a periodic timer that fires the event at `start`, `start+period`, …
     pub fn add_periodic_timer(&mut self, start: Instant, period: Span, event: EventHandle) {
         assert!(!period.is_zero(), "periodic timers need a positive period");
-        let index = self.timers.len();
         self.timers.push(TimerState {
             event,
             next: start,
             period: Some(period),
             enabled: true,
         });
-        self.push_calendar(start, CalendarKind::Timer(index));
     }
 
     /// Spawns an aperiodic schedulable.
@@ -590,8 +377,6 @@ impl<P: Probe> Engine<P> {
             status: ThreadStatus::Ready(Completion::Started),
             deadline: Instant::MAX,
         });
-        self.runnable.push(false);
-        self.mark_runnable(handle.0);
         handle
     }
 
@@ -689,23 +474,8 @@ impl<P: Probe> Engine<P> {
     /// Runs the system until the horizon and returns the trace.
     pub fn run(mut self) -> Trace {
         while self.now < self.config.horizon {
-            match self.config.scheduler {
-                SchedulerKind::Indexed => {
-                    // Same-instant batching: the calendar cannot have grown a
-                    // due entry since the last drain at this instant (every
-                    // mid-run insertion checks `time > now`, and nothing can
-                    // re-arm a timer from a hook or body), so consecutive
-                    // zero-time decisions skip straight to the dispatcher.
-                    if self.drained_at != Some(self.now) {
-                        self.process_due_calendar();
-                        self.drained_at = Some(self.now);
-                    }
-                }
-                SchedulerKind::LinearScan => {
-                    self.fire_due_timers_scan();
-                    self.wake_due_threads_scan();
-                }
-            }
+            self.fire_due_timers();
+            self.wake_due_threads();
 
             // The timer machinery runs above everything: charge its pending
             // cost before any application code.
@@ -715,10 +485,6 @@ impl<P: Probe> Engine<P> {
                 let slice = self
                     .pending_timer_overhead
                     .min(self.config.horizon.since(self.now));
-                if P::ENABLED {
-                    self.probe
-                        .slice(ExecUnit::TimerOverhead, self.now, self.now + slice);
-                }
                 self.trace
                     .push_segment(ExecUnit::TimerOverhead, self.now, self.now + slice);
                 self.now += slice;
@@ -727,17 +493,11 @@ impl<P: Probe> Engine<P> {
                 continue;
             }
 
-            if P::ENABLED {
-                self.probe.decision(self.now);
-            }
             let Some(tid) = self.pick_runnable() else {
                 // Idle: jump to the next instant anything can happen
                 // (next_preemption_time is already capped at the horizon).
                 let next = self.next_preemption_time();
                 debug_assert!(next > self.now);
-                if P::ENABLED {
-                    self.probe.slice(ExecUnit::Idle, self.now, next);
-                }
                 self.trace.push_segment(ExecUnit::Idle, self.now, next);
                 self.now = next;
                 self.zero_time_steps = 0;
@@ -767,16 +527,6 @@ impl<P: Probe> Engine<P> {
                 slice = slice.min(budget);
             }
             debug_assert!(!slice.is_zero(), "computations always make progress");
-            if P::ENABLED {
-                let unit = state.unit;
-                if let Some(prev) = self.incomplete.take() {
-                    if prev != unit {
-                        self.probe.preemption(prev, self.now);
-                    }
-                }
-                self.probe.dispatch(unit, self.now);
-                self.probe.slice(unit, self.now, self.now + slice);
-            }
             self.trace
                 .push_segment(state.unit, self.now, self.now + slice);
             self.now += slice;
@@ -786,13 +536,6 @@ impl<P: Probe> Engine<P> {
             state.consumed += slice;
             if let Some(budget) = &mut state.budget {
                 *budget = budget.minus(slice);
-            }
-            if P::ENABLED {
-                // A budget cut ends the job (the body sees `Interrupted`),
-                // so only a genuinely unfinished computation is a preemption
-                // candidate.
-                self.incomplete = (!state.remaining.is_zero() && state.budget != Some(Span::ZERO))
-                    .then_some(state.unit);
             }
             if state.remaining.is_zero() {
                 let consumed = state.consumed;
@@ -822,89 +565,14 @@ impl<P: Probe> Engine<P> {
         }
     }
 
-    /// Processes every calendar entry due at or before the current instant:
-    /// wakes timed waits and periodic releases, and fires due timers.
-    ///
-    /// O(d·log(t+m)) for `d` due entries. Timed wakes only flip independent
-    /// per-thread statuses, so applying them while draining the heap (before
-    /// the timer fires run their hooks) is order-equivalent to the seed's
-    /// fire-then-wake sequence: hooks and event waits never observe
-    /// `BlockedUntil` / `BlockedForPeriod` states. Timer fires are replayed
-    /// in (timer creation order, occurrence instant) order, the seed's exact
-    /// linear-scan order.
-    fn process_due_calendar(&mut self) {
-        let mut due_fires = std::mem::take(&mut self.due_fires);
-        debug_assert!(due_fires.is_empty());
-        while let Some(&Reverse(entry)) = self.calendar.peek() {
-            if entry.time > self.now {
-                break;
-            }
-            self.calendar.pop();
-            self.next_event_cache = None;
-            if !self.calendar_entry_is_live(&entry) {
-                continue;
-            }
-            match entry.kind {
-                CalendarKind::Timer(i) => {
-                    // now < horizon in the run loop, so entry.time < horizon:
-                    // the seed's `next < horizon` fire guard holds implicitly.
-                    due_fires.push((i, entry.time));
-                    match self.timers[i].period {
-                        Some(period) => {
-                            let next = entry.time + period;
-                            self.timers[i].next = next;
-                            self.calendar.push(Reverse(CalendarEntry {
-                                time: next,
-                                kind: entry.kind,
-                            }));
-                        }
-                        None => self.timers[i].enabled = false,
-                    }
-                }
-                CalendarKind::ThreadWake(t) => {
-                    self.threads[t].status = ThreadStatus::Ready(Completion::TimeReached);
-                    self.mark_runnable(t);
-                }
-                CalendarKind::PeriodRelease(t) => {
-                    let release = self.threads[t]
-                        .periodic
-                        .as_mut()
-                        // rt-lint: allow(panic, reason = "a PeriodRelease calendar entry is only enqueued for periodic schedulables")
-                        .expect("BlockedForPeriod requires periodic parameters");
-                    let job_deadline = entry.time + release.relative_deadline;
-                    release.next += release.period;
-                    self.threads[t].status = ThreadStatus::Ready(Completion::PeriodStarted);
-                    // Re-key the fresh job's deadline before the ready-heap
-                    // insertion so the EDF entry carries the new key.
-                    self.set_deadline(t, job_deadline);
-                    self.mark_runnable(t);
-                    if P::ENABLED {
-                        self.probe.release(self.now);
-                    }
-                }
-            }
-        }
-        if P::ENABLED {
-            self.probe.calendar_size(self.calendar.len() as u64);
-        }
-        due_fires.sort_unstable();
-        for &(i, _) in &due_fires {
-            self.pending_timer_overhead += self.config.overhead.timer_fire;
-            let event = self.timers[i].event;
-            self.fire_event_now(event);
-        }
-        due_fires.clear();
-        self.due_fires = due_fires;
-    }
-
     /// Fires every timer due at or before the current instant by scanning the
-    /// whole timer list — the seed implementation, O(m) per decision
-    /// ([`SchedulerKind::LinearScan`] only).
-    fn fire_due_timers_scan(&mut self) {
-        let mut to_fire: Vec<EventHandle> = Vec::new();
+    /// whole timer list, in (timer creation order, occurrence instant) order
+    /// — O(m) per decision.
+    fn fire_due_timers(&mut self) {
+        let mut due = std::mem::take(&mut self.due_events);
         for timer in &mut self.timers {
             while timer.enabled && timer.next <= self.now && timer.next < self.config.horizon {
-                to_fire.push(timer.event);
+                due.push(timer.event);
                 match timer.period {
                     Some(period) => timer.next += period,
                     None => {
@@ -913,10 +581,12 @@ impl<P: Probe> Engine<P> {
                 }
             }
         }
-        for event in to_fire {
+        for &event in &due {
             self.pending_timer_overhead += self.config.overhead.timer_fire;
             self.fire_event_now(event);
         }
+        due.clear();
+        self.due_events = due;
     }
 
     /// Fires an event immediately: runs its hooks (which may cascade into
@@ -926,9 +596,6 @@ impl<P: Probe> Engine<P> {
         let mut cascade = std::mem::take(&mut self.cascade_scratch);
         queue.push_back(event);
         while let Some(event) = queue.pop_front() {
-            if P::ENABLED {
-                self.probe.fire(self.now);
-            }
             // Run the hooks with the hook list temporarily detached so hooks
             // can be FnMut over their own captured state. The cascade buffer
             // is threaded through the context and drained back into the fire
@@ -955,7 +622,6 @@ impl<P: Probe> Engine<P> {
             } else {
                 for &tid in &waiters {
                     self.threads[tid].status = ThreadStatus::Ready(Completion::EventFired);
-                    self.mark_runnable(tid);
                 }
                 waiters.clear();
             }
@@ -965,16 +631,15 @@ impl<P: Probe> Engine<P> {
         self.cascade_scratch = cascade;
     }
 
-    /// Wakes every thread whose timed wait has expired by scanning the whole
-    /// thread list — the seed implementation, O(t) per decision
-    /// ([`SchedulerKind::LinearScan`] only).
-    fn wake_due_threads_scan(&mut self) {
+    /// Wakes every thread whose timed wait has expired and releases every
+    /// periodic thread whose next release is due, by scanning the whole
+    /// thread list — O(t) per decision.
+    fn wake_due_threads(&mut self) {
         for tid in 0..self.threads.len() {
             let thread = &mut self.threads[tid];
             match thread.status {
                 ThreadStatus::BlockedUntil(t) if t <= self.now => {
                     thread.status = ThreadStatus::Ready(Completion::TimeReached);
-                    self.mark_runnable(tid);
                 }
                 ThreadStatus::BlockedForPeriod => {
                     let release = thread
@@ -987,10 +652,6 @@ impl<P: Probe> Engine<P> {
                         release.next += release.period;
                         thread.status = ThreadStatus::Ready(Completion::PeriodStarted);
                         self.set_deadline(tid, job_deadline);
-                        self.mark_runnable(tid);
-                        if P::ENABLED {
-                            self.probe.release(self.now);
-                        }
                     }
                 }
                 _ => {}
@@ -1001,65 +662,28 @@ impl<P: Probe> Engine<P> {
     /// The thread to dispatch among those ready or computing: the
     /// highest-priority one under fixed priorities, the earliest-deadline one
     /// under EDF; ties are broken by spawn order (earlier spawn wins) under
-    /// both policies, which keeps runs deterministic.
-    ///
-    /// Indexed: amortised O(1) peek on the policy's ready heap (stale
-    /// entries — not-runnable threads, re-keyed deadlines — are dropped
-    /// lazily). Linear scan: O(t) sweep over every thread.
+    /// both policies, which keeps runs deterministic. O(t) sweep over every
+    /// thread.
     // rt-lint: zero-alloc
-    fn pick_runnable(&mut self) -> Option<usize> {
-        match (self.config.scheduler, self.config.policy) {
-            (SchedulerKind::Indexed, SchedulingPolicy::FixedPriority) => {
-                while let Some(&(_, Reverse(tid))) = self.ready.peek() {
-                    if self.runnable[tid] {
-                        debug_assert!(matches!(
-                            self.threads[tid].status,
-                            ThreadStatus::Ready(_) | ThreadStatus::Computing(_)
-                        ));
-                        return Some(tid);
-                    }
-                    self.ready.pop();
-                }
-                None
+    fn pick_runnable(&self) -> Option<usize> {
+        let mut best: Option<(Priority, Instant, usize)> = None;
+        for (i, thread) in self.threads.iter().enumerate() {
+            if !matches!(
+                thread.status,
+                ThreadStatus::Ready(_) | ThreadStatus::Computing(_)
+            ) {
+                continue;
             }
-            (SchedulerKind::Indexed, SchedulingPolicy::Edf) => {
-                while let Some(&Reverse((deadline, tid))) = self.ready_edf.peek() {
-                    // Live iff still runnable *and* still keyed by this
-                    // deadline (a re-keyed thread has a fresher entry).
-                    if self.runnable[tid] && self.threads[tid].deadline == deadline {
-                        debug_assert!(matches!(
-                            self.threads[tid].status,
-                            ThreadStatus::Ready(_) | ThreadStatus::Computing(_)
-                        ));
-                        return Some(tid);
-                    }
-                    self.ready_edf.pop();
-                }
-                None
-            }
-            (SchedulerKind::LinearScan, policy) => {
-                let mut best: Option<(Priority, Instant, usize)> = None;
-                for (i, thread) in self.threads.iter().enumerate() {
-                    if !matches!(
-                        thread.status,
-                        ThreadStatus::Ready(_) | ThreadStatus::Computing(_)
-                    ) {
-                        continue;
-                    }
-                    let wins = match (&best, policy) {
-                        (None, _) => true,
-                        (Some((p, _, _)), SchedulingPolicy::FixedPriority) => {
-                            thread.priority.preempts(*p)
-                        }
-                        (Some((_, d, _)), SchedulingPolicy::Edf) => thread.deadline < *d,
-                    };
-                    if wins {
-                        best = Some((thread.priority, thread.deadline, i));
-                    }
-                }
-                best.map(|(_, _, i)| i)
+            let wins = match (&best, self.config.policy) {
+                (None, _) => true,
+                (Some((p, _, _)), SchedulingPolicy::FixedPriority) => thread.priority.preempts(*p),
+                (Some((_, d, _)), SchedulingPolicy::Edf) => thread.deadline < *d,
+            };
+            if wins {
+                best = Some((thread.priority, thread.deadline, i));
             }
         }
+        best.map(|(_, _, i)| i)
     }
 
     /// Asks the body of a Ready thread for its next action and applies it.
@@ -1133,18 +757,9 @@ impl<P: Probe> Engine<P> {
                     let job_deadline = periodic.next + periodic.relative_deadline;
                     periodic.next += periodic.period;
                     self.threads[tid].status = ThreadStatus::Ready(Completion::PeriodStarted);
-                    // The thread stays runnable through the release, so the
-                    // EDF re-key pushes a fresh heap entry here (the blocked
-                    // path re-keys when the calendar wakes it instead).
                     self.set_deadline(tid, job_deadline);
-                    if P::ENABLED {
-                        self.probe.release(self.now);
-                    }
                 } else {
-                    let release = periodic.next;
                     self.threads[tid].status = ThreadStatus::BlockedForPeriod;
-                    self.unmark_runnable(tid);
-                    self.push_calendar(release, CalendarKind::PeriodRelease(tid));
                 }
             }
             Action::WaitUntil(t) => {
@@ -1152,8 +767,6 @@ impl<P: Probe> Engine<P> {
                     self.threads[tid].status = ThreadStatus::Ready(Completion::TimeReached);
                 } else {
                     self.threads[tid].status = ThreadStatus::BlockedUntil(t);
-                    self.unmark_runnable(tid);
-                    self.push_calendar(t, CalendarKind::ThreadWake(tid));
                 }
             }
             Action::WaitForEvent(event) => {
@@ -1163,12 +776,10 @@ impl<P: Probe> Engine<P> {
                 } else {
                     self.events[event.0].waiters.push(tid);
                     self.threads[tid].status = ThreadStatus::BlockedOnEvent;
-                    self.unmark_runnable(tid);
                 }
             }
             Action::Terminate => {
                 self.threads[tid].status = ThreadStatus::Terminated;
-                self.unmark_runnable(tid);
             }
         }
 
@@ -1177,11 +788,9 @@ impl<P: Probe> Engine<P> {
         for event in fires {
             self.fire_event_now(event);
         }
-        // Runtime-armed timers: a future instant rides the event calendar
-        // like any pre-run timer (preserving the batching invariant that
-        // mid-run insertions are strictly in the future); a past or present
-        // instant fires immediately, charging the same timer overhead a
-        // calendar fire would.
+        // Runtime-armed timers: a future instant joins the timer list like
+        // any pre-run timer; a past or present instant fires immediately,
+        // charging the same timer overhead a scanned fire would.
         for (at, event) in timers {
             if at <= self.now {
                 self.pending_timer_overhead += self.config.overhead.timer_fire;
@@ -1194,52 +803,26 @@ impl<P: Probe> Engine<P> {
 
     /// The next instant at which the set of runnable threads could change
     /// while some thread is computing: the next timer fire, the next timed
-    /// wake-up, the next periodic release, or the horizon.
-    ///
-    /// Indexed: an O(1) peek of the calendar (memoised between decisions, so
-    /// consecutive compute slices do not even pay the stale-entry sweep).
-    /// Linear scan: an O(t + m) sweep over every thread and timer.
-    fn next_preemption_time(&mut self) -> Instant {
-        let next = match self.config.scheduler {
-            SchedulerKind::Indexed => match self.next_event_cache {
-                Some(cached) => cached,
-                None => {
-                    let found = loop {
-                        match self.calendar.peek() {
-                            None => break Instant::MAX,
-                            Some(&Reverse(entry)) => {
-                                if self.calendar_entry_is_live(&entry) {
-                                    break entry.time;
-                                }
-                                self.calendar.pop();
-                            }
-                        }
-                    };
-                    self.next_event_cache = Some(found);
-                    found
-                }
-            },
-            SchedulerKind::LinearScan => {
-                let mut next = Instant::MAX;
-                for timer in &self.timers {
-                    if timer.enabled && timer.next < self.config.horizon {
-                        next = next.min(timer.next);
-                    }
-                }
-                for thread in &self.threads {
-                    match thread.status {
-                        ThreadStatus::BlockedUntil(t) => next = next.min(t),
-                        ThreadStatus::BlockedForPeriod => {
-                            if let Some(p) = &thread.periodic {
-                                next = next.min(p.next);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                next
+    /// wake-up, the next periodic release, or the horizon — an O(t + m)
+    /// sweep over every thread and timer.
+    fn next_preemption_time(&self) -> Instant {
+        let mut next = Instant::MAX;
+        for timer in &self.timers {
+            if timer.enabled && timer.next < self.config.horizon {
+                next = next.min(timer.next);
             }
-        };
+        }
+        for thread in &self.threads {
+            match thread.status {
+                ThreadStatus::BlockedUntil(t) => next = next.min(t),
+                ThreadStatus::BlockedForPeriod => {
+                    if let Some(p) = &thread.periodic {
+                        next = next.min(p.next);
+                    }
+                }
+                _ => {}
+            }
+        }
         next.min(self.config.horizon)
             .max(self.now + Span::from_ticks(1))
     }
@@ -1664,40 +1247,34 @@ mod tests {
     fn edf_dispatches_by_deadline_not_priority() {
         // Under EDF the *lower-priority* thread with the shorter period (and
         // therefore the earlier absolute deadline) runs first.
-        for scheduler in [SchedulerKind::Indexed, SchedulerKind::LinearScan] {
-            let mut engine = Engine::new(
-                config(20)
-                    .with_policy(rt_model::SchedulingPolicy::Edf)
-                    .with_scheduler(scheduler),
-            );
-            engine.spawn_periodic(
-                "high-prio-long-deadline",
-                Priority::new(50),
-                Instant::ZERO,
-                Span::from_units(20),
-                Box::new(PeriodicWorker {
-                    cost: Span::from_units(4),
-                    unit: task_unit(0),
-                }),
-            );
-            engine.spawn_periodic(
-                "low-prio-short-deadline",
-                Priority::new(10),
-                Instant::ZERO,
-                Span::from_units(5),
-                Box::new(PeriodicWorker {
-                    cost: Span::from_units(1),
-                    unit: task_unit(1),
-                }),
-            );
-            let trace = engine.run();
-            let first = trace.segments.first().unwrap();
-            assert_eq!(
-                first.unit,
-                task_unit(1),
-                "{scheduler:?}: deadline 5 must beat deadline 20 regardless of priority"
-            );
-        }
+        let mut engine = Engine::new(config(20).with_policy(rt_model::SchedulingPolicy::Edf));
+        engine.spawn_periodic(
+            "high-prio-long-deadline",
+            Priority::new(50),
+            Instant::ZERO,
+            Span::from_units(20),
+            Box::new(PeriodicWorker {
+                cost: Span::from_units(4),
+                unit: task_unit(0),
+            }),
+        );
+        engine.spawn_periodic(
+            "low-prio-short-deadline",
+            Priority::new(10),
+            Instant::ZERO,
+            Span::from_units(5),
+            Box::new(PeriodicWorker {
+                cost: Span::from_units(1),
+                unit: task_unit(1),
+            }),
+        );
+        let trace = engine.run();
+        let first = trace.segments.first().unwrap();
+        assert_eq!(
+            first.unit,
+            task_unit(1),
+            "deadline 5 must beat deadline 20 regardless of priority"
+        );
     }
 
     #[test]
@@ -1728,67 +1305,32 @@ mod tests {
     fn edf_mid_run_release_preempts_a_later_deadline() {
         // A long job (deadline 30) is preempted at t=4 by a release whose
         // deadline (4+6=10) is earlier.
-        for scheduler in [SchedulerKind::Indexed, SchedulerKind::LinearScan] {
-            let mut engine = Engine::new(
-                config(30)
-                    .with_policy(rt_model::SchedulingPolicy::Edf)
-                    .with_scheduler(scheduler),
-            );
-            engine.spawn_periodic(
-                "long",
-                Priority::new(50),
-                Instant::ZERO,
-                Span::from_units(30),
-                Box::new(PeriodicWorker {
-                    cost: Span::from_units(10),
-                    unit: task_unit(0),
-                }),
-            );
-            engine.spawn_periodic(
-                "urgent",
-                Priority::new(1),
-                Instant::from_units(4),
-                Span::from_units(6),
-                Box::new(PeriodicWorker {
-                    cost: Span::from_units(2),
-                    unit: task_unit(1),
-                }),
-            );
-            let trace = engine.run();
-            let urgent: Vec<_> = trace.segments_of(task_unit(1)).collect();
-            assert_eq!(
-                (urgent[0].start, urgent[0].end),
-                (Instant::from_units(4), Instant::from_units(6)),
-                "{scheduler:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn edf_indexed_and_linear_scan_traces_agree() {
-        let build = |scheduler: SchedulerKind| {
-            let mut engine = Engine::new(
-                config(60)
-                    .with_policy(rt_model::SchedulingPolicy::Edf)
-                    .with_scheduler(scheduler),
-            );
-            for (i, (cost, period)) in [(2u64, 7u64), (1, 5), (3, 13), (1, 9)].iter().enumerate() {
-                engine.spawn_periodic(
-                    format!("w{i}"),
-                    Priority::new(10 + i as u8),
-                    Instant::ZERO,
-                    Span::from_units(*period),
-                    Box::new(PeriodicWorker {
-                        cost: Span::from_units(*cost),
-                        unit: task_unit(i as u32),
-                    }),
-                );
-            }
-            engine.run()
-        };
+        let mut engine = Engine::new(config(30).with_policy(rt_model::SchedulingPolicy::Edf));
+        engine.spawn_periodic(
+            "long",
+            Priority::new(50),
+            Instant::ZERO,
+            Span::from_units(30),
+            Box::new(PeriodicWorker {
+                cost: Span::from_units(10),
+                unit: task_unit(0),
+            }),
+        );
+        engine.spawn_periodic(
+            "urgent",
+            Priority::new(1),
+            Instant::from_units(4),
+            Span::from_units(6),
+            Box::new(PeriodicWorker {
+                cost: Span::from_units(2),
+                unit: task_unit(1),
+            }),
+        );
+        let trace = engine.run();
+        let urgent: Vec<_> = trace.segments_of(task_unit(1)).collect();
         assert_eq!(
-            build(SchedulerKind::Indexed),
-            build(SchedulerKind::LinearScan)
+            (urgent[0].start, urgent[0].end),
+            (Instant::from_units(4), Instant::from_units(6))
         );
     }
 

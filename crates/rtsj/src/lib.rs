@@ -12,8 +12,8 @@
 //!   which schedulable objects describe their behaviour to the engine,
 //!   covering `waitForNextPeriod`, event waits and `Timed.doInterruptible`;
 //! * [`engine`] — a deterministic virtual-time, preemptive fixed-priority
-//!   execution engine with asynchronous events, timers running above every
-//!   application priority, and `Timed` budget enforcement;
+//!   (or EDF) execution engine with asynchronous events, timers running
+//!   above every application priority, and `Timed` budget enforcement;
 //! * [`overhead`] — the explicit runtime-cost model that recreates the
 //!   execution-vs-simulation gap measured by the paper;
 //! * [`handlers`] — ready-made bodies for periodic real-time threads and
@@ -25,21 +25,17 @@
 //!
 //! ## Per-decision cost model
 //!
-//! The engine advances decision by decision in integer virtual time: each
-//! decision is O(log n) — calendar pops and ready-heap updates, amortised
-//! O(1) peeks via the memoised next-preemption instant — and allocates
-//! nothing in the steady state (scratch buffers for timer fires, event
-//! cascades and waiter lists are reused across decisions). Everything per
-//! release is `Copy` or reused: handler identities are interned
-//! [`rt_model::NameId`]s, not `String`s, part of the compile layer's
-//! zero-allocations-per-decision discipline (pinned by `rt-bench`'s
-//! `zero_alloc` test). The execution fast path in
-//! `rt-taskserver::fastpath` — what `rt_taskserver::execute` runs under
-//! fixed priorities — bypasses this engine's generic heaps with
-//! precomputed rank/ceiling tables while reproducing its traces
-//! byte-identically; this engine serves EDF and probe-observed runs, and
-//! its [`SchedulerKind::LinearScan`] mode is the execution world's
-//! reference oracle.
+//! The engine is the seed's linear-scan loop, kept as the execution world's
+//! reference oracle (`rt_taskserver::execute_reference`): it advances
+//! decision by decision in integer virtual time, and each decision rescans
+//! every timer and thread — O(t + m) for `t` threads and `m` timers. It
+//! allocates nothing once its buffers are warm (scratch buffers for due
+//! timer fires, event cascades and waiter lists are reused across
+//! decisions; pinned by `rt-bench`'s `zero_alloc` test). The execution
+//! driver in `rt-taskserver::fastpath` — what `rt_taskserver::execute` and
+//! `execute_with_probe` run under both scheduling policies — replaces the
+//! scans with precomputed rank/ceiling tables and a deadline heap while
+//! reproducing this engine's traces byte-identically.
 //!
 //! ```
 //! use rt_model::{ExecUnit, Instant, Priority, Span, TaskId};
@@ -76,9 +72,7 @@ pub mod params;
 pub mod wallclock;
 
 pub use body::{Action, BodyCtx, Completion, ThreadBody};
-pub use engine::{
-    Engine, EngineConfig, EventHandle, FireCtx, FireHook, SchedulerKind, ThreadHandle,
-};
+pub use engine::{Engine, EngineConfig, EventHandle, FireCtx, FireHook, ThreadHandle};
 pub use handlers::{BoundHandlerBody, HandlerRun, PeriodicThreadBody};
 pub use overhead::OverheadModel;
 pub use params::{

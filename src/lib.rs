@@ -78,8 +78,9 @@ pub mod prelude {
     };
     pub use rt_sysgen::{GeneratorParams, RandomSystemGenerator};
     pub use rt_taskserver::{
-        execute, AdmissionController, ExecutionConfig, QueueKind, TaskServerParameters,
+        execute, execute_reference, AdmissionController, ExecutionConfig, QueueKind,
+        TaskServerParameters,
     };
-    pub use rtsj_emu::{OverheadModel, SchedulerKind};
+    pub use rtsj_emu::OverheadModel;
     pub use rtss_sim::{render_ascii, render_svg, simulate, simulate_reference, GanttOptions};
 }

@@ -22,10 +22,11 @@
 use rtsj_event_framework::model::{
     AdmissionPolicy, Instant, Priority, SchedulingPolicy, ServerSpec, Span, SystemSpec, Trace,
 };
-use rtsj_event_framework::observe::NoopProbe;
-use rtsj_event_framework::rtsj::SchedulerKind;
+use rtsj_event_framework::observe::MetricsProbe;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
-use rtsj_event_framework::taskserver::{execute, execute_with_probe, ExecutionConfig, QueueKind};
+use rtsj_event_framework::taskserver::{
+    execute, execute_reference, execute_with_probe, ExecutionConfig, QueueKind,
+};
 
 /// A sustained 4× overload burst into a polling server: server bandwidth
 /// 5/10 = 0.5, arrival bandwidth one cost-2 event per unit = 2.0. Every
@@ -114,23 +115,24 @@ fn accept_all_reduces_byte_identically_across_the_engine_matrix() {
             server.admission = AdmissionPolicy::default();
         }
         // Execution matrix: engine loop × queue.
-        for scheduler in [SchedulerKind::Indexed, SchedulerKind::LinearScan] {
-            for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-                let config = ExecutionConfig::reference()
-                    .with_scheduler(scheduler)
-                    .with_queue(queue);
-                let unstamped = execute(&unstamped, &config).render_canonical();
-                assert_eq!(
-                    execute(&stamped, &config).render_canonical(),
-                    unstamped,
-                    "{scheduling:?}/{scheduler:?}/{queue:?}"
-                );
-                assert_eq!(
-                    execute_with_probe(&stamped, &config, NoopProbe).render_canonical(),
-                    unstamped,
-                    "{scheduling:?}/{scheduler:?}/{queue:?} (probe-threaded)"
-                );
-            }
+        for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
+            let config = ExecutionConfig::reference().with_queue(queue);
+            let unstamped = execute(&unstamped, &config).render_canonical();
+            assert_eq!(
+                execute(&stamped, &config).render_canonical(),
+                unstamped,
+                "{scheduling:?}/{queue:?}"
+            );
+            assert_eq!(
+                execute_with_probe(&stamped, &config, &mut MetricsProbe::new()).render_canonical(),
+                unstamped,
+                "{scheduling:?}/{queue:?} (observed)"
+            );
+            assert_eq!(
+                execute_reference(&stamped, &config).render_canonical(),
+                unstamped,
+                "{scheduling:?}/{queue:?} (reference)"
+            );
         }
         // Simulation matrix: the driver and the reference.
         let reference = simulate(&unstamped).render_canonical();
@@ -164,15 +166,16 @@ fn predictive_decisions_agree_across_engines_and_engine_modes() {
                 simulate(&spec).render_canonical(),
                 simulate_reference(&spec).render_canonical()
             );
-            for scheduler in [SchedulerKind::Indexed, SchedulerKind::LinearScan] {
-                for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-                    let config = ExecutionConfig::ideal()
-                        .with_scheduler(scheduler)
-                        .with_queue(queue);
+            for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
+                let config = ExecutionConfig::ideal().with_queue(queue);
+                for (label, trace) in [
+                    ("execute", execute(&spec, &config)),
+                    ("execute_reference", execute_reference(&spec, &config)),
+                ] {
                     assert_eq!(
-                        execute(&spec, &config).render_canonical(),
+                        trace.render_canonical(),
                         executed.render_canonical(),
-                        "{}: {scheduler:?}/{queue:?}",
+                        "{}: {label}/{queue:?}",
                         spec.name
                     );
                 }
@@ -322,7 +325,7 @@ fn an_overrun_abort_releases_its_equation5_slot() {
     );
     assert_eq!(
         executed.render_canonical(),
-        execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan)).render_canonical()
+        execute_reference(&spec, &config).render_canonical()
     );
     for trace in [&simulated, &executed] {
         let fates: Vec<AperiodicFate> = trace.outcomes.iter().map(|o| o.fate).collect();

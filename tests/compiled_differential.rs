@@ -11,11 +11,10 @@
 
 use rtsj_event_framework::compile::CompiledSystem;
 use rtsj_event_framework::model::ServerPolicyKind;
-use rtsj_event_framework::observe::NoopProbe;
-use rtsj_event_framework::prelude::SchedulerKind;
+use rtsj_event_framework::observe::{MetricsProbe, NoopProbe};
 use rtsj_event_framework::simulator::{simulate, simulate_reference, simulate_with_probe};
 use rtsj_event_framework::sysgen::{GeneratorParams, RandomSystemGenerator};
-use rtsj_event_framework::taskserver::{execute, ExecutionConfig};
+use rtsj_event_framework::taskserver::{execute_reference, execute_with_probe, ExecutionConfig};
 
 mod common;
 use common::invariants::assert_trace_invariants;
@@ -53,7 +52,7 @@ fn compiled_simulation_matches_on_generated_systems() {
                 assert_trace_invariants(&spec, &simulated);
 
                 let config = ExecutionConfig::reference();
-                let reference = execute(&spec, &config.with_scheduler(SchedulerKind::LinearScan));
+                let reference = execute_reference(&spec, &config);
                 let plan = compiled.execution_plan(&config);
                 let executed = plan.run();
                 assert_eq!(
@@ -69,8 +68,8 @@ fn compiled_simulation_matches_on_generated_systems() {
                 );
                 assert_eq!(
                     executed,
-                    plan.run_with_probe(NoopProbe),
-                    "probe-threaded compiled execution diverged on {}",
+                    execute_with_probe(compiled.spec(), &config, &mut MetricsProbe::new()),
+                    "observed compiled execution diverged on {}",
                     spec.name
                 );
                 assert_trace_invariants(&spec, &executed);

@@ -15,11 +15,12 @@ use rtsj_event_framework::model::{
     Instant, Priority, QueueDiscipline, SchedulingPolicy, ServerPolicyKind, ServerSpec, Span,
     SystemSpec,
 };
-use rtsj_event_framework::observe::NoopProbe;
-use rtsj_event_framework::prelude::SchedulerKind;
+use rtsj_event_framework::observe::MetricsProbe;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::sysgen::{GeneratorParams, RandomSystemGenerator};
-use rtsj_event_framework::taskserver::{execute, execute_with_probe, ExecutionConfig, QueueKind};
+use rtsj_event_framework::taskserver::{
+    execute, execute_reference, execute_with_probe, ExecutionConfig, QueueKind,
+};
 
 /// The Table 1 shape: server + two tasks, all on period 6 with implicit
 /// deadlines and priorities descending in spawn order — the deadline order
@@ -222,17 +223,17 @@ fn assert_edf_modes_agree(spec: &SystemSpec) {
     );
     for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
         let base = ExecutionConfig::reference().with_queue(queue);
-        let indexed = execute(spec, &base).render_canonical();
+        let fast = execute(spec, &base).render_canonical();
         assert_eq!(
-            indexed,
-            execute(spec, &base.with_scheduler(SchedulerKind::LinearScan)).render_canonical(),
+            fast,
+            execute_reference(spec, &base).render_canonical(),
             "EDF execution vs the linear-scan reference diverged on {} ({queue:?})",
             spec.name
         );
         assert_eq!(
-            indexed,
-            execute_with_probe(spec, &base, NoopProbe).render_canonical(),
-            "EDF execution vs the probe-threaded engine diverged on {} ({queue:?})",
+            fast,
+            execute_with_probe(spec, &base, &mut MetricsProbe::new()).render_canonical(),
+            "EDF execution vs the observed driver diverged on {} ({queue:?})",
             spec.name
         );
     }
@@ -313,14 +314,11 @@ fn deadline_ordered_execution_reorders_service_and_modes_agree() {
     let spec = build(QueueDiscipline::DeadlineOrdered);
     for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
         let base = ExecutionConfig::ideal().with_queue(queue);
-        let indexed = execute(&spec, &base).render_canonical();
+        let fast = execute(&spec, &base).render_canonical();
+        assert_eq!(fast, execute_reference(&spec, &base).render_canonical());
         assert_eq!(
-            indexed,
-            execute(&spec, &base.with_scheduler(SchedulerKind::LinearScan)).render_canonical()
-        );
-        assert_eq!(
-            indexed,
-            execute_with_probe(&spec, &base, NoopProbe).render_canonical()
+            fast,
+            execute_with_probe(&spec, &base, &mut MetricsProbe::new()).render_canonical()
         );
     }
 }

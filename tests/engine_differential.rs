@@ -6,10 +6,10 @@
 //!   kind × scheduling policy: ready bitmap, rate-group release wheel,
 //!   same-instant batching) against `simulate_reference` (the seed's
 //!   linear-scan, one-job-per-dispatch loop).
-//! * **Execution** — `execute` (the ceiling-table fast path under fixed
-//!   priorities) and `execute_with_probe` (the probe-threaded indexed
-//!   engine, which also serves EDF) against the linear-scan reference
-//!   engine (`SchedulerKind::LinearScan`).
+//! * **Execution** — `execute` (the table-driven driver, monomorphized per
+//!   scheduling policy) and `execute_with_probe` (the same driver with a
+//!   recording probe) against `execute_reference` (the seed's linear-scan
+//!   `rtsj-emu` engine).
 //!
 //! The inputs cover the paper scenarios, generated systems, the server
 //! policy × queue discipline × admission × scheduling matrix, multi-server
@@ -23,22 +23,22 @@ use rtsj_event_framework::model::{
     AdmissionPolicy, Instant, Priority, QueueDiscipline, SchedulingPolicy, ServerPolicyKind,
     ServerSpec, Span, SystemSpec,
 };
-use rtsj_event_framework::observe::NoopProbe;
-use rtsj_event_framework::prelude::SchedulerKind;
+use rtsj_event_framework::observe::MetricsProbe;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::sysgen::{GeneratorParams, RandomSystemGenerator};
-use rtsj_event_framework::taskserver::{execute, execute_with_probe, ExecutionConfig, QueueKind};
+use rtsj_event_framework::taskserver::{
+    execute, execute_reference, execute_with_probe, ExecutionConfig, QueueKind,
+};
 
 mod common;
 use common::invariants::assert_trace_invariants;
 
 /// Asserts the execution loops agree on one system under one configuration:
-/// `execute`, the probe-threaded indexed engine and the linear-scan
+/// `execute`, the driver with a recording probe and the linear-scan
 /// reference.
 fn assert_execution_agrees(spec: &SystemSpec, config: ExecutionConfig) {
-    let indexed = config.with_scheduler(SchedulerKind::Indexed);
-    let fast = execute(spec, &indexed);
-    let reference = execute(spec, &config.with_scheduler(SchedulerKind::LinearScan));
+    let fast = execute(spec, &config);
+    let reference = execute_reference(spec, &config);
     assert_eq!(
         fast.render_canonical(),
         reference.render_canonical(),
@@ -49,8 +49,8 @@ fn assert_execution_agrees(spec: &SystemSpec, config: ExecutionConfig) {
     assert_eq!(fast, reference, "trace equality mismatch on {}", spec.name);
     assert_eq!(
         fast,
-        execute_with_probe(spec, &indexed, NoopProbe),
-        "execute and the probe-threaded engine diverged on {}",
+        execute_with_probe(spec, &config, &mut MetricsProbe::new()),
+        "execute and the observed driver diverged on {}",
         spec.name
     );
     assert_trace_invariants(spec, &fast);
@@ -301,8 +301,7 @@ fn execution_plan_is_reusable() {
     let second = plan.run();
     assert_eq!(first, second, "plan reruns must be deterministic");
     assert_eq!(first, execute(&spec, &config));
-    assert_eq!(first, plan.run_with_probe(NoopProbe));
-    assert_eq!(first, compiled.execute(&config));
+    assert_eq!(first, execute_reference(&spec, &config));
 }
 
 #[test]

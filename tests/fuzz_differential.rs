@@ -9,11 +9,10 @@
 //! * **simulation world** — the driver behind `simulate` and the
 //!   linear-scan `simulate_reference` must render identical canonical
 //!   traces;
-//! * **execution world** — the three execution loops must render identical
-//!   canonical traces per configuration: `execute` (the ceiling-table fast
-//!   path under fixed priorities), the linear-scan reference engine, and
-//!   the probe-threaded indexed engine behind `execute_with_probe` with a
-//!   recording `MetricsProbe` attached.
+//! * **execution world** — `execute` (the table-driven driver), the same
+//!   driver behind `execute_with_probe` with a recording `MetricsProbe`
+//!   attached, and the linear-scan `execute_reference` must render
+//!   identical canonical traces per configuration.
 //!
 //! Every trace additionally passes the spec-aware invariant checker
 //! (`tests/common/invariants.rs`). The two worlds are *not* compared to
@@ -29,9 +28,10 @@
 
 use rtsj_event_framework::model::SystemSpec;
 use rtsj_event_framework::observe::MetricsProbe;
-use rtsj_event_framework::prelude::SchedulerKind;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
-use rtsj_event_framework::taskserver::{execute, execute_with_probe, ExecutionConfig};
+use rtsj_event_framework::taskserver::{
+    execute, execute_reference, execute_with_probe, ExecutionConfig,
+};
 
 mod common;
 use common::invariants::check_trace_invariants;
@@ -58,14 +58,13 @@ fn check_case(spec: &SystemSpec) -> Result<(), String> {
     check_trace_invariants(spec, &simulated)?;
 
     for config in [ExecutionConfig::reference(), ExecutionConfig::ideal()] {
-        let indexed = config.with_scheduler(SchedulerKind::Indexed);
-        let executed = execute(spec, &indexed);
+        let executed = execute(spec, &config);
         let canonical = executed.render_canonical();
-        let scanned = execute(spec, &config.with_scheduler(SchedulerKind::LinearScan));
+        let scanned = execute_reference(spec, &config);
         if scanned.render_canonical() != canonical {
-            return Err("execution world diverged: execute vs linear-scan".into());
+            return Err("execution world diverged: execute vs execute_reference".into());
         }
-        let observed = execute_with_probe(spec, &indexed, &mut MetricsProbe::new());
+        let observed = execute_with_probe(spec, &config, &mut MetricsProbe::new());
         if observed.render_canonical() != canonical {
             return Err("execution world diverged: execute vs execute_with_probe".into());
         }

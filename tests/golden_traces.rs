@@ -7,9 +7,9 @@
 //!
 //! * simulation — the linear-scan reference (`simulate_reference`) and the
 //!   specialized driver (`simulate`);
-//! * execution — the linear-scan reference engine, `execute` (the
-//!   ceiling-table fast path under fixed priorities) and
-//!   `execute_with_probe` (the probe-threaded indexed engine).
+//! * execution — the linear-scan reference (`execute_reference`), `execute`
+//!   (the table-driven driver) and `execute_with_probe` (the same driver
+//!   with a recording probe).
 //!
 //! The documented deterministic tie-breaks (spawn order, timer creation
 //! order) are part of the contract.
@@ -23,9 +23,10 @@ use rtsj_event_framework::model::{
     Instant, Priority, ServerPolicyKind, ServerSpec, Span, SystemSpec,
 };
 use rtsj_event_framework::observe::MetricsProbe;
-use rtsj_event_framework::rtsj::SchedulerKind;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
-use rtsj_event_framework::taskserver::{execute, execute_with_probe, ExecutionConfig, QueueKind};
+use rtsj_event_framework::taskserver::{
+    execute, execute_reference, execute_with_probe, ExecutionConfig, QueueKind,
+};
 
 /// The three figure scenarios' traffic: (release, actual cost, declared cost).
 fn scenario_events(scenario: u32) -> &'static [(u64, u64, Option<u64>)] {
@@ -97,17 +98,15 @@ fn sim_loops(spec: &SystemSpec) -> Vec<(&'static str, String)> {
 /// Every execution loop's canonical rendering under `config`, the
 /// linear-scan reference first.
 fn exec_loops(spec: &SystemSpec, config: ExecutionConfig) -> Vec<(&'static str, String)> {
-    let indexed = config.with_scheduler(SchedulerKind::Indexed);
-    let linear = config.with_scheduler(SchedulerKind::LinearScan);
     vec![
         (
-            "linear-scan execute",
-            execute(spec, &linear).render_canonical(),
+            "execute_reference",
+            execute_reference(spec, &config).render_canonical(),
         ),
-        ("execute", execute(spec, &indexed).render_canonical()),
+        ("execute", execute(spec, &config).render_canonical()),
         (
             "execute_with_probe",
-            execute_with_probe(spec, &indexed, &mut MetricsProbe::new()).render_canonical(),
+            execute_with_probe(spec, &config, &mut MetricsProbe::new()).render_canonical(),
         ),
     ]
 }

@@ -11,16 +11,15 @@
 //!    the installed events in plan order.
 //! 2. **Behaviour invariance** — renaming every event (forcing completely
 //!    different interner contents) leaves the canonical trace of both the
-//!    fast path and the probe-threaded engine untouched, and no name ever
-//!    leaks into the canonical rendering.
+//!    execution driver and the linear-scan reference untouched, and no name
+//!    ever leaks into the canonical rendering.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtsj_event_framework::model::{
     Instant, NameTable, Priority, ServerPolicyKind, ServerSpec, Span, SystemSpec,
 };
-use rtsj_event_framework::observe::NoopProbe;
-use rtsj_event_framework::taskserver::{ExecutionConfig, ExecutionPlan};
+use rtsj_event_framework::taskserver::{execute_reference, ExecutionConfig, ExecutionPlan};
 
 const CASES: u64 = 48;
 
@@ -135,11 +134,11 @@ fn renaming_events_never_changes_canonical_traces() {
             "seed {seed}: fast-path canonical trace must ignore names"
         );
 
-        let base_engine = base_plan.run_with_probe(NoopProbe).render_canonical();
-        let renamed_engine = renamed_plan.run_with_probe(NoopProbe).render_canonical();
+        let base_reference = execute_reference(&spec, &config).render_canonical();
+        let renamed_reference = execute_reference(&renamed, &config).render_canonical();
         assert_eq!(
-            base_engine, renamed_engine,
-            "seed {seed}: probe-threaded canonical trace must ignore names"
+            base_reference, renamed_reference,
+            "seed {seed}: reference canonical trace must ignore names"
         );
 
         assert!(

@@ -6,10 +6,12 @@
 //! channels only. This suite pins that promise:
 //!
 //! * **transparency** — canonical traces are byte-identical with and
-//!   without a recording [`MetricsProbe`] across the scheduler × admission
-//!   × server-policy matrix, in both worlds (the simulation driver; the
-//!   execution engine on both schedulers, whose probe-free indexed run is
-//!   the fast path);
+//!   without a recording [`MetricsProbe`] across the scheduling × admission
+//!   × server-policy matrix, in both worlds (the simulation driver and the
+//!   execution driver; the reference oracles carry no probe);
+//! * **counter pinning** — the execution driver's recording instantiation
+//!   reports exactly the counters the event-calendar engine it replaced
+//!   reported over the same matrix;
 //! * **counter/fate agreement** — the simulator's admission counters agree
 //!   with the fates its trace records: one rejection report per `Rejected`
 //!   fate, one displacement or budget-exhaustion report per `Aborted` fate,
@@ -21,7 +23,7 @@
 //!
 //! The execution world is transparency-checked but *not* metrics-compared to
 //! the simulation world: its substrate (non-resumable handlers, overhead
-//! phases, calendar fires) is structurally different, so its counter stream
+//! phases, event fires) is structurally different, so its counter stream
 //! is its own reference.
 
 use rtsj_event_framework::model::{
@@ -31,7 +33,6 @@ use rtsj_event_framework::model::{
 use rtsj_event_framework::observe::{
     chrome_trace_json, Counters, MetricsProbe, SpanProbe, UnitNames,
 };
-use rtsj_event_framework::prelude::SchedulerKind;
 use rtsj_event_framework::simulator::{simulate, simulate_with_probe};
 use rtsj_event_framework::taskserver::{execute, execute_with_probe, ExecutionConfig};
 
@@ -118,16 +119,13 @@ fn assert_probe_transparent(spec: &SystemSpec) {
     );
 
     for config in [ExecutionConfig::reference(), ExecutionConfig::ideal()] {
-        for scheduler in [SchedulerKind::Indexed, SchedulerKind::LinearScan] {
-            let config = config.with_scheduler(scheduler);
-            let mut probe = MetricsProbe::new();
-            assert_eq!(
-                execute(spec, &config).render_canonical(),
-                execute_with_probe(spec, &config, &mut probe).render_canonical(),
-                "{}: execution engine ({scheduler:?}) changed under observation",
-                spec.name
-            );
-        }
+        let mut probe = MetricsProbe::new();
+        assert_eq!(
+            execute(spec, &config).render_canonical(),
+            execute_with_probe(spec, &config, &mut probe).render_canonical(),
+            "{}: execution driver changed under observation",
+            spec.name
+        );
     }
 }
 
@@ -177,6 +175,46 @@ fn assert_sim_counters_match_fates(spec: &SystemSpec) -> Counters {
 fn recording_probes_are_transparent_across_the_matrix() {
     for spec in matrix() {
         assert_probe_transparent(&spec);
+    }
+}
+
+/// The execution driver's recording instantiation reports the hook stream
+/// of the event-calendar `rtsj-emu` engine that served observed runs before
+/// it: per scheduling policy, the counters and slice count merged over the
+/// matrix under both overhead models equal the values that engine recorded.
+/// The driver's trace-invisible shortcuts (pre-pumped releases, the fused
+/// pump → slice dispatch, spurious wheel stops) are exactly what these
+/// numbers would expose.
+#[test]
+fn execution_counters_match_the_indexed_engine() {
+    let recorded = |decisions, dispatches, preemptions| Counters {
+        decisions,
+        dispatches,
+        preemptions,
+        releases: 540,
+        fires: 468,
+        admission_accepted: 162,
+        admission_rejected: 6,
+        admission_aborted: 6,
+        cap_exhaustions: 21,
+        mode_changes: 0,
+    };
+    for (scheduling, counters, slices) in [
+        (
+            SchedulingPolicy::FixedPriority,
+            recorded(2724, 932, 38),
+            1236,
+        ),
+        (SchedulingPolicy::Edf, recorded(2734, 934, 30), 1246),
+    ] {
+        let mut probe = MetricsProbe::new();
+        for spec in matrix().iter().filter(|s| s.scheduling == scheduling) {
+            for config in [ExecutionConfig::reference(), ExecutionConfig::ideal()] {
+                execute_with_probe(spec, &config, &mut probe);
+            }
+        }
+        assert_eq!(probe.counters, counters, "{scheduling:?}");
+        assert_eq!(probe.slice_len.count(), slices, "{scheduling:?}");
     }
 }
 

@@ -7,11 +7,12 @@
 use rtsj_event_framework::model::{
     Instant, Priority, ServerPolicyKind, ServerSpec, Span, SystemSpec,
 };
-use rtsj_event_framework::observe::NoopProbe;
-use rtsj_event_framework::prelude::SchedulerKind;
+use rtsj_event_framework::observe::MetricsProbe;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::sysgen::{ExtraServer, GeneratorParams, RandomSystemGenerator};
-use rtsj_event_framework::taskserver::{execute, execute_with_probe, ExecutionConfig, QueueKind};
+use rtsj_event_framework::taskserver::{
+    execute, execute_reference, execute_with_probe, ExecutionConfig, QueueKind,
+};
 
 /// Seeded generator of multi-server systems over the paper's traffic
 /// parameters: primary policy + `extras` servers, events routed uniformly.
@@ -36,7 +37,7 @@ fn multi_server_systems(
 }
 
 /// Every engine loop must agree on one spec: the simulation driver and its
-/// linear-scan reference; `execute`, the probe-threaded engine and the
+/// linear-scan reference; `execute`, the observed driver and the
 /// linear-scan reference, under both queue structures.
 fn assert_all_modes_agree(spec: &SystemSpec) {
     assert_eq!(
@@ -50,14 +51,14 @@ fn assert_all_modes_agree(spec: &SystemSpec) {
         let fast = execute(spec, &base).render_canonical();
         assert_eq!(
             fast,
-            execute(spec, &base.with_scheduler(SchedulerKind::LinearScan)).render_canonical(),
+            execute_reference(spec, &base).render_canonical(),
             "execute vs the linear-scan reference diverged on {} ({queue:?})",
             spec.name
         );
         assert_eq!(
             fast,
-            execute_with_probe(spec, &base, NoopProbe).render_canonical(),
-            "execute vs the probe-threaded engine diverged on {} ({queue:?})",
+            execute_with_probe(spec, &base, &mut MetricsProbe::new()).render_canonical(),
+            "execute vs the observed driver diverged on {} ({queue:?})",
             spec.name
         );
     }
