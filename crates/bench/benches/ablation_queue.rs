@@ -10,18 +10,14 @@
 //! longer separate them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rt_model::{EventId, HandlerId, Instant, NameId, Span};
+use rt_model::{EventId, HandlerId, Instant, Span};
 use rt_taskserver::{PendingQueue, QueueKind, QueuedRelease, ServableHandler};
 use std::hint::black_box;
 
 fn release(id: u32, cost: u64) -> QueuedRelease {
     QueuedRelease::new(
         EventId::new(id),
-        ServableHandler::new(
-            HandlerId::new(id),
-            NameId::from_raw(id),
-            Span::from_units(cost),
-        ),
+        ServableHandler::new(HandlerId::new(id), Span::from_units(cost)),
         Instant::ZERO,
     )
 }

@@ -500,9 +500,10 @@ fn bench(c: &mut Criterion) {
     group.finish();
 
     // Compile-cost sweep: `CompiledSystem::compile` against a growing
-    // workload (10²..10⁵ events) with the structure pinned. The phase-2
-    // interning/zero-copy pass makes compilation O(tasks + servers) — the
-    // measured cost must be flat across this sweep. Run just this sweep
+    // workload (10²..10⁵ events) with the structure pinned. Compilation
+    // borrows the spec and never walks the events, so it is
+    // O(tasks + servers) — the measured cost must be flat across this
+    // sweep. Run just this sweep
     // with `cargo bench -p rt-bench --bench engine_scaling -- compile_cost`.
     let mut group = c.benchmark_group("compile_cost");
     for events in EVENT_SWEEP {

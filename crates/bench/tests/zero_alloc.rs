@@ -1,7 +1,8 @@
 //! Zero-allocations-per-decision regression test for the execution driver,
 //! plus amortized-only allocation checks for every other decision loop (the
 //! simulation driver and its reference, the execution driver under EDF and
-//! the linear-scan execution reference, and the probe-enabled loops).
+//! the linear-scan execution reference, and the probe-enabled loops), and
+//! for the per-event set-up that builds a workload and prepares its plan.
 //!
 //! Strategy: run the same prepared [`ExecutionPlan`] — whose `run` takes the
 //! execution driver — over two horizons, H and 4·H, with an identical
@@ -281,6 +282,66 @@ fn probe_enabled_decision_loops_allocate_amortized_only() {
             &mut probe,
         )
     });
+}
+
+/// Per-event set-up allocates amortized-only too: an aperiodic event owns no
+/// heap data, so building a workload (the builder's `aperiodic` calls plus
+/// `build()`) and preparing its execution plan allocate the same for N and
+/// 4N in-horizon events, up to the `Vec` doublings of the growing tables.
+#[test]
+fn per_event_setup_allocates_amortized_only() {
+    const N: u64 = 256;
+    const DOUBLINGS: usize = 8;
+    let config = ExecutionConfig::reference();
+    let setup_allocations = |events: u64| {
+        let mut b = SystemSpec::builder("per-event-setup");
+        b.server(ServerSpec::deferrable(
+            Span::from_units(2),
+            Span::from_units(10),
+            Priority::new(99),
+        ));
+        b.periodic(
+            "tau1",
+            Span::from_units(2),
+            Span::from_units(10),
+            Priority::new(10),
+        );
+        b.horizon(Instant::from_units(4 * N + 10));
+        let mut spec = None;
+        let (build_allocs, build_reallocs) = count_allocations(|| {
+            for j in 0..events {
+                b.aperiodic(Instant::from_units(j), Span::from_ticks(500));
+            }
+            spec = Some(b.build().expect("set-up workloads are valid"));
+        });
+        let spec = spec.expect("built above");
+        let mut plan = None;
+        let (prepare_allocs, prepare_reallocs) = count_allocations(|| {
+            plan = Some(ExecutionPlan::prepare(&spec, &config).expect("valid spec"));
+        });
+        assert_eq!(
+            plan.expect("prepared above").run().outcomes.len() as u64,
+            events
+        );
+        (
+            build_allocs + build_reallocs,
+            prepare_allocs + prepare_reallocs,
+        )
+    };
+    let (build_n, prepare_n) = setup_allocations(N);
+    let (build_4n, prepare_4n) = setup_allocations(4 * N);
+    assert!(
+        build_4n <= build_n + DOUBLINGS,
+        "building {} events allocated {build_4n} times against {build_n} for {N}: \
+         the builder must not allocate per event",
+        4 * N
+    );
+    assert!(
+        prepare_4n <= prepare_n + DOUBLINGS,
+        "preparing {} events allocated {prepare_4n} times against {prepare_n} for {N}: \
+         the execution plan must not allocate per event",
+        4 * N
+    );
 }
 
 #[test]

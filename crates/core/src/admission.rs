@@ -191,7 +191,6 @@ mod tests {
     use crate::handler::{QueuedRelease, ServableHandler};
     use crate::queue::QueueKind;
     use crate::state::ServerShared;
-    use rt_model::NameId;
     use rt_model::{HandlerId, Priority, ServerPolicyKind};
     use rtsj_emu::{OverheadModel, TaskServerParameters};
 
@@ -208,11 +207,7 @@ mod tests {
     fn release(id: u32, cost: u64, at: u64) -> QueuedRelease {
         QueuedRelease::new(
             EventId::new(id),
-            ServableHandler::new(
-                HandlerId::new(id),
-                NameId::from_raw(id),
-                Span::from_units(cost),
-            ),
+            ServableHandler::new(HandlerId::new(id), Span::from_units(cost)),
             Instant::from_units(at),
         )
     }

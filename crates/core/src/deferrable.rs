@@ -105,7 +105,6 @@ mod tests {
     use crate::handler::{QueuedRelease, ServableHandler};
     use crate::queue::QueueKind;
     use crate::state::ServerShared;
-    use rt_model::NameId;
     use rt_model::{
         EventId, ExecUnit, HandlerId, Instant, Priority, ServerPolicyKind, Span, TaskId,
     };
@@ -135,7 +134,7 @@ mod tests {
         let mut engine = Engine::new(
             EngineConfig::new(Instant::from_units(horizon)).with_overhead(OverheadModel::none()),
         );
-        let wakeup = engine.create_event("wakeUp");
+        let wakeup = engine.create_event();
         engine.spawn(
             "server",
             Priority::new(priority),
@@ -143,7 +142,7 @@ mod tests {
         );
         if policy == ServerPolicyKind::Deferrable {
             // Replenishment timer: refill the capacity and wake the server.
-            let replenish = engine.create_event("replenish");
+            let replenish = engine.create_event();
             let replenish_state = shared.clone();
             engine.add_fire_hook(
                 replenish,
@@ -175,12 +174,8 @@ mod tests {
             )),
         );
         for (i, (release, cost)) in events.iter().enumerate() {
-            let event = engine.create_event(format!("e{i}"));
-            let handler = ServableHandler::new(
-                HandlerId::new(i as u32),
-                NameId::from_raw(i as u32),
-                Span::from_units(*cost),
-            );
+            let event = engine.create_event();
+            let handler = ServableHandler::new(HandlerId::new(i as u32), Span::from_units(*cost));
             let shared_hook = shared.clone();
             let release_at = Instant::from_units(*release);
             let event_id = EventId::new(i as u32);

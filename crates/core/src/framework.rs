@@ -133,10 +133,10 @@ impl DeferrableTaskServer {
             discipline,
             admission,
         );
-        let wakeup = engine.create_event("wakeUp");
+        let wakeup = engine.create_event();
         // Chunk-replenishment machinery used only if a mode change swaps the
         // lane into the Sporadic policy: idle as long as the lane stays a DS.
-        let swap_replenish = engine.create_event("replenish(swap)");
+        let swap_replenish = engine.create_event();
         let swap_state = shared.clone();
         engine.add_fire_hook(
             swap_replenish,
@@ -155,7 +155,7 @@ impl DeferrableTaskServer {
         );
         // EDF rank until the first pump: the first replenishment instant.
         engine.set_thread_deadline(thread, Instant::ZERO + params.period);
-        let replenish = engine.create_event("replenish");
+        let replenish = engine.create_event();
         let replenish_state = shared.clone();
         engine.add_fire_hook(
             replenish,
@@ -230,10 +230,10 @@ impl BackgroundServer {
             queue,
             discipline,
         );
-        let wakeup = engine.create_event("wakeUp(bg)");
+        let wakeup = engine.create_event();
         // As for the DS: chunk-replenishment machinery that stays idle
         // unless a mode change swaps this lane into the Sporadic policy.
-        let swap_replenish = engine.create_event("replenish(swap-bg)");
+        let swap_replenish = engine.create_event();
         let swap_state = shared.clone();
         engine.add_fire_hook(
             swap_replenish,
@@ -310,8 +310,8 @@ impl SporadicTaskServer {
             discipline,
             admission,
         );
-        let wakeup = engine.create_event("wakeUp(SS)");
-        let replenish = engine.create_event("replenish(SS)");
+        let wakeup = engine.create_event();
+        let replenish = engine.create_event();
         let replenish_state = shared.clone();
         engine.add_fire_hook(
             replenish,
@@ -486,7 +486,7 @@ impl ServableAsyncEvent {
         handler: ServableHandler,
         server: &dyn TaskServer,
     ) -> Self {
-        let engine_event = engine.create_event(format!("SAE({event_id})"));
+        let engine_event = engine.create_event();
         let shared = server.shared().clone();
         let wakeup = server.wakeup();
         engine.add_fire_hook(
@@ -531,7 +531,6 @@ impl ServableAsyncEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_model::NameId;
     use rt_model::{HandlerId, Priority, Span};
     use rtsj_emu::{EngineConfig, OverheadModel};
 
@@ -553,7 +552,7 @@ mod tests {
         );
         assert!(server.wakeup().is_none());
         assert_eq!(server.policy(), ServerPolicyKind::Polling);
-        let handler = ServableHandler::new(HandlerId::new(0), NameId::UNNAMED, Span::from_units(2));
+        let handler = ServableHandler::new(HandlerId::new(0), Span::from_units(2));
         let sae = ServableAsyncEvent::create(&mut engine, EventId::new(0), handler, &server);
         sae.schedule_fire(&mut engine, Instant::from_units(0));
         assert_eq!(sae.event_id(), EventId::new(0));
@@ -582,8 +581,7 @@ mod tests {
         // Two events of cost 2: the first consumes the whole capacity, the
         // second must wait for the replenishment at 6.
         for (i, at) in [(0u32, 0u64), (1, 1)] {
-            let handler =
-                ServableHandler::new(HandlerId::new(i), NameId::from_raw(i), Span::from_units(2));
+            let handler = ServableHandler::new(HandlerId::new(i), Span::from_units(2));
             let sae = ServableAsyncEvent::create(&mut engine, EventId::new(i), handler, &server);
             sae.schedule_fire(&mut engine, Instant::from_units(at));
         }

@@ -6,21 +6,18 @@
 //! decisions) and the cost it actually needs (which may be larger — that is
 //! Scenario 3 and one of the two causes of interruptions the paper lists).
 
-use rt_model::{EventId, HandlerId, Instant, NameId, Span};
+use rt_model::{EventId, HandlerId, Instant, Span};
 
 /// A servable asynchronous event handler.
 ///
-/// The handler is plain `Copy` data: names are interned ids resolved through
-/// the owning plan's [`rt_model::NameTable`], so queuing a release copies a
-/// few machine words instead of cloning a `String` — one of the properties
-/// behind the compile layer's zero-allocations-per-decision guarantee.
+/// The handler is plain `Copy` data with no heap-owning field, so queuing a
+/// release copies a few machine words — one of the properties behind the
+/// execution driver's zero-allocations-per-decision guarantee. The event it
+/// serves identifies it in traces and diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServableHandler {
     /// Handler identifier.
     pub id: HandlerId,
-    /// Interned human-readable name (resolved via the plan's name table;
-    /// [`NameId::UNNAMED`] for ad-hoc handlers built without a table).
-    pub name: NameId,
     /// Cost declared to the task server.
     pub declared_cost: Span,
     /// Processor time the handler really needs.
@@ -45,10 +42,9 @@ pub struct ServableHandler {
 
 impl ServableHandler {
     /// Creates a handler whose declared and actual costs agree.
-    pub fn new(id: HandlerId, name: NameId, cost: Span) -> Self {
+    pub fn new(id: HandlerId, cost: Span) -> Self {
         ServableHandler {
             id,
-            name,
             declared_cost: cost,
             actual_cost: cost,
             relative_deadline: None,
@@ -166,7 +162,7 @@ mod tests {
 
     #[test]
     fn handler_costs_and_underdeclaration() {
-        let h = ServableHandler::new(HandlerId::new(1), NameId::UNNAMED, Span::from_units(2));
+        let h = ServableHandler::new(HandlerId::new(1), Span::from_units(2));
         assert_eq!(h.declared_cost, Span::from_units(2));
         assert_eq!(h.actual_cost, Span::from_units(2));
         assert!(!h.underdeclared());
@@ -176,7 +172,7 @@ mod tests {
 
     #[test]
     fn queued_release_exposes_costs() {
-        let h = ServableHandler::new(HandlerId::new(1), NameId::UNNAMED, Span::from_units(3));
+        let h = ServableHandler::new(HandlerId::new(1), Span::from_units(3));
         let q = QueuedRelease::new(EventId::new(7), h, Instant::from_units(4));
         assert_eq!(q.declared_cost(), Span::from_units(3));
         assert_eq!(q.actual_cost(), Span::from_units(3));

@@ -55,16 +55,17 @@
 //!   sweep is O(pending mode changes) per service-loop pass with
 //!   per-record applied flags — amortised O(1) per decision.
 //!
-//! ## Per-run cost model (phase-2 compile layer)
+//! ## Per-run cost model
 //!
 //! Preparing a run ([`system::ExecutionPlan::prepare`]) is
-//! O(structure + events-within-horizon): validation, one planned-event
-//! table, and one interned [`rt_model::NameTable`] — no per-event `String`
-//! clones (handler templates carry fixed-width [`rt_model::NameId`]s), and
-//! fault-free specs are borrowed (`Cow`), never cloned. Running the
-//! driver ([`fastpath`]) is O(decisions) under fixed priorities and
-//! O(decisions · log n) under EDF, with or without a probe, and performs
-//! zero heap allocations per decision (pinned by `rt-bench`'s `zero_alloc`
+//! O(structure + events-within-horizon · log overruns): validation and one
+//! planned-event table of `Copy` handler templates, each resolving its
+//! injected overrun by binary search in an [`rt_model::OverrunTable`].
+//! Nothing is allocated per event (pinned by `rt-bench`'s `zero_alloc`
+//! test), and fault-free specs are borrowed (`Cow`), never cloned.
+//! Running the driver ([`fastpath`]) is O(decisions) under fixed
+//! priorities and O(decisions · log n) under EDF, with or without a probe,
+//! and performs zero heap allocations per decision (pinned by the same
 //! test); the linear-scan reference costs O(t + m) per decision.
 //! Post-run trace finalisation buckets execution segments by task in one
 //! pass — O(segments + tasks), *not* O(tasks × segments); at 300 tasks the

@@ -82,7 +82,6 @@ mod tests {
     use crate::handler::{QueuedRelease, ServableHandler};
     use crate::queue::QueueKind;
     use crate::state::ServerShared;
-    use rt_model::NameId;
     use rt_model::{
         EventId, ExecUnit, HandlerId, Instant, Priority, ServerPolicyKind, Span, TaskId,
     };
@@ -139,13 +138,9 @@ mod tests {
             )),
         );
         for (i, (release, actual, declared)) in events.iter().enumerate() {
-            let event = engine.create_event(format!("e{i}"));
-            let handler = ServableHandler::new(
-                HandlerId::new(i as u32),
-                NameId::from_raw(i as u32),
-                Span::from_units(*actual),
-            )
-            .with_declared_cost(Span::from_units(declared.unwrap_or(*actual)));
+            let event = engine.create_event();
+            let handler = ServableHandler::new(HandlerId::new(i as u32), Span::from_units(*actual))
+                .with_declared_cost(Span::from_units(declared.unwrap_or(*actual)));
             let shared_hook = shared.clone();
             let release_at = Instant::from_units(*release);
             let event_id = EventId::new(i as u32);
@@ -272,12 +267,8 @@ mod tests {
             Span::from_units(6),
             Box::new(PollingServerBody::new(shared.clone())),
         );
-        let event = engine.create_event("e0");
-        let handler = ServableHandler::new(
-            HandlerId::new(0),
-            NameId::UNNAMED,
-            Span::from_ticks(params_cost_ticks),
-        );
+        let event = engine.create_event();
+        let handler = ServableHandler::new(HandlerId::new(0), Span::from_ticks(params_cost_ticks));
         let hook_state = shared.clone();
         engine.add_fire_hook(
             event,

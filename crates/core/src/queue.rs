@@ -584,17 +584,12 @@ impl PendingQueue {
 mod tests {
     use super::*;
     use crate::handler::ServableHandler;
-    use rt_model::NameId;
     use rt_model::{EventId, HandlerId};
 
     fn release(id: u32, cost: u64, at: u64) -> QueuedRelease {
         QueuedRelease::new(
             EventId::new(id),
-            ServableHandler::new(
-                HandlerId::new(id),
-                NameId::from_raw(id),
-                Span::from_units(cost),
-            ),
+            ServableHandler::new(HandlerId::new(id), Span::from_units(cost)),
             Instant::from_units(at),
         )
     }
@@ -621,12 +616,8 @@ mod tests {
     fn deadline_release(id: u32, cost: u64, at: u64, relative_deadline: u64) -> QueuedRelease {
         QueuedRelease::new(
             EventId::new(id),
-            ServableHandler::new(
-                HandlerId::new(id),
-                NameId::from_raw(id),
-                Span::from_units(cost),
-            )
-            .with_relative_deadline(Span::from_units(relative_deadline)),
+            ServableHandler::new(HandlerId::new(id), Span::from_units(cost))
+                .with_relative_deadline(Span::from_units(relative_deadline)),
             Instant::from_units(at),
         )
     }

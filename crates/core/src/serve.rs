@@ -260,7 +260,6 @@ mod tests {
     use crate::handler::{QueuedRelease, ServableHandler};
     use crate::queue::QueueKind;
     use crate::state::ServerShared;
-    use rt_model::NameId;
     use rt_model::{EventId, HandlerId, Priority, ServerPolicyKind};
     use rtsj_emu::{OverheadModel, TaskServerParameters};
 
@@ -277,11 +276,7 @@ mod tests {
     fn push(server: &SharedServer, id: u32, cost: u64, at: u64) {
         let release = QueuedRelease::new(
             EventId::new(id),
-            ServableHandler::new(
-                HandlerId::new(id),
-                NameId::from_raw(id),
-                Span::from_units(cost),
-            ),
+            ServableHandler::new(HandlerId::new(id), Span::from_units(cost)),
             Instant::from_units(at),
         );
         let now = Instant::from_units(at);
@@ -392,7 +387,7 @@ mod tests {
         server.borrow_mut().remaining = Span::from_units(4);
         let overrun = QueuedRelease::new(
             EventId::new(9),
-            ServableHandler::new(HandlerId::new(9), NameId::from_raw(9), Span::from_units(6))
+            ServableHandler::new(HandlerId::new(9), Span::from_units(6))
                 .with_declared_cost(Span::from_units(2)),
             Instant::ZERO,
         );
@@ -442,7 +437,7 @@ mod tests {
         server.borrow_mut().remaining = Span::from_ticks(120);
         let tiny = QueuedRelease::new(
             EventId::new(0),
-            ServableHandler::new(HandlerId::new(0), NameId::UNNAMED, Span::from_ticks(100)),
+            ServableHandler::new(HandlerId::new(0), Span::from_ticks(100)),
             Instant::ZERO,
         );
         server.borrow_mut().released(tiny, Instant::ZERO);

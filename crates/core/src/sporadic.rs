@@ -83,7 +83,7 @@ mod tests {
     use crate::framework::{ServableAsyncEvent, SporadicTaskServer, TaskServer};
     use crate::handler::ServableHandler;
     use crate::queue::QueueKind;
-    use rt_model::{EventId, ExecUnit, HandlerId, Instant, NameId, Priority, Span, TaskId};
+    use rt_model::{EventId, ExecUnit, HandlerId, Instant, Priority, Span, TaskId};
     use rtsj_emu::{Engine, EngineConfig, OverheadModel, PeriodicThreadBody, TaskServerParameters};
 
     /// Installs a sporadic server (capacity 3, period 6, priority 30) above
@@ -114,11 +114,7 @@ mod tests {
             )),
         );
         for (i, &(release, cost)) in events.iter().enumerate() {
-            let handler = ServableHandler::new(
-                HandlerId::new(i as u32),
-                NameId::from_raw(i as u32),
-                Span::from_units(cost),
-            );
+            let handler = ServableHandler::new(HandlerId::new(i as u32), Span::from_units(cost));
             let sae =
                 ServableAsyncEvent::create(&mut engine, EventId::new(i as u32), handler, &server);
             sae.schedule_fire(&mut engine, Instant::from_units(release));

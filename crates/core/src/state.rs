@@ -522,7 +522,6 @@ impl ServerShared {
 mod tests {
     use super::*;
     use crate::handler::ServableHandler;
-    use rt_model::NameId;
     use rt_model::{EventId, HandlerId, Priority};
 
     fn params() -> TaskServerParameters {
@@ -532,11 +531,7 @@ mod tests {
     fn release(id: u32, cost: u64, at: u64) -> QueuedRelease {
         QueuedRelease::new(
             EventId::new(id),
-            ServableHandler::new(
-                HandlerId::new(id),
-                NameId::from_raw(id),
-                Span::from_units(cost),
-            ),
+            ServableHandler::new(HandlerId::new(id), Span::from_units(cost)),
             Instant::from_units(at),
         )
     }

@@ -25,8 +25,8 @@ use crate::framework::{AnyTaskServer, ServableAsyncEvent, TaskServer};
 use crate::handler::ServableHandler;
 use crate::queue::QueueKind;
 use rt_model::{
-    AperiodicFate, AperiodicOutcome, ExecUnit, Instant, ModelError, NameTable, PeriodicJobRecord,
-    PeriodicTask, SchedulingPolicy, Span, SystemSpec, Trace,
+    AperiodicFate, AperiodicOutcome, ExecUnit, Instant, ModelError, OverrunTable,
+    PeriodicJobRecord, PeriodicTask, SchedulingPolicy, Span, SystemSpec, Trace,
 };
 use rt_observe::{NoopProbe, Probe};
 use rtsj_emu::{Engine, EngineConfig, OverheadModel};
@@ -161,8 +161,7 @@ pub fn execute_reference(spec: &SystemSpec, config: &ExecutionConfig) -> Trace {
 
 /// One aperiodic occurrence as the engine installs it: the routed server
 /// index, the handler template and the fire instant, precomputed so a run
-/// does not re-derive them from the spec. Fully `Copy` — the handler name is
-/// interned in the plan's [`NameTable`].
+/// does not re-derive them from the spec. Fully `Copy`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PlannedEvent {
     pub(crate) server: usize,
@@ -181,13 +180,11 @@ pub(crate) struct PlannedEvent {
 /// executions are byte-identical by construction.
 ///
 /// The plan borrows the spec it was prepared from (`Cow`): a fault-free spec
-/// is never cloned, and preparing allocates O(events-within-horizon) for the
-/// planned-event table plus the interned [`NameTable`] — no per-event
-/// `String` clones.
+/// is never cloned, and preparing allocates the planned-event table but
+/// nothing per event.
 #[derive(Debug, Clone)]
 pub struct ExecutionPlan<'a> {
     pub(crate) spec: Cow<'a, SystemSpec>,
-    pub(crate) names: NameTable,
     pub(crate) config: ExecutionConfig,
     /// The effective scheduling policy (the config's override, else the
     /// spec's own knob).
@@ -220,7 +217,7 @@ impl<'a> ExecutionPlan<'a> {
             None => Cow::Borrowed(spec),
         };
         let policy = config.scheduling.unwrap_or(spec.scheduling);
-        let mut names = NameTable::new();
+        let overruns = OverrunTable::new(&spec.faults);
         let events = spec
             .workload()
             .within_horizon()
@@ -231,12 +228,11 @@ impl<'a> ExecutionPlan<'a> {
                 event: event.id,
                 handler: ServableHandler {
                     id: event.handler,
-                    name: names.intern(&event.name),
                     declared_cost: event.declared_cost,
                     actual_cost: event.actual_cost,
                     relative_deadline: event.relative_deadline,
                     value: event.value,
-                    overrun_extra: spec.faults.overrun_extra(event.id),
+                    overrun_extra: overruns.extra(event.id),
                 },
                 release: event.release,
             })
@@ -244,7 +240,6 @@ impl<'a> ExecutionPlan<'a> {
         ExecutionPlan {
             substrate: SubstratePlan::analyze(&spec),
             spec,
-            names,
             config: *config,
             policy,
             events,
@@ -254,13 +249,6 @@ impl<'a> ExecutionPlan<'a> {
     /// The validated system this plan executes.
     pub fn spec(&self) -> &SystemSpec {
         &self.spec
-    }
-
-    /// The symbol table resolving the plan's interned handler names back to
-    /// the spec's strings (diagnostics only — canonical traces carry no
-    /// names).
-    pub fn names(&self) -> &NameTable {
-        &self.names
     }
 
     /// The configuration the plan was prepared for.

@@ -221,5 +221,7 @@ mod tests {
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"ph\":\"i\""));
         assert!(json.contains("tau1"));
+        // A handler slice is named by its event's id.
+        assert!(json.contains("{\"name\":\"e0\",\"cat\":\"handler\",\"ph\":\"X\""));
     }
 }

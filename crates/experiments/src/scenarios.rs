@@ -144,6 +144,11 @@ mod tests {
         assert_eq!(handler_window(&report.simulation, 0), vec![(0, 2)]);
         assert_eq!(handler_window(&report.simulation, 1), vec![(6, 8)]);
         assert!(report.execution_gantt.contains("tau1"));
+        // The event row is labelled by the event's id.
+        assert!(report
+            .execution_gantt
+            .lines()
+            .any(|row| row.starts_with("e1   ......##")));
     }
 
     #[test]

@@ -33,6 +33,7 @@ use crate::ids::EventId;
 use crate::task::{AdmissionPolicy, QueueDiscipline, ServerPolicyKind};
 use crate::time::{Instant, Span};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 
 /// A handler cost overrun: at its (single) release, `event`'s job demands
 /// `extra` processor time beyond the actual cost recorded in the spec.
@@ -226,7 +227,8 @@ impl FaultPlan {
     }
 
     /// Extra demand injected into `event`'s job ([`Span::ZERO`] when the
-    /// event is not overrun).
+    /// event is not overrun). A linear scan; per-event lookups over a whole
+    /// workload go through an [`OverrunTable`] instead.
     pub fn overrun_extra(&self, event: EventId) -> Span {
         self.overruns
             .iter()
@@ -261,7 +263,7 @@ impl FaultPlan {
         event_exists: impl Fn(EventId) -> bool,
         servers: &[(ServerPolicyKind, Span, Span)],
     ) -> Result<(), ModelError> {
-        let mut seen_overrun: Vec<EventId> = Vec::new();
+        let mut seen_overrun = BTreeSet::new();
         for o in &self.overruns {
             if !event_exists(o.event) {
                 return Err(ModelError::invalid(format!(
@@ -275,15 +277,14 @@ impl FaultPlan {
                     o.event
                 )));
             }
-            if seen_overrun.contains(&o.event) {
+            if !seen_overrun.insert(o.event) {
                 return Err(ModelError::invalid(format!(
                     "event {} has more than one overrun record",
                     o.event
                 )));
             }
-            seen_overrun.push(o.event);
         }
-        let mut seen_arrival: Vec<EventId> = Vec::new();
+        let mut seen_arrival = BTreeSet::new();
         for f in &self.arrival_faults {
             let event = f.event();
             if !event_exists(event) {
@@ -298,12 +299,11 @@ impl FaultPlan {
                     )));
                 }
             }
-            if seen_arrival.contains(&event) {
+            if !seen_arrival.insert(event) {
                 return Err(ModelError::invalid(format!(
                     "event {event} has more than one arrival fault"
                 )));
             }
-            seen_arrival.push(event);
         }
         if self.mode_changes.windows(2).any(|w| w[0].at > w[1].at) {
             return Err(ModelError::invalid(
@@ -408,6 +408,32 @@ impl FaultPlan {
     }
 }
 
+/// A validated plan's cost overruns sorted by event id, so resolving the
+/// extra demand of every event in a workload costs a binary search per event
+/// instead of [`FaultPlan::overrun_extra`]'s scan.
+#[derive(Debug, Clone)]
+pub struct OverrunTable(Vec<(EventId, Span)>);
+
+impl OverrunTable {
+    /// Sorts the plan's overrun records by event id.
+    pub fn new(plan: &FaultPlan) -> Self {
+        let mut rows: Vec<(EventId, Span)> =
+            plan.overruns.iter().map(|o| (o.event, o.extra)).collect();
+        rows.sort_unstable_by_key(|&(id, _)| id);
+        OverrunTable(rows)
+    }
+
+    /// Extra demand injected into `event`'s job ([`Span::ZERO`] when the
+    /// event is not overrun); agrees with [`FaultPlan::overrun_extra`].
+    #[inline]
+    pub fn extra(&self, event: EventId) -> Span {
+        match self.0.binary_search_by_key(&event, |&(id, _)| id) {
+            Ok(k) => self.0[k].1,
+            Err(_) => Span::ZERO,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,6 +463,10 @@ mod tests {
         assert!(plan.validate(exists(3), &[]).is_ok());
         assert_eq!(plan.overrun_extra(EventId::new(1)), Span::from_units(2));
         assert_eq!(plan.overrun_extra(EventId::new(0)), Span::ZERO);
+        let table = OverrunTable::new(&plan.clone().overrun(EventId::new(0), Span::from_units(5)));
+        assert_eq!(table.extra(EventId::new(1)), Span::from_units(2));
+        assert_eq!(table.extra(EventId::new(0)), Span::from_units(5));
+        assert_eq!(table.extra(EventId::new(2)), Span::ZERO);
         let dup = plan.clone().overrun(EventId::new(1), Span::from_units(1));
         assert!(dup.validate(exists(3), &[]).is_err());
         let unknown = FaultPlan::new().overrun(EventId::new(9), Span::from_units(1));

@@ -23,7 +23,6 @@
 pub mod error;
 pub mod fault;
 pub mod ids;
-pub mod intern;
 pub mod job;
 pub mod priority;
 pub mod system;
@@ -32,9 +31,8 @@ pub mod time;
 pub mod trace;
 
 pub use error::ModelError;
-pub use fault::{ArrivalFault, CostOverrun, FaultPlan, ModeChange};
+pub use fault::{ArrivalFault, CostOverrun, FaultPlan, ModeChange, OverrunTable};
 pub use ids::{EventId, HandlerId, IdAllocator, JobId, ServerId, TaskId};
-pub use intern::{NameId, NameTable};
 pub use job::{Job, JobSource, JobState};
 pub use priority::{
     deadline_monotonic, rate_monotonic, Priority, SchedulingPolicy, SymbolicPriority,

@@ -182,7 +182,7 @@ impl SystemSpec {
                 let Some(server) = self.servers.get(e.server) else {
                     return Err(ModelError::invalid(format!(
                         "aperiodic {} routes to server {} but the system has {}",
-                        e.name,
+                        e.id,
                         e.server,
                         self.servers.len()
                     )));
@@ -190,7 +190,7 @@ impl SystemSpec {
                 if server.policy.is_capacity_limited() && e.declared_cost > server.capacity {
                     return Err(ModelError::invalid(format!(
                         "aperiodic {} declares cost {} above the server capacity {}",
-                        e.name, e.declared_cost, server.capacity
+                        e.id, e.declared_cost, server.capacity
                     )));
                 }
             }
@@ -201,7 +201,7 @@ impl SystemSpec {
             .map(|s| (s.policy, s.capacity, s.period))
             .collect();
         self.faults
-            .validate(|id| self.aperiodics.iter().any(|e| e.id == id), &lanes)?;
+            .validate(|id| event_ids.binary_search(&id).is_ok(), &lanes)?;
         Ok(())
     }
 

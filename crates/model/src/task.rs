@@ -102,8 +102,6 @@ pub struct AperiodicEvent {
     pub id: EventId,
     /// Handler bound to the event.
     pub handler: HandlerId,
-    /// Human-readable name ("e1").
-    pub name: String,
     /// Absolute instant at which the event fires.
     pub release: Instant,
     /// Cost announced to the server / admission test.
@@ -130,7 +128,6 @@ impl AperiodicEvent {
         AperiodicEvent {
             id,
             handler,
-            name: format!("e{}", id.raw()),
             release,
             declared_cost: cost,
             actual_cost: cost,
@@ -138,12 +135,6 @@ impl AperiodicEvent {
             value: cost.ticks(),
             server: 0,
         }
-    }
-
-    /// Overrides the event name.
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
     }
 
     /// Declares a cost different from the actual execution time (Scenario 3).

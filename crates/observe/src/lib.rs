@@ -18,9 +18,10 @@
 //!   count and any work interleaving**, the `harness_determinism.rs`
 //!   guarantee extended to metrics;
 //! * [`SpanProbe`] records span-structured decision traces
-//!   (release → dispatch → slice → completion, keyed by interned
-//!   [`rt_model::NameId`]) and [`span::chrome_trace_json`] renders them as
-//!   Chrome trace-event / Perfetto JSON for flamegraph UIs;
+//!   (release → dispatch → slice → completion, keyed by execution unit)
+//!   and [`span::chrome_trace_json`] renders them as Chrome trace-event /
+//!   Perfetto JSON for flamegraph UIs, labelling a task by its spec name
+//!   and a handler by its event id ([`UnitNames`]);
 //! * wall-clock profiling stays behind the injectable
 //!   [`clock::ClockSource`] seam (the `rtsj::wallclock` idiom), so the
 //!   engine crates remain free of machine-clock reads and rt-lint's

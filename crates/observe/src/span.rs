@@ -17,7 +17,7 @@
 
 use crate::Probe;
 use rt_model::{ExecUnit, Instant, SystemSpec};
-use rt_model::{NameId, NameTable};
+use std::borrow::Cow;
 
 /// One contiguous processor slice, as reported by [`Probe::slice`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,67 +139,43 @@ impl Probe for SpanProbe {
 /// First per-unit track id; tracks 1–3 carry the overhead and idle lanes.
 const FIRST_UNIT_TID: u32 = 16;
 
-/// Interned unit names plus the deterministic track-id assignment used by
-/// the Chrome export: tasks get tracks `16..16+T` in spec order, handlers
-/// the tracks after them — stable across runs and engines because both are
-/// dense spec indices.
+/// Unit labels plus the deterministic track-id assignment used by the
+/// Chrome export: tasks get tracks `16..16+T` in spec order, handlers the
+/// tracks after them — stable across runs and engines because both are
+/// dense spec indices. A task is labelled by its spec name, a handler by
+/// its event id.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct UnitNames {
-    table: NameTable,
-    tasks: Vec<NameId>,
-    events: Vec<NameId>,
+    tasks: Vec<String>,
+    /// Number of aperiodic events in the spec; a handler whose event index
+    /// is past it lies outside the spec.
+    events: usize,
 }
 
 impl UnitNames {
-    /// Interns every task and event name of a spec.
+    /// Copies a spec's task names and counts its events.
     pub fn from_spec(spec: &SystemSpec) -> Self {
-        let mut table = NameTable::new();
-        let tasks = spec
-            .periodic_tasks
-            .iter()
-            .map(|t| table.intern(&t.name))
-            .collect();
-        let events = spec
-            .aperiodics
-            .iter()
-            .map(|e| table.intern(&e.name))
-            .collect();
         UnitNames {
-            table,
-            tasks,
-            events,
+            tasks: spec.periodic_tasks.iter().map(|t| t.name.clone()).collect(),
+            events: spec.aperiodics.len(),
         }
     }
 
-    /// The interned id of a unit's name; [`NameId::UNNAMED`] for overheads,
-    /// idle time and units outside the spec.
-    pub fn name_id(&self, unit: ExecUnit) -> NameId {
+    /// Display label of a unit: a task's spec name, a handler's event id, a
+    /// fixed label for the overhead and idle lanes, and `<unnamed>` for
+    /// units outside the spec.
+    pub fn label(&self, unit: ExecUnit) -> Cow<'_, str> {
         match unit {
+            ExecUnit::ServerOverhead => "server-overhead".into(),
+            ExecUnit::TimerOverhead => "timer-overhead".into(),
+            ExecUnit::Idle => "idle".into(),
             ExecUnit::Task(t) => self
                 .tasks
                 .get(t.index())
-                .copied()
-                .unwrap_or(NameId::UNNAMED),
-            ExecUnit::Handler(e) => self
-                .events
-                .get(e.index())
-                .copied()
-                .unwrap_or(NameId::UNNAMED),
-            _ => NameId::UNNAMED,
-        }
-    }
-
-    /// Display label of a unit: its spec name when it has one, a fixed
-    /// label for the overhead and idle lanes.
-    pub fn label(&self, unit: ExecUnit) -> &str {
-        match unit {
-            ExecUnit::ServerOverhead => "server-overhead",
-            ExecUnit::TimerOverhead => "timer-overhead",
-            ExecUnit::Idle => "idle",
-            _ => self
-                .table
-                .resolve(self.name_id(unit))
-                .unwrap_or("<unnamed>"),
+                .map_or("<unnamed>", String::as_str)
+                .into(),
+            ExecUnit::Handler(e) if e.index() < self.events => e.to_string().into(),
+            ExecUnit::Handler(_) => "<unnamed>".into(),
         }
     }
 
@@ -259,7 +235,7 @@ pub fn chrome_trace_json(probe: &SpanProbe, names: &UnitNames) -> String {
         }
         first = false;
         out.push_str("{\"name\":\"");
-        push_json_escaped(&mut out, names.label(s.unit));
+        push_json_escaped(&mut out, &names.label(s.unit));
         out.push_str("\",\"cat\":\"");
         out.push_str(category(s.unit));
         out.push_str("\",\"ph\":\"X\",\"ts\":");
@@ -279,7 +255,7 @@ pub fn chrome_trace_json(probe: &SpanProbe, names: &UnitNames) -> String {
         out.push_str(m.kind.label());
         if let Some(unit) = m.unit {
             out.push(':');
-            push_json_escaped(&mut out, names.label(unit));
+            push_json_escaped(&mut out, &names.label(unit));
         }
         out.push_str("\",\"cat\":\"mark\",\"ph\":\"i\",\"s\":\"t\",\"ts\":");
         out.push_str(&m.at.ticks().to_string());

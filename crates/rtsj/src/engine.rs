@@ -238,7 +238,6 @@ struct ThreadState {
 }
 
 struct EventState {
-    name: String,
     pending: u32,
     waiters: Vec<usize>,
     hooks: Vec<FireHook>,
@@ -315,10 +314,9 @@ impl Engine {
     }
 
     /// Creates an asynchronous event.
-    pub fn create_event(&mut self, name: impl Into<String>) -> EventHandle {
+    pub fn create_event(&mut self) -> EventHandle {
         let handle = EventHandle(self.events.len());
         self.events.push(EventState {
-            name: name.into(),
             pending: 0,
             waiters: Vec::new(),
             hooks: Vec::new(),
@@ -464,11 +462,6 @@ impl Engine {
     /// Name of a schedulable (for diagnostics).
     pub fn thread_name(&self, handle: ThreadHandle) -> &str {
         &self.threads[handle.0].name
-    }
-
-    /// Name of an event (for diagnostics).
-    pub fn event_name(&self, event: EventHandle) -> &str {
-        &self.events[event.0].name
     }
 
     /// Runs the system until the horizon and returns the trace.
@@ -988,7 +981,7 @@ mod tests {
     #[test]
     fn timers_fire_events_and_wake_waiting_threads() {
         let mut engine = Engine::new(config(20));
-        let event = engine.create_event("e");
+        let event = engine.create_event();
         engine.add_one_shot_timer(Instant::from_units(4), event);
         struct Waiter {
             event: EventHandle,
@@ -1028,7 +1021,7 @@ mod tests {
     #[test]
     fn fires_before_the_wait_are_remembered_as_pending() {
         let mut engine = Engine::new(config(20));
-        let event = engine.create_event("e");
+        let event = engine.create_event();
         engine.add_one_shot_timer(Instant::from_units(1), event);
         // The waiter only starts waiting at t=5 (it computes first); the fire
         // at t=1 must not be lost.
@@ -1158,7 +1151,7 @@ mod tests {
         };
         let mut engine =
             Engine::new(EngineConfig::new(Instant::from_units(20)).with_overhead(overhead));
-        let event = engine.create_event("e");
+        let event = engine.create_event();
         engine.add_one_shot_timer(Instant::from_units(2), event);
         engine.spawn_periodic(
             "tau",
@@ -1185,8 +1178,8 @@ mod tests {
     #[test]
     fn fire_hooks_run_and_can_cascade() {
         let mut engine = Engine::new(config(10));
-        let first = engine.create_event("first");
-        let second = engine.create_event("second");
+        let first = engine.create_event();
+        let second = engine.create_event();
         let log = Rc::new(RefCell::new(Vec::new()));
         let log1 = log.clone();
         engine.add_fire_hook(
@@ -1415,13 +1408,12 @@ mod tests {
     #[test]
     fn names_are_retained_for_diagnostics() {
         let mut engine = Engine::new(config(10));
-        let e = engine.create_event("wakeUp");
+        let e = engine.create_event();
         let t = engine.spawn(
             "server",
             Priority::new(10),
             Box::new(|_: &mut BodyCtx, _: Completion| Action::Terminate),
         );
-        assert_eq!(engine.event_name(e), "wakeUp");
         assert_eq!(engine.thread_name(t), "server");
         assert_eq!(e.raw(), 0);
         assert_eq!(t.raw(), 0);

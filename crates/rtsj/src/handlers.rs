@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn bound_handler_runs_once_per_fire_and_logs_response_times() {
         let mut engine = engine(20);
-        let event = engine.create_event("e");
+        let event = engine.create_event();
         engine.add_one_shot_timer(Instant::from_units(2), event);
         engine.add_one_shot_timer(Instant::from_units(9), event);
         let (body, runs) = BoundHandlerBody::new(
@@ -192,7 +192,7 @@ mod tests {
     #[test]
     fn bound_handler_coexists_with_periodic_threads_by_priority() {
         let mut engine = engine(12);
-        let event = engine.create_event("e");
+        let event = engine.create_event();
         engine.add_one_shot_timer(Instant::from_units(1), event);
         // Handler at high priority preempts the periodic task.
         let (body, runs) = BoundHandlerBody::new(

@@ -187,7 +187,7 @@ mod proptests {
                     EngineConfig::new(Instant::from_units(40))
                         .with_overhead(OverheadModel::reference()),
                 );
-                let event = engine.create_event("e");
+                let event = engine.create_event();
                 engine.add_periodic_timer(Instant::from_units(1), Span::from_units(7), event);
                 let (body, _runs) = BoundHandlerBody::new(
                     event,

@@ -1,11 +1,11 @@
-//! Dynamic-priority scheduling policies of the RTSS simulator: EDF and
-//! D-OVER.
+//! The D-OVER scheduling policy of the RTSS simulator.
 //!
 //! The paper lists three scheduling policies implemented by RTSS
-//! ("Preemptive Fixed Priority, EDF and D-OVER", §5). The fixed-priority
-//! engine with servers lives in [`crate::engine`]; this module provides the
-//! dynamic-priority engine used by the policy menu. It schedules the jobs of
-//! periodic tasks plus deadline-tagged aperiodic jobs.
+//! ("Preemptive Fixed Priority, EDF and D-OVER", §5). Fixed priorities and
+//! EDF, both with servers, are the [`rt_model::SchedulingPolicy`] choices of
+//! [`crate::simulate`]; this module provides the third. It schedules the
+//! jobs of periodic tasks plus deadline-tagged aperiodic jobs, with no
+//! server.
 //!
 //! D-OVER (Koren & Shasha) is an overload-handling variant of EDF: under
 //! overload it abandons jobs to protect the others. The simulator implements
@@ -20,15 +20,6 @@ use rt_model::{
     AperiodicFate, AperiodicOutcome, ExecUnit, Instant, PeriodicJobRecord, Span, SystemSpec, Trace,
 };
 use std::collections::VecDeque;
-
-/// Dynamic-priority policies offered by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DynamicPolicy {
-    /// Earliest Deadline First.
-    Edf,
-    /// EDF with overload handling by job abandonment (simplified D-OVER).
-    DOver,
-}
 
 #[derive(Debug, Clone)]
 struct DynJob {
@@ -56,13 +47,18 @@ impl DynJob {
     }
 }
 
-/// Simulates the system under the chosen dynamic-priority policy. Aperiodic
-/// events are scheduled alongside the periodic jobs; events without a
-/// relative deadline get an implicit deadline equal to the horizon.
-pub fn simulate_dynamic(spec: &SystemSpec, policy: DynamicPolicy) -> Trace {
+/// Simulates the system under D-OVER: EDF over the periodic jobs and the
+/// aperiodic events, abandoning jobs that can no longer meet their deadline
+/// and shedding the lowest value density first under overload. Events
+/// without a relative deadline get an implicit deadline equal to the
+/// horizon.
+///
+/// # Panics
+/// Panics when the specification fails validation.
+pub fn simulate_dover(spec: &SystemSpec) -> Trace {
     spec.validate()
         // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs")
-        .expect("simulate_dynamic() requires a valid system specification");
+        .expect("simulate_dover() requires a valid system specification");
     let horizon = spec.horizon;
     let mut trace = Trace::new(horizon);
 
@@ -78,43 +74,23 @@ pub fn simulate_dynamic(spec: &SystemSpec, policy: DynamicPolicy) -> Trace {
                 ready.push(job);
             }
         }
-        // D-OVER: abandon jobs that can no longer complete by their deadline.
-        if policy == DynamicPolicy::DOver {
-            abandon_hopeless(&mut ready, now, &mut trace, spec);
-        }
+        // Abandon jobs that can no longer complete by their deadline; under
+        // overload, shed the lowest value-density work first so that the
+        // remaining jobs stay feasible.
+        abandon_hopeless(&mut ready, now, &mut trace, spec);
+        shed_overload(&mut ready, now, &mut trace, spec);
         let next_release = future.front().map_or(horizon, |j| j.release).min(horizon);
         if ready.is_empty() {
             trace.push_segment(ExecUnit::Idle, now, next_release);
             now = next_release;
             continue;
         }
-        // Under overload D-OVER sheds the lowest value-density work first so
-        // that the remaining jobs stay feasible.
-        if policy == DynamicPolicy::DOver {
-            shed_overload(&mut ready, now, &mut trace, spec);
-            if ready.is_empty() {
-                trace.push_segment(ExecUnit::Idle, now, next_release);
-                now = next_release;
-                continue;
-            }
-        }
         // EDF selection: earliest absolute deadline, ties by release then unit.
         ready.sort_by_key(|j| (j.deadline, j.release, j.unit));
         let job = &mut ready[0];
-        let slice = job
-            .remaining
-            .min(next_release.since(now))
-            .min(job.deadline.max(now).since(now))
-            .max(
-                // If the deadline already passed (plain EDF keeps running late
-                // jobs), fall back to the release window.
-                Span::ZERO,
-            );
-        let slice = if slice.is_zero() {
-            job.remaining.min(next_release.since(now))
-        } else {
-            slice
-        };
+        // Every job that could not finish by its deadline was abandoned
+        // above, so only the next release cuts the slice short.
+        let slice = job.remaining.min(next_release.since(now));
         if job.started.is_none() {
             job.started = Some(now);
         }
@@ -295,7 +271,8 @@ fn record_incomplete(job: DynJob, trace: &mut Trace, spec: &SystemSpec) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_model::{Priority, Span, SystemSpec};
+    use crate::simulate;
+    use rt_model::{Priority, SchedulingPolicy, Span, SystemSpec};
 
     fn periodic_pair(costs: (u64, u64), periods: (u64, u64), horizon: u64) -> SystemSpec {
         let mut b = SystemSpec::builder("dyn");
@@ -312,6 +289,7 @@ mod tests {
             Priority::new(10),
         );
         b.horizon(Instant::from_units(horizon));
+        b.scheduling(SchedulingPolicy::Edf);
         b.build().unwrap()
     }
 
@@ -319,7 +297,7 @@ mod tests {
     fn edf_schedules_a_feasible_set_without_misses() {
         // U = 2/5 + 4/10 = 0.8: feasible under EDF.
         let spec = periodic_pair((2, 4), (5, 10), 30);
-        let trace = simulate_dynamic(&spec, DynamicPolicy::Edf);
+        let trace = simulate(&spec);
         assert!(trace.all_periodic_deadlines_met());
         assert!(trace.check_invariants().is_ok());
     }
@@ -328,7 +306,7 @@ mod tests {
     fn edf_handles_full_utilization() {
         // U = 1.0 is still feasible under EDF (not under RM for these periods).
         let spec = periodic_pair((3, 4), (6, 8), 48);
-        let trace = simulate_dynamic(&spec, DynamicPolicy::Edf);
+        let trace = simulate(&spec);
         assert!(trace.all_periodic_deadlines_met());
         assert_eq!(trace.idle_time(), Span::ZERO);
     }
@@ -349,8 +327,9 @@ mod tests {
             Priority::new(5),
         );
         b.horizon(Instant::from_units(20));
+        b.scheduling(SchedulingPolicy::Edf);
         let spec = b.build().unwrap();
-        let trace = simulate_dynamic(&spec, DynamicPolicy::Edf);
+        let trace = simulate(&spec);
         // The short-period task runs first at time 0 despite its lower fixed
         // priority, because its absolute deadline (4) is earlier than 20.
         let first = trace.segments.first().unwrap();
@@ -362,12 +341,12 @@ mod tests {
     fn overloaded_edf_misses_deadlines_but_dover_sheds_load() {
         // U = 3/4 + 3/6 = 1.25: overloaded.
         let spec = periodic_pair((3, 3), (4, 6), 48);
-        let edf = simulate_dynamic(&spec, DynamicPolicy::Edf);
+        let edf = simulate(&spec);
         assert!(
             !edf.all_periodic_deadlines_met(),
             "EDF must thrash under overload"
         );
-        let dover = simulate_dynamic(&spec, DynamicPolicy::DOver);
+        let dover = simulate_dover(&spec);
         // D-OVER abandons some jobs (recorded as incomplete)…
         assert!(dover.periodic_deadline_misses() > 0);
         // …but every job it completes, it completes on time.
@@ -398,7 +377,7 @@ mod tests {
         );
         b.horizon(Instant::from_units(20));
         let spec = b.build().unwrap();
-        let trace = simulate_dynamic(&spec, DynamicPolicy::Edf);
+        let trace = simulate_dover(&spec);
         let outcome = &trace.outcomes[0];
         assert!(outcome.is_served());
         // Deadline at 6 beats the periodic deadline at 10, so it runs as soon
@@ -426,7 +405,7 @@ mod tests {
         );
         b.horizon(Instant::from_units(20));
         let spec = b.build().unwrap();
-        let trace = simulate_dynamic(&spec, DynamicPolicy::DOver);
+        let trace = simulate_dover(&spec);
         // The ready set at time 0 (hog: 8 by 10, aperiodic: 4 by 5) is
         // overloaded; the lower value-density job is sacrificed.
         assert!(
@@ -450,7 +429,7 @@ mod tests {
         );
         b.horizon(Instant::from_units(1));
         let spec = b.build().unwrap();
-        let trace = simulate_dynamic(&spec, DynamicPolicy::Edf);
+        let trace = simulate_dover(&spec);
         assert!(trace.check_invariants().is_ok());
     }
 }

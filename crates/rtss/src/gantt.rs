@@ -31,17 +31,15 @@ impl Default for GanttOptions {
     }
 }
 
-/// Returns the label used for a unit's row.
+/// Returns the label used for a unit's row: with a spec, a task's name and
+/// a handler's event id.
 fn unit_label(unit: ExecUnit, spec: Option<&SystemSpec>) -> String {
     match (unit, spec) {
         (ExecUnit::Task(id), Some(spec)) => spec
             .task(id)
             .map(|t| t.name.clone())
             .unwrap_or_else(|| id.to_string()),
-        (ExecUnit::Handler(id), Some(spec)) => spec
-            .aperiodic(id)
-            .map(|e| e.name.clone())
-            .unwrap_or_else(|| id.to_string()),
+        (ExecUnit::Handler(id), Some(_)) => id.to_string(),
         (unit, _) => unit.to_string(),
     }
 }

@@ -13,8 +13,8 @@
 //!   a driver specialized per server-policy kind × scheduling policy;
 //! * [`simulate_reference`] — the seed's linear-scan loop, the deliberately
 //!   simple oracle the specialized driver is pinned against byte-for-byte;
-//! * [`dynamic::simulate_dynamic`] — the EDF and D-OVER policies of the RTSS
-//!   policy menu;
+//! * [`simulate_dover`] — the D-OVER policy of the RTSS policy menu, EDF
+//!   with overload shedding over periodic and aperiodic jobs and no server;
 //! * [`gantt`] — ASCII and SVG temporal diagrams.
 //!
 //! ```
@@ -42,7 +42,7 @@ pub mod gantt;
 pub mod server;
 mod tables;
 
-pub use dynamic::{simulate_dynamic, DynamicPolicy};
+pub use dynamic::simulate_dover;
 pub use engine::{simulate, simulate_reference, simulate_with_probe};
 pub use gantt::{render_ascii, render_svg, GanttOptions};
 pub use server::{

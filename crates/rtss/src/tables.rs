@@ -6,11 +6,11 @@
 //! neither copied nor walked (beyond one binary search locating the horizon
 //! boundary in the sorted stream) — arrival rows are assembled on demand
 //! from the borrowed spec events ([`SimTables::arrival`]), with injected
-//! overruns resolved through a small sorted side table. The spec is
+//! overruns resolved through a small sorted [`OverrunTable`]. The spec is
 //! borrowed, and owned only when arrival faults force a normalised copy.
 
 use rt_model::{
-    AdmissionPolicy, EventId, Instant, Priority, QueueDiscipline, SchedulingPolicy,
+    AdmissionPolicy, EventId, Instant, OverrunTable, Priority, QueueDiscipline, SchedulingPolicy,
     ServerPolicyKind, ServerSpec, Span, SystemSpec, TaskId,
 };
 use std::borrow::Cow;
@@ -108,7 +108,7 @@ pub(crate) struct SimTables<'a> {
     /// [`Self::arrival`] indexes into that prefix.
     pub(crate) arrival_count: usize,
     /// Injected cost overruns, sorted by event id for binary search.
-    overruns: Vec<(EventId, Span)>,
+    overruns: OverrunTable,
     pub(crate) lane_set: PolicySet,
     /// Exact periodic-job count within the horizon (trace preallocation).
     pub(crate) job_count: usize,
@@ -168,13 +168,7 @@ impl<'a> SimTables<'a> {
 
         // The overrun side table: tiny (one row per injected fault), sorted
         // by event id so on-demand arrival assembly is a binary search.
-        let mut overruns: Vec<(EventId, Span)> = spec
-            .faults
-            .overruns
-            .iter()
-            .map(|o| (o.event, o.extra))
-            .collect();
-        overruns.sort_unstable_by_key(|&(id, _)| id);
+        let overruns = OverrunTable::new(&spec.faults);
 
         let lanes: Vec<LaneTable> = spec
             .servers
@@ -240,10 +234,7 @@ impl<'a> SimTables<'a> {
     pub(crate) fn arrival(&self, index: usize) -> ArrivalTable {
         debug_assert!(index < self.arrival_count);
         let e = &self.spec.aperiodics[index];
-        let extra = match self.overruns.binary_search_by_key(&e.id, |&(id, _)| id) {
-            Ok(k) => self.overruns[k].1,
-            Err(_) => Span::ZERO,
-        };
+        let extra = self.overruns.extra(e.id);
         ArrivalTable {
             id: e.id,
             server: e.server,

@@ -10,7 +10,7 @@
 //! cargo run --example online_admission
 //! ```
 
-use rt_model::{EventId, HandlerId, NameId};
+use rt_model::{EventId, HandlerId};
 use rtsj_event_framework::prelude::*;
 use rtsj_event_framework::taskserver::{
     predicted_response, textbook_prediction, QueuedRelease, ServableHandler, ServerShared,
@@ -61,7 +61,7 @@ fn main() {
             shared.borrow_mut().released(
                 QueuedRelease::new(
                     EventId::new(id),
-                    ServableHandler::new(HandlerId::new(id), NameId::from_raw(id), cost),
+                    ServableHandler::new(HandlerId::new(id), cost),
                     now,
                 ),
                 now,

@@ -37,7 +37,7 @@ use rtsj_event_framework::model::{
     AdmissionPolicy, AperiodicFate, EventId, Instant, Priority, QueueDiscipline, SchedulingPolicy,
     ServerPolicyKind, ServerSpec, Span, SystemSpec, Trace,
 };
-use rtsj_event_framework::simulator::{simulate, simulate_dynamic, DynamicPolicy};
+use rtsj_event_framework::simulator::{simulate, simulate_dover};
 
 /// The shared overload scenario: the Table 1 periodic pair (utilization
 /// 1/2), a (3,6) polling server under `ValueDensity` admission, and a
@@ -132,7 +132,7 @@ fn accrued_value(trace: &Trace) -> u64 {
 fn lane_and_dover_fates_are_pinned() {
     let spec = overload_scenario();
     let lane = simulate(&spec);
-    let dover = simulate_dynamic(&spec, DynamicPolicy::DOver);
+    let dover = simulate_dover(&spec);
 
     // The complete accept/drop record of both engines, byte-pinned. Any
     // change to either drop rule moves a named event to another tag.
@@ -151,7 +151,7 @@ fn lane_and_dover_fates_are_pinned() {
 #[test]
 fn dover_losses_have_no_admission_vocabulary() {
     let spec = overload_scenario();
-    let dover = simulate_dynamic(&spec, DynamicPolicy::DOver);
+    let dover = simulate_dover(&spec);
     // D-OVER has no admission layer: nothing is refused entry and nothing
     // is displaced from a backlog — every loss is a plain `Unserved`.
     for o in &dover.outcomes {
@@ -180,7 +180,7 @@ fn dover_losses_have_no_admission_vocabulary() {
 fn capacity_model_splits_the_served_sets() {
     let spec = overload_scenario();
     let lane = simulate(&spec);
-    let dover = simulate_dynamic(&spec, DynamicPolicy::DOver);
+    let dover = simulate_dover(&spec);
 
     // e1 (density 6, the most valuable event of the burst) is *rejected* by
     // the lane at its arrival instant: with 3 units per 6 and the backlog
@@ -235,7 +235,7 @@ fn capacity_model_splits_the_served_sets() {
 fn both_drop_rules_keep_completions_on_time_and_tasks_clean() {
     let spec = overload_scenario();
     let lane = simulate(&spec);
-    let dover = simulate_dynamic(&spec, DynamicPolicy::DOver);
+    let dover = simulate_dover(&spec);
 
     // What shedding buys, in both worlds: every event actually served
     // completes by its deadline. The lane gets this from the predictive
