@@ -50,7 +50,12 @@
 //! `engine_scaling -- admission` benchmark measures both).
 //! [`AdmissionPolicy::ValueDensity`] pays O(backlog) per provisional drop on
 //! the overload path (min-density scan + repack of the survivors) and O(1)
-//! on the accept path.
+//! on the accept path. Its D-OVER displacement is allocation-free: the
+//! survivors and their repacked plan live in two scratch buffers the
+//! machine keeps across arrivals, and an accepted newcomer refills the plan
+//! in place, so [`ServerAdmission::on_arrival_into`] fed with a reused
+//! buffer allocates nothing per arrival beyond the amortized growth of the
+//! plan itself.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -139,6 +144,12 @@ pub struct ServerAdmission {
     /// Admitted, not yet virtually-completed releases, in arrival order
     /// (completion-monotone — see [`VirtualEntry::completion`]).
     pending: VecDeque<VirtualEntry>,
+    /// Displacement's scratch buffers — the provisional survivors and their
+    /// repacked plan, each entry with its frozen victim eligibility — kept
+    /// across arrivals so [`Self::try_displace`] never allocates once they
+    /// have grown to the largest backlog seen.
+    survivors: Vec<(VirtualEntry, bool)>,
+    repacked: Vec<(VirtualEntry, bool)>,
     accepted: usize,
     rejected: usize,
     aborted: usize,
@@ -149,24 +160,13 @@ impl ServerAdmission {
     /// servers (and any other capacity-unlimited configuration) always
     /// accept: they have no capacity plan to predict against.
     pub fn for_server(spec: &ServerSpec) -> Self {
-        let params = if spec.policy.is_capacity_limited() && spec.is_well_formed() {
-            Some(ServerParams::new(spec.capacity, spec.period))
+        if spec.policy.is_capacity_limited() && spec.is_well_formed() {
+            Self::new(
+                spec.admission,
+                Some(ServerParams::new(spec.capacity, spec.period)),
+            )
         } else {
-            None
-        };
-        let policy = if params.is_some() {
-            spec.admission
-        } else {
-            AdmissionPolicy::AcceptAll
-        };
-        ServerAdmission {
-            policy,
-            params,
-            packer: None,
-            pending: VecDeque::new(),
-            accepted: 0,
-            rejected: 0,
-            aborted: 0,
+            Self::accept_all()
         }
     }
 
@@ -178,24 +178,22 @@ impl ServerAdmission {
     /// (zero, or capacity above the period) — the same precondition
     /// [`rt_analysis::ServerParams::new`] enforces.
     pub fn with_params(policy: AdmissionPolicy, capacity: Span, period: Span) -> Self {
-        ServerAdmission {
-            policy,
-            params: Some(ServerParams::new(capacity, period)),
-            packer: None,
-            pending: VecDeque::new(),
-            accepted: 0,
-            rejected: 0,
-            aborted: 0,
-        }
+        Self::new(policy, Some(ServerParams::new(capacity, period)))
     }
 
     /// An accept-everything state (used where no server spec exists).
     pub fn accept_all() -> Self {
+        Self::new(AdmissionPolicy::AcceptAll, None)
+    }
+
+    fn new(policy: AdmissionPolicy, params: Option<ServerParams>) -> Self {
         ServerAdmission {
-            policy: AdmissionPolicy::AcceptAll,
-            params: None,
+            policy,
+            params,
             packer: None,
             pending: VecDeque::new(),
+            survivors: Vec::new(),
+            repacked: Vec::new(),
             accepted: 0,
             rejected: 0,
             aborted: 0,
@@ -312,7 +310,8 @@ impl ServerAdmission {
     /// the decision comes back as `(accepted, predicted_completion)`. The
     /// engines' decision loops call this with a reused per-instant buffer,
     /// so a steady-state arrival allocates nothing here (the packer is all
-    /// scalars; displacement's provisional repacks remain O(backlog)).
+    /// scalars; displacement's provisional repacks remain O(backlog) but
+    /// reuse the machine's scratch buffers).
     pub fn on_arrival_into(
         &mut self,
         arrival: &ArrivingEvent,
@@ -361,7 +360,11 @@ impl ServerAdmission {
     /// not yet virtually started) until the newcomer's repacked completion
     /// meets its deadline. Commits — including the aborts — only when the
     /// newcomer ends up accepted; otherwise nothing changes, `dropped` is
-    /// left empty and the newcomer alone is rejected.
+    /// left empty and the newcomer alone is rejected. O(backlog) per
+    /// provisional drop, and allocation-free: the survivors and their
+    /// repacked plan live in the machine's reused scratch buffers, and an
+    /// accepted newcomer refills `pending` in place.
+    // rt-lint: zero-alloc
     fn try_displace(
         &mut self,
         arrival: &ArrivingEvent,
@@ -375,6 +378,8 @@ impl ServerAdmission {
             // rt-lint: allow(panic, reason = "displacement is entered only after a miss was predicted, which requires the deadline to exist")
             .expect("displacement is only reached on a predicted miss");
         let now = arrival.release;
+        let mut survivors = std::mem::take(&mut self.survivors);
+        let mut repacked = std::mem::take(&mut self.repacked);
         // Victim eligibility is frozen against the *committed* plan: an
         // entry already virtually started under the plan the engines have
         // been following must never become a victim just because a
@@ -382,19 +387,15 @@ impl ServerAdmission {
         // pushed its start into the future. Re-deriving eligibility from
         // the repacked completions would do exactly that on the second
         // displacement iteration.
-        let mut survivors: Vec<(VirtualEntry, bool)> = self
-            .pending
-            .iter()
-            .map(|e| (*e, e.virtual_start() > now))
-            .collect();
-        loop {
+        survivors.clear();
+        survivors.extend(self.pending.iter().map(|e| (*e, e.virtual_start() > now)));
+        let admitted = loop {
             // Lowest-density victim not yet virtually started (entries whose
             // committed plan already has them in service are left alone, so
             // engines only ever abort releases still sitting in their
             // queues).
             let victim = survivors
                 .iter()
-                .map(|(e, eligible)| (e, *eligible))
                 .enumerate()
                 .filter(|(_, (_, eligible))| *eligible)
                 .map(|(i, (e, _))| (i, e))
@@ -409,7 +410,7 @@ impl ServerAdmission {
                 })
                 .map(|(i, e)| (i, *e));
             let Some((index, victim)) = victim else {
-                break;
+                break None;
             };
             if !denser_than(
                 arrival.value,
@@ -417,37 +418,50 @@ impl ServerAdmission {
                 victim.value,
                 victim.cost,
             ) {
-                break;
+                break None;
             }
             survivors.remove(index);
             dropped.push(victim.event);
             // Repack the survivors plus the newcomer and re-test. The
             // eligibility flags carry over unchanged (committed plan only).
             let mut packer = self.seed(now);
-            let mut repacked: Vec<(VirtualEntry, bool)> = Vec::with_capacity(survivors.len());
-            for (entry, eligible) in &survivors {
+            repacked.clear();
+            for &(entry, eligible) in &survivors {
                 let slot = packer.push(entry.cost);
+                let completion = now + slot.response_time(params, now);
                 repacked.push((
                     VirtualEntry {
-                        completion: now + slot.response_time(params, now),
-                        ..*entry
+                        completion,
+                        ..entry
                     },
-                    *eligible,
+                    eligible,
                 ));
             }
             let slot = packer.push(arrival.declared_cost);
             let completion = now + slot.response_time(params, now);
             if completion <= deadline {
-                self.pending = repacked.into_iter().map(|(e, _)| e).collect();
+                break Some((packer, completion));
+            }
+            std::mem::swap(&mut survivors, &mut repacked);
+        };
+        let verdict = match admitted {
+            Some((packer, completion)) => {
+                self.pending.clear();
+                self.pending
+                    .extend(repacked.iter().map(|&(entry, _)| entry));
                 self.aborted += dropped.len();
                 self.commit(packer, arrival, completion);
-                return (true, Some(completion));
+                (true, Some(completion))
             }
-            survivors = repacked;
-        }
-        dropped.clear();
-        self.rejected += 1;
-        (false, Some(first_prediction))
+            None => {
+                dropped.clear();
+                self.rejected += 1;
+                (false, Some(first_prediction))
+            }
+        };
+        self.survivors = survivors;
+        self.repacked = repacked;
+        verdict
     }
 
     /// Releases the plan slot of an admitted release the engine had to abort

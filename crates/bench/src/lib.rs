@@ -662,5 +662,23 @@ mod tests {
                 );
             }
         }
+        // The overloaded execution must stay linear in the horizon: its
+        // cost per trace segment at 10⁴ units within 2× of the 10³-unit
+        // baseline (a per-run quadratic pass, like the outcome completion
+        // that once scanned the outcome list per event, breaks this).
+        let overload_exec = |config: &str| {
+            records
+                .iter()
+                .find(|r| r.group == "overload" && r.config == config && r.ns_per_decision > 0.0)
+                .unwrap_or_else(|| panic!("trajectory must carry the overload row {config}"))
+        };
+        overload_exec("exec/1000");
+        let long = overload_exec("exec/10000");
+        assert!(
+            long.speedup >= 0.5,
+            "overloaded execution grew {:.2}× per segment from horizon 10³ to 10⁴ \
+             (gate: at most 2×)",
+            1.0 / long.speedup
+        );
     }
 }

@@ -22,6 +22,7 @@
 //! because implementing `GlobalAlloc` requires `unsafe`, which the library
 //! forbids.
 
+use rt_admission::{AdmissionPolicy, ArrivingEvent, ServerAdmission};
 use rt_model::{Instant, Priority, SchedulingPolicy, ServerSpec, Span, SystemSpec, Trace};
 use rt_taskserver::{ExecutionConfig, ExecutionPlan};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -35,6 +36,7 @@ use std::cell::Cell;
 /// below; a manifest entry without a marker means the static half of the
 /// guarantee was dropped. Keep the list sorted by path then name.
 const ZERO_ALLOC_COVERED_FNS: &[(&str, &str)] = &[
+    ("crates/admission/src/lib.rs", "try_displace"),
     ("crates/core/src/fastpath.rs", "pick"),
     ("crates/core/src/fastpath.rs", "pick_edf"),
     ("crates/core/src/fastpath.rs", "run"),
@@ -344,6 +346,109 @@ fn per_event_setup_allocates_amortized_only() {
     );
 }
 
+/// A sustained 4× overload burst into a polling server (the shape of the
+/// admission differential suite's burst): server bandwidth 5/10 = 0.5, one
+/// cost-2 event per unit with a 30-unit relative deadline and a cycling
+/// value tag, for `units` units. The traffic — and with it every admission
+/// decision and D-OVER displacement — grows with the horizon.
+fn overload_burst(policy: AdmissionPolicy, units: u64) -> SystemSpec {
+    let mut b = SystemSpec::builder(format!("overload-burst-{units}"));
+    b.server(
+        ServerSpec::polling(Span::from_units(5), Span::from_units(10), Priority::new(30))
+            .with_admission(policy),
+    );
+    b.periodic(
+        "tau1",
+        Span::from_units(2),
+        Span::from_units(10),
+        Priority::new(20),
+    );
+    for t in 0..units {
+        b.aperiodic(Instant::from_units(t), Span::from_units(2));
+        let event = b.last_aperiodic_mut().expect("event just added");
+        event.relative_deadline = Some(Span::from_units(30));
+        event.value = (t % 7 + 1) * event.declared_cost.ticks();
+    }
+    b.horizon(Instant::from_units(units));
+    b.build().expect("overload bursts are valid")
+}
+
+/// The overload paths allocate amortized-only: replaying a burst's arrivals
+/// through the admission machine (with a reused abort buffer), simulating
+/// it and executing it allocate about the same for N and 4N units of
+/// traffic under both predictive policies. Any per-arrival or per-abort
+/// allocation — a displacement that collects its survivors, a queue
+/// compaction that rebuilds into fresh buffers — would add thousands; the
+/// budget covers the few extra doublings of the growing tables.
+#[test]
+fn overload_paths_allocate_amortized_only() {
+    const N: u64 = 1_000;
+    const AMORTIZED_BUDGET: usize = 16;
+    let config = ExecutionConfig::reference();
+    for policy in [
+        AdmissionPolicy::ValueDensity,
+        AdmissionPolicy::DeadlinePredictive,
+    ] {
+        let allocations = |units: u64| {
+            let spec = overload_burst(policy, units);
+            let arrivals: Vec<ArrivingEvent> = spec
+                .aperiodics
+                .iter()
+                .map(|e| ArrivingEvent {
+                    event: e.id,
+                    release: e.release,
+                    declared_cost: e.declared_cost,
+                    deadline: e.absolute_deadline(),
+                    value: e.value,
+                })
+                .collect();
+            // Warm-up outside the counted regions.
+            std::hint::black_box(rtss_sim::simulate(&spec));
+            std::hint::black_box(rt_taskserver::execute(&spec, &config));
+            let mut machine = ServerAdmission::for_server(&spec.servers[0]);
+            let mut aborted = Vec::new();
+            let (a, r) = count_allocations(|| {
+                for arrival in &arrivals {
+                    std::hint::black_box(machine.on_arrival_into(arrival, &mut aborted));
+                }
+            });
+            let (_, rejected, displaced) = machine.counters();
+            assert!(
+                rejected > 0,
+                "{policy:?}: the burst must overload the server"
+            );
+            if policy == AdmissionPolicy::ValueDensity {
+                assert!(
+                    displaced as u64 > units / 10,
+                    "{policy:?}: D-OVER must displace throughout the burst ({displaced})"
+                );
+            }
+            let (sa, sr) = count_allocations(|| {
+                std::hint::black_box(rtss_sim::simulate(&spec));
+            });
+            let (ea, er) = count_allocations(|| {
+                std::hint::black_box(rt_taskserver::execute(&spec, &config));
+            });
+            [a + r, sa + sr, ea + er]
+        };
+        let base = allocations(N);
+        let long = allocations(4 * N);
+        for ((label, base), long) in ["admission replay", "simulate", "execute"]
+            .into_iter()
+            .zip(base)
+            .zip(long)
+        {
+            assert!(
+                long <= base + AMORTIZED_BUDGET,
+                "{policy:?} {label}: {} units of overload allocated {long} times against \
+                 {base} for {N}: the overload paths must not allocate per arrival \
+                 (amortized budget: {AMORTIZED_BUDGET})",
+                4 * N
+            );
+        }
+    }
+}
+
 #[test]
 fn coverage_manifest_is_sorted_and_names_real_files() {
     assert!(
@@ -353,7 +458,8 @@ fn coverage_manifest_is_sorted_and_names_real_files() {
     // The engines driven above are exactly the crates the manifest spans.
     for (file, _) in ZERO_ALLOC_COVERED_FNS {
         assert!(
-            file.starts_with("crates/core/")
+            file.starts_with("crates/admission/")
+                || file.starts_with("crates/core/")
                 || file.starts_with("crates/metrics/")
                 || file.starts_with("crates/observe/")
                 || file.starts_with("crates/rtsj/")

@@ -24,8 +24,9 @@
 //! and, worse, the seed's per-dispatch re-evaluation of every pending
 //! budget, which made overloaded executions superlinear in the backlog
 //! (the ROADMAP hot-spot). Pushes are O(log n), removals O(log n), and the
-//! slab is compacted whenever the queue drains, so steady-state memory
-//! tracks the live backlog.
+//! slab is compacted in place whenever the queue drains or dead slots
+//! dominate, so steady-state memory tracks the live backlog and a
+//! compaction reuses the buffers it rebuilds into.
 //!
 //! # Service discipline
 //!
@@ -85,6 +86,7 @@ struct CostIndex {
 }
 
 impl CostIndex {
+    /// Empties the index, keeping the tree's buffer for the next pushes.
     fn clear(&mut self) {
         self.cap = 0;
         self.tree.clear();
@@ -102,18 +104,23 @@ impl CostIndex {
         index
     }
 
+    /// Doubles the leaf capacity in place: the tree buffer only reallocates
+    /// when it has never been this large (a cleared index refills the
+    /// buffer it kept).
     fn grow(&mut self) {
         let new_cap = (self.cap * 2).max(64);
-        let mut tree = vec![VACANT; 2 * new_cap];
+        self.tree.resize(2 * new_cap, VACANT);
         if self.len > 0 {
-            tree[new_cap..new_cap + self.len]
-                .copy_from_slice(&self.tree[self.cap..self.cap + self.len]);
+            // The old leaves sit in `[cap, cap + len)`, below the new leaf
+            // row `[new_cap, 2 * new_cap)` that the resize filled with
+            // VACANT; move them up and rebuild the interior minima.
+            self.tree
+                .copy_within(self.cap..self.cap + self.len, new_cap);
             for node in (1..new_cap).rev() {
-                tree[node] = tree[2 * node].min(tree[2 * node + 1]);
+                self.tree[node] = self.tree[2 * node].min(self.tree[2 * node + 1]);
             }
         }
         self.cap = new_cap;
-        self.tree = tree;
     }
 
     fn set(&mut self, index: usize, cost: u64) {
@@ -373,9 +380,11 @@ impl PendingQueue {
 
     /// Compacts the slab once dead slots dominate, so memory and every
     /// O(slab) walk (`pack_entries`, `iter`, `choose_where`) track the
-    /// *live* backlog, not the total arrivals of the run. Rebuilding keeps
-    /// the live entries in arrival order, so the stored packer — a function
-    /// of that order only — stays valid; each removal pays amortised O(1).
+    /// *live* backlog, not the total arrivals of the run. The slab is
+    /// compacted in place, which keeps the live entries in arrival order, so
+    /// the stored packer — a function of that order only — stays valid; the
+    /// indexes are rebuilt into the buffers they already own, so a
+    /// compaction allocates nothing and each removal pays amortised O(1).
     fn maybe_compact(&mut self) {
         if self.live == 0 {
             self.slots.clear();
@@ -386,21 +395,20 @@ impl PendingQueue {
         if self.slots.len() < 64 || self.live * 2 >= self.slots.len() {
             return;
         }
-        let entries: Vec<QueuedEntry> = self.slots.drain(..).flatten().collect();
+        self.slots.retain(Option::is_some);
         self.index.clear();
         // Slot indices move: the deadline heap is rebuilt against the
         // compacted slab (its stale entries would otherwise point at the
         // wrong slots).
         self.deadline_index.clear();
-        for entry in entries {
+        for (slot, entry) in self.slots.iter().flatten().enumerate() {
             let cost = entry.release.declared_cost().ticks().min(VACANT - 1);
             let index = self.index.push(cost);
-            debug_assert_eq!(index, self.slots.len());
+            debug_assert_eq!(index, slot);
             if self.discipline == QueueDiscipline::DeadlineOrdered {
                 self.deadline_index
                     .push(Reverse((entry.release.deadline, index)));
             }
-            self.slots.push(Some(entry));
         }
         debug_assert_eq!(self.slots.len(), self.live);
     }

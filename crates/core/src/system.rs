@@ -25,7 +25,7 @@ use crate::framework::{AnyTaskServer, ServableAsyncEvent, TaskServer};
 use crate::handler::ServableHandler;
 use crate::queue::QueueKind;
 use rt_model::{
-    AperiodicFate, AperiodicOutcome, ExecUnit, Instant, ModelError, OverrunTable,
+    AperiodicFate, AperiodicOutcome, EventId, ExecUnit, Instant, ModelError, OverrunTable,
     PeriodicJobRecord, PeriodicTask, SchedulingPolicy, Span, SystemSpec, Trace,
 };
 use rt_observe::{NoopProbe, Probe};
@@ -165,7 +165,7 @@ pub fn execute_reference(spec: &SystemSpec, config: &ExecutionConfig) -> Trace {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PlannedEvent {
     pub(crate) server: usize,
-    pub(crate) event: rt_model::EventId,
+    pub(crate) event: EventId,
     pub(crate) handler: ServableHandler,
     pub(crate) release: Instant,
 }
@@ -346,6 +346,11 @@ impl<'a> ExecutionPlan<'a> {
 /// with no recorded fate (e.g. the one being served when the horizon was
 /// reached) — and reconstruct the periodic job records from the execution
 /// segments.
+///
+/// The completion looks each in-horizon event up by id in the sorted
+/// recorded ids, O(events · log events) per run. The key must be the id: a
+/// recorded outcome carries the instant its fire was *observed*, which a
+/// timer-overhead slice may have delayed past the spec's release.
 pub(crate) fn finalise_trace(
     spec: &SystemSpec,
     server_count: usize,
@@ -353,11 +358,13 @@ pub(crate) fn finalise_trace(
     trace: &mut Trace,
 ) {
     if let Some(mut outcomes) = collected {
-        for event in &spec.aperiodics {
-            if event.release >= spec.horizon || event.server >= server_count {
+        let mut recorded: Vec<EventId> = outcomes.iter().map(|o| o.event).collect();
+        recorded.sort_unstable();
+        for event in spec.workload().within_horizon() {
+            if event.server >= server_count {
                 continue;
             }
-            if !outcomes.iter().any(|o| o.event == event.id) {
+            if recorded.binary_search(&event.id).is_err() {
                 outcomes.push(AperiodicOutcome {
                     event: event.id,
                     release: event.release,
@@ -533,6 +540,77 @@ mod tests {
         assert_eq!(trace.outcomes.len(), 3);
         assert!(trace.outcomes.iter().all(|o| o.is_served()));
         assert!(trace.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn finalise_trace_completes_outcomes_by_id_exactly_once() {
+        let at = Instant::from_units;
+        let mut b = SystemSpec::builder("finalise");
+        b.add_server(ServerSpec::polling(
+            Span::from_units(3),
+            Span::from_units(6),
+            Priority::new(30),
+        ));
+        b.add_server(ServerSpec::deferrable(
+            Span::from_units(2),
+            Span::from_units(6),
+            Priority::new(29),
+        ));
+        let served_0 = b.aperiodic_for(0, at(1), Span::from_units(1));
+        let served_1 = b.aperiodic_for(1, at(2), Span::from_units(1));
+        let delayed = b.aperiodic_for(0, at(4), Span::from_units(1));
+        let in_service = b.aperiodic_for(1, at(6), Span::from_units(2));
+        let rejected = b.aperiodic_for(0, at(8), Span::from_units(1));
+        let orphan = b.aperiodic_for(1, at(9), Span::from_units(1));
+        let late = b.aperiodic_for(0, at(20), Span::from_units(1));
+        b.horizon(at(20));
+        let mut spec = b.build().unwrap();
+        // Routed past the lanes that were installed: finalisation owes it
+        // nothing.
+        let routed = spec.aperiodics.iter_mut().find(|e| e.id == orphan);
+        routed.expect("orphan is in the spec").server = 2;
+
+        let outcome = |event, release, fate| AperiodicOutcome {
+            event,
+            release: at(release),
+            declared_cost: Span::from_units(1),
+            value: 1,
+            deadline: None,
+            fate,
+        };
+        let served = |started, completed| AperiodicFate::Served {
+            started: at(started),
+            completed: at(completed),
+        };
+        // Lane 0's log, then lane 1's: releases interleave across lanes.
+        // `delayed` was specified at 4 but a timer-overhead slice pushed its
+        // observed fire to 5; `in_service` was still running at the horizon
+        // and has no recorded fate.
+        let collected = vec![
+            outcome(served_0, 1, served(1, 2)),
+            outcome(delayed, 5, served(5, 6)),
+            outcome(rejected, 8, AperiodicFate::Rejected { at: at(8) }),
+            outcome(served_1, 2, served(2, 3)),
+        ];
+        let mut trace = Trace::new(spec.horizon);
+        finalise_trace(&spec, 2, Some(collected), &mut trace);
+
+        let events: Vec<EventId> = trace.outcomes.iter().map(|o| o.event).collect();
+        assert_eq!(
+            events,
+            vec![served_0, served_1, delayed, in_service, rejected],
+            "one outcome per in-horizon routed event, none for {orphan} or {late}"
+        );
+        assert!(trace
+            .outcomes
+            .windows(2)
+            .all(|w| (w[0].release, w[0].event) < (w[1].release, w[1].event)));
+        let delayed_outcome = &trace.outcomes[2];
+        assert_eq!(delayed_outcome.release, at(5), "the recorded fate is kept");
+        let unserved = &trace.outcomes[3];
+        assert_eq!(unserved.fate, AperiodicFate::Unserved);
+        assert_eq!(unserved.release, at(6));
+        assert_eq!(unserved.declared_cost, Span::from_units(2));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! one generated system is guaranteed to be fed identically to both paths.
 
 use crate::error::ModelError;
-use crate::fault::FaultPlan;
+use crate::fault::{ArrivalFault, FaultPlan};
 use crate::ids::{EventId, HandlerId, TaskId};
 use crate::priority::{Priority, SchedulingPolicy};
 use crate::task::{AperiodicEvent, PeriodicTask, ServerSpec};
@@ -227,26 +227,35 @@ impl SystemSpec {
     ///
     /// Every engine entry point applies this normalisation first, which is
     /// what makes arrival faults identical across worlds by construction.
+    ///
+    /// One walk over the events and one over the overruns, each looking its
+    /// event up in the id-sorted fault records (validation allows at most one
+    /// per event): O((events + faults) · log faults).
     pub fn apply_arrival_faults(&self) -> Option<SystemSpec> {
         if !self.faults.has_arrival_faults() {
             return None;
         }
         let mut spec = self.clone();
-        let faults = std::mem::take(&mut spec.faults.arrival_faults);
-        for fault in &faults {
-            match *fault {
-                crate::fault::ArrivalFault::Drop { event } => {
-                    spec.aperiodics.retain(|e| e.id != event);
-                    spec.faults.overruns.retain(|o| o.event != event);
-                }
-                crate::fault::ArrivalFault::Jitter { event, delay } => {
-                    if let Some(e) = spec.aperiodics.iter_mut().find(|e| e.id == event) {
-                        e.release += delay;
-                        e.relative_deadline = e.relative_deadline.map(|d| d.saturating_sub(delay));
-                    }
-                }
+        let mut faults = std::mem::take(&mut spec.faults.arrival_faults);
+        faults.sort_unstable_by_key(ArrivalFault::event);
+        let fault_of = |event| {
+            faults
+                .binary_search_by_key(&event, ArrivalFault::event)
+                .ok()
+                .map(|index| faults[index])
+        };
+        spec.aperiodics.retain_mut(|e| match fault_of(e.id) {
+            Some(ArrivalFault::Drop { .. }) => false,
+            Some(ArrivalFault::Jitter { delay, .. }) => {
+                e.release += delay;
+                e.relative_deadline = e.relative_deadline.map(|d| d.saturating_sub(delay));
+                true
             }
-        }
+            None => true,
+        });
+        spec.faults
+            .overruns
+            .retain(|o| !matches!(fault_of(o.event), Some(ArrivalFault::Drop { .. })));
         spec.aperiodics.sort_by_key(|e| (e.release, e.id));
         Some(spec)
     }
@@ -529,6 +538,59 @@ mod tests {
         b.aperiodic(Instant::from_units(3), Span::from_units(1));
         let sys = b.build().unwrap();
         assert!(sys.aperiodics[0].release <= sys.aperiodics[1].release);
+    }
+
+    #[test]
+    fn arrival_faults_normalise_the_workload() {
+        let mut b = SystemSpec::builder("arrival-faults");
+        b.server(ServerSpec::polling(
+            Span::from_units(4),
+            Span::from_units(6),
+            Priority::new(30),
+        ));
+        let ids: Vec<EventId> = (0..4)
+            .map(|i| {
+                let id = b.aperiodic(Instant::from_units(2 * i), Span::from_units(1));
+                b.last_aperiodic_mut()
+                    .expect("just added")
+                    .relative_deadline = Some(Span::from_units(3));
+                id
+            })
+            .collect();
+        let (late, dropped, kept) = (ids[0], ids[1], ids[3]);
+        b.faults(
+            FaultPlan::new()
+                .overrun(dropped, Span::from_units(1))
+                .overrun(kept, Span::from_units(1))
+                .jitter(late, Span::from_units(5))
+                .drop_arrival(dropped),
+        );
+        let spec = b.build().unwrap();
+        let faulted = spec
+            .apply_arrival_faults()
+            .expect("the plan has arrival faults");
+        let stream: Vec<_> = faulted
+            .aperiodics
+            .iter()
+            .map(|e| (e.id, e.release, e.relative_deadline))
+            .collect();
+        let at = Instant::from_units;
+        // e0 now fires at 5, after e2 at 4; its absolute deadline stays at
+        // 3, so the relative one saturates at zero. e1 is gone, and so is
+        // its overrun.
+        let three = Some(Span::from_units(3));
+        assert_eq!(
+            stream,
+            vec![
+                (ids[2], at(4), three),
+                (late, at(5), Some(Span::ZERO)),
+                (kept, at(6), three)
+            ]
+        );
+        assert_eq!(faulted.faults.overruns.len(), 1);
+        assert_eq!(faulted.faults.overruns[0].event, kept);
+        assert!(faulted.faults.arrival_faults.is_empty());
+        assert!(faulted.apply_arrival_faults().is_none(), "idempotent");
     }
 
     #[test]
