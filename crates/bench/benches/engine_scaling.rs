@@ -53,7 +53,17 @@
 //!   execution driver (`-- observe` runs just this sweep);
 //!   persisted as the `observe` trajectory group with the noop run as
 //!   baseline, so its `speedup` column reads as the recording overhead
-//!   factor.
+//!   factor;
+//! * **paper-shaped runs** — simulations and executions of 10³ systems of
+//!   paper set (2,2) under the polling and the deferrable server: one
+//!   server, 10–30 events over ten server periods, no periodic tasks
+//!   (`-- paper` runs just this sweep). The synthetic 300-task rows above
+//!   overstate what a table run sees, where the set-up and finalisation
+//!   around the decision loop cost about as much as the loop. The summary
+//!   times whole batches (fastest of several, spread printed) and reports
+//!   ns per event beside ns per decision; the `paper` trajectory group
+//!   persists `{sim,exec}/{ps,ds}` in ns per decision with no baseline
+//!   (`speedup` 1).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rt_admission::{AdmissionPolicy, ArrivingEvent, ServerAdmission};
@@ -62,7 +72,8 @@ use rt_compile::CompiledSystem;
 use rt_experiments::{available_workers, generate_set, run_systems, EvaluationMode, TableConfig};
 use rt_metrics::SET_ORDER;
 use rt_model::{
-    Instant, ModeChange, Priority, SchedulingPolicy, ServerPolicyKind, ServerSpec, Span, SystemSpec,
+    Instant, ModeChange, Priority, SchedulingPolicy, ServerPolicyKind, ServerSpec, Span,
+    SystemSpec, Trace,
 };
 use rt_observe::{MetricsProbe, NoopProbe};
 use rt_taskserver::{execute, execute_reference, execute_with_probe, ExecutionConfig};
@@ -213,6 +224,40 @@ fn faulted_system(n: usize, horizon_units: u64) -> SystemSpec {
     spec.validate().expect("faulted systems are valid");
     spec
 }
+
+/// Systems per server policy in the `paper` group.
+const PAPER_SYSTEMS: usize = 1_000;
+
+/// Timed batches per row of the `paper` summary. A batch takes a few
+/// milliseconds, so many of them are cheap, and the fastest of many lands
+/// in a quiet moment of a shared host.
+const PAPER_BATCHES: usize = 25;
+
+/// The `paper` group's input: [`PAPER_SYSTEMS`] systems of paper set (2,2)
+/// under `policy`, seed 1983.
+fn paper_batch(policy: ServerPolicyKind) -> Vec<SystemSpec> {
+    let config = TableConfig {
+        systems_per_set: PAPER_SYSTEMS,
+        seed: 1983,
+        ..TableConfig::default()
+    };
+    generate_set((2, 2), policy, &config)
+}
+
+/// One run of a system through an engine's public entry point.
+type Run = fn(&SystemSpec) -> Trace;
+
+/// The `paper` group's runs: each world's fast engine on one system.
+const PAPER_ENGINES: [(&str, Run); 2] = [
+    ("sim", |spec| simulate(spec)),
+    ("exec", |spec| execute(spec, &ExecutionConfig::reference())),
+];
+
+/// The `paper` group's server policies, with their row labels.
+const PAPER_POLICIES: [(&str, ServerPolicyKind); 2] = [
+    ("ps", ServerPolicyKind::Polling),
+    ("ds", ServerPolicyKind::Deferrable),
+];
 
 /// Event counts swept by the compile-cost benchmark (10² → 10⁵).
 const EVENT_SWEEP: [usize; 4] = [100, 1_000, 10_000, 100_000];
@@ -529,6 +574,28 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("compile", events), &spec, |b, s| {
             b.iter(|| black_box(compile(black_box(s))))
         });
+    }
+    group.finish();
+
+    // Paper-shaped runs: every system of a 10³-system batch of set (2,2),
+    // per engine and server policy. Run just this sweep with
+    // `cargo bench -p rt-bench --bench engine_scaling -- paper`.
+    let mut group = c.benchmark_group("paper");
+    for (policy_label, policy) in PAPER_POLICIES {
+        let batch = paper_batch(policy);
+        for (engine, run) in PAPER_ENGINES {
+            group.bench_with_input(
+                BenchmarkId::new(format!("{engine}_{policy_label}"), PAPER_SYSTEMS),
+                &batch,
+                |b, systems| {
+                    b.iter(|| {
+                        for spec in systems {
+                            black_box(run(black_box(spec)));
+                        }
+                    })
+                },
+            );
+        }
     }
     group.finish();
 
@@ -1046,6 +1113,58 @@ fn bench(c: &mut Criterion) {
                 config: format!("events/{events}"),
                 ns_per_decision: ns,
                 speedup: base_ns / ns,
+            });
+        }
+    }
+
+    // Paper-shaped summary: a batch is one run of every system, timed as
+    // the fastest of several batches (the runs are deterministic, so
+    // disturbances only add); the spread is the slowest batch over the
+    // fastest. Decisions are trace segments, events the in-horizon
+    // arrivals.
+    println!();
+    println!(
+        "paper set (2,2), {PAPER_SYSTEMS} systems per batch (fastest of {PAPER_BATCHES} batches; \
+         spread = slowest / fastest):"
+    );
+    println!(
+        "{:>10} {:>8} {:>10} {:>11} {:>11} {:>13} {:>8}",
+        "run", "events", "decisions", "batch", "ns/event", "ns/decision", "spread"
+    );
+    for (policy_label, policy) in PAPER_POLICIES {
+        let batch = paper_batch(policy);
+        let events: usize = batch
+            .iter()
+            .map(|spec| spec.workload().within_horizon_count())
+            .sum();
+        for (engine, run) in PAPER_ENGINES {
+            let decisions: usize = batch.iter().map(|spec| run(spec).segments.len()).sum();
+            let pass = || {
+                for spec in &batch {
+                    black_box(run(black_box(spec)));
+                }
+            };
+            pass(); // warm-up
+            let times: Vec<f64> = (0..PAPER_BATCHES).map(|_| time_once(pass)).collect();
+            let fastest = times.iter().copied().fold(f64::INFINITY, f64::min);
+            let slowest = times.iter().copied().fold(0.0, f64::max);
+            let config = format!("{engine}/{policy_label}");
+            let ns_per_decision = fastest * 1e9 / decisions as f64;
+            println!(
+                "{:>10} {:>8} {:>10} {:>9.2}ms {:>9.0}ns {:>11.1}ns {:>7.2}x",
+                config,
+                events,
+                decisions,
+                fastest * 1e3,
+                fastest * 1e9 / events as f64,
+                ns_per_decision,
+                slowest / fastest
+            );
+            records.push(BenchRecord {
+                group: "paper".into(),
+                config,
+                ns_per_decision,
+                speedup: 1.0,
             });
         }
     }

@@ -680,5 +680,18 @@ mod tests {
              (gate: at most 2×)",
             1.0 / long.speedup
         );
+        // The paper-shaped rows: both worlds under both servers of the
+        // paper's tables, beside the synthetic 300-task points above.
+        for engine in ["sim", "exec"] {
+            for policy in ["ps", "ds"] {
+                let config = format!("{engine}/{policy}");
+                assert!(
+                    records.iter().any(|r| r.group == "paper"
+                        && r.config == config
+                        && r.ns_per_decision > 0.0),
+                    "trajectory must carry the paper-shaped row {config}"
+                );
+            }
+        }
     }
 }

@@ -3,6 +3,8 @@
 //! simulation driver and its reference, the execution driver under EDF and
 //! the linear-scan execution reference, and the probe-enabled loops), and
 //! for the per-event set-up that builds a workload and prepares its plan.
+//! A last test caps the allocations per system of each stage of the paper
+//! pipeline (generate, validate, prepare, execute, simulate, measure).
 //!
 //! Strategy: run the same prepared [`ExecutionPlan`] — whose `run` takes the
 //! execution driver — over two horizons, H and 4·H, with an identical
@@ -23,7 +25,11 @@
 //! forbids.
 
 use rt_admission::{AdmissionPolicy, ArrivingEvent, ServerAdmission};
-use rt_model::{Instant, Priority, SchedulingPolicy, ServerSpec, Span, SystemSpec, Trace};
+use rt_metrics::RunMeasures;
+use rt_model::{
+    Instant, Priority, SchedulingPolicy, ServerPolicyKind, ServerSpec, Span, SystemSpec, Trace,
+};
+use rt_sysgen::{GeneratorParams, RandomSystemGenerator};
 use rt_taskserver::{ExecutionConfig, ExecutionPlan};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -41,6 +47,7 @@ const ZERO_ALLOC_COVERED_FNS: &[(&str, &str)] = &[
     ("crates/core/src/fastpath.rs", "pick_edf"),
     ("crates/core/src/fastpath.rs", "run"),
     ("crates/metrics/src/hist.rs", "record"),
+    ("crates/metrics/src/measures.rs", "with_horizon"),
     ("crates/observe/src/lib.rs", "admission"),
     ("crates/observe/src/lib.rs", "cap_exhausted"),
     ("crates/observe/src/lib.rs", "decision"),
@@ -444,6 +451,87 @@ fn overload_paths_allocate_amortized_only() {
                  {base} for {N}: the overload paths must not allocate per arrival \
                  (amortized budget: {AMORTIZED_BUDGET})",
                 4 * N
+            );
+        }
+    }
+}
+
+/// Mean (allocations + reallocations) per system of each stage of the paper
+/// pipeline (generate → validate → prepare/run → measure) over 100 systems
+/// of paper set (2,2).
+fn paper_pipeline_allocations(policy: ServerPolicyKind) -> [(&'static str, f64); 6] {
+    const SYSTEMS: usize = 100;
+    let mut params = GeneratorParams::paper_set(2, 2);
+    params.nb_generation = SYSTEMS;
+    let generator = RandomSystemGenerator::new(params, policy).expect("paper parameters are valid");
+    let config = ExecutionConfig::reference();
+    // Warm-up outside the counted regions (lazy statics, first-touch caches).
+    let warm = generator.generate();
+    std::hint::black_box(rtss_sim::simulate(&warm[0]));
+    std::hint::black_box(rt_taskserver::execute(&warm[0], &config));
+    drop(warm);
+
+    let total = |(allocs, reallocs): (usize, usize)| (allocs + reallocs) as f64 / SYSTEMS as f64;
+    let mut specs = Vec::new();
+    let generate = total(count_allocations(|| specs = generator.generate()));
+    let validate = total(count_allocations(|| {
+        for spec in &specs {
+            spec.validate().expect("generated systems are valid");
+        }
+    }));
+    let prepare = total(count_allocations(|| {
+        for spec in &specs {
+            std::hint::black_box(ExecutionPlan::prepare(spec, &config).expect("valid spec"));
+        }
+    }));
+    let traces: Vec<Trace> = specs.iter().map(rtss_sim::simulate).collect();
+    let simulate = total(count_allocations(|| {
+        for spec in &specs {
+            std::hint::black_box(rtss_sim::simulate(spec));
+        }
+    }));
+    let execute = total(count_allocations(|| {
+        for spec in &specs {
+            std::hint::black_box(rt_taskserver::execute(spec, &config));
+        }
+    }));
+    let measure = total(count_allocations(|| {
+        for trace in &traces {
+            std::hint::black_box(RunMeasures::from_trace(trace));
+        }
+    }));
+    [
+        ("generate()", generate),
+        ("validate", validate),
+        ("ExecutionPlan::prepare", prepare),
+        ("execute", execute),
+        ("simulate", simulate),
+        ("RunMeasures::from_trace", measure),
+    ]
+}
+
+/// Ceilings on the per-system bookkeeping of the paper tables: a paper
+/// system (one server, 10–30 events, no periodic tasks) is generated,
+/// validated, run and measured thousands of times per table, so every
+/// allocation around the decision loops is paid per system. Each ceiling
+/// is the mean count this tree reaches, rounded up to a tenth; a regression
+/// that adds one allocation per system to any stage trips it.
+#[test]
+fn paper_pipeline_allocations_stay_under_their_ceilings() {
+    for (policy, ceilings) in [
+        (ServerPolicyKind::Polling, [5.1, 0.0, 6.0, 27.1, 6.5, 0.0]),
+        (
+            ServerPolicyKind::Deferrable,
+            [5.1, 0.0, 4.0, 24.3, 6.2, 0.0],
+        ),
+    ] {
+        for ((stage, count), ceiling) in
+            paper_pipeline_allocations(policy).into_iter().zip(ceilings)
+        {
+            assert!(
+                count <= ceiling,
+                "{policy:?} {stage}: {count:.2} allocations + reallocations per paper \
+                 system, above the ceiling of {ceiling}"
             );
         }
     }

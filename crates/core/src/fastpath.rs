@@ -83,16 +83,14 @@ use crate::handler::QueuedRelease;
 use crate::polling::PollingServerBody;
 use crate::sporadic::SporadicServerBody;
 use crate::state::{ServerShared, SharedServer};
-use crate::system::{finalise_trace, ExecutionPlan, PlannedEvent};
-use rt_model::{
-    AperiodicOutcome, ExecUnit, Instant, Priority, ServerPolicyKind, Span, SystemSpec, Trace,
-};
+use crate::system::{finalise_trace, lane_outcomes, ExecutionPlan, PlannedEvent};
+use rt_model::{ExecUnit, Instant, Priority, ServerPolicyKind, Span, SystemSpec, Trace};
 use rt_observe::Probe;
 use rtsj_emu::{
     Action, BodyCtx, Completion, EventHandle, PeriodicThreadBody, TaskServerParameters, ThreadBody,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Safety net against non-progressing bodies, mirroring the engine's guard.
 const MAX_ZERO_TIME_STEPS: u32 = 100_000;
@@ -245,13 +243,12 @@ pub(crate) fn run<P: Probe, const EDF: bool>(plan: &ExecutionPlan<'_>, mut probe
             probe.lane_totals(lane, &shared.borrow().totals);
         }
     }
-    let collected: Option<Vec<AperiodicOutcome>> = (!shareds.is_empty()).then(|| {
-        shareds
-            .iter()
-            .flat_map(|shared| shared.borrow_mut().finalise())
-            .collect()
-    });
-    finalise_trace(&plan.spec, shareds.len(), collected, &mut trace);
+    finalise_trace(
+        &plan.spec,
+        shareds.len(),
+        lane_outcomes(&shareds),
+        &mut trace,
+    );
     trace
 }
 
@@ -272,18 +269,22 @@ enum Status {
     Terminated,
 }
 
-/// A schedulable body: the periodic workers inline (no heap box), the server
-/// state machines behind the same boxing the engine uses.
+/// A schedulable body, inline (no heap box): a periodic worker or one of
+/// the server state machines.
 enum Body {
     Task(PeriodicThreadBody),
-    Server(Box<dyn ThreadBody>),
+    Polling(PollingServerBody),
+    EventDriven(EventDrivenServerBody),
+    Sporadic(SporadicServerBody),
 }
 
 impl Body {
     fn next_action(&mut self, ctx: &mut BodyCtx, completion: Completion) -> Action {
         match self {
             Body::Task(body) => body.next_action(ctx, completion),
-            Body::Server(body) => body.next_action(ctx, completion),
+            Body::Polling(body) => body.next_action(ctx, completion),
+            Body::EventDriven(body) => body.next_action(ctx, completion),
+            Body::Sporadic(body) => body.next_action(ctx, completion),
         }
     }
 }
@@ -419,8 +420,9 @@ struct FastDriver<'p, P: Probe, const EDF: bool> {
     order: &'p [u32],
     horizon: Instant,
     timer_fire: Span,
-    /// Engine event index of each planned servable event.
-    sae_events: Vec<usize>,
+    /// Engine event index of the first planned servable event; the others
+    /// follow in plan order.
+    sae_event_base: usize,
     /// Conceptual timer index of the first servable-event fire timer (the
     /// engine creates them after every install-time timer), keeping the
     /// (timer creation order, occurrence instant) fire order exact.
@@ -469,7 +471,6 @@ struct FastDriver<'p, P: Probe, const EDF: bool> {
     incomplete: Option<ExecUnit>,
     // --- reused scratch ---
     due_scratch: Vec<(usize, Instant, usize)>,
-    fire_queue: VecDeque<usize>,
 }
 
 impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
@@ -486,8 +487,10 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
 
         let mut threads: Vec<ThreadSlot> = Vec::with_capacity(thread_count);
         let mut shareds: Vec<SharedServer> = Vec::with_capacity(spec.servers.len());
+        // At most three hooked events per lane (the DS's), then one per
+        // planned release.
         let mut events: Vec<EventSlot> =
-            Vec::with_capacity(spec.servers.len() * 2 + plan.events.len());
+            Vec::with_capacity(spec.servers.len() * 3 + plan.events.len());
         let mut static_timers: Vec<StaticTimer> = Vec::new();
         let mut lane_wakeup: Vec<Option<usize>> = Vec::with_capacity(spec.servers.len());
 
@@ -548,7 +551,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             };
             let (body, periodic, wakeup) = match server.policy {
                 ServerPolicyKind::Polling => (
-                    Body::Server(Box::new(PollingServerBody::new(shared.clone()))),
+                    Body::Polling(PollingServerBody::new(shared.clone())),
                     Some(Periodic::new(Instant::ZERO, params.period, params.period)),
                     None,
                 ),
@@ -566,7 +569,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
                         enabled: true,
                         event: replenish,
                     });
-                    (Body::Server(Box::new(body)), None, Some(wakeup))
+                    (Body::EventDriven(body), None, Some(wakeup))
                 }
                 ServerPolicyKind::Background => {
                     let wakeup = create_event(&mut events, EventKind::Plain);
@@ -574,7 +577,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
                     let body =
                         EventDrivenServerBody::new(shared.clone(), EventHandle::from_raw(wakeup))
                             .with_replenish(EventHandle::from_raw(swap));
-                    (Body::Server(Box::new(body)), None, Some(wakeup))
+                    (Body::EventDriven(body), None, Some(wakeup))
                 }
                 ServerPolicyKind::Sporadic => {
                     let wakeup = create_event(&mut events, EventKind::Plain);
@@ -585,7 +588,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
                         EventHandle::from_raw(wakeup),
                         EventHandle::from_raw(replenish),
                     );
-                    (Body::Server(Box::new(body)), None, Some(wakeup))
+                    (Body::Sporadic(body), None, Some(wakeup))
                 }
             };
             let changes: Vec<rt_model::ModeChange> =
@@ -627,16 +630,16 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
         // One servable event per planned occurrence; its fire timer is the
         // release cursor, with conceptual indices after every static timer.
         let sae_base = static_timers.len();
-        let mut sae_events: Vec<usize> = Vec::with_capacity(plan.events.len());
+        let sae_event_base = events.len();
         for (plan_index, planned) in plan.events.iter().enumerate() {
-            sae_events.push(create_event(
+            create_event(
                 &mut events,
                 EventKind::Sae {
                     lane: planned.server,
                     wakeup: lane_wakeup[planned.server],
                     plan_index,
                 },
-            ));
+            );
         }
         let next_timer_idx = sae_base + plan.events.len();
 
@@ -649,6 +652,9 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
         let mut trace = Trace::new(spec.horizon);
         trace.segments.reserve(substrate.segment_hint);
 
+        // A drain collects every due static timer plus the releases and
+        // one-shots due with them, rarely more than a few.
+        let due_capacity = static_timers.len() + 4;
         let word_count = thread_count.div_ceil(64).max(1);
         let mut driver = FastDriver {
             plan_events: &plan.events,
@@ -656,7 +662,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             order: &substrate.order,
             horizon: spec.horizon,
             timer_fire: config.overhead.timer_fire,
-            sae_events,
+            sae_event_base,
             sae_base,
             now: Instant::ZERO,
             threads,
@@ -687,8 +693,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             trace,
             probe,
             incomplete: None,
-            due_scratch: Vec::new(),
-            fire_queue: VecDeque::new(),
+            due_scratch: Vec::with_capacity(due_capacity),
         };
         for tid in 0..driver.threads.len() {
             driver.mark_runnable(tid);
@@ -888,7 +893,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             due.push((
                 self.sae_base + self.sae_cursor,
                 self.plan_events[self.sae_cursor].release,
-                self.sae_events[self.sae_cursor],
+                self.sae_event_base + self.sae_cursor,
             ));
             self.sae_cursor += 1;
         }
@@ -950,9 +955,11 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
 
     /// Fires an event now: run its (static) hook, cascade, then wake or
     /// credit — the reference engine's `fire_event_now` over the hook table.
+    /// Every hook queues at most one follow-up (its lane's hook-free wake-up
+    /// event), so the cascade is a chain of at most two fires.
     fn fire_event(&mut self, event: usize) {
-        self.fire_queue.push_back(event);
-        while let Some(event) = self.fire_queue.pop_front() {
+        let mut next = Some(event);
+        while let Some(event) = next.take() {
             if P::ENABLED {
                 self.probe.fire(self.now);
             }
@@ -964,7 +971,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
                         .borrow_mut()
                         .apply_due_replenishments(self.now)
                     {
-                        self.fire_queue.push_back(wakeup);
+                        next = Some(wakeup);
                     }
                 }
                 EventKind::DsReplenish { lane, wakeup } => {
@@ -974,7 +981,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
                         state.replenish(self.now);
                     }
                     drop(state);
-                    self.fire_queue.push_back(wakeup);
+                    next = Some(wakeup);
                 }
                 EventKind::Sae {
                     lane,
@@ -987,9 +994,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
                         self.now,
                     );
                     if accepted {
-                        if let Some(wakeup) = wakeup {
-                            self.fire_queue.push_back(wakeup);
-                        }
+                        next = wakeup;
                     }
                 }
             }

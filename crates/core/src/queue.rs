@@ -106,9 +106,10 @@ impl CostIndex {
 
     /// Doubles the leaf capacity in place: the tree buffer only reallocates
     /// when it has never been this large (a cleared index refills the
-    /// buffer it kept).
+    /// buffer it kept). Starts at four leaves: a queue that drains often
+    /// rewrites the whole tree at its first push after every drain.
     fn grow(&mut self) {
-        let new_cap = (self.cap * 2).max(64);
+        let new_cap = (self.cap * 2).max(4);
         self.tree.resize(2 * new_cap, VACANT);
         if self.len > 0 {
             // The old leaves sit in `[cap, cap + len)`, below the new leaf

@@ -24,6 +24,7 @@ use crate::fastpath::{self, SubstratePlan};
 use crate::framework::{AnyTaskServer, ServableAsyncEvent, TaskServer};
 use crate::handler::ServableHandler;
 use crate::queue::QueueKind;
+use crate::state::SharedServer;
 use rt_model::{
     AperiodicFate, AperiodicOutcome, EventId, ExecUnit, Instant, ModelError, OverrunTable,
     PeriodicJobRecord, PeriodicTask, SchedulingPolicy, Span, SystemSpec, Trace,
@@ -218,25 +219,29 @@ impl<'a> ExecutionPlan<'a> {
         };
         let policy = config.scheduling.unwrap_or(spec.scheduling);
         let overruns = OverrunTable::new(&spec.faults);
-        let events = spec
-            .workload()
-            .within_horizon()
-            .iter()
-            .filter(|event| event.server < spec.servers.len())
-            .map(|event| PlannedEvent {
-                server: event.server,
-                event: event.id,
-                handler: ServableHandler {
-                    id: event.handler,
-                    declared_cost: event.declared_cost,
-                    actual_cost: event.actual_cost,
-                    relative_deadline: event.relative_deadline,
-                    value: event.value,
-                    overrun_extra: overruns.extra(event.id),
-                },
-                release: event.release,
-            })
-            .collect();
+        let workload = spec.workload();
+        let in_horizon = workload.within_horizon();
+        // Sized for the whole in-horizon stream: exact unless some event
+        // routes past the installed lanes.
+        let mut events = Vec::with_capacity(in_horizon.len());
+        events.extend(
+            in_horizon
+                .iter()
+                .filter(|event| event.server < spec.servers.len())
+                .map(|event| PlannedEvent {
+                    server: event.server,
+                    event: event.id,
+                    handler: ServableHandler {
+                        id: event.handler,
+                        declared_cost: event.declared_cost,
+                        actual_cost: event.actual_cost,
+                        relative_deadline: event.relative_deadline,
+                        value: event.value,
+                        overrun_extra: overruns.extra(event.id),
+                    },
+                    release: event.release,
+                }),
+        );
         ExecutionPlan {
             substrate: SubstratePlan::analyze(&spec),
             spec,
@@ -329,15 +334,27 @@ impl<'a> ExecutionPlan<'a> {
         }
 
         let mut trace = engine.run();
-        let collected = (!servers.is_empty()).then(|| {
-            servers
-                .iter()
-                .flat_map(|server| server.shared().borrow_mut().finalise())
-                .collect()
-        });
+        let collected = lane_outcomes(servers.iter().map(|server| server.shared()));
         finalise_trace(spec, servers.len(), collected, &mut trace);
         trace
     }
+}
+
+/// Finalises every lane (see [`ServerShared::finalise`]) and concatenates
+/// their outcome logs in lane order, `None` when there is no lane. The
+/// first lane's log is extended in place, so a single-lane run moves its
+/// log instead of copying it.
+///
+/// [`ServerShared::finalise`]: crate::state::ServerShared::finalise
+pub(crate) fn lane_outcomes<'s>(
+    lanes: impl IntoIterator<Item = &'s SharedServer>,
+) -> Option<Vec<AperiodicOutcome>> {
+    let mut lanes = lanes.into_iter();
+    let mut outcomes = lanes.next()?.borrow_mut().finalise();
+    for lane in lanes {
+        outcomes.append(&mut lane.borrow_mut().finalise());
+    }
+    Some(outcomes)
 }
 
 /// Shared post-run finalisation of an execution trace, used by both the
@@ -347,7 +364,9 @@ impl<'a> ExecutionPlan<'a> {
 /// reached) — and reconstruct the periodic job records from the execution
 /// segments.
 ///
-/// The completion looks each in-horizon event up by id in the sorted
+/// A lane records at most one outcome per event it was routed, so a log as
+/// long as the routed in-horizon stream is already complete. Otherwise the
+/// completion looks each routed in-horizon event up by id in the sorted
 /// recorded ids, O(events · log events) per run. The key must be the id: a
 /// recorded outcome carries the instant its fire was *observed*, which a
 /// timer-overhead slice may have delayed past the spec's release.
@@ -358,24 +377,38 @@ pub(crate) fn finalise_trace(
     trace: &mut Trace,
 ) {
     if let Some(mut outcomes) = collected {
-        let mut recorded: Vec<EventId> = outcomes.iter().map(|o| o.event).collect();
-        recorded.sort_unstable();
-        for event in spec.workload().within_horizon() {
-            if event.server >= server_count {
-                continue;
-            }
-            if recorded.binary_search(&event.id).is_err() {
-                outcomes.push(AperiodicOutcome {
-                    event: event.id,
-                    release: event.release,
-                    declared_cost: event.declared_cost,
-                    value: event.value,
-                    deadline: event.absolute_deadline(),
-                    fate: AperiodicFate::Unserved,
-                });
+        let workload = spec.workload();
+        let routed = workload
+            .within_horizon()
+            .iter()
+            .filter(|event| event.server < server_count);
+        if outcomes.len() < routed.clone().count() {
+            let mut recorded: Vec<EventId> = outcomes.iter().map(|o| o.event).collect();
+            recorded.sort_unstable();
+            for event in routed {
+                if recorded.binary_search(&event.id).is_err() {
+                    outcomes.push(AperiodicOutcome {
+                        event: event.id,
+                        release: event.release,
+                        declared_cost: event.declared_cost,
+                        value: event.value,
+                        deadline: event.absolute_deadline(),
+                        fate: AperiodicFate::Unserved,
+                    });
+                }
             }
         }
-        outcomes.sort_by_key(|o| (o.release, o.event));
+        debug_assert!(
+            {
+                let mut ids: Vec<EventId> = outcomes.iter().map(|o| o.event).collect();
+                ids.sort_unstable();
+                ids.windows(2).all(|w| w[0] != w[1])
+            },
+            "a complete outcome log holds each event once"
+        );
+        // The ids are distinct, so `(release, event)` keys are too and the
+        // unstable sort orders exactly like a stable one.
+        outcomes.sort_unstable_by_key(|o| (o.release, o.event));
         trace.outcomes = outcomes;
     }
 
@@ -542,8 +575,14 @@ mod tests {
         assert!(trace.check_invariants().is_ok());
     }
 
-    #[test]
-    fn finalise_trace_completes_outcomes_by_id_exactly_once() {
+    /// Two lanes' logs over a spec whose in-horizon routed events are, in
+    /// release order, `[served_0, served_1, delayed, in_service, rejected]`,
+    /// plus an orphan (routed past the installed lanes) and an event at the
+    /// horizon. The log is lane 0's, then lane 1's, so releases interleave
+    /// across lanes. `delayed` was specified at 4 but a timer-overhead slice
+    /// pushed its observed fire to 5; `in_service` was still running at the
+    /// horizon and has no recorded fate.
+    fn two_lane_log() -> (SystemSpec, Vec<AperiodicOutcome>, [EventId; 7]) {
         let at = Instant::from_units;
         let mut b = SystemSpec::builder("finalise");
         b.add_server(ServerSpec::polling(
@@ -565,8 +604,6 @@ mod tests {
         let late = b.aperiodic_for(0, at(20), Span::from_units(1));
         b.horizon(at(20));
         let mut spec = b.build().unwrap();
-        // Routed past the lanes that were installed: finalisation owes it
-        // nothing.
         let routed = spec.aperiodics.iter_mut().find(|e| e.id == orphan);
         routed.expect("orphan is in the spec").server = 2;
 
@@ -582,16 +619,22 @@ mod tests {
             started: at(started),
             completed: at(completed),
         };
-        // Lane 0's log, then lane 1's: releases interleave across lanes.
-        // `delayed` was specified at 4 but a timer-overhead slice pushed its
-        // observed fire to 5; `in_service` was still running at the horizon
-        // and has no recorded fate.
         let collected = vec![
             outcome(served_0, 1, served(1, 2)),
             outcome(delayed, 5, served(5, 6)),
             outcome(rejected, 8, AperiodicFate::Rejected { at: at(8) }),
             outcome(served_1, 2, served(2, 3)),
         ];
+        let ids = [
+            served_0, served_1, delayed, in_service, rejected, orphan, late,
+        ];
+        (spec, collected, ids)
+    }
+
+    #[test]
+    fn finalise_trace_completes_outcomes_by_id_exactly_once() {
+        let (spec, collected, ids) = two_lane_log();
+        let [served_0, served_1, delayed, in_service, rejected, orphan, late] = ids;
         let mut trace = Trace::new(spec.horizon);
         finalise_trace(&spec, 2, Some(collected), &mut trace);
 
@@ -606,11 +649,30 @@ mod tests {
             .windows(2)
             .all(|w| (w[0].release, w[0].event) < (w[1].release, w[1].event)));
         let delayed_outcome = &trace.outcomes[2];
-        assert_eq!(delayed_outcome.release, at(5), "the recorded fate is kept");
+        assert_eq!(
+            delayed_outcome.release,
+            Instant::from_units(5),
+            "the recorded fate is kept"
+        );
         let unserved = &trace.outcomes[3];
         assert_eq!(unserved.fate, AperiodicFate::Unserved);
-        assert_eq!(unserved.release, at(6));
+        assert_eq!(unserved.release, Instant::from_units(6));
         assert_eq!(unserved.declared_cost, Span::from_units(2));
+    }
+
+    #[test]
+    fn a_complete_log_finalises_like_the_id_lookup_path() {
+        let (spec, mut collected, _) = two_lane_log();
+        let mut looked_up = Trace::new(spec.horizon);
+        finalise_trace(&spec, 2, Some(collected.clone()), &mut looked_up);
+        // Lane 1 records `in_service` as unserved itself: the log now holds
+        // every routed in-horizon event, so finalisation skips the lookup.
+        let unserved = looked_up.outcomes[3];
+        assert_eq!(unserved.fate, AperiodicFate::Unserved);
+        collected.push(unserved);
+        let mut complete = Trace::new(spec.horizon);
+        finalise_trace(&spec, 2, Some(collected), &mut complete);
+        assert_eq!(complete.outcomes, looked_up.outcomes);
     }
 
     #[test]

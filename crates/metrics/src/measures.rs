@@ -5,7 +5,7 @@
 //! served-aperiodics ratio" (§6.1). A [`RunMeasures`] value holds exactly
 //! those three quantities for one run.
 
-use rt_model::{AperiodicOutcome, FaultPlan, Instant, Span, Trace};
+use rt_model::{AperiodicOutcome, FaultPlan, Instant, Trace};
 
 /// The per-run measures: the paper's three (served/interrupted counts and
 /// the average response time) plus the admission-layer columns introduced
@@ -51,43 +51,35 @@ impl RunMeasures {
     /// deadline), so it joins neither the miss numerator nor the
     /// denominator. Without the censoring every sufficiently late arrival
     /// would count as a "miss" against even a perfect admission policy.
+    ///
+    /// One pass over the outcomes, allocation-free; the response times are
+    /// summed in outcome order.
+    // rt-lint: zero-alloc
     pub fn with_horizon(outcomes: &[AperiodicOutcome], horizon: Option<Instant>) -> Self {
-        let released = outcomes.len();
-        let served_times: Vec<Span> = outcomes.iter().filter_map(|o| o.response_time()).collect();
-        let served = served_times.len();
-        let interrupted = outcomes.iter().filter(|o| o.is_interrupted()).count();
-        let rejected = outcomes.iter().filter(|o| o.is_rejected()).count();
-        let aborted = outcomes.iter().filter(|o| o.is_aborted()).count();
-        let observable = |o: &&AperiodicOutcome| -> bool {
-            o.deadline.is_some_and(|d| horizon.is_none_or(|h| d <= h))
+        let mut measures = RunMeasures {
+            released: outcomes.len(),
+            ..RunMeasures::default()
         };
-        let accepted_with_deadline = outcomes
-            .iter()
-            .filter(observable)
-            .filter(|o| o.is_accepted())
-            .count();
-        let accepted_deadline_misses = outcomes
-            .iter()
-            .filter(observable)
-            .filter(|o| o.missed_deadline_after_acceptance())
-            .count();
-        let accrued_value = outcomes.iter().map(|o| o.accrued_value()).sum();
-        let average_response_time = if served == 0 {
-            None
-        } else {
-            Some(served_times.iter().map(|s| s.as_units()).sum::<f64>() / served as f64)
-        };
-        RunMeasures {
-            released,
-            served,
-            interrupted,
-            rejected,
-            aborted,
-            accepted_with_deadline,
-            accepted_deadline_misses,
-            accrued_value,
-            average_response_time,
+        let mut response_sum = 0.0;
+        for o in outcomes {
+            if let Some(response) = o.response_time() {
+                measures.served += 1;
+                response_sum += response.as_units();
+            }
+            measures.interrupted += usize::from(o.is_interrupted());
+            measures.rejected += usize::from(o.is_rejected());
+            measures.aborted += usize::from(o.is_aborted());
+            if o.deadline.is_some_and(|d| horizon.is_none_or(|h| d <= h)) {
+                measures.accepted_with_deadline += usize::from(o.is_accepted());
+                measures.accepted_deadline_misses +=
+                    usize::from(o.missed_deadline_after_acceptance());
+            }
+            measures.accrued_value += o.accrued_value();
         }
+        if measures.served > 0 {
+            measures.average_response_time = Some(response_sum / measures.served as f64);
+        }
+        measures
     }
 
     /// Computes the measures directly from a trace, censoring the
@@ -221,7 +213,7 @@ impl ContainmentMeasures {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_model::{AperiodicFate, EventId, Instant};
+    use rt_model::{AperiodicFate, EventId, Instant, Span};
 
     fn outcome(id: u32, fate: AperiodicFate) -> AperiodicOutcome {
         AperiodicOutcome::new(

@@ -6,9 +6,9 @@
 //! pair, in the order (1,0) (2,0) (3,0) (1,2) (2,2) (3,2) — and three rows
 //! (AART, AIR, ASR). [`ResultTable`] holds and formats such a table;
 //! [`paper`] records the published values; [`shape`] provides the qualitative
-//! checks EXPERIMENTS.md and the integration tests rely on (who wins, how the
-//! metrics move with density and heterogeneity), since absolute virtual-time
-//! values are not expected to match a 2 GHz Pentium 4.
+//! checks the README ("Reproducing the paper") and the integration tests rely
+//! on (who wins, how the metrics move with density and heterogeneity), since
+//! absolute virtual-time values are not expected to match a 2 GHz Pentium 4.
 
 use crate::aggregate::SetAggregate;
 use std::fmt;
@@ -125,8 +125,8 @@ pub mod paper {
     ];
 }
 
-/// Qualitative shape checks shared by the integration tests and
-/// EXPERIMENTS.md.
+/// Qualitative shape checks shared by the integration tests and the
+/// README's "Reproducing the paper" comparison.
 pub mod shape {
     use super::ResultTable;
 

@@ -161,12 +161,23 @@ impl SystemSpec {
     /// aperiodic arrival stream — unique event ids, release-sorted order,
     /// routing to existing servers, declared costs within the routed server's
     /// capacity, and the fault plan's cross-references.
+    ///
+    /// Allocates nothing when the event ids strictly ascend in stream order
+    /// (every spec whose events were added in release order, which includes
+    /// every generated one) and the fault plan is empty.
     pub fn validate_workload(&self) -> Result<(), ModelError> {
-        let mut event_ids: Vec<EventId> = self.aperiodics.iter().map(|e| e.id).collect();
-        event_ids.sort();
-        event_ids.dedup();
-        if event_ids.len() != self.aperiodics.len() {
-            return Err(ModelError::invalid("duplicate aperiodic event id"));
+        // Strictly ascending ids are unique and already sorted, so the
+        // stream itself answers the fault plan's membership queries; any
+        // other order pays for a sorted copy.
+        let ascending = self.aperiodics.windows(2).all(|w| w[0].id < w[1].id);
+        let mut event_ids: Vec<EventId> = Vec::new();
+        if !ascending {
+            event_ids.extend(self.aperiodics.iter().map(|e| e.id));
+            event_ids.sort();
+            event_ids.dedup();
+            if event_ids.len() != self.aperiodics.len() {
+                return Err(ModelError::invalid("duplicate aperiodic event id"));
+            }
         }
         if self
             .aperiodics
@@ -195,14 +206,22 @@ impl SystemSpec {
                 }
             }
         }
+        if self.faults.is_empty() {
+            return Ok(());
+        }
         let lanes: Vec<_> = self
             .servers
             .iter()
             .map(|s| (s.policy, s.capacity, s.period))
             .collect();
-        self.faults
-            .validate(|id| event_ids.binary_search(&id).is_ok(), &lanes)?;
-        Ok(())
+        let event_exists = |id: EventId| {
+            if ascending {
+                self.aperiodics.binary_search_by_key(&id, |e| e.id).is_ok()
+            } else {
+                event_ids.binary_search(&id).is_ok()
+            }
+        };
+        self.faults.validate(event_exists, &lanes)
     }
 
     /// A borrowed view of the system's aperiodic workload — the arrival
@@ -392,6 +411,13 @@ impl SystemBuilder {
         self.aperiodics
             .push(AperiodicEvent::new(id, handler, release, actual).with_declared_cost(declared));
         id
+    }
+
+    /// Reserves room for `additional` more aperiodic events, so a caller that
+    /// knows its event count fills the table without regrowing it.
+    pub fn reserve_aperiodics(&mut self, additional: usize) -> &mut Self {
+        self.aperiodics.reserve(additional);
+        self
     }
 
     /// Mutable access to the most recently added aperiodic event, for
@@ -591,6 +617,44 @@ mod tests {
         assert_eq!(faulted.faults.overruns[0].event, kept);
         assert!(faulted.faults.arrival_faults.is_empty());
         assert!(faulted.apply_arrival_faults().is_none(), "idempotent");
+    }
+
+    #[test]
+    fn validation_takes_both_id_orders_and_rejects_duplicates() {
+        let polling =
+            || ServerSpec::polling(Span::from_units(3), Span::from_units(6), Priority::new(30));
+        let event = |id: u32, release: u64| {
+            AperiodicEvent::new(
+                EventId::new(id),
+                HandlerId::new(id),
+                Instant::from_units(release),
+                Span::from_units(1),
+            )
+        };
+        // Release-sorted, but the ids descend: the sorted-copy path.
+        let mut b = SystemSpec::builder("descending-ids");
+        b.server(polling());
+        b.push_aperiodic(event(7, 1)).push_aperiodic(event(3, 2));
+        b.faults(FaultPlan::new().overrun(EventId::new(3), Span::from_units(1)));
+        let spec = b.build().expect("unique ids in any order validate");
+        assert!(spec.aperiodics.windows(2).any(|w| w[0].id > w[1].id));
+
+        let mut duplicated = spec.clone();
+        duplicated.aperiodics[1].id = EventId::new(7);
+        let err = duplicated.validate().unwrap_err();
+        assert!(err.to_string().contains("duplicate aperiodic event id"));
+
+        // Ascending ids answer the plan's lookups from the stream itself.
+        let mut b = SystemSpec::builder("ascending-ids");
+        b.server(polling());
+        let first = b.aperiodic(Instant::from_units(1), Span::from_units(1));
+        b.aperiodic(Instant::from_units(2), Span::from_units(1));
+        let mut spec = b.build().expect("builder ids ascend");
+        spec.faults = FaultPlan::new().overrun(first, Span::from_units(1));
+        assert!(spec.validate().is_ok());
+        spec.faults = FaultPlan::new().overrun(EventId::new(5), Span::from_units(1));
+        let err = spec.validate().unwrap_err();
+        assert!(err.to_string().contains("overrun targets unknown event"));
     }
 
     #[test]

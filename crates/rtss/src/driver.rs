@@ -495,12 +495,18 @@ struct ReadyBits {
 }
 
 impl ReadyBits {
+    /// The empty set over `tasks` tasks. Without tasks nothing is ever
+    /// marked, so no rows are allocated.
     fn new(tasks: usize) -> Self {
         let words = tasks.div_ceil(64).max(1);
         ReadyBits {
             words,
             occ: [0; 4],
-            rows: vec![0; 256 * words],
+            rows: if tasks == 0 {
+                Vec::new()
+            } else {
+                vec![0; 256 * words]
+            },
         }
     }
 

@@ -8,7 +8,7 @@
 //! difference between homogeneous and heterogeneous sets); an alternative
 //! resampling model is provided so the effect of the quirk can be quantified
 //! (ablation benchmark `ablation_queue`/`ablation_engine` companions and the
-//! EXPERIMENTS.md discussion).
+//! README's "Reproducing the paper" discussion).
 
 use crate::distributions::normal;
 use rand::Rng;

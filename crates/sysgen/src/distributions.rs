@@ -32,25 +32,49 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
 /// Knuth's multiplication method. For the rates used by the generator
 /// (a handful of events per server period) this is both exact and fast.
 pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
-    if lambda <= 0.0 {
-        return 0;
-    }
-    // For large lambda fall back on a normal approximation to avoid the
-    // O(lambda) loop; the generator never goes near this regime but the
-    // function is public and should stay robust.
-    if lambda > 700.0 {
-        let sample = normal(rng, lambda, lambda.sqrt());
-        return sample.max(0.0).round() as u64;
-    }
-    let l = (-lambda).exp();
-    let mut k = 0u64;
-    let mut p = 1.0;
-    loop {
-        p *= rng.gen::<f64>();
-        if p <= l {
-            return k;
+    Poisson::new(lambda).sample(rng)
+}
+
+/// A Poisson distribution with its rate's constant `exp(-lambda)` computed
+/// once, for callers drawing many counts at one rate. Draws exactly what
+/// [`poisson`] draws.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Poisson {
+    lambda: f64,
+    exp_neg_lambda: f64,
+}
+
+impl Poisson {
+    /// The distribution of rate `lambda` (non-positive rates always draw 0).
+    pub fn new(lambda: f64) -> Self {
+        Poisson {
+            lambda,
+            exp_neg_lambda: (-lambda).exp(),
         }
-        k += 1;
+    }
+
+    /// Samples one count.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        let lambda = self.lambda;
+        if lambda <= 0.0 {
+            return 0;
+        }
+        // For large lambda fall back on a normal approximation to avoid the
+        // O(lambda) loop; the generator never goes near this regime but the
+        // sampler is public and should stay robust.
+        if lambda > 700.0 {
+            let sample = normal(rng, lambda, lambda.sqrt());
+            return sample.max(0.0).round() as u64;
+        }
+        let mut k = 0u64;
+        let mut p = 1.0;
+        loop {
+            p *= rng.gen::<f64>();
+            if p <= self.exp_neg_lambda {
+                return k;
+            }
+            k += 1;
+        }
     }
 }
 

@@ -10,7 +10,7 @@
 //! (UUniFast) running below the server.
 
 use crate::cost::CostModel;
-use crate::distributions::poisson;
+use crate::distributions::Poisson;
 use crate::params::GeneratorParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,6 +18,7 @@ use rt_model::{
     AdmissionPolicy, ArrivalFault, CostOverrun, Instant, ModeChange, Priority, QueueDiscipline,
     SchedulingPolicy, ServerPolicyKind, ServerSpec, Span, SymbolicPriority, SystemSpec,
 };
+use std::fmt::Write;
 
 /// How the generator tags aperiodic events with completion values (the
 /// D-OVER value used by value-density admission and the accrued-value
@@ -177,6 +178,9 @@ pub struct RandomSystemGenerator {
     value_model: Option<ValueModel>,
     fault_model: Option<FaultModel>,
     mode_schedule: Vec<ModeChange>,
+    /// `gen(density=…, std=…, seed=…, #`: the part of every system name the
+    /// parameters fix, formatted once.
+    name_prefix: String,
 }
 
 impl RandomSystemGenerator {
@@ -188,6 +192,10 @@ impl RandomSystemGenerator {
             params.average_cost,
             params.std_deviation,
             params.server_capacity,
+        );
+        let name_prefix = format!(
+            "gen(density={}, std={}, seed={}, #",
+            params.task_density, params.std_deviation, params.seed
         );
         Ok(RandomSystemGenerator {
             params,
@@ -203,6 +211,7 @@ impl RandomSystemGenerator {
             value_model: None,
             fault_model: None,
             mode_schedule: Vec::new(),
+            name_prefix,
         })
     }
 
@@ -380,10 +389,11 @@ impl RandomSystemGenerator {
         let period = self.params.server_period;
         let horizon = self.params.horizon();
 
-        let mut builder = SystemSpec::builder(format!(
-            "gen(density={}, std={}, seed={}, #{index})",
-            self.params.task_density, self.params.std_deviation, self.params.seed
-        ));
+        let mut name = String::with_capacity(self.name_prefix.len() + 21);
+        name.push_str(&self.name_prefix);
+        // Writing into a `String` cannot fail.
+        let _ = write!(name, "{index})");
+        let mut builder = SystemSpec::builder(name);
         let server_priority = SymbolicPriority::High.to_priority();
         let server = ServerSpec {
             policy: self.policy,
@@ -468,6 +478,7 @@ impl RandomSystemGenerator {
         // The overload knob scales the mean; at 1.0 the draws — and the
         // whole stream — are byte-identical to the unscaled generator.
         let arrival_density = self.params.task_density * self.overload;
+        let arrivals = Poisson::new(arrival_density);
         // Dedicated value stream (same (seed, index) derivation, distinct
         // salt): tagging values never perturbs the release/cost draws.
         let mut value_rng = self.value_model.map(|_| {
@@ -490,9 +501,14 @@ impl RandomSystemGenerator {
                     ^ 0xFA17_1217_FA17_1217,
             )
         });
-        let mut releases: Vec<Instant> = Vec::new();
+        // Room for the mean count plus four standard deviations, so the
+        // release buffer practically never regrows (capped: a huge horizon
+        // grows it as it fills instead of reserving up front).
+        let expected = arrival_density * self.params.horizon_periods as f64;
+        let reserve = (expected + 4.0 * expected.sqrt()) as usize + 4;
+        let mut releases: Vec<Instant> = Vec::with_capacity(reserve.min(1 << 16));
         for k in 0..self.params.horizon_periods {
-            let count = poisson(&mut rng, arrival_density);
+            let count = arrivals.sample(&mut rng);
             let start = Instant::ZERO + period.saturating_mul(k);
             for _ in 0..count {
                 let offset_ticks = rng.gen_range(0..period.ticks());
@@ -500,6 +516,7 @@ impl RandomSystemGenerator {
             }
         }
         releases.sort();
+        builder.reserve_aperiodics(releases.len());
         for release in releases {
             if self.extra_servers.is_empty() {
                 // Single-server path: byte-identical draws to the original

@@ -1,8 +1,8 @@
 //! Integration tests for Tables 2–5: the full-size reproduction (six sets ×
 //! ten systems, seed 1983) must exhibit the qualitative shape of the paper's
-//! results. Absolute values are virtual-time units and are reported in
-//! EXPERIMENTS.md; the assertions here encode the claims the paper draws from
-//! the tables.
+//! results. Absolute values are virtual-time units; the README's "Reproducing
+//! the paper" section compares them with the published ones. The assertions
+//! here encode the claims the paper draws from the tables.
 
 use rtsj_event_framework::experiments::{reproduce_table, PaperTable, TableConfig};
 use rtsj_event_framework::metrics::{shape, ResultTable};
