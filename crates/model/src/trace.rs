@@ -412,8 +412,9 @@ impl Trace {
     }
 
     /// Checks the structural invariants of the trace: segments ordered and
-    /// non-overlapping, nothing beyond the horizon, outcome instants
-    /// consistent with their release times.
+    /// non-overlapping, nothing beyond the horizon, outcomes strictly
+    /// ascending by `(release, event)`, outcome instants consistent with
+    /// their release times.
     pub fn check_invariants(&self) -> Result<(), String> {
         for w in self.segments.windows(2) {
             if w[1].start < w[0].end {
@@ -428,6 +429,14 @@ impl Trace {
                 return Err(format!(
                     "segment ends at {} beyond horizon {}",
                     last.end, self.horizon
+                ));
+            }
+        }
+        for w in self.outcomes.windows(2) {
+            if (w[1].release, w[1].event) <= (w[0].release, w[0].event) {
+                return Err(format!(
+                    "outcome of {} at {} follows {} at {}",
+                    w[1].event, w[1].release, w[0].event, w[0].release
                 ));
             }
         }
@@ -622,6 +631,33 @@ mod tests {
                 completed: Instant::from_units(3),
             },
         ));
+        assert!(t.check_invariants().is_err());
+    }
+
+    #[test]
+    fn invariants_reject_outcomes_out_of_release_event_order() {
+        let unserved = |id, release| {
+            AperiodicOutcome::new(
+                EventId::new(id),
+                Instant::from_units(release),
+                Span::from_units(1),
+                AperiodicFate::Unserved,
+            )
+        };
+        let mut t = Trace::new(Instant::from_units(10));
+        t.push_outcome(unserved(0, 2));
+        t.push_outcome(unserved(1, 2));
+        t.push_outcome(unserved(0, 3));
+        assert!(t.check_invariants().is_ok());
+        // Equal releases must ascend by event id...
+        t.outcomes.swap(0, 1);
+        assert!(t.check_invariants().is_err());
+        // ...and releases must not descend.
+        t.outcomes.swap(0, 1);
+        t.outcomes.swap(1, 2);
+        assert!(t.check_invariants().is_err());
+        // A duplicated record is not strictly ascending either.
+        t.outcomes[2] = t.outcomes[1];
         assert!(t.check_invariants().is_err());
     }
 }

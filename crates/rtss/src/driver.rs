@@ -32,19 +32,24 @@
 //! * admission is an inlined plan: `AcceptAll` lanes compile to an
 //!   unconditional accept, stateful lanes embed the identical
 //!   [`ServerAdmission`] machine through its allocation-free
-//!   `on_arrival_into` entry point with a reused scratch buffer.
+//!   `on_arrival_into` entry point with a reused scratch buffer;
+//! * the outcome log is a slot table: slot `i` is in-horizon arrival `i`'s
+//!   outcome, prefilled `Unserved`, and every fate is a store where it is
+//!   decided, so finalisation drains no queue and its sort finds the log
+//!   already in order (one linear pass) unless ids descend at one release.
 //!
 //! # Per-decision allocations: zero
 //!
-//! All growth points are preallocated from the spec (trace vectors, job
-//! queues, the wheel, the ready structures), so a steady-state decision
-//! instant performs no heap allocation; the only amortised growth left is a
-//! pending queue exceeding its initial estimate and the admission machine's
-//! displacement repacks (O(backlog), overload-only). Byte-identity with the
-//! reference engine is pinned by `tests/engine_differential.rs`, the
-//! goldens and the seeded fuzzer.
+//! The trace vectors are sized up front (outcomes and periodic job records
+//! exactly, segments to a hint), the wheel and the ready bitmap once. The
+//! job queues, lane queues, EDF heap and sporadic replenishment queues start
+//! empty and grow by doubling, as do the segments past their hint and the
+//! admission machine's reused displacement buffers (overload-only), so a
+//! steady-state decision instant allocates nothing. Byte-identity with the
+//! reference engine is pinned by `tests/engine_differential.rs`, the goldens
+//! and the seeded fuzzer.
 
-use crate::tables::{ArrivalTable, LaneTable, PolicySet, SimTables};
+use crate::tables::{LaneTable, PolicySet, SimTables};
 use rt_admission::{AdmissionPolicy, ArrivingEvent, ServerAdmission};
 use rt_model::{
     AperiodicFate, AperiodicOutcome, EventId, ExecUnit, Instant, ModeChange, PeriodicJobRecord,
@@ -566,7 +571,6 @@ struct Driver<'a, P, PR, const EDF: bool> {
     /// Which mode-change records have been applied (per-record flags, not a
     /// cursor: a busy lane defers its record without blocking other lanes').
     mode_applied: Vec<bool>,
-    orphans: Vec<u32>,
     next_arrival: usize,
     /// The release wheel: min-first by `(next release, group index)`; one
     /// live entry per rate group, below the horizon.
@@ -617,8 +621,20 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
             .collect();
         let mut trace = Trace::new(sys.horizon);
         trace.segments.reserve(sys.segment_hint);
-        trace.outcomes.reserve(sys.arrival_count);
         trace.periodic_jobs.reserve(sys.job_count);
+        // The slot table: slot `i` is the outcome of in-horizon arrival `i`
+        // for the whole run, `Unserved` until a fate is stored into it.
+        trace.outcomes.reserve(sys.arrival_count);
+        for event in &sys.spec().aperiodics[..sys.arrival_count] {
+            trace.outcomes.push(AperiodicOutcome {
+                event: event.id,
+                release: event.release,
+                declared_cost: event.declared_cost,
+                value: event.value,
+                deadline: event.absolute_deadline(),
+                fate: AperiodicFate::Unserved,
+            });
+        }
         Driver {
             sys,
             now: Instant::ZERO,
@@ -630,7 +646,6 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
                 Cow::Owned(sys.lanes.clone())
             },
             mode_applied: vec![false; sys.spec().faults.mode_changes.len()],
-            orphans: Vec::new(),
             next_arrival: 0,
             wheel,
             released: vec![0; sys.groups.len()],
@@ -726,62 +741,52 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
             if PR::ENABLED {
                 self.probe.release(self.now);
             }
-            match self.lanes.get_mut(arrival.server) {
-                Some(lane) => {
-                    let mut scratch = std::mem::take(&mut self.aborted_scratch);
-                    let accepted = match &mut lane.admission {
-                        LaneAdmission::Pass => true,
-                        LaneAdmission::Machine(m) => {
-                            m.on_arrival_into(
-                                &ArrivingEvent {
-                                    event: arrival.id,
-                                    release: arrival.release,
-                                    declared_cost: arrival.declared_cost,
-                                    deadline: arrival.deadline,
-                                    value: arrival.value,
-                                },
-                                &mut scratch,
-                            )
-                            .0
-                        }
-                    };
-                    for &aborted in &scratch {
-                        self.abort_pending(arrival.server, aborted);
-                    }
-                    scratch.clear();
-                    self.aborted_scratch = scratch;
-                    if accepted {
-                        self.lanes[arrival.server].queue.push_back(ApJob {
-                            arrival: index,
-                            remaining: arrival.demand,
-                            cap_left: arrival.cap,
-                            started: None,
-                            deadline: arrival.lane_deadline,
-                        });
-                        if PR::ENABLED {
-                            self.probe.admission(
-                                arrival.server,
-                                AdmissionVerdict::Accepted,
-                                self.now,
-                            );
-                            let depth = self.lanes[arrival.server].queue.len() as u64;
-                            self.probe.queue_depth(arrival.server, depth);
-                        }
-                    } else {
-                        if PR::ENABLED {
-                            self.probe.admission(
-                                arrival.server,
-                                AdmissionVerdict::Rejected,
-                                self.now,
-                            );
-                        }
-                        self.trace.push_outcome(outcome(
-                            &arrival,
-                            AperiodicFate::Rejected { at: self.now },
-                        ));
-                    }
+            // An orphan (routed to no lane) leaves its slot `Unserved`.
+            let Some(lane) = self.lanes.get_mut(arrival.server) else {
+                continue;
+            };
+            let mut scratch = std::mem::take(&mut self.aborted_scratch);
+            let accepted = match &mut lane.admission {
+                LaneAdmission::Pass => true,
+                LaneAdmission::Machine(m) => {
+                    m.on_arrival_into(
+                        &ArrivingEvent {
+                            event: arrival.id,
+                            release: arrival.release,
+                            declared_cost: arrival.declared_cost,
+                            deadline: arrival.deadline,
+                            value: arrival.value,
+                        },
+                        &mut scratch,
+                    )
+                    .0
                 }
-                None => self.orphans.push(index),
+            };
+            for &aborted in &scratch {
+                self.abort_pending(arrival.server, aborted);
+            }
+            scratch.clear();
+            self.aborted_scratch = scratch;
+            if accepted {
+                self.lanes[arrival.server].queue.push_back(ApJob {
+                    arrival: index,
+                    remaining: arrival.demand,
+                    cap_left: arrival.cap,
+                    started: None,
+                    deadline: arrival.lane_deadline,
+                });
+                if PR::ENABLED {
+                    self.probe
+                        .admission(arrival.server, AdmissionVerdict::Accepted, self.now);
+                    let depth = self.lanes[arrival.server].queue.len() as u64;
+                    self.probe.queue_depth(arrival.server, depth);
+                }
+            } else {
+                if PR::ENABLED {
+                    self.probe
+                        .admission(arrival.server, AdmissionVerdict::Rejected, self.now);
+                }
+                self.trace.outcomes[index as usize].fate = AperiodicFate::Rejected { at: self.now };
             }
         }
         // Periodic releases: pop due rate groups, release one job per
@@ -906,10 +911,7 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
             self.probe
                 .admission(lane_index, AdmissionVerdict::Aborted, self.now);
         }
-        self.trace.push_outcome(outcome(
-            &sys.arrival(job.arrival as usize),
-            AperiodicFate::Aborted { at: self.now },
-        ));
+        self.trace.outcomes[job.arrival as usize].fate = AperiodicFate::Aborted { at: self.now };
     }
 
     /// Next instant the scheduling decision could change: arrival cursor,
@@ -1092,13 +1094,10 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
             if job.remaining.is_zero() {
                 // rt-lint: allow(panic, reason = "a job only completes after executing, and execution records the start instant")
                 let started = job.started.expect("a completed job has started");
-                self.trace.push_outcome(outcome(
-                    &arrival,
-                    AperiodicFate::Served {
-                        started,
-                        completed: self.now,
-                    },
-                ));
+                self.trace.outcomes[job.arrival as usize].fate = AperiodicFate::Served {
+                    started,
+                    completed: self.now,
+                };
                 lane.queue.remove(position);
                 if lane.queue.is_empty() {
                     lane.policy.on_queue_emptied(table, self.now);
@@ -1111,8 +1110,8 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
                 if PR::ENABLED {
                     self.probe.cap_exhausted(s, self.now);
                 }
-                self.trace
-                    .push_outcome(outcome(&arrival, AperiodicFate::Aborted { at: self.now }));
+                self.trace.outcomes[job.arrival as usize].fate =
+                    AperiodicFate::Aborted { at: self.now };
                 lane.queue.remove(position);
                 if lane.queue.is_empty() {
                     lane.policy.on_queue_emptied(table, self.now);
@@ -1191,20 +1190,8 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
 
     fn finalise(&mut self) {
         let sys = self.sys;
-        for lane in &mut self.lanes {
-            for job in lane.queue.drain(..) {
-                self.trace.push_outcome(outcome(
-                    &sys.arrival(job.arrival as usize),
-                    AperiodicFate::Unserved,
-                ));
-            }
-        }
-        for index in std::mem::take(&mut self.orphans) {
-            self.trace.push_outcome(outcome(
-                &sys.arrival(index as usize),
-                AperiodicFate::Unserved,
-            ));
-        }
+        // Queued jobs and orphans need no record: their slots still hold
+        // `Unserved`.
         for (i, queue) in self.pending.iter_mut().enumerate() {
             for job in queue.drain(..) {
                 self.trace.push_periodic_job(PeriodicJobRecord {
@@ -1216,19 +1203,14 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
                 });
             }
         }
-        self.trace.outcomes.sort_by_key(|o| (o.release, o.event));
+        // Slot order is stream order, which `build()` makes `(release, id)`
+        // order, so this sort is one pass over a sorted run. It reorders
+        // only a spec edited after `build()` to carry descending ids at one
+        // release, which `validate` accepts. Ids are distinct, so unstable
+        // sorting orders like a stable sort.
+        self.trace
+            .outcomes
+            .sort_unstable_by_key(|o| (o.release, o.event));
         debug_assert!(self.trace.check_invariants().is_ok());
-    }
-}
-
-/// Builds the outcome record of one frozen arrival.
-fn outcome(arrival: &ArrivalTable, fate: AperiodicFate) -> AperiodicOutcome {
-    AperiodicOutcome {
-        event: arrival.id,
-        release: arrival.release,
-        declared_cost: arrival.declared_cost,
-        value: arrival.value,
-        deadline: arrival.deadline,
-        fate,
     }
 }

@@ -20,8 +20,8 @@
 
 use rtsj_event_framework::compile::CompiledSystem;
 use rtsj_event_framework::model::{
-    AdmissionPolicy, Instant, Priority, QueueDiscipline, SchedulingPolicy, ServerPolicyKind,
-    ServerSpec, Span, SystemSpec,
+    AdmissionPolicy, AperiodicFate, Instant, Priority, QueueDiscipline, SchedulingPolicy,
+    ServerPolicyKind, ServerSpec, Span, SystemSpec,
 };
 use rtsj_event_framework::observe::MetricsProbe;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
@@ -161,8 +161,24 @@ fn matrix_system(
     b.build().unwrap()
 }
 
-/// Paper scenarios plus a saturating burst.
-const SCENARIOS: [&[(u64, u64)]; 5] = [
+/// Reverses the event ids inside every same-release burst of `spec`, so ids
+/// descend at equal releases. `build()` sorts the stream by
+/// `(release, id)`, so only an edit after it yields such a stream;
+/// `validate` still accepts it (releases ascend, ids stay unique).
+fn with_descending_ids_per_burst(mut spec: SystemSpec) -> SystemSpec {
+    for burst in spec.aperiodics.chunk_by_mut(|a, b| a.release == b.release) {
+        let ids: Vec<_> = burst.iter().rev().map(|e| e.id).collect();
+        for (event, id) in burst.iter_mut().zip(ids) {
+            event.id = id;
+        }
+    }
+    spec.validate()
+        .expect("a release-sorted stream with unique ids is valid");
+    spec
+}
+
+/// Paper scenarios, a saturating burst, and same-release bursts.
+const SCENARIOS: [&[(u64, u64)]; 6] = [
     &[(0, 2), (6, 2)],
     &[(2, 2), (4, 2)],
     &[(1, 2), (7, 2), (14, 2), (20, 1), (27, 2)],
@@ -180,6 +196,21 @@ const SCENARIOS: [&[(u64, u64)]; 5] = [
         (20, 2),
         (21, 2),
         (22, 2),
+    ],
+    &[
+        (0, 2),
+        (0, 2),
+        (0, 3),
+        (0, 1),
+        (5, 1),
+        (5, 2),
+        (5, 2),
+        (12, 1),
+        (12, 1),
+        (12, 2),
+        (20, 2),
+        (20, 2),
+        (20, 1),
     ],
 ];
 
@@ -237,6 +268,9 @@ fn saturated_traffic_agrees_between_schedulers() {
 
 #[test]
 fn policy_discipline_admission_and_scheduling_matrix_agrees_with_the_reference() {
+    // Whether the bursts with descending ids were refused in part by the
+    // predictive policy and displaced in part by the density rule.
+    let (mut rejected, mut displaced) = (false, false);
     for policy in [
         ServerPolicyKind::Polling,
         ServerPolicyKind::Deferrable,
@@ -252,13 +286,38 @@ fn policy_discipline_admission_and_scheduling_matrix_agrees_with_the_reference()
                 for scheduling in [SchedulingPolicy::FixedPriority, SchedulingPolicy::Edf] {
                     for events in SCENARIOS {
                         let spec = matrix_system(policy, discipline, admission, scheduling, events);
-                        assert_simulation_agrees(&spec);
-                        assert_execution_agrees(&spec, ExecutionConfig::reference());
+                        // The same traffic with ids descending inside each
+                        // same-release burst: stream order then differs from
+                        // `(release, event)` order.
+                        let reordered = with_descending_ids_per_burst(spec.clone());
+                        for spec in [&spec, &reordered] {
+                            assert_simulation_agrees(spec);
+                            assert_execution_agrees(spec, ExecutionConfig::reference());
+                        }
+                        if reordered != spec {
+                            for o in simulate(&reordered).outcomes {
+                                match (admission, o.fate) {
+                                    (
+                                        AdmissionPolicy::DeadlinePredictive,
+                                        AperiodicFate::Rejected { .. },
+                                    ) => rejected = true,
+                                    (
+                                        AdmissionPolicy::ValueDensity,
+                                        AperiodicFate::Aborted { .. },
+                                    ) => displaced = true,
+                                    _ => {}
+                                }
+                            }
+                        }
                     }
                 }
             }
         }
     }
+    assert!(
+        rejected && displaced,
+        "the bursts must overload the lanes: rejected {rejected}, displaced {displaced}"
+    );
 }
 
 #[test]
