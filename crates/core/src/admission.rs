@@ -194,7 +194,7 @@ mod tests {
     use rt_model::{HandlerId, Priority, ServerPolicyKind};
     use rtsj_emu::{OverheadModel, TaskServerParameters};
 
-    fn server(queue: QueueKind) -> crate::state::SharedServer {
+    fn server(queue: QueueKind) -> ServerShared {
         ServerShared::new(
             TaskServerParameters::new(Span::from_units(4), Span::from_units(6), Priority::new(30)),
             ServerPolicyKind::Polling,
@@ -214,15 +214,11 @@ mod tests {
 
     #[test]
     fn predicted_response_uses_the_stored_slot() {
-        let shared = server(QueueKind::ListOfLists);
-        {
-            let mut s = shared.borrow_mut();
-            s.remaining = Span::from_units(1);
-            // Released at t=2; remaining capacity 1 cannot hold cost 2, so the
-            // slot is instance 1 (starting at 6): response = 6 + 0 + 2 − 2 = 6.
-            s.released(release(0, 2, 2), Instant::from_units(2));
-        }
-        let s = shared.borrow();
+        let mut s = server(QueueKind::ListOfLists);
+        s.remaining = Span::from_units(1);
+        // Released at t=2; remaining capacity 1 cannot hold cost 2, so the
+        // slot is instance 1 (starting at 6): response = 6 + 0 + 2 − 2 = 6.
+        s.released(release(0, 2, 2), Instant::from_units(2));
         assert_eq!(
             predicted_response(&s, EventId::new(0)),
             Some(Span::from_units(6))
@@ -236,40 +232,35 @@ mod tests {
         // to return `None` here, making `predicted_response` unusable on the
         // default queue configuration. It now replays the recorded packing
         // and must agree with the list-of-lists slot on identical traffic.
-        let fifo = server(QueueKind::Fifo);
-        let lol = server(QueueKind::ListOfLists);
-        for shared in [&fifo, &lol] {
-            let mut s = shared.borrow_mut();
+        let mut fifo = server(QueueKind::Fifo);
+        let mut lol = server(QueueKind::ListOfLists);
+        for s in [&mut fifo, &mut lol] {
             s.remaining = Span::from_units(1);
             s.released(release(0, 2, 2), Instant::from_units(2));
         }
         assert_eq!(
-            predicted_response(&fifo.borrow(), EventId::new(0)),
+            predicted_response(&fifo, EventId::new(0)),
             Some(Span::from_units(6)),
             "the flat FIFO must predict through the replay"
         );
         assert_eq!(
-            predicted_response(&fifo.borrow(), EventId::new(0)),
-            predicted_response(&lol.borrow(), EventId::new(0)),
+            predicted_response(&fifo, EventId::new(0)),
+            predicted_response(&lol, EventId::new(0)),
             "both queue structures must predict the same slot"
         );
     }
 
     #[test]
     fn textbook_prediction_counts_the_queue_ahead() {
-        let shared = server(QueueKind::Fifo);
-        {
-            let mut s = shared.borrow_mut();
-            s.released(release(0, 3, 0), Instant::ZERO);
-        }
-        let s = shared.borrow();
+        let mut s = server(QueueKind::Fifo);
+        s.released(release(0, 3, 0), Instant::ZERO);
         // Pending work 3 + new cost 2 = 5 > remaining 4: spills into the next
         // instance.
         let prediction = textbook_prediction(&s, Instant::ZERO, Span::from_units(2));
         assert!(prediction > Span::from_units(4));
         // Without the queue the same event fits immediately.
         let empty = server(QueueKind::Fifo);
-        let fast = textbook_prediction(&empty.borrow(), Instant::ZERO, Span::from_units(2));
+        let fast = textbook_prediction(&empty, Instant::ZERO, Span::from_units(2));
         assert_eq!(fast, Span::from_units(2));
     }
 
@@ -296,7 +287,7 @@ mod tests {
             assert!(
                 controller.admit_with(
                     oracle,
-                    &empty.borrow(),
+                    &empty,
                     Instant::ZERO,
                     Span::from_units(2),
                     &tasks,
@@ -308,14 +299,10 @@ mod tests {
         // With a heavy backlog the demand oracle refuses what the textbook
         // oracle (which ignores the periodic tasks entirely) still takes:
         // conservative, never unsound.
-        let backlogged = server(QueueKind::Fifo);
-        {
-            let mut s = backlogged.borrow_mut();
-            for id in 0..3 {
-                s.released(release(id, 4, 0), Instant::ZERO);
-            }
+        let mut s = server(QueueKind::Fifo);
+        for id in 0..3 {
+            s.released(release(id, 4, 0), Instant::ZERO);
         }
-        let s = backlogged.borrow();
         // Eq. (1)-(4): remaining 4 serves the first chunk, leftover 10 spills
         // F=2 full instances + R=2 → completion (2+1)·6 + 2 = 20.
         let tight = AdmissionController::new(Span::from_units(20));
@@ -351,16 +338,14 @@ mod tests {
             Span::from_units(6),
             Priority::new(30),
         )];
-        let shared = server(QueueKind::Fifo);
-        shared
-            .borrow_mut()
-            .released(release(0, 2, 0), Instant::ZERO);
+        let mut shared = server(QueueKind::Fifo);
+        shared.released(release(0, 2, 0), Instant::ZERO);
         let controller = AdmissionController::new(Span::from_units(4));
         // By t = 10 the pending release's implicit deadline (release +
         // ceiling = 4) has passed: nothing further is admissible.
         assert!(!controller.admit_with(
             AdmissionOracle::EdfDemand,
-            &shared.borrow(),
+            &shared,
             Instant::from_units(10),
             Span::from_units(1),
             &[],
@@ -370,16 +355,12 @@ mod tests {
 
     #[test]
     fn admission_controller_rejects_slow_predictions() {
-        let shared = server(QueueKind::Fifo);
-        {
-            let mut s = shared.borrow_mut();
-            s.released(release(0, 4, 0), Instant::ZERO);
-            s.released(release(1, 4, 0), Instant::ZERO);
-        }
+        let mut s = server(QueueKind::Fifo);
+        s.released(release(0, 4, 0), Instant::ZERO);
+        s.released(release(1, 4, 0), Instant::ZERO);
         let controller = AdmissionController::new(Span::from_units(5));
-        let s = shared.borrow();
         assert!(!controller.admit(&s, Instant::ZERO, Span::from_units(3)));
         let empty = server(QueueKind::Fifo);
-        assert!(controller.admit(&empty.borrow(), Instant::ZERO, Span::from_units(3)));
+        assert!(controller.admit(&empty, Instant::ZERO, Span::from_units(3)));
     }
 }

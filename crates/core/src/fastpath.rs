@@ -39,14 +39,17 @@
 //!
 //! ## What stays real
 //!
-//! The server bodies are the very same [`PollingServerBody`],
-//! [`EventDrivenServerBody`] and [`SporadicServerBody`] state machines the
-//! reference engine runs, pumped through the public [`BodyCtx`] protocol
-//! with the engine's exact ordering (deadline, action, fires, timers). The
-//! driver only replaces the *scheduling substrate* around them — timer
-//! scans, thread rescans, boxed fire hooks — with table-driven equivalents,
-//! which is why its traces are byte-identical to the reference's; the
-//! goldens, `tests/engine_differential.rs` and the fuzzer pin it.
+//! The driver runs the same install as the reference engine
+//! ([`crate::framework`]): the same lanes, the same polling
+//! ([`crate::polling`]), event-driven ([`crate::deferrable`]) and sporadic
+//! ([`crate::sporadic`]) server-body state machines, pumped through the
+//! public [`BodyCtx`] protocol with the engine's exact ordering (deadline,
+//! action, fires, timers), and the same hook table, interpreted by the same
+//! `ExecWorld`, which the driver owns. It only replaces the
+//! *scheduling substrate* around them — timer scans and thread rescans —
+//! with table-driven equivalents, which is why its traces are
+//! byte-identical to the reference's; the goldens,
+//! `tests/engine_differential.rs` and the fuzzer pin it.
 //!
 //! ## Probes
 //!
@@ -78,17 +81,11 @@
 //! A recording run additionally pays O(t) per drain for the exact wheel
 //! instant.
 
-use crate::deferrable::EventDrivenServerBody;
-use crate::handler::QueuedRelease;
-use crate::polling::PollingServerBody;
-use crate::sporadic::SporadicServerBody;
-use crate::state::{ServerShared, SharedServer};
+use crate::framework::{EventKind, ExecWorld, Install, ServerBody, Timer};
 use crate::system::{finalise_trace, lane_outcomes, ExecutionPlan, PlannedEvent};
 use rt_model::{ExecUnit, Instant, Priority, ServerPolicyKind, Span, SystemSpec, Trace};
 use rt_observe::Probe;
-use rtsj_emu::{
-    Action, BodyCtx, Completion, EventHandle, PeriodicThreadBody, TaskServerParameters, ThreadBody,
-};
+use rtsj_emu::{Action, BodyCtx, Completion, PeriodicThreadBody, ThreadBody};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -223,9 +220,7 @@ fn rank_tables(priorities: &[Priority]) -> (Vec<u32>, Vec<u32>) {
 }
 
 /// Runs a plan through the driver instantiation of its policy: attaches the
-/// probe, drives the bodies to the horizon, hands each lane's
-/// admission/enforcement tally to [`Probe::lane_totals`] and finalises the
-/// trace.
+/// probe, drives the bodies to the horizon and finalises the trace.
 pub(crate) fn run<P: Probe, const EDF: bool>(plan: &ExecutionPlan<'_>, mut probe: P) -> Trace {
     if P::ENABLED {
         probe.attach(plan.spec.servers.len());
@@ -234,21 +229,11 @@ pub(crate) fn run<P: Probe, const EDF: bool>(plan: &ExecutionPlan<'_>, mut probe
     driver.run();
     let FastDriver {
         mut trace,
-        shareds,
-        mut probe,
+        mut world,
         ..
     } = driver;
-    if P::ENABLED {
-        for (lane, shared) in shareds.iter().enumerate() {
-            probe.lane_totals(lane, &shared.borrow().totals);
-        }
-    }
-    finalise_trace(
-        &plan.spec,
-        shareds.len(),
-        lane_outcomes(&shareds),
-        &mut trace,
-    );
+    let collected = lane_outcomes(&mut world.lanes);
+    finalise_trace(&plan.spec, world.lanes.len(), collected, &mut trace);
     trace
 }
 
@@ -269,22 +254,22 @@ enum Status {
     Terminated,
 }
 
-/// A schedulable body, inline (no heap box): a periodic worker or one of
-/// the server state machines.
+/// A schedulable body, inline (no heap box): a periodic worker or a lane's
+/// server body.
 enum Body {
     Task(PeriodicThreadBody),
-    Polling(PollingServerBody),
-    EventDriven(EventDrivenServerBody),
-    Sporadic(SporadicServerBody),
+    Server(ServerBody),
 }
 
 impl Body {
-    fn next_action(&mut self, ctx: &mut BodyCtx, completion: Completion) -> Action {
+    fn next_action<P: Probe>(
+        &mut self,
+        ctx: &mut BodyCtx<'_, ExecWorld<'_, P>>,
+        completion: Completion,
+    ) -> Action {
         match self {
             Body::Task(body) => body.next_action(ctx, completion),
-            Body::Polling(body) => body.next_action(ctx, completion),
-            Body::EventDriven(body) => body.next_action(ctx, completion),
-            Body::Sporadic(body) => body.next_action(ctx, completion),
+            Body::Server(body) => body.next_action(ctx, completion),
         }
     }
 }
@@ -316,7 +301,8 @@ fn start_compute(amount: Span, unit: ExecUnit) -> Status {
 /// this.
 #[inline]
 fn start_period(body: &mut PeriodicThreadBody, now: Instant) -> Status {
-    let mut ctx = BodyCtx::new(now);
+    let no_world = &mut ();
+    let mut ctx = BodyCtx::new(now, no_world);
     let action = body.next_action(&mut ctx, Completion::PeriodStarted);
     debug_assert!(ctx.take_fire_requests().is_empty());
     debug_assert!(ctx.take_timer_requests().is_empty());
@@ -364,45 +350,11 @@ struct ThreadSlot {
     /// Absolute deadline of the current job, the EDF dispatch key
     /// ([`Instant::MAX`] ranks last); unused under fixed priorities.
     deadline: Instant,
-}
-
-/// Static hook table: what firing an event does, as data instead of boxed
-/// closures. One variant per hook the framework installs.
-#[derive(Debug, Clone, Copy)]
-enum EventKind {
-    /// No hook (the `wakeUp` events): only waiters/pending bookkeeping.
-    Plain,
-    /// Chunk-replenishment of a DS/BG lane that may mode-swap into the
-    /// Sporadic policy: credit due replenishments, wake on success.
-    SwapReplenish { lane: usize, wakeup: usize },
-    /// The DS periodic replenishment: apply due mode changes, refill (while
-    /// still deferrable), always wake.
-    DsReplenish { lane: usize, wakeup: usize },
-    /// The SS replenishment: credit due replenishments, wake on success.
-    SsReplenish { lane: usize, wakeup: usize },
-    /// A servable async event: queue the release, wake the lane if accepted.
-    Sae {
-        lane: usize,
-        wakeup: Option<usize>,
-        plan_index: usize,
-    },
-}
-
-struct EventSlot {
-    kind: EventKind,
-    pending: u32,
-    waiter: Option<usize>,
-}
-
-/// A pre-run timer of the substrate (per-lane replenishments and mode-change
-/// wake-ups). Servable-event fire timers are not materialized: the planned
-/// events are release-sorted, so a single cursor replays them.
-#[derive(Debug, Clone, Copy)]
-struct StaticTimer {
-    next: Instant,
-    period: Option<Span>,
-    enabled: bool,
-    event: usize,
+    /// Fires of the lane's `wakeUp` no wait has consumed yet (server threads
+    /// only). A server body waits on its own lane's `wakeUp` and on no other
+    /// event, and nothing else waits on one, so a per-server count is all
+    /// the engine's per-event pending/waiter bookkeeping amounts to here.
+    wakeups: u32,
 }
 
 /// Runtime state of one release-wheel group.
@@ -420,8 +372,8 @@ struct FastDriver<'p, P: Probe, const EDF: bool> {
     order: &'p [u32],
     horizon: Instant,
     timer_fire: Span,
-    /// Engine event index of the first planned servable event; the others
-    /// follow in plan order.
+    /// Event index of the first planned servable event; the others follow
+    /// in plan order.
     sae_event_base: usize,
     /// Conceptual timer index of the first servable-event fire timer (the
     /// engine creates them after every install-time timer), keeping the
@@ -431,9 +383,13 @@ struct FastDriver<'p, P: Probe, const EDF: bool> {
     // --- mutable run state ---
     now: Instant,
     threads: Vec<ThreadSlot>,
-    shareds: Vec<SharedServer>,
-    events: Vec<EventSlot>,
-    static_timers: Vec<StaticTimer>,
+    /// The lanes, the hook table and the probe.
+    world: ExecWorld<'p, P>,
+    /// The install-time timers (per-lane replenishments and mode-change
+    /// wake-ups); a fired one-shot moves to [`Instant::MAX`]. Servable-event
+    /// fire timers are not materialized: the planned events are
+    /// release-sorted, so a single cursor replays them.
+    static_timers: Vec<Timer>,
     groups: Vec<WheelGroup<'p>>,
     sae_cursor: usize,
     /// Runtime-armed one-shots (SS chunk replenishments): (fire instant,
@@ -463,8 +419,6 @@ struct FastDriver<'p, P: Probe, const EDF: bool> {
     next_due: Instant,
     zero_steps: u32,
     trace: Trace,
-    /// The observation hooks; every call site is gated on `P::ENABLED`.
-    probe: P,
     /// The unit whose last compute slice ended with work remaining — the
     /// candidate for a preemption report when the next dispatch picks
     /// someone else. Only maintained when `P::ENABLED`.
@@ -485,138 +439,26 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             "substrate was analyzed for a different system"
         );
 
+        // The servers as the install creates them (thread id = lane index),
+        // then the periodic tasks.
+        let Install {
+            world,
+            servers,
+            timers,
+            sae_base: sae_event_base,
+        } = Install::new(spec, config, &plan.events, probe);
         let mut threads: Vec<ThreadSlot> = Vec::with_capacity(thread_count);
-        let mut shareds: Vec<SharedServer> = Vec::with_capacity(spec.servers.len());
-        // At most three hooked events per lane (the DS's), then one per
-        // planned release.
-        let mut events: Vec<EventSlot> =
-            Vec::with_capacity(spec.servers.len() * 3 + plan.events.len());
-        let mut static_timers: Vec<StaticTimer> = Vec::new();
-        let mut lane_wakeup: Vec<Option<usize>> = Vec::with_capacity(spec.servers.len());
-
-        let create_event = |events: &mut Vec<EventSlot>, kind: EventKind| -> usize {
-            events.push(EventSlot {
-                kind,
-                pending: 0,
-                waiter: None,
-            });
-            events.len() - 1
-        };
-
-        // Install the servers exactly like `AnyTaskServer::install_with_faults`
-        // does on the reference engine: same shared-state construction, same
-        // event and timer creation order, same bodies, same initial EDF
-        // deadlines.
-        for (lane, server) in spec.servers.iter().enumerate() {
-            let (params, shared) = match server.policy {
-                ServerPolicyKind::Background => {
-                    // Nominal parameters: never used to reject work.
-                    let params = TaskServerParameters::new(
-                        Span::from_units(1),
-                        Span::from_units(1),
-                        server.priority,
-                    );
-                    (
-                        params,
-                        ServerShared::new(
-                            params,
-                            ServerPolicyKind::Background,
-                            config.overhead,
-                            config.queue,
-                            server.discipline,
-                        ),
-                    )
-                }
-                policy => {
-                    let params =
-                        TaskServerParameters::new(server.capacity, server.period, server.priority);
-                    (
-                        params,
-                        ServerShared::with_admission(
-                            params,
-                            policy,
-                            config.overhead,
-                            config.queue,
-                            server.discipline,
-                            server.admission,
-                        ),
-                    )
-                }
-            };
-            // The BG lane never publishes a deadline (background rank); the
-            // others start keyed by their first replenishment instant.
-            let deadline = match server.policy {
-                ServerPolicyKind::Background => Instant::MAX,
-                _ => Instant::ZERO + params.period,
-            };
-            let (body, periodic, wakeup) = match server.policy {
-                ServerPolicyKind::Polling => (
-                    Body::Polling(PollingServerBody::new(shared.clone())),
-                    Some(Periodic::new(Instant::ZERO, params.period, params.period)),
-                    None,
-                ),
-                ServerPolicyKind::Deferrable => {
-                    let wakeup = create_event(&mut events, EventKind::Plain);
-                    let swap = create_event(&mut events, EventKind::SwapReplenish { lane, wakeup });
-                    let body =
-                        EventDrivenServerBody::new(shared.clone(), EventHandle::from_raw(wakeup))
-                            .with_replenish(EventHandle::from_raw(swap));
-                    let replenish =
-                        create_event(&mut events, EventKind::DsReplenish { lane, wakeup });
-                    static_timers.push(StaticTimer {
-                        next: Instant::ZERO + params.period,
-                        period: Some(params.period),
-                        enabled: true,
-                        event: replenish,
-                    });
-                    (Body::EventDriven(body), None, Some(wakeup))
-                }
-                ServerPolicyKind::Background => {
-                    let wakeup = create_event(&mut events, EventKind::Plain);
-                    let swap = create_event(&mut events, EventKind::SwapReplenish { lane, wakeup });
-                    let body =
-                        EventDrivenServerBody::new(shared.clone(), EventHandle::from_raw(wakeup))
-                            .with_replenish(EventHandle::from_raw(swap));
-                    (Body::EventDriven(body), None, Some(wakeup))
-                }
-                ServerPolicyKind::Sporadic => {
-                    let wakeup = create_event(&mut events, EventKind::Plain);
-                    let replenish =
-                        create_event(&mut events, EventKind::SsReplenish { lane, wakeup });
-                    let body = SporadicServerBody::new(
-                        shared.clone(),
-                        EventHandle::from_raw(wakeup),
-                        EventHandle::from_raw(replenish),
-                    );
-                    (Body::Sporadic(body), None, Some(wakeup))
-                }
-            };
-            let changes: Vec<rt_model::ModeChange> =
-                spec.faults.mode_changes_for(lane).cloned().collect();
-            if !changes.is_empty() {
-                if let Some(wakeup) = wakeup {
-                    for change in &changes {
-                        static_timers.push(StaticTimer {
-                            next: change.at,
-                            period: None,
-                            enabled: true,
-                            event: wakeup,
-                        });
-                    }
-                }
-                shared.borrow_mut().set_mode_changes(changes);
-            }
-            threads.push(ThreadSlot {
-                body,
-                periodic,
+        threads.extend(servers.into_iter().map(|server| {
+            ThreadSlot {
+                body: Body::Server(server.body),
+                periodic: server
+                    .period
+                    .map(|period| Periodic::new(Instant::ZERO, period, period)),
                 status: Status::Ready(Completion::Started),
-                deadline,
-            });
-            shareds.push(shared);
-            lane_wakeup.push(wakeup);
-        }
-
-        // The periodic tasks, spawned after the servers.
+                deadline: server.deadline,
+                wakeups: 0,
+            }
+        }));
         for task in &spec.periodic_tasks {
             let first = Instant::ZERO + task.offset;
             threads.push(ThreadSlot {
@@ -624,37 +466,23 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
                 periodic: Some(Periodic::new(first, task.period, task.deadline)),
                 status: Status::Ready(Completion::Started),
                 deadline: first + task.deadline,
+                wakeups: 0,
             });
         }
 
-        // One servable event per planned occurrence; its fire timer is the
-        // release cursor, with conceptual indices after every static timer.
-        let sae_base = static_timers.len();
-        let sae_event_base = events.len();
-        for (plan_index, planned) in plan.events.iter().enumerate() {
-            create_event(
-                &mut events,
-                EventKind::Sae {
-                    lane: planned.server,
-                    wakeup: lane_wakeup[planned.server],
-                    plan_index,
-                },
-            );
-        }
+        // The servable events' fire timers are the release cursor, with
+        // conceptual indices after every install-time timer.
+        let sae_base = timers.len();
         let next_timer_idx = sae_base + plan.events.len();
 
-        // Steady-state allocation freedom: reserve the outcome and segment
-        // storage up front (each lane records at most one outcome per
-        // planned release).
-        for shared in &shareds {
-            shared.borrow_mut().outcomes.reserve(plan.events.len() + 1);
-        }
+        // Steady-state allocation freedom: reserve the segment storage up
+        // front (the install reserved each lane's outcome log).
         let mut trace = Trace::new(spec.horizon);
         trace.segments.reserve(substrate.segment_hint);
 
         // A drain collects every due static timer plus the releases and
         // one-shots due with them, rarely more than a few.
-        let due_capacity = static_timers.len() + 4;
+        let due_capacity = timers.len() + 4;
         let word_count = thread_count.div_ceil(64).max(1);
         let mut driver = FastDriver {
             plan_events: &plan.events,
@@ -666,9 +494,8 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             sae_base,
             now: Instant::ZERO,
             threads,
-            shareds,
-            events,
-            static_timers,
+            world,
+            static_timers: timers,
             groups: substrate
                 .groups
                 .iter()
@@ -691,7 +518,6 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             next_due: Instant::ZERO,
             zero_steps: 0,
             trace,
-            probe,
             incomplete: None,
             due_scratch: Vec::with_capacity(due_capacity),
         };
@@ -854,7 +680,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
                         released_any = true;
                     }
                     if P::ENABLED {
-                        self.probe.release(self.now);
+                        self.world.probe.release(self.now);
                     }
                 }
                 if released_any {
@@ -869,9 +695,6 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
         let mut due = std::mem::take(&mut self.due_scratch);
         debug_assert!(due.is_empty());
         for (index, timer) in self.static_timers.iter_mut().enumerate() {
-            if !timer.enabled {
-                continue;
-            }
             match timer.period {
                 Some(period) => {
                     while timer.next <= self.now {
@@ -881,8 +704,8 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
                 }
                 None => {
                     if timer.next <= self.now {
-                        timer.enabled = false;
                         due.push((index, timer.next, timer.event));
+                        timer.next = Instant::MAX;
                     }
                 }
             }
@@ -925,9 +748,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
     fn earliest_due(&self) -> Instant {
         let mut next = Instant::MAX;
         for timer in &self.static_timers {
-            if timer.enabled {
-                next = next.min(timer.next);
-            }
+            next = next.min(timer.next);
         }
         if self.sae_cursor < self.plan_events.len() {
             next = next.min(self.plan_events[self.sae_cursor].release);
@@ -953,58 +774,24 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
         next
     }
 
-    /// Fires an event now: run its (static) hook, cascade, then wake or
-    /// credit — the reference engine's `fire_event_now` over the hook table.
-    /// Every hook queues at most one follow-up (its lane's hook-free wake-up
-    /// event), so the cascade is a chain of at most two fires.
+    /// Fires an event now: run its hook in the world, then wake or credit
+    /// its lane's server when it is a `wakeUp` — the reference engine's
+    /// `fire_event_now` over the hook table. Every hook fires at most one
+    /// follow-up (its lane's hook-free `wakeUp`), so the cascade is a chain
+    /// of at most two fires.
     fn fire_event(&mut self, event: usize) {
         let mut next = Some(event);
-        while let Some(event) = next.take() {
+        while let Some(event) = next {
             if P::ENABLED {
-                self.probe.fire(self.now);
+                self.world.probe.fire(self.now);
             }
-            match self.events[event].kind {
-                EventKind::Plain => {}
-                EventKind::SwapReplenish { lane, wakeup }
-                | EventKind::SsReplenish { lane, wakeup } => {
-                    if self.shareds[lane]
-                        .borrow_mut()
-                        .apply_due_replenishments(self.now)
-                    {
-                        next = Some(wakeup);
-                    }
-                }
-                EventKind::DsReplenish { lane, wakeup } => {
-                    let mut state = self.shareds[lane].borrow_mut();
-                    state.apply_due_mode_changes(self.now);
-                    if state.policy == ServerPolicyKind::Deferrable {
-                        state.replenish(self.now);
-                    }
-                    drop(state);
-                    next = Some(wakeup);
-                }
-                EventKind::Sae {
-                    lane,
-                    wakeup,
-                    plan_index,
-                } => {
-                    let planned = &self.plan_events[plan_index];
-                    let accepted = self.shareds[lane].borrow_mut().released(
-                        QueuedRelease::new(planned.event, planned.handler, self.now),
-                        self.now,
-                    );
-                    if accepted {
-                        next = wakeup;
-                    }
-                }
-            }
-            match self.events[event].waiter.take() {
-                None => {
-                    self.events[event].pending = self.events[event].pending.saturating_add(1);
-                }
-                Some(tid) => {
-                    self.threads[tid].status = Status::Ready(Completion::EventFired);
-                    self.mark_runnable(tid);
+            next = self.world.hook(event, self.now);
+            if let EventKind::Wakeup { lane } = self.world.kinds[event] {
+                if matches!(self.threads[lane].status, Status::BlockedOnEvent) {
+                    self.threads[lane].status = Status::Ready(Completion::EventFired);
+                    self.mark_runnable(lane);
+                } else {
+                    self.threads[lane].wakeups = self.threads[lane].wakeups.saturating_add(1);
                 }
             }
         }
@@ -1020,7 +807,8 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
         let Body::Task(body) = &mut slot.body else {
             unreachable!("pump_task requires a periodic worker")
         };
-        let mut ctx = BodyCtx::new(now);
+        let no_world = &mut ();
+        let mut ctx = BodyCtx::new(now, no_world);
         let action = body.next_action(&mut ctx, completion);
         debug_assert!(ctx.take_fire_requests().is_empty());
         debug_assert!(ctx.take_timer_requests().is_empty());
@@ -1062,7 +850,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
         };
         self.set_deadline(tid, deadline);
         if P::ENABLED {
-            self.probe.release(now);
+            self.world.probe.release(now);
         }
     }
 
@@ -1077,7 +865,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
         if matches!(self.threads[tid].body, Body::Task(_)) {
             return self.pump_task(tid, completion);
         }
-        let mut ctx = BodyCtx::new(self.now);
+        let mut ctx = BodyCtx::new(self.now, &mut self.world);
         let action = self.threads[tid].body.next_action(&mut ctx, completion);
         let fires = ctx.take_fire_requests();
         let timers = ctx.take_timer_requests();
@@ -1136,17 +924,16 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
                 }
             }
             Action::WaitForEvent(event) => {
-                let event = event.raw();
-                if self.events[event].pending > 0 {
-                    self.events[event].pending -= 1;
-                    self.threads[tid].status = Status::Ready(Completion::EventFired);
+                debug_assert!(
+                    matches!(self.world.kinds[event.raw()], EventKind::Wakeup { lane } if lane == tid),
+                    "a server body waits only on its own lane's wakeUp"
+                );
+                let slot = &mut self.threads[tid];
+                if slot.wakeups > 0 {
+                    slot.wakeups -= 1;
+                    slot.status = Status::Ready(Completion::EventFired);
                 } else {
-                    debug_assert!(
-                        self.events[event].waiter.is_none(),
-                        "framework events have at most one waiter"
-                    );
-                    self.events[event].waiter = Some(tid);
-                    self.threads[tid].status = Status::BlockedOnEvent;
+                    slot.status = Status::BlockedOnEvent;
                     self.unmark_runnable(tid);
                 }
             }
@@ -1196,7 +983,8 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             if !self.pending_overhead.is_zero() {
                 let slice = self.pending_overhead.min(self.horizon.since(self.now));
                 if P::ENABLED {
-                    self.probe
+                    self.world
+                        .probe
                         .slice(ExecUnit::TimerOverhead, self.now, self.now + slice);
                 }
                 self.trace
@@ -1208,13 +996,13 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             }
 
             if P::ENABLED {
-                self.probe.decision(self.now);
+                self.world.probe.decision(self.now);
             }
             let Some(tid) = self.pick() else {
                 let next = self.next_preemption_time();
                 debug_assert!(next > self.now);
                 if P::ENABLED {
-                    self.probe.slice(ExecUnit::Idle, self.now, next);
+                    self.world.probe.slice(ExecUnit::Idle, self.now, next);
                 }
                 self.trace.push_segment(ExecUnit::Idle, self.now, next);
                 self.now = next;
@@ -1239,7 +1027,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
                 }
                 self.woken_min_rank = u32::MAX;
                 if P::ENABLED {
-                    self.probe.decision(self.now);
+                    self.world.probe.decision(self.now);
                 }
             }
 
@@ -1264,11 +1052,11 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             if P::ENABLED {
                 if let Some(prev) = self.incomplete.take() {
                     if prev != unit {
-                        self.probe.preemption(prev, self.now);
+                        self.world.probe.preemption(prev, self.now);
                     }
                 }
-                self.probe.dispatch(unit, self.now);
-                self.probe.slice(unit, self.now, self.now + slice);
+                self.world.probe.dispatch(unit, self.now);
+                self.world.probe.slice(unit, self.now, self.now + slice);
             }
             self.trace.push_segment(unit, self.now, self.now + slice);
             self.now += slice;

@@ -1,619 +1,647 @@
 //! The public face of the Task Server Framework: the RTSJ-style classes of
-//! the paper's Figure 1, wired onto the `rtsj-emu` engine.
+//! the paper's Figure 1, installed as data that both execution loops run.
 //!
 //! | Paper class (Figure 1)        | Here                                   |
 //! |-------------------------------|----------------------------------------|
 //! | `TaskServerParameters`        | [`rtsj_emu::TaskServerParameters`]     |
-//! | `TaskServer` (abstract)       | [`TaskServer`] trait + [`AnyTaskServer`] |
+//! | `TaskServer` (abstract)       | [`ServerShared`] (pending queue, capacity) + the service loop ([`crate::serve`]) |
 //! | `PollingTaskServer`           | [`PollingTaskServer`]                  |
 //! | `DeferrableTaskServer`        | [`DeferrableTaskServer`]               |
 //! | `ServableAsyncEventHandler`   | [`crate::handler::ServableHandler`]    |
 //! | `ServableAsyncEvent`          | [`ServableAsyncEvent`]                 |
 //!
-//! A server is *installed* into an [`Engine`]: installing spawns its
-//! schedulable body at the server priority and (for the event-driven
-//! policies) creates its `wakeUp` event and replenishment timer. A
-//! [`ServableAsyncEvent`] is then bound to one handler and one server; firing
-//! it — typically from a timer — registers the handler in the server's
-//! pending queue exactly like `fire()` → `servableEventReleased()` in the
-//! paper's design.
+//! [`BackgroundServer`] (the paper's background-servicing baseline) and
+//! [`SporadicTaskServer`] (Sprunt's third policy) complete the set.
+//!
+//! Installing a system is one routine shared by both execution loops. Per
+//! lane, in spec order, it creates what that lane's class creates: the
+//! lane's [`ServerShared`], its server body, its events and its install-time
+//! timers, the mode-change one-shots included. Then it creates one
+//! [`ServableAsyncEvent`] per planned release. An event is an entry of a
+//! hook table (its kind, as data), and the loop
+//! that runs the system owns the lanes and that table in one
+//! `ExecWorld`, which interprets an event's entry when the event fires.
+//! Firing a servable event thus reaches its lane by index and registers the
+//! handler in the lane's pending queue, like `fire()` →
+//! `servableEventReleased()` in the paper's design. The execution driver
+//! ([`crate::fastpath`]) takes the install into its tables; the `rtsj-emu`
+//! reference loads it into an engine whose [`World`] is the `ExecWorld`.
+//!
+//! Timer fire order follows creation order, so the install keeps the
+//! order: per lane, whichever of `wakeUp`, swap-replenish, replenish and the
+//! DS periodic timer its policy creates, then that lane's mode-change
+//! timers; then the periodic tasks, which each loop adds itself; then the
+//! servable events.
 
 use crate::deferrable::EventDrivenServerBody;
-use crate::handler::{QueuedRelease, ServableHandler};
+use crate::handler::QueuedRelease;
 use crate::polling::PollingServerBody;
-use crate::queue::QueueKind;
 use crate::sporadic::SporadicServerBody;
-use crate::state::{ServerShared, SharedServer};
+use crate::state::ServerShared;
+use crate::system::{ExecutionConfig, PlannedEvent};
 use rt_model::{
-    AdmissionPolicy, EventId, Instant, ModeChange, QueueDiscipline, ServerPolicyKind, ServerSpec,
+    AdmissionPolicy, FaultPlan, Instant, ModeChange, ServerPolicyKind, ServerSpec, Span, SystemSpec,
 };
-use rtsj_emu::{Engine, EventHandle, TaskServerParameters, ThreadHandle};
+use rt_observe::{AdmissionVerdict, Probe};
+use rtsj_emu::{
+    Action, BodyCtx, Completion, EventHandle, FireCtx, TaskServerParameters, ThreadBody, World,
+};
 
-/// Behaviour common to every installed task server.
-pub trait TaskServer {
-    /// Shared runtime state (pending queue, capacity, outcomes).
-    fn shared(&self) -> &SharedServer;
-    /// The `wakeUp` event of event-driven servers, `None` for the polling
-    /// server (whose activation is purely periodic).
-    fn wakeup(&self) -> Option<EventHandle>;
-    /// The construction parameters.
-    fn params(&self) -> TaskServerParameters;
-    /// The policy implemented by the server.
-    fn policy(&self) -> ServerPolicyKind;
+/// What firing an event does, as data: the hook table holds one entry per
+/// event, and [`ExecWorld`] interprets it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum EventKind {
+    /// A lane's `wakeUp`: no hook; waking the lane's server thread is all a
+    /// fire does.
+    Wakeup { lane: usize },
+    /// Chunk replenishment of a DS/BG lane that a mode change may swap into
+    /// the Sporadic policy: credit due replenishments, wake on success.
+    SwapReplenish { lane: usize, wakeup: usize },
+    /// The DS periodic replenishment: apply due mode changes, refill while
+    /// still deferrable, always wake.
+    DsReplenish { lane: usize, wakeup: usize },
+    /// The SS replenishment: credit due replenishments, wake on success.
+    SsReplenish { lane: usize, wakeup: usize },
+    /// A servable async event: register its planned release with its lane,
+    /// and wake the lane when the release is admitted.
+    Sae {
+        lane: usize,
+        wakeup: Option<usize>,
+        plan_index: usize,
+    },
 }
 
-/// A polling task server installed on an engine.
-#[derive(Debug)]
-pub struct PollingTaskServer {
-    shared: SharedServer,
-    params: TaskServerParameters,
-    thread: ThreadHandle,
+/// The world one execution runs in: every server lane by index, the hook
+/// table of its events and the probe the lanes' decisions are reported to.
+///
+/// The execution driver owns one; the `rtsj-emu` reference engine carries
+/// one as its [`World`]. Server bodies reach it through their context
+/// ([`BodyCtx::world`]), so both loops interpret the same table and report
+/// admission verdicts, capacity exhaustions and mode changes live, where
+/// they are decided.
+pub(crate) struct ExecWorld<'p, P> {
+    /// The lanes, in spec order.
+    pub(crate) lanes: Vec<ServerShared>,
+    /// The hook table, indexed by event.
+    pub(crate) kinds: Vec<EventKind>,
+    /// The planned releases the servable events fire.
+    plan: &'p [PlannedEvent],
+    /// The run's probe.
+    pub(crate) probe: P,
 }
 
-impl PollingTaskServer {
-    /// Installs the server: spawns its periodic real-time thread at the
-    /// server priority with the server period. Being periodic, the engine
-    /// re-keys its EDF deadline (release + period = the replenishment-derived
-    /// deadline) automatically at every activation.
-    pub fn install(
-        engine: &mut Engine,
-        params: TaskServerParameters,
-        queue: QueueKind,
-        discipline: QueueDiscipline,
-        admission: AdmissionPolicy,
-    ) -> Self {
-        let shared = ServerShared::with_admission(
-            params,
-            ServerPolicyKind::Polling,
-            engine.overhead(),
-            queue,
-            discipline,
-            admission,
-        );
-        let thread = engine.spawn_periodic(
-            "server(PS)",
-            params.priority,
-            Instant::ZERO,
-            params.period,
-            Box::new(PollingServerBody::new(shared.clone())),
-        );
-        PollingTaskServer {
-            shared,
-            params,
-            thread,
-        }
-    }
-
-    /// Handle of the server's periodic thread.
-    pub fn thread(&self) -> ThreadHandle {
-        self.thread
-    }
-}
-
-impl TaskServer for PollingTaskServer {
-    fn shared(&self) -> &SharedServer {
-        &self.shared
-    }
-    fn wakeup(&self) -> Option<EventHandle> {
-        None
-    }
-    fn params(&self) -> TaskServerParameters {
-        self.params
-    }
-    fn policy(&self) -> ServerPolicyKind {
-        ServerPolicyKind::Polling
-    }
-}
-
-/// A deferrable task server installed on an engine.
-#[derive(Debug)]
-pub struct DeferrableTaskServer {
-    shared: SharedServer,
-    params: TaskServerParameters,
-    wakeup: EventHandle,
-    thread: ThreadHandle,
-}
-
-impl DeferrableTaskServer {
-    /// Installs the server: creates its `wakeUp` event, spawns the handler
-    /// body bound to it, and arms the periodic replenishment timer that
-    /// refills the capacity and fires `wakeUp` every period.
-    pub fn install(
-        engine: &mut Engine,
-        params: TaskServerParameters,
-        queue: QueueKind,
-        discipline: QueueDiscipline,
-        admission: AdmissionPolicy,
-    ) -> Self {
-        let shared = ServerShared::with_admission(
-            params,
-            ServerPolicyKind::Deferrable,
-            engine.overhead(),
-            queue,
-            discipline,
-            admission,
-        );
-        let wakeup = engine.create_event();
-        // Chunk-replenishment machinery used only if a mode change swaps the
-        // lane into the Sporadic policy: idle as long as the lane stays a DS.
-        let swap_replenish = engine.create_event();
-        let swap_state = shared.clone();
-        engine.add_fire_hook(
-            swap_replenish,
-            Box::new(move |ctx| {
-                if swap_state.borrow_mut().apply_due_replenishments(ctx.now()) {
-                    ctx.fire(wakeup);
-                }
-            }),
-        );
-        let thread = engine.spawn(
-            "server(DS)",
-            params.priority,
-            Box::new(
-                EventDrivenServerBody::new(shared.clone(), wakeup).with_replenish(swap_replenish),
-            ),
-        );
-        // EDF rank until the first pump: the first replenishment instant.
-        engine.set_thread_deadline(thread, Instant::ZERO + params.period);
-        let replenish = engine.create_event();
-        let replenish_state = shared.clone();
-        engine.add_fire_hook(
-            replenish,
-            Box::new(move |ctx| {
-                let mut state = replenish_state.borrow_mut();
+impl<P: Probe> ExecWorld<'_, P> {
+    /// Runs the hook of `event` at `now` and returns the event it fires in
+    /// turn: a hook fires at most its lane's `wakeUp`, which has no hook.
+    pub(crate) fn hook(&mut self, event: usize, now: Instant) -> Option<usize> {
+        match self.kinds[event] {
+            EventKind::Wakeup { .. } => None,
+            EventKind::SwapReplenish { lane, wakeup } | EventKind::SsReplenish { lane, wakeup } => {
+                self.lanes[lane]
+                    .apply_due_replenishments(now)
+                    .then_some(wakeup)
+            }
+            EventKind::DsReplenish { lane, wakeup } => {
                 // A replenishment boundary is a decision instant: apply due
                 // mode changes first so a coincident capacity change refills
                 // to the new value, and stop refilling altogether once the
                 // lane has swapped away from the deferrable policy (the
                 // periodic timer itself is fixed at install).
-                state.apply_due_mode_changes(ctx.now());
+                self.apply_due_mode_changes(lane, now);
+                let state = &mut self.lanes[lane];
                 if state.policy == ServerPolicyKind::Deferrable {
-                    state.replenish(ctx.now());
+                    state.replenish(now);
                 }
-                drop(state);
-                ctx.fire(wakeup);
-            }),
-        );
-        engine.add_periodic_timer(Instant::ZERO + params.period, params.period, replenish);
-        DeferrableTaskServer {
-            shared,
-            params,
-            wakeup,
-            thread,
+                Some(wakeup)
+            }
+            EventKind::Sae {
+                lane,
+                wakeup,
+                plan_index,
+            } => {
+                let planned = &self.plan[plan_index];
+                let release = QueuedRelease::new(planned.event, planned.handler, now);
+                // A refused release never entered the queue: waking the
+                // server would be a spurious (if harmless) activation.
+                if self.release(lane, release, now) {
+                    wakeup
+                } else {
+                    None
+                }
+            }
         }
     }
 
-    /// Handle of the server's handler thread.
-    pub fn thread(&self) -> ThreadHandle {
-        self.thread
+    /// Applies the mode changes of `lane` due at `now` (see
+    /// [`ServerShared::apply_due_mode_changes`]) and reports each.
+    pub(crate) fn apply_due_mode_changes(&mut self, lane: usize, now: Instant) {
+        let applied = self.lanes[lane].apply_due_mode_changes(now);
+        if P::ENABLED {
+            for _ in 0..applied {
+                self.probe.mode_change(lane, now);
+            }
+        }
+    }
+
+    /// Registers `release` with `lane` (`servableEventReleased`), reports
+    /// its verdict and every release it displaced, and returns whether it
+    /// was admitted.
+    fn release(&mut self, lane: usize, release: QueuedRelease, now: Instant) -> bool {
+        // An arrival is a decision instant: reconfigure first (when
+        // quiescent) so the release is admitted under the new configuration,
+        // mirroring the simulator's decision ordering.
+        self.apply_due_mode_changes(lane, now);
+        let (accepted, displaced) = self.lanes[lane].released(release, now);
+        if P::ENABLED {
+            for _ in 0..displaced {
+                self.probe.admission(lane, AdmissionVerdict::Aborted, now);
+            }
+            let verdict = if accepted {
+                AdmissionVerdict::Accepted
+            } else {
+                AdmissionVerdict::Rejected
+            };
+            self.probe.admission(lane, verdict, now);
+        }
+        accepted
     }
 }
 
-impl TaskServer for DeferrableTaskServer {
-    fn shared(&self) -> &SharedServer {
-        &self.shared
-    }
-    fn wakeup(&self) -> Option<EventHandle> {
-        Some(self.wakeup)
-    }
-    fn params(&self) -> TaskServerParameters {
-        self.params
-    }
-    fn policy(&self) -> ServerPolicyKind {
-        ServerPolicyKind::Deferrable
+#[cfg(test)]
+impl ExecWorld<'static, rt_observe::NoopProbe> {
+    /// A world over `lanes` with no events and no probe, for unit tests of
+    /// the bodies and the service loop.
+    pub(crate) fn of_lanes(lanes: Vec<ServerShared>) -> Self {
+        ExecWorld {
+            lanes,
+            kinds: Vec::new(),
+            plan: &[],
+            probe: rt_observe::NoopProbe,
+        }
     }
 }
 
-/// The background-servicing baseline: every servable event is executed at the
-/// (low) priority of the background thread, with no capacity limit.
+impl<P: Probe> World for ExecWorld<'_, P> {
+    fn fire(&mut self, event: EventHandle, ctx: &mut FireCtx) {
+        if let Some(next) = self.hook(event.raw(), ctx.now()) {
+            ctx.fire(EventHandle::from_raw(next));
+        }
+    }
+}
+
+/// A lane's server body.
 #[derive(Debug)]
-pub struct BackgroundServer {
-    shared: SharedServer,
-    params: TaskServerParameters,
-    wakeup: EventHandle,
-    thread: ThreadHandle,
+pub(crate) enum ServerBody {
+    Polling(PollingServerBody),
+    EventDriven(EventDrivenServerBody),
+    Sporadic(SporadicServerBody),
 }
 
-impl BackgroundServer {
-    /// Installs the background server. Its thread never publishes a
-    /// deadline, so under EDF it keeps the [`Instant::MAX`] background rank.
-    pub fn install(
-        engine: &mut Engine,
-        params: TaskServerParameters,
-        queue: QueueKind,
-        discipline: QueueDiscipline,
+impl<'p, P: Probe> ThreadBody<ExecWorld<'p, P>> for ServerBody {
+    fn next_action(
+        &mut self,
+        ctx: &mut BodyCtx<'_, ExecWorld<'p, P>>,
+        completion: Completion,
+    ) -> Action {
+        match self {
+            ServerBody::Polling(body) => body.next_action(ctx, completion),
+            ServerBody::EventDriven(body) => body.next_action(ctx, completion),
+            ServerBody::Sporadic(body) => body.next_action(ctx, completion),
+        }
+    }
+}
+
+/// A lane's server thread, as the install creates it.
+pub(crate) struct ServerThread {
+    pub(crate) body: ServerBody,
+    /// The `wakeUp` event the body waits on (`None` for the polling server).
+    pub(crate) wakeup: Option<usize>,
+    /// Release period of a periodic server thread (the PS), first released
+    /// at time zero.
+    pub(crate) period: Option<Span>,
+    /// EDF key until the body first publishes one.
+    pub(crate) deadline: Instant,
+}
+
+/// An install-time timer: fires `event` at `next`, then every `period` when
+/// it is periodic.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Timer {
+    pub(crate) next: Instant,
+    pub(crate) period: Option<Span>,
+    pub(crate) event: usize,
+}
+
+/// One system's task-server machinery as data: built by [`Install::new`]
+/// and run by both execution loops (see the module docs).
+pub(crate) struct Install<'p, P> {
+    /// The lanes and the hook table.
+    pub(crate) world: ExecWorld<'p, P>,
+    /// One server thread per lane, in lane order.
+    pub(crate) servers: Vec<ServerThread>,
+    /// The install-time timers, in creation order.
+    pub(crate) timers: Vec<Timer>,
+    /// Event of the first planned release; the others follow in plan order.
+    pub(crate) sae_base: usize,
+}
+
+impl<'p, P: Probe> Install<'p, P> {
+    /// The one install routine: every lane of `spec` in spec order, then
+    /// one servable event per entry of `plan`, reporting to `probe`.
+    pub(crate) fn new(
+        spec: &SystemSpec,
+        config: &ExecutionConfig,
+        plan: &'p [PlannedEvent],
+        probe: P,
     ) -> Self {
-        let shared = ServerShared::new(
-            params,
-            ServerPolicyKind::Background,
-            engine.overhead(),
-            queue,
-            discipline,
-        );
-        let wakeup = engine.create_event();
-        // As for the DS: chunk-replenishment machinery that stays idle
-        // unless a mode change swaps this lane into the Sporadic policy.
-        let swap_replenish = engine.create_event();
-        let swap_state = shared.clone();
-        engine.add_fire_hook(
-            swap_replenish,
-            Box::new(move |ctx| {
-                if swap_state.borrow_mut().apply_due_replenishments(ctx.now()) {
-                    ctx.fire(wakeup);
-                }
-            }),
-        );
-        let thread = engine.spawn(
-            "server(BG)",
-            params.priority,
-            Box::new(
-                EventDrivenServerBody::new(shared.clone(), wakeup).with_replenish(swap_replenish),
+        let lanes = spec.servers.len();
+        let mut install = Install {
+            world: ExecWorld {
+                lanes: Vec::with_capacity(lanes),
+                // At most three events per lane (the DS's), then one per
+                // planned release.
+                kinds: Vec::with_capacity(lanes * 3 + plan.len()),
+                plan,
+                probe,
+            },
+            servers: Vec::with_capacity(lanes),
+            timers: Vec::new(),
+            sae_base: 0,
+        };
+        for (lane, server) in spec.servers.iter().enumerate() {
+            install.lane(lane, server, config, &spec.faults);
+        }
+        install.sae_base = install.world.kinds.len();
+        for (plan_index, planned) in plan.iter().enumerate() {
+            ServableAsyncEvent::create(&mut install, planned.server, plan_index);
+        }
+        install
+    }
+
+    /// Installs one lane the way its class does, then its mode changes.
+    fn lane(
+        &mut self,
+        lane: usize,
+        server: &ServerSpec,
+        config: &ExecutionConfig,
+        faults: &FaultPlan,
+    ) {
+        let (params, admission) = match server.policy {
+            // Background servicing has no meaningful capacity or period;
+            // a nominal pair gives the queue structure a packing reference
+            // (it is never used to reject work).
+            ServerPolicyKind::Background => (
+                TaskServerParameters::new(
+                    Span::from_units(1),
+                    Span::from_units(1),
+                    server.priority,
+                ),
+                AdmissionPolicy::AcceptAll,
             ),
-        );
-        BackgroundServer {
-            shared,
+            _ => (
+                TaskServerParameters::new(server.capacity, server.period, server.priority),
+                server.admission,
+            ),
+        };
+        let thread = match server.policy {
+            ServerPolicyKind::Polling => PollingTaskServer::install(lane, params),
+            ServerPolicyKind::Deferrable => DeferrableTaskServer::install(self, lane, params),
+            ServerPolicyKind::Background => BackgroundServer::install(self, lane),
+            ServerPolicyKind::Sporadic => SporadicTaskServer::install(self, lane, params),
+        };
+        let mut state = ServerShared::with_admission(
             params,
-            wakeup,
-            thread,
-        }
-    }
-
-    /// Handle of the background thread.
-    pub fn thread(&self) -> ThreadHandle {
-        self.thread
-    }
-}
-
-impl TaskServer for BackgroundServer {
-    fn shared(&self) -> &SharedServer {
-        &self.shared
-    }
-    fn wakeup(&self) -> Option<EventHandle> {
-        Some(self.wakeup)
-    }
-    fn params(&self) -> TaskServerParameters {
-        self.params
-    }
-    fn policy(&self) -> ServerPolicyKind {
-        ServerPolicyKind::Background
-    }
-}
-
-/// A sporadic task server installed on an engine (Sprunt-style replenishment
-/// events; see [`crate::sporadic`]).
-#[derive(Debug)]
-pub struct SporadicTaskServer {
-    shared: SharedServer,
-    params: TaskServerParameters,
-    wakeup: EventHandle,
-    thread: ThreadHandle,
-}
-
-impl SporadicTaskServer {
-    /// Installs the server: creates its `wakeUp` and `replenish` events,
-    /// spawns the handler body bound to `wakeUp`, and hooks `replenish` to
-    /// credit the due replenishments and re-wake the server. The
-    /// replenishment timers themselves are armed at runtime by the body,
-    /// one per closed consumption chunk.
-    pub fn install(
-        engine: &mut Engine,
-        params: TaskServerParameters,
-        queue: QueueKind,
-        discipline: QueueDiscipline,
-        admission: AdmissionPolicy,
-    ) -> Self {
-        let shared = ServerShared::with_admission(
-            params,
-            ServerPolicyKind::Sporadic,
-            engine.overhead(),
-            queue,
-            discipline,
+            server.policy,
+            config.overhead,
+            config.queue,
+            server.discipline,
             admission,
         );
-        let wakeup = engine.create_event();
-        let replenish = engine.create_event();
-        let replenish_state = shared.clone();
-        engine.add_fire_hook(
-            replenish,
-            Box::new(move |ctx| {
-                if replenish_state
-                    .borrow_mut()
-                    .apply_due_replenishments(ctx.now())
-                {
-                    ctx.fire(wakeup);
-                }
-            }),
-        );
-        let thread = engine.spawn(
-            "server(SS)",
-            params.priority,
-            Box::new(SporadicServerBody::new(shared.clone(), wakeup, replenish)),
-        );
-        // EDF rank until the first pump: the deadline a chunk opened at time
-        // zero would get.
-        engine.set_thread_deadline(thread, Instant::ZERO + params.period);
-        SporadicTaskServer {
-            shared,
-            params,
-            wakeup,
-            thread,
-        }
-    }
-
-    /// Handle of the server's handler thread.
-    pub fn thread(&self) -> ThreadHandle {
-        self.thread
-    }
-}
-
-impl TaskServer for SporadicTaskServer {
-    fn shared(&self) -> &SharedServer {
-        &self.shared
-    }
-    fn wakeup(&self) -> Option<EventHandle> {
-        Some(self.wakeup)
-    }
-    fn params(&self) -> TaskServerParameters {
-        self.params
-    }
-    fn policy(&self) -> ServerPolicyKind {
-        ServerPolicyKind::Sporadic
-    }
-}
-
-/// A task server of any policy, installed from a [`ServerSpec`].
-#[derive(Debug)]
-pub enum AnyTaskServer {
-    /// Polling server.
-    Polling(PollingTaskServer),
-    /// Deferrable server.
-    Deferrable(DeferrableTaskServer),
-    /// Background servicing.
-    Background(BackgroundServer),
-    /// Sporadic server.
-    Sporadic(SporadicTaskServer),
-}
-
-impl AnyTaskServer {
-    /// Installs the server described by a [`ServerSpec`] (the spec's own
-    /// queue discipline applies).
-    pub fn install(engine: &mut Engine, spec: &ServerSpec, queue: QueueKind) -> Self {
-        let discipline = spec.discipline;
-        let admission = spec.admission;
-        match spec.policy {
-            ServerPolicyKind::Polling => AnyTaskServer::Polling(PollingTaskServer::install(
-                engine,
-                TaskServerParameters::new(spec.capacity, spec.period, spec.priority),
-                queue,
-                discipline,
-                admission,
-            )),
-            ServerPolicyKind::Deferrable => {
-                AnyTaskServer::Deferrable(DeferrableTaskServer::install(
-                    engine,
-                    TaskServerParameters::new(spec.capacity, spec.period, spec.priority),
-                    queue,
-                    discipline,
-                    admission,
-                ))
-            }
-            ServerPolicyKind::Sporadic => AnyTaskServer::Sporadic(SporadicTaskServer::install(
-                engine,
-                TaskServerParameters::new(spec.capacity, spec.period, spec.priority),
-                queue,
-                discipline,
-                admission,
-            )),
-            ServerPolicyKind::Background => {
-                // Background servicing has no meaningful capacity or period;
-                // carry a nominal pair so the queue structure has a packing
-                // reference (it is never used to reject work).
-                let params = TaskServerParameters::new(
-                    rt_model::Span::from_units(1),
-                    rt_model::Span::from_units(1),
-                    spec.priority,
-                );
-                AnyTaskServer::Background(BackgroundServer::install(
-                    engine, params, queue, discipline,
-                ))
-            }
-        }
-    }
-
-    /// Installs the server and loads its scheduled mode changes. Each change
-    /// instant additionally arms a one-shot firing of the lane's `wakeUp`
-    /// event (event-driven lanes only) so an otherwise idle lane
-    /// reconfigures — and re-examines its backlog under the new
-    /// configuration — at the scheduled instant rather than at its next
-    /// arrival; a polling lane applies due changes at its next activation.
-    pub fn install_with_faults(
-        engine: &mut Engine,
-        spec: &ServerSpec,
-        queue: QueueKind,
-        changes: Vec<ModeChange>,
-    ) -> Self {
-        let server = Self::install(engine, spec, queue);
+        // A lane records at most one outcome per planned release.
+        state.outcomes.reserve(self.world.plan.len() + 1);
+        let changes: Vec<ModeChange> = faults.mode_changes_for(lane).cloned().collect();
         if !changes.is_empty() {
-            if let Some(wakeup) = server.wakeup() {
+            // Each change instant also fires the lane's `wakeUp`
+            // (event-driven lanes only), so an otherwise idle lane
+            // reconfigures — and re-examines its backlog under the new
+            // configuration — at the scheduled instant rather than at its
+            // next arrival; a polling lane applies due changes at its next
+            // activation.
+            if let Some(wakeup) = thread.wakeup {
                 for change in &changes {
-                    engine.add_one_shot_timer(change.at, wakeup);
+                    self.timers.push(Timer {
+                        next: change.at,
+                        period: None,
+                        event: wakeup,
+                    });
                 }
             }
-            server.shared().borrow_mut().set_mode_changes(changes);
+            state.set_mode_changes(changes);
         }
-        server
+        self.world.lanes.push(state);
+        self.servers.push(thread);
     }
 
-    fn as_task_server(&self) -> &dyn TaskServer {
-        match self {
-            AnyTaskServer::Polling(s) => s,
-            AnyTaskServer::Deferrable(s) => s,
-            AnyTaskServer::Background(s) => s,
-            AnyTaskServer::Sporadic(s) => s,
-        }
+    /// Creates an event with the given hook.
+    fn event(&mut self, kind: EventKind) -> usize {
+        self.world.kinds.push(kind);
+        self.world.kinds.len() - 1
     }
 }
 
-impl TaskServer for AnyTaskServer {
-    fn shared(&self) -> &SharedServer {
-        self.as_task_server().shared()
-    }
-    fn wakeup(&self) -> Option<EventHandle> {
-        self.as_task_server().wakeup()
-    }
-    fn params(&self) -> TaskServerParameters {
-        self.as_task_server().params()
-    }
-    fn policy(&self) -> ServerPolicyKind {
-        self.as_task_server().policy()
-    }
-}
-
-/// A servable asynchronous event: an engine-level `AsyncEvent` bound to one
-/// servable handler and one task server. Firing it registers the handler in
-/// the server's pending queue (and wakes an event-driven server).
+/// The paper's `PollingTaskServer`: its `run()` is delegated to a periodic
+/// real-time thread at the server priority (see [`crate::polling`]),
+/// released every server period with its full capacity. It creates no event
+/// and no timer; being periodic, its EDF deadline (release + period, the
+/// replenishment-derived deadline) is re-keyed at every activation.
 #[derive(Debug, Clone, Copy)]
-pub struct ServableAsyncEvent {
-    event_id: EventId,
-    engine_event: EventHandle,
+pub struct PollingTaskServer;
+
+impl PollingTaskServer {
+    fn install(lane: usize, params: TaskServerParameters) -> ServerThread {
+        ServerThread {
+            body: ServerBody::Polling(PollingServerBody::new(lane)),
+            wakeup: None,
+            period: Some(params.period),
+            deadline: Instant::ZERO + params.period,
+        }
+    }
 }
+
+/// The paper's `DeferrableTaskServer`: its `run()` is delegated to a handler
+/// bound to a `wakeUp` event (see [`crate::deferrable`]), and a periodic
+/// replenishment timer refills the capacity and fires `wakeUp` every server
+/// period. It also creates the swap-replenish event that a mode change into
+/// the Sporadic policy arms.
+#[derive(Debug, Clone, Copy)]
+pub struct DeferrableTaskServer;
+
+impl DeferrableTaskServer {
+    fn install<P: Probe>(
+        install: &mut Install<'_, P>,
+        lane: usize,
+        params: TaskServerParameters,
+    ) -> ServerThread {
+        let wakeup = install.event(EventKind::Wakeup { lane });
+        let swap = install.event(EventKind::SwapReplenish { lane, wakeup });
+        let replenish = install.event(EventKind::DsReplenish { lane, wakeup });
+        install.timers.push(Timer {
+            next: Instant::ZERO + params.period,
+            period: Some(params.period),
+            event: replenish,
+        });
+        ServerThread {
+            body: ServerBody::EventDriven(EventDrivenServerBody::new(
+                lane,
+                EventHandle::from_raw(wakeup),
+                EventHandle::from_raw(swap),
+            )),
+            wakeup: Some(wakeup),
+            period: None,
+            // EDF rank until the first pump: the first replenishment instant.
+            deadline: Instant::ZERO + params.period,
+        }
+    }
+}
+
+/// The background-servicing baseline: every servable event is executed at
+/// the (low) priority of an event-driven thread, with no capacity limit and
+/// no timer. Like the DS it creates a swap-replenish event for a mode change
+/// into the Sporadic policy. It never publishes a deadline, so under EDF it
+/// keeps the [`Instant::MAX`] background rank.
+#[derive(Debug, Clone, Copy)]
+pub struct BackgroundServer;
+
+impl BackgroundServer {
+    fn install<P: Probe>(install: &mut Install<'_, P>, lane: usize) -> ServerThread {
+        let wakeup = install.event(EventKind::Wakeup { lane });
+        let swap = install.event(EventKind::SwapReplenish { lane, wakeup });
+        ServerThread {
+            body: ServerBody::EventDriven(EventDrivenServerBody::new(
+                lane,
+                EventHandle::from_raw(wakeup),
+                EventHandle::from_raw(swap),
+            )),
+            wakeup: Some(wakeup),
+            period: None,
+            deadline: Instant::MAX,
+        }
+    }
+}
+
+/// A sporadic task server (Sprunt-style replenishment events; see
+/// [`crate::sporadic`]): a handler bound to `wakeUp` and a `replenish`
+/// event whose hook credits the due replenishments and re-wakes the server.
+/// The replenishment timers themselves are armed at runtime by the body,
+/// one per closed consumption chunk.
+#[derive(Debug, Clone, Copy)]
+pub struct SporadicTaskServer;
+
+impl SporadicTaskServer {
+    fn install<P: Probe>(
+        install: &mut Install<'_, P>,
+        lane: usize,
+        params: TaskServerParameters,
+    ) -> ServerThread {
+        let wakeup = install.event(EventKind::Wakeup { lane });
+        let replenish = install.event(EventKind::SsReplenish { lane, wakeup });
+        ServerThread {
+            body: ServerBody::Sporadic(SporadicServerBody::new(
+                lane,
+                EventHandle::from_raw(wakeup),
+                EventHandle::from_raw(replenish),
+            )),
+            wakeup: Some(wakeup),
+            period: None,
+            // EDF rank until the first pump: the deadline a chunk opened at
+            // time zero would get.
+            deadline: Instant::ZERO + params.period,
+        }
+    }
+}
+
+/// A servable asynchronous event: an event bound to one servable handler
+/// and one server lane. Firing it registers the handler in the lane's
+/// pending queue (`servableEventReleased`) and, when the lane admits the
+/// release, fires the lane's `wakeUp`. The install creates one per planned
+/// release, after every lane.
+#[derive(Debug, Clone, Copy)]
+pub struct ServableAsyncEvent;
 
 impl ServableAsyncEvent {
-    /// Creates the servable event and binds it to the server.
-    pub fn create(
-        engine: &mut Engine,
-        event_id: EventId,
-        handler: ServableHandler,
-        server: &dyn TaskServer,
-    ) -> Self {
-        let engine_event = engine.create_event();
-        let shared = server.shared().clone();
-        let wakeup = server.wakeup();
-        engine.add_fire_hook(
-            engine_event,
-            Box::new(move |ctx| {
-                let accepted = shared
-                    .borrow_mut()
-                    .released(QueuedRelease::new(event_id, handler, ctx.now()), ctx.now());
-                // A refused release never entered the queue: waking the
-                // server would be a spurious (if harmless) activation, and
-                // under AcceptAll this is exactly the pre-admission path.
-                if accepted {
-                    if let Some(wakeup) = wakeup {
-                        ctx.fire(wakeup);
-                    }
-                }
-            }),
-        );
-        ServableAsyncEvent {
-            event_id,
-            engine_event,
-        }
-    }
-
-    /// Schedules a fire of this event at the given instant (the emulation of
-    /// the timer that releases the aperiodic event).
-    pub fn schedule_fire(&self, engine: &mut Engine, at: Instant) {
-        engine.add_one_shot_timer(at, self.engine_event);
-    }
-
-    /// The model-level identifier of the event occurrence.
-    pub fn event_id(&self) -> EventId {
-        self.event_id
-    }
-
-    /// The underlying engine event handle.
-    pub fn engine_event(&self) -> EventHandle {
-        self.engine_event
+    fn create<P: Probe>(install: &mut Install<'_, P>, lane: usize, plan_index: usize) {
+        let wakeup = install.servers[lane].wakeup;
+        install.event(EventKind::Sae {
+            lane,
+            wakeup,
+            plan_index,
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_model::{HandlerId, Priority, Span};
-    use rtsj_emu::{EngineConfig, OverheadModel};
+    use crate::queue::QueueKind;
+    use crate::system::{execute_reference, ExecutionPlan};
+    use rt_model::Priority;
+    use rt_observe::NoopProbe;
 
-    fn engine(horizon: u64) -> Engine {
-        Engine::new(
-            EngineConfig::new(Instant::from_units(horizon)).with_overhead(OverheadModel::none()),
-        )
+    /// One server lane with the given releases (instant, cost) and horizon.
+    fn one_lane(server: ServerSpec, releases: &[(u64, u64)], horizon: u64) -> SystemSpec {
+        let mut b = SystemSpec::builder("one-lane");
+        b.server(server);
+        for &(at, cost) in releases {
+            b.aperiodic(Instant::from_units(at), Span::from_units(cost));
+        }
+        b.horizon(Instant::from_units(horizon));
+        b.build().expect("valid spec")
+    }
+
+    /// Installs the lanes of `spec` alone (no planned release).
+    fn install_lanes(spec: &SystemSpec) -> Install<'static, NoopProbe> {
+        Install::new(spec, &ExecutionConfig::ideal(), &[], NoopProbe)
     }
 
     #[test]
     fn install_polling_server_and_fire_an_event() {
-        let mut engine = engine(12);
-        let server = PollingTaskServer::install(
-            &mut engine,
-            TaskServerParameters::new(Span::from_units(3), Span::from_units(6), Priority::new(30)),
-            QueueKind::Fifo,
-            QueueDiscipline::FifoSkip,
-            AdmissionPolicy::AcceptAll,
+        let unit = Span::from_units;
+        let spec = one_lane(
+            ServerSpec::polling(unit(3), unit(6), Priority::new(30)),
+            &[(0, 2)],
+            12,
         );
-        assert!(server.wakeup().is_none());
-        assert_eq!(server.policy(), ServerPolicyKind::Polling);
-        let handler = ServableHandler::new(HandlerId::new(0), Span::from_units(2));
-        let sae = ServableAsyncEvent::create(&mut engine, EventId::new(0), handler, &server);
-        sae.schedule_fire(&mut engine, Instant::from_units(0));
-        assert_eq!(sae.event_id(), EventId::new(0));
-        let _ = sae.engine_event();
-        let _ = server.thread();
-        let trace = engine.run();
-        let outcomes = server.shared().borrow_mut().finalise();
-        assert_eq!(outcomes.len(), 1);
-        assert!(outcomes[0].is_served());
-        assert_eq!(outcomes[0].response_time(), Some(Span::from_units(2)));
+        let install = install_lanes(&spec);
+        assert!(install.servers[0].wakeup.is_none());
+        assert_eq!(install.world.lanes[0].policy, ServerPolicyKind::Polling);
+        let trace = execute_reference(&spec, &ExecutionConfig::ideal());
+        assert_eq!(trace.outcomes.len(), 1);
+        assert!(trace.outcomes[0].is_served());
+        assert_eq!(trace.outcomes[0].response_time(), Some(unit(2)));
         assert!(trace.check_invariants().is_ok());
     }
 
     #[test]
     fn install_deferrable_server_with_replenishment_timer() {
-        let mut engine = engine(18);
-        let server = DeferrableTaskServer::install(
-            &mut engine,
-            TaskServerParameters::new(Span::from_units(2), Span::from_units(6), Priority::new(30)),
-            QueueKind::ListOfLists,
-            QueueDiscipline::FifoSkip,
-            AdmissionPolicy::AcceptAll,
-        );
-        assert!(server.wakeup().is_some());
-        let _ = server.thread();
+        let unit = Span::from_units;
         // Two events of cost 2: the first consumes the whole capacity, the
         // second must wait for the replenishment at 6.
-        for (i, at) in [(0u32, 0u64), (1, 1)] {
-            let handler = ServableHandler::new(HandlerId::new(i), Span::from_units(2));
-            let sae = ServableAsyncEvent::create(&mut engine, EventId::new(i), handler, &server);
-            sae.schedule_fire(&mut engine, Instant::from_units(at));
-        }
-        engine.run();
-        let outcomes = server.shared().borrow_mut().finalise();
-        assert_eq!(outcomes.len(), 2);
-        assert_eq!(outcomes[0].response_time(), Some(Span::from_units(2)));
+        let spec = one_lane(
+            ServerSpec::deferrable(unit(2), unit(6), Priority::new(30)),
+            &[(0, 2), (1, 2)],
+            18,
+        );
+        let install = install_lanes(&spec);
+        assert!(install.servers[0].wakeup.is_some());
+        let timers: Vec<(Instant, Option<Span>)> =
+            install.timers.iter().map(|t| (t.next, t.period)).collect();
+        assert_eq!(timers, [(Instant::from_units(6), Some(unit(6)))]);
+        let config = ExecutionConfig::ideal().with_queue(QueueKind::ListOfLists);
+        let trace = execute_reference(&spec, &config);
+        assert_eq!(trace.outcomes.len(), 2);
+        assert_eq!(trace.outcomes[0].response_time(), Some(unit(2)));
         // Second event: released at 1, served 6..8 → response 7.
-        assert_eq!(outcomes[1].response_time(), Some(Span::from_units(7)));
+        assert_eq!(trace.outcomes[1].response_time(), Some(unit(7)));
     }
 
     #[test]
     fn install_from_server_spec_selects_the_right_variant() {
-        let mut engine = engine(10);
-        let spec = rt_model::ServerSpec::polling(
-            Span::from_units(3),
-            Span::from_units(6),
-            Priority::new(30),
+        let unit = Span::from_units;
+        let spec = one_lane(
+            ServerSpec::polling(unit(3), unit(6), Priority::new(30)),
+            &[],
+            10,
         );
-        let any = AnyTaskServer::install(&mut engine, &spec, QueueKind::Fifo);
-        assert!(matches!(any, AnyTaskServer::Polling(_)));
-        assert_eq!(any.policy(), ServerPolicyKind::Polling);
-        assert_eq!(any.params().capacity, Span::from_units(3));
+        let install = install_lanes(&spec);
+        assert!(matches!(install.servers[0].body, ServerBody::Polling(_)));
+        assert_eq!(install.world.lanes[0].policy, ServerPolicyKind::Polling);
+        assert_eq!(install.world.lanes[0].params.capacity, unit(3));
 
-        let mut engine = self::tests_engine_helper();
-        let spec = rt_model::ServerSpec::background(Priority::new(1));
-        let any = AnyTaskServer::install(&mut engine, &spec, QueueKind::Fifo);
-        assert!(matches!(any, AnyTaskServer::Background(_)));
-        assert!(any.wakeup().is_some());
+        let spec = one_lane(ServerSpec::background(Priority::new(1)), &[], 10);
+        let install = install_lanes(&spec);
+        assert!(matches!(
+            install.servers[0].body,
+            ServerBody::EventDriven(_)
+        ));
+        assert_eq!(install.world.lanes[0].policy, ServerPolicyKind::Background);
+        assert!(install.servers[0].wakeup.is_some());
     }
 
-    fn tests_engine_helper() -> Engine {
-        engine(10)
+    /// A DS, an SS, a PS and a BG lane, with a mode change on the DS and
+    /// the PS lanes and one release per lane.
+    fn four_lanes() -> SystemSpec {
+        let mut b = SystemSpec::builder("install-order");
+        let unit = Span::from_units;
+        b.add_server(ServerSpec::deferrable(unit(2), unit(6), Priority::new(33)));
+        b.add_server(ServerSpec::sporadic(unit(2), unit(8), Priority::new(32)));
+        b.add_server(ServerSpec::polling(unit(2), unit(6), Priority::new(31)));
+        b.add_server(ServerSpec::background(Priority::new(1)));
+        for lane in 0..4 {
+            b.aperiodic_for(lane, Instant::from_units(lane as u64), unit(1));
+        }
+        b.horizon(Instant::from_units(30));
+        let mut spec = b.build().expect("valid spec");
+        for lane in [0, 2] {
+            spec.faults = std::mem::take(&mut spec.faults)
+                .mode_change(ModeChange::at(Instant::from_units(9), lane).with_capacity(unit(1)));
+        }
+        spec
+    }
+
+    #[test]
+    fn install_creates_events_and_timers_in_creation_order() {
+        let spec = four_lanes();
+        let config = ExecutionConfig::reference();
+        let plan = ExecutionPlan::prepare(&spec, &config).expect("valid spec");
+        let install = Install::new(&spec, &config, &plan.events, NoopProbe);
+        let kinds: Vec<String> = install
+            .world
+            .kinds
+            .iter()
+            .map(|kind| format!("{kind:?}"))
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                "Wakeup { lane: 0 }",
+                "SwapReplenish { lane: 0, wakeup: 0 }",
+                "DsReplenish { lane: 0, wakeup: 0 }",
+                "Wakeup { lane: 1 }",
+                "SsReplenish { lane: 1, wakeup: 3 }",
+                "Wakeup { lane: 3 }",
+                "SwapReplenish { lane: 3, wakeup: 5 }",
+                "Sae { lane: 0, wakeup: Some(0), plan_index: 0 }",
+                "Sae { lane: 1, wakeup: Some(3), plan_index: 1 }",
+                "Sae { lane: 2, wakeup: None, plan_index: 2 }",
+                "Sae { lane: 3, wakeup: Some(5), plan_index: 3 }",
+            ]
+        );
+        assert_eq!(install.sae_base, 7);
+        // The DS replenishment timer, then the DS lane's mode-change
+        // one-shot; the polling lane's change arms no timer.
+        let timers: Vec<(Instant, Option<Span>, usize)> = install
+            .timers
+            .iter()
+            .map(|t| (t.next, t.period, t.event))
+            .collect();
+        assert_eq!(
+            timers,
+            [
+                (Instant::from_units(6), Some(Span::from_units(6)), 2),
+                (Instant::from_units(9), None, 0),
+            ]
+        );
+        let deadlines: Vec<Instant> = install.servers.iter().map(|s| s.deadline).collect();
+        assert_eq!(
+            deadlines,
+            [
+                Instant::from_units(6),
+                Instant::from_units(8),
+                Instant::from_units(6),
+                Instant::MAX
+            ]
+        );
+        assert_eq!(install.world.lanes.len(), 4);
+        assert_eq!(install.world.lanes[2].mode_changes.len(), 1);
     }
 }

@@ -4,14 +4,16 @@
 //! for designing real-time event-based applications with aperiodic task
 //! servers. It provides the classes of the paper's Figure 1 —
 //! [`ServableAsyncEvent`], [`ServableHandler`] (the SAEH), the abstract
-//! [`TaskServer`] with its [`PollingTaskServer`] and [`DeferrableTaskServer`]
-//! policies plus a [`BackgroundServer`] baseline, and
-//! [`rtsj_emu::TaskServerParameters`] — together with:
+//! `TaskServer` as one lane's [`ServerShared`] state and its service loop,
+//! the [`PollingTaskServer`] and [`DeferrableTaskServer`] policies plus a
+//! [`BackgroundServer`] baseline and a [`SporadicTaskServer`], and
+//! [`rtsj_emu::TaskServerParameters`] — installed as data by one routine
+//! that both execution loops run ([`framework`]), together with:
 //!
 //! * the pending-event queues of §4/§7 ([`queue::PendingQueue`], flat FIFO or
 //!   list-of-lists);
 //! * the policy-independent service loop with `Timed` budget enforcement and
-//!   overhead accounting ([`serve::ServiceLoop`]);
+//!   overhead accounting ([`serve`]);
 //! * on-line response-time prediction and admission control
 //!   ([`admission`]);
 //! * a runner that executes a complete [`rt_model::SystemSpec`] as a
@@ -109,18 +111,14 @@ pub mod system;
 pub use admission::{
     predicted_response, textbook_prediction, AdmissionController, AdmissionOracle,
 };
-pub use deferrable::EventDrivenServerBody;
 pub use framework::{
-    AnyTaskServer, BackgroundServer, DeferrableTaskServer, PollingTaskServer, ServableAsyncEvent,
-    SporadicTaskServer, TaskServer,
+    BackgroundServer, DeferrableTaskServer, PollingTaskServer, ServableAsyncEvent,
+    SporadicTaskServer,
 };
 pub use handler::{QueuedRelease, ServableHandler};
-pub use polling::PollingServerBody;
 pub use queue::{PendingQueue, QueueKind};
 pub use rtsj_emu::TaskServerParameters;
-pub use serve::{ServeStep, ServiceLoop};
-pub use sporadic::SporadicServerBody;
-pub use state::{GrantedService, ServerShared, SharedServer};
+pub use state::{GrantedService, ServerShared};
 pub use system::{execute, execute_reference, execute_with_probe, ExecutionConfig, ExecutionPlan};
 
 #[cfg(test)]

@@ -13,152 +13,110 @@
 //! the remaining capacity, and it is interrupted if its real demand (plus the
 //! runtime overheads charged inside the budget) exceeds the granted budget.
 
+use crate::framework::ExecWorld;
 use crate::serve::{ServeStep, ServiceLoop};
-use crate::state::SharedServer;
+use rt_observe::Probe;
 use rtsj_emu::{Action, BodyCtx, Completion, ThreadBody};
 
 /// The schedulable body of a polling task server: a periodic real-time
 /// thread that replenishes its capacity at every activation and serves the
 /// pending queue until nothing more fits.
 #[derive(Debug)]
-pub struct PollingServerBody {
+pub(crate) struct PollingServerBody {
     service: ServiceLoop,
 }
 
 impl PollingServerBody {
-    /// Creates the body over the shared server state.
-    pub fn new(shared: SharedServer) -> Self {
+    /// Creates the body serving lane `lane`.
+    pub(crate) fn new(lane: usize) -> Self {
         PollingServerBody {
-            service: ServiceLoop::new(shared),
+            service: ServiceLoop::new(lane),
         }
-    }
-
-    fn idle_action(&self) -> Action {
-        Action::WaitForNextPeriod
     }
 }
 
-impl ThreadBody for PollingServerBody {
-    fn next_action(&mut self, ctx: &mut BodyCtx, completion: Completion) -> Action {
-        match completion {
-            Completion::Started => self.idle_action(),
+impl<'p, P: Probe> ThreadBody<ExecWorld<'p, P>> for PollingServerBody {
+    fn next_action(
+        &mut self,
+        ctx: &mut BodyCtx<'_, ExecWorld<'p, P>>,
+        completion: Completion,
+    ) -> Action {
+        let step = match completion {
+            Completion::Started => ServeStep::Idle,
             Completion::PeriodStarted => {
                 // An activation is a decision instant: reconfigure first
                 // (when quiescent) so the refill below restores the *new*
                 // capacity, then — "the PS is activated every period with
                 // its full capacity."
-                {
-                    let mut shared = self.service.shared().borrow_mut();
-                    shared.apply_due_mode_changes(ctx.now());
-                    shared.replenish(ctx.now());
-                }
-                match self.service.try_dispatch(ctx.now()) {
-                    ServeStep::Continue(action) => action,
-                    // "If there are aperiodic tasks pending, it serves them …
-                    // and then loses its remaining capacity until its next
-                    // activation" — losing the capacity needs no bookkeeping
-                    // here because the next activation replenishes it anyway
-                    // and nothing can run the server in between.
-                    ServeStep::Idle => self.idle_action(),
-                }
+                let now = ctx.now();
+                let lane = self.service.lane();
+                let world = ctx.world();
+                world.apply_due_mode_changes(lane, now);
+                world.lanes[lane].replenish(now);
+                self.service.try_dispatch(world, now)
             }
             Completion::Computed { .. } | Completion::Interrupted { .. } => {
-                match self.service.on_completion(ctx, completion) {
-                    ServeStep::Continue(action) => action,
-                    ServeStep::Idle => self.idle_action(),
-                }
+                self.service.on_completion(ctx, completion)
             }
-            Completion::TimeReached | Completion::EventFired => {
-                // A polling server never waits on events or absolute times.
-                self.idle_action()
-            }
+            // A polling server never waits on events or absolute times.
+            Completion::TimeReached | Completion::EventFired => ServeStep::Idle,
+        };
+        match step {
+            ServeStep::Continue(action) => action,
+            // "If there are aperiodic tasks pending, it serves them … and
+            // then loses its remaining capacity until its next activation"
+            // — losing the capacity needs no bookkeeping here because the
+            // next activation replenishes it anyway and nothing can run the
+            // server in between.
+            ServeStep::Idle => Action::WaitForNextPeriod,
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::handler::{QueuedRelease, ServableHandler};
-    use crate::queue::QueueKind;
-    use crate::state::ServerShared;
+    use crate::system::{execute_reference, ExecutionConfig};
     use rt_model::{
-        EventId, ExecUnit, HandlerId, Instant, Priority, ServerPolicyKind, Span, TaskId,
+        EventId, ExecUnit, Instant, Priority, ServerSpec, Span, SystemSpec, TaskId, Trace,
     };
-    use rtsj_emu::{Engine, EngineConfig, OverheadModel, PeriodicThreadBody, TaskServerParameters};
 
-    /// Builds the Table 1 system (PS capacity `capacity`, period 6, τ1, τ2)
-    /// with the given aperiodic firings, runs it on the engine and returns
-    /// the shared server plus the trace.
+    /// Runs the Table 1 system (PS capacity `capacity`, period 6, τ1, τ2)
+    /// with the given aperiodic firings on the reference engine.
     fn run_table1(
         capacity: u64,
         events: &[(u64, u64, Option<u64>)], // (release, actual cost, declared override)
         horizon: u64,
-        overhead: OverheadModel,
-    ) -> (SharedServer, rt_model::Trace) {
-        let params = TaskServerParameters::new(
+    ) -> Trace {
+        let mut b = SystemSpec::builder("polling-table-1");
+        b.server(ServerSpec::polling(
             Span::from_units(capacity),
             Span::from_units(6),
             Priority::new(30),
-        );
-        let shared = ServerShared::new(
-            params,
-            ServerPolicyKind::Polling,
-            overhead,
-            QueueKind::Fifo,
-            rt_model::QueueDiscipline::FifoSkip,
-        );
-        let mut engine =
-            Engine::new(EngineConfig::new(Instant::from_units(horizon)).with_overhead(overhead));
-        engine.spawn_periodic(
-            "server(PS)",
-            Priority::new(30),
-            Instant::ZERO,
-            Span::from_units(6),
-            Box::new(PollingServerBody::new(shared.clone())),
-        );
-        engine.spawn_periodic(
+        ));
+        b.periodic(
             "tau1",
+            Span::from_units(2),
+            Span::from_units(6),
             Priority::new(20),
-            Instant::ZERO,
-            Span::from_units(6),
-            Box::new(PeriodicThreadBody::new(
-                Span::from_units(2),
-                ExecUnit::Task(TaskId::new(0)),
-            )),
         );
-        engine.spawn_periodic(
+        b.periodic(
             "tau2",
-            Priority::new(10),
-            Instant::ZERO,
+            Span::from_units(1),
             Span::from_units(6),
-            Box::new(PeriodicThreadBody::new(
-                Span::from_units(1),
-                ExecUnit::Task(TaskId::new(1)),
-            )),
+            Priority::new(10),
         );
-        for (i, (release, actual, declared)) in events.iter().enumerate() {
-            let event = engine.create_event();
-            let handler = ServableHandler::new(HandlerId::new(i as u32), Span::from_units(*actual))
-                .with_declared_cost(Span::from_units(declared.unwrap_or(*actual)));
-            let shared_hook = shared.clone();
-            let release_at = Instant::from_units(*release);
-            let event_id = EventId::new(i as u32);
-            engine.add_fire_hook(
-                event,
-                Box::new(move |ctx| {
-                    shared_hook
-                        .borrow_mut()
-                        .released(QueuedRelease::new(event_id, handler, release_at), ctx.now());
-                }),
+        for &(release, actual, declared) in events {
+            b.aperiodic_with(
+                Instant::from_units(release),
+                Span::from_units(declared.unwrap_or(actual)),
+                Span::from_units(actual),
             );
-            engine.add_one_shot_timer(release_at, event);
         }
-        let trace = engine.run();
-        (shared, trace)
+        b.horizon(Instant::from_units(horizon));
+        execute_reference(&b.build().unwrap(), &ExecutionConfig::ideal())
     }
 
-    fn handler_segments(trace: &rt_model::Trace, event: u32) -> Vec<(u64, u64)> {
+    fn handler_segments(trace: &Trace, event: u32) -> Vec<(u64, u64)> {
         trace
             .segments_of(ExecUnit::Handler(EventId::new(event)))
             .map(|s| (s.start.ticks() / 1000, s.end.ticks() / 1000))
@@ -168,11 +126,10 @@ mod tests {
     #[test]
     fn scenario1_both_events_served_immediately() {
         // Figure 2: e1@0 and e2@6, PS capacity 3.
-        let (shared, trace) =
-            run_table1(3, &[(0, 2, None), (6, 2, None)], 24, OverheadModel::none());
+        let trace = run_table1(3, &[(0, 2, None), (6, 2, None)], 24);
         assert_eq!(handler_segments(&trace, 0), vec![(0, 2)]);
         assert_eq!(handler_segments(&trace, 1), vec![(6, 8)]);
-        let outcomes = shared.borrow_mut().finalise();
+        let outcomes = &trace.outcomes;
         assert!(outcomes.iter().all(|o| o.is_served()));
         assert_eq!(outcomes[0].response_time(), Some(Span::from_units(2)));
         assert_eq!(outcomes[1].response_time(), Some(Span::from_units(2)));
@@ -186,11 +143,10 @@ mod tests {
         // Figure 3: e1@2 and e2@4, PS capacity 3. The implementation serves
         // h1 at 6..8; h2 (cost 2) does not fit in the remaining capacity (1)
         // and is delayed to the next activation, 12..14.
-        let (shared, trace) =
-            run_table1(3, &[(2, 2, None), (4, 2, None)], 24, OverheadModel::none());
+        let trace = run_table1(3, &[(2, 2, None), (4, 2, None)], 24);
         assert_eq!(handler_segments(&trace, 0), vec![(6, 8)]);
         assert_eq!(handler_segments(&trace, 1), vec![(12, 14)]);
-        let outcomes = shared.borrow_mut().finalise();
+        let outcomes = &trace.outcomes;
         assert_eq!(outcomes[0].response_time(), Some(Span::from_units(6)));
         assert_eq!(outcomes[1].response_time(), Some(Span::from_units(10)));
         assert!(outcomes.iter().all(|o| !o.is_interrupted()));
@@ -201,15 +157,10 @@ mod tests {
         // Figure 4: same firings, but h2 declares a cost of 1 while really
         // needing 2. It is dispatched at 8 (declared 1 ≤ remaining 1) and the
         // budget enforcement interrupts it at 9.
-        let (shared, trace) = run_table1(
-            3,
-            &[(2, 2, None), (4, 2, Some(1))],
-            24,
-            OverheadModel::none(),
-        );
+        let trace = run_table1(3, &[(2, 2, None), (4, 2, Some(1))], 24);
         assert_eq!(handler_segments(&trace, 0), vec![(6, 8)]);
         assert_eq!(handler_segments(&trace, 1), vec![(8, 9)]);
-        let outcomes = shared.borrow_mut().finalise();
+        let outcomes = &trace.outcomes;
         assert!(outcomes[0].is_served());
         assert!(outcomes[1].is_interrupted());
         match outcomes[1].fate {
@@ -227,7 +178,7 @@ mod tests {
     #[test]
     fn periodic_tasks_keep_their_deadlines_under_the_server() {
         let events: Vec<(u64, u64, Option<u64>)> = (0..8).map(|i| (i * 5, 3, None)).collect();
-        let (_, trace) = run_table1(3, &events, 60, OverheadModel::none());
+        let trace = run_table1(3, &events, 60);
         // tau1 gets 2 units in every period of 6: check its busy time.
         assert_eq!(
             trace.busy_time(ExecUnit::Task(TaskId::new(0))),
@@ -246,45 +197,18 @@ mod tests {
         // overheads (0.1 dispatch + 0.05 enforcement) the work budget is
         // 3.85 < 3.95, so the handler is interrupted — the paper's "remaining
         // capacity too close to the cost of the event".
-        let params_cost_ticks = 3_950u64;
-        // Build manually to express the fractional cost.
-        let params =
-            TaskServerParameters::new(Span::from_units(4), Span::from_units(6), Priority::new(30));
-        let shared = ServerShared::new(
-            params,
-            ServerPolicyKind::Polling,
-            OverheadModel::reference(),
-            QueueKind::Fifo,
-            rt_model::QueueDiscipline::FifoSkip,
-        );
-        let mut engine = Engine::new(
-            EngineConfig::new(Instant::from_units(12)).with_overhead(OverheadModel::reference()),
-        );
-        engine.spawn_periodic(
-            "server(PS)",
-            Priority::new(30),
-            Instant::ZERO,
+        let mut b = SystemSpec::builder("polling-overhead");
+        b.server(ServerSpec::polling(
+            Span::from_units(4),
             Span::from_units(6),
-            Box::new(PollingServerBody::new(shared.clone())),
-        );
-        let event = engine.create_event();
-        let handler = ServableHandler::new(HandlerId::new(0), Span::from_ticks(params_cost_ticks));
-        let hook_state = shared.clone();
-        engine.add_fire_hook(
-            event,
-            Box::new(move |ctx| {
-                hook_state.borrow_mut().released(
-                    QueuedRelease::new(EventId::new(0), handler, Instant::ZERO),
-                    ctx.now(),
-                );
-            }),
-        );
-        engine.add_one_shot_timer(Instant::ZERO, event);
-        let _trace = engine.run();
-        let outcomes = shared.borrow_mut().finalise();
-        assert_eq!(outcomes.len(), 1);
+            Priority::new(30),
+        ));
+        b.aperiodic(Instant::ZERO, Span::from_ticks(3_950));
+        b.horizon(Instant::from_units(12));
+        let trace = execute_reference(&b.build().unwrap(), &ExecutionConfig::reference());
+        assert_eq!(trace.outcomes.len(), 1);
         assert!(
-            outcomes[0].is_interrupted(),
+            trace.outcomes[0].is_interrupted(),
             "overhead must eat the slack and trigger enforcement"
         );
 

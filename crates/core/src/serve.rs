@@ -15,12 +15,15 @@
 //! 4. pay the enforcement overhead, debit the capacity, record the outcome;
 //! 5. loop back to 1 until nothing is servable.
 //!
-//! [`ServiceLoop`] implements steps 2–5 as a small state machine driven by
+//! `ServiceLoop` implements steps 2–5 as a small state machine driven by
 //! the engine completions; the concrete server bodies own step 1's activation
-//! policy and what to do when the loop goes idle.
+//! policy and what to do when the loop goes idle. The loop holds its lane's
+//! index and reaches the lane through the `ExecWorld` of the run.
 
-use crate::state::{GrantedService, SharedServer};
+use crate::framework::ExecWorld;
+use crate::state::{GrantedService, ServerShared};
 use rt_model::{ExecUnit, Instant, Span};
+use rt_observe::{AdmissionVerdict, Probe};
 use rtsj_emu::{Action, BodyCtx, Completion};
 
 /// Where the service loop currently is.
@@ -52,7 +55,7 @@ enum Phase {
 
 /// Outcome of feeding a completion to the service loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServeStep {
+pub(crate) enum ServeStep {
     /// The loop wants the engine to perform this action next.
     Continue(Action),
     /// Nothing is servable right now; the body should apply its policy's
@@ -62,99 +65,89 @@ pub enum ServeStep {
 
 /// The dispatch → work → enforce → record loop shared by every server policy.
 #[derive(Debug)]
-pub struct ServiceLoop {
-    shared: SharedServer,
+pub(crate) struct ServiceLoop {
+    lane: usize,
     phase: Phase,
 }
 
 impl ServiceLoop {
-    /// Creates an idle loop over the given shared server state.
-    pub fn new(shared: SharedServer) -> Self {
+    /// Creates an idle loop serving lane `lane`.
+    pub(crate) fn new(lane: usize) -> Self {
         ServiceLoop {
-            shared,
+            lane,
             phase: Phase::Idle,
         }
     }
 
-    /// Access to the shared server state.
-    pub fn shared(&self) -> &SharedServer {
-        &self.shared
+    /// The lane the loop serves.
+    pub(crate) fn lane(&self) -> usize {
+        self.lane
     }
 
-    /// Tries to start serving the next pending release at `now`.
-    pub fn try_dispatch(&mut self, now: Instant) -> ServeStep {
-        let (chosen, dispatch) = {
-            let mut shared = self.shared.borrow_mut();
-            // Between services the lane is quiescent: any due mode change
-            // applies here, before the next choice is made under the (new)
-            // configuration — the quiescence protocol's decision instant.
-            shared.in_service = false;
-            shared.apply_due_mode_changes(now);
-            let dispatch = shared.overhead.dispatch;
-            let chosen = shared.choose_next(now);
-            shared.in_service = chosen.is_some();
-            (chosen, dispatch)
+    /// Tries to start serving the lane's next pending release at `now`.
+    pub(crate) fn try_dispatch<P: Probe>(
+        &mut self,
+        world: &mut ExecWorld<'_, P>,
+        now: Instant,
+    ) -> ServeStep {
+        // Between services the lane is quiescent: any due mode change
+        // applies here, before the next choice is made under the (new)
+        // configuration — the quiescence protocol's decision instant.
+        world.lanes[self.lane].in_service = false;
+        world.apply_due_mode_changes(self.lane, now);
+        let lane = &mut world.lanes[self.lane];
+        let chosen = lane.choose_next(now);
+        lane.in_service = chosen.is_some();
+        let Some(service) = chosen else {
+            self.phase = Phase::Idle;
+            return ServeStep::Idle;
         };
-        match chosen {
-            None => {
-                self.phase = Phase::Idle;
-                ServeStep::Idle
-            }
-            Some(service) => {
-                if dispatch.is_zero() {
-                    ServeStep::Continue(self.begin_work(service, now))
-                } else {
-                    self.phase = Phase::Dispatching { service };
-                    ServeStep::Continue(Action::Compute {
-                        amount: dispatch,
-                        unit: ExecUnit::ServerOverhead,
-                    })
-                }
-            }
+        let dispatch = lane.overhead.dispatch;
+        if dispatch.is_zero() {
+            ServeStep::Continue(self.begin_work(lane, service, now))
+        } else {
+            self.phase = Phase::Dispatching { service };
+            ServeStep::Continue(Action::Compute {
+                amount: dispatch,
+                unit: ExecUnit::ServerOverhead,
+            })
         }
     }
 
-    fn begin_work(&mut self, service: GrantedService, now: Instant) -> Action {
-        let (work_budget, abort_on_interrupt, amount, unit) = {
-            let shared = self.shared.borrow();
-            let overhead = shared.overhead;
-            // The work budget is the grant minus the dispatch/enforcement
-            // overheads charged inside it. When the overheads alone exceed
-            // the grant (a grant at the overhead floor: tiny remaining
-            // capacity, tiny declared cost) the handler gets an empty
-            // budget and budget enforcement interrupts it immediately, so
-            // the overrun surfaces as an Interrupted outcome — a legitimate
-            // runtime state, not a bug, which is why this is a documented
-            // `unwrap_or` rather than a debug assertion. The value equals
-            // what two saturating subtractions would produce; the checked
-            // chain exists so the underflow case reads as one explicit
-            // branch instead of two silent clamps, and
-            // `overheads_exceeding_the_grant_yield_an_explicit_empty_budget`
-            // pins the resulting behaviour.
-            let budget = service
-                .granted
-                .checked_sub(overhead.dispatch)
-                .and_then(|left| left.checked_sub(overhead.enforcement))
-                .unwrap_or(Span::ZERO);
-            // A fault-injected overrun is additionally enforced at the
-            // *declared* cost. When that cap is the binding limit the cutoff
-            // surfaces as an Aborted fate; when the capacity grant is
-            // already smaller, the legacy interruption semantics of plain
-            // under-declaration apply unchanged.
-            let declared = service.release.declared_cost();
-            let (budget, abort) =
-                if service.release.handler.is_fault_injected() && declared <= budget {
-                    (declared, true)
-                } else {
-                    (budget, false)
-                };
-            (
-                budget,
-                abort,
-                service.release.demanded_cost(),
-                ExecUnit::Handler(service.release.event),
-            )
-        };
+    fn begin_work(&mut self, lane: &ServerShared, service: GrantedService, now: Instant) -> Action {
+        let overhead = lane.overhead;
+        // The work budget is the grant minus the dispatch/enforcement
+        // overheads charged inside it. When the overheads alone exceed
+        // the grant (a grant at the overhead floor: tiny remaining
+        // capacity, tiny declared cost) the handler gets an empty
+        // budget and budget enforcement interrupts it immediately, so
+        // the overrun surfaces as an Interrupted outcome — a legitimate
+        // runtime state, not a bug, which is why this is a documented
+        // `unwrap_or` rather than a debug assertion. The value equals
+        // what two saturating subtractions would produce; the checked
+        // chain exists so the underflow case reads as one explicit
+        // branch instead of two silent clamps, and
+        // `overheads_exceeding_the_grant_yield_an_explicit_empty_budget`
+        // pins the resulting behaviour.
+        let budget = service
+            .granted
+            .checked_sub(overhead.dispatch)
+            .and_then(|left| left.checked_sub(overhead.enforcement))
+            .unwrap_or(Span::ZERO);
+        // A fault-injected overrun is additionally enforced at the
+        // *declared* cost. When that cap is the binding limit the cutoff
+        // surfaces as an Aborted fate; when the capacity grant is
+        // already smaller, the legacy interruption semantics of plain
+        // under-declaration apply unchanged.
+        let declared = service.release.declared_cost();
+        let (budget, abort_on_interrupt) =
+            if service.release.handler.is_fault_injected() && declared <= budget {
+                (declared, true)
+            } else {
+                (budget, false)
+            };
+        let amount = service.release.demanded_cost();
+        let unit = ExecUnit::Handler(service.release.event);
         self.phase = Phase::Working {
             service,
             started: now,
@@ -162,7 +155,7 @@ impl ServiceLoop {
         };
         Action::ComputeInterruptible {
             amount,
-            budget: work_budget,
+            budget,
             unit,
         }
     }
@@ -173,34 +166,46 @@ impl ServiceLoop {
     /// # Panics
     /// Panics if called while the loop is idle (the body must route
     /// activation completions to [`Self::try_dispatch`] instead).
-    pub fn on_completion(&mut self, ctx: &mut BodyCtx, completion: Completion) -> ServeStep {
+    pub(crate) fn on_completion<P: Probe>(
+        &mut self,
+        ctx: &mut BodyCtx<'_, ExecWorld<'_, P>>,
+        completion: Completion,
+    ) -> ServeStep {
+        let now = ctx.now();
+        let world = ctx.world();
         let phase = std::mem::replace(&mut self.phase, Phase::Idle);
         match phase {
             Phase::Idle => panic!("service loop received a completion while idle: {completion:?}"),
             Phase::Dispatching { service } => {
                 debug_assert!(!completion.was_interrupted());
-                let dispatch = self.shared.borrow().overhead.dispatch;
-                self.shared.borrow_mut().consume(dispatch);
-                ServeStep::Continue(self.begin_work(service, ctx.now()))
+                let lane = &mut world.lanes[self.lane];
+                lane.consume(lane.overhead.dispatch);
+                ServeStep::Continue(self.begin_work(lane, service, now))
             }
             Phase::Working {
                 service,
                 started,
                 abort_on_interrupt,
             } => {
-                let consumed = completion.consumed();
-                self.shared.borrow_mut().consume(consumed);
+                let lane = &mut world.lanes[self.lane];
+                lane.consume(completion.consumed());
                 let interrupted = completion.was_interrupted();
-                let finished = ctx.now();
-                let enforcement = self.shared.borrow().overhead.enforcement;
+                let enforcement = lane.overhead.enforcement;
                 if enforcement.is_zero() {
-                    self.record(&service, started, finished, interrupted, abort_on_interrupt);
-                    self.try_dispatch(ctx.now())
+                    self.record(
+                        world,
+                        &service,
+                        started,
+                        now,
+                        interrupted,
+                        abort_on_interrupt,
+                    );
+                    self.try_dispatch(world, now)
                 } else {
                     self.phase = Phase::Enforcing {
                         service,
                         started,
-                        finished,
+                        finished: now,
                         interrupted,
                         abort_on_interrupt,
                     };
@@ -217,40 +222,51 @@ impl ServiceLoop {
                 interrupted,
                 abort_on_interrupt,
             } => {
-                let enforcement = self.shared.borrow().overhead.enforcement;
-                self.shared.borrow_mut().consume(enforcement);
-                self.record(&service, started, finished, interrupted, abort_on_interrupt);
-                self.try_dispatch(ctx.now())
+                let lane = &mut world.lanes[self.lane];
+                lane.consume(lane.overhead.enforcement);
+                self.record(
+                    world,
+                    &service,
+                    started,
+                    finished,
+                    interrupted,
+                    abort_on_interrupt,
+                );
+                self.try_dispatch(world, now)
             }
         }
     }
 
-    fn record(
-        &mut self,
+    /// Records how the service ended and reports a budget cut.
+    fn record<P: Probe>(
+        &self,
+        world: &mut ExecWorld<'_, P>,
         service: &GrantedService,
         started: Instant,
         finished: Instant,
         interrupted: bool,
         abort_on_interrupt: bool,
     ) {
-        let mut shared = self.shared.borrow_mut();
-        if interrupted && abort_on_interrupt {
-            shared.record_enforcement_abort(&service.release, finished);
-        } else if interrupted {
-            shared.record_interrupted(&service.release, started, finished);
-        } else {
-            shared.record_served(&service.release, started, finished);
+        let lane = &mut world.lanes[self.lane];
+        if !interrupted {
+            lane.record_served(&service.release, started, finished);
+            return;
         }
-    }
-
-    /// True when a service is in flight (used by tests).
-    pub fn is_busy(&self) -> bool {
-        !matches!(self.phase, Phase::Idle)
-    }
-
-    /// Total overhead charged per dispatched handler under the current model.
-    pub fn per_dispatch_overhead(&self) -> Span {
-        self.shared.borrow().overhead.per_dispatch()
+        if abort_on_interrupt {
+            lane.record_enforcement_abort(&service.release, finished);
+        } else {
+            lane.record_interrupted(&service.release, started, finished);
+        }
+        if P::ENABLED {
+            // Every budget cut exhausts its grant; an enforcement abort
+            // also drops the event.
+            world.probe.cap_exhausted(self.lane, finished);
+            if abort_on_interrupt {
+                world
+                    .probe
+                    .admission(self.lane, AdmissionVerdict::Aborted, finished);
+            }
+        }
     }
 }
 
@@ -259,43 +275,59 @@ mod tests {
     use super::*;
     use crate::handler::{QueuedRelease, ServableHandler};
     use crate::queue::QueueKind;
-    use crate::state::ServerShared;
     use rt_model::{EventId, HandlerId, Priority, ServerPolicyKind};
+    use rt_observe::NoopProbe;
     use rtsj_emu::{OverheadModel, TaskServerParameters};
 
-    fn shared(overhead: OverheadModel) -> SharedServer {
-        ServerShared::new(
+    type World = ExecWorld<'static, NoopProbe>;
+
+    /// A world with one polling lane (capacity 4, period 6) under `overhead`.
+    fn world(overhead: OverheadModel) -> World {
+        ExecWorld::of_lanes(vec![ServerShared::new(
             TaskServerParameters::new(Span::from_units(4), Span::from_units(6), Priority::new(30)),
             ServerPolicyKind::Polling,
             overhead,
             QueueKind::Fifo,
             rt_model::QueueDiscipline::FifoSkip,
-        )
+        )])
     }
 
-    fn push(server: &SharedServer, id: u32, cost: u64, at: u64) {
+    fn push(world: &mut World, id: u32, cost: u64, at: u64) {
         let release = QueuedRelease::new(
             EventId::new(id),
             ServableHandler::new(HandlerId::new(id), Span::from_units(cost)),
             Instant::from_units(at),
         );
         let now = Instant::from_units(at);
-        server.borrow_mut().released(release, now);
+        world.lanes[0].released(release, now);
+    }
+
+    /// Feeds `completion` to the loop at `now`, as the engine would.
+    fn complete(
+        service: &mut ServiceLoop,
+        world: &mut World,
+        now: Instant,
+        completion: Completion,
+    ) -> ServeStep {
+        service.on_completion(&mut BodyCtx::new(now, world), completion)
     }
 
     #[test]
     fn idle_when_nothing_is_pending() {
-        let mut service = ServiceLoop::new(shared(OverheadModel::none()));
-        assert_eq!(service.try_dispatch(Instant::ZERO), ServeStep::Idle);
-        assert!(!service.is_busy());
+        let mut world = world(OverheadModel::none());
+        let mut service = ServiceLoop::new(0);
+        assert_eq!(
+            service.try_dispatch(&mut world, Instant::ZERO),
+            ServeStep::Idle
+        );
     }
 
     #[test]
     fn zero_overhead_dispatch_goes_straight_to_work() {
-        let server = shared(OverheadModel::none());
-        push(&server, 0, 2, 0);
-        let mut service = ServiceLoop::new(server);
-        match service.try_dispatch(Instant::ZERO) {
+        let mut world = world(OverheadModel::none());
+        push(&mut world, 0, 2, 0);
+        let mut service = ServiceLoop::new(0);
+        match service.try_dispatch(&mut world, Instant::ZERO) {
             ServeStep::Continue(Action::ComputeInterruptible {
                 amount,
                 budget,
@@ -307,8 +339,6 @@ mod tests {
             }
             other => panic!("expected interruptible work, got {other:?}"),
         }
-        assert!(service.is_busy());
-        assert_eq!(service.per_dispatch_overhead(), Span::ZERO);
     }
 
     #[test]
@@ -318,10 +348,10 @@ mod tests {
             dispatch: Span::from_ticks(100),
             enforcement: Span::from_ticks(50),
         };
-        let server = shared(overhead);
-        push(&server, 0, 2, 0);
-        let mut service = ServiceLoop::new(server.clone());
-        match service.try_dispatch(Instant::ZERO) {
+        let mut world = world(overhead);
+        push(&mut world, 0, 2, 0);
+        let mut service = ServiceLoop::new(0);
+        match service.try_dispatch(&mut world, Instant::ZERO) {
             ServeStep::Continue(Action::Compute { amount, unit }) => {
                 assert_eq!(amount, Span::from_ticks(100));
                 assert_eq!(unit, ExecUnit::ServerOverhead);
@@ -329,9 +359,10 @@ mod tests {
             other => panic!("expected dispatch overhead, got {other:?}"),
         }
         // Simulate the engine completing the dispatch at t = 0.1.
-        let mut ctx = BodyCtx::new(Instant::from_ticks(100));
-        match service.on_completion(
-            &mut ctx,
+        match complete(
+            &mut service,
+            &mut world,
+            Instant::from_ticks(100),
             Completion::Computed {
                 consumed: Span::from_ticks(100),
             },
@@ -342,20 +373,21 @@ mod tests {
             }
             other => panic!("expected interruptible work, got {other:?}"),
         }
-        assert_eq!(server.borrow().remaining, Span::from_ticks(3_900));
+        assert_eq!(world.lanes[0].remaining, Span::from_ticks(3_900));
     }
 
     #[test]
     fn completed_work_is_recorded_and_the_loop_continues() {
-        let server = shared(OverheadModel::none());
-        push(&server, 0, 2, 0);
-        push(&server, 1, 1, 0);
-        let mut service = ServiceLoop::new(server.clone());
-        let _ = service.try_dispatch(Instant::ZERO);
-        let mut ctx = BodyCtx::new(Instant::from_units(2));
+        let mut world = world(OverheadModel::none());
+        push(&mut world, 0, 2, 0);
+        push(&mut world, 1, 1, 0);
+        let mut service = ServiceLoop::new(0);
+        let _ = service.try_dispatch(&mut world, Instant::ZERO);
         // First handler completes; the loop immediately dispatches the second.
-        match service.on_completion(
-            &mut ctx,
+        match complete(
+            &mut service,
+            &mut world,
+            Instant::from_units(2),
             Completion::Computed {
                 consumed: Span::from_units(2),
             },
@@ -370,34 +402,38 @@ mod tests {
             }
             other => panic!("expected the second handler, got {other:?}"),
         }
-        let outcomes = &server.borrow().outcomes;
+        let outcomes = &world.lanes[0].outcomes;
         assert_eq!(outcomes.len(), 1);
         assert!(outcomes[0].is_served());
     }
 
     #[test]
     fn interrupted_work_is_recorded_as_interrupted() {
-        let server = shared(OverheadModel::none());
-        push(&server, 0, 4, 0);
-        let mut service = ServiceLoop::new(server.clone());
-        server.borrow_mut().remaining = Span::from_units(1);
+        let mut world = world(OverheadModel::none());
+        push(&mut world, 0, 4, 0);
+        let mut service = ServiceLoop::new(0);
+        world.lanes[0].remaining = Span::from_units(1);
         // granted = 1 < cost 4 … nothing servable: Idle.
-        assert_eq!(service.try_dispatch(Instant::ZERO), ServeStep::Idle);
+        assert_eq!(
+            service.try_dispatch(&mut world, Instant::ZERO),
+            ServeStep::Idle
+        );
         // Give it capacity 4 but a handler that overruns its declaration.
-        server.borrow_mut().remaining = Span::from_units(4);
+        world.lanes[0].remaining = Span::from_units(4);
         let overrun = QueuedRelease::new(
             EventId::new(9),
             ServableHandler::new(HandlerId::new(9), Span::from_units(6))
                 .with_declared_cost(Span::from_units(2)),
             Instant::ZERO,
         );
-        server.borrow_mut().released(overrun, Instant::ZERO);
+        world.lanes[0].released(overrun, Instant::ZERO);
         // The declared cost (2) fits; but the first pending is still the
         // cost-4 one, served first.
-        let _ = service.try_dispatch(Instant::ZERO);
-        let mut ctx = BodyCtx::new(Instant::from_units(4));
-        let step = service.on_completion(
-            &mut ctx,
+        let _ = service.try_dispatch(&mut world, Instant::ZERO);
+        let step = complete(
+            &mut service,
+            &mut world,
+            Instant::from_units(4),
             Completion::Computed {
                 consumed: Span::from_units(4),
             },
@@ -406,17 +442,18 @@ mod tests {
         assert_eq!(step, ServeStep::Idle);
         // Replenish and dispatch it: its work (6) exceeds its budget (4), so
         // the engine would interrupt; emulate that completion here.
-        server.borrow_mut().replenish(Instant::from_units(6));
-        let _ = service.try_dispatch(Instant::from_units(6));
-        let mut ctx = BodyCtx::new(Instant::from_units(10));
-        let step = service.on_completion(
-            &mut ctx,
+        world.lanes[0].replenish(Instant::from_units(6));
+        let _ = service.try_dispatch(&mut world, Instant::from_units(6));
+        let step = complete(
+            &mut service,
+            &mut world,
+            Instant::from_units(10),
             Completion::Interrupted {
                 consumed: Span::from_units(4),
             },
         );
         assert_eq!(step, ServeStep::Idle);
-        let outcomes = &server.borrow().outcomes;
+        let outcomes = &world.lanes[0].outcomes;
         assert_eq!(outcomes.len(), 2);
         assert!(outcomes[0].is_served());
         assert!(outcomes[1].is_interrupted());
@@ -433,25 +470,26 @@ mod tests {
             dispatch: Span::from_ticks(100),
             enforcement: Span::from_ticks(50),
         };
-        let server = shared(overhead);
-        server.borrow_mut().remaining = Span::from_ticks(120);
+        let mut world = world(overhead);
+        world.lanes[0].remaining = Span::from_ticks(120);
         let tiny = QueuedRelease::new(
             EventId::new(0),
             ServableHandler::new(HandlerId::new(0), Span::from_ticks(100)),
             Instant::ZERO,
         );
-        server.borrow_mut().released(tiny, Instant::ZERO);
-        let mut service = ServiceLoop::new(server.clone());
+        world.lanes[0].released(tiny, Instant::ZERO);
+        let mut service = ServiceLoop::new(0);
         // Grant = 120 ticks; dispatch alone eats 100 of them.
-        match service.try_dispatch(Instant::ZERO) {
+        match service.try_dispatch(&mut world, Instant::ZERO) {
             ServeStep::Continue(Action::Compute { amount, .. }) => {
                 assert_eq!(amount, Span::from_ticks(100));
             }
             other => panic!("expected the dispatch overhead, got {other:?}"),
         }
-        let mut ctx = BodyCtx::new(Instant::from_ticks(100));
-        match service.on_completion(
-            &mut ctx,
+        match complete(
+            &mut service,
+            &mut world,
+            Instant::from_ticks(100),
             Completion::Computed {
                 consumed: Span::from_ticks(100),
             },
@@ -467,9 +505,10 @@ mod tests {
         }
         // The engine would interrupt a zero-budget computation immediately;
         // the loop then pays the enforcement overhead and goes idle.
-        let mut ctx = BodyCtx::new(Instant::from_ticks(100));
-        match service.on_completion(
-            &mut ctx,
+        match complete(
+            &mut service,
+            &mut world,
+            Instant::from_ticks(100),
             Completion::Interrupted {
                 consumed: Span::ZERO,
             },
@@ -480,15 +519,16 @@ mod tests {
             }
             other => panic!("expected the enforcement overhead, got {other:?}"),
         }
-        let mut ctx = BodyCtx::new(Instant::from_ticks(150));
-        let step = service.on_completion(
-            &mut ctx,
+        let step = complete(
+            &mut service,
+            &mut world,
+            Instant::from_ticks(150),
             Completion::Computed {
                 consumed: Span::from_ticks(50),
             },
         );
         assert_eq!(step, ServeStep::Idle);
-        let outcomes = server.borrow_mut().finalise();
+        let outcomes = world.lanes[0].finalise();
         assert_eq!(outcomes.len(), 1);
         assert!(
             outcomes[0].is_interrupted(),
@@ -499,10 +539,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "while idle")]
     fn completions_while_idle_are_a_bug() {
-        let mut service = ServiceLoop::new(shared(OverheadModel::none()));
-        let mut ctx = BodyCtx::new(Instant::ZERO);
-        let _ = service.on_completion(
-            &mut ctx,
+        let mut world = world(OverheadModel::none());
+        let mut service = ServiceLoop::new(0);
+        let _ = complete(
+            &mut service,
+            &mut world,
+            Instant::ZERO,
             Completion::Computed {
                 consumed: Span::ZERO,
             },

@@ -1,13 +1,16 @@
-//! Shared runtime state of a task server.
+//! Runtime state of one task-server lane.
 //!
 //! The paper's abstract `TaskServer` class owns the pending-events list, the
 //! capacity accounting and the policy-independent bookkeeping; the concrete
 //! `PollingTaskServer` and `DeferrableTaskServer` subclasses add their
-//! activation logic. Here the shared part is [`ServerShared`], owned jointly
-//! (via `Rc<RefCell<…>>`) by the server's schedulable body, the fire hooks of
-//! its servable events and the replenishment timer hook — exactly the
-//! sharing pattern of the RTSJ design, where `fire()` calls
-//! `servableEventReleased()` on the server object.
+//! activation logic. Here that shared part is [`ServerShared`], a plain
+//! value. Where the RTSJ design has `fire()` call `servableEventReleased()`
+//! on a server object that the server thread, its events and its timers all
+//! reference, the loop that runs a system owns every lane in one `Vec`
+//! (the run's `ExecWorld`, see [`crate::framework`]), and the server body,
+//! the servable events and the replenishment hooks reach their lane by
+//! index through their context. Decisions return what they decided, and that owner reports
+//! it to its probe.
 
 use crate::handler::QueuedRelease;
 use crate::queue::{PendingQueue, QueueKind};
@@ -16,11 +19,8 @@ use rt_model::{
     AdmissionPolicy, AperiodicFate, AperiodicOutcome, EventId, Instant, ModeChange,
     QueueDiscipline, ServerPolicyKind, Span,
 };
-use rt_observe::LaneTotals;
 use rtsj_emu::{OverheadModel, TaskServerParameters};
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 /// A chosen release together with the budget granted to its service.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,8 +32,9 @@ pub struct GrantedService {
     pub granted: Span,
 }
 
-/// Policy-independent runtime state shared between the server body, the
-/// servable-event fire hooks and the replenishment machinery.
+/// Policy-independent runtime state of one lane, reached by the server body,
+/// the servable-event hooks and the replenishment hooks through the lane
+/// index.
 #[derive(Debug)]
 pub struct ServerShared {
     /// Construction parameters (capacity, period, priority).
@@ -80,27 +81,17 @@ pub struct ServerShared {
     /// Reused buffer for the releases an admission decision displaces — the
     /// release path stays allocation-free in the steady state.
     aborted_scratch: Vec<EventId>,
-    /// Always-on per-lane observability tally: plain `u64` increments at the
-    /// decision sites below, drained once after the run by
-    /// [`crate::execute_with_probe`] through
-    /// [`rt_observe::Probe::lane_totals`]. Kept unconditional (no probe
-    /// generic in the shared state) because the bumps are cheaper than the
-    /// `Rc<RefCell>` traffic already paid on every one of these paths.
-    pub totals: LaneTotals,
 }
 
-/// Shared handle to a server's state.
-pub type SharedServer = Rc<RefCell<ServerShared>>;
-
 impl ServerShared {
-    /// Creates the state and wraps it for sharing.
+    /// Creates the state under [`AdmissionPolicy::AcceptAll`].
     pub fn new(
         params: TaskServerParameters,
         policy: ServerPolicyKind,
         overhead: OverheadModel,
         queue_kind: QueueKind,
         discipline: QueueDiscipline,
-    ) -> SharedServer {
+    ) -> Self {
         Self::with_admission(
             params,
             policy,
@@ -120,14 +111,14 @@ impl ServerShared {
         queue_kind: QueueKind,
         discipline: QueueDiscipline,
         admission: AdmissionPolicy,
-    ) -> SharedServer {
+    ) -> Self {
         let queue = PendingQueue::new(queue_kind, params.capacity, params.period, discipline);
         let machine = if policy == ServerPolicyKind::Background {
             ServerAdmission::accept_all()
         } else {
             ServerAdmission::with_params(admission, params.capacity, params.period)
         };
-        Rc::new(RefCell::new(ServerShared {
+        ServerShared {
             params,
             policy,
             overhead,
@@ -143,8 +134,7 @@ impl ServerShared {
             mode_changes: VecDeque::new(),
             in_service: false,
             aborted_scratch: Vec::new(),
-            totals: LaneTotals::default(),
-        }))
+        }
     }
 
     /// Replenishes the capacity to its full value (called at each server
@@ -163,17 +153,17 @@ impl ServerShared {
 
     /// Applies every scheduled mode change due at or before `now`, provided
     /// the lane is quiescent (no service in flight — otherwise the change
-    /// waits for the next decision instant). Returns `true` when a change
-    /// was applied. O(1) when nothing is due.
-    pub fn apply_due_mode_changes(&mut self, now: Instant) -> bool {
+    /// waits for the next decision instant). Returns how many changes were
+    /// applied. O(1) when nothing is due.
+    pub fn apply_due_mode_changes(&mut self, now: Instant) -> usize {
         if self.in_service {
-            return false;
+            return 0;
         }
-        let mut applied = false;
+        let mut applied = 0;
         while self.mode_changes.front().is_some_and(|c| c.at <= now) {
             if let Some(change) = self.mode_changes.pop_front() {
                 self.apply_mode_change(&change);
-                applied = true;
+                applied += 1;
             }
         }
         applied
@@ -184,7 +174,6 @@ impl ServerShared {
     /// well formed — in particular capacity ≤ period on capacity-limited
     /// lanes).
     fn apply_mode_change(&mut self, change: &ModeChange) {
-        self.totals.mode_changes += 1;
         if let Some(capacity) = change.capacity {
             self.params.capacity = capacity;
         }
@@ -226,25 +215,22 @@ impl ServerShared {
         };
     }
 
-    /// Registers a release (the `servableEventReleased` entry point called by
-    /// `ServableAsyncEvent::fire`), consulting the server's on-line
-    /// admission policy first. Returns `true` when the release was admitted
-    /// into the pending queue; a refused release is recorded as
-    /// [`AperiodicFate::Rejected`] and any backlog entries displaced by a
-    /// value-density decision are removed from the queue and recorded as
-    /// [`AperiodicFate::Aborted`]. Under the default
+    /// Registers a release (the `servableEventReleased` entry point a
+    /// `ServableAsyncEvent` fire reaches), consulting the server's on-line
+    /// admission policy first. Returns whether the release was admitted into
+    /// the pending queue, and how many backlog entries a value-density
+    /// decision displaced to make room: those are removed from the queue and
+    /// recorded as [`AperiodicFate::Aborted`], and a refused release is
+    /// recorded as [`AperiodicFate::Rejected`]. Under the default
     /// [`AdmissionPolicy::AcceptAll`] this is exactly the pre-admission
-    /// behaviour (always `true`, no extra bookkeeping).
+    /// behaviour (always admitted, nothing displaced).
     ///
     /// The equation-(5) slot predicted by the queue structure, when it
     /// maintains one, is available afterwards through
     /// [`PendingQueue::predicted_slot`] or
     /// [`crate::admission::predicted_response`].
-    pub fn released(&mut self, release: QueuedRelease, now: Instant) -> bool {
-        // An arrival is a decision instant: reconfigure first (when
-        // quiescent) so the release is admitted under the new configuration,
-        // mirroring the simulator's decision ordering.
-        self.apply_due_mode_changes(now);
+    pub fn released(&mut self, release: QueuedRelease, now: Instant) -> (bool, usize) {
+        let mut displaced = 0;
         let mut aborted = std::mem::take(&mut self.aborted_scratch);
         let (accepted, _prediction) = self.admission.on_arrival_into(
             &ArrivingEvent {
@@ -262,17 +248,17 @@ impl ServerShared {
             // ahead of the virtual plan) keeps its in-flight fate.
             if let Some(dropped) = self.queue.remove_event(event) {
                 self.record_aborted(&dropped, now);
+                displaced += 1;
             }
         }
         aborted.clear();
         self.aborted_scratch = aborted;
         if accepted {
-            self.totals.accepted += 1;
             let _ = self.queue.push(release, now, self.remaining);
         } else {
             self.record_rejected(&release, now);
         }
-        accepted
+        (accepted, displaced)
     }
 
     /// Budget the policy would grant to a release chosen at `now`.
@@ -467,14 +453,12 @@ impl ServerShared {
 
     /// Records a release refused by the admission policy at arrival.
     pub fn record_rejected(&mut self, release: &QueuedRelease, at: Instant) {
-        self.totals.rejected += 1;
         self.outcomes
             .push(self.outcome(release, AperiodicFate::Rejected { at }));
     }
 
     /// Records a pending release dropped by an overload decision.
     pub fn record_aborted(&mut self, release: &QueuedRelease, at: Instant) {
-        self.totals.aborted += 1;
         self.outcomes
             .push(self.outcome(release, AperiodicFate::Aborted { at }));
     }
@@ -483,7 +467,6 @@ impl ServerShared {
     /// declared cost, and releases its equation-(5) plan slot so the
     /// admission state stays consistent with the capacity the abort freed.
     pub fn record_enforcement_abort(&mut self, release: &QueuedRelease, at: Instant) {
-        self.totals.cap_exhaustions += 1;
         self.record_aborted(release, at);
         self.admission.on_abort(release.event, at);
     }
@@ -495,7 +478,6 @@ impl ServerShared {
         started: Instant,
         interrupted_at: Instant,
     ) {
-        self.totals.cap_exhaustions += 1;
         self.outcomes.push(self.outcome(
             release,
             AperiodicFate::Interrupted {
@@ -536,7 +518,7 @@ mod tests {
         )
     }
 
-    fn shared(policy: ServerPolicyKind) -> SharedServer {
+    fn shared(policy: ServerPolicyKind) -> ServerShared {
         ServerShared::new(
             params(),
             policy,
@@ -548,8 +530,7 @@ mod tests {
 
     #[test]
     fn polling_budget_is_the_remaining_capacity() {
-        let server = shared(ServerPolicyKind::Polling);
-        let mut s = server.borrow_mut();
+        let mut s = shared(ServerPolicyKind::Polling);
         s.remaining = Span::from_units(2);
         let r = release(0, 3, 0);
         assert_eq!(
@@ -560,8 +541,7 @@ mod tests {
 
     #[test]
     fn deferrable_budget_extends_across_the_boundary() {
-        let server = shared(ServerPolicyKind::Deferrable);
-        let mut s = server.borrow_mut();
+        let mut s = shared(ServerPolicyKind::Deferrable);
         s.remaining = Span::from_units(1);
         s.next_replenishment = Instant::from_units(6);
         let r = release(0, 2, 5);
@@ -580,8 +560,7 @@ mod tests {
 
     #[test]
     fn choose_next_applies_the_policy_budgets() {
-        let server = shared(ServerPolicyKind::Deferrable);
-        let mut s = server.borrow_mut();
+        let mut s = shared(ServerPolicyKind::Deferrable);
         s.remaining = Span::from_units(1);
         s.next_replenishment = Instant::from_units(6);
         s.released(release(0, 2, 5), Instant::from_units(5));
@@ -596,8 +575,7 @@ mod tests {
 
     #[test]
     fn polling_choose_skips_oversized_releases() {
-        let server = shared(ServerPolicyKind::Polling);
-        let mut s = server.borrow_mut();
+        let mut s = shared(ServerPolicyKind::Polling);
         s.remaining = Span::from_units(2);
         s.released(release(0, 3, 0), Instant::ZERO);
         s.released(release(1, 1, 1), Instant::ZERO);
@@ -611,8 +589,7 @@ mod tests {
 
     #[test]
     fn background_serves_fifo_without_budget() {
-        let server = shared(ServerPolicyKind::Background);
-        let mut s = server.borrow_mut();
+        let mut s = shared(ServerPolicyKind::Background);
         s.released(release(0, 50, 0), Instant::ZERO);
         let granted = s.choose_next(Instant::ZERO).unwrap();
         assert_eq!(granted.granted, Span::MAX);
@@ -626,8 +603,7 @@ mod tests {
 
     #[test]
     fn consume_and_replenish() {
-        let server = shared(ServerPolicyKind::Polling);
-        let mut s = server.borrow_mut();
+        let mut s = shared(ServerPolicyKind::Polling);
         s.consume(Span::from_units(3));
         assert_eq!(s.remaining, Span::from_units(1));
         s.consume(Span::from_units(5));
@@ -639,8 +615,7 @@ mod tests {
 
     #[test]
     fn finalise_reports_unserved_and_sorts_outcomes() {
-        let server = shared(ServerPolicyKind::Polling);
-        let mut s = server.borrow_mut();
+        let mut s = shared(ServerPolicyKind::Polling);
         let first = release(0, 2, 0);
         let second = release(1, 2, 3);
         s.released(second, Instant::from_units(3));

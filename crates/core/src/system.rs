@@ -14,23 +14,23 @@
 //! [`ExecutionPlan::run`] — and therefore [`execute`] and, with a probe
 //! attached, [`execute_with_probe`] — drives the server bodies through the
 //! table-driven driver of [`crate::fastpath`] under both scheduling
-//! policies. [`execute_reference`] installs the same framework on the
-//! `rtsj-emu` engine, which rescans every thread and timer per decision —
-//! the seed implementation, kept as the reference oracle. Both loops
-//! produce byte-identical traces (pinned by the goldens, the differential
-//! suites and the fuzzer).
+//! policies. [`execute_reference`] loads the same install
+//! ([`crate::framework`]) into the `rtsj-emu` engine, which rescans every
+//! thread and timer per decision — the seed implementation, kept as the
+//! reference oracle. Both loops produce byte-identical traces (pinned by the
+//! goldens, the differential suites and the fuzzer).
 
 use crate::fastpath::{self, SubstratePlan};
-use crate::framework::{AnyTaskServer, ServableAsyncEvent, TaskServer};
+use crate::framework::Install;
 use crate::handler::ServableHandler;
 use crate::queue::QueueKind;
-use crate::state::SharedServer;
+use crate::state::ServerShared;
 use rt_model::{
     AperiodicFate, AperiodicOutcome, EventId, ExecUnit, Instant, ModelError, OverrunTable,
     PeriodicJobRecord, PeriodicTask, SchedulingPolicy, Span, SystemSpec, Trace,
 };
 use rt_observe::{NoopProbe, Probe};
-use rtsj_emu::{Engine, EngineConfig, OverheadModel};
+use rtsj_emu::{Engine, EngineConfig, EventHandle, OverheadModel};
 use std::borrow::Cow;
 
 /// Configuration of an execution run.
@@ -124,11 +124,10 @@ pub fn execute(spec: &SystemSpec, config: &ExecutionConfig) -> Trace {
 /// probe-free [`execute`]; pass `&mut probe` to keep the recording (the
 /// blanket `&mut P: Probe` impl forwards every hook).
 ///
-/// The driver reports the decision-loop hooks live (decisions, dispatches,
-/// preemptions, slices, releases, fires); admission verdicts happen inside
-/// the shared server lanes, which the probe cannot reach, so each lane keeps
-/// an always-on [`rt_observe::LaneTotals`] tally that is handed to
-/// [`Probe::lane_totals`] once the run finishes.
+/// Every hook is reported live: the decision loop's (decisions, dispatches,
+/// preemptions, slices, releases, fires) and the lanes' admission verdicts,
+/// capacity exhaustions and mode changes, which the run's world
+/// (`ExecWorld`, see [`crate::framework`]) reports where they are decided.
 ///
 /// # Panics
 /// Panics when the specification fails validation.
@@ -279,32 +278,49 @@ impl<'a> ExecutionPlan<'a> {
     }
 
     /// Runs the plan on the linear-scan `rtsj-emu` engine (see
-    /// [`execute_reference`]): the framework's servers, periodic threads and
-    /// servable events installed through the public framework API.
+    /// [`execute_reference`]): the install loaded into the engine, whose
+    /// world it becomes, with the periodic tasks and one fire timer per
+    /// planned release.
     pub(crate) fn run_reference(&self) -> Trace {
         let spec = &self.spec;
-        let mut engine = Engine::new(
+        let Install {
+            world,
+            servers,
+            timers,
+            sae_base,
+        } = Install::new(spec, &self.config, &self.events, NoopProbe);
+        let events = world.kinds.len();
+        let mut engine = Engine::with_world(
             EngineConfig::new(spec.horizon)
                 .with_overhead(self.config.overhead)
                 .with_policy(self.policy),
+            world,
         );
+        for _ in 0..events {
+            engine.create_event();
+        }
 
-        // The task servers, in install (table) order; one installed server
-        // per entry of `spec.servers`, each with its own pending queue.
-        let servers: Vec<AnyTaskServer> = spec
-            .servers
-            .iter()
-            .enumerate()
-            .map(|(index, server_spec)| {
-                let changes = spec.faults.mode_changes_for(index).cloned().collect();
-                AnyTaskServer::install_with_faults(
-                    &mut engine,
-                    server_spec,
-                    self.config.queue,
-                    changes,
-                )
-            })
-            .collect();
+        // The server threads, in lane order, ahead of the periodic tasks.
+        for (server, thread) in spec.servers.iter().zip(servers) {
+            let handle = match thread.period {
+                Some(period) => engine.spawn_periodic(
+                    "server",
+                    server.priority,
+                    Instant::ZERO,
+                    period,
+                    Box::new(thread.body),
+                ),
+                None => engine.spawn("server", server.priority, Box::new(thread.body)),
+            };
+            engine.set_thread_deadline(handle, thread.deadline);
+        }
+        for timer in timers {
+            let event = EventHandle::from_raw(timer.event);
+            match timer.period {
+                Some(period) => engine.add_periodic_timer(timer.next, period, event),
+                None => engine.add_one_shot_timer(timer.next, event),
+            }
+        }
 
         // The periodic tasks, as periodic real-time threads whose bodies
         // live inline in the engine's thread table (no per-spawn boxing).
@@ -324,18 +340,15 @@ impl<'a> ExecutionPlan<'a> {
             }
         }
 
-        // One servable async event + firing timer per planned occurrence,
-        // bound to the server the event routes to.
-        for planned in &self.events {
-            let server = &servers[planned.server];
-            let sae =
-                ServableAsyncEvent::create(&mut engine, planned.event, planned.handler, server);
-            sae.schedule_fire(&mut engine, planned.release);
+        // The servable events' fire timers, after every install-time timer,
+        // one per planned release.
+        for (index, planned) in self.events.iter().enumerate() {
+            engine.add_one_shot_timer(planned.release, EventHandle::from_raw(sae_base + index));
         }
 
-        let mut trace = engine.run();
-        let collected = lane_outcomes(servers.iter().map(|server| server.shared()));
-        finalise_trace(spec, servers.len(), collected, &mut trace);
+        let (mut trace, mut world) = engine.run_with_world();
+        let collected = lane_outcomes(&mut world.lanes);
+        finalise_trace(spec, world.lanes.len(), collected, &mut trace);
         trace
     }
 }
@@ -344,15 +357,11 @@ impl<'a> ExecutionPlan<'a> {
 /// their outcome logs in lane order, `None` when there is no lane. The
 /// first lane's log is extended in place, so a single-lane run moves its
 /// log instead of copying it.
-///
-/// [`ServerShared::finalise`]: crate::state::ServerShared::finalise
-pub(crate) fn lane_outcomes<'s>(
-    lanes: impl IntoIterator<Item = &'s SharedServer>,
-) -> Option<Vec<AperiodicOutcome>> {
-    let mut lanes = lanes.into_iter();
-    let mut outcomes = lanes.next()?.borrow_mut().finalise();
-    for lane in lanes {
-        outcomes.append(&mut lane.borrow_mut().finalise());
+pub(crate) fn lane_outcomes(lanes: &mut [ServerShared]) -> Option<Vec<AperiodicOutcome>> {
+    let (first, rest) = lanes.split_first_mut()?;
+    let mut outcomes = first.finalise();
+    for lane in rest {
+        outcomes.append(&mut lane.finalise());
     }
     Some(outcomes)
 }

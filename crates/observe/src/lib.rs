@@ -55,45 +55,16 @@ pub enum AdmissionVerdict {
     Aborted,
 }
 
-/// Admission/enforcement totals of one server lane, drained into a probe in
-/// one call at the end of an execution run (the emulation engine decides
-/// admission inside the server state machine, where no probe parameter
-/// reaches; the totals ride the lane state and are handed over at
-/// finalisation — see `rt_taskserver::execute_with_probe`).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct LaneTotals {
-    /// Arrivals admitted into the pending queue.
-    pub accepted: u64,
-    /// Arrivals refused at release.
-    pub rejected: u64,
-    /// Admitted events later dropped (displacement or budget enforcement).
-    pub aborted: u64,
-    /// Dispatches cut short by capacity exhaustion.
-    pub cap_exhaustions: u64,
-    /// Quiescent mode changes applied to the lane.
-    pub mode_changes: u64,
-}
-
-impl LaneTotals {
-    /// Element-wise accumulation.
-    pub fn merge(&mut self, other: &LaneTotals) {
-        self.accepted += other.accepted;
-        self.rejected += other.rejected;
-        self.aborted += other.aborted;
-        self.cap_exhaustions += other.cap_exhaustions;
-        self.mode_changes += other.mode_changes;
-    }
-}
-
 /// The engine-side observation interface.
 ///
 /// Engines call these hooks from their decision loops; every call site is
 /// gated on [`Probe::ENABLED`], so a disabled probe costs literally nothing
 /// (the branch is a compile-time constant and the empty inline bodies fold
 /// away). Implementations must not allocate in any hook except
-/// [`Probe::attach`] and [`Probe::lane_totals`], which run at setup /
-/// finalisation — that boundary is what lets probe-enabled decision loops
-/// keep the zero-allocations-per-decision invariant.
+/// [`Probe::attach`], which runs at setup — that boundary is what lets
+/// probe-enabled decision loops keep the zero-allocations-per-decision
+/// invariant. Both worlds report every hook live, where the engine decides
+/// it.
 pub trait Probe {
     /// Compile-time switch every engine call site is gated on. `true` for
     /// every recording probe; `false` only for [`NoopProbe`].
@@ -156,13 +127,6 @@ pub trait Probe {
     fn queue_depth(&mut self, lane: usize, depth: u64) {
         let _ = (lane, depth);
     }
-
-    /// End-of-run admission/enforcement totals of `lane` (execution world
-    /// only; the simulation engines report the same quantities through the
-    /// live [`Probe::admission`] hook instead). May allocate.
-    fn lane_totals(&mut self, lane: usize, totals: &LaneTotals) {
-        let _ = (lane, totals);
-    }
 }
 
 /// The default probe: observability compiled out. Every probe-capable engine
@@ -214,9 +178,6 @@ impl<P: Probe + ?Sized> Probe for &mut P {
     }
     fn queue_depth(&mut self, lane: usize, depth: u64) {
         (**self).queue_depth(lane, depth);
-    }
-    fn lane_totals(&mut self, lane: usize, totals: &LaneTotals) {
-        (**self).lane_totals(lane, totals);
     }
 }
 
@@ -445,14 +406,6 @@ impl Probe for MetricsProbe {
         self.queue_depth.record(depth);
         self.lane_backlog[Self::lane_slot(lane)].record(depth);
     }
-
-    fn lane_totals(&mut self, _lane: usize, totals: &LaneTotals) {
-        self.counters.admission_accepted += totals.accepted;
-        self.counters.admission_rejected += totals.rejected;
-        self.counters.admission_aborted += totals.aborted;
-        self.counters.cap_exhaustions += totals.cap_exhaustions;
-        self.counters.mode_changes += totals.mode_changes;
-    }
 }
 
 #[cfg(test)]
@@ -500,26 +453,6 @@ mod tests {
         assert_eq!(p.lane_backlog[0].count(), 1);
         assert_eq!(p.lane_backlog[MAX_LANE_HISTOGRAMS - 1].count(), 1);
         assert_eq!(p.slice_len.count(), 1);
-    }
-
-    #[test]
-    fn lane_totals_fold_into_the_same_counters() {
-        let mut p = MetricsProbe::new();
-        p.lane_totals(
-            0,
-            &LaneTotals {
-                accepted: 4,
-                rejected: 2,
-                aborted: 1,
-                cap_exhaustions: 3,
-                mode_changes: 1,
-            },
-        );
-        assert_eq!(p.counters.admission_accepted, 4);
-        assert_eq!(p.counters.admission_rejected, 2);
-        assert_eq!(p.counters.admission_aborted, 1);
-        assert_eq!(p.counters.cap_exhaustions, 3);
-        assert_eq!(p.counters.mode_changes, 1);
     }
 
     #[test]

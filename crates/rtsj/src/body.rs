@@ -7,13 +7,16 @@
 //! previous action ended. Bodies never block the host thread; "waiting" and
 //! "computing" are virtual-time actions interpreted by the engine, which is
 //! what makes executions deterministic and independent of the host machine.
+//! State that bodies share with each other and with event fires lives in the
+//! world the engine carries, reached through [`BodyCtx::world`] by whoever
+//! is running rather than co-owned.
 //!
 //! The vocabulary maps onto the RTSJ primitives the paper's framework uses:
 //!
 //! | RTSJ                                   | here                              |
 //! |----------------------------------------|-----------------------------------|
 //! | `RealtimeThread.waitForNextPeriod()`   | [`Action::WaitForNextPeriod`]     |
-//! | `AsyncEvent.fire()` / bound handler    | [`Action::WaitForEvent`] + hooks  |
+//! | `AsyncEvent.fire()` / bound handler    | [`Action::WaitForEvent`] + world  |
 //! | `Timed.doInterruptible(...)`           | [`Action::ComputeInterruptible`]  |
 //! | plain `run()` code                     | [`Action::Compute`]               |
 //! | `sleep` / absolute waits               | [`Action::WaitUntil`]             |
@@ -99,22 +102,28 @@ impl Completion {
     }
 }
 
-/// Context handed to a body while it decides its next action.
+/// Context handed to a body while it decides its next action: the current
+/// instant, the world the engine carries (`W`, `()` by default — see
+/// [`crate::engine::World`]) and the requests the engine applies once the
+/// body returns.
 #[derive(Debug)]
-pub struct BodyCtx {
+pub struct BodyCtx<'w, W = ()> {
     now: Instant,
+    world: &'w mut W,
     fire_requests: Vec<EventHandle>,
     timer_requests: Vec<(Instant, EventHandle)>,
     deadline_request: Option<Instant>,
 }
 
-impl BodyCtx {
-    /// Creates a context for the given instant. The engine builds these
-    /// internally; the constructor is public so unit tests of custom
-    /// [`ThreadBody`] implementations can drive them without an engine.
-    pub fn new(now: Instant) -> Self {
+impl<'w, W> BodyCtx<'w, W> {
+    /// Creates a context for the given instant over `world`. The engine
+    /// builds these internally; the constructor is public so other drivers
+    /// (`rt-taskserver`'s execution driver) and unit tests of custom
+    /// [`ThreadBody`] implementations can pump bodies without an engine.
+    pub fn new(now: Instant, world: &'w mut W) -> Self {
         BodyCtx {
             now,
+            world,
             fire_requests: Vec::new(),
             timer_requests: Vec::new(),
             deadline_request: None,
@@ -124,6 +133,13 @@ impl BodyCtx {
     /// Current virtual time.
     pub fn now(&self) -> Instant {
         self.now
+    }
+
+    /// The world the engine carries: the state bodies share with each other
+    /// and with the engine's event fires, reached by whoever is running
+    /// instead of co-owned.
+    pub fn world(&mut self) -> &mut W {
+        self.world
     }
 
     /// Requests that the given event be fired as soon as the body yields its
@@ -174,19 +190,19 @@ impl BodyCtx {
     }
 }
 
-/// A schedulable body driven by the engine.
-pub trait ThreadBody {
+/// A schedulable body driven by an engine carrying the world `W`.
+pub trait ThreadBody<W = ()> {
     /// Decides the next action, given how the previous one ended.
-    fn next_action(&mut self, ctx: &mut BodyCtx, completion: Completion) -> Action;
+    fn next_action(&mut self, ctx: &mut BodyCtx<'_, W>, completion: Completion) -> Action;
 }
 
 /// Blanket implementation so closures can be used as simple bodies in tests
 /// and examples.
-impl<F> ThreadBody for F
+impl<W, F> ThreadBody<W> for F
 where
-    F: FnMut(&mut BodyCtx, Completion) -> Action,
+    F: FnMut(&mut BodyCtx<'_, W>, Completion) -> Action,
 {
-    fn next_action(&mut self, ctx: &mut BodyCtx, completion: Completion) -> Action {
+    fn next_action(&mut self, ctx: &mut BodyCtx<'_, W>, completion: Completion) -> Action {
         self(ctx, completion)
     }
 }
@@ -213,22 +229,27 @@ mod tests {
     }
 
     #[test]
-    fn body_ctx_queues_fire_requests() {
-        let mut ctx = BodyCtx::new(Instant::from_units(3));
+    fn body_ctx_queues_requests_and_reaches_its_world() {
+        let mut log = vec![1];
+        let mut ctx = BodyCtx::new(Instant::from_units(3), &mut log);
         assert_eq!(ctx.now(), Instant::from_units(3));
+        ctx.world().push(2);
         ctx.fire(EventHandle::from_raw(1));
         ctx.fire(EventHandle::from_raw(2));
         let fired = ctx.take_fire_requests();
         assert_eq!(fired.len(), 2);
         assert!(ctx.take_fire_requests().is_empty());
+        assert_eq!(log, vec![1, 2]);
     }
 
     #[test]
     fn closures_are_bodies() {
         let mut body = |_ctx: &mut BodyCtx, _c: Completion| Action::Terminate;
-        let mut ctx = BodyCtx::new(Instant::ZERO);
         assert_eq!(
-            body.next_action(&mut ctx, Completion::Started),
+            body.next_action(
+                &mut BodyCtx::new(Instant::ZERO, &mut ()),
+                Completion::Started
+            ),
             Action::Terminate
         );
     }

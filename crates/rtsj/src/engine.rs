@@ -28,11 +28,16 @@
 //! **Steady-state allocations.** Decisions allocate nothing once the
 //! engine's buffers are warm: due timer fires are collected into a reused
 //! scratch vector, the event-fire loop walks its cascade with the reused
-//! `fire_queue` and `cascade_scratch` buffers, hook lists are detached and
-//! reattached rather than copied, and waiter lists are walked by reference
-//! and handed back empty so every event keeps its buffer capacity. The only
-//! allocations left are amortised growth of these buffers (pinned by
-//! `rt-bench`'s `zero_alloc` test).
+//! `fire_queue` and `cascade_scratch` buffers, and waiter lists are walked
+//! by reference and handed back empty so every event keeps its buffer
+//! capacity. The only allocations left are amortised growth of these
+//! buffers (pinned by `rt-bench`'s `zero_alloc` test).
+//!
+//! **The world.** An engine carries one value of a [`World`] type `W`
+//! (default `()`): the state its bodies and event fires share. Bodies reach
+//! it through [`BodyCtx::world`], and every event fire asks it to run the
+//! event's hook ([`World::fire`]), so bodies and hooks share state without
+//! co-owning it.
 //!
 //! **Body storage.** The thread table doubles as a body arena: bodies whose
 //! concrete type the engine knows (the periodic workers of
@@ -101,7 +106,7 @@ impl ThreadHandle {
     }
 }
 
-/// Context passed to event fire hooks.
+/// Context passed to [`World::fire`].
 #[derive(Debug)]
 pub struct FireCtx {
     now: Instant,
@@ -121,10 +126,24 @@ impl FireCtx {
     }
 }
 
-/// A hook invoked synchronously when an event fires. Hooks are how the
-/// task-server framework's `ServableAsyncEvent` notifies its servers
-/// (`servableEventReleased`) at fire time.
-pub type FireHook = Box<dyn FnMut(&mut FireCtx)>;
+/// The state an engine carries for its bodies and events.
+///
+/// Bodies reach it through [`BodyCtx::world`]; every event fire asks it to
+/// run that event's hook. This is how the task-server framework's
+/// `ServableAsyncEvent` notifies its server (`servableEventReleased`) at
+/// fire time: its world owns the server lanes and a hook table indexed by
+/// event.
+pub trait World {
+    /// Runs the hook of `event`, fired at `ctx.now()`, before its waiters
+    /// are woken. Fires requested through `ctx` cascade iteratively, after
+    /// this one. The default hook does nothing.
+    fn fire(&mut self, event: EventHandle, ctx: &mut FireCtx) {
+        let _ = (event, ctx);
+    }
+}
+
+/// The default world: no shared state, no hooks.
+impl World for () {}
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -205,16 +224,16 @@ struct PeriodicRelease {
 /// [`Engine::spawn`]. In the scaling workloads the inline periodic workers
 /// are the dominant population (`n` tasks vs a handful of server bodies), so
 /// spawning a large system costs O(1) allocations beyond the table growth.
-enum StoredBody {
+enum StoredBody<W> {
     /// A framework-supplied body behind a trait object.
-    Boxed(Box<dyn ThreadBody>),
+    Boxed(Box<dyn ThreadBody<W>>),
     /// An engine-owned periodic worker ([`PeriodicThreadBody`]) stored
     /// inline.
     Periodic(crate::handlers::PeriodicThreadBody),
 }
 
-impl StoredBody {
-    fn next_action(&mut self, ctx: &mut BodyCtx, completion: Completion) -> Action {
+impl<W> StoredBody<W> {
+    fn next_action(&mut self, ctx: &mut BodyCtx<'_, W>, completion: Completion) -> Action {
         match self {
             StoredBody::Boxed(body) => body.next_action(ctx, completion),
             StoredBody::Periodic(body) => body.next_action(ctx, completion),
@@ -222,10 +241,10 @@ impl StoredBody {
     }
 }
 
-struct ThreadState {
+struct ThreadState<W> {
     name: String,
     priority: Priority,
-    body: StoredBody,
+    body: StoredBody<W>,
     periodic: Option<PeriodicRelease>,
     status: ThreadStatus,
     /// Absolute deadline of the thread's current job, the EDF dispatching
@@ -240,7 +259,6 @@ struct ThreadState {
 struct EventState {
     pending: u32,
     waiters: Vec<usize>,
-    hooks: Vec<FireHook>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -256,11 +274,12 @@ struct TimerState {
 /// infinite loop.
 const MAX_ZERO_TIME_STEPS: u32 = 100_000;
 
-/// The virtual-time execution engine.
-pub struct Engine {
+/// The virtual-time execution engine, carrying the world `W` its bodies and
+/// event fires share.
+pub struct Engine<W = ()> {
     config: EngineConfig,
     now: Instant,
-    threads: Vec<ThreadState>,
+    threads: Vec<ThreadState<W>>,
     events: Vec<EventState>,
     timers: Vec<TimerState>,
     pending_timer_overhead: Span,
@@ -272,15 +291,23 @@ pub struct Engine {
     /// Reusable breadth-first fire queue walked by
     /// [`Self::fire_event_now`] — same reuse discipline as `due_events`.
     fire_queue: VecDeque<EventHandle>,
-    /// Reusable cascade buffer handed to fire hooks through [`FireCtx`],
-    /// threaded through the fire loop so hook cascades allocate nothing in
-    /// the steady state.
+    /// Reusable cascade buffer handed to [`World::fire`] through
+    /// [`FireCtx`], threaded through the fire loop so hook cascades allocate
+    /// nothing in the steady state.
     cascade_scratch: Vec<EventHandle>,
+    world: W,
 }
 
 impl Engine {
-    /// Creates an engine with the given configuration.
+    /// Creates an engine with the given configuration and no world.
     pub fn new(config: EngineConfig) -> Self {
+        Engine::with_world(config, ())
+    }
+}
+
+impl<W: World> Engine<W> {
+    /// Creates an engine with the given configuration, carrying `world`.
+    pub fn with_world(config: EngineConfig, world: W) -> Self {
         Engine {
             now: Instant::ZERO,
             threads: Vec::new(),
@@ -293,6 +320,7 @@ impl Engine {
             fire_queue: VecDeque::new(),
             cascade_scratch: Vec::new(),
             config,
+            world,
         }
     }
 
@@ -319,14 +347,8 @@ impl Engine {
         self.events.push(EventState {
             pending: 0,
             waiters: Vec::new(),
-            hooks: Vec::new(),
         });
         handle
-    }
-
-    /// Registers a hook invoked synchronously every time the event fires.
-    pub fn add_fire_hook(&mut self, event: EventHandle, hook: FireHook) {
-        self.events[event.0].hooks.push(hook);
     }
 
     /// Arms a one-shot timer that fires the event at the given instant.
@@ -355,7 +377,7 @@ impl Engine {
         &mut self,
         name: impl Into<String>,
         priority: Priority,
-        body: Box<dyn ThreadBody>,
+        body: Box<dyn ThreadBody<W>>,
     ) -> ThreadHandle {
         self.spawn_stored(name, priority, StoredBody::Boxed(body))
     }
@@ -364,7 +386,7 @@ impl Engine {
         &mut self,
         name: impl Into<String>,
         priority: Priority,
-        body: StoredBody,
+        body: StoredBody<W>,
     ) -> ThreadHandle {
         let handle = ThreadHandle(self.threads.len());
         self.threads.push(ThreadState {
@@ -387,7 +409,7 @@ impl Engine {
         priority: Priority,
         start: Instant,
         period: Span,
-        body: Box<dyn ThreadBody>,
+        body: Box<dyn ThreadBody<W>>,
     ) -> ThreadHandle {
         assert!(
             !period.is_zero(),
@@ -465,7 +487,13 @@ impl Engine {
     }
 
     /// Runs the system until the horizon and returns the trace.
-    pub fn run(mut self) -> Trace {
+    pub fn run(self) -> Trace {
+        self.run_with_world().0
+    }
+
+    /// Runs the system until the horizon and returns the trace together
+    /// with the world, as the run left it.
+    pub fn run_with_world(mut self) -> (Trace, W) {
         while self.now < self.config.horizon {
             self.fire_due_timers();
             self.wake_due_threads();
@@ -541,7 +569,7 @@ impl Engine {
             self.note_progress(slice);
         }
         debug_assert!(self.trace.check_invariants().is_ok());
-        self.trace
+        (self.trace, self.world)
     }
 
     fn note_progress(&mut self, advanced: Span) {
@@ -582,26 +610,21 @@ impl Engine {
         self.due_events = due;
     }
 
-    /// Fires an event immediately: runs its hooks (which may cascade into
-    /// more fires) and wakes or credits its waiters.
-    pub(crate) fn fire_event_now(&mut self, event: EventHandle) {
+    /// Fires an event immediately: runs its hook in the world (which may
+    /// cascade into more fires) and wakes or credits its waiters.
+    fn fire_event_now(&mut self, event: EventHandle) {
         let mut queue = std::mem::take(&mut self.fire_queue);
         let mut cascade = std::mem::take(&mut self.cascade_scratch);
         queue.push_back(event);
         while let Some(event) = queue.pop_front() {
-            // Run the hooks with the hook list temporarily detached so hooks
-            // can be FnMut over their own captured state. The cascade buffer
-            // is threaded through the context and drained back into the fire
-            // queue, so a steady-state fire reuses both buffers.
-            let mut hooks = std::mem::take(&mut self.events[event.0].hooks);
+            // The cascade buffer is threaded through the context and drained
+            // back into the fire queue, so a steady-state fire reuses both
+            // buffers.
             let mut ctx = FireCtx {
                 now: self.now,
                 cascade,
             };
-            for hook in &mut hooks {
-                hook(&mut ctx);
-            }
-            self.events[event.0].hooks = hooks;
+            self.world.fire(event, &mut ctx);
             cascade = ctx.cascade;
             queue.extend(cascade.drain(..));
 
@@ -685,7 +708,7 @@ impl Engine {
             ThreadStatus::Ready(completion) => *completion,
             _ => unreachable!("pump_body requires a Ready thread"),
         };
-        let mut ctx = BodyCtx::new(self.now);
+        let mut ctx = BodyCtx::new(self.now, &mut self.world);
         let action = self.threads[tid].body.next_action(&mut ctx, completion);
         let fires = ctx.take_fire_requests();
         let timers = ctx.take_timer_requests();
@@ -824,12 +847,14 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     fn config(horizon_units: u64) -> EngineConfig {
         EngineConfig::new(Instant::from_units(horizon_units)).with_overhead(OverheadModel::none())
     }
+
+    /// A log is a world without hooks: bodies append to it through their
+    /// context, and the test reads it back from the finished run.
+    impl<T> World for Vec<T> {}
 
     /// A periodic body that computes a fixed cost each period, forever.
     struct PeriodicWorker {
@@ -980,21 +1005,25 @@ mod tests {
 
     #[test]
     fn timers_fire_events_and_wake_waiting_threads() {
-        let mut engine = Engine::new(config(20));
+        let mut engine = Engine::with_world(config(20), Vec::new());
         let event = engine.create_event();
         engine.add_one_shot_timer(Instant::from_units(4), event);
         struct Waiter {
             event: EventHandle,
-            served_at: Rc<RefCell<Vec<Instant>>>,
         }
-        impl ThreadBody for Waiter {
-            fn next_action(&mut self, ctx: &mut BodyCtx, completion: Completion) -> Action {
+        impl ThreadBody<Vec<Instant>> for Waiter {
+            fn next_action(
+                &mut self,
+                ctx: &mut BodyCtx<'_, Vec<Instant>>,
+                completion: Completion,
+            ) -> Action {
                 match completion {
                     Completion::Started | Completion::Computed { .. } => {
                         Action::WaitForEvent(self.event)
                     }
                     Completion::EventFired => {
-                        self.served_at.borrow_mut().push(ctx.now());
+                        let now = ctx.now();
+                        ctx.world().push(now);
                         Action::Compute {
                             amount: Span::from_units(2),
                             unit: task_unit(0),
@@ -1004,34 +1033,29 @@ mod tests {
                 }
             }
         }
-        let served_at = Rc::new(RefCell::new(Vec::new()));
-        engine.spawn(
-            "waiter",
-            Priority::new(10),
-            Box::new(Waiter {
-                event,
-                served_at: served_at.clone(),
-            }),
-        );
-        let trace = engine.run();
-        assert_eq!(*served_at.borrow(), vec![Instant::from_units(4)]);
+        engine.spawn("waiter", Priority::new(10), Box::new(Waiter { event }));
+        let (trace, served_at) = engine.run_with_world();
+        assert_eq!(served_at, vec![Instant::from_units(4)]);
         assert_eq!(trace.busy_time(task_unit(0)), Span::from_units(2));
     }
 
     #[test]
     fn fires_before_the_wait_are_remembered_as_pending() {
-        let mut engine = Engine::new(config(20));
+        let mut engine = Engine::with_world(config(20), Vec::new());
         let event = engine.create_event();
         engine.add_one_shot_timer(Instant::from_units(1), event);
         // The waiter only starts waiting at t=5 (it computes first); the fire
         // at t=1 must not be lost.
         struct LateWaiter {
             event: EventHandle,
-            woke: Rc<RefCell<Option<Instant>>>,
             phase: u8,
         }
-        impl ThreadBody for LateWaiter {
-            fn next_action(&mut self, ctx: &mut BodyCtx, completion: Completion) -> Action {
+        impl ThreadBody<Vec<Instant>> for LateWaiter {
+            fn next_action(
+                &mut self,
+                ctx: &mut BodyCtx<'_, Vec<Instant>>,
+                completion: Completion,
+            ) -> Action {
                 self.phase += 1;
                 match self.phase {
                     1 => Action::Compute {
@@ -1041,61 +1065,71 @@ mod tests {
                     2 => Action::WaitForEvent(self.event),
                     3 => {
                         assert_eq!(completion, Completion::EventFired);
-                        *self.woke.borrow_mut() = Some(ctx.now());
+                        let now = ctx.now();
+                        ctx.world().push(now);
                         Action::Terminate
                     }
                     _ => Action::Terminate,
                 }
             }
         }
-        let woke = Rc::new(RefCell::new(None));
         engine.spawn(
             "late",
             Priority::new(10),
-            Box::new(LateWaiter {
-                event,
-                woke: woke.clone(),
-                phase: 0,
-            }),
+            Box::new(LateWaiter { event, phase: 0 }),
         );
-        let trace = engine.run();
-        assert_eq!(*woke.borrow(), Some(Instant::from_units(5)));
+        let (trace, woke) = engine.run_with_world();
+        assert_eq!(woke, vec![Instant::from_units(5)]);
         assert!(trace.check_invariants().is_ok());
     }
 
-    #[test]
-    fn interruptible_compute_is_cut_at_the_budget() {
-        let mut engine = Engine::new(config(20));
-        struct Budgeted {
-            outcomes: Rc<RefCell<Vec<Completion>>>,
-            issued: bool,
-        }
-        impl ThreadBody for Budgeted {
-            fn next_action(&mut self, _ctx: &mut BodyCtx, completion: Completion) -> Action {
-                if !self.issued {
-                    self.issued = true;
-                    return Action::ComputeInterruptible {
-                        amount: Span::from_units(5),
-                        budget: Span::from_units(3),
-                        unit: task_unit(0),
-                    };
-                }
-                self.outcomes.borrow_mut().push(completion);
-                Action::Terminate
+    /// A body that issues one interruptible compute of `amount` under
+    /// `budget`, logs how it ended into the world and terminates.
+    struct Budgeted {
+        amount: Span,
+        budget: Span,
+        issued: bool,
+    }
+
+    impl ThreadBody<Vec<Completion>> for Budgeted {
+        fn next_action(
+            &mut self,
+            ctx: &mut BodyCtx<'_, Vec<Completion>>,
+            completion: Completion,
+        ) -> Action {
+            if !self.issued {
+                self.issued = true;
+                return Action::ComputeInterruptible {
+                    amount: self.amount,
+                    budget: self.budget,
+                    unit: task_unit(0),
+                };
             }
+            ctx.world().push(completion);
+            Action::Terminate
         }
-        let outcomes = Rc::new(RefCell::new(Vec::new()));
+    }
+
+    /// Runs one [`Budgeted`] body and returns its logged completions.
+    fn run_budgeted(amount: u64, budget: u64) -> (Trace, Vec<Completion>) {
+        let mut engine = Engine::with_world(config(20), Vec::new());
         engine.spawn(
             "budgeted",
             Priority::new(10),
             Box::new(Budgeted {
-                outcomes: outcomes.clone(),
+                amount: Span::from_units(amount),
+                budget: Span::from_units(budget),
                 issued: false,
             }),
         );
-        let trace = engine.run();
+        engine.run_with_world()
+    }
+
+    #[test]
+    fn interruptible_compute_is_cut_at_the_budget() {
+        let (trace, outcomes) = run_budgeted(5, 3);
         assert_eq!(
-            *outcomes.borrow(),
+            outcomes,
             vec![Completion::Interrupted {
                 consumed: Span::from_units(3)
             }]
@@ -1105,37 +1139,9 @@ mod tests {
 
     #[test]
     fn interruptible_compute_completes_within_budget() {
-        let mut engine = Engine::new(config(20));
-        struct Budgeted {
-            outcomes: Rc<RefCell<Vec<Completion>>>,
-            issued: bool,
-        }
-        impl ThreadBody for Budgeted {
-            fn next_action(&mut self, _ctx: &mut BodyCtx, completion: Completion) -> Action {
-                if !self.issued {
-                    self.issued = true;
-                    return Action::ComputeInterruptible {
-                        amount: Span::from_units(2),
-                        budget: Span::from_units(3),
-                        unit: task_unit(0),
-                    };
-                }
-                self.outcomes.borrow_mut().push(completion);
-                Action::Terminate
-            }
-        }
-        let outcomes = Rc::new(RefCell::new(Vec::new()));
-        engine.spawn(
-            "budgeted",
-            Priority::new(10),
-            Box::new(Budgeted {
-                outcomes: outcomes.clone(),
-                issued: false,
-            }),
-        );
-        engine.run();
+        let (_, outcomes) = run_budgeted(2, 3);
         assert_eq!(
-            *outcomes.borrow(),
+            outcomes,
             vec![Completion::Computed {
                 consumed: Span::from_units(2)
             }]
@@ -1176,34 +1182,25 @@ mod tests {
     }
 
     #[test]
-    fn fire_hooks_run_and_can_cascade() {
-        let mut engine = Engine::new(config(10));
+    fn the_world_runs_fire_hooks_and_they_can_cascade() {
+        /// Event 0's hook cascades into event 1; both log their fires.
+        struct Cascade(Vec<(usize, Instant)>);
+        impl World for Cascade {
+            fn fire(&mut self, event: EventHandle, ctx: &mut FireCtx) {
+                self.0.push((event.raw(), ctx.now()));
+                if event.raw() == 0 {
+                    ctx.fire(EventHandle::from_raw(1));
+                }
+            }
+        }
+        let mut engine = Engine::with_world(config(10), Cascade(Vec::new()));
         let first = engine.create_event();
-        let second = engine.create_event();
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let log1 = log.clone();
-        engine.add_fire_hook(
-            first,
-            Box::new(move |ctx| {
-                log1.borrow_mut().push(("first", ctx.now()));
-                ctx.fire(second);
-            }),
-        );
-        let log2 = log.clone();
-        engine.add_fire_hook(
-            second,
-            Box::new(move |ctx| {
-                log2.borrow_mut().push(("second", ctx.now()));
-            }),
-        );
+        engine.create_event();
         engine.add_one_shot_timer(Instant::from_units(3), first);
-        engine.run();
+        let (_, Cascade(log)) = engine.run_with_world();
         assert_eq!(
-            *log.borrow(),
-            vec![
-                ("first", Instant::from_units(3)),
-                ("second", Instant::from_units(3))
-            ]
+            log,
+            vec![(0, Instant::from_units(3)), (1, Instant::from_units(3))]
         );
     }
 

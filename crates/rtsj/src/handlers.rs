@@ -42,8 +42,8 @@ impl PeriodicThreadBody {
     }
 }
 
-impl ThreadBody for PeriodicThreadBody {
-    fn next_action(&mut self, _ctx: &mut BodyCtx, completion: Completion) -> Action {
+impl<W> ThreadBody<W> for PeriodicThreadBody {
+    fn next_action(&mut self, _ctx: &mut BodyCtx<'_, W>, completion: Completion) -> Action {
         match completion {
             Completion::Started | Completion::Computed { .. } | Completion::Interrupted { .. } => {
                 Action::WaitForNextPeriod
@@ -98,8 +98,8 @@ impl BoundHandlerBody {
     }
 }
 
-impl ThreadBody for BoundHandlerBody {
-    fn next_action(&mut self, ctx: &mut BodyCtx, completion: Completion) -> Action {
+impl<W> ThreadBody<W> for BoundHandlerBody {
+    fn next_action(&mut self, ctx: &mut BodyCtx<'_, W>, completion: Completion) -> Action {
         match completion {
             Completion::Started => Action::WaitForEvent(self.event),
             Completion::EventFired => {

@@ -10,10 +10,14 @@
 //!   `TaskServerParameters`);
 //! * [`body`] — the coroutine-style protocol ([`body::ThreadBody`]) through
 //!   which schedulable objects describe their behaviour to the engine,
-//!   covering `waitForNextPeriod`, event waits and `Timed.doInterruptible`;
+//!   covering `waitForNextPeriod`, event waits and `Timed.doInterruptible`,
+//!   and reach shared state through their context's world;
 //! * [`engine`] — a deterministic virtual-time, preemptive fixed-priority
 //!   (or EDF) execution engine with asynchronous events, timers running
-//!   above every application priority, and `Timed` budget enforcement;
+//!   above every application priority, and `Timed` budget enforcement. It
+//!   carries one world value ([`World`]) that its bodies reach through
+//!   their context and that runs each event's fire hook, so bodies and
+//!   hooks share state without co-owning it;
 //! * [`overhead`] — the explicit runtime-cost model that recreates the
 //!   execution-vs-simulation gap measured by the paper;
 //! * [`handlers`] — ready-made bodies for periodic real-time threads and
@@ -72,7 +76,7 @@ pub mod params;
 pub mod wallclock;
 
 pub use body::{Action, BodyCtx, Completion, ThreadBody};
-pub use engine::{Engine, EngineConfig, EventHandle, FireCtx, FireHook, ThreadHandle};
+pub use engine::{Engine, EngineConfig, EventHandle, FireCtx, ThreadHandle, World};
 pub use handlers::{BoundHandlerBody, HandlerRun, PeriodicThreadBody};
 pub use overhead::OverheadModel;
 pub use params::{

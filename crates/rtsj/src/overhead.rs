@@ -58,11 +58,6 @@ impl OverheadModel {
         }
     }
 
-    /// Total cost charged against the budget of one dispatched handler.
-    pub fn per_dispatch(&self) -> Span {
-        self.dispatch + self.enforcement
-    }
-
     /// Scales every component by an integer factor (used by the ablation
     /// benches to sweep the overhead magnitude).
     pub fn scaled(&self, factor: u64) -> Self {
@@ -93,15 +88,13 @@ mod tests {
     fn none_is_all_zero() {
         let none = OverheadModel::none();
         assert!(none.is_none());
-        assert_eq!(none.per_dispatch(), Span::ZERO);
     }
 
     #[test]
     fn reference_is_small_but_nonzero() {
         let reference = OverheadModel::reference();
         assert!(!reference.is_none());
-        assert!(reference.per_dispatch() < Span::from_units(1));
-        assert_eq!(reference.per_dispatch(), Span::from_ticks(150));
+        assert!(reference.dispatch + reference.enforcement < Span::from_units(1));
     }
 
     #[test]

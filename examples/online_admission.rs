@@ -20,7 +20,7 @@ fn main() {
     // A polling server with capacity 4 / period 6 at the top priority.
     let params =
         TaskServerParameters::new(Span::from_units(4), Span::from_units(6), Priority::new(30));
-    let shared = ServerShared::new(
+    let mut shared = ServerShared::new(
         params,
         ServerPolicyKind::Polling,
         OverheadModel::none(),
@@ -52,13 +52,13 @@ fn main() {
     for (id, cost_units) in queries {
         let cost = Span::from_units_f64(cost_units);
         // Prediction for the *textbook* polling server, equations (1)–(4).
-        let textbook = textbook_prediction(&shared.borrow(), now, cost);
+        let textbook = textbook_prediction(&shared, now, cost);
         // Decision against the ceiling.
-        let accept = controller.admit(&shared.borrow(), now, cost);
+        let accept = controller.admit(&shared, now, cost);
         if accept {
             // Register the query with the server: the list-of-lists queue
             // assigns its service slot in O(1).
-            shared.borrow_mut().released(
+            shared.released(
                 QueuedRelease::new(
                     EventId::new(id),
                     ServableHandler::new(HandlerId::new(id), cost),
@@ -70,7 +70,7 @@ fn main() {
         }
         // Equation (5) prediction from the stored slot (only for admitted
         // queries, which are the ones actually pending).
-        let implementation = predicted_response(&shared.borrow(), EventId::new(id));
+        let implementation = predicted_response(&shared, EventId::new(id));
         println!(
             "{:>6} {:>8} {:>12} {:>12} {:>10}",
             format!("q{id}"),
@@ -83,9 +83,8 @@ fn main() {
     println!("\nadmitted {admitted}/{} queries", queries.len());
     println!(
         "pending work after admission: {} events, {} tu declared",
-        shared.borrow().queue.len(),
+        shared.queue.len(),
         shared
-            .borrow()
             .queue
             .iter()
             .map(|r| r.declared_cost().as_units())

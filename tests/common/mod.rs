@@ -2,5 +2,6 @@
 //! needs them declares `mod common;` — the directory itself is not
 //! compiled as a test.
 
+pub mod diff;
 pub mod invariants;
 pub mod specgen;

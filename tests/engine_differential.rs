@@ -31,6 +31,7 @@ use rtsj_event_framework::taskserver::{
 };
 
 mod common;
+use common::diff::assert_same_rendering;
 use common::invariants::assert_trace_invariants;
 
 /// Asserts the execution loops agree on one system under one configuration:
@@ -39,17 +40,25 @@ use common::invariants::assert_trace_invariants;
 fn assert_execution_agrees(spec: &SystemSpec, config: ExecutionConfig) {
     let fast = execute(spec, &config);
     let reference = execute_reference(spec, &config);
-    assert_eq!(
-        fast.render_canonical(),
-        reference.render_canonical(),
-        "execute and the linear-scan reference diverged on {}",
-        spec.name
+    let rendered = fast.render_canonical();
+    assert_same_rendering(
+        &reference.render_canonical(),
+        &rendered,
+        &format!(
+            "execute and the linear-scan reference diverged on {}",
+            spec.name
+        ),
     );
     // PartialEq covers everything render_canonical might abstract away.
     assert_eq!(fast, reference, "trace equality mismatch on {}", spec.name);
+    let observed = execute_with_probe(spec, &config, &mut MetricsProbe::new());
+    assert_same_rendering(
+        &rendered,
+        &observed.render_canonical(),
+        &format!("execute and the observed driver diverged on {}", spec.name),
+    );
     assert_eq!(
-        fast,
-        execute_with_probe(spec, &config, &mut MetricsProbe::new()),
+        fast, observed,
         "execute and the observed driver diverged on {}",
         spec.name
     );
@@ -60,11 +69,13 @@ fn assert_execution_agrees(spec: &SystemSpec, config: ExecutionConfig) {
 fn assert_simulation_agrees(spec: &SystemSpec) {
     let fast = simulate(spec);
     let reference = simulate_reference(spec);
-    assert_eq!(
-        fast.render_canonical(),
-        reference.render_canonical(),
-        "simulate and the linear-scan reference diverged on {}",
-        spec.name
+    assert_same_rendering(
+        &reference.render_canonical(),
+        &fast.render_canonical(),
+        &format!(
+            "simulate and the linear-scan reference diverged on {}",
+            spec.name
+        ),
     );
     assert_eq!(fast, reference, "trace equality mismatch on {}", spec.name);
     assert_trace_invariants(spec, &fast);
@@ -357,10 +368,19 @@ fn execution_plan_is_reusable() {
     let config = ExecutionConfig::reference();
     let plan = compiled.execution_plan(&config);
     let first = plan.run();
-    let second = plan.run();
-    assert_eq!(first, second, "plan reruns must be deterministic");
-    assert_eq!(first, execute(&spec, &config));
-    assert_eq!(first, execute_reference(&spec, &config));
+    let rendered = first.render_canonical();
+    for (label, trace) in [
+        ("its rerun", plan.run()),
+        ("execute", execute(&spec, &config)),
+        ("execute_reference", execute_reference(&spec, &config)),
+    ] {
+        assert_same_rendering(
+            &rendered,
+            &trace.render_canonical(),
+            &format!("a plan's run and {label} diverged"),
+        );
+        assert_eq!(first, trace, "a plan's run and {label} diverged");
+    }
 }
 
 #[test]

@@ -28,6 +28,9 @@ use rtsj_event_framework::taskserver::{
     execute, execute_reference, execute_with_probe, ExecutionConfig, QueueKind,
 };
 
+mod common;
+use common::diff::assert_same_rendering;
+
 /// The three figure scenarios' traffic: (release, actual cost, declared cost).
 fn scenario_events(scenario: u32) -> &'static [(u64, u64, Option<u64>)] {
     match scenario {
@@ -116,7 +119,8 @@ fn exec_loops(spec: &SystemSpec, config: ExecutionConfig) -> Vec<(&'static str, 
 ///
 /// The first loop is the retained linear-scan reference and is what
 /// regeneration writes, so fixture provenance always stays with the seed
-/// implementation; every other loop must match the same bytes.
+/// implementation; every other loop must match the same bytes. A mismatch
+/// names the first differing line of the rendering.
 fn check_golden(name: &str, loops: &[(&str, String)]) {
     let path = golden_path(name);
     if std::env::var("UPDATE_GOLDENS").is_ok() {
@@ -126,10 +130,13 @@ fn check_golden(name: &str, loops: &[(&str, String)]) {
     let expected = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden {path:?} ({e}); run with UPDATE_GOLDENS=1"));
     for (label, rendered) in loops {
-        assert_eq!(
-            &expected, rendered,
-            "{label} diverged from golden {name}; if the change is intentional, \
-             regenerate with UPDATE_GOLDENS=1 and review the diff"
+        assert_same_rendering(
+            &expected,
+            rendered,
+            &format!(
+                "{label} diverged from golden {name}; if the change is intentional, \
+                 regenerate with UPDATE_GOLDENS=1 and review the diff"
+            ),
         );
     }
 }
@@ -553,4 +560,22 @@ fn fault_executions_match_goldens() {
         let name = format!("fault_exec_{variant}_{policy:?}").to_lowercase();
         check_golden(&name, &exec_loops(&spec, ExecutionConfig::reference()));
     }
+}
+
+/// The helper every golden check reports through: a mismatch names the
+/// first differing line, with context from each side, in at most 20 lines.
+#[test]
+fn divergence_reports_name_the_first_differing_line_with_context() {
+    let expected = "a\nb\nc\nd\ne\n";
+    let actual = "a\nb\nX\nd\ne\n";
+    let report = common::diff::first_divergence(expected, actual, "demo");
+    assert_eq!(
+        report,
+        "demo\nfirst difference at line 3\n\
+         --- expected (5 lines)\n      2 | b\n>     3 | c\n      4 | d\n\
+         --- actual (5 lines)\n      2 | b\n>     3 | X\n      4 | d\n"
+    );
+    assert!(report.lines().count() <= 20);
+    let truncated = common::diff::first_divergence("a\nb\n", "a\n", "cut");
+    assert!(truncated.contains(">     2 | <end>"), "{truncated}");
 }

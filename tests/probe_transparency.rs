@@ -12,23 +12,27 @@
 //! * **counter pinning** — the execution driver's recording instantiation
 //!   reports exactly the counters the event-calendar engine it replaced
 //!   reported over the same matrix;
-//! * **counter/fate agreement** — the simulator's admission counters agree
-//!   with the fates its trace records: one rejection report per `Rejected`
-//!   fate, one displacement or budget-exhaustion report per `Aborted` fate,
-//!   and one verdict per arrival routed to a lane;
+//! * **counter/fate agreement** — each world's admission counters agree
+//!   with the fates its trace records. The simulator reports one rejection
+//!   per `Rejected` fate, one displacement or budget exhaustion per
+//!   `Aborted` fate, and one verdict per arrival routed to a lane. The
+//!   execution world reports the same verdicts live from its lanes, under
+//!   both overhead models: an `Aborted` verdict per `Aborted` fate, and a
+//!   capacity exhaustion per budget cut (every `Interrupted` fate and every
+//!   enforcement abort);
 //! * **fuzz extension** — the same seeded generator the cross-engine fuzzer
 //!   uses (`tests/common/specgen.rs`) drives randomized transparency and
 //!   counter checks, so the matrix keeps covering whatever the fuzz grammar
 //!   can produce.
 //!
-//! The execution world is transparency-checked but *not* metrics-compared to
-//! the simulation world: its substrate (non-resumable handlers, overhead
-//! phases, event fires) is structurally different, so its counter stream
-//! is its own reference.
+//! The execution world's counters are *not* compared to the simulation
+//! world's: its substrate (non-resumable handlers, overhead phases, event
+//! fires) is structurally different. Its decision-loop stream is pinned to
+//! the engine it replaced, and its admission counters to its own fates.
 
 use rtsj_event_framework::model::{
     AdmissionPolicy, AperiodicFate, Instant, Priority, SchedulingPolicy, ServerPolicyKind,
-    ServerSpec, Span, SystemSpec,
+    ServerSpec, Span, SystemSpec, Trace,
 };
 use rtsj_event_framework::observe::{
     chrome_trace_json, Counters, MetricsProbe, SpanProbe, UnitNames,
@@ -129,27 +133,33 @@ fn assert_probe_transparent(spec: &SystemSpec) {
     }
 }
 
-/// Asserts the simulator's admission counters agree with the fates of the
-/// trace it produced for `spec`; returns the counters.
-fn assert_sim_counters_match_fates(spec: &SystemSpec) -> Counters {
-    let mut probe = MetricsProbe::new();
-    let trace = simulate_with_probe(spec, &mut probe);
-    let fates = |is: fn(&AperiodicFate) -> bool| {
-        trace.outcomes.iter().filter(|o| is(&o.fate)).count() as u64
-    };
-    let rejected = fates(|f| matches!(f, AperiodicFate::Rejected { .. }));
-    let aborted = fates(|f| matches!(f, AperiodicFate::Aborted { .. }));
-    // Arrivals routed to an existing lane within the horizon, after the
-    // arrival faults reshaped the stream: each gets exactly one verdict.
+/// Number of fates in `trace` matching `is`.
+fn fates(trace: &Trace, is: fn(&AperiodicFate) -> bool) -> u64 {
+    trace.outcomes.iter().filter(|o| is(&o.fate)).count() as u64
+}
+
+/// Arrivals routed to an existing lane within the horizon, after the arrival
+/// faults reshaped the stream: each gets exactly one admission verdict.
+fn routed_arrivals(spec: &SystemSpec) -> u64 {
     let faulted = spec.apply_arrival_faults();
-    let routed = faulted
+    faulted
         .as_ref()
         .unwrap_or(spec)
         .workload()
         .within_horizon()
         .iter()
         .filter(|e| e.server < spec.servers.len())
-        .count() as u64;
+        .count() as u64
+}
+
+/// Asserts the simulator's admission counters agree with the fates of the
+/// trace it produced for `spec`; returns the counters.
+fn assert_sim_counters_match_fates(spec: &SystemSpec) -> Counters {
+    let mut probe = MetricsProbe::new();
+    let trace = simulate_with_probe(spec, &mut probe);
+    let rejected = fates(&trace, |f| matches!(f, AperiodicFate::Rejected { .. }));
+    let aborted = fates(&trace, |f| matches!(f, AperiodicFate::Aborted { .. }));
+    let routed = routed_arrivals(spec);
     let counters = probe.counters;
     assert_eq!(
         counters.admission_rejected, rejected,
@@ -171,11 +181,56 @@ fn assert_sim_counters_match_fates(spec: &SystemSpec) -> Counters {
     counters
 }
 
+/// Asserts the execution driver's live admission and capacity counters
+/// agree with the fates of the trace it produced for `spec` under
+/// `config`; returns the counters.
+fn assert_exec_counters_match_fates(spec: &SystemSpec, config: &ExecutionConfig) -> Counters {
+    let mut probe = MetricsProbe::new();
+    let trace = execute_with_probe(spec, config, &mut probe);
+    let rejected = fates(&trace, |f| matches!(f, AperiodicFate::Rejected { .. }));
+    let aborted = fates(&trace, |f| matches!(f, AperiodicFate::Aborted { .. }));
+    let interrupted = fates(&trace, |f| matches!(f, AperiodicFate::Interrupted { .. }));
+    let routed = routed_arrivals(spec);
+    let counters = probe.counters;
+    let context = format!("{} ({config:?})", spec.name);
+    assert_eq!(
+        counters.admission_rejected, rejected,
+        "{context}: rejection reports vs Rejected fates"
+    );
+    assert_eq!(
+        counters.admission_aborted, aborted,
+        "{context}: abort reports vs Aborted fates"
+    );
+    assert_eq!(
+        counters.admission_accepted + counters.admission_rejected,
+        routed,
+        "{context}: one admission verdict per routed arrival"
+    );
+    // Every budget cut exhausts a grant: each Interrupted fate is one, and
+    // so is each enforcement abort (an Aborted fate that was not a
+    // displacement).
+    assert!(
+        interrupted <= counters.cap_exhaustions
+            && counters.cap_exhaustions <= interrupted + aborted,
+        "{context}: {} capacity exhaustions vs {interrupted} Interrupted and {aborted} Aborted fates",
+        counters.cap_exhaustions
+    );
+    counters
+}
+
 #[test]
 fn recording_probes_are_transparent_across_the_matrix() {
+    let mut seen = Counters::default();
     for spec in matrix() {
         assert_probe_transparent(&spec);
+        for config in [ExecutionConfig::reference(), ExecutionConfig::ideal()] {
+            seen.merge(&assert_exec_counters_match_fates(&spec, &config));
+        }
     }
+    // Not vacuous: the executions refuse, abort and cut work short.
+    assert!(seen.admission_rejected > 0, "no execution rejection");
+    assert!(seen.admission_aborted > 0, "no execution abort");
+    assert!(seen.cap_exhaustions > 0, "no execution budget cut");
 }
 
 /// The execution driver's recording instantiation reports the hook stream
@@ -285,5 +340,8 @@ fn seeded_fuzz_probe_transparency() {
         let spec = random_spec(seed);
         assert_probe_transparent(&spec);
         assert_sim_counters_match_fates(&spec);
+        for config in [ExecutionConfig::reference(), ExecutionConfig::ideal()] {
+            assert_exec_counters_match_fates(&spec, &config);
+        }
     }
 }
