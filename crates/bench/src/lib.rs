@@ -1,61 +1,170 @@
-//! # rt-bench — benchmark harness
+//! # rt-bench — the bench trajectory and its gates
 //!
-//! Criterion benchmarks that regenerate every table and figure of the paper
-//! (`table2_ps_simulation`, `table3_ps_execution`, `table4_ds_simulation`,
-//! `table5_ds_execution`, `figures_scenarios`, `online_rta`) plus two
-//! ablations (`ablation_queue`: flat FIFO vs list-of-lists admission cost;
-//! `ablation_engine`: simulator vs execution-engine throughput and the effect
-//! of the overhead model). Each table bench prints the reproduced AART / AIR /
-//! ASR rows next to the paper's published values once per run, then measures
-//! the cost of regenerating the table.
+//! The workspace's one benchmark is the `engine_scaling` bench target of
+//! this crate, a plain binary (`cargo bench -p rt-bench --bench
+//! engine_scaling [group…]`). It writes the rows it measures to
+//! `BENCH_engine_scaling.json` under Cargo's target directory; the copy at
+//! the repository root is a snapshot, refreshed only on purpose. This
+//! library holds what the binary and the tests share:
 //!
-//! The crate also hosts the **persisted bench trajectory**: the
-//! `engine_scaling` bench writes its reference-vs-fast per-decision
-//! summary to `BENCH_engine_scaling.json` at the repository root through
-//! [`write_bench_trajectory`], and [`parse_bench_trajectory`] reads it back
-//! (the CI bench smoke regenerates the file and checks it parses). The JSON
-//! is hand-rolled because the offline `serde` shim has no JSON backend.
+//! * [`BenchRecord`] and the hand-rolled JSON of the trajectory
+//!   ([`render_bench_trajectory`], [`parse_bench_trajectory`]) — hand-rolled
+//!   because the offline `serde` shim has no JSON backend;
+//! * [`GROUPS`], the groups a full run measures, and [`GATES`] with
+//!   [`gate_failures`], every bound the benchmark asserts. The binary checks
+//!   its fresh rows against them, and a unit test checks the snapshot.
 //!
-//! The same cursor backs [`validate_chrome_trace`], the CI parse-check for
-//! the Perfetto/Chrome trace files `repro observe --trace-out` emits.
+//! The same JSON cursor backs [`validate_chrome_trace`], the parse-check
+//! for the Perfetto/Chrome trace files `repro observe --trace-out` emits.
 
 #![forbid(unsafe_code)]
 
-use rt_experiments::{reproduce_table, side_by_side, PaperTable, TableConfig};
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
 
-/// Reproduces a table with the full paper configuration and prints it next to
-/// the published values; returns the reproduced table so benches can keep it
-/// as the measured workload's result.
-pub fn print_and_reproduce(table: PaperTable) -> rt_metrics::ResultTable {
-    let config = TableConfig::default();
-    let reproduced = reproduce_table(table, &config);
-    println!("{}", side_by_side(table, &reproduced));
-    reproduced
-}
-
-/// One row of the persisted bench trajectory: a workload configuration inside
-/// a benchmark group, its per-decision cost (a decision instant is one trace
-/// segment — the denominator is engine-independent because the fast and
-/// reference traces are byte-identical), and its speedup against the
-/// group's baseline row (`1.0` for the baseline rows themselves).
+/// One row of the persisted bench trajectory: a workload configuration
+/// inside a benchmark group, its cost per decision, and its speedup against
+/// the first row of the comparison it was timed in (`1.0` for that row).
+///
+/// A decision is one trace segment for an engine run — the count is
+/// engine-independent, because the fast and oracle traces are
+/// byte-identical — one admission prediction in the `admission` group's
+/// `incremental`/`repack` rows, and one compilation in `compile-cost`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
-    /// Benchmark group the row belongs to (`scaling`, `edf`, `overload`, …).
+    /// Benchmark group the row belongs to (one of [`GROUPS`]).
     pub group: String,
-    /// Workload configuration inside the group (e.g. `sim/300/compiled`).
+    /// Workload configuration inside the group (e.g. `sim/300/fast`).
     pub config: String,
-    /// Mean wall-clock nanoseconds per decision instant.
+    /// Wall-clock nanoseconds per decision, fastest of several runs.
     pub ns_per_decision: f64,
-    /// Speedup against the baseline row of the same workload.
+    /// Speedup against the first row of its comparison.
     pub speedup: f64,
 }
 
-/// Location of the persisted trajectory: `BENCH_engine_scaling.json` at the
-/// repository root, resolved relative to this crate's manifest.
-pub fn bench_trajectory_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine_scaling.json")
+/// The groups of the `engine_scaling` bench, in the order a full run
+/// measures them. Each is also the positional argument that selects it.
+pub const GROUPS: [&str; 10] = [
+    "scaling",
+    "edf",
+    "admission",
+    "overload",
+    "horizon",
+    "faults",
+    "observe",
+    "compile-cost",
+    "harness",
+    "paper",
+];
+
+/// An asserted bound: within `group`, the `row` may cost at most
+/// `max_ratio` times the `base` row per decision.
+#[derive(Debug, Clone, Copy)]
+pub struct Gate {
+    /// Group both rows belong to.
+    pub group: &'static str,
+    /// The bounded row.
+    pub row: &'static str,
+    /// The row it is bounded against.
+    pub base: &'static str,
+    /// Largest allowed `row / base` ratio of ns per decision.
+    pub max_ratio: f64,
+    /// What the bound certifies.
+    pub claim: &'static str,
+}
+
+impl Gate {
+    /// `row / base` in ns per decision, or `None` unless both rows are
+    /// present.
+    pub fn ratio(&self, records: &[BenchRecord]) -> Option<f64> {
+        let ns = |config: &str| {
+            records
+                .iter()
+                .find(|r| r.group == self.group && r.config == config)
+                .map(|r| r.ns_per_decision)
+        };
+        Some(ns(self.row)? / ns(self.base)?)
+    }
+}
+
+impl std::fmt::Display for Gate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{g}/{} <= {}x {g}/{} ({})",
+            self.row,
+            self.max_ratio,
+            self.base,
+            self.claim,
+            g = self.group
+        )
+    }
+}
+
+/// Every gate the `engine_scaling` bench asserts.
+pub const GATES: [Gate; 7] = [
+    Gate {
+        group: "scaling",
+        row: "sim/300/fast",
+        base: "sim/300/oracle",
+        max_ratio: 0.2,
+        claim: "the fast simulation is at least 5x the oracle at 300 tasks",
+    },
+    Gate {
+        group: "scaling",
+        row: "exec/300/fast",
+        base: "exec/300/oracle",
+        max_ratio: 0.2,
+        claim: "the fast execution is at least 5x the oracle at 300 tasks",
+    },
+    Gate {
+        group: "admission",
+        row: "incremental/4096",
+        base: "incremental/256",
+        max_ratio: 1.5,
+        claim: "an admission decision costs O(log backlog): log2 4096 / log2 256",
+    },
+    Gate {
+        group: "overload",
+        row: "exec/10000",
+        base: "exec/1000",
+        max_ratio: 2.0,
+        claim: "the overloaded execution stays linear in the horizon",
+    },
+    Gate {
+        group: "horizon",
+        row: "exec/100000",
+        base: "exec/1000",
+        max_ratio: 2.0,
+        claim: "the execution's cost per decision stays flat up to 10^5 units",
+    },
+    Gate {
+        group: "compile-cost",
+        row: "events/100000",
+        base: "events/100",
+        max_ratio: 1.2,
+        claim: "compilation does not walk the events",
+    },
+    Gate {
+        group: "harness",
+        row: "workers/4",
+        base: "workers/1",
+        max_ratio: 0.5,
+        claim: "4 workers give at least 2x the systems per second of 1",
+    },
+];
+
+/// One message per gate of [`GATES`] that `records` violate, naming the
+/// gate and the measured ratio. A gate applies whenever both of its rows
+/// are present.
+pub fn gate_failures(records: &[BenchRecord]) -> Vec<String> {
+    GATES
+        .iter()
+        .filter_map(|gate| {
+            let ratio = gate.ratio(records)?;
+            (ratio > gate.max_ratio || ratio.is_nan())
+                .then(|| format!("gate {gate} failed: ratio {ratio:.3}"))
+        })
+        .collect()
 }
 
 fn escape_json(s: &str) -> String {
@@ -100,13 +209,6 @@ pub fn render_bench_trajectory(records: &[BenchRecord]) -> String {
     out.push_str("  ]\n");
     out.push_str("}\n");
     out
-}
-
-/// Writes the trajectory to [`bench_trajectory_path`] and returns the path.
-pub fn write_bench_trajectory(records: &[BenchRecord]) -> std::io::Result<PathBuf> {
-    let path = bench_trajectory_path();
-    std::fs::write(&path, render_bench_trajectory(records))?;
-    Ok(path)
 }
 
 /// Minimal JSON cursor for [`parse_bench_trajectory`]: just enough grammar
@@ -377,8 +479,7 @@ fn parse_trace_event(cursor: &mut JsonCursor<'_>) -> Result<TraceEventFields, St
 
 /// Parses a trajectory file produced by [`render_bench_trajectory`], checking
 /// the header fields and that every record carries the four expected keys
-/// with finite numbers. Used by the CI smoke to validate the regenerated
-/// `BENCH_engine_scaling.json`.
+/// with finite numbers.
 pub fn parse_bench_trajectory(text: &str) -> Result<Vec<BenchRecord>, String> {
     let mut cursor = JsonCursor::new(text);
     cursor.eat(b'{')?;
@@ -470,13 +571,13 @@ mod tests {
         vec![
             BenchRecord {
                 group: "scaling".into(),
-                config: "sim/300/reference".into(),
+                config: "sim/300/oracle".into(),
                 ns_per_decision: 1234.56,
                 speedup: 1.0,
             },
             BenchRecord {
                 group: "scaling".into(),
-                config: "sim/300/compiled".into(),
+                config: "sim/300/fast".into(),
                 ns_per_decision: 345.67,
                 speedup: 3.571,
             },
@@ -602,96 +703,65 @@ mod tests {
         );
     }
 
+    /// Two rows per gate whose ratio is `ratio` times the gate's bound.
+    fn gate_rows(ratio: f64) -> Vec<BenchRecord> {
+        let row = |group: &str, config: &str, ns_per_decision: f64| BenchRecord {
+            group: group.into(),
+            config: config.into(),
+            ns_per_decision,
+            speedup: 1.0,
+        };
+        GATES
+            .iter()
+            .flat_map(|gate| {
+                [
+                    row(gate.group, gate.base, 100.0),
+                    row(gate.group, gate.row, 100.0 * gate.max_ratio * ratio),
+                ]
+            })
+            .collect()
+    }
+
     #[test]
-    fn checked_in_trajectory_parses() {
-        // The CI bench smoke regenerates the file and re-runs this test; a
-        // missing file means the bench has never run in this tree, which the
-        // repository must not ship.
-        let path = bench_trajectory_path();
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{} unreadable: {e}", path.display()));
-        let records = parse_bench_trajectory(&text)
-            .unwrap_or_else(|e| panic!("{} malformed: {e}", path.display()));
-        assert!(
-            !records.is_empty(),
-            "trajectory must contain at least one record"
-        );
-        // Every scaling point pairs the fast engine (its rows keep the
-        // `compiled` name) with the reference oracle it is measured against.
-        for side in ["compiled", "reference"] {
+    fn every_gate_is_named_when_violated() {
+        let failures = gate_failures(&gate_rows(1.01));
+        assert_eq!(failures.len(), GATES.len(), "{failures:#?}");
+        for (gate, failure) in GATES.iter().zip(&failures) {
             assert!(
-                records
-                    .iter()
-                    .any(|r| r.group == "scaling" && r.config.ends_with(side)),
-                "trajectory must cover the {side} side of the scaling sweep"
+                failure.contains(&format!("{}/{}", gate.group, gate.row)),
+                "{failure:?} does not name {gate}"
             );
         }
-        // The compile-cost-vs-event-count sweep must be present (flatness
-        // is its acceptance gate), and the execution fast path must record
-        // a real speedup over the linear-scan reference.
-        let compile_cost: Vec<_> = records
-            .iter()
-            .filter(|r| r.group == "compile-cost")
-            .collect();
-        assert!(
-            !compile_cost.is_empty(),
-            "trajectory must cover the compile-cost event sweep"
+        assert_eq!(gate_failures(&gate_rows(0.99)), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_gate_applies_only_when_both_rows_are_present() {
+        let mut rows = gate_rows(2.0);
+        rows.retain(|r| r.config != "workers/4");
+        let failures = gate_failures(&rows);
+        assert_eq!(failures.len(), GATES.len() - 1);
+        assert!(failures.iter().all(|f| !f.contains("workers/4")));
+    }
+
+    #[test]
+    fn checked_in_trajectory_parses() {
+        // The snapshot at the repository root: refreshed only on purpose, by
+        // copying a full run's fresh file over it.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_engine_scaling.json"
         );
-        assert!(
-            compile_cost.iter().all(|r| r.ns_per_decision > 0.0),
-            "compile-cost rows must carry real timings"
-        );
-        assert!(
-            records
-                .iter()
-                .any(|r| r.group == "scaling" && r.config.contains("exec") && r.speedup > 1.0),
-            "trajectory must record a fast-path speedup on the execution engine"
-        );
-        // The probe-overhead rows: a noop/metrics pair per probe-capable
-        // engine at the 300-task acceptance point. The simulator's noop row
-        // is the zero-cost gate's paper trail — it is measured through the
-        // plain entry point, which *is* the NoopProbe monomorphization.
-        for workload in ["exec/300", "sim-compiled/300"] {
-            for side in ["noop", "metrics"] {
-                let config = format!("{workload}/{side}");
-                assert!(
-                    records.iter().any(|r| r.group == "observe"
-                        && r.config == config
-                        && r.ns_per_decision > 0.0),
-                    "trajectory must carry the probe-overhead row {config}"
-                );
-            }
+        let text =
+            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path} unreadable: {e}"));
+        let records =
+            parse_bench_trajectory(&text).unwrap_or_else(|e| panic!("{path} malformed: {e}"));
+        for group in GROUPS {
+            assert!(
+                records.iter().any(|r| r.group == group),
+                "{path} lacks the {group} group"
+            );
         }
-        // The overloaded execution must stay linear in the horizon: its
-        // cost per trace segment at 10⁴ units within 2× of the 10³-unit
-        // baseline (a per-run quadratic pass, like the outcome completion
-        // that once scanned the outcome list per event, breaks this).
-        let overload_exec = |config: &str| {
-            records
-                .iter()
-                .find(|r| r.group == "overload" && r.config == config && r.ns_per_decision > 0.0)
-                .unwrap_or_else(|| panic!("trajectory must carry the overload row {config}"))
-        };
-        overload_exec("exec/1000");
-        let long = overload_exec("exec/10000");
-        assert!(
-            long.speedup >= 0.5,
-            "overloaded execution grew {:.2}× per segment from horizon 10³ to 10⁴ \
-             (gate: at most 2×)",
-            1.0 / long.speedup
-        );
-        // The paper-shaped rows: both worlds under both servers of the
-        // paper's tables, beside the synthetic 300-task points above.
-        for engine in ["sim", "exec"] {
-            for policy in ["ps", "ds"] {
-                let config = format!("{engine}/{policy}");
-                assert!(
-                    records.iter().any(|r| r.group == "paper"
-                        && r.config == config
-                        && r.ns_per_decision > 0.0),
-                    "trajectory must carry the paper-shaped row {config}"
-                );
-            }
-        }
+        assert_eq!(gate_failures(&records), Vec::<String>::new());
     }
 }

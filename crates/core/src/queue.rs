@@ -12,8 +12,7 @@
 //! has a cost lower than the remaining capacity", the FIFO-with-skip rule of
 //! §4.1 — and differ only in the cost of predicting a response time at
 //! admission ([`PendingQueue::predict_slot`]): O(n) for the flat FIFO (the
-//! packing has to be recomputed), O(1) for the list of lists. The
-//! `ablation_queue` benchmark measures exactly that difference.
+//! packing has to be recomputed), O(1) for the list of lists.
 //!
 //! # Indexed FIFO-with-skip
 //!

@@ -6,9 +6,7 @@
 //! So the average cost has no longer the correct value." The default model
 //! reproduces that clamping quirk faithfully (it contributes to the measured
 //! difference between homogeneous and heterogeneous sets); an alternative
-//! resampling model is provided so the effect of the quirk can be quantified
-//! (ablation benchmark `ablation_queue`/`ablation_engine` companions and the
-//! README's "Reproducing the paper" discussion).
+//! resampling model is provided so the effect of the quirk can be quantified.
 
 use crate::distributions::normal;
 use rand::Rng;
