@@ -519,10 +519,10 @@ fn paper_pipeline_allocations(policy: ServerPolicyKind) -> [(&'static str, f64);
 #[test]
 fn paper_pipeline_allocations_stay_under_their_ceilings() {
     for (policy, ceilings) in [
-        (ServerPolicyKind::Polling, [5.1, 0.0, 6.0, 26.1, 6.5, 0.0]),
+        (ServerPolicyKind::Polling, [5.1, 0.0, 6.0, 17.0, 6.5, 0.0]),
         (
             ServerPolicyKind::Deferrable,
-            [5.1, 0.0, 4.0, 23.3, 6.2, 0.0],
+            [5.1, 0.0, 4.0, 15.0, 6.2, 0.0],
         ),
     ] {
         for ((stage, count), ceiling) in

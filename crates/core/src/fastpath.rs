@@ -76,13 +76,17 @@
 //! for the arrival stream); a fixed-priority dispatch is O(1) when the
 //! ceiling check proves the running thread keeps the processor, O(t/64) for
 //! the bitmap scan otherwise; an EDF dispatch is an amortized O(log t) heap
-//! peek. Per-release work is O(1) amortized and allocation-free (the
-//! handler templates are `Copy`, the scratch buffers and heaps are reused).
-//! A recording run additionally pays O(t) per drain for the exact wheel
-//! instant.
+//! peek. Per-release work is O(1) amortized and allocation-free: the
+//! handler templates are `Copy`, a drain fires the due install-time timers
+//! and releases in place (they are already in timer-creation order, so only
+//! the runtime-armed one-shots that fall due together go through a reused
+//! scratch list and a sort), each fate is a store into the release's
+//! outcome slot, and the heaps and the lanes' queues, sized from the plan
+//! at install, are reused. A recording run additionally pays O(t) per
+//! drain for the exact wheel instant.
 
 use crate::framework::{EventKind, ExecWorld, Install, ServerBody, Timer};
-use crate::system::{finalise_trace, lane_outcomes, ExecutionPlan, PlannedEvent};
+use crate::system::{finalise_trace, ExecutionPlan, PlannedEvent};
 use rt_model::{ExecUnit, Instant, Priority, ServerPolicyKind, Span, SystemSpec, Trace};
 use rt_observe::Probe;
 use rtsj_emu::{Action, BodyCtx, Completion, PeriodicThreadBody, ThreadBody};
@@ -194,7 +198,10 @@ impl SubstratePlan {
             }
         }
         activity += spec.workload().within_horizon_count() as u64;
-        let segment_hint = usize::try_from(activity.saturating_mul(4))
+        // Three segments per activity plus 64 held each of 1 000 systems per
+        // paper set and server policy under reference overheads; long runs
+        // record 0.7-2.2 per activity. A run that needs more grows by doubling.
+        let segment_hint = usize::try_from(activity.saturating_mul(3))
             .unwrap_or(usize::MAX)
             .saturating_add(64);
 
@@ -228,12 +235,9 @@ pub(crate) fn run<P: Probe, const EDF: bool>(plan: &ExecutionPlan<'_>, mut probe
     let mut driver = FastDriver::<P, EDF>::new(plan, probe);
     driver.run();
     let FastDriver {
-        mut trace,
-        mut world,
-        ..
+        mut trace, world, ..
     } = driver;
-    let collected = lane_outcomes(&mut world.lanes);
-    finalise_trace(&plan.spec, world.lanes.len(), collected, &mut trace);
+    finalise_trace(&plan.spec, world.into_outcomes(), &mut trace);
     trace
 }
 
@@ -375,10 +379,6 @@ struct FastDriver<'p, P: Probe, const EDF: bool> {
     /// Event index of the first planned servable event; the others follow
     /// in plan order.
     sae_event_base: usize,
-    /// Conceptual timer index of the first servable-event fire timer (the
-    /// engine creates them after every install-time timer), keeping the
-    /// (timer creation order, occurrence instant) fire order exact.
-    sae_base: usize,
 
     // --- mutable run state ---
     now: Instant,
@@ -393,8 +393,11 @@ struct FastDriver<'p, P: Probe, const EDF: bool> {
     groups: Vec<WheelGroup<'p>>,
     sae_cursor: usize,
     /// Runtime-armed one-shots (SS chunk replenishments): (fire instant,
-    /// conceptual timer index, event index).
+    /// arming index, event index). The engine creates them after every
+    /// install-time and servable-event fire timer, so among timers due
+    /// together they fire last, in arming order.
     dynamic: BinaryHeap<Reverse<(Instant, usize, usize)>>,
+    /// Arming index of the next runtime-armed one-shot.
     next_timer_idx: usize,
     until_wakes: Vec<(Instant, usize)>,
     /// Ready/Computing bitmap indexed by dispatch rank (the runnable set
@@ -424,7 +427,9 @@ struct FastDriver<'p, P: Probe, const EDF: bool> {
     /// someone else. Only maintained when `P::ENABLED`.
     incomplete: Option<ExecUnit>,
     // --- reused scratch ---
-    due_scratch: Vec<(usize, Instant, usize)>,
+    /// Runtime-armed one-shots due at one drain, as (arming index, event
+    /// index); empty until a sporadic lane arms one.
+    due_scratch: Vec<(usize, usize)>,
 }
 
 impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
@@ -470,19 +475,12 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             });
         }
 
-        // The servable events' fire timers are the release cursor, with
-        // conceptual indices after every install-time timer.
-        let sae_base = timers.len();
-        let next_timer_idx = sae_base + plan.events.len();
-
         // Steady-state allocation freedom: reserve the segment storage up
-        // front (the install reserved each lane's outcome log).
+        // front (the install sized the outcome slot table and each lane's
+        // queue).
         let mut trace = Trace::new(spec.horizon);
         trace.segments.reserve(substrate.segment_hint);
 
-        // A drain collects every due static timer plus the releases and
-        // one-shots due with them, rarely more than a few.
-        let due_capacity = timers.len() + 4;
         let word_count = thread_count.div_ceil(64).max(1);
         let mut driver = FastDriver {
             plan_events: &plan.events,
@@ -491,7 +489,6 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             horizon: spec.horizon,
             timer_fire: config.overhead.timer_fire,
             sae_event_base,
-            sae_base,
             now: Instant::ZERO,
             threads,
             world,
@@ -508,7 +505,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
                 .collect(),
             sae_cursor: 0,
             dynamic: BinaryHeap::new(),
-            next_timer_idx,
+            next_timer_idx: 0,
             until_wakes: Vec::new(),
             runnable: vec![0u64; word_count],
             woken_min_rank: u32::MAX,
@@ -519,7 +516,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             zero_steps: 0,
             trace,
             incomplete: None,
-            due_scratch: Vec::with_capacity(due_capacity),
+            due_scratch: Vec::new(),
         };
         for tid in 0..driver.threads.len() {
             driver.mark_runnable(tid);
@@ -692,45 +689,41 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             }
         }
 
-        let mut due = std::mem::take(&mut self.due_scratch);
-        debug_assert!(due.is_empty());
-        for (index, timer) in self.static_timers.iter_mut().enumerate() {
-            match timer.period {
-                Some(period) => {
-                    while timer.next <= self.now {
-                        due.push((index, timer.next, timer.event));
-                        timer.next += period;
-                    }
-                }
-                None => {
-                    if timer.next <= self.now {
-                        due.push((index, timer.next, timer.event));
-                        timer.next = Instant::MAX;
-                    }
-                }
+        // The timer fires, in (timer creation order, occurrence instant)
+        // order. A fire arms no timer, so each source fires in place: the
+        // static timers in creation order, each periodic one's occurrences
+        // in time order, then the release cursor in plan order (created
+        // after every static timer). Only the runtime-armed one-shots,
+        // created last and popped by instant, are put back in arming order.
+        for index in 0..self.static_timers.len() {
+            while self.static_timers[index].next <= self.now {
+                let timer = &mut self.static_timers[index];
+                let event = timer.event;
+                timer.next = match timer.period {
+                    Some(period) => timer.next + period,
+                    None => Instant::MAX,
+                };
+                self.fire_timer(event);
             }
         }
         while self.sae_cursor < self.plan_events.len()
             && self.plan_events[self.sae_cursor].release <= self.now
         {
-            due.push((
-                self.sae_base + self.sae_cursor,
-                self.plan_events[self.sae_cursor].release,
-                self.sae_event_base + self.sae_cursor,
-            ));
+            let event = self.sae_event_base + self.sae_cursor;
             self.sae_cursor += 1;
+            self.fire_timer(event);
         }
+        let mut due = std::mem::take(&mut self.due_scratch);
         while let Some(&Reverse((at, index, event))) = self.dynamic.peek() {
             if at > self.now {
                 break;
             }
             self.dynamic.pop();
-            due.push((index, at, event));
+            due.push((index, event));
         }
         due.sort_unstable();
-        for &(_, _, event) in &due {
-            self.pending_overhead += self.timer_fire;
-            self.fire_event(event);
+        for &(_, event) in &due {
+            self.fire_timer(event);
         }
         due.clear();
         self.due_scratch = due;
@@ -772,6 +765,13 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             next = next.min(at);
         }
         next
+    }
+
+    /// Fires `event` from a timer: the engine charges the timer machinery's
+    /// overhead, then fires it.
+    fn fire_timer(&mut self, event: usize) {
+        self.pending_overhead += self.timer_fire;
+        self.fire_event(event);
     }
 
     /// Fires an event now: run its hook in the world, then wake or credit

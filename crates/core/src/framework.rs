@@ -27,6 +27,16 @@
 //! ([`crate::fastpath`]) takes the install into its tables; the `rtsj-emu`
 //! reference loads it into an engine whose [`World`] is the `ExecWorld`.
 //!
+//! The install also sizes the run once, before its first release, the way a
+//! mission's initialisation precedes its handler releases: the world's
+//! outcome log is a slot table with one `Unserved` record per planned
+//! release, and each lane's pending queue is reserved for the releases
+//! routed to it. A queued release carries its plan index, so every fate the
+//! lanes decide — a rejection or a D-OVER displacement at the arrival, a
+//! service, an interruption or an enforcement abort at the end of service —
+//! is a store into that slot, and the log needs no drain and no lookup at
+//! the horizon.
+//!
 //! Timer fire order follows creation order, so the install keeps the
 //! order: per lane, whichever of `wakeUp`, swap-replenish, replenish and the
 //! DS periodic timer its policy creates, then that lane's mode-change
@@ -36,11 +46,13 @@
 use crate::deferrable::EventDrivenServerBody;
 use crate::handler::QueuedRelease;
 use crate::polling::PollingServerBody;
+use crate::queue::COMPACTION_THRESHOLD;
 use crate::sporadic::SporadicServerBody;
 use crate::state::ServerShared;
 use crate::system::{ExecutionConfig, PlannedEvent};
 use rt_model::{
-    AdmissionPolicy, FaultPlan, Instant, ModeChange, ServerPolicyKind, ServerSpec, Span, SystemSpec,
+    AdmissionPolicy, AperiodicFate, AperiodicOutcome, FaultPlan, Instant, ModeChange,
+    ServerPolicyKind, ServerSpec, Span, SystemSpec,
 };
 use rt_observe::{AdmissionVerdict, Probe};
 use rtsj_emu::{
@@ -72,13 +84,14 @@ pub(crate) enum EventKind {
 }
 
 /// The world one execution runs in: every server lane by index, the hook
-/// table of its events and the probe the lanes' decisions are reported to.
+/// table of its events, the outcome slot of every planned release and the
+/// probe the lanes' decisions are reported to.
 ///
 /// The execution driver owns one; the `rtsj-emu` reference engine carries
 /// one as its [`World`]. Server bodies reach it through their context
-/// ([`BodyCtx::world`]), so both loops interpret the same table and report
-/// admission verdicts, capacity exhaustions and mode changes live, where
-/// they are decided.
+/// ([`BodyCtx::world`]), so both loops interpret the same table, record
+/// each fate where it is decided and report admission verdicts, capacity
+/// exhaustions and mode changes live.
 pub(crate) struct ExecWorld<'p, P> {
     /// The lanes, in spec order.
     pub(crate) lanes: Vec<ServerShared>,
@@ -86,8 +99,25 @@ pub(crate) struct ExecWorld<'p, P> {
     pub(crate) kinds: Vec<EventKind>,
     /// The planned releases the servable events fire.
     plan: &'p [PlannedEvent],
+    /// The slot table: slot `i` is planned release `i`'s outcome for the
+    /// whole run, `Unserved` at its spec release until a fate is stored.
+    pub(crate) outcomes: Vec<AperiodicOutcome>,
     /// The run's probe.
     pub(crate) probe: P,
+}
+
+/// The outcome record of `release` with `fate`: the release instant is the
+/// one its fire was observed at, which a timer-overhead slice may have
+/// delayed past the spec's.
+fn outcome(release: &QueuedRelease, fate: AperiodicFate) -> AperiodicOutcome {
+    AperiodicOutcome {
+        event: release.event,
+        release: release.release,
+        declared_cost: release.declared_cost(),
+        value: release.value(),
+        deadline: release.admission_deadline(),
+        fate,
+    }
 }
 
 impl<P: Probe> ExecWorld<'_, P> {
@@ -120,7 +150,8 @@ impl<P: Probe> ExecWorld<'_, P> {
                 plan_index,
             } => {
                 let planned = &self.plan[plan_index];
-                let release = QueuedRelease::new(planned.event, planned.handler, now);
+                let release =
+                    QueuedRelease::new(planned.event, planned.handler, now).in_slot(plan_index);
                 // A refused release never entered the queue: waking the
                 // server would be a spurious (if harmless) activation.
                 if self.release(lane, release, now) {
@@ -143,19 +174,31 @@ impl<P: Probe> ExecWorld<'_, P> {
         }
     }
 
-    /// Registers `release` with `lane` (`servableEventReleased`), reports
-    /// its verdict and every release it displaced, and returns whether it
-    /// was admitted.
+    /// Stores `fate` into the outcome slot of `release`.
+    pub(crate) fn record(&mut self, release: &QueuedRelease, fate: AperiodicFate) {
+        self.outcomes[release.slot as usize] = outcome(release, fate);
+    }
+
+    /// Registers `release` with `lane` (`servableEventReleased`), records
+    /// and reports its verdict and every release it displaced, and returns
+    /// whether it was admitted.
     fn release(&mut self, lane: usize, release: QueuedRelease, now: Instant) -> bool {
         // An arrival is a decision instant: reconfigure first (when
         // quiescent) so the release is admitted under the new configuration,
         // mirroring the simulator's decision ordering.
         self.apply_due_mode_changes(lane, now);
-        let (accepted, displaced) = self.lanes[lane].released(release, now);
-        if P::ENABLED {
-            for _ in 0..displaced {
+        let accepted = self.lanes[lane].released(release, now);
+        for dropped in self.lanes[lane].displaced() {
+            self.outcomes[dropped.slot as usize] =
+                outcome(dropped, AperiodicFate::Aborted { at: now });
+            if P::ENABLED {
                 self.probe.admission(lane, AdmissionVerdict::Aborted, now);
             }
+        }
+        if !accepted {
+            self.record(&release, AperiodicFate::Rejected { at: now });
+        }
+        if P::ENABLED {
             let verdict = if accepted {
                 AdmissionVerdict::Accepted
             } else {
@@ -165,17 +208,43 @@ impl<P: Probe> ExecWorld<'_, P> {
         }
         accepted
     }
+
+    /// The run's outcome log, in plan order, once the horizon is reached: a
+    /// release still queued reports the instant its fire was observed, while
+    /// one the horizon cut in service keeps the spec release of its
+    /// prefilled slot (ROADMAP.md records the asymmetry as an open
+    /// question).
+    pub(crate) fn into_outcomes(self) -> Vec<AperiodicOutcome> {
+        let ExecWorld {
+            lanes,
+            mut outcomes,
+            ..
+        } = self;
+        for release in lanes.iter().flat_map(|lane| lane.queue.iter()) {
+            outcomes[release.slot as usize] = outcome(release, AperiodicFate::Unserved);
+        }
+        outcomes
+    }
 }
 
 #[cfg(test)]
 impl ExecWorld<'static, rt_observe::NoopProbe> {
-    /// A world over `lanes` with no events and no probe, for unit tests of
-    /// the bodies and the service loop.
-    pub(crate) fn of_lanes(lanes: Vec<ServerShared>) -> Self {
+    /// A world over `lanes` with `slots` outcome slots, no events and no
+    /// probe, for unit tests of the bodies and the service loop.
+    pub(crate) fn of_lanes(lanes: Vec<ServerShared>, slots: usize) -> Self {
+        let placeholder = AperiodicOutcome {
+            event: rt_model::EventId::new(0),
+            release: Instant::ZERO,
+            declared_cost: Span::ZERO,
+            value: 0,
+            deadline: None,
+            fate: AperiodicFate::Unserved,
+        };
         ExecWorld {
             lanes,
             kinds: Vec::new(),
             plan: &[],
+            outcomes: vec![placeholder; slots],
             probe: rt_observe::NoopProbe,
         }
     }
@@ -247,7 +316,8 @@ pub(crate) struct Install<'p, P> {
 
 impl<'p, P: Probe> Install<'p, P> {
     /// The one install routine: every lane of `spec` in spec order, then
-    /// one servable event per entry of `plan`, reporting to `probe`.
+    /// one servable event and one outcome slot per entry of `plan`,
+    /// reporting to `probe`.
     pub(crate) fn new(
         spec: &SystemSpec,
         config: &ExecutionConfig,
@@ -255,6 +325,11 @@ impl<'p, P: Probe> Install<'p, P> {
         probe: P,
     ) -> Self {
         let lanes = spec.servers.len();
+        let mut outcomes = Vec::with_capacity(plan.len());
+        outcomes.extend(plan.iter().map(|planned| {
+            let release = QueuedRelease::new(planned.event, planned.handler, planned.release);
+            outcome(&release, AperiodicFate::Unserved)
+        }));
         let mut install = Install {
             world: ExecWorld {
                 lanes: Vec::with_capacity(lanes),
@@ -262,6 +337,7 @@ impl<'p, P: Probe> Install<'p, P> {
                 // planned release.
                 kinds: Vec::with_capacity(lanes * 3 + plan.len()),
                 plan,
+                outcomes,
                 probe,
             },
             servers: Vec::with_capacity(lanes),
@@ -317,8 +393,11 @@ impl<'p, P: Probe> Install<'p, P> {
             server.discipline,
             admission,
         );
-        // A lane records at most one outcome per planned release.
-        state.outcomes.reserve(self.world.plan.len() + 1);
+        // The reservation is capped, so the count stops there.
+        let routed = self.world.plan.iter().filter(|p| p.server == lane);
+        state
+            .queue
+            .reserve(routed.take(COMPACTION_THRESHOLD).count());
         let changes: Vec<ModeChange> = faults.mode_changes_for(lane).cloned().collect();
         if !changes.is_empty() {
             // Each change instant also fires the lane's `wakeUp`

@@ -108,6 +108,9 @@ pub struct QueuedRelease {
     /// release instant otherwise (so deadline order degenerates to FIFO on
     /// deadline-free traffic).
     pub deadline: Instant,
+    /// The run's outcome slot of this release: the plan index of its event
+    /// (zero for a release queued outside a run, which records nothing).
+    pub(crate) slot: u32,
 }
 
 impl QueuedRelease {
@@ -122,7 +125,14 @@ impl QueuedRelease {
             handler,
             release,
             deadline,
+            slot: 0,
         }
+    }
+
+    /// The same release, recorded in outcome slot `slot` of its run.
+    pub(crate) fn in_slot(mut self, slot: usize) -> Self {
+        self.slot = slot as u32;
+        self
     }
 
     /// Cost declared to the server.

@@ -71,10 +71,10 @@
 //! test); the linear-scan reference costs O(t + m) per decision.
 //! Post-run trace finalisation buckets execution segments by task in one
 //! pass — O(segments + tasks), *not* O(tasks × segments); at 300 tasks the
-//! difference is the bulk of the per-run cost — and completes the aperiodic
-//! outcomes by an id lookup, O(events · log events), *not* O(events²);
-//! at a few thousand events the difference is the bulk of an overloaded
-//! run.
+//! difference is the bulk of the per-run cost — and takes the aperiodic
+//! outcomes from the run's slot table ([`framework`]), which needs one
+//! walk over the live backlog and one sort that is a linear pass when the
+//! slots are already in `(release, event)` order.
 //!
 //! ```
 //! use rt_model::{Instant, Priority, ServerPolicyKind, ServerSpec, Span, SystemSpec};

@@ -23,9 +23,13 @@
 //! and, worse, the seed's per-dispatch re-evaluation of every pending
 //! budget, which made overloaded executions superlinear in the backlog
 //! (the ROADMAP hot-spot). Pushes are O(log n), removals O(log n), and the
-//! slab is compacted in place whenever the queue drains or dead slots
+//! slab is compacted in place whenever the queue empties or dead slots
 //! dominate, so steady-state memory tracks the live backlog and a
-//! compaction reuses the buffers it rebuilds into.
+//! compaction reuses the buffers it rebuilds into. An execution reserves
+//! each lane's queue once, before its first release, for the releases
+//! routed to the lane, capped at the compaction threshold: a queue whose
+//! backlog stays within the cap never regrows, and the reservation does
+//! not grow with the horizon.
 //!
 //! # Service discipline
 //!
@@ -65,6 +69,10 @@ struct QueuedEntry {
     slot: Option<InstanceSlot>,
 }
 
+/// Slab length below which dead slots are never compacted away; also the
+/// cap of [`PendingQueue::reserve`].
+pub(crate) const COMPACTION_THRESHOLD: usize = 64;
+
 /// Sentinel marking a vacant leaf of the cost index. Live costs are clamped
 /// one below it, which cannot change any selection (a cost that large is
 /// unreachable by every finite budget that matters).
@@ -85,6 +93,16 @@ struct CostIndex {
 }
 
 impl CostIndex {
+    /// Reserves the tree's buffer for `leaves` leaves, so the doublings of
+    /// [`Self::grow`] up to that many reallocate nothing.
+    fn reserve(&mut self, leaves: usize) {
+        if leaves > 0 {
+            let nodes = 2 * leaves.next_power_of_two().max(4);
+            self.tree
+                .reserve_exact(nodes.saturating_sub(self.tree.len()));
+        }
+    }
+
     /// Empties the index, keeping the tree's buffer for the next pushes.
     fn clear(&mut self) {
         self.cap = 0;
@@ -161,7 +179,7 @@ pub struct PendingQueue {
     discipline: QueueDiscipline,
     server: ServerParams,
     /// Arrival-ordered slab; `None` marks a served (removed) entry. Compacted
-    /// whenever the queue drains.
+    /// whenever the queue empties.
     slots: Vec<Option<QueuedEntry>>,
     /// Cost index paired with `slots` (same indices).
     index: CostIndex,
@@ -188,7 +206,7 @@ pub struct PendingQueue {
     /// replay must pack them first or it would hand their slots to the
     /// survivors. Cleared together with `packing_seed`; grows with the
     /// in-order services of one uninterrupted backlog episode (bounded by
-    /// the arrivals of that episode, like the outcome log).
+    /// the arrivals of that episode).
     replayed_heads: Vec<Span>,
 }
 
@@ -244,6 +262,17 @@ impl PendingQueue {
                 }
             }
         }
+    }
+
+    /// Reserves the slab, the cost tree and the replayed-head list for
+    /// `releases` pending releases, capped at the compaction threshold: past
+    /// it the slab compacts, or holds a live backlog that large and grows by
+    /// doubling, so the reservation stays independent of the horizon.
+    pub(crate) fn reserve(&mut self, releases: usize) {
+        let releases = releases.min(COMPACTION_THRESHOLD);
+        self.slots.reserve_exact(releases);
+        self.index.reserve(releases);
+        self.replayed_heads.reserve_exact(releases);
     }
 
     /// Number of pending releases.
@@ -392,7 +421,7 @@ impl PendingQueue {
             self.deadline_index.clear();
             return;
         }
-        if self.slots.len() < 64 || self.live * 2 >= self.slots.len() {
+        if self.slots.len() < COMPACTION_THRESHOLD || self.live * 2 >= self.slots.len() {
             return;
         }
         self.slots.retain(Option::is_some);
@@ -572,19 +601,6 @@ impl PendingQueue {
             .iter()
             .position(|entry| entry.as_ref().is_some_and(|e| e.release.event == event))?;
         Some(self.take(index))
-    }
-
-    /// Drains every remaining release (used at the horizon to report
-    /// unserved events).
-    pub fn drain(&mut self) -> Vec<QueuedRelease> {
-        self.packer = None;
-        self.packing_seed = None;
-        self.replayed_heads.clear();
-        self.live = 0;
-        self.index.clear();
-        self.deadline_index.clear();
-        let drained = self.slots.drain(..).flatten().map(|e| e.release).collect();
-        drained
     }
 }
 
@@ -795,14 +811,38 @@ mod tests {
     }
 
     #[test]
-    fn drain_empties_the_queue() {
-        let mut q = queue(QueueKind::ListOfLists);
-        q.push(release(0, 2, 0), Instant::ZERO, Span::from_units(4));
-        q.push(release(1, 2, 3), Instant::ZERO, Span::from_units(4));
-        let drained = q.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
+    fn a_reserved_queue_grows_without_reallocating_up_to_the_cap() {
+        let mut q = queue(QueueKind::Fifo);
+        q.reserve(10_000);
+        let (slab, tree, heads) = (
+            q.slots.capacity(),
+            q.index.tree.capacity(),
+            q.replayed_heads.capacity(),
+        );
+        // Capped at the threshold (an allocator may round a capacity up).
+        let capped = COMPACTION_THRESHOLD..2 * COMPACTION_THRESHOLD;
+        assert!(capped.contains(&slab), "slab capacity {slab}");
+        assert!(
+            (2 * capped.start..2 * capped.end).contains(&tree),
+            "tree capacity {tree}"
+        );
+        assert!(capped.contains(&heads), "replayed-head capacity {heads}");
+        // A backlog of the reserved size, then in-order head services.
+        for i in 0..COMPACTION_THRESHOLD as u32 {
+            q.push(release(i, 1, 0), Instant::ZERO, Span::from_units(4));
+        }
+        while q.len() > 1 {
+            assert!(q.choose_next(Span::from_units(4)).is_some());
+        }
+        assert_eq!(
+            (
+                q.slots.capacity(),
+                q.index.tree.capacity(),
+                q.replayed_heads.capacity()
+            ),
+            (slab, tree, heads),
+            "growth within the reservation must not reallocate"
+        );
     }
 
     #[test]
@@ -1041,7 +1081,7 @@ mod tests {
     }
 
     #[test]
-    fn push_after_explicit_drain_restarts_cleanly() {
+    fn push_after_the_queue_empties_restarts_cleanly() {
         for discipline in [QueueDiscipline::FifoSkip, QueueDiscipline::DeadlineOrdered] {
             let mut q = PendingQueue::new(
                 QueueKind::ListOfLists,
@@ -1052,14 +1092,17 @@ mod tests {
             for i in 0..80u32 {
                 q.push(release(i, 2, i as u64), Instant::ZERO, Span::from_units(4));
             }
-            let drained = q.drain();
-            assert_eq!(drained.len(), 80);
+            let emptied = std::iter::from_fn(|| q.pop_front()).count();
+            assert_eq!(emptied, 80);
             assert!(q.is_empty());
             // Everything restarts from slot 0 with a clean packer.
             let slot = q.push(release(100, 2, 0), Instant::ZERO, Span::from_units(4));
             assert_eq!(q.len(), 1);
             if q.kind() == QueueKind::ListOfLists {
-                assert!(slot.is_some(), "packer must be reseeded after drain");
+                assert!(
+                    slot.is_some(),
+                    "packer must be reseeded once the queue empties"
+                );
             }
             assert_eq!(
                 q.pop_front().unwrap().event,
@@ -1104,9 +1147,9 @@ mod tests {
                 }
             }
             assert_eq!(q.len(), reference.len());
-            let drained: Vec<u32> = q.drain().into_iter().map(|r| r.event.raw()).collect();
+            let pending: Vec<u32> = q.iter().map(|r| r.event.raw()).collect();
             let expected: Vec<u32> = reference.iter().map(|&(i, _)| i).collect();
-            assert_eq!(drained, expected, "drain preserves FIFO order");
+            assert_eq!(pending, expected, "the backlog stays in FIFO order");
         }
     }
 }

@@ -12,7 +12,8 @@
 //! 3. run the handler inside `Timed.doInterruptible` with the granted budget
 //!    minus the runtime overheads — if the handler's real demand does not
 //!    fit, it is asynchronously interrupted;
-//! 4. pay the enforcement overhead, debit the capacity, record the outcome;
+//! 4. pay the enforcement overhead, debit the capacity, record the outcome
+//!    (in the run's slot table, see [`crate::framework`]);
 //! 5. loop back to 1 until nothing is servable.
 //!
 //! `ServiceLoop` implements steps 2–5 as a small state machine driven by
@@ -22,7 +23,7 @@
 
 use crate::framework::ExecWorld;
 use crate::state::{GrantedService, ServerShared};
-use rt_model::{ExecUnit, Instant, Span};
+use rt_model::{AperiodicFate, ExecUnit, Instant, Span};
 use rt_observe::{AdmissionVerdict, Probe};
 use rtsj_emu::{Action, BodyCtx, Completion};
 
@@ -247,17 +248,27 @@ impl ServiceLoop {
         interrupted: bool,
         abort_on_interrupt: bool,
     ) {
-        let lane = &mut world.lanes[self.lane];
-        if !interrupted {
-            lane.record_served(&service.release, started, finished);
-            return;
-        }
-        if abort_on_interrupt {
-            lane.record_enforcement_abort(&service.release, finished);
+        let release = &service.release;
+        let fate = if !interrupted {
+            AperiodicFate::Served {
+                started,
+                completed: finished,
+            }
+        } else if abort_on_interrupt {
+            // A fault-injected job cut off at its declared cost releases its
+            // equation-(5) plan slot, so the admission state stays
+            // consistent with the capacity the abort freed.
+            let lane = &mut world.lanes[self.lane];
+            lane.admission.on_abort(release.event, finished);
+            AperiodicFate::Aborted { at: finished }
         } else {
-            lane.record_interrupted(&service.release, started, finished);
-        }
-        if P::ENABLED {
+            AperiodicFate::Interrupted {
+                started,
+                interrupted_at: finished,
+            }
+        };
+        world.record(release, fate);
+        if P::ENABLED && interrupted {
             // Every budget cut exhausts its grant; an enforcement abort
             // also drops the event.
             world.probe.cap_exhausted(self.lane, finished);
@@ -281,25 +292,29 @@ mod tests {
 
     type World = ExecWorld<'static, NoopProbe>;
 
-    /// A world with one polling lane (capacity 4, period 6) under `overhead`.
+    /// A world with one polling lane (capacity 4, period 6) under
+    /// `overhead`, and ten outcome slots: the tests queue event `i` in slot
+    /// `i`.
     fn world(overhead: OverheadModel) -> World {
-        ExecWorld::of_lanes(vec![ServerShared::new(
+        let lane = ServerShared::new(
             TaskServerParameters::new(Span::from_units(4), Span::from_units(6), Priority::new(30)),
             ServerPolicyKind::Polling,
             overhead,
             QueueKind::Fifo,
             rt_model::QueueDiscipline::FifoSkip,
-        )])
+        );
+        ExecWorld::of_lanes(vec![lane], 10)
+    }
+
+    /// Queues `handler`'s release of event `id` at `at`, in slot `id`.
+    fn push_handler(world: &mut World, id: u32, handler: ServableHandler, at: Instant) {
+        let release = QueuedRelease::new(EventId::new(id), handler, at).in_slot(id as usize);
+        world.lanes[0].released(release, at);
     }
 
     fn push(world: &mut World, id: u32, cost: u64, at: u64) {
-        let release = QueuedRelease::new(
-            EventId::new(id),
-            ServableHandler::new(HandlerId::new(id), Span::from_units(cost)),
-            Instant::from_units(at),
-        );
-        let now = Instant::from_units(at);
-        world.lanes[0].released(release, now);
+        let handler = ServableHandler::new(HandlerId::new(id), Span::from_units(cost));
+        push_handler(world, id, handler, Instant::from_units(at));
     }
 
     /// Feeds `completion` to the loop at `now`, as the engine would.
@@ -402,9 +417,12 @@ mod tests {
             }
             other => panic!("expected the second handler, got {other:?}"),
         }
-        let outcomes = &world.lanes[0].outcomes;
-        assert_eq!(outcomes.len(), 1);
-        assert!(outcomes[0].is_served());
+        assert!(world.outcomes[0].is_served());
+        assert_eq!(
+            world.outcomes[1].fate,
+            AperiodicFate::Unserved,
+            "the second handler is in service"
+        );
     }
 
     #[test]
@@ -420,13 +438,9 @@ mod tests {
         );
         // Give it capacity 4 but a handler that overruns its declaration.
         world.lanes[0].remaining = Span::from_units(4);
-        let overrun = QueuedRelease::new(
-            EventId::new(9),
-            ServableHandler::new(HandlerId::new(9), Span::from_units(6))
-                .with_declared_cost(Span::from_units(2)),
-            Instant::ZERO,
-        );
-        world.lanes[0].released(overrun, Instant::ZERO);
+        let overrun = ServableHandler::new(HandlerId::new(9), Span::from_units(6))
+            .with_declared_cost(Span::from_units(2));
+        push_handler(&mut world, 9, overrun, Instant::ZERO);
         // The declared cost (2) fits; but the first pending is still the
         // cost-4 one, served first.
         let _ = service.try_dispatch(&mut world, Instant::ZERO);
@@ -453,10 +467,8 @@ mod tests {
             },
         );
         assert_eq!(step, ServeStep::Idle);
-        let outcomes = &world.lanes[0].outcomes;
-        assert_eq!(outcomes.len(), 2);
-        assert!(outcomes[0].is_served());
-        assert!(outcomes[1].is_interrupted());
+        assert!(world.outcomes[0].is_served());
+        assert!(world.outcomes[9].is_interrupted());
     }
 
     /// Regression test for the masked-underflow audit: a grant smaller than
@@ -472,12 +484,8 @@ mod tests {
         };
         let mut world = world(overhead);
         world.lanes[0].remaining = Span::from_ticks(120);
-        let tiny = QueuedRelease::new(
-            EventId::new(0),
-            ServableHandler::new(HandlerId::new(0), Span::from_ticks(100)),
-            Instant::ZERO,
-        );
-        world.lanes[0].released(tiny, Instant::ZERO);
+        let tiny = ServableHandler::new(HandlerId::new(0), Span::from_ticks(100));
+        push_handler(&mut world, 0, tiny, Instant::ZERO);
         let mut service = ServiceLoop::new(0);
         // Grant = 120 ticks; dispatch alone eats 100 of them.
         match service.try_dispatch(&mut world, Instant::ZERO) {
@@ -528,10 +536,8 @@ mod tests {
             },
         );
         assert_eq!(step, ServeStep::Idle);
-        let outcomes = world.lanes[0].finalise();
-        assert_eq!(outcomes.len(), 1);
         assert!(
-            outcomes[0].is_interrupted(),
+            world.outcomes[0].is_interrupted(),
             "the overrun is visible as an interruption, not hidden"
         );
     }

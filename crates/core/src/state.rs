@@ -9,15 +9,17 @@
 //! reference, the loop that runs a system owns every lane in one `Vec`
 //! (the run's `ExecWorld`, see [`crate::framework`]), and the server body,
 //! the servable events and the replenishment hooks reach their lane by
-//! index through their context. Decisions return what they decided, and that owner reports
-//! it to its probe.
+//! index through their context. Decisions return what they decided; that
+//! owner stores each fate in its outcome slot table and reports it to its
+//! probe. A lane keeps no log of its own, so [`ServerShared::released`]
+//! also serves a standalone lane (the on-line admission example drives
+//! one).
 
 use crate::handler::QueuedRelease;
 use crate::queue::{PendingQueue, QueueKind};
 use rt_admission::{ArrivingEvent, ServerAdmission};
 use rt_model::{
-    AdmissionPolicy, AperiodicFate, AperiodicOutcome, EventId, Instant, ModeChange,
-    QueueDiscipline, ServerPolicyKind, Span,
+    AdmissionPolicy, EventId, Instant, ModeChange, QueueDiscipline, ServerPolicyKind, Span,
 };
 use rtsj_emu::{OverheadModel, TaskServerParameters};
 use std::collections::VecDeque;
@@ -49,8 +51,6 @@ pub struct ServerShared {
     pub next_replenishment: Instant,
     /// Pending releases.
     pub queue: PendingQueue,
-    /// Outcomes recorded so far (served and interrupted events).
-    pub outcomes: Vec<AperiodicOutcome>,
     /// Sporadic Server only: scheduled replenishments `(when, amount)`,
     /// time-ordered (chunk anchors are nondecreasing).
     pub pending_replenishments: VecDeque<(Instant, Span)>,
@@ -78,9 +78,12 @@ pub struct ServerShared {
     /// protocol: in-service work drains under the configuration that
     /// dispatched it.
     pub in_service: bool,
-    /// Reused buffer for the releases an admission decision displaces — the
+    /// Reused buffer for the events an admission decision displaces — the
     /// release path stays allocation-free in the steady state.
     aborted_scratch: Vec<EventId>,
+    /// The releases the last [`Self::released`] call removed from the queue
+    /// (reused like `aborted_scratch`).
+    displaced: Vec<QueuedRelease>,
 }
 
 impl ServerShared {
@@ -125,7 +128,6 @@ impl ServerShared {
             remaining: params.capacity,
             next_replenishment: Instant::ZERO + params.period,
             queue,
-            outcomes: Vec::new(),
             pending_replenishments: VecDeque::new(),
             active_since: None,
             consumed_since_active: Span::ZERO,
@@ -134,6 +136,7 @@ impl ServerShared {
             mode_changes: VecDeque::new(),
             in_service: false,
             aborted_scratch: Vec::new(),
+            displaced: Vec::new(),
         }
     }
 
@@ -218,10 +221,11 @@ impl ServerShared {
     /// Registers a release (the `servableEventReleased` entry point a
     /// `ServableAsyncEvent` fire reaches), consulting the server's on-line
     /// admission policy first. Returns whether the release was admitted into
-    /// the pending queue, and how many backlog entries a value-density
-    /// decision displaced to make room: those are removed from the queue and
-    /// recorded as [`AperiodicFate::Aborted`], and a refused release is
-    /// recorded as [`AperiodicFate::Rejected`]. Under the default
+    /// the pending queue. The backlog entries a value-density decision
+    /// displaced to make room are removed from the queue and kept until the
+    /// next call, for the run that owns the lane: the lane records no fate,
+    /// the run stores the rejection and the displacements (see
+    /// [`crate::framework`]). Under the default
     /// [`AdmissionPolicy::AcceptAll`] this is exactly the pre-admission
     /// behaviour (always admitted, nothing displaced).
     ///
@@ -229,8 +233,7 @@ impl ServerShared {
     /// maintains one, is available afterwards through
     /// [`PendingQueue::predicted_slot`] or
     /// [`crate::admission::predicted_response`].
-    pub fn released(&mut self, release: QueuedRelease, now: Instant) -> (bool, usize) {
-        let mut displaced = 0;
+    pub fn released(&mut self, release: QueuedRelease, now: Instant) -> bool {
         let mut aborted = std::mem::take(&mut self.aborted_scratch);
         let (accepted, _prediction) = self.admission.on_arrival_into(
             &ArrivingEvent {
@@ -242,23 +245,27 @@ impl ServerShared {
             },
             &mut aborted,
         );
+        self.displaced.clear();
         for &event in &aborted {
             // Only still-pending releases can be dropped; one already being
             // served (possible under the non-polling policies, which run
             // ahead of the virtual plan) keeps its in-flight fate.
             if let Some(dropped) = self.queue.remove_event(event) {
-                self.record_aborted(&dropped, now);
-                displaced += 1;
+                self.displaced.push(dropped);
             }
         }
         aborted.clear();
         self.aborted_scratch = aborted;
         if accepted {
             let _ = self.queue.push(release, now, self.remaining);
-        } else {
-            self.record_rejected(&release, now);
         }
-        (accepted, displaced)
+        accepted
+    }
+
+    /// The pending releases the last [`Self::released`] call displaced, in
+    /// the order the admission policy dropped them.
+    pub(crate) fn displaced(&self) -> &[QueuedRelease] {
+        &self.displaced
     }
 
     /// Budget the policy would grant to a release chosen at `now`.
@@ -432,72 +439,6 @@ impl ServerShared {
         }
         applied
     }
-
-    /// Records a successfully served event.
-    pub fn record_served(&mut self, release: &QueuedRelease, started: Instant, completed: Instant) {
-        self.outcomes
-            .push(self.outcome(release, AperiodicFate::Served { started, completed }));
-    }
-
-    /// Builds an outcome record carrying the release's value and deadline.
-    fn outcome(&self, release: &QueuedRelease, fate: AperiodicFate) -> AperiodicOutcome {
-        AperiodicOutcome {
-            event: release.event,
-            release: release.release,
-            declared_cost: release.declared_cost(),
-            value: release.value(),
-            deadline: release.admission_deadline(),
-            fate,
-        }
-    }
-
-    /// Records a release refused by the admission policy at arrival.
-    pub fn record_rejected(&mut self, release: &QueuedRelease, at: Instant) {
-        self.outcomes
-            .push(self.outcome(release, AperiodicFate::Rejected { at }));
-    }
-
-    /// Records a pending release dropped by an overload decision.
-    pub fn record_aborted(&mut self, release: &QueuedRelease, at: Instant) {
-        self.outcomes
-            .push(self.outcome(release, AperiodicFate::Aborted { at }));
-    }
-
-    /// Records a fault-injected job cut off by budget enforcement at its
-    /// declared cost, and releases its equation-(5) plan slot so the
-    /// admission state stays consistent with the capacity the abort freed.
-    pub fn record_enforcement_abort(&mut self, release: &QueuedRelease, at: Instant) {
-        self.record_aborted(release, at);
-        self.admission.on_abort(release.event, at);
-    }
-
-    /// Records an event interrupted by budget enforcement.
-    pub fn record_interrupted(
-        &mut self,
-        release: &QueuedRelease,
-        started: Instant,
-        interrupted_at: Instant,
-    ) {
-        self.outcomes.push(self.outcome(
-            release,
-            AperiodicFate::Interrupted {
-                started,
-                interrupted_at,
-            },
-        ));
-    }
-
-    /// Reports everything still pending as unserved (called once the horizon
-    /// is reached) and returns the complete outcome list.
-    pub fn finalise(&mut self) -> Vec<AperiodicOutcome> {
-        for release in self.queue.drain() {
-            let outcome = self.outcome(&release, AperiodicFate::Unserved);
-            self.outcomes.push(outcome);
-        }
-        let mut outcomes = std::mem::take(&mut self.outcomes);
-        outcomes.sort_by_key(|o| (o.release, o.event));
-        outcomes
-    }
 }
 
 #[cfg(test)]
@@ -614,17 +555,38 @@ mod tests {
     }
 
     #[test]
-    fn finalise_reports_unserved_and_sorts_outcomes() {
-        let mut s = shared(ServerPolicyKind::Polling);
-        let first = release(0, 2, 0);
-        let second = release(1, 2, 3);
-        s.released(second, Instant::from_units(3));
-        s.record_served(&first, Instant::from_units(6), Instant::from_units(8));
-        let outcomes = s.finalise();
-        assert_eq!(outcomes.len(), 2);
-        assert_eq!(outcomes[0].event, EventId::new(0));
-        assert!(outcomes[0].is_served());
-        assert_eq!(outcomes[1].fate, AperiodicFate::Unserved);
-        assert!(s.queue.is_empty());
+    fn released_leaves_rejections_and_displacements_to_the_run() {
+        // Value-density admission on the capacity-4 / period-6 lane: two
+        // low-value cost-4 releases fill the plan, a dense newcomer with a
+        // tight deadline displaces the second, and a low-value newcomer with
+        // the same deadline is refused. The lane only decides: the displaced
+        // release is handed back and nothing is recorded.
+        let mut s = ServerShared::with_admission(
+            params(),
+            ServerPolicyKind::Polling,
+            OverheadModel::none(),
+            QueueKind::Fifo,
+            QueueDiscipline::FifoSkip,
+            AdmissionPolicy::ValueDensity,
+        );
+        let valued = |id: u32, value: u64, deadline: Option<u64>| {
+            let mut handler =
+                ServableHandler::new(HandlerId::new(id), Span::from_units(4)).with_value(value);
+            if let Some(relative) = deadline {
+                handler = handler.with_relative_deadline(Span::from_units(relative));
+            }
+            QueuedRelease::new(EventId::new(id), handler, Instant::ZERO)
+        };
+        assert!(s.released(valued(0, 1, None), Instant::ZERO));
+        assert!(s.released(valued(1, 1, None), Instant::ZERO));
+        assert!(s.displaced().is_empty());
+        let dense = valued(2, 1_000_000, Some(10));
+        assert!(s.released(dense, Instant::ZERO));
+        assert_eq!(s.displaced(), [valued(1, 1, None)]);
+        let queued: Vec<EventId> = s.queue.iter().map(|r| r.event).collect();
+        assert_eq!(queued, [EventId::new(0), EventId::new(2)]);
+        assert!(!s.released(valued(3, 1, Some(10)), Instant::ZERO));
+        assert!(s.displaced().is_empty());
+        assert_eq!(s.queue.len(), 2);
     }
 }

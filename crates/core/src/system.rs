@@ -24,10 +24,9 @@ use crate::fastpath::{self, SubstratePlan};
 use crate::framework::Install;
 use crate::handler::ServableHandler;
 use crate::queue::QueueKind;
-use crate::state::ServerShared;
 use rt_model::{
-    AperiodicFate, AperiodicOutcome, EventId, ExecUnit, Instant, ModelError, OverrunTable,
-    PeriodicJobRecord, PeriodicTask, SchedulingPolicy, Span, SystemSpec, Trace,
+    AperiodicOutcome, EventId, ExecUnit, Instant, ModelError, OverrunTable, PeriodicJobRecord,
+    PeriodicTask, SchedulingPolicy, Span, SystemSpec, Trace,
 };
 use rt_observe::{NoopProbe, Probe};
 use rtsj_emu::{Engine, EngineConfig, EventHandle, OverheadModel};
@@ -346,80 +345,33 @@ impl<'a> ExecutionPlan<'a> {
             engine.add_one_shot_timer(planned.release, EventHandle::from_raw(sae_base + index));
         }
 
-        let (mut trace, mut world) = engine.run_with_world();
-        let collected = lane_outcomes(&mut world.lanes);
-        finalise_trace(spec, world.lanes.len(), collected, &mut trace);
+        let (mut trace, world) = engine.run_with_world();
+        finalise_trace(spec, world.into_outcomes(), &mut trace);
         trace
     }
 }
 
-/// Finalises every lane (see [`ServerShared::finalise`]) and concatenates
-/// their outcome logs in lane order, `None` when there is no lane. The
-/// first lane's log is extended in place, so a single-lane run moves its
-/// log instead of copying it.
-pub(crate) fn lane_outcomes(lanes: &mut [ServerShared]) -> Option<Vec<AperiodicOutcome>> {
-    let (first, rest) = lanes.split_first_mut()?;
-    let mut outcomes = first.finalise();
-    for lane in rest {
-        outcomes.append(&mut lane.finalise());
-    }
-    Some(outcomes)
-}
-
 /// Shared post-run finalisation of an execution trace, used by both the
-/// driver and the reference engine: attach the aperiodic outcomes recorded
-/// by the servers — completing them with `Unserved` for any released event
-/// with no recorded fate (e.g. the one being served when the horizon was
-/// reached) — and reconstruct the periodic job records from the execution
-/// segments.
+/// driver and the reference engine: attach the run's outcome slot table
+/// (one record per planned release, see [`crate::framework`]) in
+/// `(release, event)` order, and reconstruct the periodic job records from
+/// the execution segments.
 ///
-/// A lane records at most one outcome per event it was routed, so a log as
-/// long as the routed in-horizon stream is already complete. Otherwise the
-/// completion looks each routed in-horizon event up by id in the sorted
-/// recorded ids, O(events · log events) per run. The key must be the id: a
-/// recorded outcome carries the instant its fire was *observed*, which a
-/// timer-overhead slice may have delayed past the spec's release.
+/// Slot order is plan order, the stream order that `build()` makes
+/// `(release, id)` order, so the sort is one linear pass over a sorted run
+/// unless a record moved: a record may carry the instant its release's
+/// fire was *observed*, which a timer-overhead slice may have delayed past
+/// a later event's spec release, and a spec edited after `build()` may
+/// carry descending ids at one release.
 pub(crate) fn finalise_trace(
     spec: &SystemSpec,
-    server_count: usize,
-    collected: Option<Vec<AperiodicOutcome>>,
+    mut outcomes: Vec<AperiodicOutcome>,
     trace: &mut Trace,
 ) {
-    if let Some(mut outcomes) = collected {
-        let workload = spec.workload();
-        let routed = workload
-            .within_horizon()
-            .iter()
-            .filter(|event| event.server < server_count);
-        if outcomes.len() < routed.clone().count() {
-            let mut recorded: Vec<EventId> = outcomes.iter().map(|o| o.event).collect();
-            recorded.sort_unstable();
-            for event in routed {
-                if recorded.binary_search(&event.id).is_err() {
-                    outcomes.push(AperiodicOutcome {
-                        event: event.id,
-                        release: event.release,
-                        declared_cost: event.declared_cost,
-                        value: event.value,
-                        deadline: event.absolute_deadline(),
-                        fate: AperiodicFate::Unserved,
-                    });
-                }
-            }
-        }
-        debug_assert!(
-            {
-                let mut ids: Vec<EventId> = outcomes.iter().map(|o| o.event).collect();
-                ids.sort_unstable();
-                ids.windows(2).all(|w| w[0] != w[1])
-            },
-            "a complete outcome log holds each event once"
-        );
-        // The ids are distinct, so `(release, event)` keys are too and the
-        // unstable sort orders exactly like a stable one.
-        outcomes.sort_unstable_by_key(|o| (o.release, o.event));
-        trace.outcomes = outcomes;
-    }
+    // The ids are distinct, so `(release, event)` keys are too and the
+    // unstable sort orders exactly like a stable one.
+    outcomes.sort_unstable_by_key(|o| (o.release, o.event));
+    trace.outcomes = outcomes;
 
     // One reservation for all records: the job count is computable from the
     // spec, so the record vector never grows incrementally (part of the
@@ -544,7 +496,7 @@ fn reconstruct_periodic_records(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_model::{Priority, ServerPolicyKind, ServerSpec, SystemSpec};
+    use rt_model::{AperiodicFate, Priority, ServerPolicyKind, ServerSpec, SystemSpec};
 
     fn table1(policy: ServerPolicyKind, capacity: u64, events: &[(u64, u64)]) -> SystemSpec {
         let mut b = SystemSpec::builder("table-1");
@@ -584,104 +536,78 @@ mod tests {
         assert!(trace.check_invariants().is_ok());
     }
 
-    /// Two lanes' logs over a spec whose in-horizon routed events are, in
-    /// release order, `[served_0, served_1, delayed, in_service, rejected]`,
-    /// plus an orphan (routed past the installed lanes) and an event at the
-    /// horizon. The log is lane 0's, then lane 1's, so releases interleave
-    /// across lanes. `delayed` was specified at 4 but a timer-overhead slice
-    /// pushed its observed fire to 5; `in_service` was still running at the
-    /// horizon and has no recorded fate.
-    fn two_lane_log() -> (SystemSpec, Vec<AperiodicOutcome>, [EventId; 7]) {
-        let at = Instant::from_units;
-        let mut b = SystemSpec::builder("finalise");
-        b.add_server(ServerSpec::polling(
-            Span::from_units(3),
+    /// A deferrable server (capacity 4, period 6) alone, with cost-1 events
+    /// released at the given ticks.
+    fn ds_events(releases: &[u64], horizon: u64) -> SystemSpec {
+        let mut b = SystemSpec::builder("slot-table");
+        b.server(ServerSpec::deferrable(
+            Span::from_units(4),
             Span::from_units(6),
             Priority::new(30),
         ));
-        b.add_server(ServerSpec::deferrable(
-            Span::from_units(2),
-            Span::from_units(6),
-            Priority::new(29),
-        ));
-        let served_0 = b.aperiodic_for(0, at(1), Span::from_units(1));
-        let served_1 = b.aperiodic_for(1, at(2), Span::from_units(1));
-        let delayed = b.aperiodic_for(0, at(4), Span::from_units(1));
-        let in_service = b.aperiodic_for(1, at(6), Span::from_units(2));
-        let rejected = b.aperiodic_for(0, at(8), Span::from_units(1));
-        let orphan = b.aperiodic_for(1, at(9), Span::from_units(1));
-        let late = b.aperiodic_for(0, at(20), Span::from_units(1));
-        b.horizon(at(20));
-        let mut spec = b.build().unwrap();
-        let routed = spec.aperiodics.iter_mut().find(|e| e.id == orphan);
-        routed.expect("orphan is in the spec").server = 2;
-
-        let outcome = |event, release, fate| AperiodicOutcome {
-            event,
-            release: at(release),
-            declared_cost: Span::from_units(1),
-            value: 1,
-            deadline: None,
-            fate,
-        };
-        let served = |started, completed| AperiodicFate::Served {
-            started: at(started),
-            completed: at(completed),
-        };
-        let collected = vec![
-            outcome(served_0, 1, served(1, 2)),
-            outcome(delayed, 5, served(5, 6)),
-            outcome(rejected, 8, AperiodicFate::Rejected { at: at(8) }),
-            outcome(served_1, 2, served(2, 3)),
-        ];
-        let ids = [
-            served_0, served_1, delayed, in_service, rejected, orphan, late,
-        ];
-        (spec, collected, ids)
+        for &at in releases {
+            b.aperiodic(Instant::from_ticks(at), Span::from_units(1));
+        }
+        b.horizon(Instant::from_ticks(horizon));
+        b.build().unwrap()
     }
 
     #[test]
-    fn finalise_trace_completes_outcomes_by_id_exactly_once() {
-        let (spec, collected, ids) = two_lane_log();
-        let [served_0, served_1, delayed, in_service, rejected, orphan, late] = ids;
-        let mut trace = Trace::new(spec.horizon);
-        finalise_trace(&spec, 2, Some(collected), &mut trace);
-
-        let events: Vec<EventId> = trace.outcomes.iter().map(|o| o.event).collect();
-        assert_eq!(
-            events,
-            vec![served_0, served_1, delayed, in_service, rejected],
-            "one outcome per in-horizon routed event, none for {orphan} or {late}"
-        );
-        assert!(trace
-            .outcomes
-            .windows(2)
-            .all(|w| (w[0].release, w[0].event) < (w[1].release, w[1].event)));
-        let delayed_outcome = &trace.outcomes[2];
-        assert_eq!(
-            delayed_outcome.release,
-            Instant::from_units(5),
-            "the recorded fate is kept"
-        );
-        let unserved = &trace.outcomes[3];
-        assert_eq!(unserved.fate, AperiodicFate::Unserved);
-        assert_eq!(unserved.release, Instant::from_units(6));
-        assert_eq!(unserved.declared_cost, Span::from_units(2));
+    fn only_a_release_still_queued_at_the_horizon_reports_its_observed_release() {
+        // Under the reference overheads e0's fire at 10 000 costs a 20-tick
+        // slice, so e1 (10 010) and e2 (10 015) fire at 10 020. e0 is
+        // served; the horizon cuts e1 in service, and e1 reports its spec
+        // release; e2 is still queued and reports the instant its fire was
+        // observed at.
+        let spec = ds_events(&[10_000, 10_010, 10_015], 11_500);
+        let config = ExecutionConfig::reference();
+        for trace in [execute(&spec, &config), execute_reference(&spec, &config)] {
+            let reported: Vec<(u32, u64, AperiodicFate)> = trace
+                .outcomes
+                .iter()
+                .map(|o| (o.event.raw(), o.release.ticks(), o.fate))
+                .collect();
+            let served = AperiodicFate::Served {
+                started: Instant::from_ticks(10_160),
+                completed: Instant::from_ticks(11_160),
+            };
+            assert_eq!(
+                reported,
+                [
+                    (0, 10_000, served),
+                    (1, 10_010, AperiodicFate::Unserved),
+                    (2, 10_020, AperiodicFate::Unserved),
+                ]
+            );
+            let e1 = trace.segments_of(ExecUnit::Handler(EventId::new(1))).last();
+            assert_eq!(e1.map(|s| s.end), Some(spec.horizon), "e1 is in service");
+        }
     }
 
     #[test]
-    fn a_complete_log_finalises_like_the_id_lookup_path() {
-        let (spec, mut collected, _) = two_lane_log();
-        let mut looked_up = Trace::new(spec.horizon);
-        finalise_trace(&spec, 2, Some(collected.clone()), &mut looked_up);
-        // Lane 1 records `in_service` as unserved itself: the log now holds
-        // every routed in-horizon event, so finalisation skips the lookup.
-        let unserved = looked_up.outcomes[3];
-        assert_eq!(unserved.fate, AperiodicFate::Unserved);
-        collected.push(unserved);
-        let mut complete = Trace::new(spec.horizon);
-        finalise_trace(&spec, 2, Some(collected), &mut complete);
-        assert_eq!(complete.outcomes, looked_up.outcomes);
+    fn releases_fired_together_report_in_id_order_whatever_their_service_order() {
+        // e0's 20-tick fire slice makes the releases at 1 005 and 1 010 fire
+        // together at 1 020. Their ids descend (an edit after `build()` that
+        // validation accepts), so the earlier one, e9, is served first, but
+        // both report 1 020 and only the final sort puts e8 first.
+        let mut spec = ds_events(&[1_000, 1_005, 1_010], 12_000);
+        spec.aperiodics[1].id = EventId::new(9);
+        spec.aperiodics[2].id = EventId::new(8);
+        spec.validate().expect("release-sorted with unique ids");
+        let config = ExecutionConfig::reference();
+        for trace in [execute(&spec, &config), execute_reference(&spec, &config)] {
+            let reported: Vec<(u32, u64)> = trace
+                .outcomes
+                .iter()
+                .map(|o| (o.event.raw(), o.release.ticks()))
+                .collect();
+            assert_eq!(reported, [(0, 1_000), (8, 1_020), (9, 1_020)]);
+            let started = |i: usize| match trace.outcomes[i].fate {
+                AperiodicFate::Served { started, .. } => started,
+                ref other => panic!("expected served, got {other:?}"),
+            };
+            assert!(started(2) < started(1), "e9 is served before e8");
+        }
     }
 
     #[test]

@@ -245,9 +245,25 @@ impl RandomSystemGenerator {
     }
 
     /// Replaces the cost model (e.g. with [`CostModel::resampling`]).
-    pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
+    ///
+    /// # Errors
+    /// Rejects a non-finite cap and, under a capacity-limited server policy,
+    /// a cap above the server capacity: a cost drawn above the capacity
+    /// would make the generated system invalid.
+    pub fn with_cost_model(mut self, cost_model: CostModel) -> Result<Self, String> {
+        if !cost_model.cap.is_finite() {
+            return Err(format!("cost cap {} is not finite", cost_model.cap));
+        }
+        let cap = Span::from_units_f64(cost_model.cap);
+        if self.policy.is_capacity_limited() && cap > self.params.server_capacity {
+            return Err(format!(
+                "cost cap {cap} exceeds the server capacity {}: a {:?} server cannot \
+                 admit a cost above its capacity",
+                self.params.server_capacity, self.policy
+            ));
+        }
         self.cost_model = cost_model;
-        self
+        Ok(self)
     }
 
     /// Adds a synthetic periodic task set below the server.
@@ -640,6 +656,35 @@ mod tests {
             ServerPolicyKind::Polling,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn a_cost_cap_above_the_server_capacity_is_an_error() {
+        // A cost drawn above the capacity would fail validation of the
+        // generated system inside `generate()`, so the cap is refused here.
+        let capacity = GeneratorParams::paper_set(2, 2).server_capacity;
+        let above = CostModel::paper(3.0, 2.0, Span::from_units(10));
+        let err = generator(2, 2).with_cost_model(above).unwrap_err();
+        assert!(err.contains("exceeds the server capacity"), "{err}");
+        let unbounded = CostModel {
+            cap: f64::INFINITY,
+            ..CostModel::paper(3.0, 2.0, capacity)
+        };
+        assert!(generator(2, 2).with_cost_model(unbounded).is_err());
+        // At the capacity the systems are valid; background servicing has
+        // no capacity to exceed.
+        let at = CostModel::resampling(3.0, 2.0, capacity);
+        let background = RandomSystemGenerator::new(
+            GeneratorParams::paper_set(2, 2),
+            ServerPolicyKind::Background,
+        )
+        .unwrap();
+        for generator in [
+            generator(2, 2).with_cost_model(at).unwrap(),
+            background.with_cost_model(above).unwrap(),
+        ] {
+            assert!(generator.generate().iter().all(|s| s.validate().is_ok()));
+        }
     }
 
     #[test]
