@@ -63,9 +63,13 @@
 //!   threads, against 1 worker. Gate: at least 2× at 4 workers; a host with
 //!   fewer than 4 threads has no `workers/4` row and cannot evaluate it.
 //! * `paper` — 10³ systems of paper set (2,2) per engine and server (PS,
-//!   DS), whole batches, ns per event printed beside ns per decision; no
-//!   baseline. The synthetic rows above overstate what a table run sees,
-//!   where set-up and finalisation cost about as much as the decision loop.
+//!   DS), whole batches, ns per event printed beside ns per decision, each
+//!   against the same systems at a 1-tick horizon (`…/horizon-1`, a run's
+//!   fixed cost) and, for the execution, under ideal overheads (`…/ideal`)
+//!   and with the events removed (`…/no-events`); every row also prints ns
+//!   per system. No gate. The synthetic rows above overstate what a table
+//!   run sees, where set-up and finalisation cost about as much as the
+//!   decision loop.
 
 use rt_admission::{AdmissionPolicy, ArrivingEvent, ServerAdmission};
 use rt_bench::{gate_failures, render_bench_trajectory, BenchRecord, GATES, GROUPS};
@@ -583,14 +587,36 @@ fn harness(rows: &mut Rows) {
     rows.compare("harness", sweep);
 }
 
+/// A row running `run` over every system of `batch`; its decisions are the
+/// batch's trace segments.
+fn batch_row<'a>(
+    config: String,
+    batch: &'a [SystemSpec],
+    run: impl Fn(&SystemSpec) -> Trace + 'a,
+) -> Row<'a> {
+    let decisions = batch.iter().map(|spec| run(spec).segments.len()).sum();
+    Row::new(config, decisions, move || {
+        for spec in batch {
+            black_box(run(black_box(spec)));
+        }
+    })
+}
+
 /// 10³ systems of paper set (2,2) per server policy, seed 1983: one
-/// server, 10–30 events over ten server periods, no periodic tasks.
+/// server, 10–30 events over ten server periods, no periodic tasks. Each
+/// engine's full runs are timed beside the same systems at a 1-tick
+/// horizon, the fixed cost of a run; the execution also runs them under
+/// ideal overheads, and with their events removed (the periodic path
+/// alone). The full runs print ns per event, and every row ns per system.
 fn paper(rows: &mut Rows) {
     let config = TableConfig {
         systems_per_set: 1_000,
         seed: 1983,
         ..TableConfig::default()
     };
+    let reference = ExecutionConfig::reference();
+    let ideal = ExecutionConfig::ideal();
+    let exec = |spec: &SystemSpec| execute(spec, &reference);
     for (label, policy) in [
         ("ps", ServerPolicyKind::Polling),
         ("ds", ServerPolicyKind::Deferrable),
@@ -600,16 +626,44 @@ fn paper(rows: &mut Rows) {
             .iter()
             .map(|spec| spec.workload().within_horizon_count())
             .sum();
-        for (engine, run) in ENGINES {
-            let decisions = batch.iter().map(|spec| run(spec).segments.len()).sum();
-            let row = Row::new(format!("{engine}/{label}"), decisions, || {
-                for spec in &batch {
-                    black_box(run(black_box(spec)));
-                }
-            });
-            let ns = rows.compare("paper", vec![row])[0];
-            let per_event = ns * decisions as f64 / events as f64;
+        let one_tick: Vec<SystemSpec> = batch
+            .iter()
+            .map(|spec| SystemSpec {
+                horizon: Instant::from_ticks(1),
+                ..spec.clone()
+            })
+            .collect();
+        let no_events: Vec<SystemSpec> = batch
+            .iter()
+            .map(|spec| SystemSpec {
+                aperiodics: Vec::new(),
+                ..spec.clone()
+            })
+            .collect();
+        let comparisons = [
+            vec![
+                batch_row(format!("sim/{label}"), &batch, simulate),
+                batch_row(format!("sim/{label}/horizon-1"), &one_tick, simulate),
+            ],
+            vec![
+                batch_row(format!("exec/{label}"), &batch, exec),
+                batch_row(format!("exec/{label}/horizon-1"), &one_tick, exec),
+                batch_row(format!("exec/{label}/ideal"), &batch, |spec| {
+                    execute(spec, &ideal)
+                }),
+                batch_row(format!("exec/{label}/no-events"), &no_events, exec),
+            ],
+        ];
+        for comparison in comparisons {
+            let decisions: Vec<usize> = comparison.iter().map(|row| row.decisions).collect();
+            let configs: Vec<String> = comparison.iter().map(|row| row.config.clone()).collect();
+            let ns = rows.compare("paper", comparison);
+            let per_event = ns[0] * decisions[0] as f64 / events as f64;
             println!("{:>36} {per_event:>12.1} ns per event", "");
+            for ((config, ns), decisions) in configs.iter().zip(&ns).zip(&decisions) {
+                let per_system = ns * *decisions as f64 / batch.len() as f64;
+                println!("{config:>36} {per_system:>12.1} ns per system");
+            }
         }
     }
 }

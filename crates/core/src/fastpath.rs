@@ -84,10 +84,16 @@
 //! outcome slot, and the heaps and the lanes' queues, sized from the plan
 //! at install, are reused. A recording run additionally pays O(t) per
 //! drain for the exact wheel instant.
+//!
+//! Per run, the driver's tables — the thread table, the wheel, the rank
+//! bitmap, the heaps, the timed-wake list — and the install's are taken
+//! from the thread's scratch (`RunScratch`) and handed back empty at the
+//! horizon, so after one run on a thread the driver allocates only the
+//! trace's segments and outcome slots.
 
-use crate::framework::{EventKind, ExecWorld, Install, ServerBody, Timer};
-use crate::system::{finalise_trace, ExecutionPlan, PlannedEvent};
-use rt_model::{ExecUnit, Instant, Priority, ServerPolicyKind, Span, SystemSpec, Trace};
+use crate::framework::{EventKind, ExecWorld, Install, InstallScratch, ServerBody, Timer};
+use crate::system::{finalise_trace, ExecutionPlan, FinaliseScratch, PlannedEvent};
+use rt_model::{ExecUnit, Instant, ServerPolicyKind, Span, SystemSpec, Trace};
 use rt_observe::Probe;
 use rtsj_emu::{Action, BodyCtx, Completion, PeriodicThreadBody, ThreadBody};
 use std::cmp::Reverse;
@@ -103,18 +109,28 @@ pub(crate) struct SubstrateGroup {
     first: Instant,
     /// Release period of the grid.
     period: Span,
-    /// Member thread ids (spawn order: servers first, then tasks).
-    members: Vec<u32>,
+    /// Where the member thread ids (spawn order: servers first, then
+    /// tasks) start in [`SubstratePlan::members`].
+    start: u32,
+    /// How many members the group has.
+    len: u32,
     /// Preemption ceiling: the best (smallest) dispatch rank in the group.
     /// A running thread with a rank below this value cannot be preempted by
     /// any release of the group — the SRP-style O(1) preemption test.
     ceiling: u32,
 }
 
+impl SubstrateGroup {
+    /// The group's members, as a range of [`SubstratePlan::members`].
+    fn members(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
 /// The precomputed scheduling substrate of one plan: the static dispatch
 /// order, the release wheel with preemption ceilings, and the trace
 /// reservation hint. See the module docs for the derivation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct SubstratePlan {
     /// Thread id → dispatch rank (0 = dispatched first).
     rank_of: Vec<u32>,
@@ -122,57 +138,89 @@ pub(crate) struct SubstratePlan {
     order: Vec<u32>,
     /// The release wheel.
     groups: Vec<SubstrateGroup>,
+    /// The wheel groups' member thread ids, group after group.
+    members: Vec<u32>,
     /// Reservation hint for the trace's segment storage (an upper-bound
     /// estimate; undershooting only costs a reallocation).
     segment_hint: usize,
 }
 
+/// The periodic schedulables of a spec in spawn order, as (thread id,
+/// first release, period): the polling servers (thread id = lane index),
+/// then the periodic tasks.
+fn periodic_threads(spec: &SystemSpec) -> impl Iterator<Item = (u32, Instant, Span)> + '_ {
+    let servers = spec
+        .servers
+        .iter()
+        .enumerate()
+        .filter(|(_, server)| server.policy == ServerPolicyKind::Polling)
+        .map(|(index, server)| (index as u32, Instant::ZERO, server.period));
+    let tasks = spec.periodic_tasks.iter().enumerate().map(|(index, task)| {
+        (
+            (spec.servers.len() + index) as u32,
+            Instant::ZERO + task.offset,
+            task.period,
+        )
+    });
+    servers.chain(tasks)
+}
+
 impl SubstratePlan {
     /// Derives the substrate of a (fault-normalised) spec in
-    /// O(threads · groups): thread ids follow `ExecutionPlan::run`'s spawn
-    /// order — servers first (thread id = lane index), then periodic tasks —
-    /// which is what makes the static ranks reproduce the engine's
-    /// `(priority, Reverse(thread id))` ready-heap tie-break.
-    pub(crate) fn analyze(spec: &SystemSpec) -> Self {
+    /// O(threads · groups), into the buffers of `reuse` (cleared first):
+    /// thread ids follow `ExecutionPlan::run`'s spawn order — servers first
+    /// (thread id = lane index), then periodic tasks — which is what makes
+    /// the static ranks reproduce the engine's `(priority, Reverse(thread
+    /// id))` ready-heap tie-break.
+    pub(crate) fn analyze(spec: &SystemSpec, reuse: SubstratePlan) -> Self {
+        let SubstratePlan {
+            mut rank_of,
+            mut order,
+            mut groups,
+            mut members,
+            ..
+        } = reuse.cleared();
         let server_count = spec.servers.len();
         let thread_count = server_count + spec.periodic_tasks.len();
-        let mut priorities: Vec<Priority> = Vec::with_capacity(thread_count);
-        priorities.extend(spec.servers.iter().map(|s| s.priority));
-        priorities.extend(spec.periodic_tasks.iter().map(|t| t.priority));
-        let (rank_of, order) = rank_tables(&priorities);
-
-        let mut groups: Vec<SubstrateGroup> = Vec::new();
-        let mut push_member = |first: Instant, period: Span, tid: u32| match groups
-            .iter_mut()
-            .find(|g| g.first == first && g.period == period)
-        {
-            Some(g) => g.members.push(tid),
-            None => groups.push(SubstrateGroup {
-                first,
-                period,
-                members: vec![tid],
-                ceiling: u32::MAX,
-            }),
+        let priority = |tid: u32| match spec.servers.get(tid as usize) {
+            Some(server) => server.priority,
+            None => spec.periodic_tasks[tid as usize - server_count].priority,
         };
-        for (index, server) in spec.servers.iter().enumerate() {
-            if server.policy == ServerPolicyKind::Polling {
-                push_member(Instant::ZERO, server.period, index as u32);
+        // Fixed-priority dispatch order: priority descending, spawn index
+        // ascending. The keys are distinct, so an unstable sort orders like
+        // a stable one.
+        order.extend(0..thread_count as u32);
+        order.sort_unstable_by_key(|&tid| (Reverse(priority(tid)), tid));
+        rank_of.resize(thread_count, 0);
+        for (rank, &tid) in order.iter().enumerate() {
+            rank_of[tid as usize] = rank as u32;
+        }
+
+        // The groups in first-seen order, then each group's members in
+        // spawn order, contiguously.
+        for (_, first, period) in periodic_threads(spec) {
+            if !groups
+                .iter()
+                .any(|g| g.first == first && g.period == period)
+            {
+                groups.push(SubstrateGroup {
+                    first,
+                    period,
+                    start: 0,
+                    len: 0,
+                    ceiling: u32::MAX,
+                });
             }
         }
-        for (index, task) in spec.periodic_tasks.iter().enumerate() {
-            push_member(
-                Instant::ZERO + task.offset,
-                task.period,
-                (server_count + index) as u32,
-            );
-        }
         for group in &mut groups {
-            group.ceiling = group
-                .members
-                .iter()
-                .map(|&m| rank_of[m as usize])
-                .min()
-                .unwrap_or(u32::MAX);
+            group.start = members.len() as u32;
+            for (tid, first, period) in periodic_threads(spec) {
+                if (first, period) == (group.first, group.period) {
+                    members.push(tid);
+                    group.ceiling = group.ceiling.min(rank_of[tid as usize]);
+                }
+            }
+            group.len = members.len() as u32 - group.start;
         }
 
         let horizon = spec.horizon.ticks();
@@ -209,36 +257,52 @@ impl SubstratePlan {
             rank_of,
             order,
             groups,
+            members,
             segment_hint,
         }
     }
-}
 
-/// Builds the (thread → rank, rank → thread) tables for the engine's
-/// fixed-priority dispatch order: priority descending, spawn index ascending.
-fn rank_tables(priorities: &[Priority]) -> (Vec<u32>, Vec<u32>) {
-    let mut order: Vec<u32> = (0..priorities.len() as u32).collect();
-    order.sort_by_key(|&tid| (Reverse(priorities[tid as usize]), tid));
-    let mut rank_of = vec![0u32; priorities.len()];
-    for (rank, &tid) in order.iter().enumerate() {
-        rank_of[tid as usize] = rank as u32;
+    /// The substrate's buffers, empty.
+    pub(crate) fn cleared(mut self) -> Self {
+        self.rank_of.clear();
+        self.order.clear();
+        self.groups.clear();
+        self.members.clear();
+        self.segment_hint = 0;
+        self
     }
-    (rank_of, order)
 }
 
 /// Runs a plan through the driver instantiation of its policy: attaches the
-/// probe, drives the bodies to the horizon and finalises the trace.
-pub(crate) fn run<P: Probe, const EDF: bool>(plan: &ExecutionPlan<'_>, mut probe: P) -> Trace {
+/// probe, drives the bodies to the horizon and finalises the trace, with
+/// the working buffers of `scratch`, which it hands back empty.
+pub(crate) fn run<P: Probe, const EDF: bool>(
+    plan: &ExecutionPlan<'_>,
+    mut probe: P,
+    scratch: &mut RunScratch,
+) -> Trace {
     if P::ENABLED {
         probe.attach(plan.spec.servers.len());
     }
-    let mut driver = FastDriver::<P, EDF>::new(plan, probe);
+    let mut driver = FastDriver::<P, EDF>::new(plan, probe, scratch);
     driver.run();
-    let FastDriver {
-        mut trace, world, ..
-    } = driver;
-    finalise_trace(&plan.spec, world.into_outcomes(), &mut trace);
-    trace
+    driver.finish(&plan.spec, scratch)
+}
+
+/// Every buffer one execution uses but does not return — the install's,
+/// the driver's tables and finalisation's — kept empty between the runs
+/// of one thread ([`crate::scratch`]).
+#[derive(Default)]
+pub(crate) struct RunScratch {
+    install: InstallScratch,
+    threads: Vec<ThreadSlot>,
+    wheel: Vec<Instant>,
+    runnable: Vec<u64>,
+    dynamic: BinaryHeap<Reverse<(Instant, usize, usize)>>,
+    ready_edf: BinaryHeap<Reverse<(Instant, usize)>>,
+    until_wakes: Vec<(Instant, usize)>,
+    due: Vec<(usize, usize)>,
+    finalise: FinaliseScratch,
 }
 
 /// Mirror of the reference engine's thread status (the EDF deadline key
@@ -361,19 +425,14 @@ struct ThreadSlot {
     wakeups: u32,
 }
 
-/// Runtime state of one release-wheel group.
-struct WheelGroup<'s> {
-    next: Instant,
-    period: Span,
-    members: &'s [u32],
-    ceiling: u32,
-}
-
 struct FastDriver<'p, P: Probe, const EDF: bool> {
     // --- immutable tables ---
     plan_events: &'p [PlannedEvent],
     rank_of: &'p [u32],
     order: &'p [u32],
+    /// The release-wheel groups and their members.
+    groups: &'p [SubstrateGroup],
+    members: &'p [u32],
     horizon: Instant,
     timer_fire: Span,
     /// Event index of the first planned servable event; the others follow
@@ -390,7 +449,8 @@ struct FastDriver<'p, P: Probe, const EDF: bool> {
     /// fire timers are not materialized: the planned events are
     /// release-sorted, so a single cursor replays them.
     static_timers: Vec<Timer>,
-    groups: Vec<WheelGroup<'p>>,
+    /// Next release instant of each wheel group.
+    wheel: Vec<Instant>,
     sae_cursor: usize,
     /// Runtime-armed one-shots (SS chunk replenishments): (fire instant,
     /// arming index, event index). The engine creates them after every
@@ -433,7 +493,7 @@ struct FastDriver<'p, P: Probe, const EDF: bool> {
 }
 
 impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
-    fn new(plan: &'p ExecutionPlan<'_>, probe: P) -> Self {
+    fn new(plan: &'p ExecutionPlan<'_>, probe: P, scratch: &mut RunScratch) -> Self {
         let spec: &SystemSpec = &plan.spec;
         let config = &plan.config;
         let substrate = &plan.substrate;
@@ -444,16 +504,28 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             "substrate was analyzed for a different system"
         );
 
+        debug_assert!(
+            scratch.threads.is_empty()
+                && scratch.wheel.is_empty()
+                && scratch.runnable.is_empty()
+                && scratch.dynamic.is_empty()
+                && scratch.ready_edf.is_empty()
+                && scratch.until_wakes.is_empty()
+                && scratch.due.is_empty(),
+            "a run starts from empty buffers"
+        );
+
         // The servers as the install creates them (thread id = lane index),
         // then the periodic tasks.
         let Install {
             world,
-            servers,
+            mut servers,
             timers,
             sae_base: sae_event_base,
-        } = Install::new(spec, config, &plan.events, probe);
-        let mut threads: Vec<ThreadSlot> = Vec::with_capacity(thread_count);
-        threads.extend(servers.into_iter().map(|server| {
+        } = Install::new(spec, config, &plan.events, probe, &mut scratch.install);
+        let mut threads = std::mem::take(&mut scratch.threads);
+        threads.reserve(thread_count);
+        threads.extend(servers.drain(..).map(|server| {
             ThreadSlot {
                 body: Body::Server(server.body),
                 periodic: server
@@ -474,6 +546,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
                 wakeups: 0,
             });
         }
+        scratch.install.servers = servers;
 
         // Steady-state allocation freedom: reserve the segment storage up
         // front (the install sized the outcome slot table and each lane's
@@ -481,11 +554,16 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
         let mut trace = Trace::new(spec.horizon);
         trace.segments.reserve(substrate.segment_hint);
 
-        let word_count = thread_count.div_ceil(64).max(1);
+        let mut wheel = std::mem::take(&mut scratch.wheel);
+        wheel.extend(substrate.groups.iter().map(|g| g.first));
+        let mut runnable = std::mem::take(&mut scratch.runnable);
+        runnable.resize(thread_count.div_ceil(64).max(1), 0);
         let mut driver = FastDriver {
             plan_events: &plan.events,
             rank_of: &substrate.rank_of,
             order: &substrate.order,
+            groups: &substrate.groups,
+            members: &substrate.members,
             horizon: spec.horizon,
             timer_fire: config.overhead.timer_fire,
             sae_event_base,
@@ -493,35 +571,62 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             threads,
             world,
             static_timers: timers,
-            groups: substrate
-                .groups
-                .iter()
-                .map(|g| WheelGroup {
-                    next: g.first,
-                    period: g.period,
-                    members: &g.members,
-                    ceiling: g.ceiling,
-                })
-                .collect(),
+            wheel,
             sae_cursor: 0,
-            dynamic: BinaryHeap::new(),
+            dynamic: std::mem::take(&mut scratch.dynamic),
             next_timer_idx: 0,
-            until_wakes: Vec::new(),
-            runnable: vec![0u64; word_count],
+            until_wakes: std::mem::take(&mut scratch.until_wakes),
+            runnable,
             woken_min_rank: u32::MAX,
             running: None,
-            ready_edf: BinaryHeap::new(),
+            ready_edf: std::mem::take(&mut scratch.ready_edf),
             pending_overhead: Span::ZERO,
             next_due: Instant::ZERO,
             zero_steps: 0,
             trace,
             incomplete: None,
-            due_scratch: Vec::new(),
+            due_scratch: std::mem::take(&mut scratch.due),
         };
         for tid in 0..driver.threads.len() {
             driver.mark_runnable(tid);
         }
         driver
+    }
+
+    /// Finalises the run's trace and hands every working buffer back to
+    /// `scratch`, empty.
+    fn finish(self, spec: &SystemSpec, scratch: &mut RunScratch) -> Trace {
+        let FastDriver {
+            mut threads,
+            world,
+            mut static_timers,
+            mut wheel,
+            mut dynamic,
+            mut until_wakes,
+            mut runnable,
+            mut ready_edf,
+            mut trace,
+            due_scratch,
+            ..
+        } = self;
+        let outcomes = world.into_outcomes(&mut scratch.install);
+        finalise_trace(spec, outcomes, &mut trace, &mut scratch.finalise);
+        threads.clear();
+        static_timers.clear();
+        wheel.clear();
+        dynamic.clear();
+        until_wakes.clear();
+        runnable.clear();
+        ready_edf.clear();
+        scratch.install.timers = static_timers;
+        scratch.threads = threads;
+        scratch.wheel = wheel;
+        scratch.runnable = runnable;
+        scratch.dynamic = dynamic;
+        scratch.ready_edf = ready_edf;
+        scratch.until_wakes = until_wakes;
+        scratch.due = due_scratch;
+        trace
     }
 
     #[inline]
@@ -647,13 +752,12 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             }
         }
 
-        for gi in 0..self.groups.len() {
-            while self.groups[gi].next <= self.now {
-                let period = self.groups[gi].period;
-                let ceiling = self.groups[gi].ceiling;
+        let (groups, members) = (self.groups, self.members);
+        for (gi, group) in groups.iter().enumerate() {
+            while self.wheel[gi] <= self.now {
                 let mut released_any = false;
-                for mi in 0..self.groups[gi].members.len() {
-                    let tid = self.groups[gi].members[mi] as usize;
+                for &tid in &members[group.members()] {
+                    let tid = tid as usize;
                     let slot = &mut self.threads[tid];
                     if !matches!(slot.status, Status::BlockedForPeriod) {
                         continue;
@@ -683,9 +787,9 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
                 if released_any {
                     // One O(1) update for the whole group: the precomputed
                     // ceiling is the best rank any member can contribute.
-                    self.woken_min_rank = self.woken_min_rank.min(ceiling);
+                    self.woken_min_rank = self.woken_min_rank.min(group.ceiling);
                 }
-                self.groups[gi].next += period;
+                self.wheel[gi] += group.period;
             }
         }
 
@@ -749,16 +853,16 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
         if let Some(&Reverse((at, _, _))) = self.dynamic.peek() {
             next = next.min(at);
         }
-        for group in &self.groups {
-            if !P::ENABLED {
-                next = next.min(group.next);
-                continue;
-            }
-            for &tid in group.members {
+        if P::ENABLED {
+            for &tid in self.members {
                 let slot = &self.threads[tid as usize];
                 if let (Status::BlockedForPeriod, Some(periodic)) = (slot.status, slot.periodic) {
                     next = next.min(periodic.next);
                 }
+            }
+        } else {
+            for &at in &self.wheel {
+                next = next.min(at);
             }
         }
         for &(at, _) in &self.until_wakes {
@@ -1198,13 +1302,16 @@ mod tests {
     #[test]
     fn substrate_ranks_follow_priority_then_spawn_order() {
         let spec = table1(ServerPolicyKind::Polling, 3, &[(0, 2)]);
-        let substrate = SubstratePlan::analyze(&spec);
+        let substrate = SubstratePlan::analyze(&spec, SubstratePlan::default());
         // Server (priority 30) ranks first, then tau1 (20), then tau2 (10).
         assert_eq!(substrate.order, vec![0, 1, 2]);
         assert_eq!(substrate.rank_of, vec![0, 1, 2]);
         // One wheel group: all three share the (0, period 6) grid.
         assert_eq!(substrate.groups.len(), 1);
-        assert_eq!(substrate.groups[0].members, vec![0, 1, 2]);
+        assert_eq!(substrate.members[substrate.groups[0].members()], [0, 1, 2]);
         assert_eq!(substrate.groups[0].ceiling, 0);
+        // Analysed again into the same buffers, it comes out the same.
+        let again = SubstratePlan::analyze(&spec, substrate.clone());
+        assert_eq!(again, substrate);
     }
 }

@@ -35,7 +35,10 @@
 //! lanes decide — a rejection or a D-OVER displacement at the arrival, a
 //! service, an interruption or an enforcement abort at the end of service —
 //! is a store into that slot, and the log needs no drain and no lookup at
-//! the horizon.
+//! the horizon. The outcome slots become the trace; every other table the
+//! install builds — the lanes, their queues' buffers, the hook table, the
+//! server list and the timers — lives in buffers the execution driver
+//! takes from the thread's scratch and hands back empty (`InstallScratch`).
 //!
 //! Timer fire order follows creation order, so the install keeps the
 //! order: per lane, whichever of `wakeUp`, swap-replenish, replenish and the
@@ -46,7 +49,7 @@
 use crate::deferrable::EventDrivenServerBody;
 use crate::handler::QueuedRelease;
 use crate::polling::PollingServerBody;
-use crate::queue::COMPACTION_THRESHOLD;
+use crate::queue::{QueueBuffers, COMPACTION_THRESHOLD};
 use crate::sporadic::SporadicServerBody;
 use crate::state::ServerShared;
 use crate::system::{ExecutionConfig, PlannedEvent};
@@ -213,16 +216,24 @@ impl<P: Probe> ExecWorld<'_, P> {
     /// release still queued reports the instant its fire was observed, while
     /// one the horizon cut in service keeps the spec release of its
     /// prefilled slot (ROADMAP.md records the asymmetry as an open
-    /// question).
-    pub(crate) fn into_outcomes(self) -> Vec<AperiodicOutcome> {
+    /// question). The lanes, their queues' buffers and the hook table go
+    /// back to `scratch`, empty.
+    pub(crate) fn into_outcomes(self, scratch: &mut InstallScratch) -> Vec<AperiodicOutcome> {
         let ExecWorld {
-            lanes,
+            mut lanes,
+            mut kinds,
             mut outcomes,
             ..
         } = self;
         for release in lanes.iter().flat_map(|lane| lane.queue.iter()) {
             outcomes[release.slot as usize] = outcome(release, AperiodicFate::Unserved);
         }
+        scratch
+            .queues
+            .extend(lanes.drain(..).map(|lane| lane.queue.into_buffers()));
+        kinds.clear();
+        scratch.lanes = lanes;
+        scratch.kinds = kinds;
         outcomes
     }
 }
@@ -301,6 +312,19 @@ pub(crate) struct Timer {
     pub(crate) event: usize,
 }
 
+/// The buffers an install fills, kept empty between the runs of one thread
+/// ([`crate::scratch`]): the execution driver hands them back when its run
+/// ends, while the reference engine keeps none.
+#[derive(Default)]
+pub(crate) struct InstallScratch {
+    pub(crate) lanes: Vec<ServerShared>,
+    /// The queue buffers of the lanes of earlier runs.
+    pub(crate) queues: Vec<QueueBuffers>,
+    pub(crate) kinds: Vec<EventKind>,
+    pub(crate) servers: Vec<ServerThread>,
+    pub(crate) timers: Vec<Timer>,
+}
+
 /// One system's task-server machinery as data: built by [`Install::new`]
 /// and run by both execution loops (see the module docs).
 pub(crate) struct Install<'p, P> {
@@ -317,13 +341,22 @@ pub(crate) struct Install<'p, P> {
 impl<'p, P: Probe> Install<'p, P> {
     /// The one install routine: every lane of `spec` in spec order, then
     /// one servable event and one outcome slot per entry of `plan`,
-    /// reporting to `probe`.
+    /// reporting to `probe`. Every table but the outcome slots, which the
+    /// trace keeps, is built in the buffers of `scratch`.
     pub(crate) fn new(
         spec: &SystemSpec,
         config: &ExecutionConfig,
         plan: &'p [PlannedEvent],
         probe: P,
+        scratch: &mut InstallScratch,
     ) -> Self {
+        debug_assert!(
+            scratch.lanes.is_empty()
+                && scratch.kinds.is_empty()
+                && scratch.servers.is_empty()
+                && scratch.timers.is_empty(),
+            "an install starts from empty buffers"
+        );
         let lanes = spec.servers.len();
         let mut outcomes = Vec::with_capacity(plan.len());
         outcomes.extend(plan.iter().map(|planned| {
@@ -332,20 +365,24 @@ impl<'p, P: Probe> Install<'p, P> {
         }));
         let mut install = Install {
             world: ExecWorld {
-                lanes: Vec::with_capacity(lanes),
-                // At most three events per lane (the DS's), then one per
-                // planned release.
-                kinds: Vec::with_capacity(lanes * 3 + plan.len()),
+                lanes: std::mem::take(&mut scratch.lanes),
+                kinds: std::mem::take(&mut scratch.kinds),
                 plan,
                 outcomes,
                 probe,
             },
-            servers: Vec::with_capacity(lanes),
-            timers: Vec::new(),
+            servers: std::mem::take(&mut scratch.servers),
+            timers: std::mem::take(&mut scratch.timers),
             sae_base: 0,
         };
+        install.world.lanes.reserve(lanes);
+        // At most three events per lane (the DS's), then one per planned
+        // release.
+        install.world.kinds.reserve(lanes * 3 + plan.len());
+        install.servers.reserve(lanes);
         for (lane, server) in spec.servers.iter().enumerate() {
-            install.lane(lane, server, config, &spec.faults);
+            let queue = scratch.queues.pop().unwrap_or_default();
+            install.lane(lane, server, config, &spec.faults, queue);
         }
         install.sae_base = install.world.kinds.len();
         for (plan_index, planned) in plan.iter().enumerate() {
@@ -354,13 +391,15 @@ impl<'p, P: Probe> Install<'p, P> {
         install
     }
 
-    /// Installs one lane the way its class does, then its mode changes.
+    /// Installs one lane the way its class does, its queue in `queue`'s
+    /// buffers, then its mode changes.
     fn lane(
         &mut self,
         lane: usize,
         server: &ServerSpec,
         config: &ExecutionConfig,
         faults: &FaultPlan,
+        queue: QueueBuffers,
     ) {
         let (params, admission) = match server.policy {
             // Background servicing has no meaningful capacity or period;
@@ -393,6 +432,7 @@ impl<'p, P: Probe> Install<'p, P> {
             server.discipline,
             admission,
         );
+        state.queue.adopt(queue);
         // The reservation is capped, so the count stops there.
         let routed = self.world.plan.iter().filter(|p| p.server == lane);
         state
@@ -579,7 +619,13 @@ mod tests {
 
     /// Installs the lanes of `spec` alone (no planned release).
     fn install_lanes(spec: &SystemSpec) -> Install<'static, NoopProbe> {
-        Install::new(spec, &ExecutionConfig::ideal(), &[], NoopProbe)
+        Install::new(
+            spec,
+            &ExecutionConfig::ideal(),
+            &[],
+            NoopProbe,
+            &mut InstallScratch::default(),
+        )
     }
 
     #[test]
@@ -672,7 +718,13 @@ mod tests {
         let spec = four_lanes();
         let config = ExecutionConfig::reference();
         let plan = ExecutionPlan::prepare(&spec, &config).expect("valid spec");
-        let install = Install::new(&spec, &config, &plan.events, NoopProbe);
+        let install = Install::new(
+            &spec,
+            &config,
+            &plan.events,
+            NoopProbe,
+            &mut InstallScratch::default(),
+        );
         let kinds: Vec<String> = install
             .world
             .kinds

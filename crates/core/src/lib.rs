@@ -69,12 +69,25 @@
 //! priorities and O(decisions · log n) under EDF, with or without a probe,
 //! and performs zero heap allocations per decision (pinned by the same
 //! test); the linear-scan reference costs O(t + m) per decision.
-//! Post-run trace finalisation buckets execution segments by task in one
-//! pass — O(segments + tasks), *not* O(tasks × segments); at 300 tasks the
-//! difference is the bulk of the per-run cost — and takes the aperiodic
+//! Post-run trace finalisation buckets execution segments by task in two
+//! passes — O(segments + tasks), *not* O(tasks × segments); at 300 tasks
+//! the difference is the bulk of the per-run cost — and takes the aperiodic
 //! outcomes from the run's slot table ([`framework`]), which needs one
 //! walk over the live backlog and one sort that is a linear pass when the
 //! slots are already in `(release, event)` order.
+//!
+//! Every buffer a run uses but does not return — the planned-event and
+//! substrate tables [`execute`] builds, the install's lanes, queue buffers,
+//! hook table, server list and timers, the driver's tables and
+//! finalisation's buckets — is kept by the thread between runs, empty,
+//! like the memory an SCJ mission sets up before releasing its handlers.
+//! [`execute`], [`execute_with_probe`] and [`ExecutionPlan::run`] take it
+//! when a run starts and give it back when the run ends, so after one run
+//! on a thread an execution allocates only its trace (the segments and the
+//! outcome slots), unless the system outsizes every earlier one. A run
+//! nested in another, or the first after a run that panicked, allocates
+//! afresh. [`execute_reference`] and [`ExecutionPlan::prepare`] allocate
+//! their own tables.
 //!
 //! ```
 //! use rt_model::{Instant, Priority, ServerPolicyKind, ServerSpec, Span, SystemSpec};
@@ -103,6 +116,7 @@ pub mod framework;
 pub mod handler;
 pub mod polling;
 pub mod queue;
+mod scratch;
 pub mod serve;
 pub mod sporadic;
 pub mod state;

@@ -29,7 +29,9 @@
 //! each lane's queue once, before its first release, for the releases
 //! routed to the lane, capped at the compaction threshold: a queue whose
 //! backlog stays within the cap never regrows, and the reservation does
-//! not grow with the horizon.
+//! not grow with the horizon. The buffers come from the lanes of the
+//! thread's previous execution, so after one run a lane's queue allocates
+//! only to grow past what earlier runs used.
 //!
 //! # Service discipline
 //!
@@ -98,15 +100,32 @@ impl CostIndex {
     fn reserve(&mut self, leaves: usize) {
         if leaves > 0 {
             let nodes = 2 * leaves.next_power_of_two().max(4);
-            self.tree
-                .reserve_exact(nodes.saturating_sub(self.tree.len()));
+            self.tree.reserve(nodes.saturating_sub(self.tree.len()));
         }
     }
 
-    /// Empties the index, keeping the tree's buffer for the next pushes.
+    /// Empties the index, keeping the tree's buffer and up to
+    /// [`COMPACTION_THRESHOLD`] leaves of its capacity. Only the leaves
+    /// handed out and their ancestors are reset, so a queue that drains and
+    /// refills pays for the leaves it used, not for regrowing the tree from
+    /// four leaves. A tree grown past the threshold restarts at it, which
+    /// keeps the descents of the next backlog short.
     fn clear(&mut self) {
-        self.cap = 0;
-        self.tree.clear();
+        if self.cap > COMPACTION_THRESHOLD {
+            self.cap = COMPACTION_THRESHOLD;
+            self.tree.truncate(2 * self.cap);
+            self.tree.fill(VACANT);
+        } else if self.len > 0 && self.tree[1] != VACANT {
+            // Live leaves remain (a compaction; a drained tree is vacant to
+            // its root already): the used leaves `[cap, cap + len)`, then
+            // their parents, level by level up to the root.
+            let (mut lo, mut hi) = (self.cap, self.cap + self.len);
+            while lo > 0 {
+                self.tree[lo..hi].fill(VACANT);
+                lo /= 2;
+                hi = hi.div_ceil(2);
+            }
+        }
         self.len = 0;
     }
 
@@ -141,17 +160,43 @@ impl CostIndex {
         self.cap = new_cap;
     }
 
+    /// Stores `cost` at leaf `index` and updates the minima above it,
+    /// stopping at the first ancestor whose minimum does not change (the
+    /// ones above it cannot change either).
     fn set(&mut self, index: usize, cost: u64) {
         let mut node = self.cap + index;
         self.tree[node] = cost;
         while node > 1 {
             node /= 2;
-            self.tree[node] = self.tree[2 * node].min(self.tree[2 * node + 1]);
+            let min = self.tree[2 * node].min(self.tree[2 * node + 1]);
+            if self.tree[node] == min {
+                break;
+            }
+            self.tree[node] = min;
         }
     }
 
-    fn remove(&mut self, index: usize) {
-        self.set(index, VACANT);
+    /// Vacates leaf `index` and returns whether it was the leftmost live
+    /// leaf. One leaf-to-root walk does both: it updates the minima until
+    /// one stops changing, and a live leaf to the left, if any, lies under
+    /// a left sibling of the path.
+    fn remove(&mut self, index: usize) -> bool {
+        let mut node = self.cap + index;
+        self.tree[node] = VACANT;
+        let mut head = true;
+        let mut updating = true;
+        while node > 1 && (updating || head) {
+            if node % 2 == 1 && self.tree[node - 1] != VACANT {
+                head = false;
+            }
+            node /= 2;
+            if updating {
+                let min = self.tree[2 * node].min(self.tree[2 * node + 1]);
+                updating = self.tree[node] != min;
+                self.tree[node] = min;
+            }
+        }
+        head
     }
 
     /// Leftmost leaf whose cost is at most `budget` (ticks), if any.
@@ -170,6 +215,17 @@ impl CostIndex {
         }
         Some(node - self.cap)
     }
+}
+
+/// The buffers of a [`PendingQueue`], empty. An execution keeps its lanes'
+/// between runs on the same thread ([`crate::scratch`]), so a lane's queue
+/// starts with the capacity an earlier run left instead of allocating.
+#[derive(Debug, Default)]
+pub(crate) struct QueueBuffers {
+    slots: Vec<Option<QueuedEntry>>,
+    tree: Vec<u64>,
+    deadline_index: BinaryHeap<Reverse<(Instant, usize)>>,
+    replayed_heads: Vec<Span>,
 }
 
 /// The pending-event queue of one task server.
@@ -270,9 +326,41 @@ impl PendingQueue {
     /// doubling, so the reservation stays independent of the horizon.
     pub(crate) fn reserve(&mut self, releases: usize) {
         let releases = releases.min(COMPACTION_THRESHOLD);
-        self.slots.reserve_exact(releases);
+        self.slots.reserve(releases);
         self.index.reserve(releases);
-        self.replayed_heads.reserve_exact(releases);
+        self.replayed_heads.reserve(releases);
+    }
+
+    /// Moves `buffers` into this queue, which holds nothing yet.
+    pub(crate) fn adopt(&mut self, buffers: QueueBuffers) {
+        debug_assert!(self.slots.is_empty() && self.index.cap == 0 && self.live == 0);
+        self.slots = buffers.slots;
+        self.index.tree = buffers.tree;
+        self.deadline_index = buffers.deadline_index;
+        self.replayed_heads = buffers.replayed_heads;
+    }
+
+    /// Empties the queue and returns its buffers, in time proportional to
+    /// the slots the queue used.
+    pub(crate) fn into_buffers(self) -> QueueBuffers {
+        let PendingQueue {
+            mut slots,
+            index,
+            mut deadline_index,
+            mut replayed_heads,
+            ..
+        } = self;
+        let mut tree = index.tree;
+        slots.clear();
+        tree.clear();
+        deadline_index.clear();
+        replayed_heads.clear();
+        QueueBuffers {
+            slots,
+            tree,
+            deadline_index,
+            replayed_heads,
+        }
     }
 
     /// Number of pending releases.
@@ -386,12 +474,11 @@ impl PendingQueue {
     /// queue non-empty (an out-of-order removal breaks the packing, and a
     /// drained queue's packing must be reseeded from live server state).
     fn take(&mut self, index: usize) -> QueuedRelease {
-        let was_head = self.head() == Some(index);
         let entry = self.slots[index]
             .take()
             // rt-lint: allow(panic, reason = "take() is an internal helper whose callers pass indices of live slots; a dead slot is a queue-invariant bug")
             .expect("take() requires a live slot");
-        self.index.remove(index);
+        let was_head = self.index.remove(index);
         self.live -= 1;
         self.maybe_compact();
         if !was_head || self.live == 0 {
@@ -1150,6 +1237,56 @@ mod tests {
             let pending: Vec<u32> = q.iter().map(|r| r.event.raw()).collect();
             let expected: Vec<u32> = reference.iter().map(|&(i, _)| i).collect();
             assert_eq!(pending, expected, "the backlog stays in FIFO order");
+        }
+    }
+
+    #[test]
+    fn indexed_selection_matches_a_linear_scan_across_drains_and_refills() {
+        // Hundreds of backlogs, each drained before the next refills the
+        // queue: the tree `CostIndex::clear` keeps must select like a fresh
+        // one, whether the backlog stayed under the compaction threshold or
+        // outgrew it. Each removal must also tell whether it took the head:
+        // an in-order service joins the replayed-head list, and any other
+        // removal, or one that empties the queue, clears it.
+        let mut seed = 0x0bad_cafe_f00d_1234u64;
+        let mut next_rand = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mut q = queue(QueueKind::Fifo);
+        let mut reference: Vec<(u32, u64)> = Vec::new();
+        let mut heads = 0usize;
+        let mut id = 0u32;
+        for cycle in 0..400 {
+            let most = if cycle % 10 == 0 { 200 } else { 40 };
+            for _ in 0..1 + next_rand() % most {
+                let cost = 1 + next_rand() % 4;
+                q.push(release(id, cost, 0), Instant::ZERO, Span::from_units(4));
+                reference.push((id, cost));
+                id += 1;
+            }
+            while !reference.is_empty() {
+                let budget = next_rand() % 5;
+                let position = reference.iter().position(|&(_, c)| c <= budget);
+                let expected = position.map(|p| reference.remove(p).0);
+                let got = q
+                    .choose_next(Span::from_units(budget))
+                    .map(|r| r.event.raw());
+                assert_eq!(got, expected, "cycle {cycle}");
+                if let Some(p) = position {
+                    heads = if p == 0 && !reference.is_empty() {
+                        heads + 1
+                    } else {
+                        0
+                    };
+                }
+                assert_eq!(q.replayed_heads.len(), heads, "cycle {cycle}");
+            }
+            assert!(q.is_empty());
+            assert_eq!(q.index.len, 0);
+            assert!(q.index.cap <= COMPACTION_THRESHOLD, "cycle {cycle}");
         }
     }
 }

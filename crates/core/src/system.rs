@@ -20,10 +20,11 @@
 //! reference oracle. Both loops produce byte-identical traces (pinned by the
 //! goldens, the differential suites and the fuzzer).
 
-use crate::fastpath::{self, SubstratePlan};
-use crate::framework::Install;
+use crate::fastpath::{self, RunScratch, SubstratePlan};
+use crate::framework::{Install, InstallScratch};
 use crate::handler::ServableHandler;
 use crate::queue::QueueKind;
+use crate::scratch::with_scratch;
 use rt_model::{
     AperiodicOutcome, EventId, ExecUnit, Instant, ModelError, OverrunTable, PeriodicJobRecord,
     PeriodicTask, SchedulingPolicy, Span, SystemSpec, Trace,
@@ -112,10 +113,10 @@ impl Default for ExecutionConfig {
 /// # Panics
 /// Panics when the specification fails validation.
 pub fn execute(spec: &SystemSpec, config: &ExecutionConfig) -> Trace {
-    ExecutionPlan::prepare(spec, config)
+    spec.validate()
         // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs")
-        .expect("execute() requires a valid system specification")
-        .run()
+        .expect("execute() requires a valid system specification");
+    execute_validated(spec, config, NoopProbe)
 }
 
 /// [`execute`] with an observation probe attached — the execution-world
@@ -135,10 +136,32 @@ pub fn execute_with_probe<P: Probe>(
     config: &ExecutionConfig,
     probe: P,
 ) -> Trace {
-    ExecutionPlan::prepare(spec, config)
+    spec.validate()
         // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs")
-        .expect("execute_with_probe() requires a valid system specification")
-        .run_with_probe(probe)
+        .expect("execute_with_probe() requires a valid system specification");
+    execute_validated(spec, config, probe)
+}
+
+/// Prepares the plan of a validated spec and runs it with `probe`, with
+/// the plan's tables built in the buffers of the thread's scratch
+/// ([`crate::scratch`]) rather than allocated, so the run allocates only
+/// its trace.
+fn execute_validated<P: Probe>(spec: &SystemSpec, config: &ExecutionConfig, probe: P) -> Trace {
+    with_scratch(|scratch| {
+        let events = std::mem::take(&mut scratch.events);
+        let substrate = std::mem::take(&mut scratch.substrate);
+        let plan = ExecutionPlan::plan(spec, config, events, substrate);
+        let trace = plan.run_in(probe, &mut scratch.run);
+        let ExecutionPlan {
+            mut events,
+            substrate,
+            ..
+        } = plan;
+        events.clear();
+        scratch.events = events;
+        scratch.substrate = substrate.cleared();
+        trace
+    })
 }
 
 /// Executes the system with the seed's linear-scan decision loop: the
@@ -179,8 +202,9 @@ pub(crate) struct PlannedEvent {
 /// executions are byte-identical by construction.
 ///
 /// The plan borrows the spec it was prepared from (`Cow`): a fault-free spec
-/// is never cloned, and preparing allocates the planned-event table but
-/// nothing per event.
+/// is never cloned, and preparing allocates the planned-event table and
+/// the substrate but nothing per event. A run allocates only its trace
+/// once the thread has run a system (see the crate's per-run cost model).
 #[derive(Debug, Clone)]
 pub struct ExecutionPlan<'a> {
     pub(crate) spec: Cow<'a, SystemSpec>,
@@ -208,6 +232,17 @@ impl<'a> ExecutionPlan<'a> {
     /// uses this to avoid re-running the O(events) workload checks it has
     /// already accounted for.
     pub fn prepare_prevalidated(spec: &'a SystemSpec, config: &ExecutionConfig) -> Self {
+        Self::plan(spec, config, Vec::new(), SubstratePlan::default())
+    }
+
+    /// Freezes the installation plan of a valid spec into the buffers of
+    /// `events` and `substrate`.
+    fn plan(
+        spec: &'a SystemSpec,
+        config: &ExecutionConfig,
+        mut events: Vec<PlannedEvent>,
+        substrate: SubstratePlan,
+    ) -> Self {
         // Arrival faults (release jitter, dropped arrivals) are a pure spec
         // normalization: the plan is frozen over the faulted arrival stream,
         // so the engine below never sees them. Fault-free specs stay borrowed.
@@ -221,7 +256,8 @@ impl<'a> ExecutionPlan<'a> {
         let in_horizon = workload.within_horizon();
         // Sized for the whole in-horizon stream: exact unless some event
         // routes past the installed lanes.
-        let mut events = Vec::with_capacity(in_horizon.len());
+        events.clear();
+        events.reserve(in_horizon.len());
         events.extend(
             in_horizon
                 .iter()
@@ -241,7 +277,7 @@ impl<'a> ExecutionPlan<'a> {
                 }),
         );
         ExecutionPlan {
-            substrate: SubstratePlan::analyze(&spec),
+            substrate: SubstratePlan::analyze(&spec, substrate),
             spec,
             config: *config,
             policy,
@@ -260,19 +296,20 @@ impl<'a> ExecutionPlan<'a> {
     }
 
     /// Runs the plan through the execution driver and returns its trace.
-    /// Reusable: the plan holds no run state.
+    /// Reusable: the plan holds no run state, and the run's working buffers
+    /// are the thread's.
     pub fn run(&self) -> Trace {
-        self.run_with_probe(NoopProbe)
+        with_scratch(|scratch| self.run_in(NoopProbe, &mut scratch.run))
     }
 
-    /// [`ExecutionPlan::run`] with an observation probe attached (see
-    /// [`execute_with_probe`]). Every hook site is gated on
-    /// [`Probe::ENABLED`], so the trace is byte-identical to the probe-free
-    /// run.
-    pub(crate) fn run_with_probe<P: Probe>(&self, probe: P) -> Trace {
+    /// Runs the plan with an observation probe attached (see
+    /// [`execute_with_probe`]) and the working buffers of `scratch`. Every
+    /// hook site is gated on [`Probe::ENABLED`], so the trace is
+    /// byte-identical to the probe-free run.
+    fn run_in<P: Probe>(&self, probe: P, scratch: &mut RunScratch) -> Trace {
         match self.policy {
-            SchedulingPolicy::FixedPriority => fastpath::run::<P, false>(self, probe),
-            SchedulingPolicy::Edf => fastpath::run::<P, true>(self, probe),
+            SchedulingPolicy::FixedPriority => fastpath::run::<P, false>(self, probe, scratch),
+            SchedulingPolicy::Edf => fastpath::run::<P, true>(self, probe, scratch),
         }
     }
 
@@ -287,7 +324,13 @@ impl<'a> ExecutionPlan<'a> {
             servers,
             timers,
             sae_base,
-        } = Install::new(spec, &self.config, &self.events, NoopProbe);
+        } = Install::new(
+            spec,
+            &self.config,
+            &self.events,
+            NoopProbe,
+            &mut InstallScratch::default(),
+        );
         let events = world.kinds.len();
         let mut engine = Engine::with_world(
             EngineConfig::new(spec.horizon)
@@ -346,16 +389,26 @@ impl<'a> ExecutionPlan<'a> {
         }
 
         let (mut trace, world) = engine.run_with_world();
-        finalise_trace(spec, world.into_outcomes(), &mut trace);
+        let outcomes = world.into_outcomes(&mut InstallScratch::default());
+        finalise_trace(spec, outcomes, &mut trace, &mut FinaliseScratch::default());
         trace
     }
+}
+
+/// Finalisation's buffers: per-task segment counts and the segments
+/// bucketed by task, kept empty between the runs of one thread
+/// ([`crate::scratch`]).
+#[derive(Debug, Default)]
+pub(crate) struct FinaliseScratch {
+    counts: Vec<usize>,
+    spans: Vec<(Instant, Instant)>,
 }
 
 /// Shared post-run finalisation of an execution trace, used by both the
 /// driver and the reference engine: attach the run's outcome slot table
 /// (one record per planned release, see [`crate::framework`]) in
 /// `(release, event)` order, and reconstruct the periodic job records from
-/// the execution segments.
+/// the execution segments, bucketing them in the buffers of `scratch`.
 ///
 /// Slot order is plan order, the stream order that `build()` makes
 /// `(release, id)` order, so the sort is one linear pass over a sorted run
@@ -367,6 +420,7 @@ pub(crate) fn finalise_trace(
     spec: &SystemSpec,
     mut outcomes: Vec<AperiodicOutcome>,
     trace: &mut Trace,
+    scratch: &mut FinaliseScratch,
 ) {
     // The ids are distinct, so `(release, event)` keys are too and the
     // unstable sort orders exactly like a stable one.
@@ -383,37 +437,50 @@ pub(crate) fn finalise_trace(
         .map(|task| jobs_within(task, spec.horizon))
         .sum();
     trace.periodic_jobs.reserve(job_total);
-    // Bucket the execution segments by task in one pass over the trace
-    // rather than one filtered scan per task: O(segments + tasks) instead of
-    // O(tasks × segments), which otherwise dominates post-run cost for large
-    // task sets. Two passes (count, then fill) keep every bucket
-    // right-sized, preserving the horizon-independent allocation count.
+    if spec.periodic_tasks.is_empty() {
+        debug_assert!(trace.check_invariants().is_ok());
+        return;
+    }
+    // Bucket the execution segments by task (a counting sort) in two passes
+    // over the trace rather than one filtered scan per task: O(segments +
+    // tasks) instead of O(tasks × segments), which otherwise dominates
+    // post-run cost for large task sets. After the fill, `counts[i]` is
+    // where task `i`'s bucket ends and task `i + 1`'s starts.
     let slots = spec
         .periodic_tasks
         .iter()
         .map(|task| task.id.index() + 1)
         .max()
         .unwrap_or(0);
-    let mut counts = vec![0usize; slots];
+    let FinaliseScratch { counts, spans } = scratch;
+    counts.resize(slots + 1, 0);
     for segment in &trace.segments {
         if let ExecUnit::Task(id) = segment.unit {
+            counts[id.index() + 1] += 1;
+        }
+    }
+    for i in 1..counts.len() {
+        counts[i] += counts[i - 1];
+    }
+    spans.resize(counts[slots], (Instant::ZERO, Instant::ZERO));
+    for segment in &trace.segments {
+        if let ExecUnit::Task(id) = segment.unit {
+            spans[counts[id.index()]] = (segment.start, segment.end);
             counts[id.index()] += 1;
         }
     }
-    let mut buckets: Vec<Vec<(Instant, Instant)>> = counts
-        .iter()
-        .map(|&count| Vec::with_capacity(count))
-        .collect();
-    for segment in &trace.segments {
-        if let ExecUnit::Task(id) = segment.unit {
-            buckets[id.index()].push((segment.start, segment.end));
-        }
-    }
     for task in &spec.periodic_tasks {
-        for record in reconstruct_periodic_records(&buckets[task.id.index()], task, spec.horizon) {
-            trace.periodic_jobs.push(record);
-        }
+        let index = task.id.index();
+        let start = if index == 0 { 0 } else { counts[index - 1] };
+        reconstruct_periodic_records(
+            &spans[start..counts[index]],
+            task,
+            spec.horizon,
+            &mut trace.periodic_jobs,
+        );
     }
+    counts.clear();
+    spans.clear();
 
     debug_assert!(trace.check_invariants().is_ok());
 }
@@ -428,15 +495,15 @@ fn jobs_within(task: &PeriodicTask, horizon: Instant) -> usize {
     (1 + (window - 1) / task.period.ticks()) as usize
 }
 
-/// Rebuilds the periodic job records of one task from its trace segments:
-/// the k-th job completes when the task has accumulated `(k+1) · cost` of
-/// processor time.
+/// Appends the periodic job records of one task, rebuilt from its trace
+/// segments, to `records`: the k-th job completes when the task has
+/// accumulated `(k+1) · cost` of processor time.
 fn reconstruct_periodic_records(
     segments: &[(Instant, Instant)],
     task: &PeriodicTask,
     horizon: Instant,
-) -> Vec<PeriodicJobRecord> {
-    let mut records = Vec::with_capacity(jobs_within(task, horizon));
+    records: &mut Vec<PeriodicJobRecord>,
+) {
     let mut segment_index = 0usize;
     // Processor time of the current segment already attributed to earlier jobs.
     let mut consumed_in_segment = Span::ZERO;
@@ -490,7 +557,6 @@ fn reconstruct_periodic_records(
             break;
         }
     }
-    records
 }
 
 #[cfg(test)]

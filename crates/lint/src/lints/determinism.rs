@@ -8,11 +8,14 @@
 //! constructs can silently break that without failing a single unit test
 //! locally: hash-order-dependent iteration (`HashMap`/`HashSet` with the
 //! default `RandomState` — per-process random seeds) and wall-clock reads
-//! (`std::time`, `SystemTime`), plus thread-identity / environment leaks.
-//! This lint forbids them in the engine crates outright; intentionally
-//! wall-clock-driven modules (the demo wallclock executor) opt out with
-//! `allow-file(determinism, reason = ...)` so the exception is documented
-//! at the top of the file it covers.
+//! (`std::time`, `SystemTime`), plus thread-identity / environment leaks
+//! and per-thread state (`thread_local!`), which a later run on the same
+//! thread could read. This lint forbids them in the engine crates outright;
+//! intentionally wall-clock-driven modules (the demo wallclock executor) opt
+//! out with `allow-file(determinism, reason = ...)` so the exception is
+//! documented at the top of the file it covers, and the per-thread scratch
+//! of the run entry points, which holds capacity only, carries a reasoned
+//! `allow` at its declaration.
 
 use crate::context::{FileCtx, FileKind};
 use crate::diag::{Finding, Lint};
@@ -52,6 +55,12 @@ const FORBIDDEN_IDENTS: &[(&str, &str)] = &[
     (
         "thread_rng",
         "thread-local RNGs are unseeded; use the workspace's seeded rand shim streams",
+    ),
+    (
+        "thread_local",
+        "per-thread state outlives a run, so a later run on the thread could read it; it may \
+         only be capacity-only scratch that every run takes and gives back empty, behind a \
+         reasoned allow",
     ),
 ];
 

@@ -182,6 +182,46 @@ fn determinism_file_allow_exempts_the_whole_file() {
 }
 
 #[test]
+fn determinism_fires_on_thread_local_state_in_engine_crates() {
+    let report = lint_with_time(
+        "crates/core/src/scratch.rs",
+        "use std::cell::Cell;\n\
+         thread_local! {\n\
+             static RUNS: Cell<u32> = const { Cell::new(0) };\n\
+         }\n",
+    );
+    assert_eq!(ids(&report), vec![("determinism", 2)]);
+}
+
+#[test]
+fn determinism_honours_a_reasoned_allow_on_thread_local_scratch() {
+    let report = lint_with_time(
+        "crates/rtss/src/scratch.rs",
+        "use std::cell::Cell;\n\
+         // rt-lint: allow(determinism, reason = \"capacity-only scratch, empty between runs\")\n\
+         thread_local! {\n\
+             static SCRATCH: Cell<Option<Vec<u32>>> = const { Cell::new(None) };\n\
+         }\n",
+    );
+    assert_eq!(ids(&report), Vec::<(&str, u32)>::new());
+}
+
+#[test]
+fn determinism_exempts_thread_local_state_in_cfg_test_code() {
+    let report = lint_with_time(
+        "crates/core/src/lib.rs",
+        "#![forbid(unsafe_code)]\n\
+         #[cfg(test)]\n\
+         mod tests {\n\
+             thread_local! {\n\
+                 static CALLS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };\n\
+             }\n\
+         }\n",
+    );
+    assert_eq!(ids(&report), Vec::<(&str, u32)>::new());
+}
+
+#[test]
 fn zero_alloc_fires_inside_marked_fn_only() {
     let report = lint_with_time(
         "crates/rtss/src/lib.rs",

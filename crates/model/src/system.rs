@@ -162,6 +162,10 @@ impl SystemSpec {
     /// routing to existing servers, declared costs within the routed server's
     /// capacity, and the fault plan's cross-references.
     ///
+    /// Whatever their positions, the errors come in that order: a duplicate
+    /// id, then a release out of order, then the first routing or capacity
+    /// error in stream order, then the fault plan's first error.
+    ///
     /// Allocates nothing when the event ids strictly ascend in stream order
     /// (every spec whose events were added in release order, which includes
     /// every generated one) and the fault plan is empty.
@@ -654,6 +658,90 @@ mod tests {
         assert!(spec.validate().is_ok());
         spec.faults = FaultPlan::new().overrun(EventId::new(5), Span::from_units(1));
         let err = spec.validate().unwrap_err();
+        assert!(err.to_string().contains("overrun targets unknown event"));
+    }
+
+    #[test]
+    fn workload_errors_come_in_a_fixed_order_whatever_their_positions() {
+        // Two defects per spec, the later rule's defect placed first in the
+        // stream: validation must still report the earlier rule's error.
+        let event = |id: u32, release: u64, server: usize, cost: u64| {
+            let mut e = AperiodicEvent::new(
+                EventId::new(id),
+                HandlerId::new(id),
+                Instant::from_units(release),
+                Span::from_units(cost),
+            );
+            e.server = server;
+            e
+        };
+        let spec = |events: Vec<AperiodicEvent>, faults: FaultPlan| SystemSpec {
+            name: "two-defects".into(),
+            periodic_tasks: Vec::new(),
+            servers: vec![ServerSpec::polling(
+                Span::from_units(3),
+                Span::from_units(6),
+                Priority::new(30),
+            )],
+            aperiodics: events,
+            horizon: Instant::from_units(60),
+            scheduling: SchedulingPolicy::FixedPriority,
+            faults,
+        };
+        let overrun = || FaultPlan::new().overrun(EventId::new(99), Span::from_units(1));
+        let cases = [
+            // Out of order at the start, a duplicate id at the end.
+            (
+                vec![event(0, 5, 0, 1), event(1, 2, 0, 1), event(0, 9, 0, 1)],
+                FaultPlan::new(),
+                "duplicate aperiodic event id",
+            ),
+            // A dangling route first, then a duplicate id.
+            (
+                vec![event(0, 1, 4, 1), event(1, 2, 0, 1), event(1, 3, 0, 1)],
+                FaultPlan::new(),
+                "duplicate aperiodic event id",
+            ),
+            // A cost above capacity first, then a release out of order.
+            (
+                vec![event(0, 1, 0, 5), event(1, 4, 0, 1), event(2, 3, 0, 1)],
+                FaultPlan::new(),
+                "must be sorted by release time",
+            ),
+            // A cost above capacity, then a dangling route: the first wins.
+            (
+                vec![event(0, 1, 0, 1), event(1, 2, 0, 5), event(2, 3, 7, 1)],
+                FaultPlan::new(),
+                "aperiodic e1 declares cost",
+            ),
+            // A dangling route, then a cost above capacity: the first wins.
+            (
+                vec![event(0, 1, 7, 1), event(1, 2, 0, 5)],
+                FaultPlan::new(),
+                "aperiodic e0 routes to server 7",
+            ),
+            // A fault plan naming an unknown event, then a dangling route.
+            (
+                vec![event(0, 1, 0, 1), event(1, 2, 2, 1)],
+                overrun(),
+                "routes to server 2",
+            ),
+            // Descending ids with a duplicate, and a fault plan error.
+            (
+                vec![event(3, 1, 0, 1), event(3, 2, 0, 1)],
+                overrun(),
+                "duplicate aperiodic event id",
+            ),
+        ];
+        for (events, faults, expected) in cases {
+            let err = spec(events, faults).validate_workload().unwrap_err();
+            assert!(
+                err.to_string().contains(expected),
+                "expected {expected:?}, got {err}"
+            );
+        }
+        let only_faults = spec(vec![event(0, 1, 0, 1)], overrun());
+        let err = only_faults.validate_workload().unwrap_err();
         assert!(err.to_string().contains("overrun targets unknown event"));
     }
 

@@ -42,12 +42,21 @@
 //!
 //! The trace vectors are sized up front (outcomes and periodic job records
 //! exactly, segments to a hint), the wheel and the ready bitmap once. The
-//! job queues, lane queues, EDF heap and sporadic replenishment queues start
-//! empty and grow by doubling, as do the segments past their hint and the
-//! admission machine's reused displacement buffers (overload-only), so a
-//! steady-state decision instant allocates nothing. Byte-identity with the
-//! reference engine is pinned by `tests/engine_differential.rs`, the goldens
-//! and the seeded fuzzer.
+//! job queues, lane queues, EDF heap and sporadic replenishment queues grow
+//! by doubling, as do the segments past their hint and the admission
+//! machine's reused displacement buffers (overload-only), so a steady-state
+//! decision instant allocates nothing. Byte-identity with the reference
+//! engine is pinned by `tests/engine_differential.rs`, the goldens and the
+//! seeded fuzzer.
+//!
+//! # Per-run allocations: the trace
+//!
+//! The lanes, the job queues, the wheel, the ready sets and the admission
+//! buffer come from the thread's scratch ([`DriverScratch`]) with the
+//! capacity earlier runs left them, and go back empty at the horizon; so
+//! do the tables' buffers. After one run on a thread, a run allocates its
+//! trace's segments and outcome slots, and grows a scratch buffer only when
+//! it outsizes every earlier run.
 
 use crate::tables::{LaneTable, PolicySet, SimTables};
 use rt_admission::{AdmissionPolicy, ArrivingEvent, ServerAdmission};
@@ -60,43 +69,79 @@ use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Runs the tables through the driver instantiation they select. Every probe
-/// call site is gated on `PR::ENABLED`, so the [`rt_observe::NoopProbe`]
+/// Runs the tables through the driver instantiation they select, with the
+/// working buffers of `scratch`, which it hands back empty. Every probe call
+/// site is gated on `PR::ENABLED`, so the [`rt_observe::NoopProbe`]
 /// instantiation (the plain [`crate::simulate`] path) compiles to a
 /// probe-free decision loop.
-pub(crate) fn run<PR: Probe>(sys: &SimTables<'_>, probe: PR) -> Trace {
+pub(crate) fn run<PR: Probe>(sys: &SimTables<'_>, probe: PR, scratch: &mut DriverScratch) -> Trace {
+    fn drive<P: LanePolicy, PR: Probe, const EDF: bool>(
+        sys: &SimTables<'_>,
+        probe: PR,
+        scratch: &mut DriverScratch,
+    ) -> Trace {
+        Driver::<P, PR, EDF>::new(sys, probe, scratch).run(scratch)
+    }
     match (sys.lane_set, sys.scheduling) {
         (PolicySet::Polling, SchedulingPolicy::FixedPriority) => {
-            Driver::<CPolling, PR, false>::new(sys, probe).run()
+            drive::<CPolling, PR, false>(sys, probe, scratch)
         }
         (PolicySet::Polling, SchedulingPolicy::Edf) => {
-            Driver::<CPolling, PR, true>::new(sys, probe).run()
+            drive::<CPolling, PR, true>(sys, probe, scratch)
         }
         (PolicySet::Deferrable, SchedulingPolicy::FixedPriority) => {
-            Driver::<CDeferrable, PR, false>::new(sys, probe).run()
+            drive::<CDeferrable, PR, false>(sys, probe, scratch)
         }
         (PolicySet::Deferrable, SchedulingPolicy::Edf) => {
-            Driver::<CDeferrable, PR, true>::new(sys, probe).run()
+            drive::<CDeferrable, PR, true>(sys, probe, scratch)
         }
         (PolicySet::Background, SchedulingPolicy::FixedPriority) => {
-            Driver::<CBackground, PR, false>::new(sys, probe).run()
+            drive::<CBackground, PR, false>(sys, probe, scratch)
         }
         (PolicySet::Background, SchedulingPolicy::Edf) => {
-            Driver::<CBackground, PR, true>::new(sys, probe).run()
+            drive::<CBackground, PR, true>(sys, probe, scratch)
         }
         (PolicySet::Sporadic, SchedulingPolicy::FixedPriority) => {
-            Driver::<CSporadic, PR, false>::new(sys, probe).run()
+            drive::<CSporadic, PR, false>(sys, probe, scratch)
         }
         (PolicySet::Sporadic, SchedulingPolicy::Edf) => {
-            Driver::<CSporadic, PR, true>::new(sys, probe).run()
+            drive::<CSporadic, PR, true>(sys, probe, scratch)
         }
         (PolicySet::Mixed, SchedulingPolicy::FixedPriority) => {
-            Driver::<AnyLanePolicy, PR, false>::new(sys, probe).run()
+            drive::<AnyLanePolicy, PR, false>(sys, probe, scratch)
         }
         (PolicySet::Mixed, SchedulingPolicy::Edf) => {
-            Driver::<AnyLanePolicy, PR, true>::new(sys, probe).run()
+            drive::<AnyLanePolicy, PR, true>(sys, probe, scratch)
         }
     }
+}
+
+/// Every buffer the driver uses but does not return, kept empty between
+/// the runs of one thread ([`crate::scratch`]).
+#[derive(Default)]
+pub(crate) struct DriverScratch {
+    lanes: LaneSlots,
+    /// The job queues of the lanes of earlier runs.
+    lane_queues: Vec<VecDeque<ApJob>>,
+    pending: Vec<VecDeque<PJob>>,
+    wheel: BinaryHeap<Reverse<(Instant, u32)>>,
+    released: Vec<u64>,
+    ready_rows: Vec<u64>,
+    ready_edf: BinaryHeap<Reverse<(Instant, usize)>>,
+    has_pending: Vec<bool>,
+    aborted: Vec<EventId>,
+    mode_applied: Vec<bool>,
+}
+
+/// The lane table of each lane-policy type, kept empty between runs: the
+/// driver is generic over the type, so each instantiation keeps its own.
+#[derive(Default)]
+pub(crate) struct LaneSlots {
+    polling: Vec<Lane<CPolling>>,
+    deferrable: Vec<Lane<CDeferrable>>,
+    background: Vec<Lane<CBackground>>,
+    sporadic: Vec<Lane<CSporadic>>,
+    mixed: Vec<Lane<AnyLanePolicy>>,
 }
 
 /// The capacity state machine of one lane: the same policy rules as the
@@ -127,6 +172,10 @@ pub(crate) trait LanePolicy {
     /// through [`AnyLanePolicy`] — table building forces the mixed lane when
     /// the plan swaps policies) rebuilds the state fresh.
     fn reconfigure(&mut self, table: &LaneTable, change: &ModeChange);
+    /// This type's lane table in the scratch.
+    fn slot(slots: &mut LaneSlots) -> &mut Vec<Lane<Self>>
+    where
+        Self: Sized;
 }
 
 /// Polling Server: full capacity at each activation, forfeited when idle.
@@ -137,6 +186,10 @@ pub(crate) struct CPolling {
 }
 
 impl LanePolicy for CPolling {
+    fn slot(slots: &mut LaneSlots) -> &mut Vec<Lane<Self>> {
+        &mut slots.polling
+    }
+
     fn init(_table: &LaneTable) -> Self {
         CPolling {
             capacity: Span::ZERO,
@@ -197,6 +250,10 @@ pub(crate) struct CDeferrable {
 }
 
 impl LanePolicy for CDeferrable {
+    fn slot(slots: &mut LaneSlots) -> &mut Vec<Lane<Self>> {
+        &mut slots.deferrable
+    }
+
     fn init(_table: &LaneTable) -> Self {
         CDeferrable {
             capacity: Span::ZERO,
@@ -247,6 +304,10 @@ impl LanePolicy for CDeferrable {
 pub(crate) struct CBackground;
 
 impl LanePolicy for CBackground {
+    fn slot(slots: &mut LaneSlots) -> &mut Vec<Lane<Self>> {
+        &mut slots.background
+    }
+
     fn init(_table: &LaneTable) -> Self {
         CBackground
     }
@@ -303,6 +364,10 @@ impl CSporadic {
 }
 
 impl LanePolicy for CSporadic {
+    fn slot(slots: &mut LaneSlots) -> &mut Vec<Lane<Self>> {
+        &mut slots.sporadic
+    }
+
     fn init(table: &LaneTable) -> Self {
         CSporadic {
             capacity: table.capacity,
@@ -392,6 +457,10 @@ macro_rules! any_lane {
 }
 
 impl LanePolicy for AnyLanePolicy {
+    fn slot(slots: &mut LaneSlots) -> &mut Vec<Lane<Self>> {
+        &mut slots.mixed
+    }
+
     fn init(table: &LaneTable) -> Self {
         use rt_model::ServerPolicyKind as K;
         match table.kind {
@@ -455,6 +524,9 @@ enum LaneAdmission {
 #[derive(Debug, Clone, Copy)]
 struct ApJob {
     arrival: u32,
+    /// The arrival's event id, cached like the demand and cap so that
+    /// service and abort read it without assembling the arrival row.
+    id: EventId,
     remaining: Span,
     /// Enforced service cap left (the frozen [`ArrivalTable::cap`] counting
     /// down); hitting zero with work remaining is an enforcement abort.
@@ -473,7 +545,7 @@ struct PJob {
 }
 
 /// One server lane.
-struct Lane<P> {
+pub(crate) struct Lane<P> {
     policy: P,
     queue: VecDeque<ApJob>,
     admission: LaneAdmission,
@@ -500,18 +572,17 @@ struct ReadyBits {
 }
 
 impl ReadyBits {
-    /// The empty set over `tasks` tasks. Without tasks nothing is ever
-    /// marked, so no rows are allocated.
-    fn new(tasks: usize) -> Self {
+    /// The empty set over `tasks` tasks, its rows in the (empty) buffer
+    /// `rows`. Without tasks nothing is ever marked, so no rows are laid out.
+    fn new(tasks: usize, mut rows: Vec<u64>) -> Self {
         let words = tasks.div_ceil(64).max(1);
+        if tasks > 0 {
+            rows.resize(256 * words, 0);
+        }
         ReadyBits {
             words,
             occ: [0; 4],
-            rows: if tasks == 0 {
-                Vec::new()
-            } else {
-                vec![0; 256 * words]
-            },
+            rows,
         }
     }
 
@@ -599,26 +670,47 @@ struct Driver<'a, P, PR, const EDF: bool> {
 }
 
 impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
-    fn new(sys: &'a SimTables<'a>, probe: PR) -> Self {
-        let mut wheel = BinaryHeap::with_capacity(sys.groups.len());
+    fn new(sys: &'a SimTables<'a>, probe: PR, scratch: &mut DriverScratch) -> Self {
+        debug_assert!(
+            P::slot(&mut scratch.lanes).is_empty()
+                && scratch.lane_queues.iter().all(VecDeque::is_empty)
+                && scratch.pending.iter().all(VecDeque::is_empty)
+                && scratch.wheel.is_empty()
+                && scratch.released.is_empty()
+                && scratch.ready_rows.is_empty()
+                && scratch.ready_edf.is_empty()
+                && scratch.has_pending.is_empty()
+                && scratch.aborted.is_empty()
+                && scratch.mode_applied.is_empty(),
+            "a run starts from empty buffers"
+        );
+        let mut wheel = std::mem::take(&mut scratch.wheel);
+        wheel.reserve(sys.groups.len());
         for (g, group) in sys.groups.iter().enumerate() {
             if group.first < sys.horizon {
                 wheel.push(Reverse((group.first, g as u32)));
             }
         }
-        let lanes = sys
-            .lanes
-            .iter()
-            .map(|table| Lane {
-                policy: P::init(table),
-                queue: VecDeque::new(),
-                admission: if table.admission == AdmissionPolicy::AcceptAll {
-                    LaneAdmission::Pass
-                } else {
-                    LaneAdmission::Machine(ServerAdmission::for_server(&table.spec))
-                },
-            })
-            .collect();
+        let mut lanes = std::mem::take(P::slot(&mut scratch.lanes));
+        lanes.reserve(sys.lanes.len());
+        lanes.extend(sys.lanes.iter().map(|table| Lane {
+            policy: P::init(table),
+            queue: scratch.lane_queues.pop().unwrap_or_default(),
+            admission: if table.admission == AdmissionPolicy::AcceptAll {
+                LaneAdmission::Pass
+            } else {
+                LaneAdmission::Machine(ServerAdmission::for_server(&table.spec))
+            },
+        }));
+        let mut pending = std::mem::take(&mut scratch.pending);
+        pending.resize_with(sys.tasks.len(), VecDeque::new);
+        let mut mode_applied = std::mem::take(&mut scratch.mode_applied);
+        mode_applied.resize(sys.spec().faults.mode_changes.len(), false);
+        let mut released = std::mem::take(&mut scratch.released);
+        released.resize(sys.groups.len(), 0);
+        let mut has_pending = std::mem::take(&mut scratch.has_pending);
+        has_pending.resize(sys.tasks.len(), false);
+        let rows = std::mem::take(&mut scratch.ready_rows);
         let mut trace = Trace::new(sys.horizon);
         trace.segments.reserve(sys.segment_hint);
         trace.periodic_jobs.reserve(sys.job_count);
@@ -638,28 +730,30 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
         Driver {
             sys,
             now: Instant::ZERO,
-            pending: sys.tasks.iter().map(|_| VecDeque::new()).collect(),
+            pending,
             lanes,
             tables: if sys.spec().faults.mode_changes.is_empty() {
                 Cow::Borrowed(&sys.lanes[..])
             } else {
                 Cow::Owned(sys.lanes.clone())
             },
-            mode_applied: vec![false; sys.spec().faults.mode_changes.len()],
+            mode_applied,
             next_arrival: 0,
             wheel,
-            released: vec![0; sys.groups.len()],
-            ready: ReadyBits::new(if EDF { 0 } else { sys.tasks.len() }),
-            ready_edf: BinaryHeap::new(),
-            has_pending: vec![false; sys.tasks.len()],
-            aborted_scratch: Vec::new(),
+            released,
+            ready: ReadyBits::new(if EDF { 0 } else { sys.tasks.len() }, rows),
+            ready_edf: std::mem::take(&mut scratch.ready_edf),
+            has_pending,
+            aborted_scratch: std::mem::take(&mut scratch.aborted),
             probe,
             incomplete: None,
             trace,
         }
     }
 
-    fn run(mut self) -> Trace {
+    /// Runs to the horizon, finalises the trace and hands every working
+    /// buffer back to `scratch`, empty.
+    fn run(mut self, scratch: &mut DriverScratch) -> Trace {
         if PR::ENABLED {
             self.probe.attach(self.lanes.len());
         }
@@ -703,7 +797,41 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
             }
         }
         self.finalise();
-        self.trace
+        let Driver {
+            pending,
+            mut lanes,
+            mut mode_applied,
+            mut wheel,
+            mut released,
+            mut ready,
+            mut ready_edf,
+            mut has_pending,
+            aborted_scratch,
+            trace,
+            ..
+        } = self;
+        // `finalise` drained the task queues; the admission buffer is
+        // cleared after every arrival.
+        scratch.pending = pending;
+        scratch.lane_queues.extend(lanes.drain(..).map(|mut lane| {
+            lane.queue.clear();
+            lane.queue
+        }));
+        *P::slot(&mut scratch.lanes) = lanes;
+        mode_applied.clear();
+        scratch.mode_applied = mode_applied;
+        wheel.clear();
+        scratch.wheel = wheel;
+        released.clear();
+        scratch.released = released;
+        ready.rows.clear();
+        scratch.ready_rows = ready.rows;
+        ready_edf.clear();
+        scratch.ready_edf = ready_edf;
+        has_pending.clear();
+        scratch.has_pending = has_pending;
+        scratch.aborted = aborted_scratch;
+        trace
     }
 
     /// Marks task `i` ready in the active policy's structure. Must be called
@@ -770,6 +898,7 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
             if accepted {
                 self.lanes[arrival.server].queue.push_back(ApJob {
                     arrival: index,
+                    id: arrival.id,
                     remaining: arrival.demand,
                     cap_left: arrival.cap,
                     started: None,
@@ -802,7 +931,7 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
             let g = g as usize;
             let group = &sys.groups[g];
             let activation = self.released[g];
-            for &m in &group.members {
+            for &m in &sys.members[group.members()] {
                 let m = m as usize;
                 let task = &sys.tasks[m];
                 self.pending[m].push_back(PJob {
@@ -891,12 +1020,13 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
     /// queue, recording it aborted (same in-service exemption as the
     /// reference engine).
     fn abort_pending(&mut self, lane_index: usize, event_id: EventId) {
-        let sys = self.sys;
         let table = &self.tables[lane_index];
         let lane = &mut self.lanes[lane_index];
-        let Some(position) = lane.queue.iter().position(|job| {
-            job.started.is_none() && sys.arrival(job.arrival as usize).id == event_id
-        }) else {
+        let Some(position) = lane
+            .queue
+            .iter()
+            .position(|job| job.started.is_none() && job.id == event_id)
+        else {
             return;
         };
         let job = lane
@@ -1067,12 +1197,12 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
                 .min(lane.policy.available())
                 .min(window);
             debug_assert!(!slice.is_zero(), "picked server cannot make progress");
-            let arrival = sys.arrival(job.arrival as usize);
+            let id = job.id;
             if job.started.is_none() {
                 job.started = Some(self.now);
             }
             if PR::ENABLED {
-                let unit = ExecUnit::Handler(arrival.id);
+                let unit = ExecUnit::Handler(id);
                 if let Some(prev) = self.incomplete.take() {
                     if prev != unit {
                         self.probe.preemption(prev, self.now);
@@ -1082,12 +1212,12 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
                 self.probe.slice(unit, self.now, self.now + slice);
             }
             self.trace
-                .push_segment(ExecUnit::Handler(arrival.id), self.now, self.now + slice);
+                .push_segment(ExecUnit::Handler(id), self.now, self.now + slice);
             job.remaining = job.remaining.minus(slice);
             job.cap_left = job.cap_left.minus(slice);
             if PR::ENABLED {
                 self.incomplete = (!job.remaining.is_zero() && !job.cap_left.is_zero())
-                    .then_some(ExecUnit::Handler(arrival.id));
+                    .then_some(ExecUnit::Handler(id));
             }
             lane.policy.consume(table, slice, self.now);
             self.now += slice;
@@ -1117,7 +1247,7 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
                     lane.policy.on_queue_emptied(table, self.now);
                 }
                 if let LaneAdmission::Machine(machine) = &mut lane.admission {
-                    machine.on_abort(arrival.id, self.now);
+                    machine.on_abort(id, self.now);
                 }
             }
             if self.now >= next || deferred_change || !lane.is_ready() {

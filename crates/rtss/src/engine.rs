@@ -19,7 +19,9 @@
 //!   it into dispatch tables (`crate::tables`, O(tasks + servers)) and run
 //!   the specialized driver (`crate::driver`): monomorphized lane policies,
 //!   a ready bitmap, a release wheel per rate group and same-instant
-//!   batching, with zero heap allocations per decision.
+//!   batching, with zero heap allocations per decision. The tables and the
+//!   driver's state live in buffers the thread keeps between runs, so after
+//!   one run on a thread a simulation allocates only its trace.
 //! * [`simulate_reference`] runs the seed's linear-scan loop kept in this
 //!   module: every periodic task is rescanned at every decision (O(t)) and
 //!   every dispatch serves one slice of one job. It carries no probe. It is
@@ -95,6 +97,7 @@
 //!   the same instant in both loops.
 
 use crate::driver;
+use crate::scratch::with_scratch;
 use crate::server::ServerState;
 use crate::tables::SimTables;
 use rt_admission::{ArrivingEvent, ServerAdmission};
@@ -129,7 +132,7 @@ pub fn simulate(spec: &SystemSpec) -> Trace {
     spec.validate()
         // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs")
         .expect("simulate() requires a valid system specification");
-    driver::run(&SimTables::build(spec), NoopProbe)
+    simulate_validated(spec, NoopProbe)
 }
 
 /// Simulates with an attached [`Probe`] observing every decision, dispatch,
@@ -161,7 +164,19 @@ pub fn simulate_with_probe<P: Probe>(spec: &SystemSpec, probe: P) -> Trace {
     spec.validate()
         // rt-lint: allow(panic, reason = "documented '# Panics' contract: the convenience entry point fails loudly on invalid specs")
         .expect("simulate_with_probe() requires a valid system specification");
-    driver::run(&SimTables::build(spec), probe)
+    simulate_validated(spec, probe)
+}
+
+/// Freezes a validated spec into the tables and runs the driver, both in
+/// the buffers of the thread's scratch ([`crate::scratch`]), so the run
+/// allocates only its trace.
+fn simulate_validated<P: Probe>(spec: &SystemSpec, probe: P) -> Trace {
+    with_scratch(|scratch| {
+        let tables = SimTables::build(spec, std::mem::take(&mut scratch.tables));
+        let trace = driver::run(&tables, probe, &mut scratch.driver);
+        scratch.tables = tables.into_buffers();
+        trace
+    })
 }
 
 /// Simulates with the seed's linear-scan decision loop (O(t) per decision,

@@ -39,6 +39,7 @@ mod driver;
 pub mod dynamic;
 pub mod engine;
 pub mod gantt;
+mod scratch;
 pub mod server;
 mod tables;
 

@@ -8,6 +8,8 @@
 //! from the borrowed spec events ([`SimTables::arrival`]), with injected
 //! overruns resolved through a small sorted [`OverrunTable`]. The spec is
 //! borrowed, and owned only when arrival faults force a normalised copy.
+//! The task, group and lane tables are built in buffers the thread keeps
+//! between runs ([`TableBuffers`]).
 
 use rt_model::{
     AdmissionPolicy, EventId, Instant, OverrunTable, Priority, QueueDiscipline, SchedulingPolicy,
@@ -38,8 +40,18 @@ pub(crate) struct ReleaseGroup {
     /// First release (the common task offset).
     pub(crate) first: Instant,
     pub(crate) period: Span,
-    /// Member task indices, ascending.
-    pub(crate) members: Vec<u32>,
+    /// Where the member task indices (ascending) start in
+    /// [`SimTables::members`].
+    start: u32,
+    /// How many members the group has.
+    len: u32,
+}
+
+impl ReleaseGroup {
+    /// The group's members, as a range of [`SimTables::members`].
+    pub(crate) fn members(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 /// One aperiodic arrival as the decision loop sees it: outcome fields plus
@@ -103,6 +115,8 @@ pub(crate) struct SimTables<'a> {
     pub(crate) horizon: Instant,
     pub(crate) tasks: Vec<TaskTable>,
     pub(crate) groups: Vec<ReleaseGroup>,
+    /// The release groups' member task indices, group after group.
+    pub(crate) members: Vec<u32>,
     pub(crate) lanes: Vec<LaneTable>,
     /// In-horizon prefix length of the (release, id)-sorted arrival stream;
     /// [`Self::arrival`] indexes into that prefix.
@@ -116,10 +130,21 @@ pub(crate) struct SimTables<'a> {
     pub(crate) segment_hint: usize,
 }
 
+/// The buffers of the tables, kept empty between the runs of one thread
+/// ([`crate::scratch`]).
+#[derive(Debug, Default)]
+pub(crate) struct TableBuffers {
+    tasks: Vec<TaskTable>,
+    groups: Vec<ReleaseGroup>,
+    members: Vec<u32>,
+    lanes: Vec<LaneTable>,
+}
+
 impl<'a> SimTables<'a> {
     /// Freezes a spec the caller has already validated
-    /// ([`SystemSpec::validate`]); validation is not repeated here.
-    pub(crate) fn build(spec: &'a SystemSpec) -> SimTables<'a> {
+    /// ([`SystemSpec::validate`]) into `buffers`; validation is not repeated
+    /// here.
+    pub(crate) fn build(spec: &'a SystemSpec, buffers: TableBuffers) -> SimTables<'a> {
         // Arrival faults (release jitter, dropped arrivals) are a pure spec
         // normalization, resolved here once — the tables below freeze the
         // faulted arrival stream. Fault-free specs stay borrowed.
@@ -127,37 +152,51 @@ impl<'a> SimTables<'a> {
             Some(faulted) => Cow::Owned(faulted),
             None => Cow::Borrowed(spec),
         };
-        let tasks: Vec<TaskTable> = spec
-            .periodic_tasks
-            .iter()
-            .map(|t| TaskTable {
-                id: t.id,
-                cost: t.cost,
-                deadline: t.deadline,
-                priority: t.priority,
-            })
-            .collect();
+        let TableBuffers {
+            mut tasks,
+            mut groups,
+            mut members,
+            mut lanes,
+        } = buffers;
+        debug_assert!(
+            tasks.is_empty() && groups.is_empty() && members.is_empty() && lanes.is_empty()
+        );
+        tasks.extend(spec.periodic_tasks.iter().map(|t| TaskTable {
+            id: t.id,
+            cost: t.cost,
+            deadline: t.deadline,
+            priority: t.priority,
+        }));
 
-        // Group tasks by (offset, period); first-seen order, members
-        // ascending by construction.
-        let mut groups: Vec<ReleaseGroup> = Vec::new();
+        // Group tasks by (offset, period) in first-seen order, then lay each
+        // group's members out contiguously, ascending.
         let mut job_count = 0usize;
-        for (i, t) in spec.periodic_tasks.iter().enumerate() {
+        for t in &spec.periodic_tasks {
             let first = t.release_of(0);
-            let key = (first, t.period);
-            match groups.iter_mut().find(|g| (g.first, g.period) == key) {
-                Some(group) => group.members.push(i as u32),
-                None => groups.push(ReleaseGroup {
+            if !groups
+                .iter()
+                .any(|g| (g.first, g.period) == (first, t.period))
+            {
+                groups.push(ReleaseGroup {
                     first,
                     period: t.period,
-                    members: vec![i as u32],
-                }),
+                    start: 0,
+                    len: 0,
+                });
             }
             if first < spec.horizon {
                 let window = spec.horizon.since(first).ticks();
                 // Releases at first, first+p, ... strictly below the horizon.
                 job_count += (1 + (window - 1) / t.period.ticks()) as usize;
             }
+        }
+        for group in &mut groups {
+            group.start = members.len() as u32;
+            members.extend((0..spec.periodic_tasks.len() as u32).filter(|&i| {
+                let t = &spec.periodic_tasks[i as usize];
+                (t.release_of(0), t.period) == (group.first, group.period)
+            }));
+            group.len = members.len() as u32 - group.start;
         }
 
         // Arrivals at or past the horizon are invisible to the decision loop
@@ -170,19 +209,15 @@ impl<'a> SimTables<'a> {
         // by event id so on-demand arrival assembly is a binary search.
         let overruns = OverrunTable::new(&spec.faults);
 
-        let lanes: Vec<LaneTable> = spec
-            .servers
-            .iter()
-            .map(|s| LaneTable {
-                kind: s.policy,
-                capacity: s.capacity,
-                period: s.period,
-                priority: s.priority,
-                discipline: s.discipline,
-                admission: s.admission,
-                spec: s.clone(),
-            })
-            .collect();
+        lanes.extend(spec.servers.iter().map(|s| LaneTable {
+            kind: s.policy,
+            capacity: s.capacity,
+            period: s.period,
+            priority: s.priority,
+            discipline: s.discipline,
+            admission: s.admission,
+            spec: s.clone(),
+        }));
 
         // A scheduled policy swap changes a lane's kind at runtime, which the
         // single-kind monomorphized drivers cannot represent: fall back to
@@ -212,6 +247,7 @@ impl<'a> SimTables<'a> {
             horizon: spec.horizon,
             tasks,
             groups,
+            members,
             lanes,
             arrival_count,
             overruns,
@@ -219,6 +255,27 @@ impl<'a> SimTables<'a> {
             job_count,
             segment_hint: job_count + 2 * arrival_count + 64,
             spec,
+        }
+    }
+
+    /// The tables' buffers, emptied for the next build.
+    pub(crate) fn into_buffers(self) -> TableBuffers {
+        let SimTables {
+            mut tasks,
+            mut groups,
+            mut members,
+            mut lanes,
+            ..
+        } = self;
+        tasks.clear();
+        groups.clear();
+        members.clear();
+        lanes.clear();
+        TableBuffers {
+            tasks,
+            groups,
+            members,
+            lanes,
         }
     }
 

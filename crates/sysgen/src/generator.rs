@@ -424,7 +424,6 @@ impl RandomSystemGenerator {
 
         // Extra servers stack directly below the primary one; periodic tasks
         // (when generated) sit below every server.
-        let mut server_capacities = vec![self.params.server_capacity];
         for (j, extra) in self.extra_servers.iter().enumerate() {
             // In range by construction: `with_extra_servers` rejected any
             // configuration that would clamp here.
@@ -442,7 +441,6 @@ impl RandomSystemGenerator {
                 discipline: self.discipline,
                 admission: self.admission,
             });
-            server_capacities.push(extra.capacity);
         }
         let lowest_server_level = server_priority
             .level()
@@ -540,11 +538,12 @@ impl RandomSystemGenerator {
                 let cost = self.cost_model.sample(&mut rng);
                 builder.aperiodic(release, cost);
             } else {
-                let target = rng.gen_range(0..server_capacities.len());
-                let cost = self
-                    .cost_model
-                    .sample(&mut rng)
-                    .min(server_capacities[target]);
+                let target = rng.gen_range(0..1 + self.extra_servers.len());
+                let capacity = match target {
+                    0 => self.params.server_capacity,
+                    extra => self.extra_servers[extra - 1].capacity,
+                };
+                let cost = self.cost_model.sample(&mut rng).min(capacity);
                 builder.aperiodic_for(target, release, cost);
             }
             if let Some(factor) = self.deadline_factor {
