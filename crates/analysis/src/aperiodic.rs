@@ -115,7 +115,10 @@ pub struct InstanceSlot {
     /// Absolute index of the server instance the handler will execute in.
     pub instance: u64,
     /// Cumulative declared cost of the handlers scheduled before this one in
-    /// the same instance (`Cp_a`).
+    /// the same instance (`Cp_a`). In the instance that was already running
+    /// when the packer was seeded, the time elapsed in it before the seed
+    /// counts as prior cost too, so the handler never completes earlier
+    /// than its own cost after the seed instant.
     pub prior_cost: Span,
     /// The handler's own declared cost (`C_a`).
     pub cost: Span,
@@ -180,11 +183,12 @@ pub struct InstancePacker {
     server: ServerParams,
     /// Absolute index of the instance the list currently being filled maps to.
     last_instance: u64,
-    /// Cumulative declared cost already assigned to that instance.
+    /// Cumulative declared cost already assigned to that instance; for the
+    /// instance current at the seed, starting with the time elapsed in it.
     last_load: Span,
-    /// Capacity of the instance currently being filled: the reduced remaining
-    /// capacity for the very first (current) instance, the full capacity for
-    /// every later one.
+    /// Capacity of the instance currently being filled: for the very first
+    /// (current) instance the elapsed time plus the remaining capacity, the
+    /// full capacity for every later one.
     last_capacity: Span,
     /// Number of handlers assigned so far (for reporting).
     assigned: usize,
@@ -192,7 +196,11 @@ pub struct InstancePacker {
 
 impl InstancePacker {
     /// Creates a packer whose first list corresponds to the server instance
-    /// active at `now`, with `remaining_capacity` left in it.
+    /// active at `now`, with `remaining_capacity` left in it. The part of
+    /// that instance already elapsed at `now` is the first list's initial
+    /// load, so a handler packed there completes at `now` plus the cost
+    /// packed before it plus its own, and fits exactly when those costs fit
+    /// the remaining capacity.
     pub fn new(server: ServerParams, now: Instant, remaining_capacity: Span) -> Self {
         let next = server.next_instance_index(now);
         let current = if now.ticks().is_multiple_of(server.period.ticks()) {
@@ -200,11 +208,12 @@ impl InstancePacker {
         } else {
             next - 1
         };
+        let elapsed = now.since(server.instance_start(current));
         InstancePacker {
             server,
             last_instance: current,
-            last_load: Span::ZERO,
-            last_capacity: remaining_capacity.min(server.capacity),
+            last_load: elapsed,
+            last_capacity: elapsed + remaining_capacity.min(server.capacity),
             assigned: 0,
         }
     }
@@ -271,12 +280,14 @@ impl InstancePacker {
         self.last_instance
     }
 
-    /// Load already assigned to the instance currently being filled.
+    /// Load already assigned to the instance currently being filled; in the
+    /// instance current at the seed it includes the time elapsed before it.
     pub fn current_load(&self) -> Span {
         self.last_load
     }
 
-    /// Capacity of the instance currently being filled.
+    /// Capacity of the instance currently being filled, measured from the
+    /// instance's start like [`Self::current_load`].
     pub fn current_capacity(&self) -> Span {
         self.last_capacity
     }
@@ -419,6 +430,32 @@ mod tests {
             slot.instance, 0,
             "fits in the remaining capacity of the current instance"
         );
+    }
+
+    #[test]
+    fn packer_seeded_mid_instance_counts_the_elapsed_time() {
+        // Seeded at t=2 with 3 units left in instance 0 (which began at 0):
+        // the first two units of the instance are load, so a cost-2 handler
+        // runs 2..4 and a cost-1 one after it 4..5; a further cost-1
+        // handler exceeds the remaining 3 and opens instance 1.
+        let mut p = InstancePacker::new(server(), Instant::from_units(2), Span::from_units(3));
+        assert_eq!(p.current_load(), Span::from_units(2));
+        assert_eq!(p.current_capacity(), Span::from_units(5));
+        let first = p.push(Span::from_units(2));
+        let second = p.push(Span::from_units(1));
+        let third = p.push(Span::from_units(1));
+        assert_eq!((first.instance, first.prior_cost), (0, Span::from_units(2)));
+        assert_eq!(
+            (second.instance, second.prior_cost),
+            (0, Span::from_units(4))
+        );
+        assert_eq!((third.instance, third.prior_cost), (1, Span::ZERO));
+        let released = Instant::from_units(2);
+        let responses = [first, second, third].map(|slot| slot.response_time(server(), released));
+        assert_eq!(responses, [2, 3, 5].map(Span::from_units));
+        // At an instance boundary nothing has elapsed.
+        let p = InstancePacker::new(server(), Instant::from_units(6), Span::from_units(4));
+        assert_eq!((p.current_instance(), p.current_load()), (1, Span::ZERO));
     }
 
     #[test]

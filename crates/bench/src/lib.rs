@@ -9,7 +9,7 @@
 //!
 //! * [`BenchRecord`] and the hand-rolled JSON of the trajectory
 //!   ([`render_bench_trajectory`], [`parse_bench_trajectory`]) — hand-rolled
-//!   because the offline `serde` shim has no JSON backend;
+//!   because the offline workspace has no JSON library;
 //! * [`GROUPS`], the groups a full run measures, and [`GATES`] with
 //!   [`gate_failures`], every bound the benchmark asserts. The binary checks
 //!   its fresh rows against them, and a unit test checks the snapshot.

@@ -5,9 +5,12 @@
 //! time computation can reasonably be performed on-line at the arrival time
 //! of the event." Two predictions are provided:
 //!
-//! * [`predicted_response`] — equation (5) applied to the slot the queue
-//!   structure assigned to a pending event (constant-time when the server
-//!   uses the list-of-lists queue);
+//! * [`predicted_response`] — equation (5) applied to the slot a pending
+//!   event holds in the packing of the server's backlog, which the queue
+//!   replays in O(backlog) ([`crate::queue::PendingQueue::predicted_slot`]);
+//!   the constant-time form of the same packing, the §7 list of lists
+//!   ([`rt_analysis::InstancePacker`]), runs per arrival in the admission
+//!   plan of `rt-admission`;
 //! * [`textbook_prediction`] — equations (1)–(4) for the textbook polling
 //!   server, useful to compare the implementation's prediction against the
 //!   theoretical one.
@@ -47,9 +50,11 @@ use crate::state::ServerShared;
 use rt_analysis::{edf_feasible_with_servers, textbook_ps_response_time, ServerParams};
 use rt_model::{EventId, Instant, PeriodicTask, Priority, ServerSpec, Span, TaskId};
 
-/// Equation (5) prediction for a *pending* event, using the slot stored by
-/// the list-of-lists queue. Returns `None` when the event is not pending or
-/// when the server uses the flat FIFO queue (which stores no slots).
+/// Equation (5) prediction for a *pending* event, from the slot the queue's
+/// replay of the backlog packing assigns it. Returns `None` when the event is
+/// not pending, when its cost exceeds the capacity, or while the packing is
+/// invalidated (between a removal that skipped the head and the next
+/// release).
 pub fn predicted_response(server: &ServerShared, event: EventId) -> Option<Span> {
     let slot = server.queue.predicted_slot(event)?;
     let release = server.queue.iter().find(|r| r.event == event)?.release;
@@ -189,19 +194,21 @@ const ONE_SHOT_PERIOD: Span = Span::from_ticks(1 << 40);
 mod tests {
     use super::*;
     use crate::handler::{QueuedRelease, ServableHandler};
-    use crate::queue::QueueKind;
     use crate::state::ServerShared;
     use rt_model::{HandlerId, Priority, ServerPolicyKind};
     use rtsj_emu::{OverheadModel, TaskServerParameters};
 
-    fn server(queue: QueueKind) -> ServerShared {
+    fn lane(policy: ServerPolicyKind) -> ServerShared {
         ServerShared::new(
             TaskServerParameters::new(Span::from_units(4), Span::from_units(6), Priority::new(30)),
-            ServerPolicyKind::Polling,
+            policy,
             OverheadModel::none(),
-            queue,
             rt_model::QueueDiscipline::FifoSkip,
         )
+    }
+
+    fn server() -> ServerShared {
+        lane(ServerPolicyKind::Polling)
     }
 
     fn release(id: u32, cost: u64, at: u64) -> QueuedRelease {
@@ -213,8 +220,8 @@ mod tests {
     }
 
     #[test]
-    fn predicted_response_uses_the_stored_slot() {
-        let mut s = server(QueueKind::ListOfLists);
+    fn predicted_response_prices_the_replayed_slot() {
+        let mut s = server();
         s.remaining = Span::from_units(1);
         // Released at t=2; remaining capacity 1 cannot hold cost 2, so the
         // slot is instance 1 (starting at 6): response = 6 + 0 + 2 − 2 = 6.
@@ -227,39 +234,48 @@ mod tests {
     }
 
     #[test]
-    fn fifo_queue_predicts_through_the_packing_replay() {
-        // Regression for the PR-3 tournament-tree queue: the flat FIFO used
-        // to return `None` here, making `predicted_response` unusable on the
-        // default queue configuration. It now replays the recorded packing
-        // and must agree with the list-of-lists slot on identical traffic.
-        let mut fifo = server(QueueKind::Fifo);
-        let mut lol = server(QueueKind::ListOfLists);
-        for s in [&mut fifo, &mut lol] {
-            s.remaining = Span::from_units(1);
-            s.released(release(0, 2, 2), Instant::from_units(2));
-        }
+    fn a_release_packed_into_the_current_instance_completes_after_its_cost() {
+        // The polling lane still holds its full capacity at t=1: the cost-3
+        // release fits the current instance, which began at 0, and runs
+        // 1..4 — a response of 3, not the 2 that pricing the slot from the
+        // instance's start would give.
+        let mut s = server();
+        s.released(release(0, 3, 1), Instant::from_units(1));
         assert_eq!(
-            predicted_response(&fifo, EventId::new(0)),
-            Some(Span::from_units(6)),
-            "the flat FIFO must predict through the replay"
+            predicted_response(&s, EventId::new(0)),
+            Some(Span::from_units(3))
         );
+        // A second one no longer fits and waits for instance 1 (6..9).
+        s.released(release(1, 3, 1), Instant::from_units(1));
         assert_eq!(
-            predicted_response(&fifo, EventId::new(0)),
-            predicted_response(&lol, EventId::new(0)),
-            "both queue structures must predict the same slot"
+            predicted_response(&s, EventId::new(1)),
+            Some(Span::from_units(8))
+        );
+    }
+
+    #[test]
+    fn a_deferrable_lane_predicts_retained_capacity_from_now() {
+        // A deferrable lane that kept 1 unit of its capacity at t=2 serves a
+        // cost-1 release right away: it completes at 3.
+        let mut s = lane(ServerPolicyKind::Deferrable);
+        s.remaining = Span::from_units(1);
+        s.released(release(0, 1, 2), Instant::from_units(2));
+        assert_eq!(
+            predicted_response(&s, EventId::new(0)),
+            Some(Span::from_units(1))
         );
     }
 
     #[test]
     fn textbook_prediction_counts_the_queue_ahead() {
-        let mut s = server(QueueKind::Fifo);
+        let mut s = server();
         s.released(release(0, 3, 0), Instant::ZERO);
         // Pending work 3 + new cost 2 = 5 > remaining 4: spills into the next
         // instance.
         let prediction = textbook_prediction(&s, Instant::ZERO, Span::from_units(2));
         assert!(prediction > Span::from_units(4));
         // Without the queue the same event fits immediately.
-        let empty = server(QueueKind::Fifo);
+        let empty = server();
         let fast = textbook_prediction(&empty, Instant::ZERO, Span::from_units(2));
         assert_eq!(fast, Span::from_units(2));
     }
@@ -281,7 +297,7 @@ mod tests {
             Priority::new(10),
         )];
         let controller = AdmissionController::new(Span::from_units(12));
-        let empty = server(QueueKind::Fifo);
+        let empty = server();
         // A small job over a loose ceiling passes both oracles.
         for oracle in [AdmissionOracle::Textbook, AdmissionOracle::EdfDemand] {
             assert!(
@@ -299,7 +315,7 @@ mod tests {
         // With a heavy backlog the demand oracle refuses what the textbook
         // oracle (which ignores the periodic tasks entirely) still takes:
         // conservative, never unsound.
-        let mut s = server(QueueKind::Fifo);
+        let mut s = server();
         for id in 0..3 {
             s.released(release(id, 4, 0), Instant::ZERO);
         }
@@ -338,7 +354,7 @@ mod tests {
             Span::from_units(6),
             Priority::new(30),
         )];
-        let mut shared = server(QueueKind::Fifo);
+        let mut shared = server();
         shared.released(release(0, 2, 0), Instant::ZERO);
         let controller = AdmissionController::new(Span::from_units(4));
         // By t = 10 the pending release's implicit deadline (release +
@@ -355,12 +371,12 @@ mod tests {
 
     #[test]
     fn admission_controller_rejects_slow_predictions() {
-        let mut s = server(QueueKind::Fifo);
+        let mut s = server();
         s.released(release(0, 4, 0), Instant::ZERO);
         s.released(release(1, 4, 0), Instant::ZERO);
         let controller = AdmissionController::new(Span::from_units(5));
         assert!(!controller.admit(&s, Instant::ZERO, Span::from_units(3)));
-        let empty = server(QueueKind::Fifo);
+        let empty = server();
         assert!(controller.admit(&empty, Instant::ZERO, Span::from_units(3)));
     }
 }

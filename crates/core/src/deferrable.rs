@@ -81,7 +81,7 @@ impl<'p, P: Probe> ThreadBody<ExecWorld<'p, P>> for EventDrivenServerBody {
         ctx.set_deadline(deadline);
         let step = match completion {
             Completion::Started => ServeStep::Idle,
-            Completion::EventFired | Completion::PeriodStarted | Completion::TimeReached => {
+            Completion::EventFired | Completion::PeriodStarted => {
                 self.service.try_dispatch(ctx.world(), now)
             }
             Completion::Computed { .. } | Completion::Interrupted { .. } => {

@@ -86,7 +86,7 @@
 //! drain for the exact wheel instant.
 //!
 //! Per run, the driver's tables — the thread table, the wheel, the rank
-//! bitmap, the heaps, the timed-wake list — and the install's are taken
+//! bitmap, the heaps — and the install's are taken
 //! from the thread's scratch (`RunScratch`) and handed back empty at the
 //! horizon, so after one run on a thread the driver allocates only the
 //! trace's segments and outcome slots.
@@ -300,7 +300,6 @@ pub(crate) struct RunScratch {
     runnable: Vec<u64>,
     dynamic: BinaryHeap<Reverse<(Instant, usize, usize)>>,
     ready_edf: BinaryHeap<Reverse<(Instant, usize)>>,
-    until_wakes: Vec<(Instant, usize)>,
     due: Vec<(usize, usize)>,
     finalise: FinaliseScratch,
 }
@@ -317,7 +316,6 @@ enum Status {
         consumed: Span,
     },
     BlockedForPeriod,
-    BlockedUntil(Instant),
     BlockedOnEvent,
     Terminated,
 }
@@ -459,7 +457,6 @@ struct FastDriver<'p, P: Probe, const EDF: bool> {
     dynamic: BinaryHeap<Reverse<(Instant, usize, usize)>>,
     /// Arming index of the next runtime-armed one-shot.
     next_timer_idx: usize,
-    until_wakes: Vec<(Instant, usize)>,
     /// Ready/Computing bitmap indexed by dispatch rank (the runnable set
     /// under both policies).
     runnable: Vec<u64>,
@@ -475,10 +472,10 @@ struct FastDriver<'p, P: Probe, const EDF: bool> {
     ready_edf: BinaryHeap<Reverse<(Instant, usize)>>,
     pending_overhead: Span,
     /// Earliest instant at which anything can become due (timer, wheel grid
-    /// point, planned release, timed wake). Maintained exactly: recomputed by
-    /// [`Self::drain`], lowered in place when a pump arms a timer or a timed
-    /// wait. Lets the run loop skip the drain entirely between due points
-    /// and reuse the value as the compute-slice preemption limit.
+    /// point, planned release). Maintained exactly: recomputed by
+    /// [`Self::drain`], lowered in place when a pump arms a timer. Lets the
+    /// run loop skip the drain entirely between due points and reuse the
+    /// value as the compute-slice preemption limit.
     next_due: Instant,
     zero_steps: u32,
     trace: Trace,
@@ -510,7 +507,6 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
                 && scratch.runnable.is_empty()
                 && scratch.dynamic.is_empty()
                 && scratch.ready_edf.is_empty()
-                && scratch.until_wakes.is_empty()
                 && scratch.due.is_empty(),
             "a run starts from empty buffers"
         );
@@ -575,7 +571,6 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             sae_cursor: 0,
             dynamic: std::mem::take(&mut scratch.dynamic),
             next_timer_idx: 0,
-            until_wakes: std::mem::take(&mut scratch.until_wakes),
             runnable,
             woken_min_rank: u32::MAX,
             running: None,
@@ -602,7 +597,6 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             mut static_timers,
             mut wheel,
             mut dynamic,
-            mut until_wakes,
             mut runnable,
             mut ready_edf,
             mut trace,
@@ -615,7 +609,6 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
         static_timers.clear();
         wheel.clear();
         dynamic.clear();
-        until_wakes.clear();
         runnable.clear();
         ready_edf.clear();
         scratch.install.timers = static_timers;
@@ -624,7 +617,6 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
         scratch.runnable = runnable;
         scratch.dynamic = dynamic;
         scratch.ready_edf = ready_edf;
-        scratch.until_wakes = until_wakes;
         scratch.due = due_scratch;
         trace
     }
@@ -732,26 +724,10 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
         }
     }
 
-    /// Everything due at or before `now`: timed wakes and wheel releases
-    /// first, then the timer fires replayed in (timer creation order,
-    /// occurrence instant) order — the reference engine's exact semantics.
+    /// Everything due at or before `now`: wheel releases first, then the
+    /// timer fires replayed in (timer creation order, occurrence instant)
+    /// order — the reference engine's exact semantics.
     fn drain(&mut self) {
-        if !self.until_wakes.is_empty() {
-            let mut i = 0;
-            while i < self.until_wakes.len() {
-                let (at, tid) = self.until_wakes[i];
-                if at <= self.now {
-                    self.until_wakes.swap_remove(i);
-                    if matches!(self.threads[tid].status, Status::BlockedUntil(t) if t == at) {
-                        self.threads[tid].status = Status::Ready(Completion::TimeReached);
-                        self.mark_runnable(tid);
-                    }
-                } else {
-                    i += 1;
-                }
-            }
-        }
-
         let (groups, members) = (self.groups, self.members);
         for (gi, group) in groups.iter().enumerate() {
             while self.wheel[gi] <= self.now {
@@ -864,9 +840,6 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             for &at in &self.wheel {
                 next = next.min(at);
             }
-        }
-        for &(at, _) in &self.until_wakes {
-            next = next.min(at);
         }
         next
     }
@@ -1017,16 +990,6 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
                 };
             }
             Action::WaitForNextPeriod => self.wait_for_next_period(tid),
-            Action::WaitUntil(at) => {
-                if at <= self.now {
-                    self.threads[tid].status = Status::Ready(Completion::TimeReached);
-                } else {
-                    self.threads[tid].status = Status::BlockedUntil(at);
-                    self.unmark_runnable(tid);
-                    self.until_wakes.push((at, tid));
-                    self.next_due = self.next_due.min(at);
-                }
-            }
             Action::WaitForEvent(event) => {
                 debug_assert!(
                     matches!(self.world.kinds[event.raw()], EventKind::Wakeup { lane } if lane == tid),
@@ -1234,7 +1197,7 @@ mod tests {
             fast.render_canonical(),
             "{}: driver diverged from the reference ({:?})",
             spec.name,
-            plan.policy
+            spec.scheduling
         );
         assert_eq!(reference, fast);
     }
@@ -1248,10 +1211,10 @@ mod tests {
             ServerPolicyKind::Background,
             ServerPolicyKind::Sporadic,
         ] {
-            let spec = table1(policy, 3, &events);
+            let mut spec = table1(policy, 3, &events);
             for scheduling in [SchedulingPolicy::FixedPriority, SchedulingPolicy::Edf] {
+                spec.scheduling = scheduling;
                 for config in [ExecutionConfig::ideal(), ExecutionConfig::reference()] {
-                    let config = config.with_scheduling(scheduling);
                     assert_fastpath_matches_the_reference(&spec, &config);
                 }
             }

@@ -403,7 +403,7 @@ impl<'p, P: Probe> Install<'p, P> {
     ) {
         let (params, admission) = match server.policy {
             // Background servicing has no meaningful capacity or period;
-            // a nominal pair gives the queue structure a packing reference
+            // a nominal pair gives the queue a packing reference
             // (it is never used to reject work).
             ServerPolicyKind::Background => (
                 TaskServerParameters::new(
@@ -428,7 +428,6 @@ impl<'p, P: Probe> Install<'p, P> {
             params,
             server.policy,
             config.overhead,
-            config.queue,
             server.discipline,
             admission,
         );
@@ -601,7 +600,6 @@ impl ServableAsyncEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::QueueKind;
     use crate::system::{execute_reference, ExecutionPlan};
     use rt_model::Priority;
     use rt_observe::NoopProbe;
@@ -661,8 +659,7 @@ mod tests {
         let timers: Vec<(Instant, Option<Span>)> =
             install.timers.iter().map(|t| (t.next, t.period)).collect();
         assert_eq!(timers, [(Instant::from_units(6), Some(unit(6)))]);
-        let config = ExecutionConfig::ideal().with_queue(QueueKind::ListOfLists);
-        let trace = execute_reference(&spec, &config);
+        let trace = execute_reference(&spec, &ExecutionConfig::ideal());
         assert_eq!(trace.outcomes.len(), 2);
         assert_eq!(trace.outcomes[0].response_time(), Some(unit(2)));
         // Second event: released at 1, served 6..8 → response 7.

@@ -10,8 +10,10 @@
 //! [`rtsj_emu::TaskServerParameters`] — installed as data by one routine
 //! that both execution loops run ([`framework`]), together with:
 //!
-//! * the pending-event queues of §4/§7 ([`queue::PendingQueue`], flat FIFO or
-//!   list-of-lists);
+//! * the pending-event queue of §4, the paper's FIFO list, indexed for
+//!   FIFO-with-skip service ([`queue::PendingQueue`]); the §7 list of lists
+//!   that prices an arrival in O(1) is `rt_analysis::InstancePacker`, which
+//!   the admission plan of `rt-admission` runs per arrival;
 //! * the policy-independent service loop with `Timed` budget enforcement and
 //!   overhead accounting ([`serve`]);
 //! * on-line response-time prediction and admission control
@@ -130,7 +132,7 @@ pub use framework::{
     SporadicTaskServer,
 };
 pub use handler::{QueuedRelease, ServableHandler};
-pub use queue::{PendingQueue, QueueKind};
+pub use queue::PendingQueue;
 pub use rtsj_emu::TaskServerParameters;
 pub use state::{GrantedService, ServerShared};
 pub use system::{execute, execute_reference, execute_with_probe, ExecutionConfig, ExecutionPlan};
@@ -230,25 +232,6 @@ mod proptests {
                 &ExecutionConfig::ideal().with_overhead(OverheadModel::reference().scaled(4)),
             );
             assert!(served(&heavy) <= served(&ideal));
-        }
-    }
-
-    /// The queue structure (flat FIFO vs list of lists) does not change
-    /// the service outcomes, only the admission-time prediction cost.
-    #[test]
-    fn queue_structure_does_not_change_outcomes() {
-        let mut rng = StdRng::seed_from_u64(0xA11C_E004);
-        for _ in 0..CASES {
-            let spec = random_spec(&mut rng);
-            let fifo = execute(
-                &spec,
-                &ExecutionConfig::reference().with_queue(QueueKind::Fifo),
-            );
-            let lol = execute(
-                &spec,
-                &ExecutionConfig::reference().with_queue(QueueKind::ListOfLists),
-            );
-            assert_eq!(fifo.outcomes, lol.outcomes);
         }
     }
 

@@ -58,8 +58,8 @@ impl<'p, P: Probe> ThreadBody<ExecWorld<'p, P>> for PollingServerBody {
             Completion::Computed { .. } | Completion::Interrupted { .. } => {
                 self.service.on_completion(ctx, completion)
             }
-            // A polling server never waits on events or absolute times.
-            Completion::TimeReached | Completion::EventFired => ServeStep::Idle,
+            // A polling server never waits on events.
+            Completion::EventFired => ServeStep::Idle,
         };
         match step {
             ServeStep::Continue(action) => action,

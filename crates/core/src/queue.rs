@@ -1,18 +1,16 @@
-//! Pending-event queues of a task server.
+//! Pending-event queue of a task server.
 //!
 //! The paper's base implementation keeps the pending handlers "in a simple
-//! FIFO list"; §7 proposes replacing it with "a structure with a list of
-//! lists of handlers", each inner list holding the handlers that fit together
-//! in one server instance alongside their cumulative cost, so the response
-//! time of a newly released event can be computed in constant time at
-//! registration (equation (5)).
-//!
-//! Both structures share the same *service* semantics —
-//! [`PendingQueue::choose_next`] returns "the first handler in the list which
-//! has a cost lower than the remaining capacity", the FIFO-with-skip rule of
-//! §4.1 — and differ only in the cost of predicting a response time at
-//! admission ([`PendingQueue::predict_slot`]): O(n) for the flat FIFO (the
-//! packing has to be recomputed), O(1) for the list of lists.
+//! FIFO list", and so does this queue: [`PendingQueue::choose_next`] returns
+//! "the first handler in the list which has a cost lower than the remaining
+//! capacity", the FIFO-with-skip rule of §4.1. §7 proposes a list of lists
+//! of handlers, each inner list holding the handlers that fit together in
+//! one server instance alongside their cumulative cost, so the response time
+//! of a newly released event is computed in constant time at registration
+//! (equation (5)). That structure is [`rt_analysis::InstancePacker`], and the
+//! admission plan of `rt-admission` is where it runs per arrival. The queue
+//! answers [`PendingQueue::predicted_slot`] by replaying the same packing
+//! over its live backlog, in O(n) per query.
 //!
 //! # Indexed FIFO-with-skip
 //!
@@ -53,23 +51,6 @@ use rt_analysis::{InstancePacker, InstanceSlot, ServerParams};
 use rt_model::{Instant, QueueDiscipline, Span};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Which queue structure a server uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueKind {
-    /// The paper's base implementation: a flat FIFO list.
-    Fifo,
-    /// The §7 improvement: a list of lists with cumulative costs.
-    ListOfLists,
-}
-
-/// A pending release annotated with its predicted service slot (only
-/// maintained by the list-of-lists structure).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct QueuedEntry {
-    release: QueuedRelease,
-    slot: Option<InstanceSlot>,
-}
 
 /// Slab length below which dead slots are never compacted away; also the
 /// cap of [`PendingQueue::reserve`].
@@ -222,7 +203,7 @@ impl CostIndex {
 /// starts with the capacity an earlier run left instead of allocating.
 #[derive(Debug, Default)]
 pub(crate) struct QueueBuffers {
-    slots: Vec<Option<QueuedEntry>>,
+    slots: Vec<Option<QueuedRelease>>,
     tree: Vec<u64>,
     deadline_index: BinaryHeap<Reverse<(Instant, usize)>>,
     replayed_heads: Vec<Span>,
@@ -231,12 +212,11 @@ pub(crate) struct QueueBuffers {
 /// The pending-event queue of one task server.
 #[derive(Debug, Clone)]
 pub struct PendingQueue {
-    kind: QueueKind,
     discipline: QueueDiscipline,
     server: ServerParams,
     /// Arrival-ordered slab; `None` marks a served (removed) entry. Compacted
     /// whenever the queue empties.
-    slots: Vec<Option<QueuedEntry>>,
+    slots: Vec<Option<QueuedRelease>>,
     /// Cost index paired with `slots` (same indices).
     index: CostIndex,
     /// Deadline index paired with `slots`: min-`(deadline, slot)` heap over
@@ -246,48 +226,36 @@ pub struct PendingQueue {
     deadline_index: BinaryHeap<Reverse<(Instant, usize)>>,
     /// Number of live entries.
     live: usize,
-    /// Incremental packer used by the list-of-lists structure.
-    packer: Option<InstancePacker>,
     /// The `(now, remaining_capacity)` pair the current packing is seeded
-    /// with, recorded for **both** queue kinds with exactly the packer's
-    /// staleness lifecycle (set at the first push after an invalidation,
-    /// cleared by out-of-order removals and drains). It is what lets the
-    /// flat-FIFO structure answer [`Self::predicted_slot`] by an O(n)
-    /// replay of the live queue — the §7 cost the list of lists avoids —
-    /// instead of returning `None`.
+    /// with: set at the first push after an invalidation, cleared by
+    /// out-of-order removals, drains and reconfigurations. It is what lets
+    /// [`Self::predicted_slot`] replay the equation-(5) packing of the live
+    /// queue.
     packing_seed: Option<(Instant, Span)>,
     /// Declared costs of the entries served *in order from the head* since
     /// the packing reference was recorded. Head removals keep the packing
-    /// valid but still consumed their planned capacity, so the flat-FIFO
-    /// replay must pack them first or it would hand their slots to the
-    /// survivors. Cleared together with `packing_seed`; grows with the
-    /// in-order services of one uninterrupted backlog episode (bounded by
-    /// the arrivals of that episode).
+    /// valid but still consumed their planned capacity, so the replay must
+    /// pack them first or it would hand their slots to the survivors.
+    /// Cleared together with `packing_seed`; grows with the in-order
+    /// services of one uninterrupted backlog episode (bounded by the
+    /// arrivals of that episode).
     replayed_heads: Vec<Span>,
 }
 
 impl PendingQueue {
     /// Creates an empty queue for a server with the given capacity/period
     /// and service discipline.
-    pub fn new(kind: QueueKind, capacity: Span, period: Span, discipline: QueueDiscipline) -> Self {
-        let server = ServerParams::new(capacity, period);
+    pub fn new(capacity: Span, period: Span, discipline: QueueDiscipline) -> Self {
         PendingQueue {
-            kind,
             discipline,
-            server,
+            server: ServerParams::new(capacity, period),
             slots: Vec::new(),
             index: CostIndex::default(),
             deadline_index: BinaryHeap::new(),
             live: 0,
-            packer: None,
             packing_seed: None,
             replayed_heads: Vec::new(),
         }
-    }
-
-    /// The queue structure in use.
-    pub fn kind(&self) -> QueueKind {
-        self.kind
     }
 
     /// The service discipline in use.
@@ -296,14 +264,13 @@ impl PendingQueue {
     }
 
     /// Reconfigures the queue for new server parameters and/or a new service
-    /// discipline (the mode-change path). The stored packing belongs to the
-    /// old configuration, so it is invalidated — the next push or prediction
-    /// re-packs the live backlog against the new `(capacity, period)` pair.
-    /// A discipline switch rebuilds the deadline heap over the live entries
-    /// (O(n), paid once per mode change, never per dispatch).
+    /// discipline (the mode-change path). The packing reference belongs to
+    /// the old configuration, so it is invalidated — the next push reseeds
+    /// it against the new `(capacity, period)` pair. A discipline switch
+    /// rebuilds the deadline heap over the live entries (O(n), paid once per
+    /// mode change, never per dispatch).
     pub fn set_server(&mut self, capacity: Span, period: Span, discipline: QueueDiscipline) {
         self.server = ServerParams::new(capacity, period);
-        self.packer = None;
         self.packing_seed = None;
         self.replayed_heads.clear();
         if discipline != self.discipline {
@@ -311,9 +278,8 @@ impl PendingQueue {
             self.deadline_index.clear();
             if discipline == QueueDiscipline::DeadlineOrdered {
                 for (index, entry) in self.slots.iter().enumerate() {
-                    if let Some(e) = entry {
-                        self.deadline_index
-                            .push(Reverse((e.release.deadline, index)));
+                    if let Some(release) = entry {
+                        self.deadline_index.push(Reverse((release.deadline, index)));
                     }
                 }
             }
@@ -373,95 +339,22 @@ impl PendingQueue {
         self.live == 0
     }
 
-    /// Registers a release in O(log n), returning the predicted service slot
-    /// (instance index and cumulative prior cost) used by equation (5) when
-    /// the structure maintains one:
-    ///
-    /// * with [`QueueKind::ListOfLists`] the slot comes from the incremental
-    ///   packer in O(1) and is remembered for [`Self::predicted_slot`];
-    /// * with [`QueueKind::Fifo`] no packing is maintained — `None` is
-    ///   returned, and an admission-time prediction costs O(n) through
-    ///   [`Self::predict_slot`], which is exactly the cost the §7 structure
-    ///   eliminates.
-    ///
-    /// `now` and `remaining_capacity` describe the server state at
-    /// registration time and seed the packer for its first element. Releases
-    /// whose declared cost exceeds the server capacity (possible only under
-    /// background servicing, which has no admission constraint) are queued
-    /// without a prediction.
-    pub fn push(
-        &mut self,
-        release: QueuedRelease,
-        now: Instant,
-        remaining_capacity: Span,
-    ) -> Option<InstanceSlot> {
+    /// Registers a release in O(log n). `now` and `remaining_capacity`
+    /// describe the server state at registration time; the first push after
+    /// an invalidation records them as the seed of the equation-(5) packing
+    /// that [`Self::predicted_slot`] replays.
+    pub fn push(&mut self, release: QueuedRelease, now: Instant, remaining_capacity: Span) {
         if self.packing_seed.is_none() {
-            // Same lifecycle as the packer: the packing reference is the
-            // server state at the first push after an invalidation.
             self.packing_seed = Some((now, remaining_capacity));
         }
-        let predictable = release.declared_cost() <= self.server.capacity;
-        let slot = if predictable && self.kind == QueueKind::ListOfLists {
-            if self.packer.is_none() {
-                // Rebuild against the live queue: after an out-of-order
-                // removal or a drain the previous packing no longer matches
-                // the entries, so the surviving releases are replayed before
-                // the new one is packed. This is the only O(n) moment of the
-                // structure; steady-state pushes stay O(1).
-                self.packer = Some(self.pack_entries(now, remaining_capacity));
-            }
-            Some(
-                self.packer
-                    .as_mut()
-                    // rt-lint: allow(panic, reason = "the packer was rebuilt on the branch immediately above")
-                    .expect("packer was just rebuilt")
-                    .push(release.declared_cost()),
-            )
-        } else {
-            None
-        };
         let cost = release.declared_cost().ticks().min(VACANT - 1);
         let index = self.index.push(cost);
         debug_assert_eq!(index, self.slots.len(), "slab and cost index in step");
         if self.discipline == QueueDiscipline::DeadlineOrdered {
             self.deadline_index.push(Reverse((release.deadline, index)));
         }
-        self.slots.push(Some(QueuedEntry { release, slot }));
+        self.slots.push(Some(release));
         self.live += 1;
-        slot
-    }
-
-    /// Packs every pending, servable release into a fresh packer seeded with
-    /// the given server state — the equation-(5) packing of the live queue.
-    fn pack_entries(&self, now: Instant, remaining_capacity: Span) -> InstancePacker {
-        let mut packer = InstancePacker::new(self.server, now, remaining_capacity);
-        for entry in self.slots.iter().flatten() {
-            if entry.release.declared_cost() <= self.server.capacity {
-                packer.push(entry.release.declared_cost());
-            }
-        }
-        packer
-    }
-
-    /// The equation-(5) slot a hypothetical new release of `cost` would be
-    /// assigned if pushed now: O(1) for the list of lists (the stored packer
-    /// answers directly), O(n) for the flat FIFO (the packing is recomputed
-    /// from the live queue). Returns `None` for costs above the server
-    /// capacity, which the non-resumable implementation can never serve.
-    pub fn predict_slot(
-        &self,
-        cost: Span,
-        now: Instant,
-        remaining_capacity: Span,
-    ) -> Option<InstanceSlot> {
-        if cost > self.server.capacity {
-            return None;
-        }
-        let mut packer = match (&self.packer, self.kind) {
-            (Some(packer), QueueKind::ListOfLists) => packer.clone(),
-            _ => self.pack_entries(now, remaining_capacity),
-        };
-        Some(packer.push(cost))
     }
 
     /// Index of the earliest live entry, if any.
@@ -469,12 +362,12 @@ impl PendingQueue {
         self.index.first_at_most(VACANT - 1)
     }
 
-    /// Removes slot `index`, maintaining the packer-staleness rule: the
-    /// stored packing survives only a strict head removal that leaves the
-    /// queue non-empty (an out-of-order removal breaks the packing, and a
-    /// drained queue's packing must be reseeded from live server state).
+    /// Removes slot `index`, maintaining the packing-staleness rule: the
+    /// packing reference survives only a strict head removal that leaves
+    /// the queue non-empty (an out-of-order removal breaks the packing, and
+    /// a drained queue's packing must be reseeded from live server state).
     fn take(&mut self, index: usize) -> QueuedRelease {
-        let entry = self.slots[index]
+        let release = self.slots[index]
             .take()
             // rt-lint: allow(panic, reason = "take() is an internal helper whose callers pass indices of live slots; a dead slot is a queue-invariant bug")
             .expect("take() requires a live slot");
@@ -482,24 +375,24 @@ impl PendingQueue {
         self.live -= 1;
         self.maybe_compact();
         if !was_head || self.live == 0 {
-            self.packer = None;
             self.packing_seed = None;
             self.replayed_heads.clear();
-        } else {
+        } else if self.packing_seed.is_some() {
             // An in-order head service keeps the packing valid; remember its
-            // cost so the flat-FIFO replay still charges the capacity it
-            // consumed under the plan.
-            self.replayed_heads.push(entry.release.declared_cost());
+            // cost so the replay still charges the capacity it consumed
+            // under the plan. While the packing is invalidated there is no
+            // plan to charge: the next push reseeds it after this service.
+            self.replayed_heads.push(release.declared_cost());
         }
-        entry.release
+        release
     }
 
     /// Compacts the slab once dead slots dominate, so memory and every
-    /// O(slab) walk (`pack_entries`, `iter`, `choose_where`) track the
+    /// O(slab) walk (`predicted_slot`, `iter`, `remove_event`) track the
     /// *live* backlog, not the total arrivals of the run. The slab is
     /// compacted in place, which keeps the live entries in arrival order, so
-    /// the stored packer — a function of that order only — stays valid; the
-    /// indexes are rebuilt into the buffers they already own, so a
+    /// the packing reference — a function of that order only — stays valid;
+    /// the indexes are rebuilt into the buffers they already own, so a
     /// compaction allocates nothing and each removal pays amortised O(1).
     fn maybe_compact(&mut self) {
         if self.live == 0 {
@@ -517,13 +410,12 @@ impl PendingQueue {
         // compacted slab (its stale entries would otherwise point at the
         // wrong slots).
         self.deadline_index.clear();
-        for (slot, entry) in self.slots.iter().flatten().enumerate() {
-            let cost = entry.release.declared_cost().ticks().min(VACANT - 1);
+        for (slot, release) in self.slots.iter().flatten().enumerate() {
+            let cost = release.declared_cost().ticks().min(VACANT - 1);
             let index = self.index.push(cost);
             debug_assert_eq!(index, slot);
             if self.discipline == QueueDiscipline::DeadlineOrdered {
-                self.deadline_index
-                    .push(Reverse((entry.release.deadline, index)));
+                self.deadline_index.push(Reverse((release.deadline, index)));
             }
         }
         debug_assert_eq!(self.slots.len(), self.live);
@@ -571,7 +463,7 @@ impl PendingQueue {
             let entry = self.deadline_index.pop().expect("peeked entry exists");
             let live = self.slots[slot]
                 .as_ref()
-                .is_some_and(|e| e.release.deadline == deadline);
+                .is_some_and(|release| release.deadline == deadline);
             if !live {
                 continue;
             }
@@ -579,7 +471,6 @@ impl PendingQueue {
                 .as_ref()
                 // rt-lint: allow(panic, reason = "the slot was checked live earlier in this iteration")
                 .expect("checked live above")
-                .release
                 .declared_cost()
                 <= budget;
             if fits {
@@ -592,21 +483,6 @@ impl PendingQueue {
             self.deadline_index.push(entry);
         }
         found.map(|slot| self.take(slot))
-    }
-
-    /// Removes and returns the first pending release (in FIFO order)
-    /// satisfying an arbitrary predicate — the O(n) generalisation of
-    /// [`Self::choose_next`], kept for callers whose acceptance rule is not
-    /// a cost threshold.
-    pub fn choose_where(
-        &mut self,
-        accept: impl Fn(&QueuedRelease) -> bool,
-    ) -> Option<QueuedRelease> {
-        let index = self
-            .slots
-            .iter()
-            .position(|entry| entry.as_ref().is_some_and(|e| accept(&e.release)))?;
-        Some(self.take(index))
     }
 
     /// Removes and returns the next pending release regardless of its cost
@@ -625,68 +501,50 @@ impl PendingQueue {
 
     /// Iterates over the pending releases in FIFO order.
     pub fn iter(&self) -> impl Iterator<Item = &QueuedRelease> {
-        self.slots.iter().flatten().map(|e| &e.release)
+        self.slots.iter().flatten()
     }
 
-    /// The equation-(5) slot predicted for a pending release.
-    ///
-    /// * [`QueueKind::ListOfLists`] answers from the slot stored at push
-    ///   time — O(1), the §7 structure's whole point. After an out-of-order
-    ///   removal the stored slots of the *surviving* entries reflect the
-    ///   packing as it was when they were pushed (newly pushed entries are
-    ///   packed against the rebuilt live queue).
-    /// * [`QueueKind::Fifo`] answers by replaying the live queue from the
-    ///   recorded packing reference — O(n) per query, exactly the cost the
-    ///   list of lists eliminates. Before the PR-3 tournament-tree refactor
-    ///   grew this path, the flat FIFO returned `None` unconditionally.
+    /// The equation-(5) slot predicted for a pending release, by replaying
+    /// the packing of the current backlog episode from its recorded seed:
+    /// first the heads already served in order (their capacity is spent
+    /// under the plan), then the live entries, until the event is reached.
+    /// O(n) per query; the admission plan of `rt-admission` keeps the same
+    /// packing incrementally instead.
     ///
     /// Returns `None` for events that are not pending, whose declared cost
     /// exceeds the capacity (never servable by the non-resumable
-    /// implementation), or — flat FIFO only — while the packing reference is
-    /// invalidated (between an out-of-order removal and the next push).
+    /// implementation), or while the packing reference is invalidated
+    /// (between an out-of-order removal and the next push).
     pub fn predicted_slot(&self, event: rt_model::EventId) -> Option<InstanceSlot> {
-        let entry = self
-            .slots
-            .iter()
-            .flatten()
-            .find(|e| e.release.event == event)?;
-        if let Some(slot) = entry.slot {
-            return Some(slot);
-        }
-        if entry.release.declared_cost() > self.server.capacity {
-            return None;
-        }
-        // Flat-FIFO replay: re-pack the full episode from the recorded
-        // seed — first the heads already served in order (their capacity is
-        // spent under the plan), then the live entries — until the event is
-        // reached.
         let (now, remaining) = self.packing_seed?;
+        let capacity = self.server.capacity;
         let mut packer = InstancePacker::new(self.server, now, remaining);
         for &cost in &self.replayed_heads {
-            if cost <= self.server.capacity {
+            if cost <= capacity {
                 packer.push(cost);
             }
         }
-        for e in self.slots.iter().flatten() {
-            if e.release.declared_cost() <= self.server.capacity {
-                let slot = packer.push(e.release.declared_cost());
-                if e.release.event == event {
-                    return Some(slot);
-                }
+        for release in self.iter() {
+            let cost = release.declared_cost();
+            if release.event == event {
+                return (cost <= capacity).then(|| packer.push(cost));
+            }
+            if cost <= capacity {
+                packer.push(cost);
             }
         }
         None
     }
 
     /// Removes a pending release by event id (the overload manager's abort
-    /// path), maintaining the same index/packer invariants as a service
+    /// path), maintaining the same index and packing invariants as a service
     /// removal. O(n) to locate the slot, O(log n) to remove it; aborts are
     /// rare decisions on the overload path, never per-dispatch work.
     pub fn remove_event(&mut self, event: rt_model::EventId) -> Option<QueuedRelease> {
         let index = self
             .slots
             .iter()
-            .position(|entry| entry.as_ref().is_some_and(|e| e.release.event == event))?;
+            .position(|entry| entry.as_ref().is_some_and(|release| release.event == event))?;
         Some(self.take(index))
     }
 }
@@ -705,22 +563,16 @@ mod tests {
         )
     }
 
-    fn queue(kind: QueueKind) -> PendingQueue {
-        PendingQueue::new(
-            kind,
-            Span::from_units(4),
-            Span::from_units(6),
-            QueueDiscipline::FifoSkip,
-        )
+    fn queue_with(discipline: QueueDiscipline) -> PendingQueue {
+        PendingQueue::new(Span::from_units(4), Span::from_units(6), discipline)
+    }
+
+    fn queue() -> PendingQueue {
+        queue_with(QueueDiscipline::FifoSkip)
     }
 
     fn deadline_queue() -> PendingQueue {
-        PendingQueue::new(
-            QueueKind::Fifo,
-            Span::from_units(4),
-            Span::from_units(6),
-            QueueDiscipline::DeadlineOrdered,
-        )
+        queue_with(QueueDiscipline::DeadlineOrdered)
     }
 
     /// A release with an explicit relative deadline.
@@ -735,148 +587,35 @@ mod tests {
 
     #[test]
     fn fifo_with_skip_serves_the_first_fitting_handler() {
-        for kind in [QueueKind::Fifo, QueueKind::ListOfLists] {
-            let mut q = queue(kind);
-            q.push(release(0, 3, 0), Instant::ZERO, Span::from_units(4));
-            q.push(release(1, 1, 1), Instant::ZERO, Span::from_units(4));
-            // Remaining capacity 2: the first handler (cost 3) is skipped, the
-            // second (cost 1) is served first — the paper's example verbatim.
-            let chosen = q.choose_next(Span::from_units(2)).unwrap();
-            assert_eq!(chosen.event, EventId::new(1), "{kind:?}");
-            // The skipped handler is still pending.
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.iter().next().unwrap().event, EventId::new(0));
-            // With a full budget it is served next.
-            assert_eq!(
-                q.choose_next(Span::from_units(4)).unwrap().event,
-                EventId::new(0)
-            );
-            assert!(q.is_empty());
-        }
+        let mut q = queue();
+        q.push(release(0, 3, 0), Instant::ZERO, Span::from_units(4));
+        q.push(release(1, 1, 1), Instant::ZERO, Span::from_units(4));
+        // Remaining capacity 2: the first handler (cost 3) is skipped, the
+        // second (cost 1) is served first — the paper's example verbatim.
+        let chosen = q.choose_next(Span::from_units(2)).unwrap();
+        assert_eq!(chosen.event, EventId::new(1));
+        // The skipped handler is still pending.
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.iter().next().unwrap().event, EventId::new(0));
+        // With a full budget it is served next.
+        assert_eq!(
+            q.choose_next(Span::from_units(4)).unwrap().event,
+            EventId::new(0)
+        );
+        assert!(q.is_empty());
     }
 
     #[test]
     fn choose_next_returns_none_when_nothing_fits() {
-        let mut q = queue(QueueKind::Fifo);
+        let mut q = queue();
         q.push(release(0, 3, 0), Instant::ZERO, Span::from_units(4));
         assert!(q.choose_next(Span::from_units(2)).is_none());
         assert_eq!(q.len(), 1);
     }
 
     #[test]
-    fn both_kinds_predict_the_same_slots() {
-        // Pushing a sequence of releases must give identical equation-(5)
-        // predictions whichever structure computes them: the flat FIFO
-        // recomputes on demand (`predict_slot`), the list of lists maintains
-        // the packing incrementally (`push` return).
-        let costs = [3u64, 2, 2, 4, 1, 3, 1];
-        let mut fifo = queue(QueueKind::Fifo);
-        let mut lol = queue(QueueKind::ListOfLists);
-        for (i, &c) in costs.iter().enumerate() {
-            let predicted_fifo =
-                fifo.predict_slot(Span::from_units(c), Instant::ZERO, Span::from_units(4));
-            fifo.push(
-                release(i as u32, c, i as u64),
-                Instant::ZERO,
-                Span::from_units(4),
-            );
-            let predicted_lol =
-                lol.predict_slot(Span::from_units(c), Instant::ZERO, Span::from_units(4));
-            let slot_lol = lol.push(
-                release(i as u32, c, i as u64),
-                Instant::ZERO,
-                Span::from_units(4),
-            );
-            assert_eq!(predicted_fifo, predicted_lol, "prediction mismatch at {i}");
-            assert_eq!(predicted_lol, slot_lol, "stored slot mismatch at {i}");
-        }
-    }
-
-    #[test]
-    fn list_of_lists_remembers_predicted_slots() {
-        let mut q = queue(QueueKind::ListOfLists);
-        q.push(release(0, 3, 0), Instant::ZERO, Span::from_units(4));
-        q.push(release(1, 2, 0), Instant::ZERO, Span::from_units(4));
-        let slot = q.predicted_slot(EventId::new(1)).unwrap();
-        // Cost 3 fills instance 0 (capacity 4 leaves only 1), so the cost-2
-        // handler is predicted in instance 1 with no prior cost.
-        assert_eq!(slot.instance, 1);
-        assert_eq!(slot.prior_cost, Span::ZERO);
-        // The flat FIFO stores no slots but replays the same packing from
-        // its recorded seed, so the answer is identical (at O(n) cost).
-        let mut fifo = queue(QueueKind::Fifo);
-        fifo.push(release(0, 3, 0), Instant::ZERO, Span::from_units(4));
-        fifo.push(release(1, 2, 0), Instant::ZERO, Span::from_units(4));
-        assert_eq!(fifo.predicted_slot(EventId::new(1)), Some(slot));
-    }
-
-    #[test]
-    fn skip_invalidates_the_stored_packing() {
-        // Regression test for the stale-packer bug: after an out-of-order
-        // (FIFO-with-skip) removal, the list-of-lists predictions must be
-        // computed against the queue as it actually is — i.e. agree with the
-        // flat FIFO, which recomputes the packing from scratch on demand.
-        let mut lol = queue(QueueKind::ListOfLists);
-        let mut fifo = queue(QueueKind::Fifo);
-        for q in [&mut lol, &mut fifo] {
-            q.push(release(0, 3, 0), Instant::ZERO, Span::from_units(4));
-            q.push(release(1, 1, 1), Instant::ZERO, Span::from_units(4));
-            // Budget 1: the cost-3 head is skipped, the cost-1 entry leaves
-            // out of order, so entry 0 is alone again but the old packing
-            // said instance 0 already holds cost 3 + 1.
-            let taken = q.choose_next(Span::from_units(1)).unwrap();
-            assert_eq!(taken.event, EventId::new(1));
-        }
-        let slot_lol = lol.push(release(2, 2, 2), Instant::ZERO, Span::from_units(4));
-        let slot_fifo = fifo.predict_slot(Span::from_units(2), Instant::ZERO, Span::from_units(4));
-        assert_eq!(
-            slot_lol, slot_fifo,
-            "after a skip the incremental packer must be rebuilt against the live queue"
-        );
-        // The cost-3 survivor fills instance 0 past 4-2: the new cost-2
-        // release lands in instance 1 with no prior cost.
-        let slot = slot_lol.unwrap();
-        assert_eq!(slot.instance, 1);
-        assert_eq!(slot.prior_cost, Span::ZERO);
-    }
-
-    #[test]
-    fn fifo_replay_remembers_heads_served_in_order() {
-        // Regression: after an in-order head service (which keeps the
-        // packing valid) the flat-FIFO replay must still charge the served
-        // head's capacity — otherwise the survivor inherits its slot and
-        // the prediction disagrees with the list-of-lists answer.
-        let mut fifo = queue(QueueKind::Fifo);
-        let mut lol = queue(QueueKind::ListOfLists);
-        for q in [&mut fifo, &mut lol] {
-            q.push(release(0, 3, 0), Instant::ZERO, Span::from_units(4));
-            q.push(release(1, 2, 0), Instant::ZERO, Span::from_units(4));
-            // Serve the head A in order: packing stays valid.
-            assert_eq!(
-                q.choose_next(Span::from_units(4)).unwrap().event,
-                EventId::new(0)
-            );
-        }
-        let expected = lol.predicted_slot(EventId::new(1)).unwrap();
-        assert_eq!(expected.instance, 1, "B was packed behind the cost-3 head");
-        assert_eq!(
-            fifo.predicted_slot(EventId::new(1)),
-            Some(expected),
-            "the replay must pack the served head first"
-        );
-        // A second in-order service: both structures drain and reset.
-        for q in [&mut fifo, &mut lol] {
-            assert_eq!(
-                q.choose_next(Span::from_units(4)).unwrap().event,
-                EventId::new(1)
-            );
-            assert!(q.is_empty());
-        }
-    }
-
-    #[test]
     fn pop_front_ignores_costs() {
-        let mut q = queue(QueueKind::Fifo);
+        let mut q = queue();
         q.push(release(0, 4, 0), Instant::ZERO, Span::from_units(4));
         q.push(release(1, 1, 0), Instant::ZERO, Span::from_units(4));
         assert_eq!(q.pop_front().unwrap().event, EventId::new(0));
@@ -885,21 +624,8 @@ mod tests {
     }
 
     #[test]
-    fn choose_where_takes_the_first_acceptable_release() {
-        let mut q = queue(QueueKind::Fifo);
-        q.push(release(0, 3, 0), Instant::ZERO, Span::from_units(4));
-        q.push(release(1, 1, 1), Instant::ZERO, Span::from_units(4));
-        q.push(release(2, 2, 2), Instant::ZERO, Span::from_units(4));
-        let taken = q
-            .choose_where(|r| r.declared_cost() <= Span::from_units(2))
-            .unwrap();
-        assert_eq!(taken.event, EventId::new(1));
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
     fn a_reserved_queue_grows_without_reallocating_up_to_the_cap() {
-        let mut q = queue(QueueKind::Fifo);
+        let mut q = queue();
         q.reserve(10_000);
         let (slab, tree, heads) = (
             q.slots.capacity(),
@@ -938,7 +664,7 @@ mod tests {
         // pending for the whole run while thousands of cost-1 releases pass
         // through out of order (FIFO-with-skip): the slab must track the
         // live backlog, not the total arrivals.
-        let mut q = queue(QueueKind::ListOfLists);
+        let mut q = queue();
         q.push(release(0, 4, 0), Instant::ZERO, Span::from_units(4));
         for i in 1..=2000u32 {
             q.push(release(i, 1, i as u64), Instant::ZERO, Span::from_units(4));
@@ -1027,7 +753,7 @@ mod tests {
             seed
         };
         for _case in 0..20 {
-            let mut fifo = queue(QueueKind::Fifo);
+            let mut fifo = queue();
             let mut edd = deadline_queue();
             let mut id = 0u32;
             let mut at = 0u64;
@@ -1111,12 +837,7 @@ mod tests {
         // tree and the deadline heap must all reset, and a fresh push must
         // land in slot 0 again.
         for discipline in [QueueDiscipline::FifoSkip, QueueDiscipline::DeadlineOrdered] {
-            let mut q = PendingQueue::new(
-                QueueKind::Fifo,
-                Span::from_units(4),
-                Span::from_units(6),
-                discipline,
-            );
+            let mut q = queue_with(discipline);
             for i in 0..100u32 {
                 q.push(release(i, 2, i as u64), Instant::ZERO, Span::from_units(4));
             }
@@ -1140,12 +861,7 @@ mod tests {
     #[test]
     fn threshold_below_every_cost_selects_nothing_and_keeps_the_queue_intact() {
         for discipline in [QueueDiscipline::FifoSkip, QueueDiscipline::DeadlineOrdered] {
-            let mut q = PendingQueue::new(
-                QueueKind::Fifo,
-                Span::from_units(4),
-                Span::from_units(6),
-                discipline,
-            );
+            let mut q = queue_with(discipline);
             for i in 0..5u32 {
                 q.push(release(i, 3, i as u64), Instant::ZERO, Span::from_units(4));
             }
@@ -1170,27 +886,22 @@ mod tests {
     #[test]
     fn push_after_the_queue_empties_restarts_cleanly() {
         for discipline in [QueueDiscipline::FifoSkip, QueueDiscipline::DeadlineOrdered] {
-            let mut q = PendingQueue::new(
-                QueueKind::ListOfLists,
-                Span::from_units(4),
-                Span::from_units(6),
-                discipline,
-            );
+            let mut q = queue_with(discipline);
             for i in 0..80u32 {
                 q.push(release(i, 2, i as u64), Instant::ZERO, Span::from_units(4));
             }
             let emptied = std::iter::from_fn(|| q.pop_front()).count();
             assert_eq!(emptied, 80);
             assert!(q.is_empty());
-            // Everything restarts from slot 0 with a clean packer.
-            let slot = q.push(release(100, 2, 0), Instant::ZERO, Span::from_units(4));
+            // Everything restarts from slot 0 with a fresh packing seed.
+            q.push(release(100, 2, 0), Instant::from_units(7), Span::ZERO);
             assert_eq!(q.len(), 1);
-            if q.kind() == QueueKind::ListOfLists {
-                assert!(
-                    slot.is_some(),
-                    "packer must be reseeded once the queue empties"
-                );
-            }
+            let slot = q.predicted_slot(EventId::new(100));
+            assert_eq!(
+                slot.map(|s| (s.instance, s.prior_cost)),
+                Some((2, Span::ZERO)),
+                "{discipline:?}: the packing is reseeded once the queue empties"
+            );
             assert_eq!(
                 q.pop_front().unwrap().event,
                 EventId::new(100),
@@ -1212,7 +923,7 @@ mod tests {
             seed
         };
         for _case in 0..50 {
-            let mut q = queue(QueueKind::Fifo);
+            let mut q = queue();
             let mut reference: Vec<(u32, u64)> = Vec::new();
             let mut id = 0u32;
             for _step in 0..200 {
@@ -1246,8 +957,9 @@ mod tests {
         // queue: the tree `CostIndex::clear` keeps must select like a fresh
         // one, whether the backlog stayed under the compaction threshold or
         // outgrew it. Each removal must also tell whether it took the head:
-        // an in-order service joins the replayed-head list, and any other
-        // removal, or one that empties the queue, clears it.
+        // an in-order service joins the replayed-head list while the packing
+        // is valid, and any other removal, or one that empties the queue,
+        // clears it and invalidates the packing until the next push.
         let mut seed = 0x0bad_cafe_f00d_1234u64;
         let mut next_rand = move || {
             seed ^= seed << 13;
@@ -1255,7 +967,7 @@ mod tests {
             seed ^= seed << 17;
             seed
         };
-        let mut q = queue(QueueKind::Fifo);
+        let mut q = queue();
         let mut reference: Vec<(u32, u64)> = Vec::new();
         let mut heads = 0usize;
         let mut id = 0u32;
@@ -1267,6 +979,7 @@ mod tests {
                 reference.push((id, cost));
                 id += 1;
             }
+            let mut valid = true;
             while !reference.is_empty() {
                 let budget = next_rand() % 5;
                 let position = reference.iter().position(|&(_, c)| c <= budget);
@@ -1276,17 +989,156 @@ mod tests {
                     .map(|r| r.event.raw());
                 assert_eq!(got, expected, "cycle {cycle}");
                 if let Some(p) = position {
-                    heads = if p == 0 && !reference.is_empty() {
-                        heads + 1
-                    } else {
-                        0
-                    };
+                    valid &= p == 0 && !reference.is_empty();
+                    heads = if valid { heads + 1 } else { 0 };
                 }
                 assert_eq!(q.replayed_heads.len(), heads, "cycle {cycle}");
             }
             assert!(q.is_empty());
             assert_eq!(q.index.len, 0);
             assert!(q.index.cap <= COMPACTION_THRESHOLD, "cycle {cycle}");
+        }
+    }
+
+    #[test]
+    fn heads_served_while_the_packing_is_invalidated_are_not_replayed() {
+        // A skip invalidates the packing; the head served after it spent no
+        // capacity of the plan the next push seeds, so the replay must not
+        // charge it: at t=6 with the full capacity left, C and D share
+        // instance 1.
+        let mut q = queue();
+        for (id, cost) in [(0, 3), (1, 1), (2, 2)] {
+            q.push(release(id, cost, 0), Instant::ZERO, Span::from_units(4));
+        }
+        assert_eq!(
+            q.choose_next(Span::from_units(1)).unwrap().event,
+            EventId::new(1)
+        );
+        assert_eq!(q.pop_front().unwrap().event, EventId::new(0));
+        assert_eq!(q.predicted_slot(EventId::new(2)), None);
+        q.push(
+            release(3, 2, 6),
+            Instant::from_units(6),
+            Span::from_units(4),
+        );
+        let slot = |event| {
+            q.predicted_slot(EventId::new(event))
+                .map(|s| (s.instance, s.prior_cost))
+        };
+        assert_eq!(slot(2), Some((1, Span::ZERO)));
+        assert_eq!(slot(3), Some((1, Span::from_units(2))));
+    }
+
+    /// The §7 list of lists, kept beside a queue as the oracle of its
+    /// replay: an [`InstancePacker`] records each release's slot when it is
+    /// pushed. At the first push after the queue empties or a removal skips
+    /// the head, the packer is rebuilt from the live queue, seeded with the
+    /// server state of that push, and the survivors' slots are recorded
+    /// again as it packs them.
+    struct PackingOracle {
+        server: ServerParams,
+        packer: Option<InstancePacker>,
+        /// `(event, declared cost, recorded slot)` per pending release, in
+        /// arrival order.
+        pending: Vec<(EventId, Span, Option<InstanceSlot>)>,
+    }
+
+    impl PackingOracle {
+        fn new(queue: &PendingQueue) -> Self {
+            PackingOracle {
+                server: queue.server,
+                packer: None,
+                pending: Vec::new(),
+            }
+        }
+
+        fn pushed(&mut self, release: &QueuedRelease, now: Instant, remaining: Span) {
+            let capacity = self.server.capacity;
+            let packer = self.packer.get_or_insert_with(|| {
+                let mut packer = InstancePacker::new(self.server, now, remaining);
+                for (_, cost, slot) in &mut self.pending {
+                    *slot = (*cost <= capacity).then(|| packer.push(*cost));
+                }
+                packer
+            });
+            let cost = release.declared_cost();
+            let slot = (cost <= capacity).then(|| packer.push(cost));
+            self.pending.push((release.event, cost, slot));
+        }
+
+        fn removed(&mut self, release: &QueuedRelease) {
+            let position = self
+                .pending
+                .iter()
+                .position(|&(event, ..)| event == release.event)
+                .expect("the queue removed a pending release");
+            self.pending.remove(position);
+            if position > 0 || self.pending.is_empty() {
+                self.packer = None;
+            }
+        }
+    }
+
+    #[test]
+    fn predicted_slots_match_the_list_of_lists_packing() {
+        // Random push / choose_next / pop_front interleavings under both
+        // disciplines, with costs up to one above the capacity and the
+        // server state at each push drawn afresh: every pending release is
+        // predicted the slot the oracle recorded, and no slot at all only
+        // between a removal that skipped the head and the next push.
+        let mut seed = 0x5eed_0f19_83ab_cdefu64;
+        let mut next_rand = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for case in 0..200 {
+            let discipline = if case % 2 == 0 {
+                QueueDiscipline::FifoSkip
+            } else {
+                QueueDiscipline::DeadlineOrdered
+            };
+            let mut q = queue_with(discipline);
+            let mut oracle = PackingOracle::new(&q);
+            let (mut id, mut now) = (0u32, 0u64);
+            for step in 0..60 {
+                match next_rand() % 4 {
+                    0 | 1 => {
+                        now += next_rand() % 4;
+                        let cost = 1 + next_rand() % 5;
+                        let deadline = 1 + next_rand() % 20;
+                        let r = deadline_release(id, cost, now, deadline);
+                        let remaining = Span::from_units(next_rand() % 5);
+                        oracle.pushed(&r, Instant::from_units(now), remaining);
+                        q.push(r, Instant::from_units(now), remaining);
+                        id += 1;
+                    }
+                    2 => {
+                        let budget = Span::from_units(next_rand() % 5);
+                        if let Some(r) = q.choose_next(budget) {
+                            oracle.removed(&r);
+                        }
+                    }
+                    _ => {
+                        if let Some(r) = q.pop_front() {
+                            oracle.removed(&r);
+                        }
+                    }
+                }
+                let valid = oracle.packer.is_some();
+                for &(event, cost, recorded) in &oracle.pending {
+                    let predicted = q.predicted_slot(event);
+                    let context =
+                        format!("case {case} step {step}, event {event:?} of cost {cost}");
+                    if valid {
+                        assert_eq!(predicted, recorded, "{context}");
+                    } else {
+                        assert_eq!(predicted, None, "{context}: the packing is invalidated");
+                    }
+                }
+                assert_eq!(q.len(), oracle.pending.len());
+            }
         }
     }
 }

@@ -285,7 +285,6 @@ impl ServiceLoop {
 mod tests {
     use super::*;
     use crate::handler::{QueuedRelease, ServableHandler};
-    use crate::queue::QueueKind;
     use rt_model::{EventId, HandlerId, Priority, ServerPolicyKind};
     use rt_observe::NoopProbe;
     use rtsj_emu::{OverheadModel, TaskServerParameters};
@@ -300,7 +299,6 @@ mod tests {
             TaskServerParameters::new(Span::from_units(4), Span::from_units(6), Priority::new(30)),
             ServerPolicyKind::Polling,
             overhead,
-            QueueKind::Fifo,
             rt_model::QueueDiscipline::FifoSkip,
         );
         ExecWorld::of_lanes(vec![lane], 10)

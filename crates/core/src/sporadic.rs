@@ -68,7 +68,7 @@ impl<'p, P: Probe> ThreadBody<ExecWorld<'p, P>> for SporadicServerBody {
         ctx.set_deadline(deadline);
         let step = match completion {
             Completion::Started => return Action::WaitForEvent(self.wakeup),
-            Completion::EventFired | Completion::PeriodStarted | Completion::TimeReached => {
+            Completion::EventFired | Completion::PeriodStarted => {
                 self.service.try_dispatch(ctx.world(), now)
             }
             Completion::Computed { .. } | Completion::Interrupted { .. } => {

@@ -14,9 +14,14 @@
 //! probe. A lane keeps no log of its own, so [`ServerShared::released`]
 //! also serves a standalone lane (the on-line admission example drives
 //! one).
+//!
+//! The pending-events list is the paper's FIFO list ([`PendingQueue`]). The
+//! §7 list of lists that prices an arrival in O(1),
+//! [`rt_analysis::InstancePacker`], runs in the lane's admission machine
+//! ([`ServerAdmission`]), which decides before the queue sees the release.
 
 use crate::handler::QueuedRelease;
-use crate::queue::{PendingQueue, QueueKind};
+use crate::queue::PendingQueue;
 use rt_admission::{ArrivingEvent, ServerAdmission};
 use rt_model::{
     AdmissionPolicy, EventId, Instant, ModeChange, QueueDiscipline, ServerPolicyKind, Span,
@@ -92,14 +97,12 @@ impl ServerShared {
         params: TaskServerParameters,
         policy: ServerPolicyKind,
         overhead: OverheadModel,
-        queue_kind: QueueKind,
         discipline: QueueDiscipline,
     ) -> Self {
         Self::with_admission(
             params,
             policy,
             overhead,
-            queue_kind,
             discipline,
             AdmissionPolicy::AcceptAll,
         )
@@ -111,11 +114,10 @@ impl ServerShared {
         params: TaskServerParameters,
         policy: ServerPolicyKind,
         overhead: OverheadModel,
-        queue_kind: QueueKind,
         discipline: QueueDiscipline,
         admission: AdmissionPolicy,
     ) -> Self {
-        let queue = PendingQueue::new(queue_kind, params.capacity, params.period, discipline);
+        let queue = PendingQueue::new(params.capacity, params.period, discipline);
         let machine = if policy == ServerPolicyKind::Background {
             ServerAdmission::accept_all()
         } else {
@@ -229,9 +231,8 @@ impl ServerShared {
     /// [`AdmissionPolicy::AcceptAll`] this is exactly the pre-admission
     /// behaviour (always admitted, nothing displaced).
     ///
-    /// The equation-(5) slot predicted by the queue structure, when it
-    /// maintains one, is available afterwards through
-    /// [`PendingQueue::predicted_slot`] or
+    /// The equation-(5) slot of an admitted release is available afterwards
+    /// through [`PendingQueue::predicted_slot`] or
     /// [`crate::admission::predicted_response`].
     pub fn released(&mut self, release: QueuedRelease, now: Instant) -> bool {
         let mut aborted = std::mem::take(&mut self.aborted_scratch);
@@ -257,7 +258,7 @@ impl ServerShared {
         aborted.clear();
         self.aborted_scratch = aborted;
         if accepted {
-            let _ = self.queue.push(release, now, self.remaining);
+            self.queue.push(release, now, self.remaining);
         }
         accepted
     }
@@ -464,7 +465,6 @@ mod tests {
             params(),
             policy,
             OverheadModel::none(),
-            QueueKind::Fifo,
             QueueDiscipline::FifoSkip,
         )
     }
@@ -565,7 +565,6 @@ mod tests {
             params(),
             ServerPolicyKind::Polling,
             OverheadModel::none(),
-            QueueKind::Fifo,
             QueueDiscipline::FifoSkip,
             AdmissionPolicy::ValueDensity,
         );

@@ -23,7 +23,6 @@
 use crate::fastpath::{self, RunScratch, SubstratePlan};
 use crate::framework::{Install, InstallScratch};
 use crate::handler::ServableHandler;
-use crate::queue::QueueKind;
 use crate::scratch::with_scratch;
 use rt_model::{
     AperiodicOutcome, EventId, ExecUnit, Instant, ModelError, OverrunTable, PeriodicJobRecord,
@@ -33,28 +32,21 @@ use rt_observe::{NoopProbe, Probe};
 use rtsj_emu::{Engine, EngineConfig, EventHandle, OverheadModel};
 use std::borrow::Cow;
 
-/// Configuration of an execution run.
+/// Configuration of an execution run: the runtime overhead model. The
+/// scheduling policy, the queue discipline and the admission policy are the
+/// executed system's own ([`SystemSpec::scheduling`] and each
+/// [`rt_model::ServerSpec`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutionConfig {
     /// Runtime overhead model.
     pub overhead: OverheadModel,
-    /// Pending-queue structure used by the server.
-    pub queue: QueueKind,
-    /// Scheduling-policy override: `None` (the default) follows the
-    /// [`SystemSpec::scheduling`] knob of the executed system; `Some` forces
-    /// the policy regardless of the spec — handy for differential tests
-    /// comparing the same system under both policies.
-    pub scheduling: Option<SchedulingPolicy>,
 }
 
 impl ExecutionConfig {
-    /// The configuration used for the paper's tables: reference overheads and
-    /// the flat FIFO queue of the base implementation.
+    /// The configuration used for the paper's tables: reference overheads.
     pub fn reference() -> Self {
         ExecutionConfig {
             overhead: OverheadModel::reference(),
-            queue: QueueKind::Fifo,
-            scheduling: None,
         }
     }
 
@@ -63,27 +55,12 @@ impl ExecutionConfig {
     pub fn ideal() -> Self {
         ExecutionConfig {
             overhead: OverheadModel::none(),
-            queue: QueueKind::Fifo,
-            scheduling: None,
         }
-    }
-
-    /// Replaces the queue structure.
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
-        self
     }
 
     /// Replaces the overhead model.
     pub fn with_overhead(mut self, overhead: OverheadModel) -> Self {
         self.overhead = overhead;
-        self
-    }
-
-    /// Forces a scheduling policy, overriding the executed system's own
-    /// [`SystemSpec::scheduling`] knob.
-    pub fn with_scheduling(mut self, scheduling: SchedulingPolicy) -> Self {
-        self.scheduling = Some(scheduling);
         self
     }
 }
@@ -194,7 +171,7 @@ pub(crate) struct PlannedEvent {
 
 /// The compiled schedulable table of one system × configuration: everything
 /// [`execute`] derives from the spec before the driver starts — validation,
-/// the resolved scheduling policy, the servable handler templates of the
+/// the servable handler templates of the
 /// events that actually install (released within the horizon, routed to an
 /// existing server) and the driver's scheduling substrate — computed once in
 /// [`ExecutionPlan::prepare`] and replayed by [`ExecutionPlan::run`] as many
@@ -209,9 +186,6 @@ pub(crate) struct PlannedEvent {
 pub struct ExecutionPlan<'a> {
     pub(crate) spec: Cow<'a, SystemSpec>,
     pub(crate) config: ExecutionConfig,
-    /// The effective scheduling policy (the config's override, else the
-    /// spec's own knob).
-    pub(crate) policy: SchedulingPolicy,
     pub(crate) events: Vec<PlannedEvent>,
     pub(crate) substrate: SubstratePlan,
 }
@@ -250,7 +224,6 @@ impl<'a> ExecutionPlan<'a> {
             Some(faulted) => Cow::Owned(faulted),
             None => Cow::Borrowed(spec),
         };
-        let policy = config.scheduling.unwrap_or(spec.scheduling);
         let overruns = OverrunTable::new(&spec.faults);
         let workload = spec.workload();
         let in_horizon = workload.within_horizon();
@@ -280,7 +253,6 @@ impl<'a> ExecutionPlan<'a> {
             substrate: SubstratePlan::analyze(&spec, substrate),
             spec,
             config: *config,
-            policy,
             events,
         }
     }
@@ -307,7 +279,7 @@ impl<'a> ExecutionPlan<'a> {
     /// hook site is gated on [`Probe::ENABLED`], so the trace is
     /// byte-identical to the probe-free run.
     fn run_in<P: Probe>(&self, probe: P, scratch: &mut RunScratch) -> Trace {
-        match self.policy {
+        match self.spec.scheduling {
             SchedulingPolicy::FixedPriority => fastpath::run::<P, false>(self, probe, scratch),
             SchedulingPolicy::Edf => fastpath::run::<P, true>(self, probe, scratch),
         }
@@ -335,7 +307,7 @@ impl<'a> ExecutionPlan<'a> {
         let mut engine = Engine::with_world(
             EngineConfig::new(spec.horizon)
                 .with_overhead(self.config.overhead)
-                .with_policy(self.policy),
+                .with_policy(spec.scheduling),
             world,
         );
         for _ in 0..events {

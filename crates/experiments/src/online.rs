@@ -2,8 +2,10 @@
 //! under a highest-priority polling server.
 //!
 //! The paper proposes (as near-future work) computing, at the arrival of each
-//! event, its response time in constant time thanks to the list-of-lists
-//! queue, and validating the prediction against the measured executions. This
+//! event, its response time in constant time thanks to a list of lists of
+//! handlers, and validating the prediction against the measured executions.
+//! That structure is [`InstancePacker`], which also runs the admission plan of
+//! `rt-admission`; the executed server keeps the paper's FIFO list. This
 //! module performs that validation in the setting where the prediction is
 //! exact for the non-resumable implementation — homogeneous declared costs,
 //! so the FIFO-with-skip rule never reorders service — and reports
@@ -11,14 +13,14 @@
 
 use rt_analysis::{InstancePacker, ServerParams};
 use rt_model::{Instant, Priority, ServerSpec, Span, SystemSpec};
-use rt_taskserver::{execute, ExecutionConfig, QueueKind};
+use rt_taskserver::{execute, ExecutionConfig};
 
 /// One event's predicted and measured response time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlinePrediction {
     /// Release instant of the event.
     pub release: Instant,
-    /// Equation-(5) prediction made from the list-of-lists slot.
+    /// Equation-(5) prediction made from the event's [`InstancePacker`] slot.
     pub predicted: Span,
     /// Response time measured on the execution (`None` if unserved).
     pub measured: Option<Span>,
@@ -61,10 +63,7 @@ pub fn online_rta_experiment(
     // rt-lint: allow(panic, reason = "the experiment builds its system from fixed, known-valid parameters")
     let spec = builder.build().expect("online-rta system is valid");
 
-    let trace = execute(
-        &spec,
-        &ExecutionConfig::ideal().with_queue(QueueKind::ListOfLists),
-    );
+    let trace = execute(&spec, &ExecutionConfig::ideal());
 
     // Predictions: replay the admissions with an InstancePacker. Because the
     // costs are homogeneous and the server is the highest-priority task, the

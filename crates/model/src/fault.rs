@@ -32,12 +32,11 @@ use crate::error::ModelError;
 use crate::ids::EventId;
 use crate::task::{AdmissionPolicy, QueueDiscipline, ServerPolicyKind};
 use crate::time::{Instant, Span};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A handler cost overrun: at its (single) release, `event`'s job demands
 /// `extra` processor time beyond the actual cost recorded in the spec.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostOverrun {
     /// The faulty event.
     pub event: EventId,
@@ -46,7 +45,7 @@ pub struct CostOverrun {
 }
 
 /// A fault on the release of one aperiodic event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrivalFault {
     /// The event fires `delay` later than specified. Its absolute deadline
     /// stays anchored to the *nominal* release (the relative deadline
@@ -99,7 +98,7 @@ impl ArrivalFault {
 ///   new policy at the application instant. The backlog already admitted is
 ///   *grandfathered*: it stays queued and is never re-admitted or displaced
 ///   by the new machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModeChange {
     /// Scheduled instant of the change.
     pub at: Instant,
@@ -175,7 +174,7 @@ impl ModeChange {
 /// faults and scheduled mode changes. An empty plan (the default) changes
 /// nothing anywhere — fault-free specs behave exactly as before the fault
 /// layer existed.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Handler cost overruns, at most one per event.
     pub overruns: Vec<CostOverrun>,

@@ -5,15 +5,12 @@
 //! of indexing the periodic-task table with an aperiodic event id (and vice
 //! versa), at zero runtime cost.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u32);
 
         impl $name {
@@ -85,7 +82,7 @@ define_id!(
 ///
 /// Engines and builders use one allocator per id family so that identifiers
 /// double as dense indices into per-entity tables.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct IdAllocator {
     next: u32,
 }

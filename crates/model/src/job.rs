@@ -9,10 +9,9 @@
 
 use crate::ids::{EventId, JobId, TaskId};
 use crate::time::{Instant, Span};
-use serde::{Deserialize, Serialize};
 
 /// What a job belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobSource {
     /// The `k`-th activation of a periodic task.
     Periodic {
@@ -29,7 +28,7 @@ pub enum JobSource {
 }
 
 /// Lifecycle of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
     /// Released but has not received any processor time yet.
     Pending,
@@ -57,7 +56,7 @@ pub enum JobState {
 }
 
 /// Runtime state of one job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     /// Unique job identifier within a run.
     pub id: JobId,

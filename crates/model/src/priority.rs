@@ -6,12 +6,11 @@
 //! Timers that fire the asynchronous events conceptually execute above
 //! everything else (§7 of the paper discusses exactly this point).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A fixed scheduling priority. **Higher numeric value means higher priority**,
 /// matching the RTSJ `PriorityParameters` convention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Priority(pub u8);
 
 impl Priority {
@@ -73,7 +72,7 @@ impl fmt::Display for Priority {
 ///   by the same spawn/install order. Static priorities are ignored for
 ///   dispatching but are kept in the spec so the same system can be run
 ///   under either policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulingPolicy {
     /// Preemptive fixed priorities (the paper's RTSJ scheduler). Default.
     #[default]
@@ -99,7 +98,7 @@ impl fmt::Display for SchedulingPolicy {
 }
 
 /// The three symbolic levels used by the paper's example task set (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SymbolicPriority {
     /// "High" — the server priority.
     High,

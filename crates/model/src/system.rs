@@ -18,10 +18,9 @@ use crate::ids::{EventId, HandlerId, TaskId};
 use crate::priority::{Priority, SchedulingPolicy};
 use crate::task::{AperiodicEvent, PeriodicTask, ServerSpec};
 use crate::time::{Instant, Span};
-use serde::{Deserialize, Serialize};
 
 /// A complete real-time system over a finite observation horizon.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemSpec {
     /// Descriptive name ("set (2,0) system 4", "table-1 example", …).
     pub name: String,
@@ -876,20 +875,10 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_preserves_spec() {
+    fn clone_preserves_spec_and_debug_names_it() {
         let sys = table1_system();
-        let json = serde_json_like(&sys);
-        assert!(json.contains("table-1"));
-    }
-
-    /// serde_json is not a workspace dependency; exercise Serialize through
-    /// the compact debug-ish representation produced by serde's derive via
-    /// `serde::Serialize` into a string using the `ron`-free fallback:
-    /// here we simply check the Debug formatting is stable enough to contain
-    /// the system name, and that Clone/PartialEq round-trip.
-    fn serde_json_like(sys: &SystemSpec) -> String {
         let cloned = sys.clone();
-        assert_eq!(&cloned, sys);
-        format!("{:?}", cloned)
+        assert_eq!(cloned, sys);
+        assert!(format!("{cloned:?}").contains("table-1"));
     }
 }

@@ -8,11 +8,10 @@
 use crate::ids::{EventId, HandlerId, TaskId};
 use crate::priority::Priority;
 use crate::time::{Instant, Span};
-use serde::{Deserialize, Serialize};
 
 /// A hard periodic task: released every `period`, executes for `cost`, must
 /// finish within `deadline` of its release.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeriodicTask {
     /// Identifier, also the index of the task in the system's task table.
     pub id: TaskId,
@@ -96,7 +95,7 @@ impl PeriodicTask {
 /// execution — including the server overhead charged inside the budget —
 /// exceeds that budget. Scenario 3 (Figure 4) is exactly an event whose
 /// declared cost (1) is smaller than its actual cost (2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AperiodicEvent {
     /// Identifier of the event occurrence.
     pub id: EventId,
@@ -174,7 +173,7 @@ impl AperiodicEvent {
 }
 
 /// The aperiodic-server policies covered by the paper and its related work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServerPolicyKind {
     /// Polling Server: full capacity at each periodic activation, unused
     /// capacity is lost immediately.
@@ -217,7 +216,7 @@ impl ServerPolicyKind {
 /// [`QueueDiscipline::DeadlineOrdered`] replaces the arrival order with the
 /// events' absolute deadlines, so urgent releases jump ahead — the service
 /// policy deadline-driven workloads need once the system itself runs EDF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QueueDiscipline {
     /// FIFO with skip: the earliest release whose declared cost fits the
     /// granted budget (the paper's §4.1 rule). Default.
@@ -260,7 +259,7 @@ impl QueueDiscipline {
 /// * [`AdmissionPolicy::ValueDensity`] — O(1) on the accept path, O(backlog)
 ///   per provisional drop on the overload path (a min-density scan plus a
 ///   repack of the surviving backlog).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AdmissionPolicy {
     /// Every release is queued — the pre-admission behaviour. Default.
     #[default]
@@ -289,7 +288,7 @@ impl AdmissionPolicy {
 }
 
 /// Specification of the aperiodic task server of a system.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerSpec {
     /// Service policy.
     pub policy: ServerPolicyKind,

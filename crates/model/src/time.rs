@@ -18,7 +18,6 @@
 //! paper's framework manipulates, restricted to the operations that have a
 //! meaning for a virtual clock.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
@@ -30,15 +29,11 @@ use std::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
 pub const TICKS_PER_UNIT: u64 = 1_000;
 
 /// An absolute point in virtual time, counted in ticks since time zero.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Instant(u64);
 
 /// A non-negative duration in virtual time, counted in ticks.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Span(u64);
 
 impl Instant {

@@ -10,12 +10,11 @@
 
 use crate::ids::{EventId, TaskId};
 use crate::time::{Instant, Span};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// What occupied the processor during a trace segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ExecUnit {
     /// A periodic task's job.
     Task(TaskId),
@@ -51,7 +50,7 @@ impl fmt::Display for ExecUnit {
 }
 
 /// A maximal interval during which one unit occupied the processor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
     /// What ran.
     pub unit: ExecUnit,
@@ -69,7 +68,7 @@ impl Segment {
 }
 
 /// Final status of one aperiodic event occurrence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AperiodicFate {
     /// The handler ran to completion.
     Served {
@@ -105,7 +104,7 @@ pub enum AperiodicFate {
 }
 
 /// Outcome record for one aperiodic event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AperiodicOutcome {
     /// The event.
     pub event: EventId,
@@ -214,7 +213,7 @@ impl AperiodicOutcome {
 }
 
 /// Completion record for one periodic job, used for deadline-miss checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeriodicJobRecord {
     /// The task.
     pub task: TaskId,
@@ -242,7 +241,7 @@ impl PeriodicJobRecord {
 }
 
 /// A complete record of one run (simulation or execution).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// Processor occupation segments, ordered by start time, non-overlapping.
     pub segments: Vec<Segment>,

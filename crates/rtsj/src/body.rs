@@ -19,7 +19,6 @@
 //! | `AsyncEvent.fire()` / bound handler    | [`Action::WaitForEvent`] + world  |
 //! | `Timed.doInterruptible(...)`           | [`Action::ComputeInterruptible`]  |
 //! | plain `run()` code                     | [`Action::Compute`]               |
-//! | `sleep` / absolute waits               | [`Action::WaitUntil`]             |
 
 use crate::engine::EventHandle;
 use rt_model::{ExecUnit, Instant, Span};
@@ -49,8 +48,6 @@ pub enum Action {
     /// Block until the schedulable's next periodic release
     /// (`waitForNextPeriod`). Only meaningful for periodic schedulables.
     WaitForNextPeriod,
-    /// Block until the given absolute instant.
-    WaitUntil(Instant),
     /// Block until the given asynchronous event is fired (one pending fire is
     /// consumed if the event was fired while the schedulable was not waiting).
     WaitForEvent(EventHandle),
@@ -80,8 +77,6 @@ pub enum Completion {
     /// The periodic release waited for by [`Action::WaitForNextPeriod`] has
     /// arrived.
     PeriodStarted,
-    /// The instant waited for by [`Action::WaitUntil`] has been reached.
-    TimeReached,
     /// The event waited for by [`Action::WaitForEvent`] has been fired.
     EventFired,
 }

@@ -196,8 +196,6 @@ enum ThreadStatus {
     Ready(Completion),
     /// A computation is in progress (possibly preempted).
     Computing(ComputeState),
-    /// Blocked until the stored wake-up condition.
-    BlockedUntil(Instant),
     /// Blocked until the next periodic release (stored in `PeriodicRelease`).
     BlockedForPeriod,
     /// Blocked waiting for an event fire (the event's waiter list holds the
@@ -647,30 +645,24 @@ impl<W: World> Engine<W> {
         self.cascade_scratch = cascade;
     }
 
-    /// Wakes every thread whose timed wait has expired and releases every
-    /// periodic thread whose next release is due, by scanning the whole
-    /// thread list — O(t) per decision.
+    /// Releases every periodic thread whose next release is due, by
+    /// scanning the whole thread list — O(t) per decision.
     fn wake_due_threads(&mut self) {
         for tid in 0..self.threads.len() {
             let thread = &mut self.threads[tid];
-            match thread.status {
-                ThreadStatus::BlockedUntil(t) if t <= self.now => {
-                    thread.status = ThreadStatus::Ready(Completion::TimeReached);
-                }
-                ThreadStatus::BlockedForPeriod => {
-                    let release = thread
-                        .periodic
-                        .as_mut()
-                        // rt-lint: allow(panic, reason = "BlockedForPeriod is only entered by periodic schedulables")
-                        .expect("BlockedForPeriod requires periodic parameters");
-                    if release.next <= self.now {
-                        let job_deadline = release.next + release.relative_deadline;
-                        release.next += release.period;
-                        thread.status = ThreadStatus::Ready(Completion::PeriodStarted);
-                        self.set_deadline(tid, job_deadline);
-                    }
-                }
-                _ => {}
+            if !matches!(thread.status, ThreadStatus::BlockedForPeriod) {
+                continue;
+            }
+            let release = thread
+                .periodic
+                .as_mut()
+                // rt-lint: allow(panic, reason = "BlockedForPeriod is only entered by periodic schedulables")
+                .expect("BlockedForPeriod requires periodic parameters");
+            if release.next <= self.now {
+                let job_deadline = release.next + release.relative_deadline;
+                release.next += release.period;
+                thread.status = ThreadStatus::Ready(Completion::PeriodStarted);
+                self.set_deadline(tid, job_deadline);
             }
         }
     }
@@ -778,13 +770,6 @@ impl<W: World> Engine<W> {
                     self.threads[tid].status = ThreadStatus::BlockedForPeriod;
                 }
             }
-            Action::WaitUntil(t) => {
-                if t <= self.now {
-                    self.threads[tid].status = ThreadStatus::Ready(Completion::TimeReached);
-                } else {
-                    self.threads[tid].status = ThreadStatus::BlockedUntil(t);
-                }
-            }
             Action::WaitForEvent(event) => {
                 if self.events[event.0].pending > 0 {
                     self.events[event.0].pending -= 1;
@@ -818,9 +803,9 @@ impl<W: World> Engine<W> {
     }
 
     /// The next instant at which the set of runnable threads could change
-    /// while some thread is computing: the next timer fire, the next timed
-    /// wake-up, the next periodic release, or the horizon — an O(t + m)
-    /// sweep over every thread and timer.
+    /// while some thread is computing: the next timer fire, the next
+    /// periodic release, or the horizon — an O(t + m) sweep over every
+    /// thread and timer.
     fn next_preemption_time(&self) -> Instant {
         let mut next = Instant::MAX;
         for timer in &self.timers {
@@ -829,14 +814,8 @@ impl<W: World> Engine<W> {
             }
         }
         for thread in &self.threads {
-            match thread.status {
-                ThreadStatus::BlockedUntil(t) => next = next.min(t),
-                ThreadStatus::BlockedForPeriod => {
-                    if let Some(p) = &thread.periodic {
-                        next = next.min(p.next);
-                    }
-                }
-                _ => {}
+            if let (ThreadStatus::BlockedForPeriod, Some(p)) = (&thread.status, &thread.periodic) {
+                next = next.min(p.next);
             }
         }
         next.min(self.config.horizon)

@@ -52,10 +52,10 @@ impl<W> ThreadBody<W> for PeriodicThreadBody {
                 amount: self.cost,
                 unit: self.unit,
             },
-            Completion::TimeReached | Completion::EventFired => {
-                // A plain periodic thread never waits on events or absolute
-                // times; treat a stray wake-up as the start of a period so the
-                // thread keeps its budget discipline rather than panicking.
+            Completion::EventFired => {
+                // A plain periodic thread never waits on events; treat a
+                // stray wake-up as the start of a period so the thread keeps
+                // its budget discipline rather than panicking.
                 Action::Compute {
                     amount: self.cost,
                     unit: self.unit,
@@ -125,7 +125,7 @@ impl<W> ThreadBody<W> for BoundHandlerBody {
                 self.current_start = None;
                 Action::WaitForEvent(self.event)
             }
-            Completion::PeriodStarted | Completion::TimeReached => Action::WaitForEvent(self.event),
+            Completion::PeriodStarted => Action::WaitForEvent(self.event),
         }
     }
 }

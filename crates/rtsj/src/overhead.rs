@@ -14,10 +14,9 @@
 //! individually.
 
 use rt_model::Span;
-use serde::{Deserialize, Serialize};
 
 /// Explicit processor costs charged by the execution engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverheadModel {
     /// Cost of firing one asynchronous event (the timer machinery runs above
     /// every application priority and delays whatever was running).

@@ -15,11 +15,10 @@
 //! enforced by the engine, and a test documents exactly that.
 
 use rt_model::{Instant, Priority, Span};
-use serde::{Deserialize, Serialize};
 
 /// Scheduling eligibility expressed as a fixed priority
 /// (`javax.realtime.PriorityParameters`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PriorityParameters {
     /// The priority level (higher = more eligible).
     pub priority: Priority,
@@ -34,7 +33,7 @@ impl PriorityParameters {
 
 /// Release characteristics of a schedulable object
 /// (`javax.realtime.ReleaseParameters` and its concrete subclasses).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReleaseParameters {
     /// Periodic release (`PeriodicParameters`): first release at `start`,
     /// then every `period`; each release may consume up to `cost` and must
@@ -98,7 +97,7 @@ impl ReleaseParameters {
 /// The paper's `TaskServerParameters`: a `ReleaseParameters` subclass used to
 /// construct a `TaskServer` — a capacity (the cost) replenished every period,
 /// plus the priority the server runs at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskServerParameters {
     /// Server capacity (the budget available per period).
     pub capacity: Span,
@@ -158,7 +157,7 @@ impl TaskServerParameters {
 /// machine, PGP can have no effect at all. This is the case with the Timesys
 /// Reference Implementation"). The task-server framework exists precisely
 /// because of this gap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProcessingGroupParameters {
     /// Cost budget shared by the group.
     pub cost: Span,

@@ -11,13 +11,12 @@
 use crate::distributions::normal;
 use rand::Rng;
 use rt_model::Span;
-use serde::{Deserialize, Serialize};
 
 /// Smallest cost the paper's generator allows (0.1 time units).
 pub const MIN_COST_UNITS: f64 = 0.1;
 
 /// How sampled costs below the minimum are handled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClampMode {
     /// Reproduce the paper: clamp to 0.1 tu, biasing the average upwards.
     PaperClamp,
@@ -29,7 +28,7 @@ pub enum ClampMode {
 /// A cost generator: normal distribution with a floor policy, plus an upper
 /// cap at the server capacity so the generated system always satisfies the
 /// framework's admission constraint (handler cost ≤ server capacity).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Mean of the normal distribution, in time units.
     pub mean: f64,

@@ -7,10 +7,9 @@
 //! homogeneous set.
 
 use rt_model::Span;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the random real-time system generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratorParams {
     /// Average number of aperiodic events per server period (`taskDensity`).
     pub task_density: f64,

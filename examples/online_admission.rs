@@ -2,9 +2,10 @@
 //!
 //! A telemetry gateway accepts "query" events from operators. Each query has
 //! a declared cost and a response-time requirement; the gateway only admits a
-//! query if the on-line response-time computation — performed at arrival
-//! time, in constant time thanks to the list-of-lists queue — predicts that
-//! the requirement can be met by the polling server.
+//! query if the on-line response-time computation of equations (1)–(4),
+//! performed at arrival time, predicts that the requirement can be met by the
+//! polling server. Each admitted query is then priced by equation (5), from
+//! the slot it holds in the packing of the server's FIFO backlog.
 //!
 //! ```sh
 //! cargo run --example online_admission
@@ -24,7 +25,6 @@ fn main() {
         params,
         ServerPolicyKind::Polling,
         OverheadModel::none(),
-        QueueKind::ListOfLists,
         rtsj_event_framework::model::QueueDiscipline::FifoSkip,
     );
     // Operators will only wait 15 time units for an answer.
@@ -56,8 +56,7 @@ fn main() {
         // Decision against the ceiling.
         let accept = controller.admit(&shared, now, cost);
         if accept {
-            // Register the query with the server: the list-of-lists queue
-            // assigns its service slot in O(1).
+            // Register the query with the server's pending queue.
             shared.released(
                 QueuedRelease::new(
                     EventId::new(id),
@@ -68,8 +67,9 @@ fn main() {
             );
             admitted += 1;
         }
-        // Equation (5) prediction from the stored slot (only for admitted
-        // queries, which are the ones actually pending).
+        // Equation (5) prediction from the query's slot in the packing of
+        // the backlog (only for admitted queries, which are the ones
+        // actually pending).
         let implementation = predicted_response(&shared, EventId::new(id));
         println!(
             "{:>6} {:>8} {:>12} {:>12} {:>10}",

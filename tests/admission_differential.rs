@@ -5,7 +5,7 @@
 //! 1. **AcceptAll is invisible** — stamping the default admission policy on
 //!    a system (even one carrying deadlines and value tags) produces traces
 //!    byte-identical to the unstamped system across the whole engine matrix
-//!    (engine loop × queue × scheduling), on both engines. Together
+//!    (engine loop × scheduling), on both engines. Together
 //!    with the 53 pre-admission goldens this proves the admission layer
 //!    reduces to today's behaviour when switched off.
 //! 2. **Cross-engine decision identity** — `DeadlinePredictive` decisions
@@ -25,7 +25,7 @@ use rtsj_event_framework::model::{
 use rtsj_event_framework::observe::MetricsProbe;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::taskserver::{
-    execute, execute_reference, execute_with_probe, ExecutionConfig, QueueKind,
+    execute, execute_reference, execute_with_probe, ExecutionConfig,
 };
 
 /// A sustained 4× overload burst into a polling server: server bandwidth
@@ -114,26 +114,24 @@ fn accept_all_reduces_byte_identically_across_the_engine_matrix() {
         for server in &mut unstamped.servers {
             server.admission = AdmissionPolicy::default();
         }
-        // Execution matrix: engine loop × queue.
-        for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-            let config = ExecutionConfig::reference().with_queue(queue);
-            let unstamped = execute(&unstamped, &config).render_canonical();
-            assert_eq!(
-                execute(&stamped, &config).render_canonical(),
-                unstamped,
-                "{scheduling:?}/{queue:?}"
-            );
-            assert_eq!(
-                execute_with_probe(&stamped, &config, &mut MetricsProbe::new()).render_canonical(),
-                unstamped,
-                "{scheduling:?}/{queue:?} (observed)"
-            );
-            assert_eq!(
-                execute_reference(&stamped, &config).render_canonical(),
-                unstamped,
-                "{scheduling:?}/{queue:?} (reference)"
-            );
-        }
+        // Execution matrix: every engine loop.
+        let config = ExecutionConfig::reference();
+        let executed = execute(&unstamped, &config).render_canonical();
+        assert_eq!(
+            execute(&stamped, &config).render_canonical(),
+            executed,
+            "{scheduling:?}"
+        );
+        assert_eq!(
+            execute_with_probe(&stamped, &config, &mut MetricsProbe::new()).render_canonical(),
+            executed,
+            "{scheduling:?} (observed)"
+        );
+        assert_eq!(
+            execute_reference(&stamped, &config).render_canonical(),
+            executed,
+            "{scheduling:?} (reference)"
+        );
         // Simulation matrix: the driver and the reference.
         let reference = simulate(&unstamped).render_canonical();
         assert_eq!(simulate(&stamped).render_canonical(), reference);
@@ -166,19 +164,17 @@ fn predictive_decisions_agree_across_engines_and_engine_modes() {
                 simulate(&spec).render_canonical(),
                 simulate_reference(&spec).render_canonical()
             );
-            for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-                let config = ExecutionConfig::ideal().with_queue(queue);
-                for (label, trace) in [
-                    ("execute", execute(&spec, &config)),
-                    ("execute_reference", execute_reference(&spec, &config)),
-                ] {
-                    assert_eq!(
-                        trace.render_canonical(),
-                        executed.render_canonical(),
-                        "{}: {label}/{queue:?}",
-                        spec.name
-                    );
-                }
+            let config = ExecutionConfig::ideal();
+            for (label, trace) in [
+                ("execute", execute(&spec, &config)),
+                ("execute_reference", execute_reference(&spec, &config)),
+            ] {
+                assert_eq!(
+                    trace.render_canonical(),
+                    executed.render_canonical(),
+                    "{}: {label}",
+                    spec.name
+                );
             }
         }
     }

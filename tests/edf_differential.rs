@@ -6,10 +6,9 @@
 //! highest-priority one, with identical tie-breaks — the EDF trace must be
 //! byte-identical to the fixed-priority trace. The suite pins that reduction
 //! on both engines, pins EDF loop agreement (every fast loop against its
-//! linear-scan reference, both queue structures), and exercises the cases
-//! where EDF
-//! *must* diverge from fixed priorities (deadline inversion, the classic
-//! U = 1 non-harmonic set).
+//! linear-scan reference), and exercises the cases where EDF *must* diverge
+//! from fixed priorities (deadline inversion, the classic U = 1
+//! non-harmonic set).
 
 use rtsj_event_framework::model::{
     Instant, Priority, QueueDiscipline, SchedulingPolicy, ServerPolicyKind, ServerSpec, Span,
@@ -19,7 +18,7 @@ use rtsj_event_framework::observe::MetricsProbe;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::sysgen::{GeneratorParams, RandomSystemGenerator};
 use rtsj_event_framework::taskserver::{
-    execute, execute_reference, execute_with_probe, ExecutionConfig, QueueKind,
+    execute, execute_reference, execute_with_probe, ExecutionConfig,
 };
 
 /// The Table 1 shape: server + two tasks, all on period 6 with implicit
@@ -68,7 +67,9 @@ fn reduction_system(policy: ServerPolicyKind, events: &[(u64, u64)]) -> SystemSp
 /// EDF and FP executions of the same spec, compared byte for byte.
 fn assert_execution_reduction(spec: &SystemSpec, config: &ExecutionConfig) {
     let fp = execute(spec, config).render_canonical();
-    let edf = execute(spec, &config.with_scheduling(SchedulingPolicy::Edf)).render_canonical();
+    let mut edf_spec = spec.clone();
+    edf_spec.scheduling = SchedulingPolicy::Edf;
+    let edf = execute(&edf_spec, config).render_canonical();
     assert_eq!(
         fp, edf,
         "execution: deadline-monotonic reduction failed on {}",
@@ -93,10 +94,6 @@ fn deadline_monotonic_reduction_holds_on_executions() {
         );
         assert_execution_reduction(&spec, &ExecutionConfig::ideal());
         assert_execution_reduction(&spec, &ExecutionConfig::reference());
-        assert_execution_reduction(
-            &spec,
-            &ExecutionConfig::reference().with_queue(QueueKind::ListOfLists),
-        );
     }
 }
 
@@ -212,7 +209,7 @@ fn edf_systems(policy: ServerPolicyKind, seed: u64, count: usize) -> Vec<SystemS
 }
 
 /// Every engine loop must agree on one EDF spec: each fast loop against
-/// its linear-scan reference, both queue structures, both engines.
+/// its linear-scan reference, both engines.
 fn assert_edf_modes_agree(spec: &SystemSpec) {
     assert_eq!(spec.scheduling, SchedulingPolicy::Edf);
     assert_eq!(
@@ -221,22 +218,20 @@ fn assert_edf_modes_agree(spec: &SystemSpec) {
         "EDF simulate vs simulate_reference diverged on {}",
         spec.name
     );
-    for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-        let base = ExecutionConfig::reference().with_queue(queue);
-        let fast = execute(spec, &base).render_canonical();
-        assert_eq!(
-            fast,
-            execute_reference(spec, &base).render_canonical(),
-            "EDF execution vs the linear-scan reference diverged on {} ({queue:?})",
-            spec.name
-        );
-        assert_eq!(
-            fast,
-            execute_with_probe(spec, &base, &mut MetricsProbe::new()).render_canonical(),
-            "EDF execution vs the observed driver diverged on {} ({queue:?})",
-            spec.name
-        );
-    }
+    let config = ExecutionConfig::reference();
+    let fast = execute(spec, &config).render_canonical();
+    assert_eq!(
+        fast,
+        execute_reference(spec, &config).render_canonical(),
+        "EDF execution vs the linear-scan reference diverged on {}",
+        spec.name
+    );
+    assert_eq!(
+        fast,
+        execute_with_probe(spec, &config, &mut MetricsProbe::new()).render_canonical(),
+        "EDF execution vs the observed driver diverged on {}",
+        spec.name
+    );
 }
 
 #[test]
@@ -312,15 +307,13 @@ fn deadline_ordered_execution_reorders_service_and_modes_agree() {
     );
     // The deadline-ordered spec agrees across all execution modes.
     let spec = build(QueueDiscipline::DeadlineOrdered);
-    for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-        let base = ExecutionConfig::ideal().with_queue(queue);
-        let fast = execute(&spec, &base).render_canonical();
-        assert_eq!(fast, execute_reference(&spec, &base).render_canonical());
-        assert_eq!(
-            fast,
-            execute_with_probe(&spec, &base, &mut MetricsProbe::new()).render_canonical()
-        );
-    }
+    let config = ExecutionConfig::ideal();
+    let fast = execute(&spec, &config).render_canonical();
+    assert_eq!(fast, execute_reference(&spec, &config).render_canonical());
+    assert_eq!(
+        fast,
+        execute_with_probe(&spec, &config, &mut MetricsProbe::new()).render_canonical()
+    );
 }
 
 #[test]

@@ -27,7 +27,7 @@ use rtsj_event_framework::observe::MetricsProbe;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::sysgen::{GeneratorParams, RandomSystemGenerator};
 use rtsj_event_framework::taskserver::{
-    execute, execute_reference, execute_with_probe, ExecutionConfig, QueueKind,
+    execute, execute_reference, execute_with_probe, ExecutionConfig,
 };
 
 mod common;
@@ -234,10 +234,8 @@ fn paper_scenarios_agree_between_schedulers() {
     ] {
         for events in &SCENARIOS[..4] {
             let spec = table1(policy, events, 60);
-            for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-                assert_execution_agrees(&spec, ExecutionConfig::reference().with_queue(queue));
-                assert_execution_agrees(&spec, ExecutionConfig::ideal().with_queue(queue));
-            }
+            assert_execution_agrees(&spec, ExecutionConfig::reference());
+            assert_execution_agrees(&spec, ExecutionConfig::ideal());
             assert_simulation_agrees(&spec);
         }
     }
@@ -346,10 +344,8 @@ fn execution_agrees_with_the_reference_across_configurations() {
                 SchedulingPolicy::FixedPriority,
                 events,
             );
-            for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-                for config in [ExecutionConfig::reference(), ExecutionConfig::ideal()] {
-                    assert_execution_agrees(&spec, config.with_queue(queue));
-                }
+            for config in [ExecutionConfig::reference(), ExecutionConfig::ideal()] {
+                assert_execution_agrees(&spec, config);
             }
         }
     }

@@ -6,7 +6,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtsj_event_framework::prelude::*;
-use rtsj_event_framework::taskserver::QueueKind;
 
 /// The Table 1 periodic pair plus a configurable server and traffic.
 fn build(policy: ServerPolicyKind, capacity: u64, events: &[(u64, u64)]) -> SystemSpec {
@@ -141,24 +140,5 @@ fn both_engines_protect_the_periodic_tasks() {
         let simulated = simulate(&spec);
         assert!(executed.all_periodic_deadlines_met());
         assert!(simulated.all_periodic_deadlines_met());
-    }
-}
-
-/// The queue structure never changes what the execution does.
-#[test]
-fn queue_kind_is_behaviour_preserving() {
-    let mut rng = StdRng::seed_from_u64(0x5EED_0012);
-    for _ in 0..32 {
-        let events = random_events(&mut rng, 15, 3);
-        let spec = build(ServerPolicyKind::Polling, 4, &events);
-        let fifo = execute(
-            &spec,
-            &ExecutionConfig::reference().with_queue(QueueKind::Fifo),
-        );
-        let lol = execute(
-            &spec,
-            &ExecutionConfig::reference().with_queue(QueueKind::ListOfLists),
-        );
-        assert_eq!(fifo, lol);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The goldens under `tests/goldens/` were captured from the seed engines
 //! (linear-scan scheduling) and pin down the *event-by-event* scheduling
-//! order of every paper scenario under every server policy and queue
-//! structure. Every loop of each world is checked against them here:
+//! order of every paper scenario under every server policy. Every loop of
+//! each world is checked against them here:
 //!
 //! * simulation — the linear-scan reference (`simulate_reference`) and the
 //!   specialized driver (`simulate`);
@@ -25,7 +25,7 @@ use rtsj_event_framework::model::{
 use rtsj_event_framework::observe::MetricsProbe;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::taskserver::{
-    execute, execute_reference, execute_with_probe, ExecutionConfig, QueueKind,
+    execute, execute_reference, execute_with_probe, ExecutionConfig,
 };
 
 mod common;
@@ -142,7 +142,7 @@ fn check_golden(name: &str, loops: &[(&str, String)]) {
 }
 
 #[test]
-fn executions_match_goldens_for_every_scenario_policy_and_queue() {
+fn executions_match_goldens_for_every_scenario_and_policy() {
     for scenario in [1u32, 2, 3] {
         for policy in [
             ServerPolicyKind::Polling,
@@ -151,11 +151,8 @@ fn executions_match_goldens_for_every_scenario_policy_and_queue() {
             ServerPolicyKind::Sporadic,
         ] {
             let spec = system(scenario, policy);
-            for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-                let config = ExecutionConfig::reference().with_queue(queue);
-                let name = format!("exec_s{scenario}_{policy:?}_{queue:?}").to_lowercase();
-                check_golden(&name, &exec_loops(&spec, config));
-            }
+            let name = format!("exec_s{scenario}_{policy:?}_fifo").to_lowercase();
+            check_golden(&name, &exec_loops(&spec, ExecutionConfig::reference()));
         }
     }
 }
@@ -226,17 +223,16 @@ fn multi_server_system(n: usize) -> SystemSpec {
     b.build().expect("multi-server golden systems are valid")
 }
 
-/// Multi-server goldens: 2- and 3-server systems, executed (both queue
-/// structures) and simulated, pinned event by event for both schedulers.
+/// Multi-server goldens: 2- and 3-server systems, executed and simulated,
+/// pinned event by event for both schedulers.
 #[test]
 fn multi_server_systems_match_goldens() {
     for n in [2usize, 3] {
         let spec = multi_server_system(n);
-        for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-            let config = ExecutionConfig::reference().with_queue(queue);
-            let name = format!("exec_multi{n}_{queue:?}").to_lowercase();
-            check_golden(&name, &exec_loops(&spec, config));
-        }
+        check_golden(
+            &format!("exec_multi{n}_fifo"),
+            &exec_loops(&spec, ExecutionConfig::reference()),
+        );
         check_golden(&format!("sim_multi{n}"), &sim_loops(&spec));
     }
 }
@@ -297,18 +293,14 @@ fn deadline_ordered_system() -> SystemSpec {
     spec
 }
 
-/// Deadline-ordered service goldens, executed (both queue structures) and
-/// simulated.
+/// Deadline-ordered service goldens, executed and simulated.
 #[test]
 fn deadline_ordered_service_matches_goldens() {
     let spec = deadline_ordered_system();
-    for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-        let config = ExecutionConfig::reference().with_queue(queue);
-        check_golden(
-            &format!("exec_edd_multi2_{queue:?}").to_lowercase(),
-            &exec_loops(&spec, config),
-        );
-    }
+    check_golden(
+        "exec_edd_multi2_fifo",
+        &exec_loops(&spec, ExecutionConfig::reference()),
+    );
     check_golden("sim_edd_multi2", &sim_loops(&spec));
 }
 
@@ -443,30 +435,6 @@ fn multi_server_admission_traces_match_goldens() {
             &format!("sim_adm_multi2_{}", policy.label()),
             &sim_loops(&spec),
         );
-    }
-}
-
-/// The two queue structures must schedule identically (they only differ in
-/// admission-time prediction cost), so their goldens are byte-identical.
-#[test]
-fn queue_kinds_share_identical_goldens() {
-    for scenario in [1u32, 2, 3] {
-        for policy in [
-            ServerPolicyKind::Polling,
-            ServerPolicyKind::Deferrable,
-            ServerPolicyKind::Background,
-        ] {
-            let spec = system(scenario, policy);
-            let fifo = execute(
-                &spec,
-                &ExecutionConfig::reference().with_queue(QueueKind::Fifo),
-            );
-            let lol = execute(
-                &spec,
-                &ExecutionConfig::reference().with_queue(QueueKind::ListOfLists),
-            );
-            assert_eq!(fifo.render_canonical(), lol.render_canonical());
-        }
     }
 }
 

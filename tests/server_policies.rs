@@ -11,7 +11,7 @@ use rtsj_event_framework::observe::MetricsProbe;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::sysgen::{ExtraServer, GeneratorParams, RandomSystemGenerator};
 use rtsj_event_framework::taskserver::{
-    execute, execute_reference, execute_with_probe, ExecutionConfig, QueueKind,
+    execute, execute_reference, execute_with_probe, ExecutionConfig,
 };
 
 /// Seeded generator of multi-server systems over the paper's traffic
@@ -38,7 +38,7 @@ fn multi_server_systems(
 
 /// Every engine loop must agree on one spec: the simulation driver and its
 /// linear-scan reference; `execute`, the observed driver and the
-/// linear-scan reference, under both queue structures.
+/// linear-scan reference.
 fn assert_all_modes_agree(spec: &SystemSpec) {
     assert_eq!(
         simulate(spec).render_canonical(),
@@ -46,22 +46,20 @@ fn assert_all_modes_agree(spec: &SystemSpec) {
         "simulate vs simulate_reference diverged on {}",
         spec.name
     );
-    for queue in [QueueKind::Fifo, QueueKind::ListOfLists] {
-        let base = ExecutionConfig::reference().with_queue(queue);
-        let fast = execute(spec, &base).render_canonical();
-        assert_eq!(
-            fast,
-            execute_reference(spec, &base).render_canonical(),
-            "execute vs the linear-scan reference diverged on {} ({queue:?})",
-            spec.name
-        );
-        assert_eq!(
-            fast,
-            execute_with_probe(spec, &base, &mut MetricsProbe::new()).render_canonical(),
-            "execute vs the observed driver diverged on {} ({queue:?})",
-            spec.name
-        );
-    }
+    let config = ExecutionConfig::reference();
+    let fast = execute(spec, &config).render_canonical();
+    assert_eq!(
+        fast,
+        execute_reference(spec, &config).render_canonical(),
+        "execute vs the linear-scan reference diverged on {}",
+        spec.name
+    );
+    assert_eq!(
+        fast,
+        execute_with_probe(spec, &config, &mut MetricsProbe::new()).render_canonical(),
+        "execute vs the observed driver diverged on {}",
+        spec.name
+    );
 }
 
 #[test]
@@ -71,9 +69,9 @@ fn sporadic_server_traces_agree_across_every_engine_mode() {
     }
 }
 
-/// The engine-loop × queue matrix, extended across the scheduling policy
-/// and queue-service discipline dimensions: every loop must produce the
-/// same trace as its siblings.
+/// The engine-loop matrix, extended across the scheduling policy and
+/// queue-service discipline dimensions: every loop must produce the same
+/// trace as its siblings.
 #[test]
 fn scheduling_and_discipline_matrix_agrees_across_engine_modes() {
     use rtsj_event_framework::model::{QueueDiscipline, SchedulingPolicy};
