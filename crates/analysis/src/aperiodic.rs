@@ -40,7 +40,7 @@ impl ServerParams {
 
     /// Index of the server instance active at (or starting right after) `t`:
     /// `G_k = ⌈ t / T_s ⌉` (equation (3)).
-    pub fn next_instance_index(&self, t: Instant) -> u64 {
+    fn next_instance_index(&self, t: Instant) -> u64 {
         Span::from_ticks(t.ticks()).div_ceil_span(self.period)
     }
 
@@ -286,12 +286,6 @@ impl InstancePacker {
         self.last_load
     }
 
-    /// Capacity of the instance currently being filled, measured from the
-    /// instance's start like [`Self::current_load`].
-    pub fn current_capacity(&self) -> Span {
-        self.last_capacity
-    }
-
     /// The server parameters the packer was built with.
     pub fn server(&self) -> ServerParams {
         self.server
@@ -440,7 +434,7 @@ mod tests {
         // handler exceeds the remaining 3 and opens instance 1.
         let mut p = InstancePacker::new(server(), Instant::from_units(2), Span::from_units(3));
         assert_eq!(p.current_load(), Span::from_units(2));
-        assert_eq!(p.current_capacity(), Span::from_units(5));
+        assert_eq!(p.last_capacity, Span::from_units(5));
         let first = p.push(Span::from_units(2));
         let second = p.push(Span::from_units(1));
         let third = p.push(Span::from_units(1));
@@ -456,6 +450,40 @@ mod tests {
         // At an instance boundary nothing has elapsed.
         let p = InstancePacker::new(server(), Instant::from_units(6), Span::from_units(4));
         assert_eq!((p.current_instance(), p.current_load()), (1, Span::ZERO));
+    }
+
+    #[test]
+    fn online_admission_prices_every_query_by_both_equations() {
+        // The `online_admission` example: eight queries arrive at t = 1 at a
+        // capacity-4 / period-6 server that still holds its full capacity.
+        // Equations (1)–(4) price each one behind the admitted backlog, a
+        // query is admitted when that prediction is at most 15, and each
+        // admitted query is priced again by equation (5) from its slot in
+        // the packing of the backlog.
+        let now = Instant::from_units(1);
+        let remaining = server().capacity;
+        let mut packer = InstancePacker::new(server(), now, remaining);
+        let mut pending = Span::ZERO;
+        let (mut textbook, mut implementation) = (Vec::new(), Vec::new());
+        for cost in [3.0, 2.0, 3.5, 1.0, 4.0, 2.0, 3.0, 1.5].map(Span::from_units_f64) {
+            let predicted =
+                textbook_ps_response_time(server(), now, remaining, pending + cost, now);
+            textbook.push(predicted.as_units());
+            if predicted <= Span::from_units(15) {
+                pending += cost;
+                implementation.push(packer.push(cost).response_time(server(), now).as_units());
+            }
+        }
+        assert_eq!(
+            textbook,
+            [3.0, 6.0, 11.5, 12.5, 18.5, 14.5, 19.5, 18.0],
+            "eq(1)-(4) column"
+        );
+        assert_eq!(
+            implementation,
+            [3.0, 7.0, 14.5, 18.0, 20.0],
+            "eq(5) column of the five admitted queries"
+        );
     }
 
     #[test]
@@ -500,6 +528,6 @@ mod tests {
         p.push(Span::from_units(1));
         assert!(!p.is_empty());
         assert_eq!(p.server().capacity, Span::from_units(4));
-        assert_eq!(p.current_capacity(), Span::from_units(4));
+        assert_eq!(p.last_capacity, Span::from_units(4));
     }
 }

@@ -27,7 +27,8 @@
 use rt_admission::{AdmissionPolicy, ArrivingEvent, ServerAdmission};
 use rt_metrics::RunMeasures;
 use rt_model::{
-    Instant, Priority, SchedulingPolicy, ServerPolicyKind, ServerSpec, Span, SystemSpec, Trace,
+    Instant, Priority, QueueDiscipline, SchedulingPolicy, ServerPolicyKind, ServerSpec, Span,
+    SystemSpec, Trace,
 };
 use rt_sysgen::{GeneratorParams, RandomSystemGenerator};
 use rt_taskserver::{ExecutionConfig, ExecutionPlan};
@@ -380,24 +381,64 @@ fn overload_burst(policy: AdmissionPolicy, units: u64) -> SystemSpec {
     b.build().expect("overload bursts are valid")
 }
 
+/// An overload burst into a deadline-ordered queue, with costs that make
+/// the most urgent entry oversized: one event every two units, alternating
+/// between cost 4 with a 25-unit deadline and cost 1 with a 40-unit one
+/// (2.5× the server's bandwidth of 5/10). Once a cost-4 service leaves one
+/// unit of the instance, a more urgent cost-4 entry no longer fits and the
+/// selection skips it for a cost-1 entry, instance after instance.
+fn deadline_ordered_burst(units: u64) -> SystemSpec {
+    let mut b = SystemSpec::builder(format!("deadline-ordered-burst-{units}"));
+    b.server(
+        ServerSpec::polling(Span::from_units(5), Span::from_units(10), Priority::new(30))
+            .with_discipline(QueueDiscipline::DeadlineOrdered)
+            .with_admission(AdmissionPolicy::DeadlinePredictive),
+    );
+    b.periodic(
+        "tau1",
+        Span::from_units(2),
+        Span::from_units(10),
+        Priority::new(20),
+    );
+    for (i, t) in (0..units).step_by(2).enumerate() {
+        let (cost, deadline) = if i % 2 == 0 { (4, 25) } else { (1, 40) };
+        b.aperiodic(Instant::from_units(t), Span::from_units(cost));
+        let event = b.last_aperiodic_mut().expect("event just added");
+        event.relative_deadline = Some(Span::from_units(deadline));
+    }
+    b.horizon(Instant::from_units(units));
+    b.build().expect("overload bursts are valid")
+}
+
+/// A burst shape, by the number of units of traffic.
+type Burst = fn(u64) -> SystemSpec;
+
 /// The overload paths allocate amortized-only: replaying a burst's arrivals
 /// through the admission machine (with a reused abort buffer), simulating
 /// it and executing it allocate about the same for N and 4N units of
-/// traffic under both predictive policies. Any per-arrival or per-abort
+/// traffic under both predictive policies, and with a deadline-ordered
+/// queue whose selections skip. Any per-arrival, per-abort or per-skip
 /// allocation — a displacement that collects its survivors, a queue
-/// compaction that rebuilds into fresh buffers — would add thousands; the
-/// budget covers the few extra doublings of the growing tables.
+/// compaction that rebuilds into fresh buffers, a selection that collects
+/// the entries it skips — would add thousands; the budget covers the few
+/// extra doublings of the growing tables.
 #[test]
 fn overload_paths_allocate_amortized_only() {
     const N: u64 = 1_000;
     const AMORTIZED_BUDGET: usize = 16;
     let config = ExecutionConfig::reference();
-    for policy in [
-        AdmissionPolicy::ValueDensity,
-        AdmissionPolicy::DeadlinePredictive,
-    ] {
+    let bursts: [(&str, Burst); 3] = [
+        ("ValueDensity", |units| {
+            overload_burst(AdmissionPolicy::ValueDensity, units)
+        }),
+        ("DeadlinePredictive", |units| {
+            overload_burst(AdmissionPolicy::DeadlinePredictive, units)
+        }),
+        ("DeadlineOrdered", deadline_ordered_burst),
+    ];
+    for (input, burst) in bursts {
         let allocations = |units: u64| {
-            let spec = overload_burst(policy, units);
+            let spec = burst(units);
             let arrivals: Vec<ArrivingEvent> = spec
                 .aperiodics
                 .iter()
@@ -420,14 +461,11 @@ fn overload_paths_allocate_amortized_only() {
                 }
             });
             let (_, rejected, displaced) = machine.counters();
-            assert!(
-                rejected > 0,
-                "{policy:?}: the burst must overload the server"
-            );
-            if policy == AdmissionPolicy::ValueDensity {
+            assert!(rejected > 0, "{input}: the burst must overload the server");
+            if spec.servers[0].admission == AdmissionPolicy::ValueDensity {
                 assert!(
                     displaced as u64 > units / 10,
-                    "{policy:?}: D-OVER must displace throughout the burst ({displaced})"
+                    "{input}: D-OVER must displace throughout the burst ({displaced})"
                 );
             }
             let (sa, sr) = count_allocations(|| {
@@ -447,7 +485,7 @@ fn overload_paths_allocate_amortized_only() {
         {
             assert!(
                 long <= base + AMORTIZED_BUDGET,
-                "{policy:?} {label}: {} units of overload allocated {long} times against \
+                "{input} {label}: {} units of overload allocated {long} times against \
                  {base} for {N}: the overload paths must not allocate per arrival \
                  (amortized budget: {AMORTIZED_BUDGET})",
                 4 * N

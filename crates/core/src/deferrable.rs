@@ -11,8 +11,8 @@
 //! The same event-driven body also implements background servicing (the
 //! baseline of §2: all aperiodic work at a low priority, no capacity limit):
 //! the only difference is the policy stored in the shared state, which makes
-//! [`crate::state::ServerShared::granted_budget`] unlimited and capacity
-//! consumption a no-op.
+//! the budget [`crate::state::ServerShared::choose_next`] grants unlimited
+//! and capacity consumption a no-op.
 //!
 //! ## Capacity accounting across a replenishment boundary
 //!

@@ -190,7 +190,7 @@ impl<P: Probe> ExecWorld<'_, P> {
         // quiescent) so the release is admitted under the new configuration,
         // mirroring the simulator's decision ordering.
         self.apply_due_mode_changes(lane, now);
-        let accepted = self.lanes[lane].released(release, now);
+        let accepted = self.lanes[lane].released(release);
         for dropped in self.lanes[lane].displaced() {
             self.outcomes[dropped.slot as usize] =
                 outcome(dropped, AperiodicFate::Aborted { at: now });
@@ -402,9 +402,8 @@ impl<'p, P: Probe> Install<'p, P> {
         queue: QueueBuffers,
     ) {
         let (params, admission) = match server.policy {
-            // Background servicing has no meaningful capacity or period;
-            // a nominal pair gives the queue a packing reference
-            // (it is never used to reject work).
+            // Background servicing has no capacity or period; the lane
+            // reads neither, but its parameters need a valid pair.
             ServerPolicyKind::Background => (
                 TaskServerParameters::new(
                     Span::from_units(1),

@@ -16,8 +16,6 @@
 //!   the admission plan of `rt-admission` runs per arrival;
 //! * the policy-independent service loop with `Timed` budget enforcement and
 //!   overhead accounting ([`serve`]);
-//! * on-line response-time prediction and admission control
-//!   ([`admission`]);
 //! * a runner that executes a complete [`rt_model::SystemSpec`] as a
 //!   task-server application in virtual time ([`system::execute`], with the
 //!   linear-scan RTSJ engine behind [`system::execute_reference`]) — the
@@ -111,7 +109,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod deferrable;
 pub mod fastpath;
 pub mod framework;
@@ -124,9 +121,6 @@ pub mod sporadic;
 pub mod state;
 pub mod system;
 
-pub use admission::{
-    predicted_response, textbook_prediction, AdmissionController, AdmissionOracle,
-};
 pub use framework::{
     BackgroundServer, DeferrableTaskServer, PollingTaskServer, ServableAsyncEvent,
     SporadicTaskServer,

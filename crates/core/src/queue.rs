@@ -3,14 +3,10 @@
 //! The paper's base implementation keeps the pending handlers "in a simple
 //! FIFO list", and so does this queue: [`PendingQueue::choose_next`] returns
 //! "the first handler in the list which has a cost lower than the remaining
-//! capacity", the FIFO-with-skip rule of §4.1. §7 proposes a list of lists
-//! of handlers, each inner list holding the handlers that fit together in
-//! one server instance alongside their cumulative cost, so the response time
-//! of a newly released event is computed in constant time at registration
-//! (equation (5)). That structure is [`rt_analysis::InstancePacker`], and the
-//! admission plan of `rt-admission` is where it runs per arrival. The queue
-//! answers [`PendingQueue::predicted_slot`] by replaying the same packing
-//! over its live backlog, in O(n) per query.
+//! capacity", the FIFO-with-skip rule of §4.1, and that is all the queue
+//! does. The §7 list of lists, which prices an arrival by equation (5), is
+//! `rt_analysis::InstancePacker`; the admission plan of `rt-admission`
+//! runs it per arrival, before the queue sees the release.
 //!
 //! # Indexed FIFO-with-skip
 //!
@@ -42,12 +38,13 @@
 //!   — earliest absolute deadline first (ties by arrival), answered by a
 //!   companion min-deadline heap with the same lazy-staleness rule as the
 //!   drivers' EDF ready heaps: O(log n) when the most urgent entry fits the
-//!   budget, O(k·log n) after skipping `k` oversized more-urgent entries.
+//!   budget, O(k·log n) after skipping `k` oversized more-urgent entries,
+//!   which wait in a buffer the queue keeps, so a selection that skips
+//!   allocates nothing once the buffer has grown to the deepest skip.
 //!   Events without a relative deadline are keyed by their release instant,
 //!   so on deadline-free traffic both disciplines serve identically.
 
 use crate::handler::QueuedRelease;
-use rt_analysis::{InstancePacker, InstanceSlot, ServerParams};
 use rt_model::{Instant, QueueDiscipline, Span};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -157,27 +154,9 @@ impl CostIndex {
         }
     }
 
-    /// Vacates leaf `index` and returns whether it was the leftmost live
-    /// leaf. One leaf-to-root walk does both: it updates the minima until
-    /// one stops changing, and a live leaf to the left, if any, lies under
-    /// a left sibling of the path.
-    fn remove(&mut self, index: usize) -> bool {
-        let mut node = self.cap + index;
-        self.tree[node] = VACANT;
-        let mut head = true;
-        let mut updating = true;
-        while node > 1 && (updating || head) {
-            if node % 2 == 1 && self.tree[node - 1] != VACANT {
-                head = false;
-            }
-            node /= 2;
-            if updating {
-                let min = self.tree[2 * node].min(self.tree[2 * node + 1]);
-                updating = self.tree[node] != min;
-                self.tree[node] = min;
-            }
-        }
-        head
+    /// Vacates leaf `index`.
+    fn remove(&mut self, index: usize) {
+        self.set(index, VACANT);
     }
 
     /// Leftmost leaf whose cost is at most `budget` (ticks), if any.
@@ -206,14 +185,13 @@ pub(crate) struct QueueBuffers {
     slots: Vec<Option<QueuedRelease>>,
     tree: Vec<u64>,
     deadline_index: BinaryHeap<Reverse<(Instant, usize)>>,
-    replayed_heads: Vec<Span>,
+    skipped: Vec<Reverse<(Instant, usize)>>,
 }
 
 /// The pending-event queue of one task server.
 #[derive(Debug, Clone)]
 pub struct PendingQueue {
     discipline: QueueDiscipline,
-    server: ServerParams,
     /// Arrival-ordered slab; `None` marks a served (removed) entry. Compacted
     /// whenever the queue empties.
     slots: Vec<Option<QueuedRelease>>,
@@ -224,77 +202,52 @@ pub struct PendingQueue {
     /// [`QueueDiscipline::DeadlineOrdered`]. Entries of removed slots are
     /// discarded lazily; compaction rebuilds the heap (slot indices move).
     deadline_index: BinaryHeap<Reverse<(Instant, usize)>>,
+    /// The deadline-heap entries one deadline-ordered selection skipped,
+    /// held until it re-pushes them; empty between selections.
+    skipped: Vec<Reverse<(Instant, usize)>>,
     /// Number of live entries.
     live: usize,
-    /// The `(now, remaining_capacity)` pair the current packing is seeded
-    /// with: set at the first push after an invalidation, cleared by
-    /// out-of-order removals, drains and reconfigurations. It is what lets
-    /// [`Self::predicted_slot`] replay the equation-(5) packing of the live
-    /// queue.
-    packing_seed: Option<(Instant, Span)>,
-    /// Declared costs of the entries served *in order from the head* since
-    /// the packing reference was recorded. Head removals keep the packing
-    /// valid but still consumed their planned capacity, so the replay must
-    /// pack them first or it would hand their slots to the survivors.
-    /// Cleared together with `packing_seed`; grows with the in-order
-    /// services of one uninterrupted backlog episode (bounded by the
-    /// arrivals of that episode).
-    replayed_heads: Vec<Span>,
 }
 
 impl PendingQueue {
-    /// Creates an empty queue for a server with the given capacity/period
-    /// and service discipline.
-    pub fn new(capacity: Span, period: Span, discipline: QueueDiscipline) -> Self {
+    /// Creates an empty queue with the given service discipline.
+    pub fn new(discipline: QueueDiscipline) -> Self {
         PendingQueue {
             discipline,
-            server: ServerParams::new(capacity, period),
             slots: Vec::new(),
             index: CostIndex::default(),
             deadline_index: BinaryHeap::new(),
+            skipped: Vec::new(),
             live: 0,
-            packing_seed: None,
-            replayed_heads: Vec::new(),
         }
     }
 
-    /// The service discipline in use.
-    pub fn discipline(&self) -> QueueDiscipline {
-        self.discipline
-    }
-
-    /// Reconfigures the queue for new server parameters and/or a new service
-    /// discipline (the mode-change path). The packing reference belongs to
-    /// the old configuration, so it is invalidated — the next push reseeds
-    /// it against the new `(capacity, period)` pair. A discipline switch
+    /// Switches the service discipline (the mode-change path). A switch
     /// rebuilds the deadline heap over the live entries (O(n), paid once per
     /// mode change, never per dispatch).
-    pub fn set_server(&mut self, capacity: Span, period: Span, discipline: QueueDiscipline) {
-        self.server = ServerParams::new(capacity, period);
-        self.packing_seed = None;
-        self.replayed_heads.clear();
-        if discipline != self.discipline {
-            self.discipline = discipline;
-            self.deadline_index.clear();
-            if discipline == QueueDiscipline::DeadlineOrdered {
-                for (index, entry) in self.slots.iter().enumerate() {
-                    if let Some(release) = entry {
-                        self.deadline_index.push(Reverse((release.deadline, index)));
-                    }
+    pub fn set_discipline(&mut self, discipline: QueueDiscipline) {
+        if discipline == self.discipline {
+            return;
+        }
+        self.discipline = discipline;
+        self.deadline_index.clear();
+        if discipline == QueueDiscipline::DeadlineOrdered {
+            for (index, entry) in self.slots.iter().enumerate() {
+                if let Some(release) = entry {
+                    self.deadline_index.push(Reverse((release.deadline, index)));
                 }
             }
         }
     }
 
-    /// Reserves the slab, the cost tree and the replayed-head list for
-    /// `releases` pending releases, capped at the compaction threshold: past
-    /// it the slab compacts, or holds a live backlog that large and grows by
-    /// doubling, so the reservation stays independent of the horizon.
+    /// Reserves the slab and the cost tree for `releases` pending releases,
+    /// capped at the compaction threshold: past it the slab compacts, or
+    /// holds a live backlog that large and grows by doubling, so the
+    /// reservation stays independent of the horizon.
     pub(crate) fn reserve(&mut self, releases: usize) {
         let releases = releases.min(COMPACTION_THRESHOLD);
         self.slots.reserve(releases);
         self.index.reserve(releases);
-        self.replayed_heads.reserve(releases);
     }
 
     /// Moves `buffers` into this queue, which holds nothing yet.
@@ -303,7 +256,7 @@ impl PendingQueue {
         self.slots = buffers.slots;
         self.index.tree = buffers.tree;
         self.deadline_index = buffers.deadline_index;
-        self.replayed_heads = buffers.replayed_heads;
+        self.skipped = buffers.skipped;
     }
 
     /// Empties the queue and returns its buffers, in time proportional to
@@ -313,19 +266,19 @@ impl PendingQueue {
             mut slots,
             index,
             mut deadline_index,
-            mut replayed_heads,
+            skipped,
             ..
         } = self;
         let mut tree = index.tree;
         slots.clear();
         tree.clear();
         deadline_index.clear();
-        replayed_heads.clear();
+        debug_assert!(skipped.is_empty(), "a selection re-pushes what it skips");
         QueueBuffers {
             slots,
             tree,
             deadline_index,
-            replayed_heads,
+            skipped,
         }
     }
 
@@ -339,14 +292,8 @@ impl PendingQueue {
         self.live == 0
     }
 
-    /// Registers a release in O(log n). `now` and `remaining_capacity`
-    /// describe the server state at registration time; the first push after
-    /// an invalidation records them as the seed of the equation-(5) packing
-    /// that [`Self::predicted_slot`] replays.
-    pub fn push(&mut self, release: QueuedRelease, now: Instant, remaining_capacity: Span) {
-        if self.packing_seed.is_none() {
-            self.packing_seed = Some((now, remaining_capacity));
-        }
+    /// Registers a release in O(log n).
+    pub fn push(&mut self, release: QueuedRelease) {
         let cost = release.declared_cost().ticks().min(VACANT - 1);
         let index = self.index.push(cost);
         debug_assert_eq!(index, self.slots.len(), "slab and cost index in step");
@@ -362,38 +309,24 @@ impl PendingQueue {
         self.index.first_at_most(VACANT - 1)
     }
 
-    /// Removes slot `index`, maintaining the packing-staleness rule: the
-    /// packing reference survives only a strict head removal that leaves
-    /// the queue non-empty (an out-of-order removal breaks the packing, and
-    /// a drained queue's packing must be reseeded from live server state).
+    /// Removes slot `index`.
     fn take(&mut self, index: usize) -> QueuedRelease {
         let release = self.slots[index]
             .take()
             // rt-lint: allow(panic, reason = "take() is an internal helper whose callers pass indices of live slots; a dead slot is a queue-invariant bug")
             .expect("take() requires a live slot");
-        let was_head = self.index.remove(index);
+        self.index.remove(index);
         self.live -= 1;
         self.maybe_compact();
-        if !was_head || self.live == 0 {
-            self.packing_seed = None;
-            self.replayed_heads.clear();
-        } else if self.packing_seed.is_some() {
-            // An in-order head service keeps the packing valid; remember its
-            // cost so the replay still charges the capacity it consumed
-            // under the plan. While the packing is invalidated there is no
-            // plan to charge: the next push reseeds it after this service.
-            self.replayed_heads.push(release.declared_cost());
-        }
         release
     }
 
     /// Compacts the slab once dead slots dominate, so memory and every
-    /// O(slab) walk (`predicted_slot`, `iter`, `remove_event`) track the
-    /// *live* backlog, not the total arrivals of the run. The slab is
-    /// compacted in place, which keeps the live entries in arrival order, so
-    /// the packing reference — a function of that order only — stays valid;
-    /// the indexes are rebuilt into the buffers they already own, so a
-    /// compaction allocates nothing and each removal pays amortised O(1).
+    /// O(slab) walk (`iter`, `remove_event`) track the *live* backlog, not
+    /// the total arrivals of the run. The slab is compacted in place, which
+    /// keeps the live entries in arrival order; the indexes are rebuilt into
+    /// the buffers they already own, so a compaction allocates nothing and
+    /// each removal pays amortised O(1).
     fn maybe_compact(&mut self) {
         if self.live == 0 {
             self.slots.clear();
@@ -448,7 +381,9 @@ impl PendingQueue {
     /// Deadline-ordered selection: pops the deadline heap until a live entry
     /// fitting the budget is found, re-pushing the skipped (oversized but
     /// still pending) entries before the removal so a compaction triggered
-    /// by [`Self::take`] rebuilds a complete heap.
+    /// by [`Self::take`] rebuilds a complete heap. The skipped entries wait
+    /// in the queue's own buffer, so skipping allocates nothing once that
+    /// buffer has grown to the deepest skip.
     fn choose_next_by_deadline(&mut self, budget: Span) -> Option<QueuedRelease> {
         // The cost tree answers "does anything fit at all?" in O(log n):
         // without this guard an overloaded queue whose entries are all
@@ -456,7 +391,6 @@ impl PendingQueue {
         // every failed dispatch — the superlinear backlog behaviour the
         // indexed queue exists to prevent.
         self.index.first_at_most(budget.ticks())?;
-        let mut skipped: Vec<Reverse<(Instant, usize)>> = Vec::new();
         let mut found = None;
         while let Some(&Reverse((deadline, slot))) = self.deadline_index.peek() {
             // rt-lint: allow(panic, reason = "the entry was peeked non-empty in the loop condition")
@@ -477,11 +411,9 @@ impl PendingQueue {
                 found = Some(slot);
                 break;
             }
-            skipped.push(entry);
+            self.skipped.push(entry);
         }
-        for entry in skipped {
-            self.deadline_index.push(entry);
-        }
+        self.deadline_index.extend(self.skipped.drain(..));
         found.map(|slot| self.take(slot))
     }
 
@@ -504,41 +436,8 @@ impl PendingQueue {
         self.slots.iter().flatten()
     }
 
-    /// The equation-(5) slot predicted for a pending release, by replaying
-    /// the packing of the current backlog episode from its recorded seed:
-    /// first the heads already served in order (their capacity is spent
-    /// under the plan), then the live entries, until the event is reached.
-    /// O(n) per query; the admission plan of `rt-admission` keeps the same
-    /// packing incrementally instead.
-    ///
-    /// Returns `None` for events that are not pending, whose declared cost
-    /// exceeds the capacity (never servable by the non-resumable
-    /// implementation), or while the packing reference is invalidated
-    /// (between an out-of-order removal and the next push).
-    pub fn predicted_slot(&self, event: rt_model::EventId) -> Option<InstanceSlot> {
-        let (now, remaining) = self.packing_seed?;
-        let capacity = self.server.capacity;
-        let mut packer = InstancePacker::new(self.server, now, remaining);
-        for &cost in &self.replayed_heads {
-            if cost <= capacity {
-                packer.push(cost);
-            }
-        }
-        for release in self.iter() {
-            let cost = release.declared_cost();
-            if release.event == event {
-                return (cost <= capacity).then(|| packer.push(cost));
-            }
-            if cost <= capacity {
-                packer.push(cost);
-            }
-        }
-        None
-    }
-
     /// Removes a pending release by event id (the overload manager's abort
-    /// path), maintaining the same index and packing invariants as a service
-    /// removal. O(n) to locate the slot, O(log n) to remove it; aborts are
+    /// path), maintaining the same index invariants as a service removal. O(n) to locate the slot, O(log n) to remove it; aborts are
     /// rare decisions on the overload path, never per-dispatch work.
     pub fn remove_event(&mut self, event: rt_model::EventId) -> Option<QueuedRelease> {
         let index = self
@@ -564,7 +463,7 @@ mod tests {
     }
 
     fn queue_with(discipline: QueueDiscipline) -> PendingQueue {
-        PendingQueue::new(Span::from_units(4), Span::from_units(6), discipline)
+        PendingQueue::new(discipline)
     }
 
     fn queue() -> PendingQueue {
@@ -588,8 +487,8 @@ mod tests {
     #[test]
     fn fifo_with_skip_serves_the_first_fitting_handler() {
         let mut q = queue();
-        q.push(release(0, 3, 0), Instant::ZERO, Span::from_units(4));
-        q.push(release(1, 1, 1), Instant::ZERO, Span::from_units(4));
+        q.push(release(0, 3, 0));
+        q.push(release(1, 1, 1));
         // Remaining capacity 2: the first handler (cost 3) is skipped, the
         // second (cost 1) is served first — the paper's example verbatim.
         let chosen = q.choose_next(Span::from_units(2)).unwrap();
@@ -608,7 +507,7 @@ mod tests {
     #[test]
     fn choose_next_returns_none_when_nothing_fits() {
         let mut q = queue();
-        q.push(release(0, 3, 0), Instant::ZERO, Span::from_units(4));
+        q.push(release(0, 3, 0));
         assert!(q.choose_next(Span::from_units(2)).is_none());
         assert_eq!(q.len(), 1);
     }
@@ -616,8 +515,8 @@ mod tests {
     #[test]
     fn pop_front_ignores_costs() {
         let mut q = queue();
-        q.push(release(0, 4, 0), Instant::ZERO, Span::from_units(4));
-        q.push(release(1, 1, 0), Instant::ZERO, Span::from_units(4));
+        q.push(release(0, 4, 0));
+        q.push(release(1, 1, 0));
         assert_eq!(q.pop_front().unwrap().event, EventId::new(0));
         assert_eq!(q.pop_front().unwrap().event, EventId::new(1));
         assert!(q.pop_front().is_none());
@@ -627,11 +526,7 @@ mod tests {
     fn a_reserved_queue_grows_without_reallocating_up_to_the_cap() {
         let mut q = queue();
         q.reserve(10_000);
-        let (slab, tree, heads) = (
-            q.slots.capacity(),
-            q.index.tree.capacity(),
-            q.replayed_heads.capacity(),
-        );
+        let (slab, tree) = (q.slots.capacity(), q.index.tree.capacity());
         // Capped at the threshold (an allocator may round a capacity up).
         let capped = COMPACTION_THRESHOLD..2 * COMPACTION_THRESHOLD;
         assert!(capped.contains(&slab), "slab capacity {slab}");
@@ -639,21 +534,16 @@ mod tests {
             (2 * capped.start..2 * capped.end).contains(&tree),
             "tree capacity {tree}"
         );
-        assert!(capped.contains(&heads), "replayed-head capacity {heads}");
         // A backlog of the reserved size, then in-order head services.
         for i in 0..COMPACTION_THRESHOLD as u32 {
-            q.push(release(i, 1, 0), Instant::ZERO, Span::from_units(4));
+            q.push(release(i, 1, 0));
         }
         while q.len() > 1 {
             assert!(q.choose_next(Span::from_units(4)).is_some());
         }
         assert_eq!(
-            (
-                q.slots.capacity(),
-                q.index.tree.capacity(),
-                q.replayed_heads.capacity()
-            ),
-            (slab, tree, heads),
+            (q.slots.capacity(), q.index.tree.capacity()),
+            (slab, tree),
             "growth within the reservation must not reallocate"
         );
     }
@@ -665,9 +555,9 @@ mod tests {
         // through out of order (FIFO-with-skip): the slab must track the
         // live backlog, not the total arrivals.
         let mut q = queue();
-        q.push(release(0, 4, 0), Instant::ZERO, Span::from_units(4));
+        q.push(release(0, 4, 0));
         for i in 1..=2000u32 {
-            q.push(release(i, 1, i as u64), Instant::ZERO, Span::from_units(4));
+            q.push(release(i, 1, i as u64));
             let taken = q.choose_next(Span::from_units(1)).unwrap();
             assert_eq!(taken.event, EventId::new(i));
             assert_eq!(q.len(), 1);
@@ -689,21 +579,9 @@ mod tests {
     #[test]
     fn deadline_ordered_serves_the_most_urgent_fitting_release() {
         let mut q = deadline_queue();
-        q.push(
-            deadline_release(0, 2, 0, 20),
-            Instant::ZERO,
-            Span::from_units(4),
-        );
-        q.push(
-            deadline_release(1, 2, 1, 5),
-            Instant::ZERO,
-            Span::from_units(4),
-        );
-        q.push(
-            deadline_release(2, 2, 2, 10),
-            Instant::ZERO,
-            Span::from_units(4),
-        );
+        q.push(deadline_release(0, 2, 0, 20));
+        q.push(deadline_release(1, 2, 1, 5));
+        q.push(deadline_release(2, 2, 2, 10));
         // Deadlines: e0@20, e1@6, e2@12 — service order e1, e2, e0.
         for expected in [1u32, 2, 0] {
             assert_eq!(
@@ -717,16 +595,8 @@ mod tests {
     #[test]
     fn deadline_ordered_skips_oversized_urgent_entries_without_losing_them() {
         let mut q = deadline_queue();
-        q.push(
-            deadline_release(0, 4, 0, 3),
-            Instant::ZERO,
-            Span::from_units(4),
-        );
-        q.push(
-            deadline_release(1, 1, 1, 30),
-            Instant::ZERO,
-            Span::from_units(4),
-        );
+        q.push(deadline_release(0, 4, 0, 3));
+        q.push(deadline_release(1, 1, 1, 30));
         // Budget 2: the urgent cost-4 entry does not fit and is skipped; the
         // later-deadline cost-1 entry is served; the skipped one survives.
         assert_eq!(
@@ -761,8 +631,8 @@ mod tests {
                 if next_rand() % 3 != 0 {
                     let cost = 1 + next_rand() % 4;
                     at += next_rand() % 2;
-                    fifo.push(release(id, cost, at), Instant::ZERO, Span::from_units(4));
-                    edd.push(release(id, cost, at), Instant::ZERO, Span::from_units(4));
+                    fifo.push(release(id, cost, at));
+                    edd.push(release(id, cost, at));
                     id += 1;
                 } else {
                     let budget = Span::from_units(next_rand() % 5);
@@ -780,16 +650,8 @@ mod tests {
     fn deadline_ties_break_by_arrival_order() {
         let mut q = deadline_queue();
         // Same absolute deadline (release+deadline = 10) for both.
-        q.push(
-            deadline_release(0, 1, 2, 8),
-            Instant::ZERO,
-            Span::from_units(4),
-        );
-        q.push(
-            deadline_release(1, 1, 4, 6),
-            Instant::ZERO,
-            Span::from_units(4),
-        );
+        q.push(deadline_release(0, 1, 2, 8));
+        q.push(deadline_release(1, 1, 4, 6));
         assert_eq!(
             q.choose_next(Span::from_units(4)).unwrap().event,
             EventId::new(0),
@@ -803,17 +665,9 @@ mod tests {
         // rebuilt heap must keep serving by deadline with remapped slots.
         let mut q = deadline_queue();
         // A stuck oversized release with a *late* deadline.
-        q.push(
-            deadline_release(0, 4, 0, 500),
-            Instant::ZERO,
-            Span::from_units(4),
-        );
+        q.push(deadline_release(0, 4, 0, 500));
         for i in 1..=2000u32 {
-            q.push(
-                deadline_release(i, 1, i as u64, 3),
-                Instant::ZERO,
-                Span::from_units(4),
-            );
+            q.push(deadline_release(i, 1, i as u64, 3));
             let taken = q.choose_next(Span::from_units(1)).unwrap();
             assert_eq!(taken.event, EventId::new(i));
             assert_eq!(q.len(), 1);
@@ -839,7 +693,7 @@ mod tests {
         for discipline in [QueueDiscipline::FifoSkip, QueueDiscipline::DeadlineOrdered] {
             let mut q = queue_with(discipline);
             for i in 0..100u32 {
-                q.push(release(i, 2, i as u64), Instant::ZERO, Span::from_units(4));
+                q.push(release(i, 2, i as u64));
             }
             for _ in 0..100 {
                 assert!(q.choose_next(Span::from_units(4)).is_some());
@@ -849,7 +703,7 @@ mod tests {
             assert_eq!(q.index.len, 0, "{discipline:?}: cost index must be cleared");
             assert!(q.deadline_index.is_empty());
             // Push-after-full-drain: indexes restart consistently.
-            q.push(release(999, 1, 0), Instant::ZERO, Span::from_units(4));
+            q.push(release(999, 1, 0));
             assert_eq!(q.len(), 1);
             assert_eq!(
                 q.choose_next(Span::from_units(1)).unwrap().event,
@@ -863,7 +717,7 @@ mod tests {
         for discipline in [QueueDiscipline::FifoSkip, QueueDiscipline::DeadlineOrdered] {
             let mut q = queue_with(discipline);
             for i in 0..5u32 {
-                q.push(release(i, 3, i as u64), Instant::ZERO, Span::from_units(4));
+                q.push(release(i, 3, i as u64));
             }
             // Threshold smaller than every declared cost: no selection, no
             // structural damage, repeatedly.
@@ -888,19 +742,18 @@ mod tests {
         for discipline in [QueueDiscipline::FifoSkip, QueueDiscipline::DeadlineOrdered] {
             let mut q = queue_with(discipline);
             for i in 0..80u32 {
-                q.push(release(i, 2, i as u64), Instant::ZERO, Span::from_units(4));
+                q.push(release(i, 2, i as u64));
             }
             let emptied = std::iter::from_fn(|| q.pop_front()).count();
             assert_eq!(emptied, 80);
             assert!(q.is_empty());
-            // Everything restarts from slot 0 with a fresh packing seed.
-            q.push(release(100, 2, 0), Instant::from_units(7), Span::ZERO);
+            // Everything restarts from slot 0.
+            q.push(release(100, 2, 0));
             assert_eq!(q.len(), 1);
-            let slot = q.predicted_slot(EventId::new(100));
             assert_eq!(
-                slot.map(|s| (s.instance, s.prior_cost)),
-                Some((2, Span::ZERO)),
-                "{discipline:?}: the packing is reseeded once the queue empties"
+                (q.slots.len(), q.index.len),
+                (1, 1),
+                "{discipline:?}: the slab and the cost index restart at slot 0"
             );
             assert_eq!(
                 q.pop_front().unwrap().event,
@@ -929,7 +782,7 @@ mod tests {
             for _step in 0..200 {
                 if next_rand() % 3 != 0 {
                     let cost = 1 + next_rand() % 4;
-                    q.push(release(id, cost, 0), Instant::ZERO, Span::from_units(4));
+                    q.push(release(id, cost, 0));
                     reference.push((id, cost));
                     id += 1;
                 } else {
@@ -956,10 +809,7 @@ mod tests {
         // Hundreds of backlogs, each drained before the next refills the
         // queue: the tree `CostIndex::clear` keeps must select like a fresh
         // one, whether the backlog stayed under the compaction threshold or
-        // outgrew it. Each removal must also tell whether it took the head:
-        // an in-order service joins the replayed-head list while the packing
-        // is valid, and any other removal, or one that empties the queue,
-        // clears it and invalidates the packing until the next push.
+        // outgrew it.
         let mut seed = 0x0bad_cafe_f00d_1234u64;
         let mut next_rand = move || {
             seed ^= seed << 13;
@@ -969,176 +819,29 @@ mod tests {
         };
         let mut q = queue();
         let mut reference: Vec<(u32, u64)> = Vec::new();
-        let mut heads = 0usize;
         let mut id = 0u32;
         for cycle in 0..400 {
             let most = if cycle % 10 == 0 { 200 } else { 40 };
             for _ in 0..1 + next_rand() % most {
                 let cost = 1 + next_rand() % 4;
-                q.push(release(id, cost, 0), Instant::ZERO, Span::from_units(4));
+                q.push(release(id, cost, 0));
                 reference.push((id, cost));
                 id += 1;
             }
-            let mut valid = true;
             while !reference.is_empty() {
                 let budget = next_rand() % 5;
-                let position = reference.iter().position(|&(_, c)| c <= budget);
-                let expected = position.map(|p| reference.remove(p).0);
+                let expected = reference
+                    .iter()
+                    .position(|&(_, c)| c <= budget)
+                    .map(|p| reference.remove(p).0);
                 let got = q
                     .choose_next(Span::from_units(budget))
                     .map(|r| r.event.raw());
                 assert_eq!(got, expected, "cycle {cycle}");
-                if let Some(p) = position {
-                    valid &= p == 0 && !reference.is_empty();
-                    heads = if valid { heads + 1 } else { 0 };
-                }
-                assert_eq!(q.replayed_heads.len(), heads, "cycle {cycle}");
             }
             assert!(q.is_empty());
             assert_eq!(q.index.len, 0);
             assert!(q.index.cap <= COMPACTION_THRESHOLD, "cycle {cycle}");
-        }
-    }
-
-    #[test]
-    fn heads_served_while_the_packing_is_invalidated_are_not_replayed() {
-        // A skip invalidates the packing; the head served after it spent no
-        // capacity of the plan the next push seeds, so the replay must not
-        // charge it: at t=6 with the full capacity left, C and D share
-        // instance 1.
-        let mut q = queue();
-        for (id, cost) in [(0, 3), (1, 1), (2, 2)] {
-            q.push(release(id, cost, 0), Instant::ZERO, Span::from_units(4));
-        }
-        assert_eq!(
-            q.choose_next(Span::from_units(1)).unwrap().event,
-            EventId::new(1)
-        );
-        assert_eq!(q.pop_front().unwrap().event, EventId::new(0));
-        assert_eq!(q.predicted_slot(EventId::new(2)), None);
-        q.push(
-            release(3, 2, 6),
-            Instant::from_units(6),
-            Span::from_units(4),
-        );
-        let slot = |event| {
-            q.predicted_slot(EventId::new(event))
-                .map(|s| (s.instance, s.prior_cost))
-        };
-        assert_eq!(slot(2), Some((1, Span::ZERO)));
-        assert_eq!(slot(3), Some((1, Span::from_units(2))));
-    }
-
-    /// The §7 list of lists, kept beside a queue as the oracle of its
-    /// replay: an [`InstancePacker`] records each release's slot when it is
-    /// pushed. At the first push after the queue empties or a removal skips
-    /// the head, the packer is rebuilt from the live queue, seeded with the
-    /// server state of that push, and the survivors' slots are recorded
-    /// again as it packs them.
-    struct PackingOracle {
-        server: ServerParams,
-        packer: Option<InstancePacker>,
-        /// `(event, declared cost, recorded slot)` per pending release, in
-        /// arrival order.
-        pending: Vec<(EventId, Span, Option<InstanceSlot>)>,
-    }
-
-    impl PackingOracle {
-        fn new(queue: &PendingQueue) -> Self {
-            PackingOracle {
-                server: queue.server,
-                packer: None,
-                pending: Vec::new(),
-            }
-        }
-
-        fn pushed(&mut self, release: &QueuedRelease, now: Instant, remaining: Span) {
-            let capacity = self.server.capacity;
-            let packer = self.packer.get_or_insert_with(|| {
-                let mut packer = InstancePacker::new(self.server, now, remaining);
-                for (_, cost, slot) in &mut self.pending {
-                    *slot = (*cost <= capacity).then(|| packer.push(*cost));
-                }
-                packer
-            });
-            let cost = release.declared_cost();
-            let slot = (cost <= capacity).then(|| packer.push(cost));
-            self.pending.push((release.event, cost, slot));
-        }
-
-        fn removed(&mut self, release: &QueuedRelease) {
-            let position = self
-                .pending
-                .iter()
-                .position(|&(event, ..)| event == release.event)
-                .expect("the queue removed a pending release");
-            self.pending.remove(position);
-            if position > 0 || self.pending.is_empty() {
-                self.packer = None;
-            }
-        }
-    }
-
-    #[test]
-    fn predicted_slots_match_the_list_of_lists_packing() {
-        // Random push / choose_next / pop_front interleavings under both
-        // disciplines, with costs up to one above the capacity and the
-        // server state at each push drawn afresh: every pending release is
-        // predicted the slot the oracle recorded, and no slot at all only
-        // between a removal that skipped the head and the next push.
-        let mut seed = 0x5eed_0f19_83ab_cdefu64;
-        let mut next_rand = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for case in 0..200 {
-            let discipline = if case % 2 == 0 {
-                QueueDiscipline::FifoSkip
-            } else {
-                QueueDiscipline::DeadlineOrdered
-            };
-            let mut q = queue_with(discipline);
-            let mut oracle = PackingOracle::new(&q);
-            let (mut id, mut now) = (0u32, 0u64);
-            for step in 0..60 {
-                match next_rand() % 4 {
-                    0 | 1 => {
-                        now += next_rand() % 4;
-                        let cost = 1 + next_rand() % 5;
-                        let deadline = 1 + next_rand() % 20;
-                        let r = deadline_release(id, cost, now, deadline);
-                        let remaining = Span::from_units(next_rand() % 5);
-                        oracle.pushed(&r, Instant::from_units(now), remaining);
-                        q.push(r, Instant::from_units(now), remaining);
-                        id += 1;
-                    }
-                    2 => {
-                        let budget = Span::from_units(next_rand() % 5);
-                        if let Some(r) = q.choose_next(budget) {
-                            oracle.removed(&r);
-                        }
-                    }
-                    _ => {
-                        if let Some(r) = q.pop_front() {
-                            oracle.removed(&r);
-                        }
-                    }
-                }
-                let valid = oracle.packer.is_some();
-                for &(event, cost, recorded) in &oracle.pending {
-                    let predicted = q.predicted_slot(event);
-                    let context =
-                        format!("case {case} step {step}, event {event:?} of cost {cost}");
-                    if valid {
-                        assert_eq!(predicted, recorded, "{context}");
-                    } else {
-                        assert_eq!(predicted, None, "{context}: the packing is invalidated");
-                    }
-                }
-                assert_eq!(q.len(), oracle.pending.len());
-            }
         }
     }
 }

@@ -307,7 +307,7 @@ mod tests {
     /// Queues `handler`'s release of event `id` at `at`, in slot `id`.
     fn push_handler(world: &mut World, id: u32, handler: ServableHandler, at: Instant) {
         let release = QueuedRelease::new(EventId::new(id), handler, at).in_slot(id as usize);
-        world.lanes[0].released(release, at);
+        world.lanes[0].released(release);
     }
 
     fn push(world: &mut World, id: u32, cost: u64, at: u64) {

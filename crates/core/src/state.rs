@@ -11,13 +11,11 @@
 //! the servable events and the replenishment hooks reach their lane by
 //! index through their context. Decisions return what they decided; that
 //! owner stores each fate in its outcome slot table and reports it to its
-//! probe. A lane keeps no log of its own, so [`ServerShared::released`]
-//! also serves a standalone lane (the on-line admission example drives
-//! one).
+//! probe. A lane keeps no log of its own.
 //!
 //! The pending-events list is the paper's FIFO list ([`PendingQueue`]). The
 //! §7 list of lists that prices an arrival in O(1),
-//! [`rt_analysis::InstancePacker`], runs in the lane's admission machine
+//! `rt_analysis::InstancePacker`, runs in the lane's admission machine
 //! ([`ServerAdmission`]), which decides before the queue sees the release.
 
 use crate::handler::QueuedRelease;
@@ -117,7 +115,7 @@ impl ServerShared {
         discipline: QueueDiscipline,
         admission: AdmissionPolicy,
     ) -> Self {
-        let queue = PendingQueue::new(params.capacity, params.period, discipline);
+        let queue = PendingQueue::new(discipline);
         let machine = if policy == ServerPolicyKind::Background {
             ServerAdmission::accept_all()
         } else {
@@ -199,9 +197,9 @@ impl ServerShared {
         } else if change.capacity.is_some() {
             self.remaining = self.remaining.min(self.params.capacity);
         }
-        let discipline = change.discipline.unwrap_or(self.queue.discipline());
-        self.queue
-            .set_server(self.params.capacity, self.params.period, discipline);
+        if let Some(discipline) = change.discipline {
+            self.queue.set_discipline(discipline);
+        }
         // Rebuild the admission machine under the (possibly new) configured
         // policy. The backlog already admitted is grandfathered: it stays
         // queued and the fresh machine starts with no virtual entries.
@@ -230,11 +228,7 @@ impl ServerShared {
     /// [`crate::framework`]). Under the default
     /// [`AdmissionPolicy::AcceptAll`] this is exactly the pre-admission
     /// behaviour (always admitted, nothing displaced).
-    ///
-    /// The equation-(5) slot of an admitted release is available afterwards
-    /// through [`PendingQueue::predicted_slot`] or
-    /// [`crate::admission::predicted_response`].
-    pub fn released(&mut self, release: QueuedRelease, now: Instant) -> bool {
+    pub fn released(&mut self, release: QueuedRelease) -> bool {
         let mut aborted = std::mem::take(&mut self.aborted_scratch);
         let (accepted, _prediction) = self.admission.on_arrival_into(
             &ArrivingEvent {
@@ -258,7 +252,7 @@ impl ServerShared {
         aborted.clear();
         self.aborted_scratch = aborted;
         if accepted {
-            self.queue.push(release, now, self.remaining);
+            self.queue.push(release);
         }
         accepted
     }
@@ -281,7 +275,7 @@ impl ServerShared {
     ///   next period of the server, the time budget associated with the event
     ///   is equal to the remaining capacity plus the total capacity", §4.2).
     /// * Background servicing: unlimited.
-    pub fn granted_budget(&self, release: &QueuedRelease, now: Instant) -> Span {
+    fn granted_budget(&self, release: &QueuedRelease, now: Instant) -> Span {
         match self.policy {
             ServerPolicyKind::Background => Span::MAX,
             ServerPolicyKind::Polling | ServerPolicyKind::Sporadic => self.remaining,
@@ -504,13 +498,13 @@ mod tests {
         let mut s = shared(ServerPolicyKind::Deferrable);
         s.remaining = Span::from_units(1);
         s.next_replenishment = Instant::from_units(6);
-        s.released(release(0, 2, 5), Instant::from_units(5));
+        s.released(release(0, 2, 5));
         // At t=5 the boundary rule grants 1 + 4 = 5 ≥ 2: chosen.
         let granted = s.choose_next(Instant::from_units(5)).unwrap();
         assert_eq!(granted.release.event, EventId::new(0));
         assert_eq!(granted.granted, Span::from_units(5));
         // Same state but analysed at t=1: nothing is servable.
-        s.released(release(1, 2, 0), Instant::from_units(0));
+        s.released(release(1, 2, 0));
         assert!(s.choose_next(Instant::from_units(1)).is_none());
     }
 
@@ -518,8 +512,8 @@ mod tests {
     fn polling_choose_skips_oversized_releases() {
         let mut s = shared(ServerPolicyKind::Polling);
         s.remaining = Span::from_units(2);
-        s.released(release(0, 3, 0), Instant::ZERO);
-        s.released(release(1, 1, 1), Instant::ZERO);
+        s.released(release(0, 3, 0));
+        s.released(release(1, 1, 1));
         let granted = s.choose_next(Instant::from_units(6)).unwrap();
         assert_eq!(
             granted.release.event,
@@ -531,7 +525,7 @@ mod tests {
     #[test]
     fn background_serves_fifo_without_budget() {
         let mut s = shared(ServerPolicyKind::Background);
-        s.released(release(0, 50, 0), Instant::ZERO);
+        s.released(release(0, 50, 0));
         let granted = s.choose_next(Instant::ZERO).unwrap();
         assert_eq!(granted.granted, Span::MAX);
         s.consume(Span::from_units(50));
@@ -576,15 +570,15 @@ mod tests {
             }
             QueuedRelease::new(EventId::new(id), handler, Instant::ZERO)
         };
-        assert!(s.released(valued(0, 1, None), Instant::ZERO));
-        assert!(s.released(valued(1, 1, None), Instant::ZERO));
+        assert!(s.released(valued(0, 1, None)));
+        assert!(s.released(valued(1, 1, None)));
         assert!(s.displaced().is_empty());
         let dense = valued(2, 1_000_000, Some(10));
-        assert!(s.released(dense, Instant::ZERO));
+        assert!(s.released(dense));
         assert_eq!(s.displaced(), [valued(1, 1, None)]);
         let queued: Vec<EventId> = s.queue.iter().map(|r| r.event).collect();
         assert_eq!(queued, [EventId::new(0), EventId::new(2)]);
-        assert!(!s.released(valued(3, 1, Some(10)), Instant::ZERO));
+        assert!(!s.released(valued(3, 1, Some(10))));
         assert!(s.displaced().is_empty());
         assert_eq!(s.queue.len(), 2);
     }

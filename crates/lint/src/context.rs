@@ -10,7 +10,7 @@
 //!   reason is mandatory and must be non-empty.
 //! * `allow-file(<lint-id>, reason = "...")` — suppresses the lint for the
 //!   whole file. Reserved for files whose *purpose* conflicts with a lint
-//!   (e.g. the wall-clock execution mode vs. the determinism lint).
+//!   (e.g. a module that reads the machine clock vs. the determinism lint).
 //! * `time-arith-clamp(<Lhs> <op> <Rhs>)` — only meaningful in
 //!   `rt-model::time`: declares one operator impl as a measurement-only
 //!   clamp. The set of declared forms *is* the L1 whitelist; the lint

@@ -13,6 +13,7 @@
 //! | `panic`       | no `unwrap`/`expect` in library code                 |
 //! | `unsafe`      | `unsafe` needs a written reason; unsafe-free crates keep `#![forbid(unsafe_code)]` |
 //! | `suppression` | rt-lint's own directives are well-formed and reasons are mandatory |
+//! | `unread-pub`  | every `pub` item of library code is named by some other file (the pipeline benchmark's sources included) |
 //!
 //! The tool is hand-rolled (lexer + token-pattern visitors, std only) to
 //! match the workspace's offline compat-shim policy: no crates.io
@@ -20,11 +21,11 @@
 //!
 //! Suppression policy: `// rt-lint: allow(<lint>, reason = "...")` on the
 //! finding's line or the line above; `allow-file(...)` at most once per
-//! lint for whole-file exemptions (e.g. the wall-clock demo executor vs.
-//! `determinism`). Reasons are mandatory and checked. Grandfathered
-//! findings can be parked in `lint.baseline` (`path:line:lint-id` lines);
-//! stale entries are themselves findings, and this repo ships with the
-//! baseline **empty**.
+//! lint for whole-file exemptions (e.g. a module whose purpose is reading
+//! the machine clock vs. `determinism`). Reasons are mandatory and checked.
+//! Grandfathered findings can be parked in `lint.baseline`
+//! (`path:line:lint-id` lines); stale entries are themselves findings, so
+//! the baseline only shrinks. It holds `unread-pub` entries only.
 
 #![forbid(unsafe_code)]
 
@@ -96,18 +97,21 @@ impl Report {
 pub fn lint_sources(inputs: &[Input], baseline: Option<&str>) -> Report {
     let mut report = Report::default();
 
-    // Pass 1: lex + directives for every file.
+    // Pass 1: lex + directives for every file; the reader-only files are
+    // lexed into the unread-pub census and nothing else.
     let mut ctxs: Vec<FileCtx> = Vec::new();
+    let mut census = lints::unread_pub::Census::default();
     for input in inputs {
+        if walk::is_reader_only(&input.path) {
+            census.add(&lexer::lex(&input.src));
+            continue;
+        }
         let Some((kind, crate_dir)) = walk::classify(&input.path) else {
             continue;
         };
-        ctxs.push(FileCtx::new(
-            input.path.clone(),
-            kind,
-            crate_dir,
-            &input.src,
-        ));
+        let ctx = FileCtx::new(input.path.clone(), kind, crate_dir, &input.src);
+        census.add(&ctx.lexed);
+        ctxs.push(ctx);
     }
     report.files_scanned = ctxs.len();
 
@@ -155,6 +159,7 @@ pub fn lint_sources(inputs: &[Input], baseline: Option<&str>) -> Report {
         lints::time_arith::run(ctx, &index, out);
         lints::determinism::run(ctx, out);
         lints::panic_policy::run(ctx, out);
+        lints::unread_pub::run(ctx, &census, out);
         for region in lints::zero_alloc::run(ctx, out) {
             report.regions.push((ctx.path.clone(), region));
         }

@@ -10,12 +10,11 @@
 //! default `RandomState` — per-process random seeds) and wall-clock reads
 //! (`std::time`, `SystemTime`), plus thread-identity / environment leaks
 //! and per-thread state (`thread_local!`), which a later run on the same
-//! thread could read. This lint forbids them in the engine crates outright;
-//! intentionally wall-clock-driven modules (the demo wallclock executor) opt
-//! out with `allow-file(determinism, reason = ...)` so the exception is
-//! documented at the top of the file it covers, and the per-thread scratch
-//! of the run entry points, which holds capacity only, carries a reasoned
-//! `allow` at its declaration.
+//! thread could read. This lint forbids them in the engine crates outright.
+//! The one exception there, the per-thread scratch of the run entry points,
+//! which holds capacity only, carries a reasoned `allow` at its
+//! declaration; a module whose purpose is the machine clock would opt out
+//! with `allow-file(determinism, reason = ...)` at its top, and none does.
 
 use crate::context::{FileCtx, FileKind};
 use crate::diag::{Finding, Lint};

@@ -37,8 +37,9 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "rt-lint: workspace static-analysis pass\n\n\
                      USAGE: rt-lint [--deny-warnings] [--root PATH] [--list-regions] [--quiet]\n\n\
-                     Lints: time-arith, determinism, zero-alloc, panic, unsafe, suppression.\n\
-                     Baseline: lint.baseline at the workspace root (ships empty)."
+                     Lints: time-arith, determinism, zero-alloc, panic, unsafe, suppression,\n\
+                     unread-pub.\n\
+                     Baseline: lint.baseline at the workspace root (shrink-only)."
                 );
                 std::process::exit(0);
             }

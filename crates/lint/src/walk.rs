@@ -2,25 +2,30 @@
 //!
 //! The walker is deliberately dumb and deterministic: it collects every
 //! `.rs` file under the workspace root except `target/` and hidden
-//! directories, sorted by path, and classifies each one by its path shape.
-//! No Cargo metadata is consulted — the linter must work on a tree that
-//! does not currently compile.
+//! directories, sorted by path, that is either classified by its path shape
+//! or only read (the pipeline benchmark's sources, see
+//! [`is_reader_only`]). No Cargo metadata is consulted — the linter must
+//! work on a tree that does not currently compile.
 
 use crate::context::FileKind;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// A discovered source file with its workspace-relative classification.
+/// A discovered source file.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
     /// Workspace-relative `/`-separated path.
     pub rel_path: String,
     pub abs_path: PathBuf,
-    pub kind: FileKind,
-    /// Crate directory (`crates/<name>`, `crates/compat/<name>`, or `"."`
-    /// for the facade crate at the root).
-    pub crate_dir: String,
+}
+
+/// True for the files rt-lint reads but does not lint: the sources and
+/// tests of the pipeline benchmark, its own workspace, whose uses of the
+/// library count for the `unread-pub` census.
+pub fn is_reader_only(rel_path: &str) -> bool {
+    rel_path.ends_with(".rs")
+        && (rel_path.starts_with("perfbench/src/") || rel_path.starts_with("perfbench/tests/"))
 }
 
 /// Classifies a workspace-relative path; `None` for files rt-lint does not
@@ -61,7 +66,8 @@ pub fn classify(rel_path: &str) -> Option<(FileKind, String)> {
     Some((kind, crate_dir))
 }
 
-/// Walks the workspace and returns every lintable source file, path-sorted.
+/// Walks the workspace and returns every lintable or reader-only source
+/// file, path-sorted.
 pub fn discover(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -81,12 +87,10 @@ pub fn discover(root: &Path) -> io::Result<Vec<SourceFile>> {
                 stack.push(path);
             } else if name.ends_with(".rs") {
                 let rel = crate::diag::display_path(root, &path);
-                if let Some((kind, crate_dir)) = classify(&rel) {
+                if classify(&rel).is_some() || is_reader_only(&rel) {
                     files.push(SourceFile {
                         rel_path: rel,
                         abs_path: path,
-                        kind,
-                        crate_dir,
                     });
                 }
             }

@@ -7,9 +7,12 @@ use rt_lint::{lint_sources, Input, Lint, Report};
 
 /// A minimal stand-in for `rt-model::time`: declares the clamp whitelist so
 /// the time-arith lint has policed operator forms, and the time newtypes so
-/// the workspace index sees them declared somewhere.
+/// the workspace index sees them declared somewhere. Most fixture sets name
+/// neither type elsewhere, so the newtypes carry `unread-pub` allows.
 const TIME_FIXTURE: &str = "#![forbid(unsafe_code)]\n\
+     // rt-lint: allow(unread-pub, reason = \"fixture stand-in\")\n\
      pub struct Instant(u64);\n\
+     // rt-lint: allow(unread-pub, reason = \"fixture stand-in\")\n\
      pub struct Span(u64);\n\
      // rt-lint: time-arith-clamp(Instant - Instant)\n\
      // rt-lint: time-arith-clamp(Instant - Span)\n\
@@ -26,8 +29,24 @@ fn lint_with_time(path: &str, src: &str) -> Report {
     )
 }
 
+/// Active findings as `(lint id, line)`, `unread-pub` aside: a fixture set
+/// of one or two files has no readers, so that lint would flag every `pub`
+/// item in it. Its own fixtures use [`unread`].
 fn ids(report: &Report) -> Vec<(&'static str, u32)> {
-    report.active().map(|f| (f.lint.id(), f.line)).collect()
+    report
+        .active()
+        .filter(|f| f.lint != Lint::UnreadPub)
+        .map(|f| (f.lint.id(), f.line))
+        .collect()
+}
+
+/// Active `unread-pub` findings as `(path, line)`.
+fn unread(report: &Report) -> Vec<(&str, u32)> {
+    report
+        .active()
+        .filter(|f| f.lint == Lint::UnreadPub)
+        .map(|f| (f.path.as_str(), f.line))
+        .collect()
 }
 
 #[test]
@@ -146,10 +165,10 @@ fn determinism_fires_on_wall_clock_reads() {
              std::time::Instant::now()\n\
          }\n",
     );
+    let found = ids(&report);
     assert!(
-        report.active().all(|f| f.lint == Lint::Determinism) && report.active_count() >= 2,
-        "expected determinism findings, got {:?}",
-        ids(&report)
+        found.iter().all(|(id, _)| *id == "determinism") && found.len() >= 2,
+        "expected determinism findings, got {found:?}"
     );
 }
 
@@ -401,6 +420,8 @@ fn baseline_downgrades_matching_findings_and_flags_stale_entries() {
                  *v.first().unwrap()\n\
              }\n",
         ),
+        // Reads `get`, so the panic finding is the only one.
+        Input::new("crates/core/tests/get.rs", "fn t() { get(&[1]); }\n"),
     ];
 
     // Matching entry: the finding is reported but no longer gates.
@@ -420,4 +441,103 @@ fn baseline_downgrades_matching_findings_and_flags_stale_entries() {
     // Malformed line: reported, nothing suppressed.
     let report = lint_sources(&inputs, Some("not-a-baseline-line\n"));
     assert_eq!(report.active_count(), 2);
+}
+
+#[test]
+fn unread_pub_fires_on_an_item_only_its_own_file_names() {
+    let report = lint_with_time(
+        "crates/core/src/queue.rs",
+        "pub fn lonely() {}\n\
+         pub struct Solo;\n\
+         fn caller() -> Solo { lonely(); Solo }\n",
+    );
+    assert_eq!(
+        unread(&report),
+        vec![
+            ("crates/core/src/queue.rs", 1),
+            ("crates/core/src/queue.rs", 2)
+        ]
+    );
+}
+
+#[test]
+fn unread_pub_counts_a_reader_in_another_crate() {
+    let report = lint_sources(
+        &[
+            Input::new("crates/model/src/time.rs", TIME_FIXTURE),
+            Input::new("crates/core/src/queue.rs", "pub fn pop() {}\n"),
+            Input::new(
+                "crates/rtss/src/driver.rs",
+                "fn f() { rt_taskserver::pop(); }\n",
+            ),
+        ],
+        None,
+    );
+    assert_eq!(unread(&report), Vec::<(&str, u32)>::new());
+}
+
+#[test]
+fn unread_pub_counts_a_reader_only_in_perfbench_and_does_not_lint_it() {
+    let report = lint_sources(
+        &[
+            Input::new("crates/model/src/time.rs", TIME_FIXTURE),
+            Input::new("crates/model/src/system.rs", "pub fn ready() {}\n"),
+            Input::new(
+                "perfbench/src/workload.rs",
+                "pub fn bench_only() { rt_model::ready(); Some(1).unwrap(); }\n",
+            ),
+        ],
+        None,
+    );
+    assert_eq!(unread(&report), Vec::<(&str, u32)>::new());
+    assert_eq!(ids(&report), Vec::<(&str, u32)>::new());
+    assert_eq!(report.files_scanned, 2, "perfbench is read, not linted");
+}
+
+#[test]
+fn unread_pub_does_not_count_comments_or_strings() {
+    let report = lint_sources(
+        &[
+            Input::new("crates/model/src/time.rs", TIME_FIXTURE),
+            Input::new("crates/core/src/ghost.rs", "pub struct Ghost;\n"),
+            Input::new(
+                "tests/ghost.rs",
+                "// A `Ghost` in a comment.\n\
+                 fn t() { let _ = \"Ghost\"; }\n",
+            ),
+        ],
+        None,
+    );
+    assert_eq!(unread(&report), vec![("crates/core/src/ghost.rs", 1)]);
+}
+
+#[test]
+fn unread_pub_honours_a_reasoned_allow() {
+    let report = lint_with_time(
+        "crates/core/src/kept.rs",
+        "// rt-lint: allow(unread-pub, reason = \"the paper's vocabulary\")\n\
+         pub fn kept() {}\n\
+         // rt-lint: allow(unread-pub)\n\
+         pub fn unexplained() {}\n",
+    );
+    assert_eq!(unread(&report), vec![("crates/core/src/kept.rs", 4)]);
+    assert_eq!(ids(&report), vec![("suppression", 3)]);
+}
+
+#[test]
+fn unread_pub_exempts_compat_shims_rt_lint_and_test_code() {
+    for path in [
+        "crates/compat/rand/src/rng.rs",
+        "crates/lint/src/diag.rs",
+        "crates/core/tests/any.rs",
+        "crates/core/examples/any.rs",
+    ] {
+        let report = lint_with_time(path, "pub fn unused() {}\n");
+        assert_eq!(unread(&report), Vec::<(&str, u32)>::new(), "path {path}");
+    }
+    let report = lint_with_time(
+        "crates/core/src/queue.rs",
+        "#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n",
+    );
+    assert_eq!(unread(&report), Vec::<(&str, u32)>::new());
 }

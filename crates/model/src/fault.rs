@@ -161,7 +161,7 @@ impl ModeChange {
     }
 
     /// True when the record changes nothing.
-    pub fn is_noop(&self) -> bool {
+    fn is_noop(&self) -> bool {
         self.capacity.is_none()
             && self.period.is_none()
             && self.policy.is_none()
@@ -391,9 +391,9 @@ impl FaultPlan {
                 periods[m.server] = p;
             }
             // A capacity-limited lane must keep a well-formed configuration:
-            // both engines rebuild their admission machines (and the exec
-            // side its equation-(5) packing parameters) from the resulting
-            // `(capacity, period)` pair, which requires capacity ≤ period.
+            // both engines rebuild their admission machines from the
+            // resulting `(capacity, period)` pair, which requires
+            // capacity ≤ period.
             if resulting != ServerPolicyKind::Background && capacities[m.server] > periods[m.server]
             {
                 return Err(ModelError::invalid(format!(

@@ -1,5 +1,5 @@
 //! Strongly-typed identifiers for the entities manipulated across the
-//! workspace: periodic tasks, aperiodic events, event handlers and servers.
+//! workspace: periodic tasks, aperiodic events and event handlers.
 //!
 //! Using newtypes instead of bare integers prevents the classic simulator bug
 //! of indexing the periodic-task table with an aperiodic event id (and vice
@@ -65,55 +65,6 @@ define_id!(
     "h"
 );
 
-define_id!(
-    /// Identifier of an aperiodic task server instance.
-    ServerId,
-    "srv"
-);
-
-define_id!(
-    /// Identifier of a single released job (one activation of a task, one
-    /// occurrence of an aperiodic event).
-    JobId,
-    "job"
-);
-
-/// Allocates monotonically increasing identifiers of one kind.
-///
-/// Engines and builders use one allocator per id family so that identifiers
-/// double as dense indices into per-entity tables.
-#[derive(Debug, Clone, Default)]
-pub struct IdAllocator {
-    next: u32,
-}
-
-impl IdAllocator {
-    /// Creates an allocator starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the next raw id and advances the counter.
-    ///
-    /// # Panics
-    /// Panics if more than `u32::MAX` ids are allocated, which would indicate
-    /// a runaway generation loop.
-    pub fn next_raw(&mut self) -> u32 {
-        let id = self.next;
-        self.next = self
-            .next
-            .checked_add(1)
-            // rt-lint: allow(panic, reason = "exhausting the u32 identifier space would need four billion registrations; aborting beats silently reusing ids")
-            .expect("identifier space exhausted");
-        id
-    }
-
-    /// Number of identifiers handed out so far.
-    pub fn allocated(&self) -> u32 {
-        self.next
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,8 +74,6 @@ mod tests {
         assert_eq!(TaskId::new(1).to_string(), "tau1");
         assert_eq!(EventId::new(2).to_string(), "e2");
         assert_eq!(HandlerId::new(3).to_string(), "h3");
-        assert_eq!(ServerId::new(0).to_string(), "srv0");
-        assert_eq!(JobId::new(7).to_string(), "job7");
     }
 
     #[test]
@@ -132,14 +81,5 @@ mod tests {
         assert!(TaskId::new(1) < TaskId::new(2));
         assert_eq!(EventId::from(5).raw(), 5);
         assert_eq!(HandlerId::new(4).index(), 4);
-    }
-
-    #[test]
-    fn allocator_is_monotonic() {
-        let mut alloc = IdAllocator::new();
-        assert_eq!(alloc.next_raw(), 0);
-        assert_eq!(alloc.next_raw(), 1);
-        assert_eq!(alloc.next_raw(), 2);
-        assert_eq!(alloc.allocated(), 3);
     }
 }

@@ -3,7 +3,7 @@
 //! Common vocabulary for the reproduction of *"The Design and Implementation
 //! of Real-time Event-based Applications with RTSJ"* (Masson & Midonnet,
 //! 2007): virtual time, priorities, task/event descriptors, complete system
-//! specifications, runtime jobs and execution traces.
+//! specifications and execution traces.
 //!
 //! Every other crate of the workspace depends on this one:
 //!
@@ -23,7 +23,6 @@
 pub mod error;
 pub mod fault;
 pub mod ids;
-pub mod job;
 pub mod priority;
 pub mod system;
 pub mod task;
@@ -32,8 +31,7 @@ pub mod trace;
 
 pub use error::ModelError;
 pub use fault::{ArrivalFault, CostOverrun, FaultPlan, ModeChange, OverrunTable};
-pub use ids::{EventId, HandlerId, IdAllocator, JobId, ServerId, TaskId};
-pub use job::{Job, JobSource, JobState};
+pub use ids::{EventId, HandlerId, TaskId};
 pub use priority::{
     deadline_monotonic, rate_monotonic, Priority, SchedulingPolicy, SymbolicPriority,
 };
@@ -139,43 +137,6 @@ mod proptests {
                             "shorter period must not get lower priority"
                         );
                     }
-                }
-            }
-        }
-    }
-
-    /// A job executed in arbitrary valid slices always completes with a
-    /// response time equal to (last slice end − release).
-    #[test]
-    fn job_slice_execution_completes() {
-        let mut rng = StdRng::seed_from_u64(0x5EED_0205);
-        for _ in 0..CASES {
-            let work = Span::from_units(rng.gen_range(1u64..50));
-            let slice_count = rng.gen_range(1u64..20) as usize;
-            let slices: Vec<u64> = (0..slice_count).map(|_| rng.gen_range(1u64..10)).collect();
-            let release = Instant::from_units(3);
-            let mut job = Job::new(
-                JobId::new(0),
-                JobSource::Aperiodic {
-                    event: EventId::new(0),
-                },
-                release,
-                work,
-            );
-            let mut now = release;
-            let mut done = Span::ZERO;
-            for s in slices {
-                if !job.is_runnable() {
-                    break;
-                }
-                let slice = Span::from_units(s).min(job.remaining);
-                now += Span::from_units(1); // arbitrary gap
-                let finished = job.execute(now, slice);
-                done += slice;
-                now += slice;
-                if finished {
-                    assert_eq!(done, work);
-                    assert_eq!(job.response_time(), Some(now - release));
                 }
             }
         }

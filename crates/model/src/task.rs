@@ -2,8 +2,8 @@
 //! aperiodic-server specifications.
 //!
 //! These are *specifications* (what the paper calls the task set properties,
-//! Table 1), not runtime state. Runtime job state lives in [`crate::job`],
-//! and what actually happened during a run lives in [`crate::trace`].
+//! Table 1), not runtime state: each engine keeps its own, and what actually
+//! happened during a run lives in [`crate::trace`].
 
 use crate::ids::{EventId, HandlerId, TaskId};
 use crate::priority::Priority;

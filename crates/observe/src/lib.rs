@@ -21,11 +21,12 @@
 //!   (release → dispatch → slice → completion, keyed by execution unit)
 //!   and [`span::chrome_trace_json`] renders them as Chrome trace-event /
 //!   Perfetto JSON for flamegraph UIs, labelling a task by its spec name
-//!   and a handler by its event id ([`UnitNames`]);
-//! * wall-clock profiling stays behind the injectable
-//!   [`clock::ClockSource`] seam (the `rtsj::wallclock` idiom), so the
-//!   engine crates remain free of machine-clock reads and rt-lint's
-//!   determinism pass stays clean.
+//!   and a handler by its event id ([`UnitNames`]).
+//!
+//! Everything here is virtual time: the crate reads no machine clock, so
+//! rt-lint's determinism pass holds for it like for the engines. Wall-clock
+//! attribution of a run's time is measured from outside the engines, by
+//! the pipeline benchmark's spans (`perfbench`).
 //!
 //! Probes observe; they never decide. A probe cannot return values into an
 //! engine, so a recording run's canonical trace is byte-identical to the
@@ -35,10 +36,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod span;
 
-pub use clock::{ClockSource, NullClock, WallClock};
 pub use span::{chrome_trace_json, SpanProbe, UnitNames};
 
 use rt_metrics::TickHistogram;
@@ -227,7 +226,7 @@ impl Counters {
 /// more lanes fold the excess lanes into the last histogram (the paper's
 /// systems have at most three servers; the cap exists so recording can stay
 /// allocation-free without `attach` being mandatory).
-pub const MAX_LANE_HISTOGRAMS: usize = 8;
+const MAX_LANE_HISTOGRAMS: usize = 8;
 
 /// The metrics-recording probe: counters plus preallocated virtual-time
 /// histograms, in `rt-metrics` form.
@@ -245,8 +244,7 @@ pub struct MetricsProbe {
     pub queue_depth: TickHistogram,
     /// Processor-slice lengths, in ticks.
     pub slice_len: TickHistogram,
-    /// Per-lane backlog histograms (lane index capped at
-    /// [`MAX_LANE_HISTOGRAMS`]`- 1`).
+    /// Per-lane backlog histograms; lanes past the last one fold into it.
     pub lane_backlog: [TickHistogram; MAX_LANE_HISTOGRAMS],
     /// Number of lanes the probe was attached to.
     pub lanes: usize,

@@ -5,9 +5,7 @@
 //! implementation. This crate provides the corresponding substrate for the
 //! Rust reproduction:
 //!
-//! * [`params`] — the RTSJ parameter objects (`PriorityParameters`,
-//!   `ReleaseParameters`, `ProcessingGroupParameters`, and the paper's
-//!   `TaskServerParameters`);
+//! * [`params`] — the paper's `TaskServerParameters`;
 //! * [`body`] — the coroutine-style protocol ([`body::ThreadBody`]) through
 //!   which schedulable objects describe their behaviour to the engine,
 //!   covering `waitForNextPeriod`, event waits and `Timed.doInterruptible`,
@@ -20,9 +18,7 @@
 //!   hooks share state without co-owning it;
 //! * [`overhead`] — the explicit runtime-cost model that recreates the
 //!   execution-vs-simulation gap measured by the paper;
-//! * [`handlers`] — ready-made bodies for periodic real-time threads and
-//!   event-bound handlers;
-//! * [`wallclock`] — an optional real-thread demonstration runner.
+//! * [`handlers`] — the ready-made body of a periodic real-time thread.
 //!
 //! The task-server framework itself (the paper's contribution) lives in the
 //! `rt-taskserver` crate and is built entirely on this API.
@@ -73,15 +69,12 @@ pub mod engine;
 pub mod handlers;
 pub mod overhead;
 pub mod params;
-pub mod wallclock;
 
 pub use body::{Action, BodyCtx, Completion, ThreadBody};
 pub use engine::{Engine, EngineConfig, EventHandle, FireCtx, ThreadHandle, World};
-pub use handlers::{BoundHandlerBody, HandlerRun, PeriodicThreadBody};
+pub use handlers::PeriodicThreadBody;
 pub use overhead::OverheadModel;
-pub use params::{
-    PriorityParameters, ProcessingGroupParameters, ReleaseParameters, TaskServerParameters,
-};
+pub use params::TaskServerParameters;
 
 #[cfg(test)]
 mod proptests {
@@ -90,6 +83,7 @@ mod proptests {
     //! deterministic random cases instead of shrinking strategies.
 
     use super::*;
+    use crate::handlers::tests::{bound_handler, Runs};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rt_model::{ExecUnit, Instant, Priority, Span, TaskId};
@@ -180,25 +174,26 @@ mod proptests {
         }
     }
 
-    /// Determinism: two identical engines produce identical traces.
+    /// Determinism: two identical engines produce identical traces, and
+    /// their bound handler logs the same runs.
     #[test]
     fn engine_is_deterministic() {
         let mut rng = StdRng::seed_from_u64(0x5EED_0302);
         for _ in 0..CASES {
             let workers = random_workers(&mut rng);
             let build = || {
-                let mut engine = Engine::new(
+                let mut engine = Engine::with_world(
                     EngineConfig::new(Instant::from_units(40))
                         .with_overhead(OverheadModel::reference()),
+                    Runs::default(),
                 );
                 let event = engine.create_event();
                 engine.add_periodic_timer(Instant::from_units(1), Span::from_units(7), event);
-                let (body, _runs) = BoundHandlerBody::new(
-                    event,
-                    Span::from_units(1),
-                    ExecUnit::Handler(rt_model::EventId::new(0)),
+                engine.spawn(
+                    "handler",
+                    Priority::new(95),
+                    bound_handler(event, Span::from_units(1)),
                 );
-                engine.spawn("handler", Priority::new(95), Box::new(body));
                 for (i, (prio, cost, period)) in workers.iter().enumerate() {
                     engine.spawn_periodic(
                         format!("w{i}"),
@@ -211,7 +206,7 @@ mod proptests {
                         )),
                     );
                 }
-                engine.run()
+                engine.run_with_world()
             };
             assert_eq!(build(), build());
         }

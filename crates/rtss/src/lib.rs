@@ -13,9 +13,12 @@
 //!   a driver specialized per server-policy kind × scheduling policy;
 //! * [`simulate_reference`] — the seed's linear-scan loop, the deliberately
 //!   simple oracle the specialized driver is pinned against byte-for-byte;
-//! * [`simulate_dover`] — the D-OVER policy of the RTSS policy menu, EDF
-//!   with overload shedding over periodic and aperiodic jobs and no server;
 //! * [`gantt`] — ASCII and SVG temporal diagrams.
+//!
+//! RTSS's policy menu also lists D-OVER ("Preemptive Fixed Priority, EDF
+//! and D-OVER", §5), which the paper never evaluates; the simulator leaves
+//! it out. The value-density drop rule an overloaded lane can run is the
+//! admission policy `rt_model::AdmissionPolicy::ValueDensity`.
 //!
 //! ```
 //! use rt_model::{Instant, Priority, ServerPolicyKind, ServerSpec, Span, SystemSpec};
@@ -36,14 +39,12 @@
 #![warn(missing_docs)]
 
 mod driver;
-pub mod dynamic;
 pub mod engine;
 pub mod gantt;
 mod scratch;
 pub mod server;
 mod tables;
 
-pub use dynamic::simulate_dover;
 pub use engine::{simulate, simulate_reference, simulate_with_probe};
 pub use gantt::{render_ascii, render_svg, GanttOptions};
 pub use server::{

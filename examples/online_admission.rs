@@ -5,30 +5,21 @@
 //! query if the on-line response-time computation of equations (1)–(4),
 //! performed at arrival time, predicts that the requirement can be met by the
 //! polling server. Each admitted query is then priced by equation (5), from
-//! the slot it holds in the packing of the server's FIFO backlog.
+//! the slot it takes in the §7 list of lists of the server's FIFO backlog
+//! (`InstancePacker`).
 //!
 //! ```sh
 //! cargo run --example online_admission
 //! ```
 
-use rt_model::{EventId, HandlerId};
+use rtsj_event_framework::analysis::{textbook_ps_response_time, InstancePacker, ServerParams};
 use rtsj_event_framework::prelude::*;
-use rtsj_event_framework::taskserver::{
-    predicted_response, textbook_prediction, QueuedRelease, ServableHandler, ServerShared,
-};
 
 fn main() {
     // A polling server with capacity 4 / period 6 at the top priority.
-    let params =
-        TaskServerParameters::new(Span::from_units(4), Span::from_units(6), Priority::new(30));
-    let mut shared = ServerShared::new(
-        params,
-        ServerPolicyKind::Polling,
-        OverheadModel::none(),
-        rtsj_event_framework::model::QueueDiscipline::FifoSkip,
-    );
+    let server = ServerParams::new(Span::from_units(4), Span::from_units(6));
     // Operators will only wait 15 time units for an answer.
-    let controller = AdmissionController::new(Span::from_units(15));
+    let ceiling = Span::from_units(15);
 
     // Queries arriving back-to-back at t = 1 with varied costs.
     let queries: [(u32, f64); 8] = [
@@ -42,6 +33,11 @@ fn main() {
         (7, 1.5),
     ];
     let now = Instant::from_units(1);
+    // Nothing has run yet: the server still holds its full capacity, and
+    // the admitted backlog is packed from the instance current at `now`.
+    let remaining = server.capacity;
+    let mut packer = InstancePacker::new(server, now, remaining);
+    let mut pending = Span::ZERO;
 
     println!("admission decisions at t = {now} (ceiling: 15 tu)");
     println!(
@@ -51,26 +47,18 @@ fn main() {
     let mut admitted = 0usize;
     for (id, cost_units) in queries {
         let cost = Span::from_units_f64(cost_units);
-        // Prediction for the *textbook* polling server, equations (1)–(4).
-        let textbook = textbook_prediction(&shared, now, cost);
-        // Decision against the ceiling.
-        let accept = controller.admit(&shared, now, cost);
-        if accept {
-            // Register the query with the server's pending queue.
-            shared.released(
-                QueuedRelease::new(
-                    EventId::new(id),
-                    ServableHandler::new(HandlerId::new(id), cost),
-                    now,
-                ),
-                now,
-            );
+        // Prediction for the *textbook* polling server, equations (1)–(4),
+        // with the admitted backlog ahead of the query; the decision is
+        // taken against the ceiling.
+        let textbook = textbook_ps_response_time(server, now, remaining, pending + cost, now);
+        let accept = textbook <= ceiling;
+        // Equation (5) from the slot an admitted query takes in the packing
+        // of the backlog.
+        let implementation = accept.then(|| {
+            pending += cost;
             admitted += 1;
-        }
-        // Equation (5) prediction from the query's slot in the packing of
-        // the backlog (only for admitted queries, which are the ones
-        // actually pending).
-        let implementation = predicted_response(&shared, EventId::new(id));
+            packer.push(cost).response_time(server, now)
+        });
         println!(
             "{:>6} {:>8} {:>12} {:>12} {:>10}",
             format!("q{id}"),
@@ -82,12 +70,7 @@ fn main() {
     }
     println!("\nadmitted {admitted}/{} queries", queries.len());
     println!(
-        "pending work after admission: {} events, {} tu declared",
-        shared.queue.len(),
-        shared
-            .queue
-            .iter()
-            .map(|r| r.declared_cost().as_units())
-            .sum::<f64>()
+        "pending work after admission: {admitted} events, {} tu declared",
+        pending.as_units()
     );
 }

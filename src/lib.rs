@@ -17,7 +17,7 @@
 //! | [`model`] | `rt-model` | time, priorities, task/event descriptors, system specs, traces |
 //! | [`analysis`] | `rt-analysis` | utilisation bounds, RTA, server analysis, on-line equations (1)–(5), EDF tests |
 //! | [`admission`] | `rt-admission` | on-line admission control & overload management shared by both engines |
-//! | [`simulator`] | `rtss-sim` | the RTSS discrete-event simulator (FP/EDF/D-OVER, textbook PS/DS/BG servers, Gantt) |
+//! | [`simulator`] | `rtss-sim` | the RTSS discrete-event simulator (FP/EDF, textbook PS/DS/BG/SS servers, Gantt) |
 //! | [`sysgen`] | `rt-sysgen` | the random real-time system generator |
 //! | [`rtsj`] | `rtsj-emu` | the RTSJ substrate emulation and virtual-time execution engine |
 //! | [`taskserver`] | `rt-taskserver` | **the paper's contribution**: the task-server framework |
@@ -77,9 +77,7 @@ pub mod prelude {
         PeriodicTask, Priority, ServerPolicyKind, ServerSpec, Span, SystemSpec, Trace,
     };
     pub use rt_sysgen::{GeneratorParams, RandomSystemGenerator};
-    pub use rt_taskserver::{
-        execute, execute_reference, AdmissionController, ExecutionConfig, TaskServerParameters,
-    };
+    pub use rt_taskserver::{execute, execute_reference, ExecutionConfig, TaskServerParameters};
     pub use rtsj_emu::OverheadModel;
     pub use rtss_sim::{render_ascii, render_svg, simulate, simulate_reference, GanttOptions};
 }

@@ -1,6 +1,6 @@
 //! Differential tests for the admission/overload subsystem.
 //!
-//! Three guarantees are pinned here:
+//! Four guarantees are pinned here:
 //!
 //! 1. **AcceptAll is invisible** — stamping the default admission policy on
 //!    a system (even one carrying deadlines and value tags) produces traces
@@ -18,9 +18,12 @@
 //!    among accepted events on both engines** (fixed priorities, ideal
 //!    overheads — the regime where the §7 prediction is exact/conservative),
 //!    while `AcceptAll` thrashes on the same traffic.
+//! 4. **The value-density record** — on a fixed valued burst, every fate
+//!    the `ValueDensity` drop rule hands out is pinned by event.
 
 use rtsj_event_framework::model::{
-    AdmissionPolicy, Instant, Priority, SchedulingPolicy, ServerSpec, Span, SystemSpec, Trace,
+    AdmissionPolicy, AperiodicFate, EventId, Instant, Priority, QueueDiscipline, SchedulingPolicy,
+    ServerPolicyKind, ServerSpec, Span, SystemSpec, Trace,
 };
 use rtsj_event_framework::observe::MetricsProbe;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
@@ -293,8 +296,6 @@ fn value_density_displacement_is_recorded_and_pays_off() {
 /// byte-exactly on both engines and their reference oracles.
 #[test]
 fn an_overrun_abort_releases_its_equation5_slot() {
-    use rtsj_event_framework::model::AperiodicFate;
-
     let mut b = SystemSpec::builder("abort-releases-slot");
     b.server(
         ServerSpec::polling(Span::from_units(3), Span::from_units(6), Priority::new(30))
@@ -352,4 +353,132 @@ fn an_overrun_abort_releases_its_equation5_slot() {
             .filter(|o| o.event != e0)
             .all(|o| o.completed_by_deadline()));
     }
+}
+
+/// A valued overload burst under EDF: the Table 1 periodic pair (utilization
+/// 1/2), a (3,6) deadline-ordered polling server under `ValueDensity`
+/// admission, and a front-loaded aperiodic burst worth far more than the
+/// server's bandwidth (demand 16 over [0, 24) against 3 per 6). Every event
+/// carries a deadline and a value tag, with densities from 0.5 to 6 so the
+/// victim ordering is unambiguous.
+fn valued_burst() -> SystemSpec {
+    let mut b = SystemSpec::builder("value-density-burst");
+    b.server(ServerSpec {
+        policy: ServerPolicyKind::Polling,
+        capacity: Span::from_units(3),
+        period: Span::from_units(6),
+        priority: Priority::new(30),
+        discipline: QueueDiscipline::DeadlineOrdered,
+        admission: AdmissionPolicy::ValueDensity,
+    });
+    b.periodic(
+        "tau1",
+        Span::from_units(2),
+        Span::from_units(6),
+        Priority::new(20),
+    );
+    b.periodic(
+        "tau2",
+        Span::from_units(1),
+        Span::from_units(6),
+        Priority::new(10),
+    );
+    // (release, cost, relative deadline, value).
+    for &(release, cost, deadline, value) in &[
+        (0u64, 2u64, 6u64, 2u64), // e0: density 1, first comer
+        (1, 2, 6, 12),            // e1: density 6, the burst's crown jewel
+        (2, 3, 9, 3),             // e2: density 1, bulky
+        (3, 1, 4, 4),             // e3: density 4, tight deadline
+        (8, 2, 8, 1),             // e4: density 0.5, the designated victim
+        (9, 2, 6, 8),             // e5: density 4
+        (14, 2, 10, 2),           // e6: density 1
+        (20, 2, 8, 6),            // e7: density 3
+    ] {
+        b.aperiodic(Instant::from_units(release), Span::from_units(cost));
+        let event = b.last_aperiodic_mut().expect("event just added");
+        event.relative_deadline = Some(Span::from_units(deadline));
+        event.value = value;
+    }
+    b.scheduling(SchedulingPolicy::Edf);
+    b.horizon(Instant::from_units(36));
+    b.build().expect("the valued burst is a valid system")
+}
+
+/// The value-density drop rule decides at arrival only: an event is
+/// rejected on the spot or admitted, and an admitted backlog entry is
+/// aborted only when a denser arrival displaces it. On the valued burst the
+/// lane's complete accept/drop record is pinned, so any drift in the rule
+/// moves a named event to another tag (`S` served, `R` rejected at arrival,
+/// `A` aborted from the backlog).
+#[test]
+fn value_density_fates_are_pinned_on_a_valued_burst() {
+    let spec = valued_burst();
+    let lane = simulate(&spec);
+    let fates: Vec<String> = lane
+        .outcomes
+        .iter()
+        .map(|o| {
+            let tag = match o.fate {
+                AperiodicFate::Served { .. } => 'S',
+                AperiodicFate::Unserved => 'U',
+                AperiodicFate::Rejected { .. } => 'R',
+                AperiodicFate::Aborted { .. } => 'A',
+                AperiodicFate::Interrupted { .. } => 'I',
+            };
+            format!("e{}:{tag}", o.event.raw())
+        })
+        .collect();
+    assert_eq!(fates.join(" "), "e0:S e1:R e2:A e3:S e4:A e5:S e6:S e7:S");
+    let fate_of = |id: u32| {
+        lane.outcomes
+            .iter()
+            .find(|o| o.event == EventId::new(id))
+            .expect("every event has an outcome")
+            .fate
+    };
+    // e1, the burst's most valuable event, is refused the moment it
+    // arrives: with 3 units per 6 and the backlog already committed, no
+    // displacement can make its deadline feasible. The first comer e0 was
+    // admitted before the burst revealed itself and is served; the
+    // designated victim e4 is displaced when e5 arrives.
+    assert_eq!(
+        fate_of(1),
+        AperiodicFate::Rejected {
+            at: Instant::from_units(1)
+        }
+    );
+    assert!(matches!(fate_of(0), AperiodicFate::Served { .. }));
+    assert!(matches!(fate_of(4), AperiodicFate::Aborted { .. }));
+    // Every loss is a named admission decision, never a horizon leftover,
+    // and every event served completes by its deadline.
+    let served: Vec<u32> = lane
+        .outcomes
+        .iter()
+        .filter(|o| o.is_served())
+        .map(|o| o.event.raw())
+        .collect();
+    assert_eq!(served, [0, 3, 5, 6, 7]);
+    let accrued: u64 = lane
+        .outcomes
+        .iter()
+        .filter(|o| o.is_served())
+        .map(|o| o.value)
+        .sum();
+    assert_eq!(accrued, 22);
+    for o in &lane.outcomes {
+        assert!(
+            o.is_served() || o.is_rejected() || o.is_aborted(),
+            "e{} lost without an admission decision: {:?}",
+            o.event.raw(),
+            o.fate
+        );
+        assert!(
+            !o.is_served() || o.completed_by_deadline(),
+            "served event e{} finished late",
+            o.event.raw()
+        );
+    }
+    // The periodic tasks run outside the server and stay clean.
+    assert_eq!(lane.periodic_jobs.len(), 12);
+    assert_eq!(lane.periodic_deadline_misses(), 0);
 }

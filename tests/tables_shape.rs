@@ -66,10 +66,12 @@ fn executions_serve_no_more_than_simulations() {
     assert!(shape::dominates_on_asr(&t4, &t5), "\n{t4}\n{t5}");
     // "The served ratios [of the DS executions] are very close to the
     // simulations ones, that validates our implementations of task servers."
-    // The paper reports DS execution ASR within ~0.1 of its simulation; with
-    // our generator (different PRNG draws behind the same seed) the largest
-    // per-set gap observed is 0.20, still far below the PS gap, so a 0.25
-    // ceiling captures the "very close" claim without being brittle.
+    // The paper reports DS execution ASR within ~0.1 of its simulation. At
+    // seed 1983 the reproduction's largest per-set gap is 0.21 (set (1,2)),
+    // still far below the PS gap, so a 0.25 ceiling captures the "very
+    // close" claim at this seed. Across seeds it is fragile: over seeds
+    // 1983–2182 (the four tables at ten systems per set) it holds at 106
+    // of 200 seeds, 53%.
     for (sim, exec) in t4.asr_row().iter().zip(t5.asr_row()) {
         assert!(
             sim - exec < 0.25,
@@ -102,12 +104,14 @@ fn heterogeneous_executions_have_lower_aart_than_their_simulations_at_high_densi
     let sim = t2.aart_row();
     let exec = t3.aart_row();
     // Sets (2,2) and (3,2) are the last two columns. At the highest density
-    // the effect is unambiguous. At (2,2) the reproduction is deterministic
-    // but lands ~0.3% ON THE WRONG SIDE of parity under the in-tree rand
-    // shim's PRNG stream (exec 11.21 vs sim 11.18; the real-rand stream the
-    // published numbers came from lands below). The 2% band deliberately
-    // accepts that known deviation while still catching any real regression
-    // of the shape; tighten it if the generator's stream ever changes.
+    // the effect is unambiguous. At (2,2), seed 1983 lands ~0.3% on the
+    // wrong side of parity (exec 11.21 vs sim 11.18), and that is not the
+    // PRNG stream's doing: over seeds 1983–2182 (the four tables at ten
+    // systems per set) exec < sim holds at 155 of 200 seeds (77.5%) and
+    // exec < 1.02 × sim at 177 (88.5%), with seed 1983 among the misses of
+    // the first. The 2% band accepts this seed's miss while still catching
+    // a real regression of the shape; a change to the generator's stream
+    // can trip it at about the rate above.
     assert!(
         exec[4] < sim[4] * 1.02,
         "set (2,2): execution {} vs simulation {}",
