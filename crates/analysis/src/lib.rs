@@ -6,7 +6,7 @@
 //! * [`utilization`] — utilisation-based sufficient tests (Liu & Layland,
 //!   hyperbolic bound, deferrable-server bound);
 //! * [`rta`] — exact response-time analysis for preemptive fixed priorities,
-//!   with release jitter and blocking;
+//!   with release jitter;
 //! * [`server`] — folding a Polling or Deferrable server into the periodic
 //!   analysis, and dimensioning helpers;
 //! * [`aperiodic`] — the paper's §7 on-line response-time equations (1)–(5)

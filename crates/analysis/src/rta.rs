@@ -7,14 +7,16 @@
 //! Joseph & Pandya / Audsley formulation with release jitter:
 //!
 //! ```text
-//! R_i = C_i + B_i + Σ_{j ∈ hp(i)} ⌈ (R_i + J_j) / T_j ⌉ · C_j
+//! R_i = C_i + Σ_{j ∈ hp(i)} ⌈ (R_i + J_j) / T_j ⌉ · C_j
 //! ```
 //!
 //! Release jitter is what lets the same code analyse a Deferrable Server:
 //! a DS of capacity `C_s` and period `T_s` behaves, from the point of view of
 //! lower-priority tasks, like a periodic task with jitter `T_s − C_s`
 //! (it may execute back-to-back at the end of one period and the start of
-//! the next). See [`crate::server`].
+//! the next). See [`crate::server`]. The jitter models interference only:
+//! the DS is not released late, so a task's own jitter does not enter its
+//! own response time.
 
 use rt_model::{Priority, Span};
 
@@ -31,15 +33,13 @@ pub struct AnalysisTask {
     pub deadline: Span,
     /// Fixed priority (higher value = higher priority).
     pub priority: Priority,
-    /// Release jitter.
+    /// Release jitter the task imposes on lower-priority tasks (the DS
+    /// back-to-back effect); it does not delay the task's own response.
     pub jitter: Span,
-    /// Blocking from lower-priority tasks (resource access); zero here since
-    /// the paper's systems are independent.
-    pub blocking: Span,
 }
 
 impl AnalysisTask {
-    /// Creates an implicit-deadline task with no jitter and no blocking.
+    /// Creates an implicit-deadline task with no jitter.
     pub fn new(name: impl Into<String>, cost: Span, period: Span, priority: Priority) -> Self {
         AnalysisTask {
             name: name.into(),
@@ -48,7 +48,6 @@ impl AnalysisTask {
             deadline: period,
             priority,
             jitter: Span::ZERO,
-            blocking: Span::ZERO,
         }
     }
 
@@ -64,12 +63,6 @@ impl AnalysisTask {
         self
     }
 
-    /// Sets the blocking term.
-    pub fn with_blocking(mut self, blocking: Span) -> Self {
-        self.blocking = blocking;
-        self
-    }
-
     /// Converts a [`rt_model::PeriodicTask`] descriptor.
     pub fn from_periodic(task: &rt_model::PeriodicTask) -> Self {
         AnalysisTask {
@@ -79,7 +72,6 @@ impl AnalysisTask {
             deadline: task.deadline,
             priority: task.priority,
             jitter: Span::ZERO,
-            blocking: Span::ZERO,
         }
     }
 }
@@ -98,7 +90,7 @@ pub struct TaskResponse {
 
 impl TaskResponse {
     /// True when a finite response time exists and meets the deadline.
-    pub fn is_schedulable(&self) -> bool {
+    fn is_schedulable(&self) -> bool {
         matches!(self.response_time, Some(r) if r <= self.deadline)
     }
 }
@@ -132,16 +124,18 @@ const MAX_ITERATIONS: u32 = 100_000;
 
 /// Worst-case response time of one task given the set of strictly
 /// higher-priority tasks, solving the jitter-aware recurrence by fixed-point
-/// iteration. Returns `None` when the demand never stabilises within the
-/// task's deadline-bounded search window (unschedulable).
+/// iteration: the higher-priority tasks' jitter widens their interference,
+/// and the task's own jitter is left out. Returns `None` when the demand
+/// never stabilises within the task's deadline-bounded search window
+/// (unschedulable).
 pub fn response_time(task: &AnalysisTask, higher_priority: &[AnalysisTask]) -> Option<Span> {
     // The search is abandoned once the candidate response exceeds the
     // deadline and the period: past that point the task is unschedulable
     // for the purpose of a feasibility verdict.
     let give_up = task.deadline.max(task.period).saturating_mul(1_000);
-    let mut r = task.cost + task.blocking;
+    let mut r = task.cost;
     for _ in 0..MAX_ITERATIONS {
-        let mut demand = task.cost + task.blocking;
+        let mut demand = task.cost;
         for hp in higher_priority {
             if hp.period.is_zero() {
                 return None;
@@ -150,7 +144,7 @@ pub fn response_time(task: &AnalysisTask, higher_priority: &[AnalysisTask]) -> O
             demand += hp.cost.saturating_mul(interference_jobs);
         }
         if demand == r {
-            return Some(r + task.jitter);
+            return Some(r);
         }
         if demand > give_up {
             return None;
@@ -269,18 +263,9 @@ mod tests {
     }
 
     #[test]
-    fn own_jitter_is_added_to_the_response() {
-        // Convention: the reported response time is measured from the
-        // theoretical release, so the task's own jitter is added on top of
-        // the busy-window length (R = w + J_self).
+    fn own_jitter_only_delays_lower_priority_tasks() {
         let task = t("j", 2, 20, 10).with_jitter(Span::from_units(3));
-        assert_eq!(response_time(&task, &[]), Some(Span::from_units(5)));
-    }
-
-    #[test]
-    fn blocking_term_is_accounted() {
-        let task = t("b", 2, 10, 20).with_blocking(Span::from_units(3));
-        assert_eq!(response_time(&task, &[]), Some(Span::from_units(5)));
+        assert_eq!(response_time(&task, &[]), Some(Span::from_units(2)));
     }
 
     #[test]

@@ -209,6 +209,21 @@ mod tests {
         assert_eq!(eq.jitter, Span::from_units(3));
     }
 
+    /// Regression: a DS below another server is judged by its busy window
+    /// alone. Its back-to-back jitter (9 tu here) widens only what it
+    /// inflicts on the entries below it; added to its own response, it made
+    /// the DS "respond" in 11 tu against its 10 tu deadline.
+    #[test]
+    fn a_deferrable_server_below_another_server_meets_its_own_deadline() {
+        let ps = ServerSpec::polling(Span::from_units(1), Span::from_units(10), Priority::new(30));
+        let ds =
+            ServerSpec::deferrable(Span::from_units(1), Span::from_units(10), Priority::new(29));
+        let servers = [ps, ds];
+        let result = analyse_with_servers(&[], &servers);
+        assert_eq!(result.response_of("server(DS)"), Some(Span::from_units(2)));
+        assert!(periodic_set_feasible_with_servers(&[], &servers));
+    }
+
     #[test]
     fn paper_example_is_feasible_with_polling_server() {
         let s = ServerSpec::polling(Span::from_units(3), Span::from_units(6), Priority::new(30));

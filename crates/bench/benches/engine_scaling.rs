@@ -81,7 +81,9 @@ use rt_model::{
     SystemSpec, Trace,
 };
 use rt_observe::{MetricsProbe, NoopProbe};
-use rt_taskserver::{execute, execute_reference, execute_with_probe, ExecutionConfig};
+use rt_taskserver::{
+    execute, execute_reference, execute_with_probe, ExecutionConfig, ExecutionPlan,
+};
 use rtss_sim::{simulate, simulate_reference, simulate_with_probe};
 use std::hint::black_box;
 
@@ -218,8 +220,8 @@ impl Rows {
     /// plan: validation, event planning and the substrate analysis are paid
     /// once, and every run drives the execution driver alone.
     fn execution(&mut self, group: &str, config: &str, spec: &SystemSpec) {
-        let compiled = compile(spec);
-        let plan = compiled.execution_plan(&ExecutionConfig::reference());
+        let plan = ExecutionPlan::prepare(spec, &ExecutionConfig::reference())
+            .expect("bench systems are valid");
         self.compare(
             group,
             vec![

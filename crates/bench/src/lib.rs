@@ -8,8 +8,9 @@
 //! library holds what the binary and the tests share:
 //!
 //! * [`BenchRecord`] and the hand-rolled JSON of the trajectory
-//!   ([`render_bench_trajectory`], [`parse_bench_trajectory`]) — hand-rolled
-//!   because the offline workspace has no JSON library;
+//!   ([`render_bench_trajectory`], and a parser the snapshot test reads it
+//!   back with) — hand-rolled because the offline workspace has no JSON
+//!   library;
 //! * [`GROUPS`], the groups a full run measures, and [`GATES`] with
 //!   [`gate_failures`], every bound the benchmark asserts. The binary checks
 //!   its fresh rows against them, and a unit test checks the snapshot.
@@ -59,6 +60,7 @@ pub const GROUPS: [&str; 10] = [
 /// An asserted bound: within `group`, the `row` may cost at most
 /// `max_ratio` times the `base` row per decision.
 #[derive(Debug, Clone, Copy)]
+// rt-lint: allow(unread-pub, reason = "the element type of GATES, which the bench binary reads")
 pub struct Gate {
     /// Group both rows belong to.
     pub group: &'static str,
@@ -211,7 +213,7 @@ pub fn render_bench_trajectory(records: &[BenchRecord]) -> String {
     out
 }
 
-/// Minimal JSON cursor for [`parse_bench_trajectory`]: just enough grammar
+/// Minimal JSON cursor for the trajectory parser: just enough grammar
 /// (objects, arrays, strings, numbers) for the trajectory file, with byte
 /// offsets in error messages.
 struct JsonCursor<'a> {
@@ -318,6 +320,7 @@ impl<'a> JsonCursor<'a> {
 /// the file carries. Returned by [`validate_chrome_trace`] so callers can
 /// assert the trace is non-trivial, not just well-formed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// rt-lint: allow(unread-pub, reason = "the return type of validate_chrome_trace, which perfbench and the trace parse-check call")
 pub struct ChromeTraceSummary {
     /// Number of `ph:"X"` complete events.
     pub spans: usize,
@@ -479,8 +482,9 @@ fn parse_trace_event(cursor: &mut JsonCursor<'_>) -> Result<TraceEventFields, St
 
 /// Parses a trajectory file produced by [`render_bench_trajectory`], checking
 /// the header fields and that every record carries the four expected keys
-/// with finite numbers.
-pub fn parse_bench_trajectory(text: &str) -> Result<Vec<BenchRecord>, String> {
+/// with finite numbers. Only the tests read a trajectory back.
+#[cfg(test)]
+fn parse_bench_trajectory(text: &str) -> Result<Vec<BenchRecord>, String> {
     let mut cursor = JsonCursor::new(text);
     cursor.eat(b'{')?;
     let mut records: Option<Vec<BenchRecord>> = None;
@@ -529,6 +533,7 @@ pub fn parse_bench_trajectory(text: &str) -> Result<Vec<BenchRecord>, String> {
     records.ok_or_else(|| "missing \"records\" array".into())
 }
 
+#[cfg(test)]
 fn parse_record(cursor: &mut JsonCursor<'_>) -> Result<BenchRecord, String> {
     cursor.eat(b'{')?;
     let (mut group, mut config) = (None, None);

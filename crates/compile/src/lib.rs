@@ -1,4 +1,4 @@
-//! # rt-compile — validate once, execute many times
+//! # rt-compile — validate a spec's structure once
 //!
 //! Specialization is not a mode beside the engines, it *is* the engines
 //! (after RTFM: "let the hardware do the bulk of the scheduling"):
@@ -9,18 +9,16 @@
 //! keeps one deliberately simple reference oracle beside its fast engine
 //! (`rtss_sim::simulate_reference`, `rt_taskserver::execute_reference`).
 //!
-//! What remains here is a thin front-end for callers that execute one spec
-//! repeatedly: [`CompiledSystem::compile`] validates the spec's structure
-//! and resolves its arrival faults once, borrowing the spec when it has
-//! none — O(tasks + servers), no per-event work or allocation — and
-//! [`CompiledSystem::execution_plan`] skips the O(events) validation that
-//! `rt_taskserver::execute` repeats per call.
+//! What remains here is a thin front-end: [`CompiledSystem::compile`]
+//! validates the spec's structure and resolves its arrival faults once,
+//! borrowing the spec when it has none — O(tasks + servers), no per-event
+//! work or allocation. A caller that executes one spec repeatedly prepares
+//! an `rt_taskserver::ExecutionPlan` of it once and reruns the plan.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use rt_model::{ModelError, SystemSpec};
-use rt_taskserver::{ExecutionConfig, ExecutionPlan};
 use std::borrow::Cow;
 
 /// A structurally validated [`SystemSpec`] with its arrival faults
@@ -30,7 +28,7 @@ use std::borrow::Cow;
 /// ```
 /// use rt_model::{Instant, Priority, ServerSpec, Span, SystemSpec};
 /// use rt_compile::CompiledSystem;
-/// use rt_taskserver::{execute, ExecutionConfig};
+/// use rt_taskserver::{execute, ExecutionConfig, ExecutionPlan};
 ///
 /// let mut b = SystemSpec::builder("doc");
 /// b.server(ServerSpec::polling(Span::from_units(3), Span::from_units(6), Priority::new(30)));
@@ -41,7 +39,7 @@ use std::borrow::Cow;
 ///
 /// let compiled = CompiledSystem::compile(&spec).unwrap();
 /// let config = ExecutionConfig::reference();
-/// let plan = compiled.execution_plan(&config);
+/// let plan = ExecutionPlan::prepare(compiled.spec(), &config).unwrap();
 /// assert_eq!(plan.run(), execute(&spec, &config));
 /// ```
 #[derive(Debug, Clone)]
@@ -83,15 +81,5 @@ impl<'a> CompiledSystem<'a> {
     /// compiled from.
     pub fn spec(&self) -> &SystemSpec {
         &self.spec
-    }
-
-    /// Prepares the execution plan (servable handlers, fire schedule and
-    /// the driver's scheduling substrate), reusable across
-    /// [`ExecutionPlan::run`] calls, each producing a trace byte-identical
-    /// to `rt_taskserver::execute` for the same spec and configuration.
-    /// Validation is not repeated — the compiled system already holds a
-    /// validated spec.
-    pub fn execution_plan(&self, config: &ExecutionConfig) -> ExecutionPlan<'_> {
-        ExecutionPlan::prepare_prevalidated(&self.spec, config)
     }
 }

@@ -44,7 +44,7 @@
 //! ([`crate::polling`]), event-driven ([`crate::deferrable`]) and sporadic
 //! ([`crate::sporadic`]) server-body state machines, pumped through the
 //! public [`BodyCtx`] protocol with the engine's exact ordering (deadline,
-//! action, fires, timers), and the same hook table, interpreted by the same
+//! action, timers), and the same hook table, interpreted by the same
 //! `ExecWorld`, which the driver owns. It only replaces the
 //! *scheduling substrate* around them — timer scans and thread rescans —
 //! with table-driven equivalents, which is why its traces are
@@ -317,7 +317,6 @@ enum Status {
     },
     BlockedForPeriod,
     BlockedOnEvent,
-    Terminated,
 }
 
 /// A schedulable body, inline (no heap box): a periodic worker or a lane's
@@ -360,7 +359,7 @@ fn start_compute(amount: Span, unit: ExecUnit) -> Status {
 
 /// Pre-pumps an effect-free periodic worker through its period start: the
 /// real [`PeriodicThreadBody`] yields its `Compute` action (it never touches
-/// the ctx — no fires, timers or deadlines), and the thread transitions
+/// the ctx — no timers or deadlines), and the thread transitions
 /// straight into the computing state without a separate dispatch round. The
 /// pump it elides is trace-silent, so traces are unaffected; a recording
 /// run keeps the pump (see the module docs), so `P::ENABLED` callers skip
@@ -370,7 +369,6 @@ fn start_period(body: &mut PeriodicThreadBody, now: Instant) -> Status {
     let no_world = &mut ();
     let mut ctx = BodyCtx::new(now, no_world);
     let action = body.next_action(&mut ctx, Completion::PeriodStarted);
-    debug_assert!(ctx.take_fire_requests().is_empty());
     debug_assert!(ctx.take_timer_requests().is_empty());
     debug_assert!(ctx.take_deadline_request().is_none());
     match action {
@@ -887,7 +885,6 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
         let no_world = &mut ();
         let mut ctx = BodyCtx::new(now, no_world);
         let action = body.next_action(&mut ctx, completion);
-        debug_assert!(ctx.take_fire_requests().is_empty());
         debug_assert!(ctx.take_timer_requests().is_empty());
         debug_assert!(ctx.take_deadline_request().is_none());
         match action {
@@ -933,7 +930,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
 
     /// Pumps a Ready thread's body once, applying its action and requests
     /// with the reference engine's ordering: deadline (ignored under fixed
-    /// priorities), action, fires, timers.
+    /// priorities), action, timers.
     fn pump(&mut self, tid: usize) {
         let completion = match self.threads[tid].status {
             Status::Ready(completion) => completion,
@@ -944,7 +941,6 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
         }
         let mut ctx = BodyCtx::new(self.now, &mut self.world);
         let action = self.threads[tid].body.next_action(&mut ctx, completion);
-        let fires = ctx.take_fire_requests();
         let timers = ctx.take_timer_requests();
         // Published first, so a release the action takes in place re-keys
         // over it; fixed-priority dispatch ignores deadlines.
@@ -1004,15 +1000,8 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
                     self.unmark_runnable(tid);
                 }
             }
-            Action::Terminate => {
-                self.threads[tid].status = Status::Terminated;
-                self.unmark_runnable(tid);
-            }
         }
 
-        for event in fires {
-            self.fire_event(event.raw());
-        }
         for (at, event) in timers {
             if at <= self.now {
                 self.pending_overhead += self.timer_fire;

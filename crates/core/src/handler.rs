@@ -71,13 +71,6 @@ impl ServableHandler {
         self
     }
 
-    /// Injects a fault: the handler's job demands `extra` processor time
-    /// beyond its actual cost and is budget-enforced at its declared cost.
-    pub fn with_overrun(mut self, extra: Span) -> Self {
-        self.overrun_extra = extra;
-        self
-    }
-
     /// True when the handler carries an injected overrun.
     pub fn is_fault_injected(&self) -> bool {
         !self.overrun_extra.is_zero()

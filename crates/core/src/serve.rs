@@ -295,11 +295,12 @@ mod tests {
     /// `overhead`, and ten outcome slots: the tests queue event `i` in slot
     /// `i`.
     fn world(overhead: OverheadModel) -> World {
-        let lane = ServerShared::new(
+        let lane = ServerShared::with_admission(
             TaskServerParameters::new(Span::from_units(4), Span::from_units(6), Priority::new(30)),
             ServerPolicyKind::Polling,
             overhead,
             rt_model::QueueDiscipline::FifoSkip,
+            rt_model::AdmissionPolicy::AcceptAll,
         );
         ExecWorld::of_lanes(vec![lane], 10)
     }

@@ -90,22 +90,6 @@ pub struct ServerShared {
 }
 
 impl ServerShared {
-    /// Creates the state under [`AdmissionPolicy::AcceptAll`].
-    pub fn new(
-        params: TaskServerParameters,
-        policy: ServerPolicyKind,
-        overhead: OverheadModel,
-        discipline: QueueDiscipline,
-    ) -> Self {
-        Self::with_admission(
-            params,
-            policy,
-            overhead,
-            discipline,
-            AdmissionPolicy::AcceptAll,
-        )
-    }
-
     /// Creates the state with an on-line admission policy. Background
     /// servicing has no capacity plan to predict against and always accepts.
     pub fn with_admission(
@@ -455,11 +439,12 @@ mod tests {
     }
 
     fn shared(policy: ServerPolicyKind) -> ServerShared {
-        ServerShared::new(
+        ServerShared::with_admission(
             params(),
             policy,
             OverheadModel::none(),
             QueueDiscipline::FifoSkip,
+            AdmissionPolicy::AcceptAll,
         )
     }
 

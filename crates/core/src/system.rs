@@ -198,15 +198,12 @@ impl<'a> ExecutionPlan<'a> {
     /// is not well formed.
     pub fn prepare(spec: &'a SystemSpec, config: &ExecutionConfig) -> Result<Self, ModelError> {
         spec.validate()?;
-        Ok(Self::prepare_prevalidated(spec, config))
-    }
-
-    /// Freezes the installation plan of a spec the caller guarantees is
-    /// already valid (`spec.validate()` would succeed). The compile layer
-    /// uses this to avoid re-running the O(events) workload checks it has
-    /// already accounted for.
-    pub fn prepare_prevalidated(spec: &'a SystemSpec, config: &ExecutionConfig) -> Self {
-        Self::plan(spec, config, Vec::new(), SubstratePlan::default())
+        Ok(Self::plan(
+            spec,
+            config,
+            Vec::new(),
+            SubstratePlan::default(),
+        ))
     }
 
     /// Freezes the installation plan of a valid spec into the buffers of
@@ -318,13 +315,12 @@ impl<'a> ExecutionPlan<'a> {
         for (server, thread) in spec.servers.iter().zip(servers) {
             let handle = match thread.period {
                 Some(period) => engine.spawn_periodic(
-                    "server",
                     server.priority,
                     Instant::ZERO,
                     period,
                     Box::new(thread.body),
                 ),
-                None => engine.spawn("server", server.priority, Box::new(thread.body)),
+                None => engine.spawn(server.priority, Box::new(thread.body)),
             };
             engine.set_thread_deadline(handle, thread.deadline);
         }
@@ -340,7 +336,6 @@ impl<'a> ExecutionPlan<'a> {
         // live inline in the engine's thread table (no per-spawn boxing).
         for task in &spec.periodic_tasks {
             let thread = engine.spawn_periodic_worker(
-                task.name.clone(),
                 task.priority,
                 Instant::ZERO + task.offset,
                 task.period,

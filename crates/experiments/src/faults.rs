@@ -73,7 +73,7 @@ impl FaultScenario {
     /// arrival-time predictions) everywhere except the policy-swap
     /// scenario, which needs a deferrable lane (polling lanes cannot swap:
     /// their schedulable body is a periodic thread).
-    pub fn server_policy(&self) -> ServerPolicyKind {
+    fn server_policy(&self) -> ServerPolicyKind {
         match self {
             FaultScenario::ModeSwap => ServerPolicyKind::Deferrable,
             _ => ServerPolicyKind::Polling,

@@ -77,7 +77,7 @@ impl PaperTable {
     }
 
     /// The values published in the paper for this table.
-    pub fn paper_values(&self) -> rt_metrics::paper::PaperRows {
+    fn paper_values(&self) -> rt_metrics::paper::PaperRows {
         match self {
             PaperTable::Table2PsSimulation => rt_metrics::paper::TABLE2_PS_SIMULATION,
             PaperTable::Table3PsExecution => rt_metrics::paper::TABLE3_PS_EXECUTION,

@@ -118,7 +118,6 @@ impl FileCtx {
             line,
             col,
             message,
-            baselined: false,
         });
     }
 }
@@ -260,7 +259,6 @@ fn parse_directives(path: &str, lexed: &Lexed) -> Directives {
                 line: comment.line,
                 col: 1,
                 message: msg,
-                baselined: false,
             });
         };
 

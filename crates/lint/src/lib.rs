@@ -23,9 +23,7 @@
 //! finding's line or the line above; `allow-file(...)` at most once per
 //! lint for whole-file exemptions (e.g. a module whose purpose is reading
 //! the machine clock vs. `determinism`). Reasons are mandatory and checked.
-//! Grandfathered findings can be parked in `lint.baseline`
-//! (`path:line:lint-id` lines); stale entries are themselves findings, so
-//! the baseline only shrinks. It holds `unread-pub` entries only.
+//! There is no baseline: every finding is fixed or suppressed with a reason.
 
 #![forbid(unsafe_code)]
 
@@ -37,14 +35,11 @@ pub mod lints;
 pub mod walk;
 
 use context::{FileCtx, FileKind};
+use diag::Finding;
 pub use diag::Lint;
-use diag::{Baseline, Finding};
 pub use lints::zero_alloc::Region;
 use std::io;
 use std::path::Path;
-
-/// Default baseline filename at the workspace root.
-pub const BASELINE_FILE: &str = "lint.baseline";
 
 /// Crates that vendor third-party API surfaces (the offline compat shims).
 /// They only get the unsafe-hygiene tier: their code deliberately mirrors
@@ -73,28 +68,17 @@ impl Input {
 /// Lint result for a workspace or fixture set.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// All findings, `(path, line, col)`-sorted. Baselined findings are
-    /// included with `baselined = true`.
+    /// All findings, `(path, line, col)`-sorted; each one gates
+    /// `--deny-warnings`.
     pub findings: Vec<Finding>,
     /// Discovered zero-alloc regions as `(path, region)`.
     pub regions: Vec<(String, Region)>,
     pub files_scanned: usize,
 }
 
-impl Report {
-    /// Findings that gate `--deny-warnings` (i.e. not baselined).
-    pub fn active(&self) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(|f| !f.baselined)
-    }
-
-    pub fn active_count(&self) -> usize {
-        self.active().count()
-    }
-}
-
 /// Lints a set of in-memory sources — the engine behind both the CLI and
-/// the fixture self-tests. `baseline` is the baseline file's text, if any.
-pub fn lint_sources(inputs: &[Input], baseline: Option<&str>) -> Report {
+/// the fixture self-tests.
+pub fn lint_sources(inputs: &[Input]) -> Report {
     let mut report = Report::default();
 
     // Pass 1: lex + directives for every file; the reader-only files are
@@ -133,7 +117,6 @@ pub fn lint_sources(inputs: &[Input], baseline: Option<&str>) -> Report {
                       no whitelist to enforce; annotate the clamping operator impls in \
                       rt-model::time"
                 .to_string(),
-            baselined: false,
         });
     }
 
@@ -184,24 +167,13 @@ pub fn lint_sources(inputs: &[Input], baseline: Option<&str>) -> Report {
         }
     }
 
-    // Pass 5: baseline.
-    if let Some(text) = baseline {
-        let (mut bl, mut bad) = Baseline::parse(BASELINE_FILE, text);
-        report.findings.append(&mut bad);
-        for f in &mut report.findings {
-            bl.apply(f);
-        }
-        report.findings.append(&mut bl.stale_entries(BASELINE_FILE));
-    }
-
     report.findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.lint).cmp(&(b.path.as_str(), b.line, b.col, b.lint))
     });
     report
 }
 
-/// Walks `root`, reads every lintable file, and lints the lot. Reads the
-/// baseline from `<root>/lint.baseline` when present.
+/// Walks `root`, reads every lintable file, and lints the lot.
 pub fn run_workspace(root: &Path) -> io::Result<Report> {
     let files = walk::discover(root)?;
     let mut inputs = Vec::with_capacity(files.len());
@@ -209,6 +181,5 @@ pub fn run_workspace(root: &Path) -> io::Result<Report> {
         let src = std::fs::read_to_string(&f.abs_path)?;
         inputs.push(Input::new(f.rel_path.clone(), src));
     }
-    let baseline = std::fs::read_to_string(root.join(BASELINE_FILE)).ok();
-    Ok(lint_sources(&inputs, baseline.as_deref()))
+    Ok(lint_sources(&inputs))
 }

@@ -76,7 +76,7 @@ const AMBIGUOUS_STD: &[&str] = &[
 const TIME_CTORS: &[&str] = &["from_ticks", "from_units", "from_units_f64"];
 
 /// Time-type associated consts.
-const TIME_CONSTS: &[&str] = &["ZERO", "MAX", "UNIT"];
+const TIME_CONSTS: &[&str] = &["ZERO", "MAX"];
 
 /// Runs L1 on one file. `index` carries the workspace field/method types
 /// and the clamp-form whitelist parsed from `rt-model::time`.

@@ -10,11 +10,18 @@
 //! binaries — and so are the pipeline benchmark's `perfbench/src` and
 //! `perfbench/tests`, which rt-lint reads but does not lint.
 //!
-//! The census is by bare name, so it errs towards silence: an item whose
-//! name is a common word (`new`, `len`) is read by any file that uses that
-//! word. Modules, fields and enum variants are out of scope, and so are the
-//! compat shims and rt-lint itself. A finding is resolved by deleting the
-//! item, making it private, or keeping it with
+//! The census keeps two blind spots, and errs towards silence in both:
+//!
+//! * it goes by bare name, not by owner: an item whose name is a common
+//!   word (`new`, `len`, `raw`) is read by any file that uses that word,
+//!   whichever type the use belongs to;
+//! * a test file counts as a reader: an item that only tests call is not
+//!   flagged, though nothing the program runs reads it.
+//!
+//! Items in these blind spots are found by hand, by searching for their
+//! callers. Modules, fields and enum variants are out of scope, and so are
+//! the compat shims and rt-lint itself. A finding is resolved by deleting
+//! the item, making it private, or keeping it with
 //! `// rt-lint: allow(unread-pub, reason = "...")`.
 
 use crate::context::{FileCtx, FileKind};

@@ -66,6 +66,5 @@ pub fn missing_forbid_finding(path: &str, crate_dir: &str) -> Finding {
              `#![forbid(unsafe_code)]` — the ratchet attribute must stay so unsafe \
              cannot slip in silently"
         ),
-        baselined: false,
     }
 }

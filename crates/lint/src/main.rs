@@ -3,8 +3,7 @@
 //!
 //! Exit-code semantics mirror rustc's `-D warnings`: without
 //! `--deny-warnings` every finding is reported and the exit code is 0;
-//! with it, any non-baselined finding makes the process exit 1 — the mode
-//! CI runs in.
+//! with it, any finding makes the process exit 1 — the mode CI runs in.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -38,8 +37,7 @@ fn parse_args() -> Result<Args, String> {
                     "rt-lint: workspace static-analysis pass\n\n\
                      USAGE: rt-lint [--deny-warnings] [--root PATH] [--list-regions] [--quiet]\n\n\
                      Lints: time-arith, determinism, zero-alloc, panic, unsafe, suppression,\n\
-                     unread-pub.\n\
-                     Baseline: lint.baseline at the workspace root (shrink-only)."
+                     unread-pub."
                 );
                 std::process::exit(0);
             }
@@ -94,18 +92,16 @@ fn main() -> ExitCode {
             println!("{}", finding.render());
         }
     }
-    let active = report.active_count();
-    let baselined = report.findings.len() - active;
-    if !args.quiet || active > 0 {
+    let findings = report.findings.len();
+    if !args.quiet || findings > 0 {
         println!(
-            "rt-lint: {active} finding(s) ({baselined} baselined) across {} files, \
-             {} zero-alloc regions, in {:.0?}",
+            "rt-lint: {findings} finding(s) across {} files, {} zero-alloc regions, in {:.0?}",
             report.files_scanned,
             report.regions.len(),
             elapsed
         );
     }
-    if args.deny && active > 0 {
+    if args.deny && findings > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

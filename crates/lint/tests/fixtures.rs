@@ -20,30 +20,29 @@ const TIME_FIXTURE: &str = "#![forbid(unsafe_code)]\n\
      // rt-lint: time-arith-clamp(Span -= Span)\n";
 
 fn lint_with_time(path: &str, src: &str) -> Report {
-    lint_sources(
-        &[
-            Input::new("crates/model/src/time.rs", TIME_FIXTURE),
-            Input::new(path, src),
-        ],
-        None,
-    )
+    lint_sources(&[
+        Input::new("crates/model/src/time.rs", TIME_FIXTURE),
+        Input::new(path, src),
+    ])
 }
 
-/// Active findings as `(lint id, line)`, `unread-pub` aside: a fixture set
+/// Findings as `(lint id, line)`, `unread-pub` aside: a fixture set
 /// of one or two files has no readers, so that lint would flag every `pub`
 /// item in it. Its own fixtures use [`unread`].
 fn ids(report: &Report) -> Vec<(&'static str, u32)> {
     report
-        .active()
+        .findings
+        .iter()
         .filter(|f| f.lint != Lint::UnreadPub)
         .map(|f| (f.lint.id(), f.line))
         .collect()
 }
 
-/// Active `unread-pub` findings as `(path, line)`.
+/// `unread-pub` findings as `(path, line)`.
 fn unread(report: &Report) -> Vec<(&str, u32)> {
     report
-        .active()
+        .findings
+        .iter()
         .filter(|f| f.lint == Lint::UnreadPub)
         .map(|f| (f.path.as_str(), f.line))
         .collect()
@@ -129,13 +128,10 @@ fn time_arith_is_skipped_in_test_code() {
 
 #[test]
 fn missing_clamp_whitelist_is_a_configuration_finding() {
-    let report = lint_sources(
-        &[Input::new(
-            "crates/core/src/lib.rs",
-            "#![forbid(unsafe_code)]\npub fn f() {}\n",
-        )],
-        None,
-    );
+    let report = lint_sources(&[Input::new(
+        "crates/core/src/lib.rs",
+        "#![forbid(unsafe_code)]\npub fn f() {}\n",
+    )]);
     assert_eq!(ids(&report), vec![("suppression", 1)]);
 }
 
@@ -410,40 +406,6 @@ fn compat_crates_only_get_the_unsafe_tier() {
 }
 
 #[test]
-fn baseline_downgrades_matching_findings_and_flags_stale_entries() {
-    let inputs = [
-        Input::new("crates/model/src/time.rs", TIME_FIXTURE),
-        Input::new(
-            "crates/core/src/lib.rs",
-            "#![forbid(unsafe_code)]\n\
-             pub fn get(v: &[u32]) -> u32 {\n\
-                 *v.first().unwrap()\n\
-             }\n",
-        ),
-        // Reads `get`, so the panic finding is the only one.
-        Input::new("crates/core/tests/get.rs", "fn t() { get(&[1]); }\n"),
-    ];
-
-    // Matching entry: the finding is reported but no longer gates.
-    let report = lint_sources(&inputs, Some("crates/core/src/lib.rs:3:panic\n"));
-    assert_eq!(report.active_count(), 0);
-    assert_eq!(report.findings.iter().filter(|f| f.baselined).count(), 1);
-
-    // Stale entry: itself a finding, so baselines cannot rot silently.
-    let report = lint_sources(&inputs, Some("crates/core/src/lib.rs:99:panic\n"));
-    let stale: Vec<_> = report
-        .active()
-        .filter(|f| f.lint == Lint::Suppression)
-        .collect();
-    assert_eq!(stale.len(), 1, "stale baseline entry must surface");
-    assert_eq!(report.active_count(), 2); // the panic finding still gates
-
-    // Malformed line: reported, nothing suppressed.
-    let report = lint_sources(&inputs, Some("not-a-baseline-line\n"));
-    assert_eq!(report.active_count(), 2);
-}
-
-#[test]
 fn unread_pub_fires_on_an_item_only_its_own_file_names() {
     let report = lint_with_time(
         "crates/core/src/queue.rs",
@@ -462,33 +424,27 @@ fn unread_pub_fires_on_an_item_only_its_own_file_names() {
 
 #[test]
 fn unread_pub_counts_a_reader_in_another_crate() {
-    let report = lint_sources(
-        &[
-            Input::new("crates/model/src/time.rs", TIME_FIXTURE),
-            Input::new("crates/core/src/queue.rs", "pub fn pop() {}\n"),
-            Input::new(
-                "crates/rtss/src/driver.rs",
-                "fn f() { rt_taskserver::pop(); }\n",
-            ),
-        ],
-        None,
-    );
+    let report = lint_sources(&[
+        Input::new("crates/model/src/time.rs", TIME_FIXTURE),
+        Input::new("crates/core/src/queue.rs", "pub fn pop() {}\n"),
+        Input::new(
+            "crates/rtss/src/driver.rs",
+            "fn f() { rt_taskserver::pop(); }\n",
+        ),
+    ]);
     assert_eq!(unread(&report), Vec::<(&str, u32)>::new());
 }
 
 #[test]
 fn unread_pub_counts_a_reader_only_in_perfbench_and_does_not_lint_it() {
-    let report = lint_sources(
-        &[
-            Input::new("crates/model/src/time.rs", TIME_FIXTURE),
-            Input::new("crates/model/src/system.rs", "pub fn ready() {}\n"),
-            Input::new(
-                "perfbench/src/workload.rs",
-                "pub fn bench_only() { rt_model::ready(); Some(1).unwrap(); }\n",
-            ),
-        ],
-        None,
-    );
+    let report = lint_sources(&[
+        Input::new("crates/model/src/time.rs", TIME_FIXTURE),
+        Input::new("crates/model/src/system.rs", "pub fn ready() {}\n"),
+        Input::new(
+            "perfbench/src/workload.rs",
+            "pub fn bench_only() { rt_model::ready(); Some(1).unwrap(); }\n",
+        ),
+    ]);
     assert_eq!(unread(&report), Vec::<(&str, u32)>::new());
     assert_eq!(ids(&report), Vec::<(&str, u32)>::new());
     assert_eq!(report.files_scanned, 2, "perfbench is read, not linted");
@@ -496,18 +452,15 @@ fn unread_pub_counts_a_reader_only_in_perfbench_and_does_not_lint_it() {
 
 #[test]
 fn unread_pub_does_not_count_comments_or_strings() {
-    let report = lint_sources(
-        &[
-            Input::new("crates/model/src/time.rs", TIME_FIXTURE),
-            Input::new("crates/core/src/ghost.rs", "pub struct Ghost;\n"),
-            Input::new(
-                "tests/ghost.rs",
-                "// A `Ghost` in a comment.\n\
+    let report = lint_sources(&[
+        Input::new("crates/model/src/time.rs", TIME_FIXTURE),
+        Input::new("crates/core/src/ghost.rs", "pub struct Ghost;\n"),
+        Input::new(
+            "tests/ghost.rs",
+            "// A `Ghost` in a comment.\n\
                  fn t() { let _ = \"Ghost\"; }\n",
-            ),
-        ],
-        None,
-    );
+        ),
+    ]);
     assert_eq!(unread(&report), vec![("crates/core/src/ghost.rs", 1)]);
 }
 

@@ -1,8 +1,7 @@
 //! Workspace-level self-tests: rt-lint run against the repository it ships
-//! in. These pin the headline guarantee — the tree is lint-clean, with a
-//! baseline that parks only grandfathered `unread-pub` findings and only
-//! shrinks — plus the static↔dynamic zero-alloc bridge and the "fast enough
-//! to gate every CI run" requirement.
+//! in. These pin the headline guarantee — the tree is lint-clean — plus the
+//! static↔dynamic zero-alloc bridge and the "fast enough to gate every CI
+//! run" requirement.
 
 use rt_lint::{run_workspace, Report};
 use std::collections::BTreeSet;
@@ -21,7 +20,7 @@ fn lint_workspace() -> Report {
 #[test]
 fn the_workspace_is_lint_clean() {
     let report = lint_workspace();
-    let stray: Vec<String> = report.active().map(|f| f.render()).collect();
+    let stray: Vec<String> = report.findings.iter().map(|f| f.render()).collect();
     assert!(
         stray.is_empty(),
         "the tree must stay lint-clean; fix or suppress (with a reason):\n{}",
@@ -31,35 +30,6 @@ fn the_workspace_is_lint_clean() {
         report.files_scanned > 100,
         "suspiciously few files scanned ({}) — did discovery break?",
         report.files_scanned
-    );
-}
-
-/// The `unread-pub` findings parked when that lint was introduced. The
-/// baseline may only shrink: lower this ceiling with every entry resolved.
-const UNREAD_PUB_BASELINE_CEILING: usize = 37;
-
-#[test]
-fn the_checked_in_baseline_parks_only_unread_pub_findings_and_only_shrinks() {
-    let baseline = std::fs::read_to_string(workspace_root().join(rt_lint::BASELINE_FILE))
-        .expect("lint.baseline must be checked in");
-    let entries: Vec<&str> = baseline
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .collect();
-    let other: Vec<&&str> = entries
-        .iter()
-        .filter(|l| !l.ends_with(":unread-pub"))
-        .collect();
-    assert!(
-        other.is_empty(),
-        "only unread-pub findings may be baselined; fix these instead: {other:?}"
-    );
-    assert!(
-        entries.len() <= UNREAD_PUB_BASELINE_CEILING,
-        "the baseline grew to {} entries (ceiling {UNREAD_PUB_BASELINE_CEILING}); \
-         new findings are fixed, not baselined",
-        entries.len()
     );
 }
 

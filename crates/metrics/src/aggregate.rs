@@ -77,15 +77,6 @@ impl SetAggregate {
         }
         merged.aggregate()
     }
-
-    /// Formats the aggregate as the paper prints it (two decimal places).
-    pub fn paper_row(&self) -> (String, String, String) {
-        (
-            format!("{:.2}", self.aart),
-            format!("{:.2}", self.air),
-            format!("{:.2}", self.asr),
-        )
-    }
 }
 
 /// Aggregate of the fault-containment columns of a set of runs: the mean
@@ -263,7 +254,7 @@ impl PartialRuns {
     /// Panics when two runs carry the same index — that means a harness bug
     /// (an item processed twice), and aggregating it silently would skew the
     /// paper's averages.
-    pub fn into_ordered_runs(self) -> Vec<RunMeasures> {
+    fn into_ordered_runs(self) -> Vec<RunMeasures> {
         let mut entries = self.entries;
         entries.sort_by_key(|&(index, _)| index);
         for window in entries.windows(2) {
@@ -304,11 +295,6 @@ mod tests {
         assert_eq!(agg.aart, 6.0);
         assert_eq!(agg.air, 0.125);
         assert_eq!(agg.asr, 0.625);
-        // Rust's float formatting rounds ties to even: 0.125 → "0.12".
-        assert_eq!(
-            agg.paper_row(),
-            ("6.00".into(), "0.12".into(), "0.62".into())
-        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::quantile::nearest_rank;
 
 /// Number of buckets: one for zero plus one per power of two of `u64`.
-pub const TICK_BUCKETS: usize = 65;
+const TICK_BUCKETS: usize = 65;
 
 /// A preallocated log₂-bucket histogram over `u64` tick values.
 ///

@@ -55,7 +55,7 @@ impl RunMeasures {
     /// One pass over the outcomes, allocation-free; the response times are
     /// summed in outcome order.
     // rt-lint: zero-alloc
-    pub fn with_horizon(outcomes: &[AperiodicOutcome], horizon: Option<Instant>) -> Self {
+    fn with_horizon(outcomes: &[AperiodicOutcome], horizon: Option<Instant>) -> Self {
         let mut measures = RunMeasures {
             released: outcomes.len(),
             ..RunMeasures::default()

@@ -53,7 +53,7 @@ impl Quantiles {
     }
 
     /// Computes the triple from an ascending-sorted slice.
-    pub fn from_sorted(sorted: &[f64]) -> Self {
+    fn from_sorted(sorted: &[f64]) -> Self {
         Quantiles {
             p50: percentile_sorted(sorted, 50.0),
             p95: percentile_sorted(sorted, 95.0),

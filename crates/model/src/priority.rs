@@ -18,12 +18,6 @@ impl Priority {
     pub const MIN: Priority = Priority(1);
     /// Highest priority usable by application code.
     pub const MAX: Priority = Priority(99);
-    /// Priority reserved for the timer machinery that releases events; it is
-    /// above every application priority, mirroring the paper's observation
-    /// that "there is also more highest priority tasks: the timers charged to
-    /// fire the asynchronous events".
-    pub const TIMER: Priority = Priority(u8::MAX);
-
     /// Creates a priority clamped into the application range.
     pub fn new(level: u8) -> Self {
         Priority(level.clamp(Self::MIN.0, Self::MAX.0))
@@ -155,7 +149,6 @@ mod tests {
     fn higher_value_preempts_lower() {
         assert!(Priority::new(30).preempts(Priority::new(20)));
         assert!(!Priority::new(20).preempts(Priority::new(20)));
-        assert!(Priority::TIMER.preempts(Priority::MAX));
     }
 
     #[test]
@@ -179,7 +172,6 @@ mod tests {
         let low = SymbolicPriority::Low.to_priority();
         assert!(high.preempts(medium));
         assert!(medium.preempts(low));
-        assert!(Priority::TIMER.preempts(high));
     }
 
     #[test]

@@ -87,14 +87,6 @@ impl SystemSpec {
         self.aperiodics.iter().find(|e| e.id == id)
     }
 
-    /// Number of aperiodic events released strictly before the horizon.
-    pub fn aperiodics_within_horizon(&self) -> usize {
-        self.aperiodics
-            .iter()
-            .filter(|e| e.release < self.horizon)
-            .count()
-    }
-
     /// Checks structural validity: well-formed tasks and servers, unique ids,
     /// sorted aperiodic releases, every capacity-limited server strictly
     /// above every periodic priority — the framework's "highest priority
@@ -552,7 +544,6 @@ mod tests {
         assert!((sys.total_utilization() - 1.0).abs() < 1e-12);
         assert!(sys.task(TaskId::new(0)).is_some());
         assert!(sys.aperiodic(EventId::new(1)).is_some());
-        assert_eq!(sys.aperiodics_within_horizon(), 2);
     }
 
     #[test]

@@ -55,12 +55,6 @@ impl PeriodicTask {
         self
     }
 
-    /// Sets the release offset of the first job.
-    pub fn with_offset(mut self, offset: Span) -> Self {
-        self.offset = offset;
-        self
-    }
-
     /// Processor utilisation of the task (`cost / period`).
     pub fn utilization(&self) -> f64 {
         if self.period.is_zero() {
@@ -145,13 +139,6 @@ impl AperiodicEvent {
     /// Attaches a relative deadline to the event.
     pub fn with_relative_deadline(mut self, deadline: Span) -> Self {
         self.relative_deadline = Some(deadline);
-        self
-    }
-
-    /// Routes the event to the server at the given index of the system's
-    /// server table.
-    pub fn with_server(mut self, server: usize) -> Self {
-        self.server = server;
         self
     }
 
@@ -411,7 +398,10 @@ mod tests {
 
     #[test]
     fn periodic_task_releases_and_deadlines() {
-        let t = tau(2, 6).with_offset(Span::from_units(1));
+        let t = PeriodicTask {
+            offset: Span::from_units(1),
+            ..tau(2, 6)
+        };
         assert_eq!(t.release_of(0), Instant::from_units(1));
         assert_eq!(t.release_of(3), Instant::from_units(19));
         assert_eq!(t.deadline_of(0), Instant::from_units(7));

@@ -10,7 +10,6 @@
 
 use crate::ids::{EventId, TaskId};
 use crate::time::{Instant, Span};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// What occupied the processor during a trace segment.
@@ -32,7 +31,7 @@ pub enum ExecUnit {
 
 impl ExecUnit {
     /// True for the two overhead pseudo-units.
-    pub fn is_overhead(self) -> bool {
+    fn is_overhead(self) -> bool {
         matches!(self, ExecUnit::ServerOverhead | ExecUnit::TimerOverhead)
     }
 }
@@ -230,7 +229,7 @@ pub struct PeriodicJobRecord {
 
 impl PeriodicJobRecord {
     /// True when the job finished at or before its deadline.
-    pub fn met_deadline(&self) -> bool {
+    fn met_deadline(&self) -> bool {
         matches!(self.completed, Some(c) if c <= self.deadline)
     }
 
@@ -328,15 +327,6 @@ impl Trace {
             .map(|s| s.duration())
             .sum();
         self.horizon.since(Instant::ZERO).minus(busy)
-    }
-
-    /// Busy time per unit, for reporting.
-    pub fn busy_by_unit(&self) -> BTreeMap<ExecUnit, Span> {
-        let mut map = BTreeMap::new();
-        for s in &self.segments {
-            *map.entry(s.unit).or_insert(Span::ZERO) += s.duration();
-        }
-        map
     }
 
     /// All segments of one unit, in time order.
@@ -550,9 +540,8 @@ mod tests {
         );
         assert_eq!(t.overhead_time(), Span::from_units(1));
         assert_eq!(t.idle_time(), Span::from_units(5));
-        let by_unit = t.busy_by_unit();
         assert_eq!(
-            by_unit[&ExecUnit::Task(TaskId::new(0))],
+            t.busy_time(ExecUnit::Task(TaskId::new(0))),
             Span::from_units(2)
         );
         assert_eq!(t.segments_of(ExecUnit::ServerOverhead).count(), 1);

@@ -100,9 +100,9 @@ pub trait Probe {
         let _ = now;
     }
 
-    /// An asynchronous event fired at `now` — a timer, a body's fire request
-    /// or a fire-hook cascade (execution world only; the simulation driver
-    /// has no events and never calls it).
+    /// An asynchronous event fired at `now` — a timer (armed before the run
+    /// or by a body) or a fire-hook cascade (execution world only; the
+    /// simulation driver has no events and never calls it).
     fn fire(&mut self, now: Instant) {
         let _ = now;
     }

@@ -21,18 +21,18 @@ use std::borrow::Cow;
 
 /// One contiguous processor slice, as reported by [`Probe::slice`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SliceRecord {
+struct SliceRecord {
     /// What ran.
-    pub unit: ExecUnit,
+    unit: ExecUnit,
     /// Inclusive start.
-    pub start: Instant,
+    start: Instant,
     /// Exclusive end.
-    pub end: Instant,
+    end: Instant,
 }
 
 /// Kind of an instant mark on the decision path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MarkKind {
+enum MarkKind {
     /// A periodic release or aperiodic arrival.
     Release,
     /// An asynchronous event fire (execution world).
@@ -56,13 +56,13 @@ impl MarkKind {
 
 /// One instant event on the decision path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Mark {
+struct Mark {
     /// What happened.
-    pub kind: MarkKind,
+    kind: MarkKind,
     /// The unit involved, when the hook carries one.
-    pub unit: Option<ExecUnit>,
+    unit: Option<ExecUnit>,
     /// When.
-    pub at: Instant,
+    at: Instant,
 }
 
 /// The span-recording probe: an append-only log of the decision path.
@@ -73,26 +73,16 @@ pub struct Mark {
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SpanProbe {
     /// Processor slices, in virtual-time order.
-    pub slices: Vec<SliceRecord>,
+    slices: Vec<SliceRecord>,
     /// Instant marks (releases, fires, dispatches, preemptions), in
     /// virtual-time order.
-    pub marks: Vec<Mark>,
+    marks: Vec<Mark>,
 }
 
 impl SpanProbe {
     /// An empty recorder.
     pub fn new() -> Self {
         SpanProbe::default()
-    }
-
-    /// A unit's completion instant is the exclusive end of its last slice;
-    /// `None` when the unit never ran.
-    pub fn completion_of(&self, unit: ExecUnit) -> Option<Instant> {
-        self.slices
-            .iter()
-            .rev()
-            .find(|s| s.unit == unit)
-            .map(|s| s.end)
     }
 }
 
@@ -180,7 +170,7 @@ impl UnitNames {
     }
 
     /// Deterministic per-unit track id for the Chrome export.
-    pub fn track(&self, unit: ExecUnit) -> u32 {
+    fn track(&self, unit: ExecUnit) -> u32 {
         match unit {
             ExecUnit::ServerOverhead => 1,
             ExecUnit::TimerOverhead => 2,
@@ -294,11 +284,7 @@ mod tests {
         let p = probe_with_two_slices();
         assert_eq!(p.slices.len(), 2);
         assert_eq!(p.marks.len(), 2);
-        assert_eq!(
-            p.completion_of(ExecUnit::Task(TaskId::new(0))),
-            Some(Instant::from_units(2))
-        );
-        assert_eq!(p.completion_of(ExecUnit::Idle), None);
+        assert_eq!(p.slices[0].end, Instant::from_units(2));
     }
 
     #[test]

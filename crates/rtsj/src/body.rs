@@ -51,8 +51,6 @@ pub enum Action {
     /// Block until the given asynchronous event is fired (one pending fire is
     /// consumed if the event was fired while the schedulable was not waiting).
     WaitForEvent(EventHandle),
-    /// The schedulable is done and will never run again.
-    Terminate,
 }
 
 /// How the previous action ended; passed back to the body when the engine
@@ -105,7 +103,6 @@ impl Completion {
 pub struct BodyCtx<'w, W = ()> {
     now: Instant,
     world: &'w mut W,
-    fire_requests: Vec<EventHandle>,
     timer_requests: Vec<(Instant, EventHandle)>,
     deadline_request: Option<Instant>,
 }
@@ -119,7 +116,6 @@ impl<'w, W> BodyCtx<'w, W> {
         BodyCtx {
             now,
             world,
-            fire_requests: Vec::new(),
             timer_requests: Vec::new(),
             deadline_request: None,
         }
@@ -135,13 +131,6 @@ impl<'w, W> BodyCtx<'w, W> {
     /// instead of co-owned.
     pub fn world(&mut self) -> &mut W {
         self.world
-    }
-
-    /// Requests that the given event be fired as soon as the body yields its
-    /// action (the firing is processed by the engine before anything else
-    /// runs, but after the body call returns — firing is not re-entrant).
-    pub fn fire(&mut self, event: EventHandle) {
-        self.fire_requests.push(event);
     }
 
     /// Arms a one-shot timer firing `event` at `at` — the runtime equivalent
@@ -164,22 +153,16 @@ impl<'w, W> BodyCtx<'w, W> {
         self.deadline_request = Some(deadline);
     }
 
-    /// Drains the fire requests queued by [`Self::fire`]. Public so drivers
-    /// other than the engine (`rt-taskserver`'s execution fast path, unit tests of
-    /// custom bodies) can pump a [`ThreadBody`] and apply its requests with
-    /// the engine's exact ordering: deadline, action, fires, timers.
-    pub fn take_fire_requests(&mut self) -> Vec<EventHandle> {
-        std::mem::take(&mut self.fire_requests)
-    }
-
-    /// Drains the deadline published by [`Self::set_deadline`] (see
-    /// [`Self::take_fire_requests`] for why this is public).
+    /// Drains the deadline published by [`Self::set_deadline`]. Public so
+    /// drivers other than the engine (`rt-taskserver`'s execution fast path,
+    /// unit tests of custom bodies) can pump a [`ThreadBody`] and apply its
+    /// requests with the engine's exact ordering: deadline, action, timers.
     pub fn take_deadline_request(&mut self) -> Option<Instant> {
         self.deadline_request.take()
     }
 
     /// Drains the timers armed by [`Self::arm_timer`] (see
-    /// [`Self::take_fire_requests`] for why this is public).
+    /// [`Self::take_deadline_request`] for why this is public).
     pub fn take_timer_requests(&mut self) -> Vec<(Instant, EventHandle)> {
         std::mem::take(&mut self.timer_requests)
     }
@@ -229,23 +212,23 @@ mod tests {
         let mut ctx = BodyCtx::new(Instant::from_units(3), &mut log);
         assert_eq!(ctx.now(), Instant::from_units(3));
         ctx.world().push(2);
-        ctx.fire(EventHandle::from_raw(1));
-        ctx.fire(EventHandle::from_raw(2));
-        let fired = ctx.take_fire_requests();
-        assert_eq!(fired.len(), 2);
-        assert!(ctx.take_fire_requests().is_empty());
+        let wake = (Instant::from_units(5), EventHandle::from_raw(1));
+        ctx.arm_timer(wake.0, wake.1);
+        assert_eq!(ctx.take_timer_requests(), vec![wake]);
+        assert!(ctx.take_timer_requests().is_empty());
         assert_eq!(log, vec![1, 2]);
     }
 
     #[test]
     fn closures_are_bodies() {
-        let mut body = |_ctx: &mut BodyCtx, _c: Completion| Action::Terminate;
+        let parked = EventHandle::from_raw(0);
+        let mut body = |_ctx: &mut BodyCtx, _c: Completion| Action::WaitForEvent(parked);
         assert_eq!(
             body.next_action(
                 &mut BodyCtx::new(Instant::ZERO, &mut ()),
                 Completion::Started
             ),
-            Action::Terminate
+            Action::WaitForEvent(parked)
         );
     }
 }

@@ -99,13 +99,6 @@ impl EventHandle {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ThreadHandle(usize);
 
-impl ThreadHandle {
-    /// Raw index of the schedulable.
-    pub fn raw(self) -> usize {
-        self.0
-    }
-}
-
 /// Context passed to [`World::fire`].
 #[derive(Debug)]
 pub struct FireCtx {
@@ -201,8 +194,6 @@ enum ThreadStatus {
     /// Blocked waiting for an event fire (the event's waiter list holds the
     /// back-reference).
     BlockedOnEvent,
-    /// Finished.
-    Terminated,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -240,7 +231,6 @@ impl<W> StoredBody<W> {
 }
 
 struct ThreadState<W> {
-    name: String,
     priority: Priority,
     body: StoredBody<W>,
     periodic: Option<PeriodicRelease>,
@@ -371,24 +361,13 @@ impl<W: World> Engine<W> {
     }
 
     /// Spawns an aperiodic schedulable.
-    pub fn spawn(
-        &mut self,
-        name: impl Into<String>,
-        priority: Priority,
-        body: Box<dyn ThreadBody<W>>,
-    ) -> ThreadHandle {
-        self.spawn_stored(name, priority, StoredBody::Boxed(body))
+    pub fn spawn(&mut self, priority: Priority, body: Box<dyn ThreadBody<W>>) -> ThreadHandle {
+        self.spawn_stored(priority, StoredBody::Boxed(body))
     }
 
-    fn spawn_stored(
-        &mut self,
-        name: impl Into<String>,
-        priority: Priority,
-        body: StoredBody<W>,
-    ) -> ThreadHandle {
+    fn spawn_stored(&mut self, priority: Priority, body: StoredBody<W>) -> ThreadHandle {
         let handle = ThreadHandle(self.threads.len());
         self.threads.push(ThreadState {
-            name: name.into(),
             priority,
             body,
             periodic: None,
@@ -403,7 +382,6 @@ impl<W: World> Engine<W> {
     /// blocks it until its next release.
     pub fn spawn_periodic(
         &mut self,
-        name: impl Into<String>,
         priority: Priority,
         start: Instant,
         period: Span,
@@ -413,7 +391,7 @@ impl<W: World> Engine<W> {
             !period.is_zero(),
             "periodic schedulables need a positive period"
         );
-        let handle = self.spawn(name, priority, body);
+        let handle = self.spawn(priority, body);
         self.threads[handle.0].periodic = Some(PeriodicRelease {
             next: start,
             period,
@@ -430,7 +408,6 @@ impl<W: World> Engine<W> {
     /// of executed [`rt_model::SystemSpec`] systems.
     pub fn spawn_periodic_worker(
         &mut self,
-        name: impl Into<String>,
         priority: Priority,
         start: Instant,
         period: Span,
@@ -442,7 +419,7 @@ impl<W: World> Engine<W> {
             "periodic schedulables need a positive period"
         );
         let body = crate::handlers::PeriodicThreadBody::new(cost, unit);
-        let handle = self.spawn_stored(name, priority, StoredBody::Periodic(body));
+        let handle = self.spawn_stored(priority, StoredBody::Periodic(body));
         self.threads[handle.0].periodic = Some(PeriodicRelease {
             next: start,
             period,
@@ -477,11 +454,6 @@ impl<W: World> Engine<W> {
     /// background rank — when this is never called.
     pub fn set_thread_deadline(&mut self, handle: ThreadHandle, deadline: Instant) {
         self.set_deadline(handle.0, deadline);
-    }
-
-    /// Name of a schedulable (for diagnostics).
-    pub fn thread_name(&self, handle: ThreadHandle) -> &str {
-        &self.threads[handle.0].name
     }
 
     /// Runs the system until the horizon and returns the trace.
@@ -524,8 +496,8 @@ impl<W: World> Engine<W> {
             };
 
             // If the chosen thread needs to decide its next action, pump its
-            // body once and re-evaluate (the decision may fire events or
-            // block, which can change who should run).
+            // body once and re-evaluate (the decision may block, or arm a
+            // timer that fires at once, which can change who should run).
             if matches!(self.threads[tid].status, ThreadStatus::Ready(_)) {
                 self.pump_body(tid);
                 self.note_progress(Span::ZERO);
@@ -702,7 +674,6 @@ impl<W: World> Engine<W> {
         };
         let mut ctx = BodyCtx::new(self.now, &mut self.world);
         let action = self.threads[tid].body.next_action(&mut ctx, completion);
-        let fires = ctx.take_fire_requests();
         let timers = ctx.take_timer_requests();
         let deadline = ctx.take_deadline_request();
 
@@ -779,16 +750,8 @@ impl<W: World> Engine<W> {
                     self.threads[tid].status = ThreadStatus::BlockedOnEvent;
                 }
             }
-            Action::Terminate => {
-                self.threads[tid].status = ThreadStatus::Terminated;
-            }
         }
 
-        // Fires requested by the body are processed after its state is
-        // settled, so a body can fire the event it is about to wait on.
-        for event in fires {
-            self.fire_event_now(event);
-        }
         // Runtime-armed timers: a future instant joins the timer list like
         // any pre-run timer; a past or present instant fires immediately,
         // charging the same timer overhead a scanned fire would.
@@ -887,7 +850,6 @@ mod tests {
         // Saturating worker: its compute ends exactly on its next release,
         // so the released-in-place WaitForNextPeriod path is taken at t=10.
         engine.spawn_periodic(
-            "publisher",
             Priority::new(10),
             Instant::ZERO,
             Span::from_units(10),
@@ -895,7 +857,6 @@ mod tests {
         );
         // A genuinely more urgent thread released at 10 (deadline 15).
         engine.spawn_periodic(
-            "urgent",
             Priority::new(10),
             Instant::from_units(10),
             Span::from_units(5),
@@ -918,7 +879,6 @@ mod tests {
     fn single_periodic_thread_runs_every_period() {
         let mut engine = Engine::new(config(30));
         engine.spawn_periodic(
-            "tau",
             Priority::new(10),
             Instant::ZERO,
             Span::from_units(10),
@@ -942,7 +902,6 @@ mod tests {
         let mut engine = Engine::new(config(20));
         // Low-priority long job released at 0.
         engine.spawn_periodic(
-            "low",
             Priority::new(10),
             Instant::ZERO,
             Span::from_units(20),
@@ -953,7 +912,6 @@ mod tests {
         );
         // High-priority short job released at 2.
         engine.spawn_periodic(
-            "high",
             Priority::new(20),
             Instant::from_units(2),
             Span::from_units(20),
@@ -1012,7 +970,7 @@ mod tests {
                 }
             }
         }
-        engine.spawn("waiter", Priority::new(10), Box::new(Waiter { event }));
+        engine.spawn(Priority::new(10), Box::new(Waiter { event }));
         let (trace, served_at) = engine.run_with_world();
         assert_eq!(served_at, vec![Instant::from_units(4)]);
         assert_eq!(trace.busy_time(task_unit(0)), Span::from_units(2));
@@ -1022,11 +980,13 @@ mod tests {
     fn fires_before_the_wait_are_remembered_as_pending() {
         let mut engine = Engine::with_world(config(20), Vec::new());
         let event = engine.create_event();
+        let parked = engine.create_event();
         engine.add_one_shot_timer(Instant::from_units(1), event);
         // The waiter only starts waiting at t=5 (it computes first); the fire
-        // at t=1 must not be lost.
+        // at t=1 must not be lost. It then parks on an event nothing fires.
         struct LateWaiter {
             event: EventHandle,
+            parked: EventHandle,
             phase: u8,
         }
         impl ThreadBody<Vec<Instant>> for LateWaiter {
@@ -1046,16 +1006,19 @@ mod tests {
                         assert_eq!(completion, Completion::EventFired);
                         let now = ctx.now();
                         ctx.world().push(now);
-                        Action::Terminate
+                        Action::WaitForEvent(self.parked)
                     }
-                    _ => Action::Terminate,
+                    _ => unreachable!("nothing fires the parked event"),
                 }
             }
         }
         engine.spawn(
-            "late",
             Priority::new(10),
-            Box::new(LateWaiter { event, phase: 0 }),
+            Box::new(LateWaiter {
+                event,
+                parked,
+                phase: 0,
+            }),
         );
         let (trace, woke) = engine.run_with_world();
         assert_eq!(woke, vec![Instant::from_units(5)]);
@@ -1063,10 +1026,12 @@ mod tests {
     }
 
     /// A body that issues one interruptible compute of `amount` under
-    /// `budget`, logs how it ended into the world and terminates.
+    /// `budget`, logs how it ended into the world and parks on an event
+    /// nothing fires.
     struct Budgeted {
         amount: Span,
         budget: Span,
+        parked: EventHandle,
         issued: bool,
     }
 
@@ -1085,19 +1050,20 @@ mod tests {
                 };
             }
             ctx.world().push(completion);
-            Action::Terminate
+            Action::WaitForEvent(self.parked)
         }
     }
 
     /// Runs one [`Budgeted`] body and returns its logged completions.
     fn run_budgeted(amount: u64, budget: u64) -> (Trace, Vec<Completion>) {
         let mut engine = Engine::with_world(config(20), Vec::new());
+        let parked = engine.create_event();
         engine.spawn(
-            "budgeted",
             Priority::new(10),
             Box::new(Budgeted {
                 amount: Span::from_units(amount),
                 budget: Span::from_units(budget),
+                parked,
                 issued: false,
             }),
         );
@@ -1139,7 +1105,6 @@ mod tests {
         let event = engine.create_event();
         engine.add_one_shot_timer(Instant::from_units(2), event);
         engine.spawn_periodic(
-            "tau",
             Priority::new(10),
             Instant::ZERO,
             Span::from_units(20),
@@ -1187,7 +1152,6 @@ mod tests {
     fn equal_priorities_are_scheduled_in_spawn_order() {
         let mut engine = Engine::new(config(10));
         engine.spawn_periodic(
-            "a",
             Priority::new(10),
             Instant::ZERO,
             Span::from_units(10),
@@ -1197,7 +1161,6 @@ mod tests {
             }),
         );
         engine.spawn_periodic(
-            "b",
             Priority::new(10),
             Instant::ZERO,
             Span::from_units(10),
@@ -1218,7 +1181,6 @@ mod tests {
         // therefore the earlier absolute deadline) runs first.
         let mut engine = Engine::new(config(20).with_policy(rt_model::SchedulingPolicy::Edf));
         engine.spawn_periodic(
-            "high-prio-long-deadline",
             Priority::new(50),
             Instant::ZERO,
             Span::from_units(20),
@@ -1228,7 +1190,6 @@ mod tests {
             }),
         );
         engine.spawn_periodic(
-            "low-prio-short-deadline",
             Priority::new(10),
             Instant::ZERO,
             Span::from_units(5),
@@ -1251,7 +1212,6 @@ mod tests {
         let mut engine = Engine::new(config(10).with_policy(rt_model::SchedulingPolicy::Edf));
         for (i, _) in [0u32, 1].iter().enumerate() {
             engine.spawn_periodic(
-                format!("w{i}"),
                 Priority::new(10 + i as u8), // later spawn has *higher* priority
                 Instant::ZERO,
                 Span::from_units(10),
@@ -1276,7 +1236,6 @@ mod tests {
         // deadline (4+6=10) is earlier.
         let mut engine = Engine::new(config(30).with_policy(rt_model::SchedulingPolicy::Edf));
         engine.spawn_periodic(
-            "long",
             Priority::new(50),
             Instant::ZERO,
             Span::from_units(30),
@@ -1286,7 +1245,6 @@ mod tests {
             }),
         );
         engine.spawn_periodic(
-            "urgent",
             Priority::new(1),
             Instant::from_units(4),
             Span::from_units(6),
@@ -1309,7 +1267,6 @@ mod tests {
         // more urgent under EDF despite its later spawn.
         let mut engine = Engine::new(config(10).with_policy(rt_model::SchedulingPolicy::Edf));
         engine.spawn_periodic(
-            "implicit",
             Priority::new(10),
             Instant::ZERO,
             Span::from_units(10),
@@ -1319,7 +1276,6 @@ mod tests {
             }),
         );
         let constrained = engine.spawn_periodic(
-            "constrained",
             Priority::new(10),
             Instant::ZERO,
             Span::from_units(10),
@@ -1339,19 +1295,18 @@ mod tests {
         // An aperiodic thread that never publishes a deadline only runs once
         // every deadline-carrying thread is blocked.
         let mut engine = Engine::new(config(10).with_policy(rt_model::SchedulingPolicy::Edf));
+        let parked = engine.create_event();
         engine.spawn(
-            "no-deadline",
             Priority::new(90),
-            Box::new(|_: &mut BodyCtx, c: Completion| match c {
+            Box::new(move |_: &mut BodyCtx, c: Completion| match c {
                 Completion::Started => Action::Compute {
                     amount: Span::from_units(1),
                     unit: ExecUnit::ServerOverhead,
                 },
-                _ => Action::Terminate,
+                _ => Action::WaitForEvent(parked),
             }),
         );
         engine.spawn_periodic(
-            "deadline",
             Priority::new(1),
             Instant::ZERO,
             Span::from_units(10),
@@ -1371,7 +1326,6 @@ mod tests {
     fn non_progressing_bodies_are_detected() {
         let mut engine = Engine::new(config(10));
         engine.spawn(
-            "spin",
             Priority::new(10),
             Box::new(|_ctx: &mut BodyCtx, _c: Completion| Action::Compute {
                 amount: Span::ZERO,
@@ -1379,19 +1333,5 @@ mod tests {
             }),
         );
         engine.run();
-    }
-
-    #[test]
-    fn names_are_retained_for_diagnostics() {
-        let mut engine = Engine::new(config(10));
-        let e = engine.create_event();
-        let t = engine.spawn(
-            "server",
-            Priority::new(10),
-            Box::new(|_: &mut BodyCtx, _: Completion| Action::Terminate),
-        );
-        assert_eq!(engine.thread_name(t), "server");
-        assert_eq!(e.raw(), 0);
-        assert_eq!(t.raw(), 0);
     }
 }

@@ -96,7 +96,6 @@ pub(crate) mod tests {
     fn periodic_thread_body_runs_once_per_period() {
         let mut engine = Engine::new(config(18));
         engine.spawn_periodic(
-            "tau",
             Priority::new(10),
             Instant::ZERO,
             Span::from_units(6),
@@ -119,11 +118,7 @@ pub(crate) mod tests {
         let event = engine.create_event();
         engine.add_one_shot_timer(Instant::from_units(2), event);
         engine.add_one_shot_timer(Instant::from_units(9), event);
-        engine.spawn(
-            "handler",
-            Priority::new(20),
-            bound_handler(event, Span::from_units(3)),
-        );
+        engine.spawn(Priority::new(20), bound_handler(event, Span::from_units(3)));
         let (trace, Runs(runs)) = engine.run_with_world();
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].0, Instant::from_units(2));
@@ -142,13 +137,8 @@ pub(crate) mod tests {
         let event = engine.create_event();
         engine.add_one_shot_timer(Instant::from_units(1), event);
         // Handler at high priority preempts the periodic task.
-        engine.spawn(
-            "handler",
-            Priority::new(30),
-            bound_handler(event, Span::from_units(2)),
-        );
+        engine.spawn(Priority::new(30), bound_handler(event, Span::from_units(2)));
         engine.spawn_periodic(
-            "tau",
             Priority::new(10),
             Instant::ZERO,
             Span::from_units(12),

@@ -47,7 +47,6 @@
 //!     EngineConfig::new(Instant::from_units(30)).with_overhead(OverheadModel::none()),
 //! );
 //! engine.spawn_periodic(
-//!     "tau",
 //!     Priority::new(10),
 //!     Instant::ZERO,
 //!     Span::from_units(10),
@@ -116,7 +115,6 @@ mod proptests {
                 Engine::new(EngineConfig::new(horizon).with_overhead(OverheadModel::none()));
             for (i, (prio, cost, period)) in workers.iter().enumerate() {
                 engine.spawn_periodic(
-                    format!("w{i}"),
                     Priority::new(*prio),
                     Instant::ZERO,
                     Span::from_units(*period),
@@ -157,7 +155,6 @@ mod proptests {
             for (i, (prio, cost, period)) in workers.iter().enumerate() {
                 let prio = if i == 0 { 99 } else { (*prio).min(90) };
                 engine.spawn_periodic(
-                    format!("w{i}"),
                     Priority::new(prio),
                     Instant::ZERO,
                     Span::from_units(*period),
@@ -189,14 +186,9 @@ mod proptests {
                 );
                 let event = engine.create_event();
                 engine.add_periodic_timer(Instant::from_units(1), Span::from_units(7), event);
-                engine.spawn(
-                    "handler",
-                    Priority::new(95),
-                    bound_handler(event, Span::from_units(1)),
-                );
+                engine.spawn(Priority::new(95), bound_handler(event, Span::from_units(1)));
                 for (i, (prio, cost, period)) in workers.iter().enumerate() {
                     engine.spawn_periodic(
-                        format!("w{i}"),
                         Priority::new(*prio),
                         Instant::ZERO,
                         Span::from_units(*period),

@@ -1,16 +1,12 @@
 //! Temporal diagrams ("the simulator … can display a temporal diagram of the
 //! simulated execution", paper §5).
 //!
-//! Two renderers are provided, both working from the shared
-//! [`rt_model::Trace`]:
-//!
-//! * [`render_ascii`] — a fixed-width chart, one row per execution unit, one
-//!   column per time quantum, suitable for terminals, log files and the
-//!   integration tests that assert the shape of Figures 2–4;
-//! * [`render_svg`] — a standalone SVG document for reports.
+//! [`render_ascii`] draws the shared [`rt_model::Trace`] as a fixed-width
+//! chart, one row per execution unit, one column per time quantum, suitable
+//! for terminals, log files and the integration tests that assert the shape
+//! of Figures 2–4.
 
 use rt_model::{ExecUnit, Instant, Span, SystemSpec, Trace};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Options controlling the ASCII rendering.
@@ -108,89 +104,6 @@ pub fn render_ascii(trace: &Trace, spec: Option<&SystemSpec>, options: GanttOpti
     out
 }
 
-/// Renders the trace as a standalone SVG document.
-pub fn render_svg(trace: &Trace, spec: Option<&SystemSpec>) -> String {
-    const ROW_HEIGHT: f64 = 24.0;
-    const ROW_GAP: f64 = 8.0;
-    const LEFT_MARGIN: f64 = 120.0;
-    const TOP_MARGIN: f64 = 30.0;
-    const PIXELS_PER_UNIT: f64 = 20.0;
-
-    let mut units: Vec<ExecUnit> = trace
-        .segments
-        .iter()
-        .map(|s| s.unit)
-        .filter(|u| *u != ExecUnit::Idle)
-        .collect();
-    units.sort_by_key(|u| row_order(*u));
-    units.dedup();
-    let rows: BTreeMap<ExecUnit, usize> = units.iter().enumerate().map(|(i, u)| (*u, i)).collect();
-
-    let horizon_units = trace.horizon.as_units();
-    let width = LEFT_MARGIN + horizon_units * PIXELS_PER_UNIT + 20.0;
-    let height = TOP_MARGIN + units.len() as f64 * (ROW_HEIGHT + ROW_GAP) + 30.0;
-
-    let mut svg = String::new();
-    let _ = writeln!(
-        svg,
-        r#"<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0}" height="{height:.0}" viewBox="0 0 {width:.0} {height:.0}">"#
-    );
-    let _ = writeln!(
-        svg,
-        r#"<style>text {{ font-family: monospace; font-size: 12px; }}</style>"#
-    );
-
-    // Time grid.
-    let mut t = 0.0;
-    while t <= horizon_units + 1e-9 {
-        let x = LEFT_MARGIN + t * PIXELS_PER_UNIT;
-        let _ = writeln!(
-            svg,
-            r##"<line x1="{x:.1}" y1="{TOP_MARGIN}" x2="{x:.1}" y2="{:.1}" stroke="#ddd"/>"##,
-            height - 30.0
-        );
-        let _ = writeln!(
-            svg,
-            r#"<text x="{x:.1}" y="{:.1}">{t:.0}</text>"#,
-            height - 12.0
-        );
-        t += 1.0;
-    }
-
-    // Row labels.
-    for (unit, row) in &rows {
-        let y = TOP_MARGIN + *row as f64 * (ROW_HEIGHT + ROW_GAP) + ROW_HEIGHT * 0.7;
-        let _ = writeln!(
-            svg,
-            r#"<text x="4" y="{y:.1}">{}</text>"#,
-            unit_label(*unit, spec)
-        );
-    }
-
-    // Segments.
-    for segment in &trace.segments {
-        let Some(row) = rows.get(&segment.unit) else {
-            continue;
-        };
-        let x = LEFT_MARGIN + segment.start.as_units() * PIXELS_PER_UNIT;
-        let w = segment.duration().as_units() * PIXELS_PER_UNIT;
-        let y = TOP_MARGIN + *row as f64 * (ROW_HEIGHT + ROW_GAP);
-        let colour = match segment.unit {
-            ExecUnit::Handler(_) => "#4c9f70",
-            ExecUnit::Task(_) => "#4a7fb5",
-            ExecUnit::ServerOverhead => "#c97b3d",
-            ExecUnit::TimerOverhead => "#b5484a",
-            ExecUnit::Idle => "#eeeeee",
-        };
-        let _ = writeln!(
-            svg,
-            r#"<rect x="{x:.1}" y="{y:.1}" width="{w:.1}" height="{ROW_HEIGHT}" fill="{colour}" stroke="black" stroke-width="0.5"/>"#
-        );
-    }
-    svg.push_str("</svg>\n");
-    svg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,17 +170,6 @@ mod tests {
             let cells = line.split_whitespace().last().unwrap();
             assert!(cells.len() <= 5);
         }
-    }
-
-    #[test]
-    fn svg_contains_rects_and_labels() {
-        let (spec, trace) = example_trace();
-        let svg = render_svg(&trace, Some(&spec));
-        assert!(svg.starts_with("<svg"));
-        assert!(svg.trim_end().ends_with("</svg>"));
-        assert!(svg.contains("tau1"));
-        assert!(svg.contains("e0"));
-        assert!(svg.matches("<rect").count() >= 4);
     }
 
     #[test]

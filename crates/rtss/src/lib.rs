@@ -13,7 +13,7 @@
 //!   a driver specialized per server-policy kind × scheduling policy;
 //! * [`simulate_reference`] — the seed's linear-scan loop, the deliberately
 //!   simple oracle the specialized driver is pinned against byte-for-byte;
-//! * [`gantt`] — ASCII and SVG temporal diagrams.
+//! * [`gantt`] — ASCII temporal diagrams.
 //!
 //! RTSS's policy menu also lists D-OVER ("Preemptive Fixed Priority, EDF
 //! and D-OVER", §5), which the paper never evaluates; the simulator leaves
@@ -46,7 +46,7 @@ pub mod server;
 mod tables;
 
 pub use engine::{simulate, simulate_reference, simulate_with_probe};
-pub use gantt::{render_ascii, render_svg, GanttOptions};
+pub use gantt::{render_ascii, GanttOptions};
 pub use server::{
     BackgroundPolicy, DeferrablePolicy, PollingPolicy, ServerPolicy, ServerState, SporadicPolicy,
 };

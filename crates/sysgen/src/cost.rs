@@ -3,10 +3,9 @@
 //! The paper draws costs from a normal distribution with the set's average
 //! and standard deviation, and notes a "bad-design issue on our costs
 //! generations: if a cost lower than 0.1ms is generated, we set it to 0.1ms.
-//! So the average cost has no longer the correct value." The default model
+//! So the average cost has no longer the correct value." The model
 //! reproduces that clamping quirk faithfully (it contributes to the measured
-//! difference between homogeneous and heterogeneous sets); an alternative
-//! resampling model is provided so the effect of the quirk can be quantified.
+//! difference between homogeneous and heterogeneous sets).
 
 use crate::distributions::normal;
 use rand::Rng;
@@ -15,27 +14,16 @@ use rt_model::Span;
 /// Smallest cost the paper's generator allows (0.1 time units).
 pub const MIN_COST_UNITS: f64 = 0.1;
 
-/// How sampled costs below the minimum are handled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClampMode {
-    /// Reproduce the paper: clamp to 0.1 tu, biasing the average upwards.
-    PaperClamp,
-    /// Resample until the draw is at least 0.1 tu, keeping the distribution
-    /// conditional but unbiased by a hard floor artefact.
-    Resample,
-}
-
-/// A cost generator: normal distribution with a floor policy, plus an upper
-/// cap at the server capacity so the generated system always satisfies the
-/// framework's admission constraint (handler cost ≤ server capacity).
+/// A cost generator: normal distribution clamped at the paper's 0.1 tu
+/// floor, plus an upper cap at the server capacity so the generated system
+/// always satisfies the framework's admission constraint (handler cost ≤
+/// server capacity).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Mean of the normal distribution, in time units.
     pub mean: f64,
     /// Standard deviation, in time units.
     pub std_dev: f64,
-    /// Floor policy for tiny draws.
-    pub clamp: ClampMode,
     /// Upper cap, in time units (the server capacity).
     pub cap: f64,
 }
@@ -47,40 +35,13 @@ impl CostModel {
         CostModel {
             mean,
             std_dev,
-            clamp: ClampMode::PaperClamp,
-            cap: capacity.as_units(),
-        }
-    }
-
-    /// The unbiased variant that resamples instead of clamping.
-    pub fn resampling(mean: f64, std_dev: f64, capacity: Span) -> Self {
-        CostModel {
-            mean,
-            std_dev,
-            clamp: ClampMode::Resample,
             cap: capacity.as_units(),
         }
     }
 
     /// Draws one cost.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Span {
-        let value = match self.clamp {
-            ClampMode::PaperClamp => {
-                let draw = normal(rng, self.mean, self.std_dev);
-                draw.max(MIN_COST_UNITS)
-            }
-            ClampMode::Resample => {
-                // Bounded retries: with pathological parameters (mean far
-                // below the floor) fall back to the floor rather than loop.
-                let mut draw = normal(rng, self.mean, self.std_dev);
-                let mut attempts = 0;
-                while draw < MIN_COST_UNITS && attempts < 64 {
-                    draw = normal(rng, self.mean, self.std_dev);
-                    attempts += 1;
-                }
-                draw.max(MIN_COST_UNITS)
-            }
-        };
+        let value = normal(rng, self.mean, self.std_dev).max(MIN_COST_UNITS);
         Span::from_units_f64(value.min(self.cap))
     }
 }
@@ -113,29 +74,6 @@ mod tests {
             assert!(c >= Span::from_units_f64(MIN_COST_UNITS));
             assert!(c <= Span::from_units(4));
         }
-    }
-
-    #[test]
-    fn clamping_biases_the_mean_upwards() {
-        // With mean 0.5 and std 2 most of the left tail is clamped to 0.1,
-        // so the empirical mean exceeds the nominal mean noticeably more
-        // under PaperClamp than under Resample... both are floored, but the
-        // clamped model piles probability mass exactly at the floor.
-        let clamped = CostModel::paper(0.5, 2.0, Span::from_units(100));
-        let resampled = CostModel::resampling(0.5, 2.0, Span::from_units(100));
-        let mut r = rng();
-        let n = 10_000;
-        let at_floor = |model: &CostModel, r: &mut StdRng| {
-            (0..n)
-                .filter(|_| model.sample(r) == Span::from_units_f64(MIN_COST_UNITS))
-                .count()
-        };
-        let clamped_floor = at_floor(&clamped, &mut r);
-        let resampled_floor = at_floor(&resampled, &mut r);
-        assert!(
-            clamped_floor > resampled_floor * 2,
-            "clamping should concentrate mass at the floor ({clamped_floor} vs {resampled_floor})"
-        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use rand::Rng;
 
 /// Samples a standard normal variate using the Box–Muller transform.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Avoid ln(0) by drawing u1 from the half-open interval (0, 1].
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen::<f64>();
@@ -28,16 +28,10 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
     mean + std_dev * standard_normal(rng)
 }
 
-/// Samples a Poisson-distributed count with the given rate `lambda`, using
-/// Knuth's multiplication method. For the rates used by the generator
-/// (a handful of events per server period) this is both exact and fast.
-pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
-    Poisson::new(lambda).sample(rng)
-}
-
-/// A Poisson distribution with its rate's constant `exp(-lambda)` computed
-/// once, for callers drawing many counts at one rate. Draws exactly what
-/// [`poisson`] draws.
+/// A Poisson distribution, sampled with Knuth's multiplication method. For
+/// the rates used by the generator (a handful of events per server period)
+/// this is both exact and fast. The rate's constant `exp(-lambda)` is
+/// computed once, for callers drawing many counts at one rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Poisson {
     lambda: f64,
@@ -78,14 +72,6 @@ impl Poisson {
     }
 }
 
-/// Samples an exponential inter-arrival time with the given rate (events per
-/// time unit).
-pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
-    assert!(rate > 0.0, "exponential rate must be positive");
-    let u: f64 = 1.0 - rng.gen::<f64>();
-    -u.ln() / rate
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,7 +110,8 @@ mod tests {
         let mut r = rng();
         let n = 20_000;
         let lambda = 2.5;
-        let samples: Vec<u64> = (0..n).map(|_| poisson(&mut r, lambda)).collect();
+        let poisson = Poisson::new(lambda);
+        let samples: Vec<u64> = (0..n).map(|_| poisson.sample(&mut r)).collect();
         let mean = samples.iter().sum::<u64>() as f64 / n as f64;
         assert!(
             (mean - lambda).abs() < 0.1,
@@ -135,30 +122,15 @@ mod tests {
     #[test]
     fn poisson_zero_rate_is_always_zero() {
         let mut r = rng();
-        assert_eq!(poisson(&mut r, 0.0), 0);
-        assert_eq!(poisson(&mut r, -1.0), 0);
+        assert_eq!(Poisson::new(0.0).sample(&mut r), 0);
+        assert_eq!(Poisson::new(-1.0).sample(&mut r), 0);
     }
 
     #[test]
     fn poisson_large_rate_uses_normal_approximation() {
         let mut r = rng();
-        let sample = poisson(&mut r, 10_000.0);
+        let sample = Poisson::new(10_000.0).sample(&mut r);
         assert!(sample > 9_000 && sample < 11_000);
-    }
-
-    #[test]
-    fn exponential_mean_is_inverse_rate() {
-        let mut r = rng();
-        let n = 20_000;
-        let rate = 0.5;
-        let mean = (0..n).map(|_| exponential(&mut r, rate)).sum::<f64>() / n as f64;
-        assert!((mean - 2.0).abs() < 0.1, "mean {mean} too far from 2.0");
-    }
-
-    #[test]
-    #[should_panic(expected = "rate must be positive")]
-    fn exponential_rejects_nonpositive_rate() {
-        exponential(&mut rng(), 0.0);
     }
 
     #[test]
@@ -167,7 +139,10 @@ mod tests {
         let mut b = rng();
         for _ in 0..100 {
             assert_eq!(normal(&mut a, 3.0, 2.0), normal(&mut b, 3.0, 2.0));
-            assert_eq!(poisson(&mut a, 2.0), poisson(&mut b, 2.0));
+            assert_eq!(
+                Poisson::new(2.0).sample(&mut a),
+                Poisson::new(2.0).sample(&mut b)
+            );
         }
     }
 }

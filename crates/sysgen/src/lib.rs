@@ -25,7 +25,7 @@ pub mod distributions;
 pub mod generator;
 pub mod params;
 
-pub use cost::{ClampMode, CostModel, MIN_COST_UNITS};
+pub use cost::{CostModel, MIN_COST_UNITS};
 pub use generator::{
     uunifast, ExtraServer, FaultModel, PeriodicLoad, RandomSystemGenerator, ValueModel,
 };

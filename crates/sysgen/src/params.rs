@@ -75,15 +75,6 @@ impl GeneratorParams {
         )
     }
 
-    /// The six `(density, std-deviation)` pairs of Tables 2–5, in the order
-    /// the paper reports them: (1,0) (2,0) (3,0) (1,2) (2,2) (3,2).
-    pub fn paper_sets() -> Vec<((u32, u32), Self)> {
-        [(1, 0), (2, 0), (3, 0), (1, 2), (2, 2), (3, 2)]
-            .into_iter()
-            .map(|(d, s)| ((d, s), Self::paper_set(d, s)))
-            .collect()
-    }
-
     /// Observation horizon of one generated system.
     pub fn horizon(&self) -> rt_model::Instant {
         rt_model::Instant::ZERO + self.server_period.saturating_mul(self.horizon_periods)
@@ -132,18 +123,6 @@ mod tests {
         assert_eq!(p.seed, 1983);
         assert_eq!(p.horizon(), rt_model::Instant::from_units(60));
         assert!(p.validate().is_ok());
-    }
-
-    #[test]
-    fn paper_sets_are_the_six_tuples_in_order() {
-        let sets = GeneratorParams::paper_sets();
-        let keys: Vec<(u32, u32)> = sets.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec![(1, 0), (2, 0), (3, 0), (1, 2), (2, 2), (3, 2)]);
-        for ((d, s), p) in sets {
-            assert_eq!(p.task_density, d as f64);
-            assert_eq!(p.std_deviation, s as f64);
-            assert!(p.validate().is_ok());
-        }
     }
 
     #[test]

@@ -79,5 +79,5 @@ pub mod prelude {
     pub use rt_sysgen::{GeneratorParams, RandomSystemGenerator};
     pub use rt_taskserver::{execute, execute_reference, ExecutionConfig, TaskServerParameters};
     pub use rtsj_emu::OverheadModel;
-    pub use rtss_sim::{render_ascii, render_svg, simulate, simulate_reference, GanttOptions};
+    pub use rtss_sim::{render_ascii, simulate, simulate_reference, GanttOptions};
 }

@@ -18,7 +18,6 @@
 //! static dispatch tables could diverge. The golden files in
 //! `tests/goldens/` additionally pin every loop to the recorded history.
 
-use rtsj_event_framework::compile::CompiledSystem;
 use rtsj_event_framework::model::{
     AdmissionPolicy, AperiodicFate, Instant, Priority, QueueDiscipline, SchedulingPolicy,
     ServerPolicyKind, ServerSpec, Span, SystemSpec,
@@ -27,7 +26,7 @@ use rtsj_event_framework::observe::MetricsProbe;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
 use rtsj_event_framework::sysgen::{GeneratorParams, RandomSystemGenerator};
 use rtsj_event_framework::taskserver::{
-    execute, execute_reference, execute_with_probe, ExecutionConfig,
+    execute, execute_reference, execute_with_probe, ExecutionConfig, ExecutionPlan,
 };
 
 mod common;
@@ -360,9 +359,8 @@ fn execution_plan_is_reusable() {
         SchedulingPolicy::FixedPriority,
         SCENARIOS[2],
     );
-    let compiled = CompiledSystem::compile(&spec).expect("valid spec");
     let config = ExecutionConfig::reference();
-    let plan = compiled.execution_plan(&config);
+    let plan = ExecutionPlan::prepare(&spec, &config).expect("valid spec");
     let first = plan.run();
     let rendered = first.render_canonical();
     for (label, trace) in [
