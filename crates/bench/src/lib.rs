@@ -17,6 +17,10 @@
 //!
 //! The same JSON cursor backs [`validate_chrome_trace`], the parse-check
 //! for the Perfetto/Chrome trace files `repro observe --trace-out` emits.
+//!
+//! The crate's `ab` binary (`cargo run --release -p rt-bench --bin ab --
+//! <base-rev> <change-rev>`) compares two commits on the end-to-end
+//! pipeline benchmark (`perfbench/`) in alternating pairs.
 
 #![forbid(unsafe_code)]
 

@@ -494,6 +494,54 @@ fn overload_paths_allocate_amortized_only() {
     }
 }
 
+/// A sporadic server's chunk timers allocate amortized-only: SS(2, 10) over
+/// one periodic task, one cost-0.5 event every 3 units for `units` units.
+/// Every consumption chunk the server closes arms a replenishment timer
+/// through its body's context, so a request buffer built per pump would add
+/// one allocation per chunk — hundreds for 4N units against N.
+#[test]
+fn sporadic_server_execution_allocates_amortized_only() {
+    const N: u64 = 180;
+    const AMORTIZED_BUDGET: usize = 16;
+    let config = ExecutionConfig::reference();
+    let allocations = |units: u64| {
+        let mut b = SystemSpec::builder(format!("sporadic-chunks-{units}"));
+        b.server(ServerSpec::sporadic(
+            Span::from_units(2),
+            Span::from_units(10),
+            Priority::new(99),
+        ));
+        b.periodic(
+            "tau1",
+            Span::from_units(2),
+            Span::from_units(10),
+            Priority::new(10),
+        );
+        for t in (0..units).step_by(3) {
+            b.aperiodic(Instant::from_units(t), Span::from_ticks(500));
+        }
+        b.horizon(Instant::from_units(units));
+        let spec = b.build().expect("sporadic workloads are valid");
+        let plan = ExecutionPlan::prepare(&spec, &config).expect("valid spec");
+        // Warm-up outside the counted region (lazy statics, the thread's
+        // scratch).
+        std::hint::black_box(plan.run());
+        let (a, r) = count_allocations(|| {
+            std::hint::black_box(plan.run());
+        });
+        a + r
+    };
+    let base = allocations(N);
+    let long = allocations(4 * N);
+    assert!(
+        long <= base + AMORTIZED_BUDGET,
+        "{} units of sporadic-server traffic allocated {long} times against {base} for \
+         {N}: arming a chunk's replenishment must not allocate (amortized budget: \
+         {AMORTIZED_BUDGET})",
+        4 * N
+    );
+}
+
 /// Mean (allocations + reallocations) per system of each stage of the paper
 /// pipeline (generate → validate → prepare/run → measure) over 100 systems
 /// of paper set (2,2).

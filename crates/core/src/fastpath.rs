@@ -86,7 +86,8 @@
 //! drain for the exact wheel instant.
 //!
 //! Per run, the driver's tables — the thread table, the wheel, the rank
-//! bitmap, the heaps — and the install's are taken
+//! bitmap, the heaps, the timer-request buffer a pump lends its body's
+//! [`BodyCtx`] — and the install's are taken
 //! from the thread's scratch (`RunScratch`) and handed back empty at the
 //! horizon, so after one run on a thread the driver allocates only the
 //! trace's segments and outcome slots.
@@ -95,7 +96,7 @@ use crate::framework::{EventKind, ExecWorld, Install, InstallScratch, ServerBody
 use crate::system::{finalise_trace, ExecutionPlan, FinaliseScratch, PlannedEvent};
 use rt_model::{ExecUnit, Instant, ServerPolicyKind, Span, SystemSpec, Trace};
 use rt_observe::Probe;
-use rtsj_emu::{Action, BodyCtx, Completion, PeriodicThreadBody, ThreadBody};
+use rtsj_emu::{Action, BodyCtx, Completion, EventHandle, PeriodicThreadBody, ThreadBody};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -301,6 +302,7 @@ pub(crate) struct RunScratch {
     dynamic: BinaryHeap<Reverse<(Instant, usize, usize)>>,
     ready_edf: BinaryHeap<Reverse<(Instant, usize)>>,
     due: Vec<(usize, usize)>,
+    armed: Vec<(Instant, EventHandle)>,
     finalise: FinaliseScratch,
 }
 
@@ -485,6 +487,9 @@ struct FastDriver<'p, P: Probe, const EDF: bool> {
     /// Runtime-armed one-shots due at one drain, as (arming index, event
     /// index); empty until a sporadic lane arms one.
     due_scratch: Vec<(usize, usize)>,
+    /// The timers a pumped body arms, lent to its [`BodyCtx`] and drained
+    /// in place; empty until a sporadic lane arms one.
+    armed: Vec<(Instant, EventHandle)>,
 }
 
 impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
@@ -505,7 +510,8 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
                 && scratch.runnable.is_empty()
                 && scratch.dynamic.is_empty()
                 && scratch.ready_edf.is_empty()
-                && scratch.due.is_empty(),
+                && scratch.due.is_empty()
+                && scratch.armed.is_empty(),
             "a run starts from empty buffers"
         );
 
@@ -579,6 +585,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             trace,
             incomplete: None,
             due_scratch: std::mem::take(&mut scratch.due),
+            armed: std::mem::take(&mut scratch.armed),
         };
         for tid in 0..driver.threads.len() {
             driver.mark_runnable(tid);
@@ -599,6 +606,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             mut ready_edf,
             mut trace,
             due_scratch,
+            armed,
             ..
         } = self;
         let outcomes = world.into_outcomes(&mut scratch.install);
@@ -616,6 +624,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
         scratch.dynamic = dynamic;
         scratch.ready_edf = ready_edf;
         scratch.due = due_scratch;
+        scratch.armed = armed;
         trace
     }
 
@@ -939,9 +948,10 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
         if matches!(self.threads[tid].body, Body::Task(_)) {
             return self.pump_task(tid, completion);
         }
-        let mut ctx = BodyCtx::new(self.now, &mut self.world);
+        let mut ctx = BodyCtx::new(self.now, &mut self.world)
+            .with_timer_buffer(std::mem::take(&mut self.armed));
         let action = self.threads[tid].body.next_action(&mut ctx, completion);
-        let timers = ctx.take_timer_requests();
+        let mut timers = ctx.take_timer_requests();
         // Published first, so a release the action takes in place re-keys
         // over it; fixed-priority dispatch ignores deadlines.
         if let Some(deadline) = ctx.take_deadline_request() {
@@ -1002,7 +1012,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
             }
         }
 
-        for (at, event) in timers {
+        for (at, event) in timers.drain(..) {
             if at <= self.now {
                 self.pending_overhead += self.timer_fire;
                 self.fire_event(event.raw());
@@ -1013,6 +1023,7 @@ impl<'p, P: Probe, const EDF: bool> FastDriver<'p, P, EDF> {
                 self.next_due = self.next_due.min(at);
             }
         }
+        self.armed = timers;
     }
 
     /// The next instant the runnable set could change: the cached

@@ -6,7 +6,8 @@
 //! [`Scratch`] per thread: the planned-event and substrate tables
 //! [`crate::execute`] builds, the install's lanes, queue buffers, hook
 //! table, server list and timers ([`crate::framework`]), the driver's
-//! thread table, wheel, bitmap, heaps and wake list ([`crate::fastpath`])
+//! thread table, wheel, bitmap, heaps, wake list and the timer-request
+//! buffer it lends the server bodies ([`crate::fastpath`])
 //! and finalisation's per-task buckets. It is the discipline of an SCJ
 //! mission, whose handlers run in memory set up once, at the mission's
 //! initialisation. [`crate::execute`], [`crate::execute_with_probe`] and

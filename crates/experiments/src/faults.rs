@@ -11,14 +11,16 @@
 //! (`Aborted` fates), and the value retained per run (the measure carried
 //! across mode switches).
 //!
-//! The runs fan out over the same worker pool as the paper tables
-//! ([`crate::pool`]); rows are bit-identical for any worker count.
+//! The whole sweep is one pool pass ([`crate::pool`]) over every
+//! `(scenario, index)` pair: the worker that claims one generates that
+//! system, executes and simulates it, and returns both measures. The pool
+//! returns them in generation order, so the rows are bit-identical for any
+//! worker count.
 
-use crate::pool;
-use crate::tables::{run_system, EvaluationMode, TableConfig};
+use crate::tables::{paper_generator, run_system, stream_systems, EvaluationMode, TableConfig};
 use rt_metrics::{ContainmentAggregate, ContainmentMeasures};
 use rt_model::{AdmissionPolicy, Instant, ModeChange, ServerPolicyKind, Span, SystemSpec};
-use rt_sysgen::{FaultModel, GeneratorParams, RandomSystemGenerator, ValueModel};
+use rt_sysgen::{FaultModel, RandomSystemGenerator, ValueModel};
 use std::fmt;
 
 /// The fault scenarios of the sweep, all over byte-identical 2× overload
@@ -159,21 +161,9 @@ impl fmt::Display for FaultTable {
     }
 }
 
-/// Generates the system set of one fault scenario: the paper's (2,0)
-/// baseline at 2× overload, cost-proportional deadlines (factor 6),
-/// uniform random value densities 1..=8, deadline-predictive admission,
-/// and the scenario's fault model / mode schedule stamped on top. The
-/// fault knobs draw from a dedicated RNG stream, so every scenario sees
-/// byte-identical traffic.
-pub fn generate_fault_set(scenario: FaultScenario, config: &TableConfig) -> Vec<SystemSpec> {
-    let mut params = GeneratorParams::paper_set(2, 0);
-    params.nb_generation = config.systems_per_set;
-    params.seed = config.seed;
-    let generator = RandomSystemGenerator::new(params, scenario.server_policy())
-        // rt-lint: allow(panic, reason = "the paper's fixed generator parameter sets are statically known to pass validation")
-        .expect("paper parameters are valid")
-        .with_scheduling(config.scheduling)
-        .with_discipline(config.discipline)
+/// The generator of [`generate_fault_set`].
+fn fault_generator(scenario: FaultScenario, config: &TableConfig) -> RandomSystemGenerator {
+    let generator = paper_generator((2, 0), scenario.server_policy(), config)
         .with_overload_factor(2.0)
         .with_aperiodic_deadline_factor(6)
         .with_value_model(ValueModel::UniformDensity { lo: 1, hi: 8 })
@@ -185,32 +175,45 @@ pub fn generate_fault_set(scenario: FaultScenario, config: &TableConfig) -> Vec<
             .expect("scenario fault models are well-formed"),
         None => generator,
     };
-    generator
-        .with_mode_schedule(scenario.mode_schedule())
-        .generate()
+    generator.with_mode_schedule(scenario.mode_schedule())
+}
+
+/// Generates the system set of one fault scenario: the paper's (2,0)
+/// baseline at 2× overload, cost-proportional deadlines (factor 6),
+/// uniform random value densities 1..=8, deadline-predictive admission,
+/// and the scenario's fault model / mode schedule stamped on top. The
+/// fault knobs draw from a dedicated RNG stream, so every scenario sees
+/// byte-identical traffic.
+pub fn generate_fault_set(scenario: FaultScenario, config: &TableConfig) -> Vec<SystemSpec> {
+    fault_generator(scenario, config).generate()
 }
 
 /// Reproduces the fault-containment table: every [`FAULT_SCENARIOS`] row
 /// executed (reference overheads) and simulated over the same generated
-/// systems, fanned out over `workers` threads. Bit-identical for any
-/// worker count.
+/// systems, streamed over `workers` threads. Bit-identical for any worker
+/// count.
 pub fn reproduce_faults_table(config: &TableConfig, workers: usize) -> FaultTable {
-    let mut rows = Vec::new();
-    for &scenario in &FAULT_SCENARIOS {
-        let systems = generate_fault_set(scenario, config);
-        let measures = |mode: EvaluationMode| -> Vec<ContainmentMeasures> {
-            pool::parallel_map(&systems, workers, |_, system| {
-                ContainmentMeasures::from_trace(&run_system(system, mode), &system.faults)
-            })
-        };
-        let execution = measures(EvaluationMode::Execution);
-        let simulation = measures(EvaluationMode::Simulation);
-        rows.push(FaultRow {
-            scenario,
-            execution: ContainmentAggregate::from_runs(&execution),
-            simulation: ContainmentAggregate::from_runs(&simulation),
-        });
-    }
+    let generators = FAULT_SCENARIOS.map(|scenario| fault_generator(scenario, config));
+    let runs = stream_systems(&generators, workers, |system| {
+        let measure =
+            |mode| ContainmentMeasures::from_trace(&run_system(&system, mode), &system.faults);
+        (
+            measure(EvaluationMode::Execution),
+            measure(EvaluationMode::Simulation),
+        )
+    });
+    let rows = FAULT_SCENARIOS
+        .into_iter()
+        .zip(runs)
+        .map(|(scenario, runs)| {
+            let (execution, simulation): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
+            FaultRow {
+                scenario,
+                execution: ContainmentAggregate::from_runs(&execution),
+                simulation: ContainmentAggregate::from_runs(&simulation),
+            }
+        })
+        .collect();
     FaultTable {
         caption: format!(
             "Fault containment — paper set (2,0) at 2x load, predictive admission, \

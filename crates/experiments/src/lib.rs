@@ -14,8 +14,9 @@
 //! * [`observe`] — the probe-instrumented reproduction: per-set metrics
 //!   summaries (counters + virtual-time quantiles, worker-count-invariant)
 //!   and Chrome-trace export of the Figure scenarios;
-//! * [`pool`] — the std-thread worker pool the table harness fans out on,
-//!   with deterministic (bit-identical for any worker count) reduction.
+//! * [`pool`] — the std-thread worker pool every reproduction streams its
+//!   systems through in one pass, with deterministic (bit-identical for
+//!   any worker count) reduction.
 //!
 //! The `repro` binary exposes each experiment as a subcommand; the Criterion
 //! benches in `rt-bench` wrap the same entry points.

@@ -4,11 +4,12 @@
 //! attached to every engine run and renders a per-set summary of what the
 //! schedulers actually did: decision points, dispatches, preemptions,
 //! admission verdicts, and the virtual-time response / backlog quantiles.
-//! The per-run probes are folded on the same worker pool the tables use;
-//! because [`MetricsProbe::merge`] is element-wise `u64` addition
-//! (commutative and associative), the printed summary is **bit-identical
-//! for any `--workers` count and any work interleaving** — the harness
-//! determinism guarantee extended from traces to metrics.
+//! The runs stream through the same one-pass worker pool the tables use,
+//! each worker folding its per-run probes into per-set shards; because
+//! [`MetricsProbe::merge`] is element-wise `u64` addition (commutative and
+//! associative), the printed summary is **bit-identical for any
+//! `--workers` count and any work interleaving** — the harness determinism
+//! guarantee extended from traces to metrics.
 //!
 //! `repro observe --trace-out <path>` additionally runs the paper's Figure
 //! scenarios with an [`rt_observe::SpanProbe`] on the execution engine and
@@ -17,7 +18,7 @@
 
 use crate::pool;
 use crate::scenarios::{scenario_system, Scenario};
-use crate::tables::{generate_set, EvaluationMode, PaperTable, TableConfig};
+use crate::tables::{paper_generator, stream_items, EvaluationMode, PaperTable, TableConfig};
 use rt_metrics::SET_ORDER;
 use rt_model::{SystemSpec, Trace, TICKS_PER_UNIT};
 use rt_observe::{chrome_trace_json, MetricsProbe, Probe, SpanProbe, UnitNames};
@@ -62,28 +63,23 @@ pub struct ObserveReport {
 /// Re-runs a paper table with a metrics probe on every run and returns the
 /// per-set merged observations.
 ///
-/// Determinism: generation is per-set-seeded exactly like the table
-/// harness, each `(set, system)` run records into a fresh probe, and the
-/// per-worker partials merge by element-wise addition — so the report is
-/// bit-identical for any `workers`, including 1.
+/// Determinism: one pool pass over the same `(set, index)` items as the
+/// table harness; the worker that claims one generates that system with the
+/// set's identically seeded generator, records its run into a fresh probe
+/// and merges it into its own per-set shard, and the shards merge by
+/// element-wise addition — so the report is bit-identical for any
+/// `workers`, including 1.
 pub fn observe_table(table: PaperTable, config: &TableConfig, workers: usize) -> ObserveReport {
-    let policy = table.policy();
     let mode = table.mode();
-    let sets: Vec<Vec<SystemSpec>> = pool::parallel_map(&SET_ORDER, workers, |_, &set| {
-        generate_set(set, policy, config)
-    });
-    let items: Vec<(usize, &SystemSpec)> = sets
-        .iter()
-        .enumerate()
-        .flat_map(|(set_index, systems)| systems.iter().map(move |system| (set_index, system)))
-        .collect();
+    let generators = SET_ORDER.map(|set| paper_generator(set, table.policy(), config));
     let shards = pool::parallel_shards(
-        &items,
+        &stream_items(&generators),
         workers,
         || SET_ORDER.map(|_| MetricsProbe::new()),
-        |acc, _, &(set_index, system)| {
+        |acc, _, &(set_index, index)| {
             let mut probe = MetricsProbe::new();
-            let trace = run_system_observed(system, mode, &mut probe);
+            let system = generators[set_index].generate_one(index);
+            let trace = run_system_observed(&system, mode, &mut probe);
             probe.absorb_trace(&trace);
             acc[set_index].merge(&probe);
         },
@@ -99,10 +95,9 @@ pub fn observe_table(table: PaperTable, config: &TableConfig, workers: usize) ->
         sets: SET_ORDER
             .iter()
             .zip(merged)
-            .zip(&sets)
-            .map(|((&set, probe), systems)| ObservedSet {
+            .map(|(&set, probe)| ObservedSet {
                 set,
-                systems: systems.len(),
+                systems: config.systems_per_set,
                 probe,
             })
             .collect(),

@@ -10,15 +10,16 @@
 //! events* (what a predictive policy buys with its rejections), the mean
 //! accrued value per run, and the AART of the served events.
 //!
-//! The runs fan out over the same worker pool as the paper tables
-//! ([`crate::pool`]); rows are bit-identical for any worker count because
-//! [`crate::run_systems`]'s `parallel_map` returns measures in input order.
+//! The whole sweep is one pool pass ([`crate::pool`]) over every
+//! `(cell, index)` pair: the worker that claims one generates that system,
+//! executes and simulates it, and returns both measures. The pool returns
+//! them in generation order, so the rows are bit-identical for any worker
+//! count.
 
-use crate::pool;
-use crate::tables::{run_system, EvaluationMode, TableConfig};
+use crate::tables::{paper_generator, run_system, stream_systems, EvaluationMode, TableConfig};
 use rt_metrics::{OverloadAggregate, RunMeasures};
 use rt_model::{AdmissionPolicy, ServerPolicyKind, SystemSpec};
-use rt_sysgen::{GeneratorParams, RandomSystemGenerator, ValueModel};
+use rt_sysgen::{RandomSystemGenerator, ValueModel};
 use std::fmt;
 
 /// Load multipliers of the sweep: half load → nominal → 2× → 4× overload.
@@ -100,6 +101,19 @@ impl fmt::Display for OverloadTable {
     }
 }
 
+/// The generator of [`generate_overload_set`].
+fn overload_generator(
+    load: f64,
+    policy: AdmissionPolicy,
+    config: &TableConfig,
+) -> RandomSystemGenerator {
+    paper_generator((2, 0), ServerPolicyKind::Polling, config)
+        .with_overload_factor(load)
+        .with_aperiodic_deadline_factor(6)
+        .with_value_model(ValueModel::UniformDensity { lo: 1, hi: 8 })
+        .with_admission(policy)
+}
+
 /// Generates the overload set of one `(load, policy)` cell: the paper's
 /// (2,0) baseline server (polling — the policy whose arrival-time
 /// predictions are exact) with the arrival rate multiplied by `load`,
@@ -112,45 +126,42 @@ pub fn generate_overload_set(
     policy: AdmissionPolicy,
     config: &TableConfig,
 ) -> Vec<SystemSpec> {
-    let mut params = GeneratorParams::paper_set(2, 0);
-    params.nb_generation = config.systems_per_set;
-    params.seed = config.seed;
-    RandomSystemGenerator::new(params, ServerPolicyKind::Polling)
-        // rt-lint: allow(panic, reason = "the paper's fixed generator parameter sets are statically known to pass validation")
-        .expect("paper parameters are valid")
-        .with_scheduling(config.scheduling)
-        .with_discipline(config.discipline)
-        .with_overload_factor(load)
-        .with_aperiodic_deadline_factor(6)
-        .with_value_model(ValueModel::UniformDensity { lo: 1, hi: 8 })
-        .with_admission(policy)
-        .generate()
+    overload_generator(load, policy, config).generate()
 }
 
 /// Reproduces the overload table: `OVERLOAD_LOADS` × `OVERLOAD_POLICIES`,
 /// each cell executed (reference overheads) and simulated over the same
-/// generated systems, fanned out over `workers` threads. Bit-identical for
+/// generated systems, streamed over `workers` threads. Bit-identical for
 /// any worker count.
 pub fn reproduce_overload_table(config: &TableConfig, workers: usize) -> OverloadTable {
-    let mut rows = Vec::new();
-    for &load in &OVERLOAD_LOADS {
-        for &policy in &OVERLOAD_POLICIES {
-            let systems = generate_overload_set(load, policy, config);
-            let measures = |mode: EvaluationMode| -> Vec<RunMeasures> {
-                pool::parallel_map(&systems, workers, |_, system| {
-                    RunMeasures::from_trace(&run_system(system, mode))
-                })
-            };
-            let execution = measures(EvaluationMode::Execution);
-            let simulation = measures(EvaluationMode::Simulation);
-            rows.push(OverloadRow {
+    let cells: Vec<(f64, AdmissionPolicy)> = OVERLOAD_LOADS
+        .iter()
+        .flat_map(|&load| OVERLOAD_POLICIES.iter().map(move |&policy| (load, policy)))
+        .collect();
+    let generators: Vec<RandomSystemGenerator> = cells
+        .iter()
+        .map(|&(load, policy)| overload_generator(load, policy, config))
+        .collect();
+    let runs = stream_systems(&generators, workers, |system| {
+        let measure = |mode| RunMeasures::from_trace(&run_system(&system, mode));
+        (
+            measure(EvaluationMode::Execution),
+            measure(EvaluationMode::Simulation),
+        )
+    });
+    let rows = cells
+        .into_iter()
+        .zip(runs)
+        .map(|((load, policy), runs)| {
+            let (execution, simulation): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
+            OverloadRow {
                 load,
                 policy,
                 execution: OverloadAggregate::from_runs(&execution),
                 simulation: OverloadAggregate::from_runs(&simulation),
-            });
-        }
-    }
+            }
+        })
+        .collect();
     OverloadTable {
         caption: format!(
             "Overload sweep — paper set (2,0), PS, deadlines 6x cost, values U(1..8), \

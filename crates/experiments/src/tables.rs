@@ -1,16 +1,18 @@
 //! Regeneration of Tables 2–5: the six generated sets, simulated and
 //! executed under the Polling and Deferrable server policies.
 //!
-//! Every system of a table is independent, so the harness fans the work out
-//! over a [`crate::pool`] worker pool: generation is parallel across the six
-//! sets (each set owns its own RNG stream, seeded exactly as the sequential
-//! path seeds it), the runs are parallel across all systems, and the
-//! per-worker [`PartialRuns`] are merged in generation order — the resulting
-//! table is bit-identical to [`reproduce_table`] for any worker count.
+//! Every system of a table is independent, so the harness streams the work
+//! over a [`crate::pool`] worker pool in one pass: the worker that claims
+//! the `index`-th system of a set generates it with
+//! [`RandomSystemGenerator::generate_one`] (each system owns its RNG
+//! stream, seeded exactly as the sequential path seeds it), runs it at once
+//! and returns its measures. The pool hands the measures back in generation
+//! order and each set folds them as [`reproduce_table`] does, so the table
+//! is bit-identical to it for any worker count.
 
 use crate::pool;
 use rt_analysis::{edf_feasible_system, periodic_set_feasible_with_servers};
-use rt_metrics::{PartialRuns, ResultTable, RunMeasures, SetAggregate, SET_ORDER};
+use rt_metrics::{ResultTable, RunMeasures, SetAggregate, SET_ORDER};
 use rt_model::{QueueDiscipline, SchedulingPolicy, ServerPolicyKind, SystemSpec, Trace};
 use rt_sysgen::{ExtraServer, GeneratorParams, PeriodicLoad, RandomSystemGenerator};
 use rt_taskserver::{execute, ExecutionConfig};
@@ -124,12 +126,12 @@ impl Default for TableConfig {
     }
 }
 
-/// Generates the systems of one paper set under the given policy.
-pub fn generate_set(
+/// The generator of one paper set under the given policy.
+pub(crate) fn paper_generator(
     set: (u32, u32),
     policy: ServerPolicyKind,
     config: &TableConfig,
-) -> Vec<SystemSpec> {
+) -> RandomSystemGenerator {
     let mut params = GeneratorParams::paper_set(set.0, set.1);
     params.nb_generation = config.systems_per_set;
     params.seed = config.seed;
@@ -138,7 +140,34 @@ pub fn generate_set(
         .expect("paper parameters are valid")
         .with_scheduling(config.scheduling)
         .with_discipline(config.discipline)
-        .generate()
+}
+
+/// Generates the systems of one paper set under the given policy.
+pub fn generate_set(
+    set: (u32, u32),
+    policy: ServerPolicyKind,
+    config: &TableConfig,
+) -> Vec<SystemSpec> {
+    paper_generator(set, policy, config).generate()
+}
+
+/// The generator of [`generate_multi_server_set`].
+fn multi_server_generator(
+    set: (u32, u32),
+    policies: &[ServerPolicyKind],
+    config: &TableConfig,
+) -> RandomSystemGenerator {
+    assert!(!policies.is_empty(), "at least one server policy required");
+    let generator = paper_generator(set, policies[0], config);
+    let params = generator.params();
+    let extras: Vec<ExtraServer> = policies[1..]
+        .iter()
+        .map(|&policy| ExtraServer::new(policy, params.server_capacity, params.server_period))
+        .collect();
+    generator
+        .with_extra_servers(extras)
+        // rt-lint: allow(panic, reason = "the multi-server table uses at most three extra servers, which fits the priority range by construction")
+        .expect("paper-sized multi-server sets fit the priority range")
 }
 
 /// Generates the systems of one paper set on a **multi-server** system: the
@@ -151,25 +180,57 @@ pub fn generate_multi_server_set(
     policies: &[ServerPolicyKind],
     config: &TableConfig,
 ) -> Vec<SystemSpec> {
-    assert!(!policies.is_empty(), "at least one server policy required");
-    let mut params = GeneratorParams::paper_set(set.0, set.1);
-    params.nb_generation = config.systems_per_set;
-    params.seed = config.seed;
-    let capacity = params.server_capacity;
-    let period = params.server_period;
-    let extras: Vec<ExtraServer> = policies[1..]
+    multi_server_generator(set, policies, config).generate()
+}
+
+/// Streams every system of `generators` through one pool pass: the worker
+/// that claims the `index`-th system of a generator generates it with
+/// [`RandomSystemGenerator::generate_one`] and hands it straight to `run`.
+/// Returns each generator's results in generation order, so folding one
+/// gives what a sequential loop over its `generate()` gives, for any
+/// worker count.
+pub(crate) fn stream_systems<R: Send>(
+    generators: &[RandomSystemGenerator],
+    workers: usize,
+    run: impl Fn(SystemSpec) -> R + Sync,
+) -> Vec<Vec<R>> {
+    let items = stream_items(generators);
+    let mut results = pool::parallel_map(&items, workers, |_, &(group, index)| {
+        run(generators[group].generate_one(index))
+    })
+    .into_iter();
+    generators
         .iter()
-        .map(|&policy| ExtraServer::new(policy, capacity, period))
+        .map(|g| results.by_ref().take(g.params().nb_generation).collect())
+        .collect()
+}
+
+/// The `(generator, index)` items of [`stream_systems`], generator-major.
+pub(crate) fn stream_items(generators: &[RandomSystemGenerator]) -> Vec<(usize, usize)> {
+    generators
+        .iter()
+        .enumerate()
+        .flat_map(|(group, g)| (0..g.params().nb_generation).map(move |index| (group, index)))
+        .collect()
+}
+
+/// One pool pass over the six paper sets' generators (in [`SET_ORDER`]),
+/// every system run in `mode` and each set folded into its aggregate.
+fn streamed_table(
+    caption: impl Into<String>,
+    generators: &[RandomSystemGenerator; 6],
+    mode: EvaluationMode,
+    workers: usize,
+) -> ResultTable {
+    let runs = stream_systems(generators, workers, |system| {
+        RunMeasures::from_trace(&run_system(&system, mode))
+    });
+    let sets = SET_ORDER
+        .iter()
+        .zip(runs)
+        .map(|(&set, runs)| (set, SetAggregate::from_runs(&runs)))
         .collect();
-    RandomSystemGenerator::new(params, policies[0])
-        // rt-lint: allow(panic, reason = "the paper's fixed generator parameter sets are statically known to pass validation")
-        .expect("paper parameters are valid")
-        .with_scheduling(config.scheduling)
-        .with_discipline(config.discipline)
-        .with_extra_servers(extras)
-        // rt-lint: allow(panic, reason = "the multi-server table uses at most three extra servers, which fits the priority range by construction")
-        .expect("paper-sized multi-server sets fit the priority range")
-        .generate()
+    ResultTable::new(caption, sets)
 }
 
 /// One row of the EDF column family: the same generated set evaluated under
@@ -258,82 +319,83 @@ fn edf_comparison_load() -> PeriodicLoad {
     }
 }
 
+/// The generator of one EDF-comparison set: a sporadic primary server,
+/// deadline-stamped aperiodics and a three-task periodic underlay, stamped
+/// with fixed priorities whatever `config` says (the EDF run re-stamps its
+/// copy). The sporadic server folds into both analyses as a plain periodic
+/// task (no Deferrable back-to-back penalty), so the FP-RTA and EDF-dbf
+/// verdicts speak about the same demand the executions actually generate.
+fn edf_generator(set: (u32, u32), config: &TableConfig) -> RandomSystemGenerator {
+    paper_generator(set, ServerPolicyKind::Sporadic, config)
+        .with_scheduling(SchedulingPolicy::FixedPriority)
+        .with_aperiodic_deadline_factor(4)
+        .with_periodic_load(edf_comparison_load())
+        // rt-lint: allow(panic, reason = "the EDF-comparison load is three tasks, which fits the priority range by construction")
+        .expect("three periodic tasks fit the priority range")
+}
+
+/// What one system contributes to its [`EdfRow`].
+struct EdfRun {
+    fp: RunMeasures,
+    edf: RunMeasures,
+    fp_misses: usize,
+    edf_misses: usize,
+    jobs: usize,
+    rta_ok: bool,
+    dbf_ok: bool,
+}
+
 /// Reproduces the EDF column family over the six paper sets: each generated
-/// system (deferrable server, deadline-stamped aperiodics, a three-task
+/// system (sporadic server, deadline-stamped aperiodics, a three-task
 /// periodic underlay) is executed twice — under fixed priorities and under
-/// EDF — and reported next to its FP-RTA and EDF-`dbf` verdicts.
+/// EDF — and reported next to its FP-RTA and EDF-`dbf` verdicts. Each run
+/// also reports its periodic deadline misses, the measure the scheduling
+/// policy actually moves (the aperiodics ride the same server either way,
+/// so AART/ASR mostly coincide).
 ///
-/// The runs fan out over `workers` threads with the same deterministic
-/// reduction as the paper tables; the table is bit-identical for any worker
-/// count.
+/// One pool pass over `workers` threads: the worker that claims a system
+/// generates it, judges it and runs it under both policies. The table is
+/// bit-identical for any worker count.
 pub fn reproduce_edf_table(config: &TableConfig, workers: usize) -> EdfComparisonTable {
+    let generators = SET_ORDER.map(|set| edf_generator(set, config));
+    let runs = stream_systems(&generators, workers, |mut system| {
+        let rta_ok = periodic_set_feasible_with_servers(&system.periodic_tasks, &system.servers);
+        let dbf_ok = edf_feasible_system(&system);
+        let fp = run_system(&system, EvaluationMode::Execution);
+        system.scheduling = SchedulingPolicy::Edf;
+        let edf = run_system(&system, EvaluationMode::Execution);
+        debug_assert_eq!(
+            fp.periodic_jobs.len(),
+            edf.periodic_jobs.len(),
+            "same system, same job grid"
+        );
+        EdfRun {
+            fp: RunMeasures::from_trace(&fp),
+            edf: RunMeasures::from_trace(&edf),
+            fp_misses: fp.periodic_deadline_misses(),
+            edf_misses: edf.periodic_deadline_misses(),
+            jobs: fp.periodic_jobs.len(),
+            rta_ok,
+            dbf_ok,
+        }
+    });
     let rows = SET_ORDER
         .iter()
-        .map(|&set| {
-            let mut params = GeneratorParams::paper_set(set.0, set.1);
-            params.nb_generation = config.systems_per_set;
-            params.seed = config.seed;
-            // Sporadic primary server: it folds into both analyses as a
-            // plain periodic task (no Deferrable back-to-back penalty), so
-            // the FP-RTA and EDF-dbf verdicts speak about the same demand
-            // the executions actually generate.
-            let fp_systems: Vec<SystemSpec> =
-                RandomSystemGenerator::new(params, ServerPolicyKind::Sporadic)
-                    // rt-lint: allow(panic, reason = "the paper's fixed generator parameter sets are statically known to pass validation")
-                    .expect("paper parameters are valid")
-                    .with_discipline(config.discipline)
-                    .with_aperiodic_deadline_factor(4)
-                    .with_periodic_load(edf_comparison_load())
-                    // rt-lint: allow(panic, reason = "the EDF-comparison load is three tasks, which fits the priority range by construction")
-                    .expect("three periodic tasks fit the priority range")
-                    .generate();
-            let edf_systems: Vec<SystemSpec> = fp_systems
-                .iter()
-                .map(|spec| {
-                    let mut spec = spec.clone();
-                    spec.scheduling = SchedulingPolicy::Edf;
-                    spec
-                })
-                .collect();
-            // One worker-pool pass per policy; each run also reports its
-            // periodic deadline misses — the measure the scheduling policy
-            // actually moves (the aperiodics ride the same server either
-            // way, so AART/ASR mostly coincide).
-            let evaluate = |systems: &[SystemSpec]| -> (Vec<RunMeasures>, usize, usize) {
-                let per_run = pool::parallel_map(systems, workers, |_, spec| {
-                    let trace = run_system(spec, EvaluationMode::Execution);
-                    (
-                        RunMeasures::from_trace(&trace),
-                        trace.periodic_deadline_misses(),
-                        trace.periodic_jobs.len(),
-                    )
-                });
-                let misses = per_run.iter().map(|&(_, m, _)| m).sum();
-                let jobs = per_run.iter().map(|&(_, _, j)| j).sum();
-                (
-                    per_run.into_iter().map(|(r, _, _)| r).collect(),
-                    misses,
-                    jobs,
-                )
+        .zip(runs)
+        .map(|(&set, runs)| {
+            let fold = |pick: fn(&EdfRun) -> RunMeasures| {
+                SetAggregate::from_runs(&runs.iter().map(pick).collect::<Vec<_>>())
             };
-            let (fp_runs, fp_deadline_misses, periodic_jobs) = evaluate(&fp_systems);
-            let (edf_runs, edf_deadline_misses, edf_jobs) = evaluate(&edf_systems);
-            debug_assert_eq!(periodic_jobs, edf_jobs, "same systems, same job grid");
-            let fp_rta_feasible = fp_systems
-                .iter()
-                .filter(|s| periodic_set_feasible_with_servers(&s.periodic_tasks, &s.servers))
-                .count();
-            let edf_dbf_feasible = fp_systems.iter().filter(|s| edf_feasible_system(s)).count();
             EdfRow {
                 set,
-                fp: SetAggregate::from_runs(&fp_runs),
-                edf: SetAggregate::from_runs(&edf_runs),
-                fp_deadline_misses,
-                edf_deadline_misses,
-                periodic_jobs,
-                fp_rta_feasible,
-                edf_dbf_feasible,
-                systems: fp_systems.len(),
+                fp: fold(|r| r.fp),
+                edf: fold(|r| r.edf),
+                fp_deadline_misses: runs.iter().map(|r| r.fp_misses).sum(),
+                edf_deadline_misses: runs.iter().map(|r| r.edf_misses).sum(),
+                periodic_jobs: runs.iter().map(|r| r.jobs).sum(),
+                fp_rta_feasible: runs.iter().filter(|r| r.rta_ok).count(),
+                edf_dbf_feasible: runs.iter().filter(|r| r.dbf_ok).count(),
+                systems: runs.len(),
             }
         })
         .collect();
@@ -347,7 +409,7 @@ pub fn reproduce_edf_table(config: &TableConfig, workers: usize) -> EdfCompariso
 }
 
 /// Reproduces a table-shaped aggregate (AART/AIR/ASR per generated set) for
-/// a multi-server configuration, fanned out over `workers` threads — the
+/// a multi-server configuration, streamed over `workers` threads — the
 /// multi-server workload family the server-policy layer opens, reported in
 /// the same format as the four paper tables.
 pub fn reproduce_multi_server_table(
@@ -368,15 +430,8 @@ pub fn reproduce_multi_server_table(
             EvaluationMode::Execution => "executions",
         }
     );
-    let sets = SET_ORDER
-        .iter()
-        .map(|&set| {
-            let systems = generate_multi_server_set(set, policies, config);
-            let runs = run_systems(&systems, mode, workers);
-            (set, SetAggregate::from_runs(&runs))
-        })
-        .collect();
-    ResultTable::new(caption, sets)
+    let generators = SET_ORDER.map(|set| multi_server_generator(set, policies, config));
+    streamed_table(caption, &generators, mode, workers)
 }
 
 /// Runs one system in the requested mode.
@@ -422,62 +477,23 @@ pub fn reproduce_table(table: PaperTable, config: &TableConfig) -> ResultTable {
     ResultTable::new(table.caption(), sets)
 }
 
-/// Reproduces one of the paper's tables with the work fanned out over
+/// Reproduces one of the paper's tables with the work streamed over
 /// `workers` threads.
 ///
-/// Determinism: generation runs one work item per set, and each item builds
-/// the same identically-seeded [`RandomSystemGenerator`] the sequential path
-/// builds — per-item RNG streams, so no stream ever crosses a worker
-/// boundary. The runs are then fanned out over all `(set, system)` pairs,
-/// each worker folding its share into one [`PartialRuns`] per set, and the
-/// partials merge in generation order. The result is bit-identical to
-/// [`reproduce_table`] for any `workers`, including 1 (pinned by
-/// `tests/harness_determinism.rs`).
+/// Determinism: one pool pass over every `(set, index)` pair; the worker
+/// that claims a pair generates that system with the set's identically
+/// seeded [`RandomSystemGenerator`] (each system owns its RNG stream, so no
+/// stream ever crosses a worker boundary) and runs it. The measures come
+/// back in generation order and each set folds them as the sequential path
+/// does. The result is bit-identical to [`reproduce_table`] for any
+/// `workers`, including 1 (pinned by `tests/harness_determinism.rs`).
 pub fn reproduce_table_with_workers(
     table: PaperTable,
     config: &TableConfig,
     workers: usize,
 ) -> ResultTable {
-    let policy = table.policy();
-    let mode = table.mode();
-    let sets: Vec<Vec<SystemSpec>> = pool::parallel_map(&SET_ORDER, workers, |_, &set| {
-        generate_set(set, policy, config)
-    });
-    let items: Vec<(usize, usize, &SystemSpec)> = sets
-        .iter()
-        .enumerate()
-        .flat_map(|(set_index, systems)| {
-            systems
-                .iter()
-                .enumerate()
-                .map(move |(run_index, system)| (set_index, run_index, system))
-        })
-        .collect();
-    let shards = pool::parallel_shards(
-        &items,
-        workers,
-        || SET_ORDER.map(|_| PartialRuns::new()),
-        |acc, _, &(set_index, run_index, system)| {
-            acc[set_index].record(
-                run_index,
-                RunMeasures::from_trace(&run_system(system, mode)),
-            );
-        },
-    );
-    // Transpose the per-worker shards into per-set partial lists; the
-    // order-insensitive merge + index-ordered fold lives in `from_partials`.
-    let mut per_set = SET_ORDER.map(|_| Vec::new());
-    for shard in shards {
-        for (partials, partial) in per_set.iter_mut().zip(shard) {
-            partials.push(partial);
-        }
-    }
-    let sets = SET_ORDER
-        .iter()
-        .zip(per_set)
-        .map(|(&set, partials)| (set, SetAggregate::from_partials(partials)))
-        .collect();
-    ResultTable::new(table.caption(), sets)
+    let generators = SET_ORDER.map(|set| paper_generator(set, table.policy(), config));
+    streamed_table(table.caption(), &generators, table.mode(), workers)
 }
 
 /// Renders a reproduced table next to the paper's published values.

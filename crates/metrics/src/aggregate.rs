@@ -9,10 +9,9 @@
 //! * **AIR** — the average of the per-run interrupted-aperiodics ratios,
 //! * **ASR** — the average of the per-run served-aperiodics ratios,
 //!
-//! which is what [`SetAggregate::from_runs`] computes. When the runs of a
-//! set are produced by several harness workers, each worker collects its
-//! share into a [`PartialRuns`] and the partials are merged before
-//! aggregating — the merge is deterministic for any split of the runs.
+//! which is what [`SetAggregate::from_runs`] computes. Every fold sums in
+//! run order, so a harness that produces the runs on several workers hands
+//! them over in generation order to stay bit-identical.
 
 use crate::measures::{ContainmentMeasures, RunMeasures};
 use crate::quantile::Quantiles;
@@ -62,20 +61,6 @@ impl SetAggregate {
             air,
             asr,
         }
-    }
-
-    /// Aggregates per-worker partials of one set.
-    ///
-    /// Equivalent to merging the partials into one [`PartialRuns`] and
-    /// calling [`PartialRuns::aggregate`]: the result is bit-identical to
-    /// [`SetAggregate::from_runs`] over the sequentially-collected runs, no
-    /// matter how the runs were split across partials.
-    pub fn from_partials<I: IntoIterator<Item = PartialRuns>>(partials: I) -> Self {
-        let mut merged = PartialRuns::new();
-        for partial in partials {
-            merged.merge(partial);
-        }
-        merged.aggregate()
     }
 }
 
@@ -133,8 +118,8 @@ impl ContainmentAggregate {
 /// deadline-carrying events, the mean accrued value per run, and the AART
 /// over the served events — the row format of the overload tables
 /// (`rt-experiments::reproduce_overload_table`). Folding follows
-/// [`SetAggregate::from_runs`]: plain run-order averages, so the parallel
-/// harness reproduces it bit for bit through index-ordered partials.
+/// [`SetAggregate::from_runs`]: plain run-order averages, bit-identical
+/// for any worker count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverloadAggregate {
     /// Number of runs aggregated.
@@ -189,90 +174,6 @@ impl OverloadAggregate {
     }
 }
 
-/// The measures of one set's runs as collected by one harness worker.
-///
-/// Workers claim runs dynamically, so one worker's share of a set is an
-/// arbitrary subset; each run is therefore tagged with its *generation
-/// index* within the set. Merging partials concatenates the tagged runs and
-/// [`PartialRuns::aggregate`] sorts by index before folding, so the
-/// floating-point averages are summed in generation order — the aggregate is
-/// bit-identical to the sequential [`SetAggregate::from_runs`] for any
-/// worker count and any work interleaving.
-///
-/// ```
-/// use rt_metrics::{PartialRuns, RunMeasures, SetAggregate};
-///
-/// let run = |avg| RunMeasures { released: 2, served: 2,
-///                               average_response_time: Some(avg),
-///                               ..RunMeasures::default() };
-/// // Two workers collected the four runs of a set out of order.
-/// let mut a = PartialRuns::new();
-/// a.record(3, run(8.0));
-/// a.record(0, run(2.0));
-/// let mut b = PartialRuns::new();
-/// b.record(1, run(4.0));
-/// b.record(2, run(6.0));
-/// let parallel = SetAggregate::from_partials([a, b]);
-/// let sequential = SetAggregate::from_runs(&[run(2.0), run(4.0), run(6.0), run(8.0)]);
-/// assert_eq!(parallel, sequential);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PartialRuns {
-    entries: Vec<(usize, RunMeasures)>,
-}
-
-impl PartialRuns {
-    /// An empty partial.
-    pub fn new() -> Self {
-        PartialRuns::default()
-    }
-
-    /// Records the measures of the run generated at `index` within its set.
-    pub fn record(&mut self, index: usize, run: RunMeasures) {
-        self.entries.push((index, run));
-    }
-
-    /// Number of runs recorded so far.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no run has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Absorbs another worker's partial. Order-insensitive: the indices, not
-    /// the merge order, decide the final fold order.
-    pub fn merge(&mut self, other: PartialRuns) {
-        self.entries.extend(other.entries);
-    }
-
-    /// The recorded runs in generation order.
-    ///
-    /// # Panics
-    /// Panics when two runs carry the same index — that means a harness bug
-    /// (an item processed twice), and aggregating it silently would skew the
-    /// paper's averages.
-    fn into_ordered_runs(self) -> Vec<RunMeasures> {
-        let mut entries = self.entries;
-        entries.sort_by_key(|&(index, _)| index);
-        for window in entries.windows(2) {
-            assert_ne!(
-                window[0].0, window[1].0,
-                "duplicate run index {} in partial aggregation",
-                window[0].0
-            );
-        }
-        entries.into_iter().map(|(_, run)| run).collect()
-    }
-
-    /// Aggregates the recorded runs, folding in generation order.
-    pub fn aggregate(self) -> SetAggregate {
-        SetAggregate::from_runs(&self.into_ordered_runs())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,28 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn partials_merge_to_the_sequential_aggregate_for_any_split() {
-        // Averages chosen so that the FP sum is order-sensitive: only an
-        // index-ordered fold reproduces the sequential result bit-for-bit.
-        let runs: Vec<RunMeasures> = (0..17)
-            .map(|i| run(Some(0.1 + i as f64 * 1.7), i % 3 + 1, i % 2, 4))
-            .collect();
-        let sequential = SetAggregate::from_runs(&runs);
-        for split in 1..6 {
-            let mut partials: Vec<PartialRuns> = (0..split).map(|_| PartialRuns::new()).collect();
-            // Deal the runs round-robin, then reverse each partial so the
-            // recording order disagrees with the index order.
-            for (i, r) in runs.iter().enumerate() {
-                partials[i % split].record(i, *r);
-            }
-            for p in &mut partials {
-                p.entries.reverse();
-            }
-            assert_eq!(SetAggregate::from_partials(partials), sequential);
-        }
-    }
-
-    #[test]
     fn overload_and_containment_aggregates_carry_shared_quantiles() {
         let runs: Vec<RunMeasures> = (1..=20).map(|i| run(Some(i as f64), 1, 0, 1)).collect();
         let agg = OverloadAggregate::from_runs(&runs);
@@ -354,14 +233,5 @@ mod tests {
         assert_eq!(cagg.value_quantiles.p50, 5.0);
         assert_eq!(cagg.value_quantiles.p99, 10.0);
         assert_eq!(cagg.mean_value, 5.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate run index")]
-    fn duplicate_indices_are_rejected() {
-        let mut p = PartialRuns::new();
-        p.record(2, run(Some(1.0), 1, 0, 1));
-        p.record(2, run(Some(2.0), 1, 0, 1));
-        let _ = p.into_ordered_runs();
     }
 }

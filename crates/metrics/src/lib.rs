@@ -14,7 +14,7 @@ pub mod measures;
 pub mod quantile;
 pub mod table;
 
-pub use aggregate::{ContainmentAggregate, OverloadAggregate, PartialRuns, SetAggregate};
+pub use aggregate::{ContainmentAggregate, OverloadAggregate, SetAggregate};
 pub use hist::TickHistogram;
 pub use measures::{ContainmentMeasures, RunMeasures};
 pub use quantile::{nearest_rank, percentile_sorted, Quantiles};

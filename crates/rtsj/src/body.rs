@@ -121,6 +121,16 @@ impl<'w, W> BodyCtx<'w, W> {
         }
     }
 
+    /// Lends the context an empty buffer for the timers [`Self::arm_timer`]
+    /// queues; [`Self::take_timer_requests`] hands it back with them. A
+    /// driver that keeps the buffer between pumps (`rt-taskserver`'s
+    /// execution fast path) arms timers without allocating.
+    pub fn with_timer_buffer(mut self, buffer: Vec<(Instant, EventHandle)>) -> Self {
+        debug_assert!(buffer.is_empty(), "a lent timer buffer starts empty");
+        self.timer_requests = buffer;
+        self
+    }
+
     /// Current virtual time.
     pub fn now(&self) -> Instant {
         self.now
@@ -217,6 +227,15 @@ mod tests {
         assert_eq!(ctx.take_timer_requests(), vec![wake]);
         assert!(ctx.take_timer_requests().is_empty());
         assert_eq!(log, vec![1, 2]);
+
+        // A lent buffer comes back holding the armed timers.
+        let buffer = Vec::with_capacity(4);
+        let lent = buffer.as_ptr();
+        let mut ctx = BodyCtx::new(Instant::ZERO, &mut log).with_timer_buffer(buffer);
+        ctx.arm_timer(wake.0, wake.1);
+        let timers = ctx.take_timer_requests();
+        assert_eq!(timers, vec![wake]);
+        assert_eq!(timers.as_ptr(), lent, "the lent buffer, not a fresh one");
     }
 
     #[test]

@@ -502,12 +502,16 @@ impl RandomSystemGenerator {
         for k in 0..self.params.horizon_periods {
             let count = arrivals.sample(&mut rng);
             let start = Instant::ZERO + period.saturating_mul(k);
+            let first = releases.len();
             for _ in 0..count {
                 let offset_ticks = rng.gen_range(0..period.ticks());
                 releases.push(start + Span::from_ticks(offset_ticks));
             }
+            // Period k's releases lie in [kP, (k+1)P) (saturating at
+            // `Instant::MAX`, which keeps the periods in order), so sorting
+            // each period's slice sorts the whole horizon.
+            releases[first..].sort_unstable();
         }
-        releases.sort();
         builder.reserve_aperiodics(releases.len());
         for release in releases {
             if self.extra_servers.is_empty() {

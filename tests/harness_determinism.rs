@@ -1,11 +1,12 @@
-//! Determinism of the parallel experiment harness: the fan-out over the
-//! worker pool must be invisible in the results. Every aggregate — down to
-//! the last floating-point bit — must match the sequential reference for any
-//! worker count, because generation streams are per set, runs are keyed by
-//! generation index, and partials fold in index order.
+//! Determinism of the parallel experiment harness: streaming the systems
+//! over the worker pool must be invisible in the results. Every aggregate —
+//! down to the last floating-point bit — must match the sequential
+//! reference for any worker count, because every system owns its
+//! generation stream and the pool hands results back in generation order.
 
 use rtsj_event_framework::experiments::{
-    available_workers, generate_set, reproduce_overload_table, reproduce_table,
+    available_workers, generate_set, observe_table, reproduce_edf_table, reproduce_faults_table,
+    reproduce_multi_server_table, reproduce_overload_table, reproduce_table,
     reproduce_table_with_workers, run_systems, EvaluationMode, PaperTable, TableConfig,
 };
 use rtsj_event_framework::model::ServerPolicyKind;
@@ -56,21 +57,57 @@ fn full_size_simulation_table_is_bit_identical_in_parallel() {
     assert_eq!(parallel, sequential);
 }
 
+/// Asserts that `render(workers)` prints the same bytes for every worker
+/// count of [`worker_sweep`] as for one worker.
+fn assert_renders_identically(label: &str, render: impl Fn(usize) -> String) {
+    let reference = render(1);
+    for workers in worker_sweep() {
+        assert_eq!(
+            render(workers),
+            reference,
+            "{label} diverged with {workers} workers"
+        );
+    }
+}
+
 /// The `repro overload --workers N` determinism smoke: the overload sweep
 /// (admission decisions included — they are pure functions of the arrival
 /// history, never of worker scheduling) renders bit-identically for any
 /// worker count.
 #[test]
 fn overload_table_is_bit_identical_for_any_worker_count() {
-    let sequential = reproduce_overload_table(&quick(), 1);
-    let reference = sequential.to_string();
-    for workers in [2usize, 5, available_workers()] {
-        let parallel = reproduce_overload_table(&quick(), workers);
-        assert_eq!(
-            parallel.to_string(),
-            reference,
-            "overload table diverged with {workers} workers"
-        );
+    assert_renders_identically("overload table", |workers| {
+        reproduce_overload_table(&quick(), workers).to_string()
+    });
+}
+
+/// Every other streamed reproduction renders bit-identically for any worker
+/// count: the EDF column family (both policies and both verdicts per
+/// system), the multi-server tables in both modes, the fault-containment
+/// sweep and the probe-instrumented observation of every paper table.
+#[test]
+fn streamed_reproductions_render_bit_identically_for_any_worker_count() {
+    use ServerPolicyKind::{Deferrable, Polling, Sporadic};
+    assert_renders_identically("EDF table", |workers| {
+        reproduce_edf_table(&quick(), workers).to_string()
+    });
+    for policies in [
+        &[Polling, Sporadic][..],
+        &[Deferrable, Sporadic, Polling][..],
+    ] {
+        for mode in [EvaluationMode::Simulation, EvaluationMode::Execution] {
+            assert_renders_identically(&format!("multi-server {policies:?} {mode:?}"), |workers| {
+                reproduce_multi_server_table(policies, mode, &quick(), workers).to_string()
+            });
+        }
+    }
+    assert_renders_identically("faults table", |workers| {
+        reproduce_faults_table(&quick(), workers).to_string()
+    });
+    for table in PaperTable::all() {
+        assert_renders_identically(&format!("observed {table:?}"), |workers| {
+            observe_table(table, &quick(), workers).to_string()
+        });
     }
 }
 
