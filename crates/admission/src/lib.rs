@@ -50,12 +50,15 @@
 //! `engine_scaling -- admission` benchmark measures both).
 //! [`AdmissionPolicy::ValueDensity`] pays O(backlog) per provisional drop on
 //! the overload path (min-density scan + repack of the survivors) and O(1)
-//! on the accept path. Its D-OVER displacement is allocation-free: the
-//! survivors and their repacked plan live in two scratch buffers the
-//! machine keeps across arrivals, and an accepted newcomer refills the plan
-//! in place, so [`ServerAdmission::on_arrival_into`] fed with a reused
-//! buffer allocates nothing per arrival beyond the amortized growth of the
-//! plan itself.
+//! on the accept path. A refusal whose newcomer is strictly denser than no
+//! not-yet-started entry costs one scan of the plan and copies nothing:
+//! that is where the drop loop's first, least-dense candidate would stop
+//! (the verdicts of a seeded 4× stream are pinned by digest). Its D-OVER
+//! displacement is allocation-free: the survivors and their repacked plan
+//! live in two scratch buffers the machine keeps across arrivals, and an
+//! accepted newcomer refills the plan in place, so
+//! [`ServerAdmission::on_arrival_into`] fed with a reused buffer allocates
+//! nothing per arrival beyond the amortized growth of the plan itself.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -378,6 +381,17 @@ impl ServerAdmission {
             // rt-lint: allow(panic, reason = "displacement is entered only after a miss was predicted, which requires the deadline to exist")
             .expect("displacement is only reached on a predicted miss");
         let now = arrival.release;
+        // The loop's first victim is the least dense eligible entry, and it
+        // stops there unless the newcomer is strictly denser: so when the
+        // newcomer is denser than no eligible entry, that rejection needs no
+        // copy of the plan.
+        if !self.pending.iter().any(|e| {
+            e.virtual_start() > now
+                && denser_than(arrival.value, arrival.declared_cost, e.value, e.cost)
+        }) {
+            self.rejected += 1;
+            return (false, Some(first_prediction));
+        }
         let mut survivors = std::mem::take(&mut self.survivors);
         let mut repacked = std::mem::take(&mut self.repacked);
         // Victim eligibility is frozen against the *committed* plan: an
@@ -760,6 +774,56 @@ mod tests {
             state.predicted_completion(Instant::ZERO, Span::from_units(4)),
             Some(Instant::from_units(16))
         );
+    }
+
+    /// FNV-1a over `bytes`, continuing from `hash`.
+    fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn value_density_verdicts_are_pinned_on_a_seeded_overload_stream() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // PS(4, 6) serves 2/3 of a unit per unit; declared costs average 2
+        // units and arrivals come every 0.75 units on average, so the offered
+        // load is 4x the capacity. Every verdict, with the ids it displaced,
+        // is folded into one digest recorded before displacement was last
+        // changed: both engines and both oracles embed this machine, so no
+        // differential suite sees a change in its decisions.
+        let mut rng = StdRng::seed_from_u64(1983);
+        let mut state = server(AdmissionPolicy::ValueDensity);
+        let mut scratch = Vec::new();
+        let mut now = 0u64;
+        let (mut digest, mut displacing, mut rejected) = (0xcbf2_9ce4_8422_2325u64, 0, 0);
+        for id in 0..20_000u32 {
+            now += rng.gen_range(0..=1_500u64);
+            let cost = rng.gen_range(500..=3_500u64);
+            let deadline =
+                (rng.gen_range(0..10u32) != 0).then(|| now + rng.gen_range(2_000..=40_000u64));
+            let event = ArrivingEvent {
+                event: EventId::new(id),
+                release: Instant::from_ticks(now),
+                declared_cost: Span::from_ticks(cost),
+                deadline: deadline.map(Instant::from_ticks),
+                value: rng.gen_range(1..=100_000u64),
+            };
+            let (accepted, _) = state.on_arrival_into(&event, &mut scratch);
+            displacing += usize::from(!scratch.is_empty());
+            rejected += usize::from(!accepted);
+            digest = fnv1a(digest, &[u8::from(accepted)]);
+            digest = fnv1a(digest, &(scratch.len() as u64).to_le_bytes());
+            for dropped in &scratch {
+                digest = fnv1a(digest, &(dropped.index() as u64).to_le_bytes());
+            }
+        }
+        assert!(
+            displacing > 1_000 && rejected > 1_000,
+            "the stream exercises displacement ({displacing}) and rejection ({rejected})"
+        );
+        assert_eq!(digest, 0x29f0_ef16_0fd8_0c69, "verdict digest");
     }
 
     #[test]

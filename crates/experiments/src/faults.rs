@@ -17,7 +17,9 @@
 //! returns them in generation order, so the rows are bit-identical for any
 //! worker count.
 
-use crate::tables::{paper_generator, run_system, stream_systems, EvaluationMode, TableConfig};
+use crate::tables::{
+    config_systems, paper_generator, run_system, stream_systems, EvaluationMode, TableConfig,
+};
 use rt_metrics::{ContainmentAggregate, ContainmentMeasures};
 use rt_model::{AdmissionPolicy, Instant, ModeChange, ServerPolicyKind, Span, SystemSpec};
 use rt_sysgen::{FaultModel, RandomSystemGenerator, ValueModel};
@@ -185,7 +187,7 @@ fn fault_generator(scenario: FaultScenario, config: &TableConfig) -> RandomSyste
 /// fault knobs draw from a dedicated RNG stream, so every scenario sees
 /// byte-identical traffic.
 pub fn generate_fault_set(scenario: FaultScenario, config: &TableConfig) -> Vec<SystemSpec> {
-    fault_generator(scenario, config).generate()
+    config_systems(&fault_generator(scenario, config), config)
 }
 
 /// Reproduces the fault-containment table: every [`FAULT_SCENARIOS`] row
@@ -194,7 +196,7 @@ pub fn generate_fault_set(scenario: FaultScenario, config: &TableConfig) -> Vec<
 /// count.
 pub fn reproduce_faults_table(config: &TableConfig, workers: usize) -> FaultTable {
     let generators = FAULT_SCENARIOS.map(|scenario| fault_generator(scenario, config));
-    let runs = stream_systems(&generators, workers, |system| {
+    let runs = stream_systems(&generators, config, workers, |system| {
         let measure =
             |mode| ContainmentMeasures::from_trace(&run_system(&system, mode), &system.faults);
         (

@@ -73,7 +73,7 @@ pub fn observe_table(table: PaperTable, config: &TableConfig, workers: usize) ->
     let mode = table.mode();
     let generators = SET_ORDER.map(|set| paper_generator(set, table.policy(), config));
     let shards = pool::parallel_shards(
-        &stream_items(&generators),
+        &stream_items(generators.len(), config),
         workers,
         || SET_ORDER.map(|_| MetricsProbe::new()),
         |acc, _, &(set_index, index)| {

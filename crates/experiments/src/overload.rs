@@ -16,7 +16,9 @@
 //! them in generation order, so the rows are bit-identical for any worker
 //! count.
 
-use crate::tables::{paper_generator, run_system, stream_systems, EvaluationMode, TableConfig};
+use crate::tables::{
+    config_systems, paper_generator, run_system, stream_systems, EvaluationMode, TableConfig,
+};
 use rt_metrics::{OverloadAggregate, RunMeasures};
 use rt_model::{AdmissionPolicy, ServerPolicyKind, SystemSpec};
 use rt_sysgen::{RandomSystemGenerator, ValueModel};
@@ -126,7 +128,7 @@ pub fn generate_overload_set(
     policy: AdmissionPolicy,
     config: &TableConfig,
 ) -> Vec<SystemSpec> {
-    overload_generator(load, policy, config).generate()
+    config_systems(&overload_generator(load, policy, config), config)
 }
 
 /// Reproduces the overload table: `OVERLOAD_LOADS` × `OVERLOAD_POLICIES`,
@@ -142,7 +144,7 @@ pub fn reproduce_overload_table(config: &TableConfig, workers: usize) -> Overloa
         .iter()
         .map(|&(load, policy)| overload_generator(load, policy, config))
         .collect();
-    let runs = stream_systems(&generators, workers, |system| {
+    let runs = stream_systems(&generators, config, workers, |system| {
         let measure = |mode| RunMeasures::from_trace(&run_system(&system, mode));
         (
             measure(EvaluationMode::Execution),

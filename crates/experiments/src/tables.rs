@@ -126,14 +126,17 @@ impl Default for TableConfig {
     }
 }
 
-/// The generator of one paper set under the given policy.
+/// The generator of one paper set under the given policy. Its batch size is
+/// at least 1, the least a generator accepts; reproductions take
+/// `config.systems_per_set` of its systems ([`config_systems`],
+/// [`stream_systems`]), so a config of 0 systems gives empty sets.
 pub(crate) fn paper_generator(
     set: (u32, u32),
     policy: ServerPolicyKind,
     config: &TableConfig,
 ) -> RandomSystemGenerator {
     let mut params = GeneratorParams::paper_set(set.0, set.1);
-    params.nb_generation = config.systems_per_set;
+    params.nb_generation = config.systems_per_set.max(1);
     params.seed = config.seed;
     RandomSystemGenerator::new(params, policy)
         // rt-lint: allow(panic, reason = "the paper's fixed generator parameter sets are statically known to pass validation")
@@ -142,13 +145,24 @@ pub(crate) fn paper_generator(
         .with_discipline(config.discipline)
 }
 
+/// The first `config.systems_per_set` systems of `generator`, in generation
+/// order.
+pub(crate) fn config_systems(
+    generator: &RandomSystemGenerator,
+    config: &TableConfig,
+) -> Vec<SystemSpec> {
+    (0..config.systems_per_set)
+        .map(|index| generator.generate_one(index))
+        .collect()
+}
+
 /// Generates the systems of one paper set under the given policy.
 pub fn generate_set(
     set: (u32, u32),
     policy: ServerPolicyKind,
     config: &TableConfig,
 ) -> Vec<SystemSpec> {
-    paper_generator(set, policy, config).generate()
+    config_systems(&paper_generator(set, policy, config), config)
 }
 
 /// The generator of [`generate_multi_server_set`].
@@ -180,37 +194,38 @@ pub fn generate_multi_server_set(
     policies: &[ServerPolicyKind],
     config: &TableConfig,
 ) -> Vec<SystemSpec> {
-    multi_server_generator(set, policies, config).generate()
+    config_systems(&multi_server_generator(set, policies, config), config)
 }
 
-/// Streams every system of `generators` through one pool pass: the worker
-/// that claims the `index`-th system of a generator generates it with
-/// [`RandomSystemGenerator::generate_one`] and hands it straight to `run`.
-/// Returns each generator's results in generation order, so folding one
-/// gives what a sequential loop over its `generate()` gives, for any
-/// worker count.
+/// Streams the first `config.systems_per_set` systems of every generator
+/// through one pool pass: the worker that claims the `index`-th system of
+/// a generator generates it with [`RandomSystemGenerator::generate_one`]
+/// and hands it straight to `run`. Returns each generator's results in
+/// generation order, so folding one gives what a sequential loop over its
+/// [`config_systems`] gives, for any worker count.
 pub(crate) fn stream_systems<R: Send>(
     generators: &[RandomSystemGenerator],
+    config: &TableConfig,
     workers: usize,
     run: impl Fn(SystemSpec) -> R + Sync,
 ) -> Vec<Vec<R>> {
-    let items = stream_items(generators);
+    let items = stream_items(generators.len(), config);
     let mut results = pool::parallel_map(&items, workers, |_, &(group, index)| {
         run(generators[group].generate_one(index))
     })
     .into_iter();
     generators
         .iter()
-        .map(|g| results.by_ref().take(g.params().nb_generation).collect())
+        .map(|_| results.by_ref().take(config.systems_per_set).collect())
         .collect()
 }
 
-/// The `(generator, index)` items of [`stream_systems`], generator-major.
-pub(crate) fn stream_items(generators: &[RandomSystemGenerator]) -> Vec<(usize, usize)> {
-    generators
-        .iter()
-        .enumerate()
-        .flat_map(|(group, g)| (0..g.params().nb_generation).map(move |index| (group, index)))
+/// The `(generator, index)` items of [`stream_systems`] over `groups`
+/// generators, generator-major.
+pub(crate) fn stream_items(groups: usize, config: &TableConfig) -> Vec<(usize, usize)> {
+    let systems = config.systems_per_set;
+    (0..groups)
+        .flat_map(|group| (0..systems).map(move |index| (group, index)))
         .collect()
 }
 
@@ -219,10 +234,11 @@ pub(crate) fn stream_items(generators: &[RandomSystemGenerator]) -> Vec<(usize, 
 fn streamed_table(
     caption: impl Into<String>,
     generators: &[RandomSystemGenerator; 6],
+    config: &TableConfig,
     mode: EvaluationMode,
     workers: usize,
 ) -> ResultTable {
-    let runs = stream_systems(generators, workers, |system| {
+    let runs = stream_systems(generators, config, workers, |system| {
         RunMeasures::from_trace(&run_system(&system, mode))
     });
     let sets = SET_ORDER
@@ -358,7 +374,7 @@ struct EdfRun {
 /// bit-identical for any worker count.
 pub fn reproduce_edf_table(config: &TableConfig, workers: usize) -> EdfComparisonTable {
     let generators = SET_ORDER.map(|set| edf_generator(set, config));
-    let runs = stream_systems(&generators, workers, |mut system| {
+    let runs = stream_systems(&generators, config, workers, |mut system| {
         let rta_ok = periodic_set_feasible_with_servers(&system.periodic_tasks, &system.servers);
         let dbf_ok = edf_feasible_system(&system);
         let fp = run_system(&system, EvaluationMode::Execution);
@@ -431,7 +447,7 @@ pub fn reproduce_multi_server_table(
         }
     );
     let generators = SET_ORDER.map(|set| multi_server_generator(set, policies, config));
-    streamed_table(caption, &generators, mode, workers)
+    streamed_table(caption, &generators, config, mode, workers)
 }
 
 /// Runs one system in the requested mode.
@@ -493,7 +509,7 @@ pub fn reproduce_table_with_workers(
     workers: usize,
 ) -> ResultTable {
     let generators = SET_ORDER.map(|set| paper_generator(set, table.policy(), config));
-    streamed_table(table.caption(), &generators, table.mode(), workers)
+    streamed_table(table.caption(), &generators, config, table.mode(), workers)
 }
 
 /// Renders a reproduced table next to the paper's published values.
@@ -544,6 +560,51 @@ mod tests {
             seed: 1983,
             ..TableConfig::default()
         }
+    }
+
+    #[test]
+    fn every_reproduction_is_total_on_zero_systems_per_set() {
+        use crate::{
+            generate_fault_set, generate_overload_set, observe_table, reproduce_faults_table,
+            reproduce_overload_table, FaultScenario,
+        };
+        use rt_model::AdmissionPolicy;
+        let empty = TableConfig {
+            systems_per_set: 0,
+            ..TableConfig::default()
+        };
+        let policies = [ServerPolicyKind::Polling, ServerPolicyKind::Deferrable];
+        for set in SET_ORDER {
+            assert!(generate_set(set, ServerPolicyKind::Polling, &empty).is_empty());
+            assert!(generate_multi_server_set(set, &policies, &empty).is_empty());
+        }
+        assert!(generate_overload_set(4.0, AdmissionPolicy::ValueDensity, &empty).is_empty());
+        assert!(generate_fault_set(FaultScenario::Baseline, &empty).is_empty());
+        for table in PaperTable::all() {
+            for result in [
+                reproduce_table(table, &empty),
+                reproduce_table_with_workers(table, &empty, 2),
+            ] {
+                assert_eq!(result.sets.len(), SET_ORDER.len());
+                assert!(result.sets.iter().all(|(_, a)| a.runs == 0));
+            }
+            let observed = observe_table(table, &empty, 2);
+            assert!(observed.sets.iter().all(|s| s.systems == 0));
+        }
+        let multi = reproduce_multi_server_table(&policies, EvaluationMode::Simulation, &empty, 2);
+        assert!(multi.sets.iter().all(|(_, a)| a.runs == 0));
+        let edf = reproduce_edf_table(&empty, 2);
+        assert!(edf.rows.iter().all(|row| row.systems == 0));
+        let overload = reproduce_overload_table(&empty, 2);
+        assert!(overload
+            .rows
+            .iter()
+            .all(|row| row.execution.runs == 0 && row.simulation.runs == 0));
+        let faults = reproduce_faults_table(&empty, 2);
+        assert!(faults
+            .rows
+            .iter()
+            .all(|row| row.execution.runs == 0 && row.simulation.runs == 0));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! specialized over the frozen dispatch tables of a [`SimTables`].
 //!
 //! Every rule is the reference engine's rule (`crate::engine`'s linear-scan
-//! simulator) — same decision points, same tie-breaks, same policy state
-//! machines — but the *representation* is specialized per spec:
+//! simulator) — same tie-breaks, same policy state machines, the same trace
+//! to the byte — but the *representation* is specialized per spec, and the
+//! loop skips the decision points that cannot change a decision:
 //!
 //! * one [`Driver`] instantiation per server-policy kind × scheduling policy
 //!   (selected by [`run`] from the table's [`PolicySet`]), so capacity
@@ -22,6 +23,18 @@
 //!   keeps serving its own queue until the window closes, the queue drains
 //!   or (for a server) capacity runs out, instead of paying a dispatcher
 //!   re-entry per job — k coincident arrivals cost one dispatch, not k;
+//! * per-service decisions: under fixed priorities a FIFO-with-skip lane
+//!   serves through the arrivals of its window
+//!   ([`Driver::serves_through_arrivals`]). An arrival routed to the lane
+//!   in service changes neither the pick (the lane stays on top and every
+//!   other runner stays as it was) nor the job in service (it stays at the
+//!   FIFO front, and displacement spares started jobs), so it is admitted
+//!   inside the slice at its release, and the service runs to the next
+//!   decision point other than an arrival. An arrival routed to another
+//!   lane ends the service at its release, and one due where a job ends
+//!   goes back to `process_due_events` (a drain there can close a sporadic
+//!   chunk inside the old window). EDF, deadline-ordered lanes, unapplied
+//!   mode changes and recording probes keep one decision per arrival;
 //! * when a task runner exits with the decision window still open, the
 //!   driver re-picks *within the window* instead of paying a full
 //!   `process_due_events` + `next_decision_point` re-entry: no event is due
@@ -58,7 +71,7 @@
 //! trace's segments and outcome slots, and grows a scratch buffer only when
 //! it outsizes every earlier run.
 
-use crate::tables::{LaneTable, PolicySet, SimTables};
+use crate::tables::{ArrivalTable, LaneTable, PolicySet, SimTables};
 use rt_admission::{AdmissionPolicy, ArrivingEvent, ServerAdmission};
 use rt_model::{
     AperiodicFate, AperiodicOutcome, EventId, ExecUnit, Instant, ModeChange, PeriodicJobRecord,
@@ -759,7 +772,14 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
         }
         while self.now < self.sys.horizon {
             self.process_due_events();
-            let next = self.next_decision_point();
+            // A server that serves through arrivals runs to `hard`; every
+            // other runner stops at the next arrival too.
+            let hard = self.next_decision_point();
+            let next = if self.next_arrival < self.sys.arrival_count {
+                hard.min(self.sys.arrival_release(self.next_arrival))
+            } else {
+                hard
+            };
             debug_assert!(next > self.now, "decision points must advance time");
             // Window inner loop: re-pick without a full dispatcher re-entry
             // while only *task* runners have executed — nothing is due
@@ -784,7 +804,12 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
                         break;
                     }
                     Some(Runner::Server(s)) => {
-                        self.run_server(s, next);
+                        let end = if self.serves_through_arrivals(s) {
+                            hard
+                        } else {
+                            next
+                        };
+                        self.run_server(s, end);
                         break;
                     }
                     Some(Runner::Task(i)) => {
@@ -863,60 +888,7 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
         while self.next_arrival < sys.arrival_count
             && sys.arrival_release(self.next_arrival) <= self.now
         {
-            let arrival = sys.arrival(self.next_arrival);
-            let index = self.next_arrival as u32;
-            self.next_arrival += 1;
-            if PR::ENABLED {
-                self.probe.release(self.now);
-            }
-            // An orphan (routed to no lane) leaves its slot `Unserved`.
-            let Some(lane) = self.lanes.get_mut(arrival.server) else {
-                continue;
-            };
-            let mut scratch = std::mem::take(&mut self.aborted_scratch);
-            let accepted = match &mut lane.admission {
-                LaneAdmission::Pass => true,
-                LaneAdmission::Machine(m) => {
-                    m.on_arrival_into(
-                        &ArrivingEvent {
-                            event: arrival.id,
-                            release: arrival.release,
-                            declared_cost: arrival.declared_cost,
-                            deadline: arrival.deadline,
-                            value: arrival.value,
-                        },
-                        &mut scratch,
-                    )
-                    .0
-                }
-            };
-            for &aborted in &scratch {
-                self.abort_pending(arrival.server, aborted);
-            }
-            scratch.clear();
-            self.aborted_scratch = scratch;
-            if accepted {
-                self.lanes[arrival.server].queue.push_back(ApJob {
-                    arrival: index,
-                    id: arrival.id,
-                    remaining: arrival.demand,
-                    cap_left: arrival.cap,
-                    started: None,
-                    deadline: arrival.lane_deadline,
-                });
-                if PR::ENABLED {
-                    self.probe
-                        .admission(arrival.server, AdmissionVerdict::Accepted, self.now);
-                    let depth = self.lanes[arrival.server].queue.len() as u64;
-                    self.probe.queue_depth(arrival.server, depth);
-                }
-            } else {
-                if PR::ENABLED {
-                    self.probe
-                        .admission(arrival.server, AdmissionVerdict::Rejected, self.now);
-                }
-                self.trace.outcomes[index as usize].fate = AperiodicFate::Rejected { at: self.now };
-            }
+            self.admit_next_arrival(sys.arrival(self.next_arrival));
         }
         // Periodic releases: pop due rate groups, release one job per
         // member. Jobs of distinct tasks land in disjoint queues and the
@@ -955,6 +927,66 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
         for (lane, table) in self.lanes.iter_mut().zip(self.tables.iter()) {
             let queue_empty = lane.queue.is_empty();
             lane.policy.replenish_due(table, self.now, queue_empty);
+        }
+    }
+
+    /// Admits `arrival`, the one at the cursor, at its release: its lane's
+    /// admission plan decides, the queued jobs it displaces are aborted, and
+    /// a refused arrival is stamped `Rejected`. An orphan (routed to no
+    /// lane) leaves its slot `Unserved`.
+    fn admit_next_arrival(&mut self, arrival: ArrivalTable) {
+        let index = self.next_arrival as u32;
+        self.next_arrival += 1;
+        let at = arrival.release;
+        if PR::ENABLED {
+            self.probe.release(at);
+        }
+        let Some(lane) = self.lanes.get_mut(arrival.server) else {
+            return;
+        };
+        let mut scratch = std::mem::take(&mut self.aborted_scratch);
+        let accepted = match &mut lane.admission {
+            LaneAdmission::Pass => true,
+            LaneAdmission::Machine(m) => {
+                m.on_arrival_into(
+                    &ArrivingEvent {
+                        event: arrival.id,
+                        release: arrival.release,
+                        declared_cost: arrival.declared_cost,
+                        deadline: arrival.deadline,
+                        value: arrival.value,
+                    },
+                    &mut scratch,
+                )
+                .0
+            }
+        };
+        for &aborted in &scratch {
+            self.abort_pending(arrival.server, aborted, at);
+        }
+        scratch.clear();
+        self.aborted_scratch = scratch;
+        if accepted {
+            self.lanes[arrival.server].queue.push_back(ApJob {
+                arrival: index,
+                id: arrival.id,
+                remaining: arrival.demand,
+                cap_left: arrival.cap,
+                started: None,
+                deadline: arrival.lane_deadline,
+            });
+            if PR::ENABLED {
+                self.probe
+                    .admission(arrival.server, AdmissionVerdict::Accepted, at);
+                let depth = self.lanes[arrival.server].queue.len() as u64;
+                self.probe.queue_depth(arrival.server, depth);
+            }
+        } else {
+            if PR::ENABLED {
+                self.probe
+                    .admission(arrival.server, AdmissionVerdict::Rejected, at);
+            }
+            self.trace.outcomes[index as usize].fate = AperiodicFate::Rejected { at };
         }
     }
 
@@ -1017,9 +1049,9 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
     }
 
     /// Removes an admitted-but-displaced, never-started job from a lane's
-    /// queue, recording it aborted (same in-service exemption as the
+    /// queue, recording it aborted at `at` (same in-service exemption as the
     /// reference engine).
-    fn abort_pending(&mut self, lane_index: usize, event_id: EventId) {
+    fn abort_pending(&mut self, lane_index: usize, event_id: EventId, at: Instant) {
         let table = &self.tables[lane_index];
         let lane = &mut self.lanes[lane_index];
         let Some(position) = lane
@@ -1035,24 +1067,23 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
             // rt-lint: allow(panic, reason = "the position was selected from this queue two lines above; losing it mid-dispatch is an engine bug worth a crash over a corrupted trace")
             .expect("position came from the queue");
         if lane.queue.is_empty() {
-            lane.policy.on_queue_emptied(table, self.now);
+            lane.policy.on_queue_emptied(table, at);
         }
         if PR::ENABLED {
             self.probe
-                .admission(lane_index, AdmissionVerdict::Aborted, self.now);
+                .admission(lane_index, AdmissionVerdict::Aborted, at);
         }
-        self.trace.outcomes[job.arrival as usize].fate = AperiodicFate::Aborted { at: self.now };
+        self.trace.outcomes[job.arrival as usize].fate = AperiodicFate::Aborted { at };
     }
 
-    /// Next instant the scheduling decision could change: arrival cursor,
-    /// wheel peek, capacity-limited lane replenishments — all O(1) per
-    /// source (the capacity-limited test is const-folded per instantiation).
+    /// Next instant other than an arrival at which the scheduling decision
+    /// could change: wheel peek, capacity-limited lane replenishments,
+    /// unapplied mode changes, the horizon — all O(1) per source (the
+    /// capacity-limited test is const-folded per instantiation). The caller
+    /// adds the arrival cursor where an arrival can change the decision.
     fn next_decision_point(&self) -> Instant {
         let sys = self.sys;
         let mut next = sys.horizon;
-        if self.next_arrival < sys.arrival_count {
-            next = next.min(sys.arrival_release(self.next_arrival));
-        }
         if let Some(&Reverse((at, _))) = self.wheel.peek() {
             next = next.min(at);
         }
@@ -1153,10 +1184,30 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
         }
     }
 
-    /// Serves lane `s` until the window closes, capacity runs out or the
-    /// queue drains (same-instant batching), with the policy calls inlined.
+    /// Whether lane `s`, just picked, serves through the arrivals of its
+    /// window: only where no arrival can change the pick or the job in
+    /// service. Fixed priorities keep the lane on top (an arrival to it
+    /// leaves every other runner as it was), FIFO-with-skip keeps the job in
+    /// service at the front (arrivals join the back, and displacement spares
+    /// started jobs), and with every mode change applied no arrival meets a
+    /// reconfiguration. EDF stays out, because a sporadic lane's key jumps
+    /// from its replenishment to `anchor + period` once service starts, as
+    /// do deadline-ordered lanes, where an earlier deadline preempts; and a
+    /// recording probe keeps one decision per arrival.
+    fn serves_through_arrivals(&self, s: usize) -> bool {
+        !EDF && !PR::ENABLED
+            && self.tables[s].discipline == QueueDiscipline::FifoSkip
+            && self.mode_applied.iter().all(|&applied| applied)
+    }
+
+    /// Serves lane `s` until `end`, capacity runs out or the queue drains
+    /// (same-instant batching), with the policy calls inlined. When `end`
+    /// lies past the next arrival ([`Self::serves_through_arrivals`]), each
+    /// arrival routed to `s` is admitted inside the slice that spans its
+    /// release, while one routed elsewhere, or one due where a job ends,
+    /// ends the service at its release and goes to `process_due_events`.
     // rt-lint: zero-alloc
-    fn run_server(&mut self, s: usize, next: Instant) {
+    fn run_server(&mut self, s: usize, end: Instant) {
         let sys = self.sys;
         // A mode change deferred by the quiescence rule (due before this
         // window opened, lane busy then) may become applicable the moment a
@@ -1170,10 +1221,9 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
             .iter()
             .enumerate()
             .any(|(k, c)| !self.mode_applied[k] && c.server == s && c.at <= self.now);
-        let table = &self.tables[s];
-        let lane = &mut self.lanes[s];
         loop {
-            let position = match table.discipline {
+            let lane = &mut self.lanes[s];
+            let position = match self.tables[s].discipline {
                 QueueDiscipline::FifoSkip => 0,
                 QueueDiscipline::DeadlineOrdered => {
                     let mut best = 0;
@@ -1190,17 +1240,36 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
                 .get_mut(position)
                 // rt-lint: allow(panic, reason = "the lane is run only while its queue is non-empty; a silent fallback would corrupt the trace")
                 .expect("server runner requires pending work");
-            let window = next.since(self.now);
+            let window = end.since(self.now);
             let slice = job
                 .remaining
                 .min(job.cap_left)
                 .min(lane.policy.available())
                 .min(window);
             debug_assert!(!slice.is_zero(), "picked server cannot make progress");
-            let id = job.id;
+            // Started before the slice's arrivals are admitted, so that
+            // displacement spares it as the reference's first slice does.
             if job.started.is_none() {
                 job.started = Some(self.now);
             }
+            let mut until = self.now + slice;
+            while self.next_arrival < sys.arrival_count
+                && sys.arrival_release(self.next_arrival) < until
+            {
+                let arrival = sys.arrival(self.next_arrival);
+                if arrival.server != s {
+                    until = arrival.release;
+                    break;
+                }
+                // Joins the back of the queue or is refused; the job in
+                // service stays at `position`, the FIFO front.
+                self.admit_next_arrival(arrival);
+            }
+            let slice = until.since(self.now);
+            let table = &self.tables[s];
+            let lane = &mut self.lanes[s];
+            let job = &mut lane.queue[position];
+            let id = job.id;
             if PR::ENABLED {
                 let unit = ExecUnit::Handler(id);
                 if let Some(prev) = self.incomplete.take() {
@@ -1209,10 +1278,10 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
                     }
                 }
                 self.probe.dispatch(unit, self.now);
-                self.probe.slice(unit, self.now, self.now + slice);
+                self.probe.slice(unit, self.now, until);
             }
             self.trace
-                .push_segment(ExecUnit::Handler(id), self.now, self.now + slice);
+                .push_segment(ExecUnit::Handler(id), self.now, until);
             job.remaining = job.remaining.minus(slice);
             job.cap_left = job.cap_left.minus(slice);
             if PR::ENABLED {
@@ -1220,7 +1289,7 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
                     .then_some(ExecUnit::Handler(id));
             }
             lane.policy.consume(table, slice, self.now);
-            self.now += slice;
+            self.now = until;
             if job.remaining.is_zero() {
                 // rt-lint: allow(panic, reason = "a job only completes after executing, and execution records the start instant")
                 let started = job.started.expect("a completed job has started");
@@ -1250,7 +1319,9 @@ impl<'a, P: LanePolicy, PR: Probe, const EDF: bool> Driver<'a, P, PR, EDF> {
                     machine.on_abort(id, self.now);
                 }
             }
-            if self.now >= next || deferred_change || !lane.is_ready() {
+            let arrival_due = self.next_arrival < sys.arrival_count
+                && sys.arrival_release(self.next_arrival) <= self.now;
+            if self.now >= end || deferred_change || arrival_due || !lane.is_ready() {
                 break;
             }
         }

@@ -26,9 +26,24 @@
 //! the offending configuration directly.
 
 use rtsj_event_framework::model::{
-    AdmissionPolicy, AperiodicFate, ExecUnit, Instant, ServerPolicyKind, Span, SystemSpec, Trace,
+    AdmissionPolicy, AperiodicEvent, AperiodicFate, ExecUnit, Instant, ServerPolicyKind, Span,
+    SystemSpec, Trace,
 };
 use std::collections::HashMap;
+
+/// Every admission policy `event`'s lane runs under: the installed one and
+/// each a mode change installs (none when the event is an orphan).
+fn admissions<'a>(
+    spec: &'a SystemSpec,
+    event: &AperiodicEvent,
+) -> impl Iterator<Item = AdmissionPolicy> + 'a {
+    let installed = spec.server_of(event).map(|s| s.admission);
+    let changed = spec
+        .faults
+        .mode_changes_for(event.server)
+        .filter_map(|change| change.admission);
+    installed.into_iter().chain(changed)
+}
 
 /// Checks every spec-aware invariant of `trace` against `spec` (the
 /// original, possibly fault-carrying spec handed to the engine). Returns
@@ -50,10 +65,10 @@ pub fn check_trace_invariants(spec: &SystemSpec, trace: &Trace) -> Result<(), St
                 spec.name, outcome.event
             ));
         };
-        let server = spec_view.server_of(event);
         match outcome.fate {
             AperiodicFate::Rejected { .. } => {
-                let admits_all = server.is_none_or(|s| s.admission == AdmissionPolicy::AcceptAll);
+                let admits_all = admissions(spec_view, event)
+                    .all(|admission| admission == AdmissionPolicy::AcceptAll);
                 if admits_all {
                     return Err(format!(
                         "{}: {} rejected without a rejecting admission policy",
@@ -62,8 +77,8 @@ pub fn check_trace_invariants(spec: &SystemSpec, trace: &Trace) -> Result<(), St
                 }
             }
             AperiodicFate::Aborted { .. } => {
-                let dover_drop =
-                    server.is_some_and(|s| s.admission == AdmissionPolicy::ValueDensity);
+                let dover_drop = admissions(spec_view, event)
+                    .any(|admission| admission == AdmissionPolicy::ValueDensity);
                 let enforcement = !spec_view.faults.overrun_extra(outcome.event).is_zero();
                 if !dover_drop && !enforcement {
                     return Err(format!(

@@ -13,14 +13,16 @@
 //!
 //! The inputs cover the paper scenarios, generated systems, the server
 //! policy × queue discipline × admission × scheduling matrix, multi-server
-//! and serverless systems, homogeneous rate groups, and coincident,
-//! saturating and backlogged bursts — the shapes where batching and the
-//! static dispatch tables could diverge. The golden files in
-//! `tests/goldens/` additionally pin every loop to the recorded history.
+//! and serverless systems, homogeneous rate groups, coincident,
+//! saturating and backlogged bursts, and the boundaries of the simulation
+//! driver's service rule (arrivals admitted inside a service) — the shapes
+//! where batching and the static dispatch tables could diverge. The golden
+//! files in `tests/goldens/` additionally pin every loop to the recorded
+//! history.
 
 use rtsj_event_framework::model::{
-    AdmissionPolicy, AperiodicFate, Instant, Priority, QueueDiscipline, SchedulingPolicy,
-    ServerPolicyKind, ServerSpec, Span, SystemSpec,
+    AdmissionPolicy, AperiodicFate, Instant, ModeChange, Priority, QueueDiscipline,
+    SchedulingPolicy, ServerPolicyKind, ServerSpec, Span, SystemSpec,
 };
 use rtsj_event_framework::observe::MetricsProbe;
 use rtsj_event_framework::simulator::{simulate, simulate_reference};
@@ -528,4 +530,350 @@ fn backlogged_periodic_task_agrees_with_the_reference() {
     b.aperiodic(Instant::from_units(4), Span::from_units(1));
     b.horizon(Instant::from_units(72));
     assert_both_worlds_agree(&b.build().unwrap());
+}
+
+/// Ticks per time unit, for the hand-built boundary cases below.
+const U: u64 = 1_000;
+
+/// One hand-built arrival: `(lane, release, cost, relative deadline,
+/// value)`, times in ticks.
+type Arrival = (usize, u64, u64, Option<u64>, u64);
+
+/// `servers` above one low-priority periodic task, with `events` in
+/// insertion order (ids ascend in it, so it is the stream order within one
+/// release) and the horizon in ticks.
+fn boundary_system(
+    name: &str,
+    servers: &[ServerSpec],
+    events: &[Arrival],
+    horizon: u64,
+) -> SystemSpec {
+    let mut b = SystemSpec::builder(name);
+    for server in servers {
+        b.add_server(server.clone());
+    }
+    b.periodic(
+        "tau",
+        Span::from_units(1),
+        Span::from_units(7),
+        Priority::new(10),
+    );
+    for &(lane, release, cost, deadline, value) in events {
+        b.aperiodic_for(lane, Instant::from_ticks(release), Span::from_ticks(cost));
+        let event = b.last_aperiodic_mut().expect("event just added");
+        event.relative_deadline = deadline.map(Span::from_ticks);
+        event.value = value;
+    }
+    b.horizon(Instant::from_ticks(horizon));
+    b.build().unwrap()
+}
+
+/// A capacity-limited server of `policy` at priority 30.
+fn server(
+    policy: ServerPolicyKind,
+    capacity: u64,
+    period: u64,
+    admission: AdmissionPolicy,
+) -> ServerSpec {
+    ServerSpec {
+        policy,
+        capacity: Span::from_units(capacity),
+        period: Span::from_units(period),
+        priority: Priority::new(30),
+        discipline: QueueDiscipline::FifoSkip,
+        admission,
+    }
+}
+
+/// Asserts `simulate` agrees with `simulate_reference` under fixed
+/// priorities and under EDF; returns the fixed-priority trace.
+fn assert_simulation_agrees_under_both_schedulers(spec: &SystemSpec) -> rt_model::Trace {
+    let mut edf = spec.clone();
+    edf.scheduling = SchedulingPolicy::Edf;
+    assert_simulation_agrees(&edf);
+    let mut fp = spec.clone();
+    fp.scheduling = SchedulingPolicy::FixedPriority;
+    assert_simulation_agrees(&fp);
+    simulate(&fp)
+}
+
+fn count_fates(trace: &rt_model::Trace, pick: fn(&AperiodicFate) -> bool) -> usize {
+    trace.outcomes.iter().filter(|o| pick(&o.fate)).count()
+}
+
+#[test]
+fn a_queue_draining_at_an_arrival_agrees_with_the_reference() {
+    // Every 8 units a job is in service when a second arrives (admitted
+    // inside the slice). In even periods the second drains the queue at
+    // the instant a third arrives: a polling server forfeits its capacity
+    // there and a sporadic one closes its chunk, so the third goes back to
+    // the full loop. In odd periods the first job ends where the third
+    // arrives with the second still queued.
+    let events: Vec<Arrival> = (0..6u64)
+        .flat_map(|k| {
+            let third = if k % 2 == 0 { 3 } else { 2 };
+            [
+                (0, 8 * k * U, 2 * U, None, 1),
+                (0, (8 * k + 1) * U, U, None, 1),
+                (0, (8 * k + third) * U, U, None, 1),
+            ]
+        })
+        .collect();
+    for policy in [
+        ServerPolicyKind::Polling,
+        ServerPolicyKind::Deferrable,
+        ServerPolicyKind::Sporadic,
+    ] {
+        let spec = boundary_system(
+            &format!("drain-{policy:?}"),
+            &[server(policy, 4, 8, AdmissionPolicy::AcceptAll)],
+            &events,
+            56 * U,
+        );
+        assert_simulation_agrees_under_both_schedulers(&spec);
+    }
+}
+
+#[test]
+fn a_burst_inside_one_service_agrees_with_the_reference() {
+    // X is in service over [4, 7) on a sporadic server. The burst at 6, a
+    // period boundary of the admission plan, lands inside that slice:
+    // under ValueDensity the dense C displaces the queued B there; under
+    // DeadlinePredictive C is refused. A second burst inside a later slice
+    // (at 10.5) meets a backlog with deadlines.
+    let events: [Arrival; 8] = [
+        (0, 4 * U, 3 * U, None, 1),
+        (0, 6 * U, 3 * U, None, 1),
+        (0, 6 * U, 3 * U, Some(9 * U), 1_000),
+        (0, 6 * U, U, Some(4 * U), 2),
+        (0, 10 * U + 500, U, Some(3 * U), 40),
+        (0, 10 * U + 500, 2 * U, Some(20 * U), 1),
+        (0, 11 * U, U, Some(12 * U), 90),
+        (0, 12 * U + 250, U, None, 3),
+    ];
+    for policy in [
+        ServerPolicyKind::Polling,
+        ServerPolicyKind::Deferrable,
+        ServerPolicyKind::Sporadic,
+    ] {
+        for admission in [
+            AdmissionPolicy::AcceptAll,
+            AdmissionPolicy::DeadlinePredictive,
+            AdmissionPolicy::ValueDensity,
+        ] {
+            let spec = boundary_system(
+                &format!("burst-{policy:?}-{admission:?}"),
+                &[server(policy, 3, 6, admission)],
+                &events,
+                40 * U,
+            );
+            let trace = assert_simulation_agrees_under_both_schedulers(&spec);
+            if policy == ServerPolicyKind::Sporadic {
+                let aborted = count_fates(&trace, |f| matches!(f, AperiodicFate::Aborted { .. }));
+                let rejected = count_fates(&trace, |f| matches!(f, AperiodicFate::Rejected { .. }));
+                match admission {
+                    AdmissionPolicy::ValueDensity => {
+                        assert!(aborted > 0, "B is displaced mid-service")
+                    }
+                    AdmissionPolicy::DeadlinePredictive => {
+                        assert!(rejected > 0, "C is refused mid-service")
+                    }
+                    AdmissionPolicy::AcceptAll => assert_eq!(aborted + rejected, 0),
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn displacement_spares_a_job_started_inside_the_service() {
+    // A deferrable server serves from retained capacity long before the
+    // polling plan of its admission machine would: A runs over [1, 2) and
+    // B, arriving at 1.5, starts at 2 in the same service. At 3, C (dense,
+    // deadline 11) displaces B in the plan, where B has not yet started;
+    // the lane has started B, so B keeps running and C queues behind it.
+    let events: [Arrival; 3] = [
+        (0, U, U, None, 1),
+        (0, U + 500, 2 * U, None, 1),
+        (0, 3 * U, 2 * U, Some(8 * U), 100),
+    ];
+    let spec = boundary_system(
+        "started-inside",
+        &[server(
+            ServerPolicyKind::Deferrable,
+            4,
+            8,
+            AdmissionPolicy::ValueDensity,
+        )],
+        &events,
+        24 * U,
+    );
+    let trace = assert_simulation_agrees_under_both_schedulers(&spec);
+    let b = spec.aperiodics[1].id;
+    assert_eq!(
+        trace.outcomes.iter().find(|o| o.event == b).unwrap().fate,
+        AperiodicFate::Served {
+            started: Instant::from_units(2),
+            completed: Instant::from_units(4),
+        }
+    );
+}
+
+#[test]
+fn an_arrival_to_another_lane_inside_a_service_agrees_with_the_reference() {
+    // Lane 0 serves [0, 3); at 1 arrivals for lanes 0, 1 and 0 again (in
+    // that stream order) land inside the slice, and the lane-1 one ends
+    // it. Later lane 1 is in service when lane 0 (higher priority) and
+    // lane 2 (lower) receive arrivals. Mixed policies take the inline-enum
+    // lane, one policy the monomorphized one.
+    let events: [Arrival; 9] = [
+        (0, 0, 3 * U, None, 1),
+        (0, U, U, None, 1),
+        (1, U, U, None, 1),
+        (0, U, U, None, 1),
+        (2, 2 * U + 500, U, None, 1),
+        (1, 13 * U, 2 * U, None, 1),
+        (0, 13 * U + 500, U, None, 1),
+        (2, 14 * U, U, None, 1),
+        (1, 14 * U + 500, U, None, 1),
+    ];
+    let lanes = |policies: [ServerPolicyKind; 3]| -> Vec<ServerSpec> {
+        policies
+            .iter()
+            .zip([40u8, 38, 36])
+            .map(|(&policy, priority)| ServerSpec {
+                priority: Priority::new(priority),
+                ..server(policy, 3, 8, AdmissionPolicy::AcceptAll)
+            })
+            .collect()
+    };
+    for policies in [
+        [
+            ServerPolicyKind::Deferrable,
+            ServerPolicyKind::Polling,
+            ServerPolicyKind::Sporadic,
+        ],
+        [ServerPolicyKind::Deferrable; 3],
+    ] {
+        let spec = boundary_system("other-lane", &lanes(policies), &events, 40 * U);
+        assert_simulation_agrees_under_both_schedulers(&spec);
+    }
+}
+
+#[test]
+fn an_overrun_cut_mid_service_agrees_with_the_reference() {
+    // X declares 3 units but demands 5: enforcement cuts it at 3, with
+    // arrivals inside its slice before the cut, one exactly at it and one
+    // after, so the admission plan's release of X's slot falls between
+    // in-slice admissions.
+    let events: [Arrival; 6] = [
+        (0, 0, 3 * U, Some(8 * U), 5),
+        (0, U, 2 * U, Some(6 * U), 3),
+        (0, 2 * U + 500, U, Some(4 * U), 8),
+        (0, 3 * U, U, Some(10 * U), 1),
+        (0, 4 * U, 2 * U, Some(5 * U), 6),
+        (0, 4 * U + 500, U, None, 2),
+    ];
+    for policy in [ServerPolicyKind::Deferrable, ServerPolicyKind::Sporadic] {
+        for admission in [
+            AdmissionPolicy::AcceptAll,
+            AdmissionPolicy::DeadlinePredictive,
+            AdmissionPolicy::ValueDensity,
+        ] {
+            let mut spec = boundary_system(
+                &format!("overrun-{policy:?}-{admission:?}"),
+                &[server(policy, 4, 8, admission)],
+                &events,
+                32 * U,
+            );
+            let x = spec.aperiodics[0].id;
+            spec.faults = std::mem::take(&mut spec.faults).overrun(x, Span::from_units(2));
+            let trace = assert_simulation_agrees_under_both_schedulers(&spec);
+            let fate = trace.outcomes.iter().find(|o| o.event == x).unwrap().fate;
+            assert_eq!(
+                fate,
+                AperiodicFate::Aborted {
+                    at: Instant::from_units(3)
+                },
+                "X is cut at its declared cost"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_pending_mode_change_agrees_with_the_reference() {
+    // The change at 5 finds X in service over [4, 7) and waits until X
+    // completes; arrivals meanwhile are decision points of their own. A
+    // second change, far ahead, keeps one pending through the services in
+    // between, and the swap to background servicing takes the inline-enum
+    // lane.
+    let events: Vec<Arrival> = [4u64, 5, 6, 9, 15, 16, 23, 24, 25]
+        .iter()
+        .map(|&t| (0, t * U + 250, 2 * U, Some(12 * U), 1 + t % 4))
+        .collect();
+    for (policy, later) in [
+        (ServerPolicyKind::Deferrable, None),
+        (
+            ServerPolicyKind::Sporadic,
+            Some(ServerPolicyKind::Background),
+        ),
+    ] {
+        for admission in [
+            AdmissionPolicy::AcceptAll,
+            AdmissionPolicy::DeadlinePredictive,
+        ] {
+            let mut spec = boundary_system(
+                &format!("mode-{policy:?}-{admission:?}"),
+                &[server(policy, 3, 6, admission)],
+                &events,
+                40 * U,
+            );
+            let mut second = ModeChange::at(Instant::from_units(24), 0);
+            second = match later {
+                Some(kind) => second.with_policy(kind),
+                None => second.with_capacity(Span::from_units(3)),
+            };
+            spec.faults = std::mem::take(&mut spec.faults)
+                .mode_change(
+                    ModeChange::at(Instant::from_units(5), 0).with_capacity(Span::from_units(2)),
+                )
+                .mode_change(second);
+            spec.faults.normalise();
+            assert_simulation_agrees_under_both_schedulers(&spec);
+        }
+    }
+}
+
+#[test]
+fn the_horizon_inside_a_service_agrees_with_the_reference() {
+    // A 10-unit job starts at 40 and the horizon falls at 45: arrivals
+    // inside its slice are admitted and queued, one exactly at the horizon
+    // and one past it never enter the run.
+    let events: [Arrival; 6] = [
+        (0, 40 * U, 10 * U, None, 1),
+        (0, 41 * U, U, None, 1),
+        (0, 43 * U + 500, 2 * U, None, 1),
+        (0, 44 * U + 999, U, None, 1),
+        (0, 45 * U, U, None, 1),
+        (0, 46 * U, U, None, 1),
+    ];
+    let background = ServerSpec::background(Priority::new(30));
+    for lane in [
+        background,
+        server(
+            ServerPolicyKind::Deferrable,
+            10,
+            50,
+            AdmissionPolicy::AcceptAll,
+        ),
+    ] {
+        let spec = boundary_system("horizon", &[lane], &events, 45 * U);
+        let trace = assert_simulation_agrees_under_both_schedulers(&spec);
+        assert_eq!(
+            count_fates(&trace, |f| matches!(f, AperiodicFate::Unserved)),
+            4,
+            "the job cut by the horizon and the three queued behind it"
+        );
+    }
 }

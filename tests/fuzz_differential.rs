@@ -19,9 +19,14 @@
 //! each other: the execution substrate is non-resumable and carries
 //! overheads by design.
 //!
-//! The case budget is `FUZZ_CASES` (default 200) and the base seed
-//! `FUZZ_SEED` (default 1983); every case derives a deterministic per-case
-//! seed, so any failure reproduces from the printed seed alone. On a
+//! `seeded_overload_fuzz` draws overloaded systems instead
+//! (`random_overload_spec`: lanes offered 4–8× their capacity), where long
+//! services take arrivals inside them.
+//!
+//! The case budget is `FUZZ_CASES` (default 200; the overload fuzzer runs a
+//! quarter of it) and the base seed `FUZZ_SEED` (default 1983); every case
+//! derives a deterministic per-case seed, so any failure reproduces from
+//! the printed seed alone. On a
 //! failure the offending spec is first shrunk — halving the event list,
 //! then dropping fault records and periodic tasks — and the minimal
 //! reproducer is printed with its seed and the divergence.
@@ -46,7 +51,7 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-use common::specgen::random_spec;
+use common::specgen::{random_overload_spec, random_spec};
 
 /// Runs one spec through both worlds; returns the first divergence or
 /// invariant violation.
@@ -153,15 +158,15 @@ fn shrink(spec: &SystemSpec) -> (SystemSpec, String) {
     (best, error)
 }
 
-#[test]
-fn seeded_cross_engine_fuzz() {
-    let cases = env_u64("FUZZ_CASES", DEFAULT_CASES as u64) as usize;
+/// Runs `cases` cases of `generate` from the `FUZZ_SEED` base, shrinking
+/// and printing the first failure.
+fn fuzz(cases: usize, generate: fn(u64) -> SystemSpec) {
     let base = env_u64("FUZZ_SEED", DEFAULT_SEED);
     for case in 0..cases {
         let seed = base
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(case as u64);
-        let spec = random_spec(seed);
+        let spec = generate(seed);
         if let Err(first) = check_case(&spec) {
             let (minimal, error) = shrink(&spec);
             panic!(
@@ -171,6 +176,24 @@ fn seeded_cross_engine_fuzz() {
             );
         }
     }
+}
+
+#[test]
+fn seeded_cross_engine_fuzz() {
+    fuzz(
+        env_u64("FUZZ_CASES", DEFAULT_CASES as u64) as usize,
+        random_spec,
+    );
+}
+
+/// Overloaded lanes: long services with arrivals inside them, at a quarter
+/// of the case budget (each case carries about ten times the traffic).
+#[test]
+fn seeded_overload_fuzz() {
+    fuzz(
+        env_u64("FUZZ_CASES", DEFAULT_CASES as u64) as usize / 4,
+        random_overload_spec,
+    );
 }
 
 #[test]
